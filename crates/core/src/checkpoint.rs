@@ -379,7 +379,7 @@ mod tests {
         ctx.acceptance[0].record(true);
         ctx.acceptance[0].record(false);
         ctx.telemetry_seq = 9;
-        ctx.record_samples(1, &[(0.25, -0.5)]);
+        ctx.record_samples_at(1, 0, &[(0.25, -0.5)]);
         {
             let mut sys = ctx.replicas[2].system.lock();
             sys.state.positions[0] = mdsim::Vec3::new(0.1 + 0.2, -7.25, 1e-9);
@@ -429,6 +429,35 @@ mod tests {
         assert_eq!(cp.replicas[1].restart, pre, "in-flight replica stores the pre-segment state");
     }
 
+    /// Needs a real `serde_json` (the offline stand-in always errs), so it
+    /// lives here rather than with the driver tests in `tests/drivers.rs`.
+    #[test]
+    fn async_checkpoint_resume_completes_the_campaign() {
+        use crate::emm::asynchronous::run_async;
+        let dir = tempdir("async-resume");
+        let mut cfg = SimulationConfig::t_remd(8, 600, 4);
+        cfg.pattern = Pattern::Asynchronous { tick_fraction: 0.25 };
+        cfg.surrogate_steps = 10;
+        let mut ctx = build_ctx(cfg).unwrap();
+        ctx.checkpoint = Some(CheckpointPolicy::new(&dir, 1));
+        ctx.cycle_limit = Some(2);
+        let out1 = run_async(&mut ctx).unwrap();
+        assert_eq!(out1.exchange_rounds, 2, "stopped at the round limit");
+        assert!(
+            ctx.replicas.iter().any(|r| r.segments_done < 4),
+            "interruption left the campaign incomplete"
+        );
+        let mut resumed = CampaignCheckpoint::load(&dir).unwrap().restore().unwrap();
+        resumed.checkpoint = Some(CheckpointPolicy::new(&dir, 1));
+        let out2 = run_async(&mut resumed).unwrap();
+        for r in &resumed.replicas {
+            assert_eq!(r.segments_done, 4, "replica {} incomplete after resume", r.id);
+        }
+        assert!(out2.exchange_rounds >= out1.exchange_rounds);
+        assert!(out2.makespan > out1.makespan, "the clock resumes where it stopped");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn unknown_version_is_rejected() {
         let dir = tempdir("version");
@@ -452,7 +481,7 @@ mod tests {
             &[],
         );
         // Config is synchronous; an async scheduler record cannot resume it.
-        let err = cp.restore().unwrap_err();
+        let err = cp.restore().err().expect("restore must refuse");
         assert!(err.contains("does not match"), "{err}");
     }
 
@@ -463,7 +492,7 @@ mod tests {
             CampaignCheckpoint::capture(&ctx, SchedulerState::Sync { cycles_done: 1 }, &[]);
         cp.replicas.pop();
         cp.slot_owner.pop();
-        let err = cp.restore().unwrap_err();
+        let err = cp.restore().err().expect("restore must refuse");
         assert!(err.contains("replicas"), "{err}");
     }
 }

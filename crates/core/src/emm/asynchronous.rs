@@ -1,26 +1,27 @@
-//! The asynchronous RE pattern: no global barrier (Fig. 1b).
+//! The asynchronous RE pattern: no global barrier (Fig. 1b), as a policy
+//! over the shared driver core.
 //!
 //! Replicas run MD independently; on a fixed real-time tick (the criterion
 //! the paper uses in Section 4.6) every replica that has finished its
 //! current segment joins an exchange among the ready subset, then
 //! immediately resumes MD. Replicas still in the MD phase are untouched —
 //! "while some replicas run MD other replicas might be running exchange".
+//! Decided here: the tick clock, the ready set, and the per-replica retry
+//! counters; submission, accounting and the fault policy are the core's.
 //!
 //! Supported for 1-D REMD on the simulated backend (matching the paper's
 //! asynchronous experiments, which are 1-D T-REMD).
-//!
-//! Fault handling mirrors the synchronous driver: `Relaunch` resubmits the
-//! failed segment with a bumped attempt number, `Continue` (or exhausted
-//! retries) marks the replica stale and lets it rejoin the next round.
-//! Failure attribution uses the replica recorded at *submission* — slot
-//! ownership can change while a segment is in flight, so reading
-//! `slot_owner` at completion time would blame the wrong replica.
 
+use super::driver::{self, Core, Flight, Flow, Point, Policy, Settled};
 use super::DriverCtx;
 use crate::checkpoint::{AsyncSchedulerState, SchedulerState};
-use crate::config::{FaultPolicy, Pattern};
+use crate::config::Pattern;
+use crate::ram::ExchangeInput;
+use crate::report::CycleReport;
 use crate::task::TaskResult;
 use obs::Event;
+use pilot::description::{DurationSpec, UnitDescription};
+use pilot::executor::TaskWork;
 use std::collections::HashMap;
 
 /// Outcome of an asynchronous run (per-cycle decomposition does not apply:
@@ -31,33 +32,6 @@ pub struct AsyncOutcome {
     pub makespan: f64,
     /// Number of exchange rounds performed.
     pub exchange_rounds: u64,
-}
-
-/// One in-flight MD segment, keyed by unit name in the loop state.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    slot: usize,
-    replica: usize,
-    attempt: u32,
-}
-
-/// Mutable bookkeeping of the asynchronous event loop.
-struct AsyncLoopState {
-    /// Replica ids awaiting the next exchange round.
-    ready: Vec<usize>,
-    /// Unit name -> submission record, for relaunch bookkeeping.
-    in_flight: HashMap<String, InFlight>,
-    /// Per-replica monotonic retry counters. Every failure bumps the
-    /// counter, and every resubmission — including ones routed through the
-    /// ready/flush path by the `Continue` policy — uses it as the attempt
-    /// number. Without this the deterministic per-unit failure draw would
-    /// repeat verbatim on an identically-named resubmission and the replica
-    /// could never make progress.
-    retry: HashMap<usize, u32>,
-    /// Exchange unit name -> (round, participants), for trace attribution.
-    ex_meta: HashMap<String, (u64, usize)>,
-    n_segments: u64,
-    ex_letter: char,
 }
 
 /// Run the asynchronous pattern until every replica has completed
@@ -74,602 +48,220 @@ pub fn run_async(ctx: &mut DriverCtx) -> Result<AsyncOutcome, String> {
     if ctx.grid.n_dims() != 1 {
         return Err("the asynchronous pattern supports 1-D REMD only".into());
     }
-    let n_segments = ctx.cfg.n_cycles;
     let tick = tick_fraction * ctx.md_model_seconds();
     assert!(tick > 0.0);
-    // FIFO-style window: a tick only flushes once this many replicas are
-    // ready (default 1 = flush whatever is ready, the paper's behaviour).
-    let min_ready = ctx.cfg.async_min_ready.unwrap_or(1).max(1);
-
-    let mut st = AsyncLoopState {
-        ready: Vec::new(),
-        in_flight: HashMap::new(),
-        retry: HashMap::new(),
-        ex_meta: HashMap::new(),
-        n_segments,
-        ex_letter: ctx.dim_kind(0).letter(),
+    // A fresh campaign is a resume from the initial scheduler state: no
+    // round flushed, nobody ready, every replica due its first attempt.
+    // Restarting mid-campaign restores the tick clock and round counter,
+    // re-enqueues the ready set and resubmits the in-flight segments against
+    // the pre-segment microstates the checkpoint restored into the
+    // replicas' Systems. Exchange rounds that were in flight at capture
+    // were dropped — under the pattern's relaxed consistency that is an
+    // all-rejected round, not a correctness violation (DESIGN.md §11).
+    let resume = ctx.async_resume.take().unwrap_or_else(|| AsyncSchedulerState {
+        next_tick: tick,
+        in_flight: (0..ctx.n_replicas()).map(|replica| (replica, 0)).collect(),
+        ..Default::default()
+    });
+    let mut policy = Tick {
+        tick,
+        next_tick: resume.next_tick,
+        // FIFO-style window: a tick only flushes once this many replicas
+        // are ready (default 1 = flush whatever is ready, the paper's
+        // behaviour).
+        min_ready: ctx.cfg.async_min_ready.unwrap_or(1).max(1),
+        rounds: resume.exchange_rounds,
+        ready: resume.ready,
+        retry: resume.retry.into_iter().collect(),
+        to_submit: resume.in_flight,
+        draining: false,
     };
-    let mut next_tick;
-    let mut exchange_rounds;
-    match ctx.async_resume.take() {
-        Some(resume) => {
-            // Restart the event loop mid-campaign: restore the tick clock
-            // and round counter, re-enqueue the ready set and resubmit
-            // in-flight segments against the pre-segment microstates the
-            // checkpoint restored into the replicas' Systems. Exchange
-            // rounds that were in flight at capture were dropped — under
-            // the pattern's relaxed consistency that is an all-rejected
-            // round, not a correctness violation (DESIGN.md §11).
-            next_tick = resume.next_tick;
-            exchange_rounds = resume.exchange_rounds;
-            st.ready = resume.ready;
-            st.retry = resume.retry.into_iter().collect();
-            for (replica, attempt) in resume.in_flight {
-                submit_md(ctx, &mut st, replica, attempt)?;
-            }
+    driver::run(ctx, &mut policy)?;
+    Ok(AsyncOutcome {
+        makespan: ctx.pilot.executor.now().as_secs(),
+        exchange_rounds: policy.rounds,
+    })
+}
+
+/// The tick criterion: when the (virtual) clock crosses a tick boundary,
+/// the ready subset exchanges and resumes.
+struct Tick {
+    tick: f64,
+    next_tick: f64,
+    min_ready: usize,
+    /// Exchange rounds flushed so far.
+    rounds: u64,
+    /// Replica ids awaiting the next exchange round.
+    ready: Vec<usize>,
+    /// Per-replica monotonic retry counters. Every failure bumps the
+    /// counter, and every resubmission — including ones routed through the
+    /// ready/flush path by the `Continue` policy — uses it as the attempt
+    /// number. Without this the deterministic per-unit failure draw would
+    /// repeat verbatim on an identically-named resubmission and the replica
+    /// could never make progress.
+    retry: HashMap<usize, u32>,
+    /// (replica, attempt) to submit when the loop starts.
+    to_submit: Vec<(usize, u32)>,
+    /// The executor ran dry with replicas still ready (the clock never
+    /// crossed another tick): from here on each dry spell flushes them, and
+    /// ticks no longer fire.
+    draining: bool,
+}
+
+impl Tick {
+    /// Exchange the ready subset (adjacent-slot pairs within consecutive
+    /// runs) and resume MD for all of them.
+    fn flush(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<(), String> {
+        self.rounds += 1;
+        let round = self.rounds;
+        let ready = std::mem::take(&mut self.ready);
+        if ready.len() >= 2 && !ctx.cfg.no_exchange {
+            let unit = ctx.ready_exchange_unit(round, &ready);
+            let flight = Flight::Exchange { dim: 0, cycle: round, participants: ready.len() };
+            core.submit(ctx, flight, unit)?;
         }
-        None => {
-            next_tick = tick;
-            exchange_rounds = 0;
-            for replica in 0..ctx.n_replicas() {
-                submit_md(ctx, &mut st, replica, 0)?;
-            }
+        // Resume MD for all ready replicas at the current slot assignment.
+        // The exchange unit's swaps apply when its completion pops, so a
+        // replica picks up its new parameters on the segment after next —
+        // the relaxed consistency inherent to asynchronous exchange. The
+        // attempt number comes from the retry counter so a segment that
+        // failed under the Continue policy resubmits under a fresh
+        // name/seed.
+        for replica in ready {
+            let attempt = self.retry.get(&replica).copied().unwrap_or(0);
+            core.submit_md(ctx, replica, ctx.replicas[replica].segments_done, 0, attempt)?;
         }
+        Ok(())
     }
-    let mut failed_at_last_checkpoint = ctx.failed_tasks;
-    let round_limit = ctx.cycle_limit.map(|k| exchange_rounds.saturating_add(k));
-    let total_segments = n_segments.saturating_mul(ctx.n_replicas() as u64);
+}
 
-    while let Some(done) = ctx.pilot.executor.next_completion() {
-        handle_completion(ctx, &mut st, done)?;
+impl Policy for Tick {
+    // A flushed round resumes MD before its consistency point.
+    const CHECKPOINTS_MID_FLIGHT: bool = true;
 
-        // Tick criterion: when the (virtual) clock crosses a tick boundary,
-        // the ready subset exchanges and resumes.
-        let now = ctx.pilot.executor.now().as_secs();
-        if now >= next_tick && st.ready.len() >= min_ready {
-            while next_tick <= now {
-                next_tick += tick;
+    fn steps(&self, _: &DriverCtx) -> u64 {
+        self.rounds
+    }
+
+    /// Sorted for a deterministic encoding.
+    fn checkpoint_state(&self, _: &DriverCtx, core: &Core) -> (SchedulerState, &[CycleReport]) {
+        let mut state = AsyncSchedulerState {
+            next_tick: self.next_tick,
+            exchange_rounds: self.rounds,
+            ready: self.ready.clone(),
+            in_flight: core.md_in_flight().collect(),
+            retry: self.retry.iter().map(|(&r, &a)| (r, a)).collect(),
+        };
+        state.ready.sort_unstable();
+        state.in_flight.sort_unstable();
+        state.retry.sort_unstable();
+        (SchedulerState::Async(state), &[])
+    }
+
+    fn settled(
+        &mut self,
+        core: &mut Core,
+        ctx: &mut DriverCtx,
+        unit: Settled,
+    ) -> Result<Flow, String> {
+        match unit.flight {
+            Flight::Md { replica, attempt, .. } => {
+                if unit.ok {
+                    self.retry.remove(&replica);
+                } else {
+                    self.retry.insert(replica, attempt + 1);
+                }
+                // Asynchronous recovery: nobody waits. A replica with
+                // segments left — stale or not — rejoins through the ready
+                // set; finished replicas retire.
+                if !unit.relaunched && ctx.replicas[replica].segments_done < ctx.cfg.n_cycles {
+                    self.ready.push(replica);
+                }
             }
-            exchange_rounds += 1;
-            flush_ready(ctx, &mut st, exchange_rounds)?;
-            // Each flushed round closes one telemetry window (before the
-            // checkpoint so its cursor covers the snapshot). Progress is
-            // measured in completed MD segments — async has no global
-            // cycles.
-            emit_async_live(ctx, total_segments, false)?;
-            // Post-flush is the driver's consistency point: the ready set
-            // is empty and every incomplete replica is either in flight
-            // (with a pre-segment snapshot stashed) or retired.
-            let due = ctx.checkpoint.as_ref().is_some_and(|p| {
-                p.due(exchange_rounds) || ctx.failed_tasks > failed_at_last_checkpoint
-            });
-            if due {
-                write_async_checkpoint(ctx, &st, next_tick, exchange_rounds)?;
-                failed_at_last_checkpoint = ctx.failed_tasks;
-            }
-            // A cooperative stop (campaign cancellation or service
-            // shutdown) exits here, at the same post-flush consistency
-            // point the round limit uses: write a final checkpoint and
-            // hand back a resumable partial outcome.
-            if ctx.stop_requested() || round_limit.is_some_and(|limit| exchange_rounds >= limit) {
-                write_async_checkpoint(ctx, &st, next_tick, exchange_rounds)?;
-                return Ok(AsyncOutcome {
-                    makespan: ctx.pilot.executor.now().as_secs(),
-                    exchange_rounds,
+            // The swaps applied as soon as the unit completed; the
+            // participants already resumed MD under their pre-swap
+            // parameters (relaxed consistency, see `flush`). A failed round
+            // exchanged nothing and leaves no window.
+            Flight::Exchange { dim, cycle, participants } if unit.ok => {
+                let (kind, start, end) = (ctx.dim_kind(dim).letter(), unit.start, unit.end);
+                core.events.push(Event::ExchangeWindow {
+                    kind,
+                    dim,
+                    cycle,
+                    participants,
+                    start,
+                    end,
                 });
             }
+            Flight::Exchange { .. } => {}
         }
-    }
-    // Leftover ready replicas (clock never crossed another tick): run their
-    // remaining segments without pairing-eligible exchanges, handling
-    // failures exactly as the main loop does (a dropped failure here used
-    // to leave the replica incomplete and the counters silently wrong).
-    while !st.ready.is_empty() {
-        exchange_rounds += 1;
-        flush_ready(ctx, &mut st, exchange_rounds)?;
-        while let Some(done) = ctx.pilot.executor.next_completion() {
-            handle_completion(ctx, &mut st, done)?;
+        let now = ctx.pilot.executor.now().as_secs();
+        if self.draining || now < self.next_tick || self.ready.len() < self.min_ready {
+            return Ok(Flow::Continue);
         }
-        emit_async_live(ctx, total_segments, false)?;
+        while self.next_tick <= now {
+            self.next_tick += self.tick;
+        }
+        self.flush(core, ctx)?;
+        // Post-flush is the pattern's consistency point: the ready set is
+        // empty and every incomplete replica is either in flight (with a
+        // pre-segment snapshot stashed) or retired.
+        core.consistency_point(ctx, self, Point::Boundary)
     }
 
-    // Terminal snapshot: trailing exchange completions merge acceptance
-    // after the last flushed round, so the `done` snapshot — the one the
-    // consistency proof compares against the final report — must close
-    // after the event loop has fully drained.
-    emit_async_live(ctx, total_segments, true)?;
-    if ctx.checkpoint.is_some() {
-        // Terminal checkpoint: resuming a finished campaign is a no-op.
-        write_async_checkpoint(ctx, &st, next_tick, exchange_rounds)?;
-    }
-    Ok(AsyncOutcome { makespan: ctx.pilot.executor.now().as_secs(), exchange_rounds })
-}
-
-/// Emit one live telemetry snapshot with async progress semantics
-/// (completed = MD segments done across all replicas).
-fn emit_async_live(ctx: &mut DriverCtx, total_segments: u64, done: bool) -> Result<(), String> {
-    let completed: u64 = ctx.replicas.iter().map(|r| r.segments_done).sum();
-    super::emit_live(ctx, completed, total_segments, done)?;
-    Ok(())
-}
-
-/// Fold one completion into the loop state: account MD segments, apply
-/// exchange results, and route failures through the fault policy.
-fn handle_completion(
-    ctx: &mut DriverCtx,
-    st: &mut AsyncLoopState,
-    done: pilot::executor::CompletedUnit<TaskResult>,
-) -> Result<(), String> {
-    match done.outcome {
-        Ok(TaskResult::Md(ref md)) => {
-            let attempt = st.in_flight.remove(&done.name).map_or(0, |f| f.attempt);
-            ctx.preseg_snapshots.remove(&md.replica);
-            st.retry.remove(&md.replica);
-            ctx.md_core_seconds += done.duration() * done.cores as f64;
-            ctx.recorder.record(Event::MdSegment {
-                replica: md.replica,
-                slot: md.slot,
-                cycle: md.cycle,
-                dim: 0,
-                attempt,
-                cores: done.cores,
-                start: done.start.as_secs(),
-                end: done.end.as_secs(),
-                ok: true,
-            });
-            ctx.record_samples_at(md.slot, md.cycle, &md.trace);
-            let r = &mut ctx.replicas[md.replica];
-            r.stale = false;
-            r.segments_done += 1;
-            if r.segments_done < st.n_segments {
-                st.ready.push(md.replica);
-            } // finished replicas retire
-        }
-        Ok(TaskResult::Exchange(report)) => {
-            // Swaps apply as soon as the exchange unit completes; the
-            // participants already resumed MD under their pre-swap
-            // parameters (relaxed consistency, see `flush_ready`).
-            if ctx.recorder.is_enabled() {
-                let (round, participants) =
-                    st.ex_meta.remove(&done.name).unwrap_or((0, report.swaps.len()));
-                record_exchange_events(
-                    ctx,
-                    &report.pair_outcomes,
-                    st.ex_letter,
-                    round,
-                    participants,
-                    done.start.as_secs(),
-                    done.end.as_secs(),
-                );
+    fn quiescent(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String> {
+        if !self.to_submit.is_empty() {
+            for (replica, attempt) in std::mem::take(&mut self.to_submit) {
+                core.submit_md(ctx, replica, ctx.replicas[replica].segments_done, 0, attempt)?;
             }
-            ctx.acceptance[0].merge(&report.stats);
-            ctx.apply_swaps(0, &report.swaps);
+            return Ok(Flow::Continue);
         }
-        Err(_) => {
-            ctx.failed_tasks += 1;
-            let Some(InFlight { slot, replica, attempt }) = st.in_flight.remove(&done.name) else {
-                return Ok(());
-            };
-            ctx.preseg_snapshots.remove(&replica);
-            st.retry.insert(replica, attempt + 1);
-            ctx.recorder.record(Event::MdSegment {
-                replica,
-                slot,
-                cycle: ctx.replicas[replica].segments_done,
-                dim: 0,
-                attempt,
-                cores: done.cores,
-                start: done.start.as_secs(),
-                end: done.end.as_secs(),
-                ok: false,
-            });
-            match ctx.cfg.fault_policy {
-                FaultPolicy::Relaunch { max_retries } if attempt < max_retries => {
-                    ctx.relaunched_tasks += 1;
-                    if ctx.recorder.is_enabled() {
-                        ctx.recorder.record(Event::TaskRelaunch {
-                            name: done.name.clone(),
-                            slot,
-                            attempt: attempt + 1,
-                            at: ctx.pilot.executor.now().as_secs(),
-                        });
-                    }
-                    submit_md(ctx, st, replica, attempt + 1)?;
-                }
-                _ => {
-                    // Continue (or retries exhausted): mark the replica
-                    // stale — it sits out acceptance in its next round,
-                    // exactly as the synchronous driver treats it — and let
-                    // it rejoin through the ready set (asynchronous
-                    // recovery: nobody waits).
-                    ctx.replicas[replica].stale = true;
-                    if ctx.replicas[replica].segments_done < st.n_segments {
-                        st.ready.push(replica);
-                    }
-                }
-            }
+        if self.draining {
+            core.consistency_point(ctx, self, Point::Drain)?;
         }
-    }
-    Ok(())
-}
-
-/// Emit the per-attempt outcome events followed by their covering window
-/// record (outcomes first — the trace-replay contract).
-#[allow(clippy::too_many_arguments)]
-fn record_exchange_events(
-    ctx: &DriverCtx,
-    pair_outcomes: &[(usize, usize, bool)],
-    kind: char,
-    round: u64,
-    participants: usize,
-    start: f64,
-    end: f64,
-) {
-    for &(slot_lo, slot_hi, accepted) in pair_outcomes {
-        ctx.recorder.record(Event::ExchangeOutcome {
-            dim: 0,
-            cycle: round,
-            slot_lo,
-            slot_hi,
-            accepted,
-            at: end,
-        });
-    }
-    ctx.recorder.record(Event::ExchangeWindow {
-        kind,
-        dim: 0,
-        cycle: round,
-        participants,
-        start,
-        end,
-    });
-}
-
-/// Exchange the ready subset (adjacent-slot pairs within consecutive runs)
-/// and resume MD for all of them.
-fn flush_ready(ctx: &mut DriverCtx, st: &mut AsyncLoopState, round: u64) -> Result<(), String> {
-    let ready = std::mem::take(&mut st.ready);
-    if ready.len() >= 2 && !ctx.cfg.no_exchange {
-        let (desc, work) = ctx.partial_exchange_unit(0, round, &ready);
-        if ctx.recorder.is_enabled() {
-            st.ex_meta.insert(desc.name.clone(), (round, ready.len()));
+        if self.ready.is_empty() {
+            // Trailing exchange completions merge acceptance after the last
+            // flushed round, so the terminal snapshot — the one the
+            // consistency proof compares against the final report — closes
+            // only now that the loop has fully drained. Resuming from the
+            // terminal checkpoint is a no-op.
+            return core.consistency_point(ctx, self, Point::Final);
         }
-        ctx.pilot.executor.submit(desc, work)?;
+        // Leftover ready replicas run their remaining segments without
+        // waiting for a tick, failures handled exactly as before the drain.
+        self.draining = true;
+        self.flush(core, ctx)?;
+        Ok(Flow::Continue)
     }
-    // Resume MD for all ready replicas at the current slot assignment. The
-    // exchange unit's swaps apply when its completion pops in the main
-    // loop, so a replica picks up its new parameters on the segment after
-    // next — the relaxed consistency inherent to asynchronous exchange.
-    // The attempt number comes from the retry counter so a segment that
-    // failed under the Continue policy resubmits under a fresh name/seed.
-    for replica in ready {
-        let attempt = st.retry.get(&replica).copied().unwrap_or(0);
-        submit_md(ctx, st, replica, attempt)?;
-    }
-    Ok(())
-}
-
-/// Submit attempt `attempt` of `replica`'s next segment at its current
-/// slot, recording it in the relaunch bookkeeping and (when checkpointing)
-/// stashing a pre-segment restart snapshot: the executor runs payloads
-/// eagerly, so by the time a checkpoint is written this segment will
-/// already have advanced the live `System`.
-fn submit_md(
-    ctx: &mut DriverCtx,
-    st: &mut AsyncLoopState,
-    replica: usize,
-    attempt: u32,
-) -> Result<(), String> {
-    let slot = ctx.replicas[replica].slot;
-    let cycle = ctx.replicas[replica].segments_done;
-    let mut spec = ctx.md_spec(slot, cycle, 0);
-    // Pure function of (slot, attempt): a resumed campaign re-derives the
-    // same retry seed (attempt 0 keeps the base seed unchanged).
-    spec.seed = super::attempt_seed(spec.seed, slot, attempt);
-    if ctx.checkpoint.is_some() {
-        let text = {
-            let sys = ctx.replicas[replica].system.lock();
-            mdsim::io::restart::write_restart_with_cycle(
-                &format!("replica {replica}"),
-                &sys.state,
-                cycle,
-            )
-        };
-        ctx.preseg_snapshots.insert(replica, text);
-    }
-    let (mut desc, work) = ctx.amm.prepare_md(spec, &ctx.pilot.staging)?;
-    // Per-attempt unique name: a relaunched segment must never collide
-    // with (and inherit the stale retry count of) an earlier attempt.
-    desc.name = super::attempt_task_name(&desc.name, 0, attempt);
-    if st.in_flight.insert(desc.name.clone(), InFlight { slot, replica, attempt }).is_some() {
-        return Err(format!("duplicate in-flight unit name {}", desc.name));
-    }
-    ctx.pilot.executor.submit(desc, work)?;
-    Ok(())
-}
-
-/// Serialize the loop state into a campaign checkpoint (sorted for a
-/// deterministic encoding) and write it if a policy is configured.
-fn write_async_checkpoint(
-    ctx: &DriverCtx,
-    st: &AsyncLoopState,
-    next_tick: f64,
-    exchange_rounds: u64,
-) -> Result<(), String> {
-    let mut in_flight: Vec<(usize, u32)> =
-        st.in_flight.values().map(|f| (f.replica, f.attempt)).collect();
-    in_flight.sort_unstable();
-    let mut retry: Vec<(usize, u32)> = st.retry.iter().map(|(&r, &a)| (r, a)).collect();
-    retry.sort_unstable();
-    let mut ready = st.ready.clone();
-    ready.sort_unstable();
-    let sched = SchedulerState::Async(AsyncSchedulerState {
-        next_tick,
-        exchange_rounds,
-        ready,
-        in_flight,
-        retry,
-    });
-    crate::checkpoint::write_if_configured(ctx, sched, &[])
 }
 
 impl DriverCtx {
-    /// Exchange unit over a subset of replicas (the asynchronous ready set):
-    /// groups are maximal runs of consecutive occupied slots.
-    pub fn partial_exchange_unit(
+    /// Exchange unit over the ready subset: groups are maximal runs of
+    /// consecutive occupied slots, so pairing stays nearest-neighbour.
+    fn ready_exchange_unit(
         &self,
-        dim: usize,
         round: u64,
         ready: &[usize],
-    ) -> (pilot::description::UnitDescription, pilot::executor::TaskWork<TaskResult>) {
-        use crate::ram::{ExchangeInput, GroupInput};
-        let kind = self.dim_kind(dim);
+    ) -> (UnitDescription, TaskWork<TaskResult>) {
         let mut slots: Vec<usize> = ready.iter().map(|&r| self.replicas[r].slot).collect();
         slots.sort_unstable();
-        // Split into consecutive runs so pairing stays nearest-neighbour.
-        let mut groups: Vec<GroupInput> = Vec::new();
-        let mut current: Vec<usize> = Vec::new();
-        for &s in &slots {
-            if let Some(&last) = current.last() {
-                if s != last + 1 {
-                    groups.push(self.group_from_slots(&current, dim));
-                    current.clear();
-                }
-            }
-            current.push(s);
-        }
-        if !current.is_empty() {
-            groups.push(self.group_from_slots(&current, dim));
-        }
+        // Each participant's staged output is that of its last segment.
+        let groups = slots
+            .chunk_by(|a, b| *b == a + 1)
+            .map(|run| self.group_input(0, run, |r| r.segments_done.saturating_sub(1)))
+            .collect();
         let input = ExchangeInput {
-            dim,
+            dim: 0,
             cycle: round,
             strategy: self.cfg.pairing,
             seed: self.cfg.seed ^ 0xA5A5_0000 ^ round,
             groups,
             staging: self.pilot.staging.clone(),
         };
-        let duration = pilot::description::DurationSpec::Modeled {
-            seconds: self.perf.exchange.exchange_seconds(kind, ready.len()),
+        let duration = DurationSpec::Modeled {
+            seconds: self.perf.exchange.exchange_seconds(self.dim_kind(0), ready.len()),
             sigma: self.perf.noise.exchange_sigma,
         };
-        let desc = pilot::description::UnitDescription::new(
-            format!("exchange-async-r{round:05}"),
-            "repex-exchange",
-            1,
-        )
-        .with_duration(duration);
-        let engine = self.amm.exchange_engine();
-        let work: pilot::executor::TaskWork<TaskResult> =
-            Box::new(move || crate::ram::run_exchange(input, engine).map(TaskResult::Exchange));
-        (desc, work)
-    }
-
-    fn group_from_slots(&self, slots: &[usize], dim: usize) -> crate::ram::GroupInput {
-        use crate::ram::SlotInput;
-        use crate::replica::SlotParams;
-        crate::ram::GroupInput {
-            slots: slots
-                .iter()
-                .map(|&slot| {
-                    let replica_id = self.slot_owner[slot];
-                    let replica = &self.replicas[replica_id];
-                    let params = SlotParams::resolve(&self.grid, slot, self.cfg.base_temperature);
-                    let coords = self.grid.coords_of(slot);
-                    let param = self.grid.dims[dim].ladder[coords[dim]].clone();
-                    SlotInput {
-                        slot,
-                        replica: replica_id,
-                        file_base: format!(
-                            "r{:05}_c{:04}",
-                            replica_id,
-                            replica.segments_done.saturating_sub(1)
-                        ),
-                        param,
-                        temperature: params.temperature,
-                        salt_molar: params.salt_molar,
-                        ph: params.ph,
-                        restraints: params.restraints,
-                        system: std::sync::Arc::clone(&replica.system),
-                        stale: replica.stale,
-                    }
-                })
-                .collect(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::checkpoint::{CampaignCheckpoint, CheckpointPolicy};
-    use crate::config::{FaultPolicy, Pattern, SimulationConfig};
-    use crate::simulation::build_ctx;
-    use hpc::fault::FaultModel;
-
-    fn async_cfg(n: usize, segments: u64) -> SimulationConfig {
-        let mut cfg = SimulationConfig::t_remd(n, 600, segments);
-        cfg.pattern = Pattern::Asynchronous { tick_fraction: 0.25 };
-        cfg.surrogate_steps = 10;
-        cfg
-    }
-
-    #[test]
-    fn all_replicas_complete_their_segments() {
-        let mut ctx = build_ctx(async_cfg(8, 3)).unwrap();
-        let out = run_async(&mut ctx).unwrap();
-        for r in &ctx.replicas {
-            assert_eq!(r.segments_done, 3, "replica {} incomplete", r.id);
-        }
-        assert!(out.makespan > 0.0);
-        assert!(out.exchange_rounds > 0, "ticks must trigger exchange rounds");
-    }
-
-    #[test]
-    fn exchanges_happen_without_global_barrier() {
-        let mut ctx = build_ctx(async_cfg(12, 4)).unwrap();
-        run_async(&mut ctx).unwrap();
-        assert!(ctx.acceptance[0].attempts > 0, "async rounds attempted exchanges");
-        // Slot assignment remains a permutation.
-        let mut sorted = ctx.slot_owner.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn async_makespan_close_to_sync_md_total() {
-        // With small noise the async makespan should be within ~40% of
-        // segments × segment time (plus exchange/tick waits).
-        let mut ctx = build_ctx(async_cfg(8, 3)).unwrap();
-        let seg = ctx.md_model_seconds();
-        let out = run_async(&mut ctx).unwrap();
-        assert!(out.makespan >= 3.0 * seg, "{} vs {}", out.makespan, 3.0 * seg);
-        assert!(out.makespan < 3.0 * seg * 1.8, "{} vs {}", out.makespan, 3.0 * seg);
-    }
-
-    #[test]
-    fn traced_async_run_records_every_segment_and_round() {
-        let recorder = obs::Recorder::enabled();
-        let mut ctx = build_ctx(async_cfg(8, 3)).unwrap();
-        ctx.recorder = recorder.clone();
-        let out = run_async(&mut ctx).unwrap();
-        let events = recorder.events();
-        let md_ok =
-            events.iter().filter(|e| matches!(e, Event::MdSegment { ok: true, .. })).count();
-        assert_eq!(md_ok, 8 * 3, "one event per completed segment");
-        let windows = events.iter().filter(|e| matches!(e, Event::ExchangeWindow { .. })).count();
-        assert!(windows as u64 <= out.exchange_rounds);
-        assert!(windows > 0, "tick rounds must appear in the trace");
-        // Every segment is attributable to a replica with finite bounds.
-        for e in &events {
-            if let Event::MdSegment { replica, start, end, .. } = e {
-                assert!(*replica < 8);
-                assert!(end > start);
-            }
-        }
-    }
-
-    #[test]
-    fn async_outcome_events_match_in_process_acceptance_exactly() {
-        let recorder = obs::Recorder::enabled();
-        let mut ctx = build_ctx(async_cfg(12, 4)).unwrap();
-        ctx.recorder = recorder.clone();
-        run_async(&mut ctx).unwrap();
-        let health = obs::exchange_health(&recorder.events());
-        assert_eq!(health.len(), 1);
-        assert!(health[0].attempts > 0);
-        assert_eq!(health[0].attempts, ctx.acceptance[0].attempts);
-        assert_eq!(health[0].accepted, ctx.acceptance[0].accepted);
-    }
-
-    #[test]
-    fn min_ready_window_still_completes_all_segments() {
-        let mut cfg = async_cfg(8, 3);
-        cfg.async_min_ready = Some(4);
-        let mut ctx = build_ctx(cfg).unwrap();
-        let out = run_async(&mut ctx).unwrap();
-        for r in &ctx.replicas {
-            assert_eq!(r.segments_done, 3, "replica {} incomplete", r.id);
-        }
-        assert!(out.makespan > 0.0);
-    }
-
-    #[test]
-    fn barrier_sized_min_ready_degenerates_but_terminates() {
-        // min-ready == n acts like a global barrier; the run must still
-        // finish (the leftover loop flushes the final rounds).
-        let mut cfg = async_cfg(6, 2);
-        cfg.async_min_ready = Some(6);
-        let mut ctx = build_ctx(cfg).unwrap();
-        run_async(&mut ctx).unwrap();
-        for r in &ctx.replicas {
-            assert_eq!(r.segments_done, 2);
-        }
-    }
-
-    #[test]
-    fn sync_config_is_rejected() {
-        let mut cfg = async_cfg(4, 1);
-        cfg.pattern = Pattern::Synchronous;
-        let mut ctx = build_ctx(cfg).unwrap();
-        assert!(run_async(&mut ctx).is_err());
-    }
-
-    #[test]
-    fn async_continue_policy_marks_stale_but_run_survives() {
-        // Async analogue of the sync driver's continue-policy test: heavy
-        // fault injection, no relaunches, yet every replica completes (the
-        // retry counters give each resubmission a fresh name and seed, so
-        // the deterministic failure draw cannot repeat forever).
-        let mut cfg = async_cfg(12, 3);
-        cfg.fault_policy = FaultPolicy::Continue;
-        let mut ctx = build_ctx(cfg).unwrap();
-        ctx.pilot =
-            crate::simulation::make_pilot(&ctx.cfg, FaultModel::new(20.0).unwrap()).unwrap();
-        run_async(&mut ctx).unwrap();
-        assert!(ctx.failed_tasks > 0, "fault injection produced no failures");
-        assert_eq!(ctx.relaunched_tasks, 0);
-        for r in &ctx.replicas {
-            assert_eq!(r.segments_done, 3, "replica {} incomplete", r.id);
-        }
-    }
-
-    #[test]
-    fn async_relaunch_policy_retries_and_completes() {
-        let mut cfg = async_cfg(12, 3);
-        cfg.fault_policy = FaultPolicy::Relaunch { max_retries: 25 };
-        let mut ctx = build_ctx(cfg).unwrap();
-        ctx.pilot =
-            crate::simulation::make_pilot(&ctx.cfg, FaultModel::new(30.0).unwrap()).unwrap();
-        run_async(&mut ctx).unwrap();
-        assert!(ctx.failed_tasks > 0);
-        assert!(ctx.relaunched_tasks > 0, "relaunch policy must retry");
-        for r in &ctx.replicas {
-            assert_eq!(r.segments_done, 3, "replica {} incomplete", r.id);
-        }
-    }
-
-    #[test]
-    fn async_checkpoint_resume_completes_the_campaign() {
-        let dir = std::env::temp_dir().join(format!("repex-async-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut ctx = build_ctx(async_cfg(8, 4)).unwrap();
-        ctx.checkpoint = Some(CheckpointPolicy::new(&dir, 1));
-        ctx.cycle_limit = Some(2);
-        let out1 = run_async(&mut ctx).unwrap();
-        assert_eq!(out1.exchange_rounds, 2, "stopped at the round limit");
-        assert!(
-            ctx.replicas.iter().any(|r| r.segments_done < 4),
-            "interruption left the campaign incomplete"
-        );
-        let mut resumed = CampaignCheckpoint::load(&dir).unwrap().restore().unwrap();
-        resumed.checkpoint = Some(CheckpointPolicy::new(&dir, 1));
-        let out2 = run_async(&mut resumed).unwrap();
-        for r in &resumed.replicas {
-            assert_eq!(r.segments_done, 4, "replica {} incomplete after resume", r.id);
-        }
-        assert!(out2.exchange_rounds >= out1.exchange_rounds);
-        assert!(out2.makespan > out1.makespan, "the clock resumes where it stopped");
-        let _ = std::fs::remove_dir_all(&dir);
+        self.exchange_task(format!("exchange-async-r{round:05}"), 1, duration, input)
     }
 }

@@ -1,0 +1,321 @@
+//! The one driver core: a single completion loop over the pilot's executor.
+//!
+//! Naming and seeding an MD attempt, accounting its completion, routing a
+//! failure through the fault policy, applying an exchange result and closing
+//! a consistency point are the same whatever the RE pattern, and live here
+//! once. A pattern is a [`Policy`]: it decides *who exchanges when* by
+//! reacting to the two things the loop reports — a unit settled, or the
+//! executor ran dry. The event source is `executor.next_completion()` (on
+//! the simulated backend, `hpc::EventQueue` popping in virtual-time order,
+//! FIFO on ties); the loop adds no queue of its own.
+
+use super::{attempt_seed, attempt_task_name, emit_live, DriverCtx};
+use crate::checkpoint::SchedulerState;
+use crate::config::FaultPolicy;
+use crate::report::CycleReport;
+use crate::task::TaskResult;
+use obs::Event;
+use pilot::description::UnitDescription;
+use pilot::executor::{CompletedUnit, TaskWork};
+use std::collections::HashMap;
+
+/// An in-flight unit, keyed by unit name. Everything is captured at
+/// *submission*: slot ownership can change while a segment is in flight (an
+/// exchange result may land first), so reading `slot_owner` at completion
+/// time would blame the wrong replica.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Flight {
+    Md {
+        slot: usize,
+        replica: usize,
+        attempt: u32,
+        cycle: u64,
+        dim: usize,
+    },
+    /// `cycle` is the barrier's cycle or the tick policy's round.
+    Exchange {
+        dim: usize,
+        cycle: u64,
+        participants: usize,
+    },
+}
+
+/// A unit the loop took off the executor, after the core's accounting.
+pub(crate) struct Settled {
+    pub flight: Flight,
+    pub start: f64,
+    pub end: f64,
+    pub ok: bool,
+    /// A failed MD attempt the fault policy has already resubmitted.
+    pub relaunched: bool,
+}
+
+/// Whether the campaign keeps going after a policy callback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    Continue,
+    Finished,
+}
+
+/// Where in the campaign a consistency point falls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Point {
+    /// A resumable boundary mid-campaign (cycle barrier, flushed round):
+    /// checkpoint when due, honour a stop request or the cycle limit.
+    Boundary,
+    /// A round of the tick policy's final drain, which runs to completion:
+    /// the telemetry window closes, nothing is checkpointed or stopped.
+    Drain,
+    /// The campaign is complete: terminal snapshot, terminal checkpoint.
+    Final,
+}
+
+/// An RE pattern: who exchanges when.
+pub(crate) trait Policy {
+    /// Whether a consistency point can fall while MD is in flight. If so,
+    /// every submission stashes a pre-segment restart snapshot: the
+    /// executor runs payloads eagerly, so by checkpoint time an in-flight
+    /// segment has already advanced its `System`.
+    const CHECKPOINTS_MID_FLIGHT: bool;
+
+    /// Completed cycles (barrier) or flushed rounds (tick): the unit of the
+    /// checkpoint interval, `cycle_limit` and `progress_every`.
+    fn steps(&self, ctx: &DriverCtx) -> u64;
+
+    /// What a checkpoint written now must carry.
+    fn checkpoint_state(&self, ctx: &DriverCtx, core: &Core) -> (SchedulerState, &[CycleReport]);
+
+    fn settled(&mut self, _: &mut Core, _: &mut DriverCtx, _: Settled) -> Result<Flow, String> {
+        Ok(Flow::Continue)
+    }
+
+    /// The executor ran dry: nothing is in flight. This is also how a
+    /// campaign (or a resumed leg) starts.
+    fn quiescent(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String>;
+}
+
+/// Loop state shared by every policy.
+pub(crate) struct Core {
+    /// Keyed by unit name, unique per attempt (see `attempt_task_name`).
+    flights: HashMap<String, Flight>,
+    /// Events since the last consistency point. Buffered rather than
+    /// recorded one by one because the barrier derives its `CycleTiming`
+    /// from exactly this window (one source of truth, so a report can never
+    /// disagree with an exported trace).
+    pub events: Vec<Event>,
+    failed_at_last_checkpoint: u64,
+    /// `cycle_limit` as an absolute step count.
+    limit: Option<u64>,
+    snapshot_md: bool,
+}
+
+/// Drive `policy` until it reports the campaign (or this leg) finished.
+pub(crate) fn run<P: Policy>(ctx: &mut DriverCtx, policy: &mut P) -> Result<(), String> {
+    if ctx.cycle_limit == Some(0) {
+        return Ok(());
+    }
+    let mut core = Core {
+        flights: HashMap::new(),
+        events: Vec::new(),
+        failed_at_last_checkpoint: ctx.failed_tasks,
+        limit: ctx.cycle_limit.map(|k| policy.steps(ctx).saturating_add(k)),
+        snapshot_md: P::CHECKPOINTS_MID_FLIGHT && ctx.checkpoint.is_some(),
+    };
+    loop {
+        let flow = match ctx.pilot.executor.next_completion() {
+            Some(unit) => {
+                let unit = core.settle(ctx, unit)?;
+                policy.settled(&mut core, ctx, unit)?
+            }
+            None => policy.quiescent(&mut core, ctx)?,
+        };
+        if flow == Flow::Finished {
+            return Ok(());
+        }
+    }
+}
+
+impl Core {
+    /// In-flight MD work as (replica, attempt).
+    pub fn md_in_flight(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.flights.values().filter_map(|f| match *f {
+            Flight::Md { replica, attempt, .. } => Some((replica, attempt)),
+            Flight::Exchange { .. } => None,
+        })
+    }
+
+    /// Submit attempt `attempt` of `replica`'s segment `(cycle, dim)` at the
+    /// slot it occupies now.
+    pub fn submit_md(
+        &mut self,
+        ctx: &mut DriverCtx,
+        replica: usize,
+        cycle: u64,
+        dim: usize,
+        attempt: u32,
+    ) -> Result<(), String> {
+        let slot = ctx.replicas[replica].slot;
+        let mut spec = ctx.md_spec(slot, cycle, dim);
+        // A retry runs an independent trajectory under a fresh unit name.
+        spec.seed = attempt_seed(spec.seed, slot, attempt);
+        if self.snapshot_md {
+            let sys = ctx.replicas[replica].system.lock();
+            let text = mdsim::io::restart::write_restart_with_cycle(
+                &format!("replica {replica}"),
+                &sys.state,
+                cycle,
+            );
+            drop(sys);
+            ctx.preseg_snapshots.insert(replica, text);
+        }
+        let (mut desc, work) = ctx.amm.prepare_md(spec, &ctx.pilot.staging)?;
+        desc.name = attempt_task_name(&desc.name, dim, attempt);
+        self.submit(ctx, Flight::Md { slot, replica, attempt, cycle, dim }, (desc, work))
+    }
+
+    /// Submit a unit, remembering what it is until it settles.
+    pub fn submit(
+        &mut self,
+        ctx: &mut DriverCtx,
+        flight: Flight,
+        (desc, work): (UnitDescription, TaskWork<TaskResult>),
+    ) -> Result<(), String> {
+        if self.flights.insert(desc.name.clone(), flight).is_some() {
+            return Err(format!("duplicate in-flight unit name {}", desc.name));
+        }
+        ctx.pilot.executor.submit(desc, work)?;
+        Ok(())
+    }
+
+    /// Fold one completion into the campaign state.
+    fn settle(
+        &mut self,
+        ctx: &mut DriverCtx,
+        unit: CompletedUnit<TaskResult>,
+    ) -> Result<Settled, String> {
+        let flight = self
+            .flights
+            .remove(&unit.name)
+            .ok_or_else(|| format!("completion of unknown unit {}", unit.name))?;
+        let (start, end) = (unit.start.as_secs(), unit.end.as_secs());
+        let ok = unit.outcome.is_ok();
+        let mut relaunched = false;
+        if !ok {
+            ctx.failed_tasks += 1;
+        }
+        if let Flight::Md { slot, replica, attempt, cycle, dim } = flight {
+            ctx.preseg_snapshots.remove(&replica);
+            self.events.push(Event::MdSegment {
+                replica,
+                slot,
+                cycle,
+                dim,
+                attempt,
+                cores: unit.cores,
+                start,
+                end,
+                ok,
+            });
+        }
+        match (flight, unit.outcome) {
+            (Flight::Md { slot, replica, cycle, .. }, Ok(TaskResult::Md(md))) => {
+                ctx.md_core_seconds += (unit.end - unit.start) * unit.cores as f64;
+                ctx.record_samples_at(slot, cycle, &md.trace);
+                let r = &mut ctx.replicas[replica];
+                r.stale = false;
+                r.segments_done += 1;
+            }
+            (Flight::Md { slot, replica, attempt, cycle, dim }, Err(_)) => {
+                match ctx.cfg.fault_policy {
+                    FaultPolicy::Relaunch { max_retries } if attempt < max_retries => {
+                        ctx.relaunched_tasks += 1;
+                        if ctx.recorder.is_enabled() {
+                            self.events.push(Event::TaskRelaunch {
+                                name: unit.name,
+                                slot,
+                                attempt: attempt + 1,
+                                at: ctx.pilot.executor.now().as_secs(),
+                            });
+                        }
+                        self.submit_md(ctx, replica, cycle, dim, attempt + 1)?;
+                        relaunched = true;
+                    }
+                    // Continue policy (or retries exhausted): the replica
+                    // sits out acceptance in its next exchange, and when it
+                    // runs again is the pattern's call. The simulation as a
+                    // whole keeps running — the paper's core
+                    // fault-tolerance property.
+                    _ => ctx.replicas[replica].stale = true,
+                }
+            }
+            (Flight::Exchange { dim, cycle, .. }, Ok(TaskResult::Exchange(report))) => {
+                // One outcome event per Metropolis attempt (the exchange
+                // task records pair_outcomes in lockstep with its
+                // AcceptanceStats), before the covering window event, so
+                // acceptance ratios are derivable from the trace alone.
+                for &(slot_lo, slot_hi, accepted) in &report.pair_outcomes {
+                    self.events.push(Event::ExchangeOutcome {
+                        dim,
+                        cycle,
+                        slot_lo,
+                        slot_hi,
+                        accepted,
+                        at: end,
+                    });
+                }
+                ctx.acceptance[dim].merge(&report.stats);
+                ctx.record_pair_outcomes(&report.pair_outcomes);
+                ctx.apply_swaps(dim, &report.swaps);
+            }
+            // A failed exchange (injected fault) skips the swap; replicas
+            // keep their parameters.
+            (Flight::Exchange { .. }, Err(_)) => {}
+            _ => return Err(format!("unit {} returned the wrong kind of result", unit.name)),
+        }
+        Ok(Settled { flight, start, end, ok, relaunched })
+    }
+
+    /// Close the window since the last consistency point: flush its events,
+    /// emit one telemetry snapshot, checkpoint when one is due, render the
+    /// progress line, and decide whether the leg ends here.
+    pub fn consistency_point<P: Policy>(
+        &mut self,
+        ctx: &mut DriverCtx,
+        policy: &P,
+        point: Point,
+    ) -> Result<Flow, String> {
+        ctx.recorder.extend(std::mem::take(&mut self.events));
+        let steps = policy.steps(ctx);
+        // Emitting before the checkpoint write means the checkpoint's
+        // telemetry cursor covers this snapshot, so a resumed leg re-emits
+        // (identically, sync resume being bit-exact) rather than skips.
+        let snapshot = emit_live(ctx, point == Point::Final)?;
+        // A cooperative stop (campaign cancellation or service shutdown) is
+        // honoured here and only here, so the final checkpoint it forces is
+        // indistinguishable from a `--stop-after` one.
+        let stop = point == Point::Boundary
+            && (ctx.stop_requested() || self.limit.is_some_and(|limit| steps >= limit));
+        let due = point != Point::Drain
+            && ctx.checkpoint.as_ref().is_some_and(|ckpt| {
+                ckpt.due(steps)
+                    || ctx.failed_tasks > self.failed_at_last_checkpoint
+                    || point == Point::Final
+                    || stop
+            });
+        if due {
+            let (scheduler, reports) = policy.checkpoint_state(ctx, self);
+            crate::checkpoint::write_if_configured(ctx, scheduler, reports)?;
+            self.failed_at_last_checkpoint = ctx.failed_tasks;
+        }
+        // The progress line renders straight off the snapshot bus — the
+        // single source of truth shared with the exporters and `repex
+        // watch` (equivalence with the old in-driver accounting is proven
+        // in tests/it_telemetry.rs).
+        if ctx.cfg.progress_every > 0 && steps % ctx.cfg.progress_every == 0 {
+            if let Some(snap) = &snapshot {
+                eprintln!("{}", obs::render_progress_line(snap));
+            }
+        }
+        Ok(if stop || point == Point::Final { Flow::Finished } else { Flow::Continue })
+    }
+}

@@ -1,24 +1,27 @@
 //! Execution Management Modules (EMM).
 //!
 //! The EMM owns the pilot, translates the simulation into compute units,
-//! and implements the two RE Patterns (synchronous / asynchronous) on top of
-//! the two Execution Modes (Mode I: cores ≥ workload, Mode II: cores <
-//! workload — handled transparently by the pilot's core timeline, exactly as
-//! the paper's design intends: users switch modes by changing only the core
-//! count).
+//! and runs them through one completion loop ([`driver`]) on which an RE
+//! Pattern is a small policy deciding who exchanges when: the global
+//! barrier ([`sync`]) or the real-time tick over the ready subset
+//! ([`asynchronous`]). The two Execution Modes (Mode I: cores ≥ workload,
+//! Mode II: cores < workload) need no code here — the pilot's core timeline
+//! handles them transparently, exactly as the paper's design intends: users
+//! switch modes by changing only the core count.
 
 pub mod asynchronous;
+mod driver;
 pub mod federation;
 pub mod sync;
 
 use crate::amm::{Amm, MdSpec};
-use crate::config::{EngineChoice, SimulationConfig};
+use crate::config::{EngineChoice, Pattern, SimulationConfig};
 use crate::ram::{ExchangeInput, GroupInput, SlotInput};
 use crate::replica::{Replica, SlotParams};
 use crate::task::TaskResult;
 use exchange::multidim::ParamGrid;
 use exchange::stats::{AcceptanceStats, RoundTripTracker};
-use hpc::perfmodel::{EngineKind, ExchangeKind, PerfModel};
+use hpc::perfmodel::{ExchangeKind, PerfModel};
 use hpc::ClusterSpec;
 use pilot::description::{DurationSpec, UnitDescription};
 use pilot::executor::TaskWork;
@@ -59,7 +62,7 @@ pub(crate) struct LiveSinks {
     prom: Option<PathBuf>,
 }
 
-/// Shared state the pattern drivers operate on.
+/// The campaign state the driver core and its pattern policies operate on.
 pub struct DriverCtx {
     pub cfg: SimulationConfig,
     pub grid: ParamGrid,
@@ -93,7 +96,7 @@ pub struct DriverCtx {
     /// Structured-event sink; disabled (no-op) unless tracing was requested.
     pub recorder: obs::Recorder,
     /// Cycles already completed — nonzero when restored from a checkpoint;
-    /// the sync driver resumes from this cycle.
+    /// the barrier policy resumes from this cycle.
     pub completed_cycles: u64,
     /// Cycle reports carried over from the interrupted leg of a resumed run.
     pub prior_cycle_reports: Vec<crate::report::CycleReport>,
@@ -107,7 +110,7 @@ pub struct DriverCtx {
     /// interruption point (`repex run --stop-after`).
     pub cycle_limit: Option<u64>,
     /// Pre-segment restart snapshots for in-flight MD work, keyed by
-    /// replica id (async driver, populated only while checkpointing): the
+    /// replica id (tick policy, populated only while checkpointing): the
     /// executor runs payloads eagerly, so by checkpoint time an in-flight
     /// segment has already advanced its `System` — the checkpoint must
     /// store the microstate from *before* the segment so resume can
@@ -143,14 +146,17 @@ impl DriverCtx {
             .is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed))
     }
 
-    /// Atom count charged to the performance model.
-    pub fn cost_atoms(&self) -> usize {
-        self.cfg.model_atoms()
-    }
-
-    /// The engine-kind used by the cost model for MD tasks.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.cfg.engine_kind()
+    /// Telemetry progress as (completed, total): cycles for the synchronous
+    /// pattern, MD segments for the asynchronous one (no global cycles).
+    pub(crate) fn progress(&self) -> (u64, u64) {
+        let n_cycles = self.cfg.n_cycles;
+        match self.cfg.pattern {
+            Pattern::Synchronous => (self.completed_cycles, n_cycles),
+            Pattern::Asynchronous { .. } => (
+                self.replicas.iter().map(|r| r.segments_done).sum(),
+                n_cycles.saturating_mul(self.n_replicas() as u64),
+            ),
+        }
     }
 
     /// Modeled wall seconds of one MD segment.
@@ -216,44 +222,66 @@ impl DriverCtx {
         }
     }
 
-    /// Build the exchange task for dimension `dim` at `cycle`.
+    /// One exchange group's inputs: the current occupants of `slots`, each
+    /// reading the staged output of the MD segment `segment_of` names for it.
+    pub(crate) fn group_input(
+        &self,
+        dim: usize,
+        slots: &[usize],
+        segment_of: impl Fn(&Replica) -> u64,
+    ) -> GroupInput {
+        let slots = slots
+            .iter()
+            .map(|&slot| {
+                let replica = &self.replicas[self.slot_owner[slot]];
+                let params = SlotParams::resolve(&self.grid, slot, self.cfg.base_temperature);
+                let coords = self.grid.coords_of(slot);
+                SlotInput {
+                    slot,
+                    replica: replica.id,
+                    file_base: format!("r{:05}_c{:04}", replica.id, segment_of(replica)),
+                    param: self.grid.dims[dim].ladder[coords[dim]].clone(),
+                    temperature: params.temperature,
+                    salt_molar: params.salt_molar,
+                    ph: params.ph,
+                    restraints: params.restraints,
+                    system: std::sync::Arc::clone(&replica.system),
+                    stale: replica.stale,
+                }
+            })
+            .collect();
+        GroupInput { slots }
+    }
+
+    /// Wrap an exchange input as a compute unit. The pairing, Metropolis
+    /// tests and single-point energies inside the payload are real.
+    pub(crate) fn exchange_task(
+        &self,
+        name: String,
+        cores: usize,
+        duration: DurationSpec,
+        input: ExchangeInput,
+    ) -> (UnitDescription, TaskWork<TaskResult>) {
+        let desc = UnitDescription::new(name, "repex-exchange", cores).with_duration(duration);
+        let engine = self.amm.exchange_engine();
+        let work: TaskWork<TaskResult> =
+            Box::new(move || crate::ram::run_exchange(input, engine).map(TaskResult::Exchange));
+        (desc, work)
+    }
+
+    /// Build the exchange task for dimension `dim` at `cycle` over the full
+    /// grid.
     ///
     /// The exchange runs as a single unit whose modeled duration follows the
     /// calibrated aggregate cost (one MPI task for T/U; serialized
-    /// per-replica single-point tasks for S — see DESIGN.md). The pairing,
-    /// Metropolis tests and single-point energies inside the payload are
-    /// real.
+    /// per-replica single-point tasks for S — see DESIGN.md).
     pub fn exchange_unit(&self, dim: usize, cycle: u64) -> (UnitDescription, TaskWork<TaskResult>) {
         let kind = self.dim_kind(dim);
         let groups = self
             .grid
             .groups_for_dimension(dim)
             .into_iter()
-            .map(|slots| GroupInput {
-                slots: slots
-                    .into_iter()
-                    .map(|slot| {
-                        let replica_id = self.slot_owner[slot];
-                        let replica = &self.replicas[replica_id];
-                        let params =
-                            SlotParams::resolve(&self.grid, slot, self.cfg.base_temperature);
-                        let coords = self.grid.coords_of(slot);
-                        let param = self.grid.dims[dim].ladder[coords[dim]].clone();
-                        SlotInput {
-                            slot,
-                            replica: replica_id,
-                            file_base: format!("r{:05}_c{:04}", replica_id, cycle),
-                            param,
-                            temperature: params.temperature,
-                            salt_molar: params.salt_molar,
-                            ph: params.ph,
-                            restraints: params.restraints,
-                            system: std::sync::Arc::clone(&replica.system),
-                            stale: replica.stale,
-                        }
-                    })
-                    .collect(),
-            })
+            .map(|slots| self.group_input(dim, &slots, |_| cycle))
             .collect();
         let input = ExchangeInput {
             dim,
@@ -292,16 +320,8 @@ impl DriverCtx {
         } else {
             DurationSpec::Measured
         };
-        let desc = UnitDescription::new(
-            format!("exchange-{}-d{dim}-c{cycle:04}", kind.letter()),
-            "repex-exchange",
-            cores,
-        )
-        .with_duration(duration);
-        let engine = self.amm.exchange_engine();
-        let work: TaskWork<TaskResult> =
-            Box::new(move || crate::ram::run_exchange(input, engine).map(TaskResult::Exchange));
-        (desc, work)
+        let name = format!("exchange-{}-d{dim}-c{cycle:04}", kind.letter());
+        self.exchange_task(name, cores, duration, input)
     }
 
     /// Apply accepted swaps: occupants of the two slots trade places. For
@@ -372,14 +392,6 @@ impl DriverCtx {
         self.window_samples.entry(slot).or_default().extend_from_slice(trace);
     }
 
-    /// Record MD trace samples against the slot's window.
-    pub fn record_samples(&mut self, slot: usize, trace: &[(f64, f64)]) {
-        if trace.is_empty() {
-            return;
-        }
-        self.window_samples.entry(slot).or_default().extend_from_slice(trace);
-    }
-
     /// Extract the per-window sample sets for analysis.
     pub fn window_sample_report(&self) -> Vec<WindowSamples> {
         let mut out: Vec<WindowSamples> = self
@@ -411,18 +423,13 @@ fn rescale_velocities(replica: &Replica, factor: f64) {
     }
 }
 
-/// Map a dimension's exchange kind letter for reporting.
-pub fn kind_letter(kind: ExchangeKind) -> char {
-    kind.letter()
-}
-
 /// Globally-unique unit name for one MD attempt: the AMM's base name (which
 /// encodes replica and cycle) plus the dimension pass and attempt number.
 ///
-/// The drivers key their relaunch bookkeeping (name → slot, attempt) on unit
-/// names, so names must be unique across relaunches and cycles — a retried
-/// task must never collide with, and inherit the stale retry count of, any
-/// other in-flight or completed unit.
+/// The driver core keys its in-flight table on unit names, so names must be
+/// unique across relaunches and cycles — a retried task must never collide
+/// with, and inherit the stale retry count of, any other in-flight or
+/// completed unit.
 pub(crate) fn attempt_task_name(base: &str, dim: usize, attempt: u32) -> String {
     format!("{base}-d{dim}-a{attempt}")
 }
@@ -432,10 +439,9 @@ pub(crate) fn attempt_task_name(base: &str, dim: usize, attempt: u32) -> String 
 /// mix `(slot, attempt)` — and nothing else — through a splitmix64 avalanche.
 ///
 /// Deriving the perturbation purely from checkpointable quantities is what
-/// lets a resumed campaign replay the identical failure/retry sequence. The
-/// previous scheme (`base + (attempt << 32)`) offset the seed by a value
-/// that could alias the cycle contribution already mixed into `base`,
-/// letting two different (cycle, attempt) pairs collide on one seed.
+/// lets a resumed campaign replay the identical failure/retry sequence; an
+/// additive offset could alias the cycle contribution already mixed into
+/// `base`, letting two different (cycle, attempt) pairs collide on one seed.
 pub(crate) fn attempt_seed(base: u64, slot: usize, attempt: u32) -> u64 {
     if attempt == 0 {
         return base;
@@ -468,12 +474,6 @@ pub(crate) fn start_live(ctx: &mut DriverCtx) -> Result<(), String> {
         .unwrap_or_else(|| ctx.cfg.title.clone());
     let n = ctx.grid.n_slots();
     let one_d = ctx.grid.n_dims() == 1;
-    let completed = match ctx.cfg.pattern {
-        crate::config::Pattern::Synchronous => ctx.completed_cycles,
-        crate::config::Pattern::Asynchronous { .. } => {
-            ctx.replicas.iter().map(|r| r.segments_done).sum()
-        }
-    };
     let mut slot_of = vec![0usize; n];
     for r in &ctx.replicas {
         slot_of[r.id] = r.slot;
@@ -487,7 +487,7 @@ pub(crate) fn start_live(ctx: &mut DriverCtx) -> Result<(), String> {
         dim_kinds: ctx.grid.dims.iter().map(|d| d.kind_letter()).collect(),
         baseline: obs::LiveBaseline {
             seq: ctx.telemetry_seq,
-            completed,
+            completed: ctx.progress().0,
             sim_time: ctx.pilot.executor.now().as_secs(),
             dims: ctx.acceptance.iter().map(|a| (a.attempts, a.accepted)).collect(),
             failed_tasks: ctx.failed_tasks,
@@ -514,17 +514,16 @@ pub(crate) fn start_live(ctx: &mut DriverCtx) -> Result<(), String> {
 }
 
 /// Close the current telemetry window: emit one snapshot from the
-/// recorder's fold and push it through the configured exporters. Drivers
-/// call this at their consistency points (every cycle barrier for sync,
-/// every flushed exchange round for async), *before* writing a checkpoint
-/// so the checkpoint's telemetry cursor covers this snapshot. A no-op
-/// returning `Ok(None)` when the live plane is not active.
+/// recorder's fold and push it through the configured exporters. The driver
+/// core calls this at every consistency point (cycle barrier for sync,
+/// flushed exchange round for async), *before* writing a checkpoint so the
+/// checkpoint's telemetry cursor covers this snapshot. A no-op returning
+/// `Ok(None)` when the live plane is not active.
 pub(crate) fn emit_live(
     ctx: &mut DriverCtx,
-    completed: u64,
-    total: u64,
     done: bool,
 ) -> Result<Option<obs::TelemetrySnapshot>, String> {
+    let (completed, total) = ctx.progress();
     let stats = obs::EmitStats {
         completed,
         total,
@@ -559,6 +558,7 @@ pub(crate) fn emit_live(
 mod tests {
     use super::*;
     use crate::simulation::build_ctx;
+    use hpc::perfmodel::EngineKind;
 
     fn small_ctx() -> DriverCtx {
         let mut cfg = SimulationConfig::t_remd(8, 500, 2);
@@ -571,8 +571,8 @@ mod tests {
         let ctx = small_ctx();
         assert_eq!(ctx.n_replicas(), 8);
         assert_eq!(ctx.slot_owner, (0..8).collect::<Vec<_>>());
-        assert_eq!(ctx.cost_atoms(), 2881);
-        assert_eq!(ctx.engine_kind(), EngineKind::Sander);
+        assert_eq!(ctx.cfg.model_atoms(), 2881);
+        assert_eq!(ctx.cfg.engine_kind(), EngineKind::Sander);
         assert!(ctx.simulated);
         // Calibration: 500 steps on 2881 atoms ≈ 139.6 * 500/6000.
         let expect = 139.6 * 500.0 / 6000.0;
@@ -659,9 +659,9 @@ mod tests {
     #[test]
     fn window_sample_collection() {
         let mut ctx = small_ctx();
-        ctx.record_samples(2, &[(0.1, 0.2), (0.3, 0.4)]);
-        ctx.record_samples(2, &[(0.5, 0.6)]);
-        ctx.record_samples(5, &[(1.0, 1.0)]);
+        ctx.record_samples_at(2, 0, &[(0.1, 0.2), (0.3, 0.4)]);
+        ctx.record_samples_at(2, 1, &[(0.5, 0.6)]);
+        ctx.record_samples_at(5, 0, &[(1.0, 1.0)]);
         let report = ctx.window_sample_report();
         assert_eq!(report.len(), 2);
         assert_eq!(report[0].slot, 2);
@@ -715,7 +715,7 @@ mod tests {
         let mut cfg = SimulationConfig::t_remd(4, 100, 1);
         cfg.engine = EngineChoice::Namd;
         let ctx = build_ctx(cfg).unwrap();
-        assert_eq!(ctx.engine_kind(), EngineKind::Namd2);
+        assert_eq!(ctx.cfg.engine_kind(), EngineKind::Namd2);
     }
 
     #[test]
@@ -723,6 +723,6 @@ mod tests {
         let mut cfg = SimulationConfig::t_remd(4, 100, 1);
         cfg.resource.cores_per_replica = 8;
         let ctx = build_ctx(cfg).unwrap();
-        assert_eq!(ctx.engine_kind(), EngineKind::PmemdMpi);
+        assert_eq!(ctx.cfg.engine_kind(), EngineKind::PmemdMpi);
     }
 }

@@ -1,20 +1,23 @@
 //! The synchronous RE pattern: a global barrier between the simulation and
-//! exchange phases (Fig. 1a / Fig. 2 of the paper).
+//! exchange phases (Fig. 1a / Fig. 2 of the paper), as a policy over the
+//! shared driver core.
 //!
 //! One cycle of an M-REMD simulation performs, for each dimension in order:
 //! an MD phase over all replicas, data staging, and the exchange in that
 //! dimension ("simulations are performed only in one dimension at any given
-//! instant of time"). Execution Mode II needs no special handling here: when
-//! the pilot has fewer cores than replicas, the core timeline batches the MD
+//! instant of time"). The barrier is the executor running dry: each phase
+//! submits its units and the policy advances when nothing is left in flight.
+//! Decided here: the phase order, the Eq. 1 overhead charges and the
+//! `CycleReport`. Execution Mode II needs no special handling: when the
+//! pilot has fewer cores than replicas, the core timeline batches the MD
 //! units into waves automatically.
 
+use super::driver::{self, Core, Flight, Flow, Point, Policy};
 use super::DriverCtx;
-use crate::config::FaultPolicy;
+use crate::checkpoint::SchedulerState;
 use crate::report::CycleReport;
-use crate::task::TaskResult;
-use crate::timing::{timing_from_breakdown, CycleTiming};
+use crate::timing::timing_from_breakdown;
 use obs::{Event, OverheadScope};
-use std::collections::HashMap;
 
 /// Run the configured number of synchronous cycles; returns per-cycle
 /// reports.
@@ -26,535 +29,166 @@ use std::collections::HashMap;
 /// configured one is written on the interval, after any cycle that saw
 /// failures, and at the end of the leg.
 pub fn run_sync(ctx: &mut DriverCtx) -> Result<Vec<CycleReport>, String> {
-    let start_cycle = ctx.completed_cycles;
-    let end_cycle = match ctx.cycle_limit {
-        Some(k) => ctx.cfg.n_cycles.min(start_cycle.saturating_add(k)),
-        None => ctx.cfg.n_cycles,
-    };
-    let mut reports = std::mem::take(&mut ctx.prior_cycle_reports);
-    reports.reserve(end_cycle.saturating_sub(start_cycle) as usize);
-    let progress_every = ctx.cfg.progress_every;
-    let mut failed_at_last_checkpoint = ctx.failed_tasks;
-    for cycle in start_cycle..end_cycle {
-        let (timing, events) = run_one_cycle(ctx, cycle)?;
-        ctx.recorder.extend(events);
-        ctx.record_rungs();
-        reports.push(CycleReport { cycle, timing });
-        ctx.completed_cycles = cycle + 1;
-        // Every cycle barrier closes one telemetry window. Emitting before
-        // the checkpoint write means the checkpoint's telemetry cursor
-        // covers this snapshot, so a resumed leg re-emits (identically,
-        // sync resume being bit-exact) rather than skips.
-        let snapshot = super::emit_live(
-            ctx,
-            ctx.completed_cycles,
-            ctx.cfg.n_cycles,
-            ctx.completed_cycles == ctx.cfg.n_cycles,
-        )?;
-        // A cooperative stop (campaign cancellation or service shutdown)
-        // is honored here, at the cycle barrier — the same consistency
-        // point the checkpoint uses, so the final checkpoint it forces is
-        // indistinguishable from a `--stop-after` one.
-        let stop = ctx.stop_requested();
-        if let Some(policy) = &ctx.checkpoint {
-            let due = policy.due(ctx.completed_cycles)
-                || ctx.failed_tasks > failed_at_last_checkpoint
-                || cycle + 1 == end_cycle
-                || stop;
-            if due {
-                crate::checkpoint::write_if_configured(
-                    ctx,
-                    crate::checkpoint::SchedulerState::Sync { cycles_done: ctx.completed_cycles },
-                    &reports,
-                )?;
-                failed_at_last_checkpoint = ctx.failed_tasks;
-            }
-        }
-        // The progress line renders straight off the snapshot bus — the
-        // single source of truth shared with the exporters and `repex
-        // watch` (equivalence with the old in-driver accounting is proven
-        // in tests/it_telemetry.rs).
-        if progress_every > 0 && (cycle + 1) % progress_every == 0 {
-            if let Some(snap) = &snapshot {
-                eprintln!("{}", obs::render_progress_line(snap));
-            }
-        }
-        if stop {
-            break;
-        }
-    }
-    Ok(reports)
+    let reports = std::mem::take(&mut ctx.prior_cycle_reports);
+    let mut barrier = Barrier { reports, ..Default::default() };
+    driver::run(ctx, &mut barrier)?;
+    Ok(barrier.reports)
 }
 
-/// Submit one MD attempt for `slot`, registering it in the relaunch
-/// bookkeeping under a globally-unique name (base name + dim + attempt).
-fn submit_md_attempt(
-    ctx: &mut DriverCtx,
-    slot: usize,
+/// What the executor is draining when it next runs dry.
+#[derive(Default, PartialEq)]
+enum Phase {
+    /// Nothing: between cycles, or before the first.
+    #[default]
+    Idle,
+    Md,
+    Exchange,
+}
+
+/// The per-cycle phase machine: MD(dim) → data stage → exchange(dim) for
+/// each dimension, advanced whenever the executor runs dry.
+#[derive(Default)]
+struct Barrier {
     cycle: u64,
     dim: usize,
-    attempt: u32,
-    in_flight: &mut HashMap<String, (usize, u32)>,
-) -> Result<(), String> {
-    let mut spec = ctx.md_spec(slot, cycle, dim);
-    // Each relaunch attempt gets a perturbed seed so the retried trajectory
-    // is independent (attempt 0 keeps the base seed). The perturbation is a
-    // pure function of (slot, attempt) so a resumed campaign re-derives it.
-    spec.seed = super::attempt_seed(spec.seed, slot, attempt);
-    let (mut desc, work) = ctx.amm.prepare_md(spec, &ctx.pilot.staging)?;
-    desc.name = super::attempt_task_name(&desc.name, dim, attempt);
-    if in_flight.insert(desc.name.clone(), (slot, attempt)).is_some() {
-        return Err(format!("duplicate in-flight unit name {}", desc.name));
-    }
-    ctx.pilot.executor.submit(desc, work)?;
-    Ok(())
+    phase: Phase,
+    /// Virtual time the draining phase began.
+    phase_start: f64,
+    rebuilds_before: u64,
+    reports: Vec<CycleReport>,
 }
 
-fn run_one_cycle(ctx: &mut DriverCtx, cycle: u64) -> Result<(CycleTiming, Vec<Event>), String> {
-    let n = ctx.n_replicas();
-    let dims = ctx.grid.n_dims();
-    // The cycle's event stream. The returned `CycleTiming` is *derived*
-    // from these events (one source of truth), so the report can never
-    // disagree with an exported trace.
-    let mut events: Vec<Event> = Vec::new();
-    let rebuilds_before = mdsim::neighbor::neighbor_cache_rebuilds();
+/// Charge `seconds` of serialized client-side overhead to the pipeline and
+/// record it as one Eq. 1 term.
+fn charge(core: &mut Core, ctx: &mut DriverCtx, scope: OverheadScope, cycle: u64, seconds: f64) {
+    let start = ctx.pilot.executor.now().as_secs();
+    ctx.pilot.executor.charge_overhead(seconds);
+    let end = ctx.pilot.executor.now().as_secs();
+    core.events.push(Event::Overhead { scope, cycle, start, end });
+}
 
-    // RepEx framework overhead: task preparation and local method calls,
-    // once per cycle (Fig. 5 plots it per cycle).
-    if ctx.simulated {
-        let t = ctx.perf.overhead.repex_seconds(dims, n);
-        let start = ctx.pilot.executor.now().as_secs();
-        ctx.pilot.executor.charge_overhead(t);
-        events.push(Event::Overhead {
-            scope: OverheadScope::Repex,
-            cycle,
-            start,
-            end: ctx.pilot.executor.now().as_secs(),
-        });
-        // RP 0.35's Mode II MPI-scheduling defect (see OverheadModel): only
-        // when the pilot cannot hold all replicas concurrently.
-        let needed = n * ctx.cfg.resource.cores_per_replica;
-        if ctx.pilot.cores() < needed {
-            let t = ctx.perf.overhead.mode2_sched_per_core * ctx.pilot.cores() as f64;
-            let start = ctx.pilot.executor.now().as_secs();
-            ctx.pilot.executor.charge_overhead(t);
-            events.push(Event::Overhead {
-                scope: OverheadScope::Rp,
-                cycle,
-                start,
-                end: ctx.pilot.executor.now().as_secs(),
-            });
+impl Barrier {
+    fn begin_cycle(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String> {
+        self.cycle = ctx.completed_cycles;
+        self.dim = 0;
+        self.rebuilds_before = mdsim::neighbor::neighbor_cache_rebuilds();
+        if ctx.simulated {
+            let n = ctx.n_replicas();
+            // RepEx framework overhead: task preparation and local method
+            // calls, once per cycle (Fig. 5 plots it per cycle).
+            let t = ctx.perf.overhead.repex_seconds(ctx.grid.n_dims(), n);
+            charge(core, ctx, OverheadScope::Repex, self.cycle, t);
+            // RP 0.35's Mode II MPI-scheduling defect (see OverheadModel):
+            // only when the pilot cannot hold all replicas concurrently.
+            if ctx.pilot.cores() < n * ctx.cfg.resource.cores_per_replica {
+                let t = ctx.perf.overhead.mode2_sched_per_core * ctx.pilot.cores() as f64;
+                charge(core, ctx, OverheadScope::Rp, self.cycle, t);
+            }
         }
+        self.begin_md(core, ctx)
     }
 
-    for dim in 0..dims {
-        // --- MD phase -----------------------------------------------------
-        // RP overhead: launching N tasks through the agent.
+    fn begin_md(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String> {
         if ctx.simulated {
-            let t = ctx.perf.overhead.rp_seconds(n, &ctx.cluster);
-            let start = ctx.pilot.executor.now().as_secs();
-            ctx.pilot.executor.charge_overhead(t);
-            events.push(Event::Overhead {
-                scope: OverheadScope::Rp,
-                cycle,
-                start,
-                end: ctx.pilot.executor.now().as_secs(),
-            });
+            // RP overhead: launching N tasks through the agent.
+            let t = ctx.perf.overhead.rp_seconds(ctx.n_replicas(), &ctx.cluster);
+            charge(core, ctx, OverheadScope::Rp, self.cycle, t);
         }
-        let md_start = ctx.pilot.executor.now();
-        // name -> (slot, attempt) for the relaunch fault policy. Names are
-        // unique per attempt, so a retried task can never inherit a stale
-        // entry from an earlier attempt, dimension or cycle.
-        let mut in_flight: HashMap<String, (usize, u32)> = HashMap::new();
-        for slot in 0..n {
-            submit_md_attempt(ctx, slot, cycle, dim, 0, &mut in_flight)?;
+        self.phase = Phase::Md;
+        self.phase_start = ctx.pilot.executor.now().as_secs();
+        for slot in 0..ctx.n_replicas() {
+            let replica = ctx.slot_owner[slot];
+            core.submit_md(ctx, replica, self.cycle, self.dim, 0)?;
         }
-        // Global barrier: drain every MD completion (relaunching failures
-        // when the policy asks for it).
-        while let Some(done) = ctx.pilot.executor.next_completion() {
-            match done.outcome {
-                Ok(TaskResult::Md(ref md)) => {
-                    let attempt = in_flight.remove(&done.name).map_or(0, |(_, attempt)| attempt);
-                    ctx.md_core_seconds += done.duration() * done.cores as f64;
-                    events.push(Event::MdSegment {
-                        replica: md.replica,
-                        slot: md.slot,
-                        cycle,
-                        dim,
-                        attempt,
-                        cores: done.cores,
-                        start: done.start.as_secs(),
-                        end: done.end.as_secs(),
-                        ok: true,
-                    });
-                    ctx.record_samples_at(md.slot, md.cycle, &md.trace);
-                    let r = &mut ctx.replicas[md.replica];
-                    r.stale = false;
-                    r.segments_done += 1;
-                }
-                Ok(other) => {
-                    return Err(format!(
-                        "unexpected non-MD result in MD phase: {:?}",
-                        other.as_exchange().map(|e| e.dim)
-                    ))
-                }
-                Err(reason) => {
-                    ctx.failed_tasks += 1;
-                    let (slot, attempt) = in_flight
-                        .remove(&done.name)
-                        .ok_or_else(|| format!("unknown failed unit {}", done.name))?;
-                    let replica_id = ctx.slot_owner[slot];
-                    events.push(Event::MdSegment {
-                        replica: replica_id,
-                        slot,
-                        cycle,
-                        dim,
-                        attempt,
-                        cores: done.cores,
-                        start: done.start.as_secs(),
-                        end: done.end.as_secs(),
-                        ok: false,
-                    });
-                    match ctx.cfg.fault_policy {
-                        FaultPolicy::Relaunch { max_retries } if attempt < max_retries => {
-                            ctx.relaunched_tasks += 1;
-                            if ctx.recorder.is_enabled() {
-                                events.push(Event::TaskRelaunch {
-                                    name: done.name.clone(),
-                                    slot,
-                                    attempt: attempt + 1,
-                                    at: ctx.pilot.executor.now().as_secs(),
-                                });
-                            }
-                            submit_md_attempt(ctx, slot, cycle, dim, attempt + 1, &mut in_flight)?;
-                        }
-                        _ => {
-                            // Continue policy (or retries exhausted): the
-                            // replica sits out this cycle's exchange. The
-                            // simulation as a whole keeps running — the
-                            // paper's core fault-tolerance property.
-                            ctx.replicas[replica_id].stale = true;
-                            let _ = reason;
-                        }
-                    }
-                }
-            }
-        }
-        events.push(Event::MdPhase {
-            cycle,
-            dim,
-            start: md_start.as_secs(),
-            end: ctx.pilot.executor.now().as_secs(),
-        });
+        Ok(Flow::Continue)
+    }
 
-        // --- Data staging ---------------------------------------------------
+    fn end_cycle(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String> {
+        let cycle = self.cycle;
+        let rebuilds =
+            mdsim::neighbor::neighbor_cache_rebuilds().saturating_sub(self.rebuilds_before);
+        if ctx.recorder.is_enabled() && rebuilds > 0 {
+            // Process-wide counter: under parallel test runs this may
+            // include other simulations' rebuilds; it is diagnostic only.
+            let at = ctx.pilot.executor.now().as_secs();
+            core.events.push(Event::CacheRebuild { cycle, rebuilds, at });
+        }
+        // Eq. 1 from the event stream: the events carry the same clock
+        // probes in the same order as the per-field accumulation they
+        // replaced, so the derived timing matches it to floating-point
+        // rounding (≪ 1e-9).
+        let timing = obs::cycle_breakdowns(&core.events)
+            .first()
+            .map_or_else(Default::default, timing_from_breakdown);
+        ctx.record_rungs();
+        self.reports.push(CycleReport { cycle, timing });
+        ctx.completed_cycles = cycle + 1;
+        let point =
+            if ctx.completed_cycles == ctx.cfg.n_cycles { Point::Final } else { Point::Boundary };
+        self.phase = Phase::Idle;
+        core.consistency_point(ctx, self, point)
+    }
+}
+
+impl Policy for Barrier {
+    // Checkpoints land on cycle barriers, where nothing is in flight.
+    const CHECKPOINTS_MID_FLIGHT: bool = false;
+
+    fn steps(&self, ctx: &DriverCtx) -> u64 {
+        ctx.completed_cycles
+    }
+
+    fn checkpoint_state(&self, ctx: &DriverCtx, _: &Core) -> (SchedulerState, &[CycleReport]) {
+        (SchedulerState::Sync { cycles_done: ctx.completed_cycles }, &self.reports)
+    }
+
+    fn quiescent(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String> {
+        if self.phase == Phase::Idle {
+            let finished = ctx.completed_cycles >= ctx.cfg.n_cycles;
+            return if finished { Ok(Flow::Finished) } else { self.begin_cycle(core, ctx) };
+        }
+        let (cycle, dim) = (self.cycle, self.dim);
+        let participants = ctx.n_replicas();
         let kind = ctx.dim_kind(dim);
-        if ctx.simulated {
-            let t = ctx.perf.data.data_seconds(kind, n, &ctx.cluster);
-            let start = ctx.pilot.executor.now().as_secs();
-            ctx.pilot.executor.charge_overhead(t);
-            events.push(Event::DataStage {
-                kind: kind.letter(),
-                dim,
-                cycle,
-                start,
-                end: ctx.pilot.executor.now().as_secs(),
-            });
-        }
-
-        // --- Exchange phase -------------------------------------------------
-        if ctx.cfg.no_exchange {
-            let now = ctx.pilot.executor.now().as_secs();
-            events.push(Event::ExchangeWindow {
-                kind: kind.letter(),
-                dim,
-                cycle,
-                participants: 0,
-                start: now,
-                end: now,
-            });
-            continue;
-        }
-        let ex_start = ctx.pilot.executor.now();
-        let (desc, work) = ctx.exchange_unit(dim, cycle);
-        ctx.pilot.executor.submit(desc, work)?;
-        let mut swaps_applied = false;
-        while let Some(done) = ctx.pilot.executor.next_completion() {
-            match done.outcome {
-                Ok(TaskResult::Exchange(report)) => {
-                    // One outcome event per Metropolis attempt (the exchange
-                    // task records pair_outcomes in lockstep with its
-                    // AcceptanceStats), before the covering window event, so
-                    // acceptance ratios are derivable from the trace alone.
-                    let at = done.end.as_secs();
-                    for &(slot_lo, slot_hi, accepted) in &report.pair_outcomes {
-                        events.push(Event::ExchangeOutcome {
-                            dim,
-                            cycle,
-                            slot_lo,
-                            slot_hi,
-                            accepted,
-                            at,
-                        });
-                    }
-                    ctx.acceptance[dim].merge(&report.stats);
-                    ctx.record_pair_outcomes(&report.pair_outcomes);
-                    ctx.apply_swaps(dim, &report.swaps);
-                    swaps_applied = true;
-                }
-                Ok(_) => return Err("unexpected MD result in exchange phase".into()),
-                Err(_) => {
-                    // A failed exchange (injected fault) skips the swap this
-                    // cycle; replicas keep their parameters.
-                    ctx.failed_tasks += 1;
-                }
+        if self.phase == Phase::Md {
+            // Global barrier: every MD segment (and relaunch) has finished.
+            let end = ctx.pilot.executor.now().as_secs();
+            core.events.push(Event::MdPhase { cycle, dim, start: self.phase_start, end });
+            if ctx.simulated {
+                let t = ctx.perf.data.data_seconds(kind, participants, &ctx.cluster);
+                ctx.pilot.executor.charge_overhead(t);
+                core.events.push(Event::DataStage {
+                    kind: kind.letter(),
+                    dim,
+                    cycle,
+                    start: end,
+                    end: ctx.pilot.executor.now().as_secs(),
+                });
+            }
+            self.phase_start = ctx.pilot.executor.now().as_secs();
+            if !ctx.cfg.no_exchange {
+                self.phase = Phase::Exchange;
+                let unit = ctx.exchange_unit(dim, cycle);
+                core.submit(ctx, Flight::Exchange { dim, cycle, participants }, unit)?;
+                return Ok(Flow::Continue);
             }
         }
-        let _ = swaps_applied;
-        events.push(Event::ExchangeWindow {
+        // The exchange window closes whether the unit succeeded or failed
+        // (an injected fault skips the swap, not the Eq. 1 term); the
+        // no-exchange baseline records an empty one.
+        core.events.push(Event::ExchangeWindow {
             kind: kind.letter(),
             dim,
             cycle,
-            participants: n,
-            start: ex_start.as_secs(),
+            participants: if self.phase == Phase::Exchange { participants } else { 0 },
+            start: self.phase_start,
             end: ctx.pilot.executor.now().as_secs(),
         });
-    }
-
-    if ctx.recorder.is_enabled() {
-        let delta = mdsim::neighbor::neighbor_cache_rebuilds().saturating_sub(rebuilds_before);
-        if delta > 0 {
-            // Process-wide counter: under parallel test runs this may
-            // include other simulations' rebuilds; it is diagnostic only.
-            events.push(Event::CacheRebuild {
-                cycle,
-                rebuilds: delta,
-                at: ctx.pilot.executor.now().as_secs(),
-            });
+        if dim + 1 < ctx.grid.n_dims() {
+            self.dim += 1;
+            self.begin_md(core, ctx)
+        } else {
+            self.end_cycle(core, ctx)
         }
-    }
-
-    // Eq. 1 from the event stream: the events carry the same clock probes
-    // in the same order as the per-field accumulation they replaced, so the
-    // derived timing matches it to floating-point rounding (≪ 1e-9).
-    let timing =
-        obs::cycle_breakdowns(&events).first().map_or_else(Default::default, timing_from_breakdown);
-    Ok((timing, events))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::{DimensionConfig, FaultPolicy, SimulationConfig};
-    use crate::simulation::build_ctx;
-    use hpc::fault::FaultModel;
-
-    fn quick_cfg(n: usize) -> SimulationConfig {
-        let mut cfg = SimulationConfig::t_remd(n, 600, 2);
-        cfg.surrogate_steps = 10;
-        cfg.sample_stride = 5;
-        cfg
-    }
-
-    #[test]
-    fn sync_cycle_produces_timing_decomposition() {
-        let mut ctx = build_ctx(quick_cfg(8)).unwrap();
-        let reports = run_sync(&mut ctx).unwrap();
-        assert_eq!(reports.len(), 2);
-        let t = &reports[0].timing;
-        // MD time ≈ model (600 steps): 139.6 * 600/6000 = 13.96, plus noise.
-        assert!((t.t_md - 13.96).abs() < 2.0, "t_md = {}", t.t_md);
-        assert_eq!(t.t_ex.len(), 1);
-        assert!(t.t_ex[0].1 > 0.0);
-        assert!(t.t_data > 0.0);
-        assert!(t.t_repex_over > 0.0);
-        assert!(t.t_rp_over > 0.0);
-        assert!(t.total() > t.t_md);
-    }
-
-    #[test]
-    fn all_replicas_advance_every_cycle() {
-        let mut ctx = build_ctx(quick_cfg(6)).unwrap();
-        run_sync(&mut ctx).unwrap();
-        for r in &ctx.replicas {
-            assert_eq!(r.segments_done, 2);
-            assert!(!r.stale);
-        }
-        // Samples collected under every window.
-        assert_eq!(ctx.window_samples.len(), 6);
-    }
-
-    #[test]
-    fn exchanges_actually_happen() {
-        let mut cfg = quick_cfg(8);
-        cfg.n_cycles = 6;
-        let mut ctx = build_ctx(cfg).unwrap();
-        run_sync(&mut ctx).unwrap();
-        let acc = &ctx.acceptance[0];
-        assert!(acc.attempts >= 18, "6 cycles × ~3.5 pairs: {}", acc.attempts);
-        // The reduced dipeptide at neighbouring geometric temperatures
-        // exchanges readily; some acceptances must occur.
-        assert!(acc.accepted > 0, "no exchanges accepted in {} attempts", acc.attempts);
-        // Slot assignment is a permutation.
-        let mut sorted = ctx.slot_owner.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn mode_ii_runs_in_waves() {
-        // 16 replicas on 4 cores: MD phase must take ~4x one segment.
-        let mut cfg = quick_cfg(16);
-        cfg.resource.cores = Some(4);
-        cfg.n_cycles = 1;
-        let mut ctx = build_ctx(cfg).unwrap();
-        assert_eq!(ctx.cfg.execution_mode().unwrap(), 2);
-        let reports = run_sync(&mut ctx).unwrap();
-        let t_md = reports[0].timing.t_md;
-        let one = 139.6 * 600.0 / 6000.0;
-        assert!(t_md > 3.5 * one && t_md < 4.8 * one, "t_md = {t_md}, one segment = {one}");
-    }
-
-    #[test]
-    fn no_exchange_baseline_skips_exchange() {
-        let mut cfg = quick_cfg(8);
-        cfg.no_exchange = true;
-        let mut ctx = build_ctx(cfg).unwrap();
-        let reports = run_sync(&mut ctx).unwrap();
-        assert_eq!(reports[0].timing.t_ex[0].1, 0.0);
-        assert_eq!(ctx.acceptance[0].attempts, 0);
-    }
-
-    #[test]
-    fn continue_policy_marks_stale_but_run_survives() {
-        let mut cfg = quick_cfg(16);
-        cfg.fault_policy = FaultPolicy::Continue;
-        let mut ctx = build_ctx(cfg).unwrap();
-        // MTBF comparable to task length: plenty of failures.
-        ctx.pilot =
-            crate::simulation::make_pilot(&ctx.cfg, FaultModel::new(20.0).unwrap()).unwrap();
-        let reports = run_sync(&mut ctx).unwrap();
-        assert_eq!(reports.len(), 2, "simulation completed despite failures");
-        assert!(ctx.failed_tasks > 0, "fault injection produced no failures");
-        assert_eq!(ctx.relaunched_tasks, 0);
-    }
-
-    #[test]
-    fn relaunch_policy_retries_failures() {
-        let mut cfg = quick_cfg(16);
-        cfg.fault_policy = FaultPolicy::Relaunch { max_retries: 25 };
-        let mut ctx = build_ctx(cfg).unwrap();
-        ctx.pilot =
-            crate::simulation::make_pilot(&ctx.cfg, FaultModel::new(40.0).unwrap()).unwrap();
-        run_sync(&mut ctx).unwrap();
-        assert!(ctx.failed_tasks > 0);
-        assert!(ctx.relaunched_tasks > 0, "relaunch policy must retry");
-        // With generous retries every replica eventually completes both
-        // segments.
-        for r in &ctx.replicas {
-            assert_eq!(r.segments_done, 2);
-        }
-    }
-
-    #[test]
-    fn relaunch_attempts_never_collide_or_inherit_stale_retry_counts() {
-        // Regression: unit names used to repeat across relaunches (and
-        // cycles), so a retried task could look up a stale (slot, retries)
-        // entry and reset or inherit another attempt's retry count. With
-        // per-attempt names, every completed segment is a distinct
-        // (replica, cycle, dim, attempt) tuple and attempt numbers grow by
-        // exactly one per relaunch of the same work.
-        let mut cfg = quick_cfg(16);
-        cfg.fault_policy = FaultPolicy::Relaunch { max_retries: 25 };
-        let recorder = obs::Recorder::enabled();
-        let mut ctx = build_ctx(cfg).unwrap();
-        ctx.recorder = recorder.clone();
-        ctx.pilot =
-            crate::simulation::make_pilot(&ctx.cfg, FaultModel::new(30.0).unwrap()).unwrap();
-        run_sync(&mut ctx).unwrap();
-        assert!(ctx.relaunched_tasks > 0, "fault model must trigger relaunches");
-        let mut seen = std::collections::HashSet::new();
-        let mut max_attempt = 0;
-        for event in recorder.events() {
-            if let Event::MdSegment { replica, cycle, dim, attempt, .. } = event {
-                assert!(
-                    seen.insert((replica, cycle, dim, attempt)),
-                    "duplicate attempt tuple r{replica} c{cycle} d{dim} a{attempt}"
-                );
-                max_attempt = max_attempt.max(attempt);
-            }
-        }
-        assert!(max_attempt > 0, "some segment was retried");
-    }
-
-    #[test]
-    fn reported_timing_is_derived_from_the_event_stream() {
-        // The sync driver's CycleTiming must equal a re-aggregation of the
-        // events it recorded — exactly, since both come from one stream.
-        let recorder = obs::Recorder::enabled();
-        let mut ctx = build_ctx(quick_cfg(8)).unwrap();
-        ctx.recorder = recorder.clone();
-        let reports = run_sync(&mut ctx).unwrap();
-        let breakdowns = obs::cycle_breakdowns(&recorder.events());
-        assert_eq!(breakdowns.len(), reports.len());
-        for (report, b) in reports.iter().zip(&breakdowns) {
-            let rederived = timing_from_breakdown(b);
-            assert_eq!(report.timing, rederived, "cycle {}", report.cycle);
-        }
-    }
-
-    #[test]
-    fn outcome_events_match_in_process_acceptance_exactly() {
-        let recorder = obs::Recorder::enabled();
-        let mut cfg = quick_cfg(8);
-        cfg.n_cycles = 4;
-        let mut ctx = build_ctx(cfg).unwrap();
-        ctx.recorder = recorder.clone();
-        run_sync(&mut ctx).unwrap();
-        let events = recorder.events();
-        let health = obs::exchange_health(&events);
-        assert_eq!(health.len(), 1);
-        assert!(health[0].attempts > 0);
-        assert_eq!(health[0].attempts, ctx.acceptance[0].attempts);
-        assert_eq!(health[0].accepted, ctx.acceptance[0].accepted);
-        assert_eq!(health[0].kind, 'T');
-        // Every outcome precedes its covering window in stream order.
-        let mut last_window_end = f64::NEG_INFINITY;
-        for event in &events {
-            match event {
-                Event::ExchangeOutcome { at, .. } => {
-                    assert!(*at > last_window_end, "outcome after its own window");
-                }
-                Event::ExchangeWindow { end, participants, .. } if *participants > 0 => {
-                    last_window_end = *end;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    #[test]
-    fn multidim_cycle_has_exchange_per_dimension() {
-        let mut cfg = quick_cfg(0);
-        cfg.dimensions = vec![
-            DimensionConfig::Temperature { min_k: 273.0, max_k: 373.0, count: 3 },
-            DimensionConfig::Salt { min_molar: 0.0, max_molar: 0.5, count: 2 },
-            DimensionConfig::Umbrella { dihedral: "phi".into(), count: 2, k_deg: 0.02 },
-        ];
-        cfg.n_cycles = 1;
-        let mut ctx = build_ctx(cfg).unwrap();
-        assert_eq!(ctx.n_replicas(), 12);
-        let reports = run_sync(&mut ctx).unwrap();
-        let t = &reports[0].timing;
-        assert_eq!(t.t_ex.len(), 3, "one exchange per dimension");
-        let letters: String = t.t_ex.iter().map(|(k, _)| k.letter()).collect();
-        assert_eq!(letters, "TSU");
-        // MD runs once per dimension: t_md ≈ 3 segments.
-        let one = 139.6 * 600.0 / 6000.0;
-        assert!((t.t_md - 3.0 * one).abs() < 3.0, "t_md = {}", t.t_md);
-        // Salt exchange dominates T/U (calibrated model).
-        let t_ex: f64 = t.t_ex[0].1;
-        let s_ex: f64 = t.t_ex[1].1;
-        assert!(s_ex > t_ex, "S ({s_ex}) should exceed T ({t_ex})");
     }
 }
