@@ -104,13 +104,13 @@ impl Amm for AmberAmm {
         let (run_steps, sample_stride, cores) = (spec.run_steps, spec.sample_stride, spec.cores);
         let sample_warmup = spec.sample_warmup;
         let work: TaskWork<TaskResult> = Box::new(move || {
-            let mdin_text = staging.require_text(&mdin_name)?;
-            let ctl = MdinControl::parse(&mdin_text).map_err(|e| e.to_string())?;
+            let ctl =
+                staging.read_text(&mdin_name, MdinControl::parse)?.map_err(|e| e.to_string())?;
             let restraints: Vec<DihedralRestraint> = match &ctl.disang {
                 Some(f) => {
-                    let text = staging.require_text(f)?;
+                    let records = staging.read_text(f, parse_disang)?;
                     let sys = system.lock();
-                    parse_disang(&text)
+                    records
                         .map_err(|e| e.to_string())?
                         .into_iter()
                         .map(|d| {
@@ -164,8 +164,7 @@ impl Amm for AmberAmm {
 
 /// Parse a staged mdinfo file (used by the exchange phase).
 pub fn read_staged_mdinfo(staging: &StagingArea, base: &str) -> Result<MdInfo, String> {
-    let text = staging.require_text(&format!("{base}.mdinfo"))?;
-    MdInfo::parse(&text)
+    staging.read_text(&format!("{base}.mdinfo"), MdInfo::parse)?
 }
 
 #[cfg(test)]

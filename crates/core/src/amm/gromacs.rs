@@ -79,8 +79,7 @@ impl Amm for GromacsAmm {
         let (run_steps, sample_stride, sample_warmup) =
             (spec.run_steps, spec.sample_stride, spec.sample_warmup);
         let work: TaskWork<TaskResult> = Box::new(move || {
-            let text = staging.require_text(&mdp_name)?;
-            let cfg = MdpConfig::parse(&text).map_err(|e| e.to_string())?;
+            let cfg = staging.read_text(&mdp_name, MdpConfig::parse)?.map_err(|e| e.to_string())?;
             let mut job = GmxEngine::job_from_mdp(&cfg, sample_stride);
             job.steps = run_steps;
             job.sample_warmup = sample_warmup;

@@ -50,10 +50,16 @@ pub struct MdSpec {
     pub duration: DurationSpec,
 }
 
+/// Base name of the files one replica's segment `cycle` stages; each engine
+/// appends its own `.ext`s.
+pub fn file_base(replica: usize, cycle: u64) -> String {
+    format!("r{replica:05}_c{cycle:04}")
+}
+
 impl MdSpec {
     /// Base name for this replica/cycle's staged files.
     pub fn file_base(&self) -> String {
-        format!("r{:05}_c{:04}", self.replica, self.cycle)
+        file_base(self.replica, self.cycle)
     }
 }
 

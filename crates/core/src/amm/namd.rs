@@ -76,8 +76,8 @@ impl Amm for NamdAmm {
         let (run_steps, sample_stride) = (spec.run_steps, spec.sample_stride);
         let sample_warmup = spec.sample_warmup;
         let work: TaskWork<TaskResult> = Box::new(move || {
-            let text = staging.require_text(&conf_name)?;
-            let cfg = NamdConfig::parse(&text).map_err(|e| e.to_string())?;
+            let cfg =
+                staging.read_text(&conf_name, NamdConfig::parse)?.map_err(|e| e.to_string())?;
             let mut job = NamdEngine::job_from_config(&cfg, sample_stride);
             job.steps = run_steps;
             job.sample_warmup = sample_warmup;

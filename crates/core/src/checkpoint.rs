@@ -414,6 +414,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Version-1 checkpoints written before `RoundTripTracker` dropped its
+    /// n × n visit matrix carry a `visits` array inside `round-trips`; they
+    /// keep loading (unknown fields are ignored), and new ones omit it.
+    #[test]
+    fn old_checkpoint_with_a_visits_matrix_still_loads() {
+        let dir = tempdir("visits");
+        let mut ctx = build_ctx(small_cfg()).unwrap();
+        let tracker = ctx.round_trips.as_mut().unwrap();
+        for rung in [0, 3, 0] {
+            tracker.record(2, rung);
+        }
+        CampaignCheckpoint::capture(&ctx, SchedulerState::Sync { cycles_done: 1 }, &[])
+            .save(&dir)
+            .unwrap();
+        let path = dir.join(CHECKPOINT_FILE);
+        let new = std::fs::read_to_string(&path).unwrap();
+        assert!(!new.contains("visits"), "a new checkpoint carries no visit matrix");
+        let old = new.replacen(
+            r#""round-trips":{"#,
+            r#""round-trips":{"visits":[[1,0,0,0],[0,1,0,0],[2,0,0,1],[0,0,0,1]],"#,
+            1,
+        );
+        assert_ne!(old, new, "the tracker object was found");
+        std::fs::write(&path, old).unwrap();
+        let back = CampaignCheckpoint::load(&dir).unwrap().restore().unwrap();
+        let tracker = back.round_trips.as_ref().unwrap();
+        assert_eq!(tracker.round_trips(2), 1);
+        assert_eq!(tracker.total_round_trips(), 1);
+        assert_eq!(back.completed_cycles, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn async_in_flight_uses_preseg_snapshot() {
         let mut ctx = build_ctx(small_cfg()).unwrap();

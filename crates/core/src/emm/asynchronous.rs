@@ -108,6 +108,19 @@ struct Tick {
     draining: bool,
 }
 
+/// Submit, as one wave, the next segment of each `(replica, attempt)`.
+fn submit_next_segments(
+    core: &mut Core,
+    ctx: &mut DriverCtx,
+    replicas: Vec<(usize, u32)>,
+) -> Result<(), String> {
+    let wave = replicas
+        .into_iter()
+        .map(|(replica, attempt)| (replica, ctx.replicas[replica].segments_done, attempt))
+        .collect();
+    core.submit_md_wave(ctx, 0, wave)
+}
+
 impl Tick {
     /// Exchange the ready subset (adjacent-slot pairs within consecutive
     /// runs) and resume MD for all of them.
@@ -127,11 +140,11 @@ impl Tick {
         // attempt number comes from the retry counter so a segment that
         // failed under the Continue policy resubmits under a fresh
         // name/seed.
-        for replica in ready {
-            let attempt = self.retry.get(&replica).copied().unwrap_or(0);
-            core.submit_md(ctx, replica, ctx.replicas[replica].segments_done, 0, attempt)?;
-        }
-        Ok(())
+        let wave = ready
+            .into_iter()
+            .map(|replica| (replica, self.retry.get(&replica).copied().unwrap_or(0)))
+            .collect();
+        submit_next_segments(core, ctx, wave)
     }
 }
 
@@ -211,9 +224,7 @@ impl Policy for Tick {
 
     fn quiescent(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String> {
         if !self.to_submit.is_empty() {
-            for (replica, attempt) in std::mem::take(&mut self.to_submit) {
-                core.submit_md(ctx, replica, ctx.replicas[replica].segments_done, 0, attempt)?;
-            }
+            submit_next_segments(core, ctx, std::mem::take(&mut self.to_submit))?;
             return Ok(Flow::Continue);
         }
         if self.draining {

@@ -40,6 +40,9 @@ pub(crate) enum Flight {
     },
 }
 
+/// A unit ready for the executor.
+pub(crate) type Unit = (UnitDescription, TaskWork<TaskResult>);
+
 /// A unit the loop took off the executor, after the core's accounting.
 pub(crate) struct Settled {
     pub flight: Flight,
@@ -144,16 +147,28 @@ impl Core {
         })
     }
 
-    /// Submit attempt `attempt` of `replica`'s segment `(cycle, dim)` at the
-    /// slot it occupies now.
-    pub fn submit_md(
-        &mut self,
+    /// Build attempt `attempt` of `replica`'s segment `(cycle, dim)` at the
+    /// slot it occupies now, and stage its inputs.
+    fn prepare_md(
+        &self,
         ctx: &mut DriverCtx,
         replica: usize,
         cycle: u64,
         dim: usize,
         attempt: u32,
-    ) -> Result<(), String> {
+    ) -> Result<(Flight, Unit), String> {
+        // Staging retention: a segment's files are dead once the replica's
+        // next segment is first submitted — every unit that named them as
+        // input has settled by then (barrier: the exchange that read them
+        // drained before this phase began; tick: `flush` submits the round's
+        // exchange, which the simulated executor runs on the spot, before
+        // the wave). Dimension passes of one cycle share a base, so only the
+        // first retires anything. What is left after a run is each
+        // replica's last segment.
+        if attempt == 0 && dim == 0 && cycle > 0 {
+            let previous = crate::amm::file_base(replica, cycle - 1);
+            ctx.pilot.staging.delete_prefix(&format!("{previous}."));
+        }
         let slot = ctx.replicas[replica].slot;
         let mut spec = ctx.md_spec(slot, cycle, dim);
         // A retry runs an independent trajectory under a fresh unit name.
@@ -170,19 +185,44 @@ impl Core {
         }
         let (mut desc, work) = ctx.amm.prepare_md(spec, &ctx.pilot.staging)?;
         desc.name = attempt_task_name(&desc.name, dim, attempt);
-        self.submit(ctx, Flight::Md { slot, replica, attempt, cycle, dim }, (desc, work))
+        Ok((Flight::Md { slot, replica, attempt, cycle, dim }, (desc, work)))
     }
 
-    /// Submit a unit, remembering what it is until it settles.
+    /// Submit a wave of MD segments in dimension pass `dim`, one
+    /// `(replica, cycle, attempt)` each, as a single batch: the replicas are
+    /// independent until the next exchange, so the executor may run their
+    /// payloads concurrently.
+    pub fn submit_md_wave(
+        &mut self,
+        ctx: &mut DriverCtx,
+        dim: usize,
+        wave: Vec<(usize, u64, u32)>,
+    ) -> Result<(), String> {
+        let mut units = Vec::with_capacity(wave.len());
+        for (replica, cycle, attempt) in wave {
+            let (flight, unit) = self.prepare_md(ctx, replica, cycle, dim, attempt)?;
+            self.register(flight, &unit.0.name)?;
+            units.push(unit);
+        }
+        ctx.pilot.executor.submit_batch(units)
+    }
+
+    /// Remember what a unit is until it settles.
+    fn register(&mut self, flight: Flight, name: &str) -> Result<(), String> {
+        match self.flights.insert(name.to_owned(), flight) {
+            None => Ok(()),
+            Some(_) => Err(format!("duplicate in-flight unit name {name}")),
+        }
+    }
+
+    /// Submit a single unit.
     pub fn submit(
         &mut self,
         ctx: &mut DriverCtx,
         flight: Flight,
-        (desc, work): (UnitDescription, TaskWork<TaskResult>),
+        (desc, work): Unit,
     ) -> Result<(), String> {
-        if self.flights.insert(desc.name.clone(), flight).is_some() {
-            return Err(format!("duplicate in-flight unit name {}", desc.name));
-        }
+        self.register(flight, &desc.name)?;
         ctx.pilot.executor.submit(desc, work)?;
         Ok(())
     }
@@ -237,7 +277,11 @@ impl Core {
                                 at: ctx.pilot.executor.now().as_secs(),
                             });
                         }
-                        self.submit_md(ctx, replica, cycle, dim, attempt + 1)?;
+                        // One completion at a time: a relaunch is a
+                        // single submission, not a wave.
+                        let (retry, unit) =
+                            self.prepare_md(ctx, replica, cycle, dim, attempt + 1)?;
+                        self.submit(ctx, retry, unit)?;
                         relaunched = true;
                     }
                     // Continue policy (or retries exhausted): the replica

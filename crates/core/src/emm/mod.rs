@@ -239,7 +239,7 @@ impl DriverCtx {
                 SlotInput {
                     slot,
                     replica: replica.id,
-                    file_base: format!("r{:05}_c{:04}", replica.id, segment_of(replica)),
+                    file_base: crate::amm::file_base(replica.id, segment_of(replica)),
                     param: self.grid.dims[dim].ladder[coords[dim]].clone(),
                     temperature: params.temperature,
                     salt_molar: params.salt_molar,

@@ -96,10 +96,8 @@ impl Barrier {
         }
         self.phase = Phase::Md;
         self.phase_start = ctx.pilot.executor.now().as_secs();
-        for slot in 0..ctx.n_replicas() {
-            let replica = ctx.slot_owner[slot];
-            core.submit_md(ctx, replica, self.cycle, self.dim, 0)?;
-        }
+        let wave = ctx.slot_owner.iter().map(|&replica| (replica, self.cycle, 0)).collect();
+        core.submit_md_wave(ctx, self.dim, wave)?;
         Ok(Flow::Continue)
     }
 

@@ -4,15 +4,20 @@
 //! container without a registry.
 
 use hpc::fault::FaultModel;
+use hpc::SimTime;
 use obs::Event;
+use pilot::description::UnitDescription;
+use pilot::executor::{CompletedUnit, Executor, TaskWork, UnitId};
 use repex::checkpoint::{CampaignCheckpoint, SchedulerState};
 use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig};
 use repex::emm::asynchronous::run_async;
 use repex::emm::sync::run_sync;
 use repex::emm::DriverCtx;
 use repex::simulation::{build_ctx, make_pilot, RemdSimulation};
-use repex::timing::timing_from_breakdown;
-use std::collections::HashSet;
+use repex::task::TaskResult;
+use repex::timing::{timing_from_breakdown, CycleTiming};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 const ASYNC: Pattern = Pattern::Asynchronous { tick_fraction: 0.25 };
 
@@ -27,6 +32,18 @@ fn async_cfg(n: usize, segments: u64) -> SimulationConfig {
     let mut cfg = SimulationConfig::t_remd(n, 600, segments);
     cfg.pattern = ASYNC;
     cfg.surrogate_steps = 10;
+    cfg
+}
+
+/// A 3 × 2 × 2 T/S/U grid: twelve replicas, three dimension passes a cycle.
+fn tsu_cfg(n_cycles: u64) -> SimulationConfig {
+    let mut cfg = quick_cfg(0);
+    cfg.dimensions = vec![
+        DimensionConfig::Temperature { min_k: 273.0, max_k: 373.0, count: 3 },
+        DimensionConfig::Salt { min_molar: 0.0, max_molar: 0.5, count: 2 },
+        DimensionConfig::Umbrella { dihedral: "phi".into(), count: 2, k_deg: 0.02 },
+    ];
+    cfg.n_cycles = n_cycles;
     cfg
 }
 
@@ -238,14 +255,7 @@ fn reported_timing_is_derived_from_the_event_stream() {
 
 #[test]
 fn multidim_cycle_has_exchange_per_dimension() {
-    let mut cfg = quick_cfg(0);
-    cfg.dimensions = vec![
-        DimensionConfig::Temperature { min_k: 273.0, max_k: 373.0, count: 3 },
-        DimensionConfig::Salt { min_molar: 0.0, max_molar: 0.5, count: 2 },
-        DimensionConfig::Umbrella { dihedral: "phi".into(), count: 2, k_deg: 0.02 },
-    ];
-    cfg.n_cycles = 1;
-    let mut ctx = build_ctx(cfg).unwrap();
+    let mut ctx = build_ctx(tsu_cfg(1)).unwrap();
     assert_eq!(ctx.n_replicas(), 12);
     let reports = run_sync(&mut ctx).unwrap();
     let t = &reports[0].timing;
@@ -422,4 +432,187 @@ fn sync_config_is_rejected() {
     cfg.pattern = Pattern::Synchronous;
     let mut ctx = build_ctx(cfg).unwrap();
     assert!(run_async(&mut ctx).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// The MD wave against its one-unit-at-a-time oracle; staging retention.
+// ---------------------------------------------------------------------------
+
+/// A tap on the pilot's executor. With `batch` off, a wave goes to the inner
+/// executor through `submit`, unit by unit — what the trait's default
+/// `submit_batch` does, and the oracle for the simulated executor's threaded
+/// wave (no thread-count knob needed). Either way it keeps the message of
+/// every failed unit, which the driver only counts.
+struct Tap {
+    inner: Box<dyn Executor<TaskResult>>,
+    batch: bool,
+    errors: Arc<Mutex<Vec<String>>>,
+}
+
+impl Executor<TaskResult> for Tap {
+    fn submit(&mut self, d: UnitDescription, w: TaskWork<TaskResult>) -> Result<UnitId, String> {
+        self.inner.submit(d, w)
+    }
+    fn submit_batch(
+        &mut self,
+        units: Vec<(UnitDescription, TaskWork<TaskResult>)>,
+    ) -> Result<(), String> {
+        if self.batch {
+            return self.inner.submit_batch(units);
+        }
+        units.into_iter().try_for_each(|(d, w)| self.inner.submit(d, w).map(drop))
+    }
+    fn next_completion(&mut self) -> Option<CompletedUnit<TaskResult>> {
+        let unit = self.inner.next_completion()?;
+        if let Err(message) = &unit.outcome {
+            self.errors.lock().unwrap().push(message.clone());
+        }
+        Some(unit)
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn n_cores(&self) -> usize {
+        self.inner.n_cores()
+    }
+    fn charge_overhead(&mut self, seconds: f64) {
+        self.inner.charge_overhead(seconds)
+    }
+    fn overhead_charged(&self) -> f64 {
+        self.inner.overhead_charged()
+    }
+    fn fast_forward(&mut self, to_seconds: f64) {
+        self.inner.fast_forward(to_seconds)
+    }
+    fn set_recorder(&mut self, recorder: obs::Recorder) {
+        self.inner.set_recorder(recorder)
+    }
+}
+
+/// Everything observable about a finished campaign, floats as bits.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    events: Vec<Event>,
+    counters: BTreeMap<String, u64>,
+    cycles: Vec<(u64, CycleTiming)>,
+    makespan: u64,
+    md_core_seconds: u64,
+    failed: u64,
+    relaunched: u64,
+    acceptance: Vec<exchange::stats::AcceptanceStats>,
+    pair_acceptance: Vec<exchange::stats::AcceptanceStats>,
+    rung_history: Vec<Vec<usize>>,
+    slot_owner: Vec<usize>,
+    segments_done: Vec<u64>,
+    /// Messages of the failed units, in completion order.
+    errors: Vec<String>,
+    staged_files: usize,
+}
+
+/// Run `cfg` to the end, traced, through a [`Tap`].
+fn campaign(cfg: SimulationConfig, batch: bool) -> Outcome {
+    let recorder = obs::Recorder::enabled();
+    let mut ctx = build_ctx(cfg).unwrap();
+    let errors = Arc::new(Mutex::new(Vec::new()));
+    let placeholder = Box::new(pilot::SimExecutor::new(1, 0));
+    let inner = std::mem::replace(&mut ctx.pilot.executor, placeholder);
+    ctx.pilot.executor = Box::new(Tap { inner, batch, errors: Arc::clone(&errors) });
+    ctx.pilot.executor.set_recorder(recorder.clone());
+    ctx.recorder = recorder.clone();
+    let cycles = match ctx.cfg.pattern {
+        Pattern::Synchronous => run_sync(&mut ctx).unwrap(),
+        Pattern::Asynchronous { .. } => run_async(&mut ctx).map(|_| Vec::new()).unwrap(),
+    };
+    assert_slot_bijection(&ctx);
+    // CacheRebuild carries a process-wide counter other tests bump.
+    let events = recorder
+        .events()
+        .into_iter()
+        .filter(|e| !matches!(e, Event::CacheRebuild { .. }))
+        .collect();
+    let errors = errors.lock().unwrap().clone();
+    Outcome {
+        events,
+        counters: recorder.counters(),
+        cycles: cycles.into_iter().map(|c| (c.cycle, c.timing)).collect(),
+        makespan: ctx.pilot.executor.now().as_secs().to_bits(),
+        md_core_seconds: ctx.md_core_seconds.to_bits(),
+        failed: ctx.failed_tasks,
+        relaunched: ctx.relaunched_tasks,
+        acceptance: ctx.acceptance.clone(),
+        pair_acceptance: ctx.pair_acceptance.clone(),
+        rung_history: ctx.rung_history.clone(),
+        slot_owner: ctx.slot_owner.clone(),
+        segments_done: ctx.replicas.iter().map(|r| r.segments_done).collect(),
+        errors,
+        staged_files: ctx.pilot.staging.len(),
+    }
+}
+
+/// The fault table of `fault_policies_hold_for_both_patterns` plus a Mode II
+/// and a 3-D TSU campaign: submitting a wave as one batch (payloads on the
+/// host's cores) and unit by unit give the same campaign, event for event.
+#[test]
+fn a_batched_wave_equals_one_unit_at_a_time() {
+    let mut cases = Vec::new();
+    for pattern in [Pattern::Synchronous, ASYNC] {
+        for mtbf in [20.0, 30.0, 40.0] {
+            for policy in [FaultPolicy::Continue, FaultPolicy::Relaunch { max_retries: 25 }] {
+                let mut cfg = quick_cfg(16);
+                cfg.pattern = pattern;
+                cfg.n_cycles = 3;
+                cfg.fault_mtbf_seconds = Some(mtbf);
+                cfg.fault_policy = policy;
+                cases.push((format!("{pattern:?} mtbf={mtbf} {policy:?}"), cfg));
+            }
+        }
+    }
+    let mut mode2 = quick_cfg(16);
+    mode2.resource.cores = Some(4);
+    cases.push(("Mode II, 16 replicas on 4 cores".into(), mode2));
+    cases.push(("3-D TSU".into(), tsu_cfg(2)));
+    for (row, cfg) in cases {
+        let faulty = cfg.fault_mtbf_seconds.is_some();
+        let batched = campaign(cfg.clone(), true);
+        let one_by_one = campaign(cfg, false);
+        assert_eq!(batched, one_by_one, "{row}");
+        assert!(!batched.events.is_empty(), "{row}");
+        assert_eq!(batched.failed > 0, faulty, "{row}");
+    }
+}
+
+/// Retiring a replica's previous segment when its next one is submitted
+/// bounds the staging area by one segment per replica and never starves a
+/// reader: no payload fails on its own (a missing file would), whatever the
+/// pattern, fault policy or number of dimension passes sharing a file base.
+#[test]
+fn staging_is_bounded_and_retiring_never_starves_a_reader() {
+    // (what, config, staged files per segment)
+    let mut cases = Vec::new();
+    let mut sync = quick_cfg(8);
+    sync.n_cycles = 10;
+    cases.push(("sync, 10 cycles", sync.clone(), 3));
+    sync.fault_mtbf_seconds = Some(30.0);
+    cases.push(("sync, Continue under faults", sync.clone(), 3));
+    sync.fault_policy = FaultPolicy::Relaunch { max_retries: 25 };
+    cases.push(("sync, Relaunch under faults", sync, 3));
+    for policy in [FaultPolicy::Continue, FaultPolicy::Relaunch { max_retries: 25 }] {
+        let mut cfg = async_cfg(8, 10);
+        cfg.fault_mtbf_seconds = Some(30.0);
+        cfg.fault_policy = policy;
+        cases.push(("async under faults", cfg, 3));
+    }
+    // Umbrella windows add a restraint file per segment.
+    cases.push(("3-D TSU, one base per cycle across three passes", tsu_cfg(4), 4));
+    for (what, cfg, files_per_segment) in cases {
+        let n = cfg.build_grid().unwrap().n_slots();
+        let faulty = cfg.fault_mtbf_seconds.is_some();
+        let done = campaign(cfg, true);
+        assert!(done.staged_files <= files_per_segment * n, "{what}: {}", done.staged_files);
+        assert!(done.staged_files >= n, "{what}: each replica's last segment stays");
+        assert_eq!(done.failed > 0, faulty, "{what}");
+        for message in &done.errors {
+            assert!(message.starts_with("injected task failure"), "{what}: {message}");
+        }
+    }
 }

@@ -41,7 +41,8 @@ impl AcceptanceStats {
 }
 
 /// Tracks each replica's walk along a 1-D ladder and counts round trips
-/// (bottom → top → bottom), the standard mixing diagnostic for REMD.
+/// (bottom → top → bottom), the standard mixing diagnostic for REMD. State is
+/// O(replicas): which rungs a replica visited is the driver's `rung_history`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoundTripTracker {
     ladder_len: usize,
@@ -49,8 +50,6 @@ pub struct RoundTripTracker {
     last_end: Vec<i8>,
     /// Completed half-trips per replica (2 half-trips = 1 round trip).
     half_trips: Vec<u64>,
-    /// Visit counts per (replica, rung).
-    visits: Vec<Vec<u64>>,
 }
 
 impl RoundTripTracker {
@@ -60,14 +59,12 @@ impl RoundTripTracker {
             ladder_len,
             last_end: vec![-1; n_replicas],
             half_trips: vec![0; n_replicas],
-            visits: vec![vec![0; ladder_len]; n_replicas],
         }
     }
 
     /// Record that `replica` now occupies ladder `rung`.
     pub fn record(&mut self, replica: usize, rung: usize) {
         assert!(rung < self.ladder_len);
-        self.visits[replica][rung] += 1;
         let end = if rung == 0 {
             Some(0i8)
         } else if rung == self.ladder_len - 1 {
@@ -99,14 +96,6 @@ impl RoundTripTracker {
     pub fn endpoint_state(&self) -> (Vec<i8>, Vec<u64>) {
         (self.last_end.clone(), self.half_trips.clone())
     }
-
-    /// Fraction of rungs a replica has visited (1.0 = full traversal).
-    /// Always finite: `new` rejects ladders shorter than 2, so the
-    /// denominator is never zero, and zero visits yield 0.0.
-    pub fn coverage(&self, replica: usize) -> f64 {
-        let visited = self.visits[replica].iter().filter(|&&v| v > 0).count();
-        visited as f64 / self.ladder_len as f64
-    }
 }
 
 #[cfg(test)]
@@ -123,14 +112,6 @@ mod tests {
         let mut one = AcceptanceStats::default();
         one.record(false);
         assert_eq!(one.ratio_opt(), Some(0.0));
-    }
-
-    #[test]
-    fn coverage_with_zero_visits_is_zero_not_nan() {
-        let rt = RoundTripTracker::new(2, 3);
-        assert_eq!(rt.coverage(0), 0.0);
-        assert!(rt.coverage(1).is_finite());
-        assert_eq!(rt.total_round_trips(), 0);
     }
 
     #[test]
@@ -159,7 +140,6 @@ mod tests {
         }
         assert_eq!(rt.round_trips(0), 1);
         assert_eq!(rt.total_round_trips(), 1);
-        assert_eq!(rt.coverage(0), 1.0);
     }
 
     #[test]
@@ -169,7 +149,6 @@ mod tests {
             rt.record(0, rung);
         }
         assert_eq!(rt.round_trips(0), 0);
-        assert!(rt.coverage(0) < 1.0);
     }
 
     #[test]
@@ -194,6 +173,5 @@ mod tests {
         rt.record(0, 2);
         rt.record(0, 3);
         assert_eq!(rt.round_trips(0), 0);
-        assert!((rt.coverage(0) - 0.4).abs() < 1e-12);
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::system::{PbcBox, System};
 use crate::vec3::Vec3;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atom count above which the cell list beats the O(N²) loop. Small systems
 /// (the reduced dipeptide) are faster without the list.
@@ -44,12 +44,6 @@ static NEIGHBOR_REBUILDS: AtomicU64 = AtomicU64::new(0);
 pub fn neighbor_cache_rebuilds() -> u64 {
     NEIGHBOR_REBUILDS.load(Ordering::Relaxed)
 }
-
-/// Pair count of the most recent [`CellList::pairs_into`] call, used to
-/// pre-reserve the output buffer on the next rebuild. Pair counts drift
-/// slowly between rebuilds of the same system, so the previous count is an
-/// excellent capacity hint and avoids re-growth churn inside the fill loop.
-static LAST_PAIRS: AtomicUsize = AtomicUsize::new(0);
 
 /// Generate all unique pairs `i < j`.
 pub fn all_pairs(n: usize) -> impl Iterator<Item = (u32, u32)> {
@@ -142,21 +136,20 @@ impl CellList {
         (c[2] * self.dims[1] + c[1]) * self.dims[0] + c[0]
     }
 
-    /// Collect candidate pairs (`i < j`) from each cell and its half-shell of
-    /// neighbor cells.
+    /// Collect candidate pairs (`i < j`), each once.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
-        self.pairs_into(&mut out);
+        self.for_each_pair(|i, j| out.push((i, j)));
+        self.dedup_if_aliased(&mut out);
         out
     }
 
-    /// Like [`CellList::pairs`], but reuses a caller-provided buffer so
-    /// steady-state rebuilds do not allocate. The buffer is cleared first;
-    /// its capacity (grown on earlier builds) is retained, and fresh buffers
-    /// are pre-reserved to the previous rebuild's pair count.
-    pub fn pairs_into(&self, out: &mut Vec<(u32, u32)>) {
-        out.clear();
-        out.reserve(LAST_PAIRS.load(Ordering::Relaxed));
+    /// Visit candidate pairs (`i < j`) from each cell and its half-shell of
+    /// neighbor cells, without materialising them: a caller that keeps only
+    /// a fraction (the [`NeighborCache`] keeps about one in seven) filters
+    /// here. In periodic grids with fewer than 3 cells along an axis a pair
+    /// can be visited more than once (through different images).
+    pub fn for_each_pair(&self, mut visit: impl FnMut(u32, u32)) {
         let (nx, ny, nz) = (self.dims[0] as isize, self.dims[1] as isize, self.dims[2] as isize);
         for cz in 0..nz {
             for cy in 0..ny {
@@ -167,7 +160,7 @@ impl CellList {
                     while a != NONE {
                         let mut b = self.next[a as usize];
                         while b != NONE {
-                            out.push(ordered(a, b));
+                            visit(a.min(b), a.max(b));
                             b = self.next[b as usize];
                         }
                         a = self.next[a as usize];
@@ -192,7 +185,7 @@ impl CellList {
                         while a != NONE {
                             let mut b = self.heads[other];
                             while b != NONE {
-                                out.push(ordered(a, b));
+                                visit(a.min(b), a.max(b));
                                 b = self.next[b as usize];
                             }
                             a = self.next[a as usize];
@@ -201,27 +194,23 @@ impl CellList {
                 }
             }
         }
-        // Aliasing in tiny periodic grids (dims < 3) can produce duplicate
-        // pairs through different images; dedup to keep the contract.
-        if self.periodic && (self.dims[0] < 3 || self.dims[1] < 3 || self.dims[2] < 3) {
-            out.sort_unstable();
-            out.dedup();
+    }
+
+    /// Aliasing in tiny periodic grids (fewer than 3 cells along an axis)
+    /// reaches a pair through different images; sort and dedup what was
+    /// collected from [`CellList::for_each_pair`] to keep the once-each
+    /// contract. Filtering before this gives the same list as filtering
+    /// after, on far fewer pairs.
+    fn dedup_if_aliased(&self, pairs: &mut Vec<(u32, u32)>) {
+        if self.periodic && self.dims.iter().any(|&d| d < 3) {
+            pairs.sort_unstable();
+            pairs.dedup();
         }
-        LAST_PAIRS.store(out.len(), Ordering::Relaxed);
     }
 
     /// Number of cells (for diagnostics).
     pub fn n_cells(&self) -> usize {
         self.heads.len()
-    }
-}
-
-#[inline]
-fn ordered(a: u32, b: u32) -> (u32, u32) {
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
     }
 }
 
@@ -256,8 +245,6 @@ pub struct NeighborCache {
     /// Whether `pairs` is a position-independent all-pairs list.
     all_pairs_list: bool,
     valid: bool,
-    /// Scratch buffer for raw cell-list candidates, reused across rebuilds.
-    candidates: Vec<(u32, u32)>,
     rebuilds: u64,
     reuses: u64,
 }
@@ -285,7 +272,6 @@ impl NeighborCache {
             ref_positions: Vec::new(),
             all_pairs_list: false,
             valid: false,
-            candidates: Vec::new(),
             rebuilds: 0,
             reuses: 0,
         }
@@ -367,16 +353,14 @@ impl NeighborCache {
             let reach = cutoff + self.skin;
             let reach_sq = reach * reach;
             let cl = CellList::build(pos, &system.pbc, reach);
-            cl.pairs_into(&mut self.candidates);
-            for &(i, j) in &self.candidates {
-                if top.is_excluded(i, j) {
-                    continue;
-                }
+            let pairs = &mut self.pairs;
+            cl.for_each_pair(|i, j| {
                 let d = system.pbc.min_image(pos[i as usize], pos[j as usize]);
-                if d.norm_sq() <= reach_sq {
-                    self.pairs.push((i, j));
+                if d.norm_sq() <= reach_sq && !top.is_excluded(i, j) {
+                    pairs.push((i, j));
                 }
-            }
+            });
+            cl.dedup_if_aliased(&mut self.pairs);
         }
         self.ref_positions.clear();
         self.ref_positions.extend_from_slice(pos);

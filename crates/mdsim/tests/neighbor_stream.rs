@@ -1,0 +1,97 @@
+//! The `NeighborCache` filters pairs while the cell list enumerates them; the
+//! oracle is the materialised list, `CellList::pairs()`, filtered afterwards.
+//! Also compiled by `tests-offline/`.
+
+use mdsim::forcefield::EvalContext;
+use mdsim::models::{dipeptide_forcefield, lj_fluid, lj_forcefield, solvated_alanine_dipeptide};
+use mdsim::neighbor::{CellList, NeighborCache};
+use mdsim::topology::Bond;
+use mdsim::{System, Vec3};
+
+/// A deterministic value in [-0.5, 0.5) (splitmix64; the registry's `rand`
+/// is not a dependency of the offline test package).
+fn jitter(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+}
+
+fn shake(sys: &mut System, amplitude: f64, state: &mut u64) {
+    for p in &mut sys.state.positions {
+        *p += Vec3::new(jitter(state), jitter(state), jitter(state)) * amplitude;
+    }
+}
+
+/// Chain every other atom to its successor, so the exclusion filter has
+/// something to remove among near neighbours.
+fn with_bonds(mut sys: System) -> System {
+    let n = sys.n_atoms() as u32;
+    sys.topology.bonds =
+        (0..n - 1).step_by(2).map(|i| Bond { i, j: i + 1, k: 100.0, r0: 3.8 }).collect();
+    sys.topology.build_exclusions();
+    sys
+}
+
+fn oracle(sys: &System, cutoff: f64, skin: f64) -> Vec<(u32, u32)> {
+    let reach = cutoff + skin;
+    let pos = &sys.state.positions;
+    CellList::build(pos, &sys.pbc, reach)
+        .pairs()
+        .into_iter()
+        .filter(|&(i, j)| !sys.topology.is_excluded(i, j))
+        .filter(|&(i, j)| {
+            sys.pbc.min_image(pos[i as usize], pos[j as usize]).norm_sq() <= reach * reach
+        })
+        .collect()
+}
+
+#[test]
+fn streamed_list_equals_materialised_then_filtered() {
+    // Box edge over reach decides the cell grid: 450 atoms at liquid density
+    // give 2 cells per axis (periodic aliasing: sort + dedup of the filtered
+    // list), 1500 give 4 (enumeration order kept as is).
+    let cases: Vec<(&str, System, f64)> = vec![
+        ("fluid, 2 cells per axis", with_bonds(lj_fluid(450, 0.8, 5)), 8.5),
+        ("fluid, 4 cells per axis", with_bonds(lj_fluid(1500, 0.8, 6)), 8.5),
+        ("fluid, short cutoff", with_bonds(lj_fluid(600, 0.6, 7)), 4.0),
+        ("solvated dipeptide", solvated_alanine_dipeptide(2881, 9), 9.0),
+    ];
+    let mut rng = 42;
+    for (what, mut sys, cutoff) in cases {
+        let mut cache = NeighborCache::default();
+        for round in 0..3 {
+            assert!(cache.ensure(&sys, cutoff), "{what}: round {round} must rebuild");
+            let expect = oracle(&sys, cutoff, cache.skin());
+            assert!(expect.len() > sys.n_atoms(), "{what}: a dense list");
+            assert_eq!(cache.pairs(), &expect[..], "{what}: round {round}");
+            // Past skin/2 for most atoms: the next `ensure` rebuilds.
+            shake(&mut sys, 2.5, &mut rng);
+        }
+    }
+}
+
+#[test]
+fn cached_energy_matches_fresh_on_the_cell_list_path() {
+    let fluid = (with_bonds(lj_fluid(450, 0.8, 3)), lj_forcefield());
+    let solvated = (solvated_alanine_dipeptide(2881, 4), dipeptide_forcefield());
+    let mut rng = 7;
+    for (mut sys, ff) in [fluid, solvated] {
+        let mut ctx = EvalContext::new();
+        let n = sys.n_atoms();
+        for _ in 0..12 {
+            let (mut f_ctx, mut f_fresh) = (vec![Vec3::ZERO; n], vec![Vec3::ZERO; n]);
+            let e_ctx = ff.energy_forces_ctx(&sys, &mut ctx, &mut f_ctx);
+            let e_fresh = ff.energy_forces(&sys, &mut f_fresh);
+            let scale = e_fresh.total().abs().max(1.0);
+            assert!((e_ctx.total() - e_fresh.total()).abs() < 1e-9 * scale);
+            for (a, b) in f_ctx.iter().zip(&f_fresh) {
+                assert!((*a - *b).norm() < 1e-9 * scale, "{a:?} vs {b:?}");
+            }
+            // Small drift: most evaluations reuse the list, some rebuild.
+            shake(&mut sys, 0.3, &mut rng);
+        }
+        assert!(ctx.neighbors.reuses() > 0 && ctx.neighbors.rebuilds() > 1);
+    }
+}

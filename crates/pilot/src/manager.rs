@@ -164,7 +164,10 @@ mod tests {
         let staging = pilot.staging.clone();
         let u = UnitDescription::new("reader", "sander", 1)
             .with_duration(DurationSpec::modeled(1.0, 0.0));
-        pilot.executor.submit(u, Box::new(move || staging.require_text("input.mdin"))).unwrap();
+        pilot
+            .executor
+            .submit(u, Box::new(move || staging.read_text("input.mdin", str::to_owned)))
+            .unwrap();
         let done = drain(pilot.executor.as_mut());
         assert_eq!(done[0].outcome.as_ref().unwrap(), "nstlim = 10");
     }

@@ -90,10 +90,8 @@ impl<R> SimExecutor<R> {
     pub fn all_idle_at(&self) -> SimTime {
         self.timeline.all_idle_at()
     }
-}
 
-impl<R> Executor<R> for SimExecutor<R> {
-    fn submit(&mut self, desc: UnitDescription, work: TaskWork<R>) -> Result<UnitId, String> {
+    fn check(&self, desc: &UnitDescription) -> Result<(), String> {
         desc.validate()?;
         if desc.cores > self.timeline.n_cores() {
             return Err(format!(
@@ -103,8 +101,14 @@ impl<R> Executor<R> for SimExecutor<R> {
                 self.timeline.n_cores()
             ));
         }
-        // Run the payload now; the result becomes visible at completion time.
-        let result = work();
+        Ok(())
+    }
+
+    /// Charge a unit whose payload has run; its result becomes visible at
+    /// completion time. Everything order-dependent (the timeline, the
+    /// pending queue's FIFO tie-break, unit ids) happens here, on the
+    /// submitting thread, in submission order.
+    fn account(&mut self, desc: UnitDescription, result: Result<R, String>) -> UnitId {
         // Every stochastic charge for this unit comes from its own stream.
         let mut unit_rng = StdRng::seed_from_u64(self.seed ^ name_hash(&desc.name));
         let modeled = match desc.duration {
@@ -148,7 +152,58 @@ impl<R> Executor<R> for SimExecutor<R> {
                 outcome,
             },
         );
-        Ok(id)
+        id
+    }
+}
+
+/// Run a wave's payloads on the host's cores and return their results in
+/// submission order. Workers pull the next payload off one shared iterator,
+/// so a slow payload does not hold the others' share up. A payload panic
+/// propagates to the caller.
+fn run_payloads<R: Send>(works: Vec<TaskWork<R>>) -> Vec<Result<R, String>> {
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get()).min(works.len());
+    if threads <= 1 {
+        return works.into_iter().map(|work| work()).collect();
+    }
+    let queue = std::sync::Mutex::new(works.into_iter().enumerate());
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // Held only to advance the iterator, never while a payload
+            // runs, so a panicking payload cannot poison it.
+            let next = queue.lock().expect("no payload runs under this lock").next();
+            let Some((i, work)) = next else { break done };
+            done.push((i, work()));
+        }
+    };
+    let mut done: Vec<(usize, Result<R, String>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        let joined = workers.into_iter().flat_map(|w| match w.join() {
+            Ok(done) => done,
+            Err(panic) => std::panic::resume_unwind(panic),
+        });
+        joined.collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+impl<R: Send> Executor<R> for SimExecutor<R> {
+    fn submit(&mut self, desc: UnitDescription, work: TaskWork<R>) -> Result<UnitId, String> {
+        self.check(&desc)?;
+        // Run the payload now; the result becomes visible at completion time.
+        let result = work();
+        Ok(self.account(desc, result))
+    }
+
+    /// Nothing is submitted (no payload runs) unless every unit is valid.
+    fn submit_batch(&mut self, units: Vec<(UnitDescription, TaskWork<R>)>) -> Result<(), String> {
+        units.iter().try_for_each(|(desc, _)| self.check(desc))?;
+        let (descs, works): (Vec<_>, Vec<_>) = units.into_iter().unzip();
+        for (desc, result) in descs.into_iter().zip(run_payloads(works)) {
+            self.account(desc, result);
+        }
+        Ok(())
     }
 
     fn next_completion(&mut self) -> Option<CompletedUnit<R>> {

@@ -9,6 +9,7 @@
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// A thread-safe staging area. Cheap to clone (shared).
@@ -37,18 +38,41 @@ impl StagingArea {
         self.inner.read().get(name).cloned()
     }
 
-    /// Fetch a file as UTF-8 text.
-    pub fn get_text(&self, name: &str) -> Option<String> {
-        self.get(name).map(|b| String::from_utf8_lossy(&b).into_owned())
+    /// Parse a staged text file in place: `parse` borrows the stored bytes
+    /// (validated as UTF-8 here, once) instead of receiving a copy. Errors
+    /// name the file, for task payloads to return as they are.
+    pub fn read_text<T>(&self, name: &str, parse: impl FnOnce(&str) -> T) -> Result<T, String> {
+        let bytes = self.get(name).ok_or_else(|| format!("staging area missing file {name:?}"))?;
+        let text = std::str::from_utf8(&bytes)
+            .map_err(|e| format!("staged file {name:?} is not UTF-8: {e}"))?;
+        Ok(parse(text))
     }
 
-    /// Fetch text or produce a descriptive error (for task payloads).
-    pub fn require_text(&self, name: &str) -> Result<String, String> {
-        self.get_text(name).ok_or_else(|| format!("staging area missing file {name:?}"))
+    /// An owned copy of a staged text file (inspection and tests; payloads
+    /// parse through [`StagingArea::read_text`]).
+    pub fn get_text(&self, name: &str) -> Option<String> {
+        self.read_text(name, str::to_owned).ok()
     }
 
     pub fn delete(&self, name: &str) -> bool {
         self.inner.write().remove(name).is_some()
+    }
+
+    /// Delete every file whose name starts with `prefix`; returns how many.
+    ///
+    /// The driver retires a replica's previous segment with this (prefix =
+    /// file base + '.', so every engine's extensions are covered). The
+    /// invariant callers keep: *a file is removed only after every unit that
+    /// names it as input has settled.*
+    pub fn delete_prefix(&self, prefix: &str) -> usize {
+        let mut files = self.inner.write();
+        let doomed: Vec<String> = files
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(name, _)| name.starts_with(prefix))
+            .map(|(name, _)| name.clone())
+            .collect();
+        doomed.iter().for_each(|name| drop(files.remove(name)));
+        doomed.len()
     }
 
     pub fn contains(&self, name: &str) -> bool {
@@ -95,7 +119,37 @@ mod tests {
         s.put_text("replica_0.mdinfo", "NSTEP = 100");
         assert_eq!(s.get_text("replica_0.mdinfo").unwrap(), "NSTEP = 100");
         assert!(s.get("missing").is_none());
-        assert!(s.require_text("missing").is_err());
+        assert!(s.read_text("missing", str::len).is_err());
+        assert_eq!(s.read_text("replica_0.mdinfo", str::len), Ok(11));
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error_not_a_replacement() {
+        let s = StagingArea::new();
+        s.put("bad.mdinfo", vec![b'N', 0xff, b'S']);
+        let err = s.read_text("bad.mdinfo", str::len).unwrap_err();
+        assert!(err.contains("bad.mdinfo") && err.contains("UTF-8"), "{err}");
+        assert!(s.get_text("bad.mdinfo").is_none());
+    }
+
+    #[test]
+    fn delete_prefix_removes_exactly_the_matching_range() {
+        let s = StagingArea::new();
+        for name in ["r00003_c0001.mdin", "r00003_c0001.rst7", "r00003_c0001.mdinfo"] {
+            s.put_text(name, "");
+        }
+        // Neighbours in key order on both sides, and a longer cycle number
+        // sharing the digits.
+        for name in ["r00003_c0000.mdin", "r00003_c0002.mdin", "r00003_c00010.mdin", "r00004"] {
+            s.put_text(name, "");
+        }
+        assert_eq!(s.delete_prefix("r00003_c0001."), 3);
+        assert_eq!(
+            s.list(""),
+            vec!["r00003_c0000.mdin", "r00003_c00010.mdin", "r00003_c0002.mdin", "r00004"]
+        );
+        assert_eq!(s.delete_prefix("r00003_c0001."), 0);
+        assert_eq!(s.delete_prefix("zzz"), 0);
     }
 
     #[test]

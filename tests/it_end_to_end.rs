@@ -68,17 +68,18 @@ fn staging_area_holds_engine_files_after_run() {
     let mut ctx = build_ctx(quick_tremd(4, 2)).unwrap();
     repex::emm::sync::run_sync(&mut ctx).unwrap();
     let staging = &ctx.pilot.staging;
-    // Every replica/cycle staged mdin + restart + mdinfo.
+    // Each replica's last segment stays staged — mdin + restart + mdinfo —
+    // and nothing older: a segment's files are retired once the replica's
+    // next segment is submitted.
     for r in 0..4 {
-        for c in 0..2 {
-            let base = format!("r{r:05}_c{c:04}");
-            assert!(staging.contains(&format!("{base}.mdin")), "{base}.mdin");
-            assert!(staging.contains(&format!("{base}.rst7")), "{base}.rst7");
-            assert!(staging.contains(&format!("{base}.mdinfo")), "{base}.mdinfo");
-        }
+        let base = format!("r{r:05}_c0001");
+        assert!(staging.contains(&format!("{base}.mdin")), "{base}.mdin");
+        assert!(staging.contains(&format!("{base}.rst7")), "{base}.rst7");
+        assert!(staging.contains(&format!("{base}.mdinfo")), "{base}.mdinfo");
     }
+    assert_eq!(staging.len(), 3 * 4, "files per segment x replicas");
     // And the staged files parse with the real format parsers.
-    let mdin = staging.get_text("r00000_c0000.mdin").unwrap();
+    let mdin = staging.get_text("r00000_c0001.mdin").unwrap();
     let ctl = mdsim::io::mdin::MdinControl::parse(&mdin).unwrap();
     assert_eq!(ctl.nstlim, 600);
     let info = staging.get_text("r00000_c0001.mdinfo").unwrap();
