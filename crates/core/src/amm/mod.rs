@@ -1,11 +1,14 @@
 //! Application Management Modules (AMM).
 //!
-//! The AMM is the engine-specific half of the framework: it translates a
-//! replica's current parameters into the engine's input files, stages them,
-//! and builds the compute unit whose payload runs the engine and stages the
-//! outputs back (restart + mdinfo). "AMM is specific to a particular MD
-//! engine, since input/output files and arguments for each MD engine are
-//! different" (Section 3.3).
+//! The AMM is the engine-specific half of the framework: "AMM is specific to
+//! a particular MD engine, since input/output files and arguments for each
+//! MD engine are different" (Section 3.3). What differs is a file dialect
+//! and nothing else, so that is all an [`Amm`] supplies — how this segment's
+//! input files read, how to parse them back into an [`MdJob`], what the
+//! restart file is called, and the engine to run. Everything a segment does
+//! with them is [`prepare_md`], once for every engine: stage the inputs,
+//! describe the unit, and build the payload that re-reads the staged files,
+//! runs the engine and stages restart + `.mdinfo` back.
 
 pub mod amber;
 pub mod gromacs;
@@ -16,8 +19,11 @@ pub use gromacs::GromacsAmm;
 pub use namd::NamdAmm;
 
 use crate::replica::SlotParams;
-use crate::task::TaskResult;
-use mdsim::engine::MdEngine;
+use crate::task::{MdTaskReport, TaskResult};
+use hpc::perfmodel::EngineKind;
+use mdsim::engine::{MdEngine, MdJob};
+use mdsim::io::mdinfo::MdInfo;
+use mdsim::io::restart::write_restart;
 use mdsim::System;
 use parking_lot::Mutex;
 use pilot::description::{DurationSpec, UnitDescription};
@@ -45,8 +51,9 @@ pub struct MdSpec {
     pub sample_stride: u64,
     pub sample_warmup: u64,
     pub cores: usize,
-    /// Run this segment on a GPU (Amber family: `pmemd.cuda`).
-    pub gpu: bool,
+    /// The executable this segment is charged as and launched under
+    /// ([`crate::config::SimulationConfig::engine_kind`]).
+    pub engine: EngineKind,
     pub duration: DurationSpec,
 }
 
@@ -56,31 +63,88 @@ pub fn file_base(replica: usize, cycle: u64) -> String {
     format!("r{replica:05}_c{cycle:04}")
 }
 
-impl MdSpec {
-    /// Base name for this replica/cycle's staged files.
-    pub fn file_base(&self) -> String {
-        file_base(self.replica, self.cycle)
-    }
+/// One engine family's file dialect.
+pub trait Amm: Send + Sync {
+    /// The engine that runs a segment on `cores` cores; `engine(1)` also
+    /// serves the exchange phase's single-point energies.
+    fn engine(&self, cores: usize) -> Arc<dyn MdEngine>;
+
+    /// Extension of the restart file the engine writes, and the tag its
+    /// title line opens with.
+    fn restart_format(&self) -> (&'static str, &'static str);
+
+    /// Render the input files of `spec`'s segment from the replica's
+    /// *current* parameters — the translation step the AMM exists for — as
+    /// `(name, text)` under `base`, the control file first.
+    fn render(&self, spec: &MdSpec, base: &str) -> Result<Vec<(String, String)>, String>;
+
+    /// Parse the staged control file (and whatever it references) back into
+    /// the job it describes: nominal steps, no sampling. `system` resolves
+    /// atom indices for dialects that name restraints by index.
+    fn parse(
+        &self,
+        staging: &StagingArea,
+        control: &str,
+        system: &Mutex<System>,
+    ) -> Result<MdJob, String>;
 }
 
-/// Engine-specific input preparation and task construction.
-pub trait Amm: Send + Sync {
-    /// Engine family name ("amber", "namd").
-    fn family(&self) -> &'static str;
+/// Stage `spec`'s input files and return the unit description plus the
+/// payload that runs the engine — the whole MD task path, for any dialect.
+pub fn prepare_md(
+    amm: &Arc<dyn Amm>,
+    spec: MdSpec,
+    staging: &StagingArea,
+) -> Result<(UnitDescription, TaskWork<TaskResult>), String> {
+    let base = file_base(spec.replica, spec.cycle);
+    let inputs = amm.render(&spec, &base)?;
+    let control = inputs[0].0.clone();
+    for (name, text) in inputs {
+        staging.put_text(name, text);
+    }
+    let (restart_ext, restart_tag) = amm.restart_format();
+    let restart = format!("{base}.{restart_ext}");
+    let mdinfo = format!("{base}.mdinfo");
+    let desc = UnitDescription::new(format!("md-{base}"), spec.engine.executable(), spec.cores)
+        .with_replica(spec.replica)
+        .with_duration(spec.duration)
+        .with_staging(vec![control.clone()], vec![restart.clone(), mdinfo.clone()]);
 
-    /// Executable used at a given cores-per-replica count.
-    fn executable(&self, cores: usize) -> &'static str;
+    // The payload re-reads and parses the staged input files — the same
+    // round trip the real RAM makes on the cluster.
+    let amm = Arc::clone(amm);
+    let engine = amm.engine(spec.cores);
+    let staging = staging.clone();
+    let MdSpec { replica, slot, cycle, system, run_steps, sample_stride, sample_warmup, .. } = spec;
+    let work: TaskWork<TaskResult> = Box::new(move || {
+        let job = MdJob {
+            steps: run_steps,
+            sample_stride,
+            sample_warmup,
+            ..amm.parse(&staging, &control, &system)?
+        };
+        let mut sys = system.lock();
+        let out = engine.run(&mut sys, &job).map_err(|e| e.to_string())?;
+        let title = format!("{restart_tag}replica {replica} cycle {cycle}");
+        staging.put_text(restart, write_restart(&title, &out.final_state));
+        staging.put_text(mdinfo, out.mdinfo.render());
+        Ok(TaskResult::Md(MdTaskReport {
+            replica,
+            slot,
+            cycle,
+            potential: out.mdinfo.eptot,
+            physical_potential: out.mdinfo.physical_potential(),
+            measured_temperature: out.mdinfo.temperature,
+            trace: out.dihedral_trace,
+        }))
+    });
+    Ok((desc, work))
+}
 
-    /// An engine handle for single-point energies in the exchange phase.
-    fn exchange_engine(&self) -> Arc<dyn MdEngine>;
-
-    /// Write the replica's input files to `staging` and return the unit
-    /// description plus the payload that runs the engine.
-    fn prepare_md(
-        &self,
-        spec: MdSpec,
-        staging: &StagingArea,
-    ) -> Result<(UnitDescription, TaskWork<TaskResult>), String>;
+/// Parse the `.mdinfo` a segment staged back (the exchange phase reads its
+/// energies from here, whichever engine wrote it).
+pub fn read_staged_mdinfo(staging: &StagingArea, base: &str) -> Result<MdInfo, String> {
+    staging.read_text(&format!("{base}.mdinfo"), MdInfo::parse)?
 }
 
 /// Shared helper: 1-based atom indices of a named dihedral (Amber files use
@@ -95,12 +159,13 @@ pub(crate) fn dihedral_atoms_1based(system: &System, name: &str) -> Result<[u32;
 
 /// Shared helper: map 1-based atom indices back to the named dihedral.
 pub(crate) fn dihedral_name_from_1based(system: &System, iat: [u32; 4]) -> Result<String, String> {
-    let zero = [iat[0] - 1, iat[1] - 1, iat[2] - 1, iat[3] - 1];
+    // An index of 0 is not 1-based: it maps to no atom, so to no dihedral.
+    let zero = iat.map(|i| i.checked_sub(1));
     system
         .topology
         .named_dihedrals
         .iter()
-        .find(|d| d.atoms == zero)
+        .find(|d| d.atoms.map(Some) == zero)
         .map(|d| d.name.clone())
         .ok_or_else(|| format!("no named dihedral with atoms {iat:?}"))
 }
@@ -118,27 +183,11 @@ mod tests {
         assert_eq!(dihedral_name_from_1based(&sys, iat).unwrap(), "phi");
         assert!(dihedral_atoms_1based(&sys, "omega").is_err());
         assert!(dihedral_name_from_1based(&sys, [1, 2, 3, 4]).is_err());
+        assert!(dihedral_name_from_1based(&sys, [0, 2, 3, 4]).is_err(), "no panic on index 0");
     }
 
     #[test]
     fn file_base_formatting() {
-        let spec = MdSpec {
-            replica: 42,
-            slot: 7,
-            cycle: 3,
-            params: SlotParams { temperature: 300.0, salt_molar: 0.0, ph: 7.0, restraints: vec![] },
-            system: Arc::new(Mutex::new(alanine_dipeptide())),
-            steps: 6000,
-            run_steps: 100,
-            dt_ps: 0.002,
-            gamma_ps: 5.0,
-            seed: 1,
-            sample_stride: 0,
-            sample_warmup: 0,
-            cores: 1,
-            gpu: false,
-            duration: DurationSpec::Measured,
-        };
-        assert_eq!(spec.file_base(), "r00042_c0003");
+        assert_eq!(file_base(42, 3), "r00042_c0003");
     }
 }

@@ -183,7 +183,7 @@ impl Core {
             drop(sys);
             ctx.preseg_snapshots.insert(replica, text);
         }
-        let (mut desc, work) = ctx.amm.prepare_md(spec, &ctx.pilot.staging)?;
+        let (mut desc, work) = crate::amm::prepare_md(&ctx.amm, spec, &ctx.pilot.staging)?;
         desc.name = attempt_task_name(&desc.name, dim, attempt);
         Ok((Flight::Md { slot, replica, attempt, cycle, dim }, (desc, work)))
     }

@@ -217,7 +217,7 @@ impl DriverCtx {
             sample_stride: self.cfg.sample_stride,
             sample_warmup: self.cfg.sample_warmup,
             cores: self.cfg.resource.cores_per_replica,
-            gpu: self.cfg.resource.use_gpu,
+            engine: self.cfg.engine_kind(),
             duration,
         }
     }
@@ -263,7 +263,7 @@ impl DriverCtx {
         input: ExchangeInput,
     ) -> (UnitDescription, TaskWork<TaskResult>) {
         let desc = UnitDescription::new(name, "repex-exchange", cores).with_duration(duration);
-        let engine = self.amm.exchange_engine();
+        let engine = self.amm.engine(1);
         let work: TaskWork<TaskResult> =
             Box::new(move || crate::ram::run_exchange(input, engine).map(TaskResult::Exchange));
         (desc, work)

@@ -105,10 +105,8 @@ fn pair_delta(
     match (&sa.param, &sb.param) {
         (ExchangeParam::Temperature(ta), ExchangeParam::Temperature(tb)) => {
             // Physical potential energies from the staged mdinfo files.
-            let ea =
-                crate::amm::amber::read_staged_mdinfo(staging, &sa.file_base)?.physical_potential();
-            let eb =
-                crate::amm::amber::read_staged_mdinfo(staging, &sb.file_base)?.physical_potential();
+            let ea = crate::amm::read_staged_mdinfo(staging, &sa.file_base)?.physical_potential();
+            let eb = crate::amm::read_staged_mdinfo(staging, &sb.file_base)?.physical_potential();
             Ok(temperature_delta(*ta, ea, *tb, eb))
         }
         (ExchangeParam::Umbrella { .. }, ExchangeParam::Umbrella { .. }) => {

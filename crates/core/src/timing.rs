@@ -125,51 +125,18 @@ pub fn timing_from_breakdown(b: &obs::CycleBreakdown) -> CycleTiming {
 /// dimensions — are averaged by `ExchangeKind`, each kind over the cycles
 /// where it appears, instead of panicking or misattributing positionally.
 pub fn average_cycles(cycles: &[CycleTiming]) -> CycleTiming {
-    let Some(first) = cycles.first() else { return CycleTiming::default() };
-    let n = cycles.len() as f64;
-    let mut avg = CycleTiming {
-        t_md: cycles.iter().map(|c| c.t_md).sum::<f64>() / n,
-        t_ex: Vec::new(),
-        t_data: cycles.iter().map(|c| c.t_data).sum::<f64>() / n,
-        t_repex_over: cycles.iter().map(|c| c.t_repex_over).sum::<f64>() / n,
-        t_rp_over: cycles.iter().map(|c| c.t_rp_over).sum::<f64>() / n,
-    };
-    let homogeneous = cycles.iter().all(|c| {
-        c.t_ex.len() == first.t_ex.len() && c.t_ex.iter().zip(&first.t_ex).all(|(a, b)| a.0 == b.0)
-    });
-    if homogeneous {
-        for d in 0..first.t_ex.len() {
-            let mean = cycles.iter().map(|c| c.t_ex[d].1).sum::<f64>() / n;
-            avg.t_ex.push((first.t_ex[d].0, mean));
-        }
-    } else {
-        let mut kinds: Vec<ExchangeKind> = Vec::new();
-        for c in cycles {
-            for (k, _) in &c.t_ex {
-                if !kinds.contains(k) {
-                    kinds.push(*k);
-                }
-            }
-        }
-        for kind in kinds {
-            let mut sum = 0.0;
-            let mut occurrences = 0u64;
-            for c in cycles {
-                let mut present = false;
-                for (k, t) in &c.t_ex {
-                    if *k == kind {
-                        sum += t;
-                        present = true;
-                    }
-                }
-                if present {
-                    occurrences += 1;
-                }
-            }
-            avg.t_ex.push((kind, sum / occurrences as f64));
-        }
-    }
-    avg
+    let breakdowns: Vec<obs::CycleBreakdown> = cycles
+        .iter()
+        .map(|c| obs::CycleBreakdown {
+            cycle: 0,
+            t_md: c.t_md,
+            t_ex: c.t_ex.iter().map(|(kind, t)| (kind.letter(), *t)).collect(),
+            t_data: c.t_data,
+            t_repex_over: c.t_repex_over,
+            t_rp_over: c.t_rp_over,
+        })
+        .collect();
+    timing_from_breakdown(&obs::average_breakdown(&breakdowns))
 }
 
 #[cfg(test)]

@@ -8,17 +8,13 @@
 //!   `tau-t` instead of a friction constant (γ = 1/τ), cutoffs in nm;
 //! * the `sd` integrator (GROMACS's Langevin) is the only supported one.
 
-use super::sander::run_langevin;
-use super::{
-    batch_single_points, job_forcefield, EngineError, MdEngine, MdJob, MdOutput, SinglePointRequest,
-};
-use crate::forcefield::{DihedralRestraint, EnergyBreakdown, NonbondedParams};
-use crate::integrator::EvalMode;
+use super::{EngineError, MdEngine, MdJob, MdOutput};
+use crate::forcefield::{DihedralRestraint, NonbondedParams};
 use crate::io::mdp::MdpConfig;
 use crate::system::System;
 
 /// GROMACS-analogue MD engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GmxEngine {
     pub base: NonbondedParams,
 }
@@ -28,8 +24,9 @@ impl GmxEngine {
         GmxEngine { base }
     }
 
-    /// Translate `.mdp` parameters into the engine-neutral job description.
-    pub fn job_from_mdp(cfg: &MdpConfig, sample_stride: u64) -> MdJob {
+    /// Translate `.mdp` parameters into the engine-neutral job description
+    /// (no sampling: the `.mdp` has no key for it).
+    pub fn job_from_mdp(cfg: &MdpConfig) -> MdJob {
         MdJob {
             steps: cfg.nsteps,
             dt_ps: cfg.dt,
@@ -43,7 +40,7 @@ impl GmxEngine {
                 .iter()
                 .map(|(name, center, k)| DihedralRestraint::new(name.clone(), *k, *center))
                 .collect(),
-            sample_stride,
+            sample_stride: 0,
             sample_warmup: 0,
         }
     }
@@ -56,49 +53,13 @@ impl GmxEngine {
         sample_stride: u64,
     ) -> Result<MdOutput, EngineError> {
         let cfg = MdpConfig::parse(mdp_text).map_err(|e| EngineError::BadInput(e.to_string()))?;
-        self.run(system, &Self::job_from_mdp(&cfg, sample_stride))
-    }
-}
-
-impl Default for GmxEngine {
-    fn default() -> Self {
-        GmxEngine::new(NonbondedParams::default())
+        self.run(system, &MdJob { sample_stride, ..Self::job_from_mdp(&cfg) })
     }
 }
 
 impl MdEngine for GmxEngine {
-    fn family(&self) -> &'static str {
-        "gromacs"
-    }
-
-    fn executable(&self) -> &'static str {
-        "gmx mdrun"
-    }
-
-    fn min_cores(&self) -> usize {
-        1
-    }
-
-    fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        run_langevin(system, job, &self.base, EvalMode::Serial, 200)
-    }
-
-    fn single_point_with(
-        &self,
-        system: &System,
-        salt_molar: f64,
-        ph: f64,
-        restraints: &[DihedralRestraint],
-    ) -> EnergyBreakdown {
-        job_forcefield(&self.base, salt_molar, ph, restraints).energy(system)
-    }
-
-    fn single_points_with(
-        &self,
-        system: &System,
-        requests: &[SinglePointRequest<'_>],
-    ) -> Vec<EnergyBreakdown> {
-        batch_single_points(&self.base, system, requests, false)
+    fn base(&self) -> &NonbondedParams {
+        &self.base
     }
 }
 
@@ -132,7 +93,7 @@ dihres = phi 60 0.02
     #[test]
     fn mdp_units_translate() {
         let cfg = MdpConfig { tau_t: 0.25, ..Default::default() };
-        let job = GmxEngine::job_from_mdp(&cfg, 0);
+        let job = GmxEngine::job_from_mdp(&cfg);
         assert!((job.gamma_ps - 4.0).abs() < 1e-12, "gamma = 1/tau");
     }
 
@@ -155,7 +116,5 @@ dihres = phi 60 0.02
         let a = gmx.single_point_with(&sys, 0.2, 6.0, &[]);
         let b = sander.single_point_with(&sys, 0.2, 6.0, &[]);
         assert!((a.total() - b.total()).abs() < 1e-10);
-        assert_eq!(gmx.family(), "gromacs");
-        assert_eq!(gmx.executable(), "gmx mdrun");
     }
 }

@@ -2,14 +2,18 @@
 //!
 //! An engine is the unit RepEx treats as a black box: it consumes a job
 //! description (steps, thermostat target, salt concentration, restraints),
-//! propagates a [`System`], and reports energies. Three engines mirror the
-//! paper's setup:
+//! propagates a [`System`], and reports energies. The physics is shared —
+//! one Langevin segment loop ([`run_langevin`]) and one single-point path,
+//! both provided by [`MdEngine`] over an engine's base parameters and its
+//! force kernel — so an engine is what it adds to them:
 //!
-//! * [`SanderEngine`] — serial, the Amber `sander` analogue (1 core).
-//! * [`PmemdEngine`] — Rayon-parallel force loop, the `pmemd.MPI` analogue;
+//! * [`SanderEngine`] — the Amber `sander` analogue: the serial kernel,
+//!   nothing else.
+//! * [`PmemdEngine`] — the `pmemd.MPI` analogue: the Rayon-parallel kernel;
 //!   like the real code it refuses to run on a single core.
-//! * [`NamdEngine`] — an independent engine with NAMD-style configuration,
-//!   demonstrating engine-independence of the framework.
+//! * [`NamdEngine`] — NAMD-style configuration (fs time step), its own RNG
+//!   stream, and velocities drawn at the start of a cold run.
+//! * [`GmxEngine`] — `.mdp` configuration (`tau-t` for friction, nm cutoffs).
 
 mod gmx;
 mod namd;
@@ -24,8 +28,11 @@ pub use sander::SanderEngine;
 use crate::forcefield::{
     DihedralRestraint, EnergyBreakdown, EvalContext, ForceField, NonbondedParams,
 };
+use crate::integrator::{EvalMode, Integrator, LangevinBaoab};
 use crate::io::mdinfo::MdInfo;
 use crate::system::{State, System};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// One request in a single-point energy batch: the exchange parameters under
@@ -129,19 +136,25 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// The black-box MD engine interface the framework programs against.
+///
+/// An implementation names its parameters ([`MdEngine::base`], and
+/// [`MdEngine::eval_mode`] when it is not the serial kernel); running a
+/// segment and evaluating single points are provided over those two.
 pub trait MdEngine: Send + Sync {
-    /// Engine family name ("amber", "namd").
-    fn family(&self) -> &'static str;
+    /// Base nonbonded parameters; a job's salt and pH override them.
+    fn base(&self) -> &NonbondedParams;
 
-    /// Executable name as it would appear in a task description
-    /// ("sander", "pmemd.MPI", "namd2").
-    fn executable(&self) -> &'static str;
-
-    /// Minimum cores per task (pmemd.MPI: 2, like the paper notes).
-    fn min_cores(&self) -> usize;
+    /// The force kernel this engine evaluates with.
+    fn eval_mode(&self) -> EvalMode {
+        EvalMode::Serial
+    }
 
     /// Propagate `system` in place according to `job`.
-    fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError>;
+    fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
+        run_langevin(system, job, self.base(), self.eval_mode(), |_| {
+            StdRng::seed_from_u64(job.seed)
+        })
+    }
 
     /// Single-point energy under given salt/pH/restraint parameters,
     /// without moving the system. This is the primitive S-, U- and
@@ -152,7 +165,10 @@ pub trait MdEngine: Send + Sync {
         salt_molar: f64,
         ph: f64,
         restraints: &[DihedralRestraint],
-    ) -> EnergyBreakdown;
+    ) -> EnergyBreakdown {
+        let request = SinglePointRequest::new(salt_molar, ph, restraints);
+        single_point(self.base(), self.eval_mode(), system, &request, &mut EvalContext::new())
+    }
 
     /// Single-point energy at neutral pH (convenience).
     fn single_point(
@@ -168,48 +184,89 @@ pub trait MdEngine: Send + Sync {
     /// different exchange parameters — the shape of the extra evaluations
     /// S-, U- and pH-exchange need per candidate pair.
     ///
-    /// Engines override this to share one evaluation context across the
-    /// batch, so the neighbor pair list is built once instead of once per
-    /// request. The default falls back to independent evaluations.
+    /// One [`EvalContext`] serves the whole batch: coordinates and cutoff
+    /// are identical across it, so the first request builds the pair list
+    /// and every later one reuses it (only `NonbondedParams`/restraints
+    /// differ).
     fn single_points_with(
         &self,
         system: &System,
         requests: &[SinglePointRequest<'_>],
     ) -> Vec<EnergyBreakdown> {
-        requests
-            .iter()
-            .map(|r| self.single_point_with(system, r.salt_molar, r.ph, r.restraints))
-            .collect()
+        let mut ctx = EvalContext::new();
+        let (base, mode) = (self.base(), self.eval_mode());
+        requests.iter().map(|r| single_point(base, mode, system, r, &mut ctx)).collect()
     }
 }
 
-/// Shared batched single-point evaluation: one [`EvalContext`] across all
-/// requests. Coordinates and cutoff are identical across the batch, so the
-/// first request builds the pair list and every later one reuses it (only
-/// `NonbondedParams`/restraints differ).
-pub(crate) fn batch_single_points(
+/// One single-point energy (no force accumulation) on the kernel `mode`
+/// names, through a context the caller may share across requests.
+fn single_point(
     base: &NonbondedParams,
+    mode: EvalMode,
     system: &System,
-    requests: &[SinglePointRequest<'_>],
-    parallel: bool,
-) -> Vec<EnergyBreakdown> {
-    let mut ctx = EvalContext::new();
-    requests
-        .iter()
-        .map(|r| {
-            let ff = job_forcefield(base, r.salt_molar, r.ph, r.restraints);
-            if parallel {
-                ff.energy_par_ctx(system, &mut ctx)
-            } else {
-                ff.energy_ctx(system, &mut ctx)
+    request: &SinglePointRequest<'_>,
+    ctx: &mut EvalContext,
+) -> EnergyBreakdown {
+    let ff = job_forcefield(base, request.salt_molar, request.ph, request.restraints);
+    match mode {
+        EvalMode::Parallel => ff.energy_par_ctx(system, ctx),
+        EvalMode::Serial | EvalMode::SerialScalar => ff.energy_ctx(system, ctx),
+    }
+}
+
+/// The one MD segment loop: Langevin (BAOAB) dynamics for `job.steps` steps
+/// under `base` + the job's exchange parameters, sampling (phi, psi) and
+/// checking for blow-up as it goes.
+///
+/// `prelude` seeds the segment's noise stream and does whatever the engine
+/// does to a system before its first step (NAMD draws velocities for a cold
+/// one); it runs after the job has been validated, so a rejected job leaves
+/// the system untouched.
+pub(crate) fn run_langevin(
+    system: &mut System,
+    job: &MdJob,
+    base: &NonbondedParams,
+    mode: EvalMode,
+    prelude: impl FnOnce(&mut System) -> StdRng,
+) -> Result<MdOutput, EngineError> {
+    /// Look for non-finite coordinates every this many steps.
+    const BLOWUP_CHECK_STRIDE: u64 = 200;
+    validate_restraints(system, &job.restraints)?;
+    let ff = job_forcefield(base, job.salt_molar, job.ph, &job.restraints);
+    let mut rng = prelude(system);
+    let mut integ = LangevinBaoab::new(job.dt_ps, job.temperature, job.gamma_ps);
+    let mut trace = Vec::new();
+    let mut last = ff.energy(system);
+    for step in 1..=job.steps {
+        last = integ.step(system, &ff, mode, &mut rng);
+        if job.sample_stride > 0 && step > job.sample_warmup && step % job.sample_stride == 0 {
+            if let (Some(phi), Some(psi)) =
+                (system.named_dihedral_angle("phi"), system.named_dihedral_angle("psi"))
+            {
+                trace.push((phi, psi));
             }
-        })
-        .collect()
+        }
+        if step % BLOWUP_CHECK_STRIDE == 0 && !system.state.is_finite() {
+            return Err(EngineError::NumericalBlowup { step });
+        }
+    }
+    if !system.state.is_finite() {
+        return Err(EngineError::NumericalBlowup { step: job.steps });
+    }
+    let mdinfo = MdInfo::from_breakdown(
+        system.state.step,
+        system.state.time_ps,
+        system.instantaneous_temperature(),
+        system.kinetic_energy(),
+        &last,
+    );
+    Ok(MdOutput { final_state: system.state.clone(), mdinfo, dihedral_trace: trace })
 }
 
 /// Shared helper: build the per-job force field from an engine's base
 /// nonbonded parameters plus the job's exchange parameters.
-pub(crate) fn job_forcefield(
+fn job_forcefield(
     base: &NonbondedParams,
     salt_molar: f64,
     ph: f64,
@@ -221,7 +278,7 @@ pub(crate) fn job_forcefield(
 }
 
 /// Shared helper: validate that every restraint names a dihedral that exists.
-pub(crate) fn validate_restraints(
+fn validate_restraints(
     system: &System,
     restraints: &[DihedralRestraint],
 ) -> Result<(), EngineError> {

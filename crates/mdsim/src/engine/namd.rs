@@ -11,20 +11,16 @@
 //! * restraints are configured colvars-style (name, center, k) instead of a
 //!   DISANG file.
 
-use super::{
-    batch_single_points, job_forcefield, validate_restraints, EngineError, MdEngine, MdJob,
-    MdOutput, SinglePointRequest,
-};
-use crate::forcefield::{DihedralRestraint, EnergyBreakdown, NonbondedParams};
-use crate::integrator::{EvalMode, Integrator, LangevinBaoab};
-use crate::io::mdinfo::MdInfo;
+use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
+use crate::forcefield::{DihedralRestraint, NonbondedParams};
+use crate::integrator::EvalMode;
 use crate::io::namdconf::NamdConfig;
 use crate::system::System;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// NAMD-analogue MD engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NamdEngine {
     pub base: NonbondedParams,
 }
@@ -34,8 +30,9 @@ impl NamdEngine {
         NamdEngine { base }
     }
 
-    /// Translate a NAMD config into the engine-neutral job description.
-    pub fn job_from_config(cfg: &NamdConfig, sample_stride: u64) -> MdJob {
+    /// Translate a NAMD config into the engine-neutral job description
+    /// (no sampling: the config has no keyword for it).
+    pub fn job_from_config(cfg: &NamdConfig) -> MdJob {
         MdJob {
             steps: cfg.numsteps,
             dt_ps: cfg.dt_ps(),
@@ -49,7 +46,7 @@ impl NamdEngine {
                 .iter()
                 .map(|(name, center, k)| DihedralRestraint::new(name.clone(), *k, *center))
                 .collect(),
-            sample_stride,
+            sample_stride: 0,
             sample_warmup: 0,
         }
     }
@@ -63,83 +60,27 @@ impl NamdEngine {
     ) -> Result<MdOutput, EngineError> {
         let cfg =
             NamdConfig::parse(config_text).map_err(|e| EngineError::BadInput(e.to_string()))?;
-        self.run(system, &Self::job_from_config(&cfg, sample_stride))
-    }
-}
-
-impl Default for NamdEngine {
-    fn default() -> Self {
-        NamdEngine::new(NonbondedParams::default())
+        self.run(system, &MdJob { sample_stride, ..Self::job_from_config(&cfg) })
     }
 }
 
 impl MdEngine for NamdEngine {
-    fn family(&self) -> &'static str {
-        "namd"
-    }
-
-    fn executable(&self) -> &'static str {
-        "namd2"
-    }
-
-    fn min_cores(&self) -> usize {
-        1
+    fn base(&self) -> &NonbondedParams {
+        &self.base
     }
 
     fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        validate_restraints(system, &job.restraints)?;
-        let ff = job_forcefield(&self.base, job.salt_molar, job.ph, &job.restraints);
-        let mut rng = StdRng::seed_from_u64(job.seed ^ 0x4e41_4d44); // "NAMD"
-                                                                     // NAMD semantics: the `temperature` keyword initializes velocities
-                                                                     // when the system has (near-)zero kinetic energy.
-        if system.kinetic_energy() < 1e-9 {
-            system.assign_maxwell_boltzmann(job.temperature, &mut rng);
-        }
-        let mut integ = LangevinBaoab::new(job.dt_ps, job.temperature, job.gamma_ps);
-        let mut trace = Vec::new();
-        let mut last = ff.energy(system);
-        for step in 1..=job.steps {
-            last = integ.step(system, &ff, EvalMode::Serial, &mut rng);
-            if job.sample_stride > 0 && step > job.sample_warmup && step % job.sample_stride == 0 {
-                if let (Some(phi), Some(psi)) =
-                    (system.named_dihedral_angle("phi"), system.named_dihedral_angle("psi"))
-                {
-                    trace.push((phi, psi));
-                }
+        run_langevin(system, job, &self.base, EvalMode::Serial, |system| {
+            // Its own noise stream, not the Amber family's under the same
+            // seed: salted with "NAMD".
+            let mut rng = StdRng::seed_from_u64(job.seed ^ 0x4e41_4d44);
+            // NAMD semantics: the `temperature` keyword initializes
+            // velocities when the system has (near-)zero kinetic energy.
+            if system.kinetic_energy() < 1e-9 {
+                system.assign_maxwell_boltzmann(job.temperature, &mut rng);
             }
-            if step % 200 == 0 && !system.state.is_finite() {
-                return Err(EngineError::NumericalBlowup { step });
-            }
-        }
-        if !system.state.is_finite() {
-            return Err(EngineError::NumericalBlowup { step: job.steps });
-        }
-        let mdinfo = MdInfo::from_breakdown(
-            system.state.step,
-            system.state.time_ps,
-            system.instantaneous_temperature(),
-            system.kinetic_energy(),
-            &last,
-        );
-        Ok(MdOutput { final_state: system.state.clone(), mdinfo, dihedral_trace: trace })
-    }
-
-    fn single_point_with(
-        &self,
-        system: &System,
-        salt_molar: f64,
-        ph: f64,
-        restraints: &[DihedralRestraint],
-    ) -> EnergyBreakdown {
-        job_forcefield(&self.base, salt_molar, ph, restraints).energy(system)
-    }
-
-    fn single_points_with(
-        &self,
-        system: &System,
-        requests: &[SinglePointRequest<'_>],
-    ) -> Vec<EnergyBreakdown> {
-        batch_single_points(&self.base, system, requests, false)
+            rng
+        })
     }
 }
 
@@ -201,7 +142,7 @@ harmonicDihedral phi 60 0.02
     #[test]
     fn config_translation_units() {
         let cfg = NamdConfig { numsteps: 4000, timestep_fs: 2.0, ..Default::default() };
-        let job = NamdEngine::job_from_config(&cfg, 0);
+        let job = NamdEngine::job_from_config(&cfg);
         assert_eq!(job.steps, 4000);
         assert!((job.dt_ps - 0.002).abs() < 1e-12);
     }

@@ -5,13 +5,15 @@
 //! core — RepEx switches executables between `sander` and `pmemd.MPI` based
 //! on the cores-per-replica setting, and our AMM does the same.
 
-use super::sander::run_langevin;
-use super::{
-    batch_single_points, job_forcefield, EngineError, MdEngine, MdJob, MdOutput, SinglePointRequest,
-};
-use crate::forcefield::{DihedralRestraint, EnergyBreakdown, EvalContext, NonbondedParams};
+use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
+use crate::forcefield::NonbondedParams;
 use crate::integrator::EvalMode;
 use crate::system::System;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Fewest cores `pmemd.MPI` runs on.
+const MIN_CORES: usize = 2;
 
 /// Parallel MD engine (≥ 2 cores per replica), Amber `pmemd.MPI` analogue.
 #[derive(Debug, Clone)]
@@ -29,47 +31,25 @@ impl PmemdEngine {
 }
 
 impl MdEngine for PmemdEngine {
-    fn family(&self) -> &'static str {
-        "amber"
+    fn base(&self) -> &NonbondedParams {
+        &self.base
     }
 
-    fn executable(&self) -> &'static str {
-        "pmemd.MPI"
-    }
-
-    fn min_cores(&self) -> usize {
-        2
+    /// Single points take the energy-only parallel path too: no force
+    /// accumulation.
+    fn eval_mode(&self) -> EvalMode {
+        EvalMode::Parallel
     }
 
     fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        if self.cores < self.min_cores() {
+        if self.cores < MIN_CORES {
             return Err(EngineError::BadCoreCount {
                 engine: "pmemd.MPI",
                 requested: self.cores,
-                minimum: self.min_cores(),
+                minimum: MIN_CORES,
             });
         }
-        run_langevin(system, job, &self.base, EvalMode::Parallel, 200)
-    }
-
-    fn single_point_with(
-        &self,
-        system: &System,
-        salt_molar: f64,
-        ph: f64,
-        restraints: &[DihedralRestraint],
-    ) -> EnergyBreakdown {
-        let ff = job_forcefield(&self.base, salt_molar, ph, restraints);
-        // Energy-only parallel path: no force accumulation for single-points.
-        ff.energy_par_ctx(system, &mut EvalContext::new())
-    }
-
-    fn single_points_with(
-        &self,
-        system: &System,
-        requests: &[SinglePointRequest<'_>],
-    ) -> Vec<EnergyBreakdown> {
-        batch_single_points(&self.base, system, requests, true)
+        run_langevin(system, job, &self.base, self.eval_mode(), |_| StdRng::seed_from_u64(job.seed))
     }
 }
 
@@ -78,8 +58,6 @@ mod tests {
     use super::*;
     use crate::engine::SanderEngine;
     use crate::models::{dipeptide_forcefield, solvated_alanine_dipeptide};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn refuses_single_core() {

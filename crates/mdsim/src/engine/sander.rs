@@ -1,117 +1,36 @@
 //! `sander`-analogue: the serial reference engine.
 
-use super::{
-    batch_single_points, job_forcefield, validate_restraints, EngineError, MdEngine, MdJob,
-    MdOutput, SinglePointRequest,
-};
-use crate::forcefield::{DihedralRestraint, EnergyBreakdown, NonbondedParams};
-use crate::integrator::{EvalMode, Integrator, LangevinBaoab};
-use crate::io::mdinfo::MdInfo;
-use crate::system::System;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use super::MdEngine;
+use crate::forcefield::NonbondedParams;
 
 /// Serial MD engine (one core per replica), Amber `sander` analogue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SanderEngine {
     /// Base nonbonded parameters (job parameters override salt).
     pub base: NonbondedParams,
-    /// Check for numerical blow-up every this many steps.
-    pub blowup_check_stride: u64,
 }
 
 impl SanderEngine {
     pub fn new(base: NonbondedParams) -> Self {
-        SanderEngine { base, blowup_check_stride: 200 }
+        SanderEngine { base }
     }
-}
-
-impl Default for SanderEngine {
-    fn default() -> Self {
-        SanderEngine::new(NonbondedParams::default())
-    }
-}
-
-/// Core MD loop shared by the serial and parallel Amber-family engines.
-pub(crate) fn run_langevin(
-    system: &mut System,
-    job: &MdJob,
-    base: &NonbondedParams,
-    mode: EvalMode,
-    blowup_check_stride: u64,
-) -> Result<MdOutput, EngineError> {
-    validate_restraints(system, &job.restraints)?;
-    let ff = job_forcefield(base, job.salt_molar, job.ph, &job.restraints);
-    let mut integ = LangevinBaoab::new(job.dt_ps, job.temperature, job.gamma_ps);
-    let mut rng = StdRng::seed_from_u64(job.seed);
-    let mut trace = Vec::new();
-    let mut last = ff.energy(system);
-    for step in 1..=job.steps {
-        last = integ.step(system, &ff, mode, &mut rng);
-        if job.sample_stride > 0 && step > job.sample_warmup && step % job.sample_stride == 0 {
-            if let (Some(phi), Some(psi)) =
-                (system.named_dihedral_angle("phi"), system.named_dihedral_angle("psi"))
-            {
-                trace.push((phi, psi));
-            }
-        }
-        if blowup_check_stride > 0 && step % blowup_check_stride == 0 && !system.state.is_finite() {
-            return Err(EngineError::NumericalBlowup { step });
-        }
-    }
-    if !system.state.is_finite() {
-        return Err(EngineError::NumericalBlowup { step: job.steps });
-    }
-    let mdinfo = MdInfo::from_breakdown(
-        system.state.step,
-        system.state.time_ps,
-        system.instantaneous_temperature(),
-        system.kinetic_energy(),
-        &last,
-    );
-    Ok(MdOutput { final_state: system.state.clone(), mdinfo, dihedral_trace: trace })
 }
 
 impl MdEngine for SanderEngine {
-    fn family(&self) -> &'static str {
-        "amber"
-    }
-
-    fn executable(&self) -> &'static str {
-        "sander"
-    }
-
-    fn min_cores(&self) -> usize {
-        1
-    }
-
-    fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        run_langevin(system, job, &self.base, EvalMode::Serial, self.blowup_check_stride)
-    }
-
-    fn single_point_with(
-        &self,
-        system: &System,
-        salt_molar: f64,
-        ph: f64,
-        restraints: &[DihedralRestraint],
-    ) -> EnergyBreakdown {
-        job_forcefield(&self.base, salt_molar, ph, restraints).energy(system)
-    }
-
-    fn single_points_with(
-        &self,
-        system: &System,
-        requests: &[SinglePointRequest<'_>],
-    ) -> Vec<EnergyBreakdown> {
-        batch_single_points(&self.base, system, requests, false)
+    fn base(&self) -> &NonbondedParams {
+        &self.base
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineError, MdJob};
+    use crate::forcefield::DihedralRestraint;
     use crate::models::{alanine_dipeptide, dipeptide_forcefield};
+    use crate::system::System;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn prepared_system(seed: u64, t: f64) -> System {
         let mut sys = alanine_dipeptide();

@@ -1,0 +1,132 @@
+//! The four engines are one Langevin loop and one single-point path; an
+//! engine is what it adds to them. Also compiled by `tests-offline/`.
+
+use mdsim::engine::{
+    EngineError, GmxEngine, MdEngine, MdJob, NamdEngine, PmemdEngine, SanderEngine,
+    SinglePointRequest,
+};
+use mdsim::models::{alanine_dipeptide, dipeptide_forcefield};
+use mdsim::{DihedralRestraint, System};
+
+/// NAMD XORs this into the job seed ("NAMD"). Pinned here: changing it
+/// changes every NAMD trajectory.
+const NAMD_SEED_SALT: u64 = 0x4e41_4d44;
+
+/// A system with thermal velocities: a short NAMD run on the cold model
+/// draws them (std only — this file is also built without `rand`).
+fn warm_system() -> System {
+    let mut sys = alanine_dipeptide();
+    let warm_up = MdJob { steps: 20, seed: 5, ..Default::default() };
+    NamdEngine::new(dipeptide_forcefield().nonbonded).run(&mut sys, &warm_up).unwrap();
+    assert!(sys.kinetic_energy() > 1e-9);
+    sys
+}
+
+fn job(seed: u64) -> MdJob {
+    MdJob {
+        steps: 300,
+        seed,
+        salt_molar: 0.2,
+        ph: 6.0,
+        restraints: vec![DihedralRestraint::new("phi", 0.02, 60.0)],
+        sample_stride: 25,
+        sample_warmup: 50,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn engines_share_one_trajectory_up_to_their_preludes() {
+    let base = dipeptide_forcefield().nonbonded;
+    let run = |engine: &dyn MdEngine, mut sys: System, seed: u64| {
+        let start = sys.state.step;
+        let out = engine.run(&mut sys, &job(seed)).unwrap();
+        assert_eq!(out.final_state, sys.state);
+        assert_eq!(out.final_state.step, start + 300);
+        assert_eq!(out.mdinfo.nstep, start + 300);
+        assert_eq!(out.dihedral_trace.len(), 10, "steps 75, 100, .. 300");
+        out
+    };
+    let sander = run(&SanderEngine::new(base), warm_system(), 33);
+
+    // Same system, job and seed: GROMACS adds nothing to the loop.
+    assert_eq!(run(&GmxEngine::new(base), warm_system(), 33), sander);
+
+    // NAMD adds a seed salt and a velocity draw for a cold system, and
+    // nothing else: under the same seed it is a different trajectory ...
+    let namd = NamdEngine::new(base);
+    let salted = run(&namd, warm_system(), 33);
+    assert_ne!(salted.final_state.positions, sander.final_state.positions);
+    // ... which is sander's under the salted seed when the system is warm,
+    assert_eq!(salted, run(&SanderEngine::new(base), warm_system(), 33 ^ NAMD_SEED_SALT));
+    // and on a cold system the draw comes first (sander leaves it to the
+    // thermostat, and so starts from rest).
+    let cold = run(&namd, alanine_dipeptide(), 33);
+    assert_ne!(cold.final_state.positions, salted.final_state.positions);
+    let from_rest = run(&SanderEngine::new(base), alanine_dipeptide(), 33 ^ NAMD_SEED_SALT);
+    assert_ne!(cold.final_state.positions, from_rest.final_state.positions);
+
+    // pmemd.MPI is the same loop on the parallel kernel: the same trajectory
+    // up to summation order.
+    let pmemd = run(&PmemdEngine::new(base, 4), warm_system(), 33);
+    for (a, b) in pmemd.final_state.positions.iter().zip(&sander.final_state.positions) {
+        assert!((*a - *b).norm() < 1e-6, "{a:?} vs {b:?}");
+    }
+    assert!((pmemd.mdinfo.eptot - sander.mdinfo.eptot).abs() < 1e-6);
+}
+
+#[test]
+fn pmemd_refuses_one_core_and_rejected_jobs_leave_the_system_alone() {
+    let base = dipeptide_forcefield().nonbonded;
+    let mut sys = warm_system();
+    let before = sys.state.clone();
+    let err = PmemdEngine::new(base, 1).run(&mut sys, &job(1)).unwrap_err();
+    assert_eq!(err, EngineError::BadCoreCount { engine: "pmemd.MPI", requested: 1, minimum: 2 });
+    assert_eq!(sys.state, before);
+
+    // An unknown restraint is rejected before NAMD's cold-start draw.
+    let mut cold = alanine_dipeptide();
+    let bad = MdJob { restraints: vec![DihedralRestraint::new("omega", 0.02, 0.0)], ..job(1) };
+    let engines: [&dyn MdEngine; 4] = [
+        &SanderEngine::new(base),
+        &PmemdEngine::new(base, 2),
+        &NamdEngine::new(base),
+        &GmxEngine::new(base),
+    ];
+    for engine in engines {
+        assert!(matches!(engine.run(&mut cold, &bad), Err(EngineError::BadInput(_))));
+        assert_eq!(cold.kinetic_energy(), 0.0);
+    }
+}
+
+#[test]
+fn batched_single_points_equal_individual_ones_for_every_engine() {
+    let base = dipeptide_forcefield().nonbonded;
+    let sys = warm_system();
+    let rs = vec![DihedralRestraint::new("phi", 0.02, 45.0)];
+    let requests = [
+        SinglePointRequest::new(0.0, 7.0, &[]),
+        SinglePointRequest::new(0.5, 7.0, &[]),
+        SinglePointRequest::new(0.5, 5.0, &rs),
+        SinglePointRequest::new(2.0, 7.0, &rs),
+    ];
+    let engines: [&dyn MdEngine; 4] = [
+        &SanderEngine::new(base),
+        &PmemdEngine::new(base, 4),
+        &NamdEngine::new(base),
+        &GmxEngine::new(base),
+    ];
+    let reference = engines[0].single_points_with(&sys, &requests);
+    for engine in engines {
+        let batched = engine.single_points_with(&sys, &requests);
+        assert_eq!(batched.len(), requests.len());
+        for ((b, r), reference) in batched.iter().zip(&requests).zip(&reference) {
+            let single = engine.single_point_with(&sys, r.salt_molar, r.ph, r.restraints);
+            assert_eq!(b.total(), single.total(), "batched vs individual");
+            // The physics is shared: every engine reports the same energy.
+            assert!((b.total() - reference.total()).abs() < 1e-9);
+        }
+        let neutral = engine.single_point(&sys, 0.5, &rs);
+        assert_eq!(neutral.total(), engine.single_point_with(&sys, 0.5, 7.0, &rs).total());
+    }
+}

@@ -29,6 +29,30 @@ impl CycleBreakdown {
     pub fn total(&self) -> f64 {
         self.t_md + self.t_ex_total() + self.t_data + self.t_repex_over + self.t_rp_over
     }
+
+    /// The one fold of Eq. 1: add `event`'s interval to its term in the
+    /// breakdown of its cycle, which `of_cycle` looks up or creates. Events
+    /// that carry no Eq. 1 time never call `of_cycle`.
+    pub fn absorb<'a>(event: &Event, of_cycle: impl FnOnce(u64) -> &'a mut CycleBreakdown) {
+        match *event {
+            Event::MdPhase { cycle, start, end, .. } => of_cycle(cycle).t_md += end - start,
+            Event::ExchangeWindow { kind, cycle, start, end, .. } => {
+                of_cycle(cycle).t_ex.push((kind, end - start));
+            }
+            Event::DataStage { cycle, start, end, .. } => of_cycle(cycle).t_data += end - start,
+            Event::Overhead { scope, cycle, start, end } => match scope {
+                OverheadScope::Repex => of_cycle(cycle).t_repex_over += end - start,
+                OverheadScope::Rp => of_cycle(cycle).t_rp_over += end - start,
+            },
+            // MdSegment feeds utilization, not the phase decomposition: the
+            // phase window already covers its segments (plus barrier idle).
+            // ExchangeOutcome is a point event inside its window.
+            Event::MdSegment { .. }
+            | Event::TaskRelaunch { .. }
+            | Event::CacheRebuild { .. }
+            | Event::ExchangeOutcome { .. } => {}
+        }
+    }
 }
 
 /// Group interval events by cycle and sum them into Eq. 1 buckets.
@@ -40,42 +64,9 @@ impl CycleBreakdown {
 pub fn cycle_breakdowns(events: &[Event]) -> Vec<CycleBreakdown> {
     let mut per_cycle: BTreeMap<u64, CycleBreakdown> = BTreeMap::new();
     for event in events {
-        match event {
-            Event::MdPhase { cycle, start, end, .. } => {
-                let b = per_cycle
-                    .entry(*cycle)
-                    .or_insert_with(|| CycleBreakdown { cycle: *cycle, ..Default::default() });
-                b.t_md += end - start;
-            }
-            Event::ExchangeWindow { kind, cycle, start, end, .. } => {
-                let b = per_cycle
-                    .entry(*cycle)
-                    .or_insert_with(|| CycleBreakdown { cycle: *cycle, ..Default::default() });
-                b.t_ex.push((*kind, end - start));
-            }
-            Event::DataStage { cycle, start, end, .. } => {
-                let b = per_cycle
-                    .entry(*cycle)
-                    .or_insert_with(|| CycleBreakdown { cycle: *cycle, ..Default::default() });
-                b.t_data += end - start;
-            }
-            Event::Overhead { scope, cycle, start, end } => {
-                let b = per_cycle
-                    .entry(*cycle)
-                    .or_insert_with(|| CycleBreakdown { cycle: *cycle, ..Default::default() });
-                match scope {
-                    OverheadScope::Repex => b.t_repex_over += end - start,
-                    OverheadScope::Rp => b.t_rp_over += end - start,
-                }
-            }
-            // MdSegment feeds utilization, not the phase decomposition: the
-            // phase window already covers its segments (plus barrier idle).
-            // ExchangeOutcome is a point event inside its window.
-            Event::MdSegment { .. }
-            | Event::TaskRelaunch { .. }
-            | Event::CacheRebuild { .. }
-            | Event::ExchangeOutcome { .. } => {}
-        }
+        CycleBreakdown::absorb(event, |cycle| {
+            per_cycle.entry(cycle).or_insert_with(|| CycleBreakdown { cycle, ..Default::default() })
+        });
     }
     per_cycle.into_values().collect()
 }
@@ -107,8 +98,8 @@ pub fn replica_spans(events: &[Event]) -> BTreeMap<usize, Vec<(f64, f64)>> {
     rows
 }
 
-/// Average breakdowns the way `repex::timing::average_cycles` does: scalar
-/// fields are plain means; `t_ex` averages positionally when every cycle
+/// Average breakdowns (`repex::timing::average_cycles` maps through here):
+/// scalar fields are plain means; `t_ex` averages positionally when every cycle
 /// shares one dimension layout, and by exchange-kind letter otherwise
 /// (heterogeneous async cycles), each kind averaged over the cycles where
 /// it appears.

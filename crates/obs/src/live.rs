@@ -631,21 +631,16 @@ impl LiveState {
 
     /// Fold one event into the rolling window and cumulative state.
     pub fn fold(&mut self, event: &Event) {
+        let pending = &mut self.pending;
+        CycleBreakdown::absorb(event, |cycle| {
+            let entry = pending
+                .entry(cycle)
+                .or_insert_with(|| (CycleBreakdown { cycle, ..Default::default() }, false));
+            entry.1 |= matches!(event, Event::MdPhase { .. });
+            &mut entry.0
+        });
         match *event {
-            Event::MdPhase { cycle, start, end, .. } => {
-                let entry = self
-                    .pending
-                    .entry(cycle)
-                    .or_insert_with(|| (CycleBreakdown { cycle, ..Default::default() }, false));
-                entry.0.t_md += end - start;
-                entry.1 = true;
-            }
-            Event::ExchangeWindow { kind, dim, cycle, participants, start, end } => {
-                let entry = self
-                    .pending
-                    .entry(cycle)
-                    .or_insert_with(|| (CycleBreakdown { cycle, ..Default::default() }, false));
-                entry.0.t_ex.push((kind, end - start));
+            Event::ExchangeWindow { kind, dim, participants, .. } => {
                 self.dim_mut(dim, Some(kind));
                 // Snapshot the walk at every participating window — the
                 // cadence `replay_slot_walk` documents and the drivers'
@@ -656,23 +651,6 @@ impl LiveState {
                     for replica in 0..self.slot_of.len() {
                         self.rt_record(replica, self.slot_of[replica]);
                     }
-                }
-            }
-            Event::DataStage { cycle, start, end, .. } => {
-                let entry = self
-                    .pending
-                    .entry(cycle)
-                    .or_insert_with(|| (CycleBreakdown { cycle, ..Default::default() }, false));
-                entry.0.t_data += end - start;
-            }
-            Event::Overhead { scope, cycle, start, end } => {
-                let entry = self
-                    .pending
-                    .entry(cycle)
-                    .or_insert_with(|| (CycleBreakdown { cycle, ..Default::default() }, false));
-                match scope {
-                    crate::event::OverheadScope::Repex => entry.0.t_repex_over += end - start,
-                    crate::event::OverheadScope::Rp => entry.0.t_rp_over += end - start,
                 }
             }
             Event::MdSegment { start, end, ok, .. } => {
@@ -697,7 +675,11 @@ impl LiveState {
                     }
                 }
             }
-            Event::TaskRelaunch { .. } | Event::CacheRebuild { .. } => {}
+            Event::MdPhase { .. }
+            | Event::DataStage { .. }
+            | Event::Overhead { .. }
+            | Event::TaskRelaunch { .. }
+            | Event::CacheRebuild { .. } => {}
         }
         self.window_events.push(event.clone());
     }
