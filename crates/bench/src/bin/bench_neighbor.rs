@@ -1,13 +1,11 @@
-//! MD hot-path performance record: force kernel + neighbor cache.
+//! MD hot-path performance record: the neighbor cache.
 //!
-//! Two before/after comparisons on short serial Langevin runs of the
-//! solvated dipeptide model:
-//!
-//! - **kernel**: the scalar pair-at-a-time kernel (`EvalMode::SerialScalar`,
-//!   the seed's inner loop) against the blocked SoA kernel
-//!   (`EvalMode::Serial`) — both with the Verlet cache enabled;
-//! - **cache**: the SoA run with the evaluation context invalidated before
-//!   every step (the rebuild-every-step behavior) against the cached run.
+//! One before/after comparison on short one-thread Langevin runs of the
+//! solvated dipeptide model: the run with the evaluation context
+//! invalidated before every step (the rebuild-every-step behavior) against
+//! the cached run. (The scalar-vs-SoA kernel column went with the scalar
+//! kernel; the force kernel is timed by the repo benchmark's
+//! `mdsim.force_eval_us` / `mdsim.force_ns_per_pair`.)
 //!
 //! Also verifies, via the global cell-list build counter, that a batched
 //! S-exchange single-point evaluation builds the pair list once per batch.
@@ -19,7 +17,7 @@
 
 use bench::output::{bench_meta, check, emit, write_bench_json};
 use mdsim::engine::{MdEngine, SanderEngine, SinglePointRequest};
-use mdsim::integrator::{EvalMode, Integrator, LangevinBaoab};
+use mdsim::integrator::LangevinBaoab;
 use mdsim::models::{dipeptide_forcefield, solvated_alanine_dipeptide};
 use mdsim::neighbor::cell_list_builds;
 use rand::rngs::StdRng;
@@ -32,7 +30,7 @@ use std::time::Instant;
 /// run-to-run noise, and the fastest trial is the least contended one.
 const TRIALS: usize = 3;
 
-fn steps_per_sec(atoms: usize, steps: u64, mode: EvalMode, rebuild_every_step: bool) -> f64 {
+fn steps_per_sec(atoms: usize, steps: u64, rebuild_every_step: bool) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..TRIALS {
         let mut sys = solvated_alanine_dipeptide(atoms, 11);
@@ -41,13 +39,13 @@ fn steps_per_sec(atoms: usize, steps: u64, mode: EvalMode, rebuild_every_step: b
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         let mut integ = LangevinBaoab::new(0.001, 300.0, 2.0);
         // Warm up (first build, buffer allocation) outside the timed window.
-        integ.step(&mut sys, &ff, mode, &mut rng);
+        integ.step(&mut sys, &ff, 1, &mut rng);
         let t0 = Instant::now();
         for _ in 0..steps {
             if rebuild_every_step {
                 integ.invalidate();
             }
-            integ.step(&mut sys, &ff, mode, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         best = best.max(steps as f64 / t0.elapsed().as_secs_f64());
     }
@@ -60,31 +58,22 @@ fn main() {
         if quick { &[(400, 60), (2000, 30)] } else { &[(400, 400), (2000, 120), (8000, 40)] };
 
     let mut out = String::new();
-    let _ = writeln!(out, "MD hot paths — steps/sec, scalar vs SoA kernel and cache on/off\n");
+    let _ = writeln!(out, "MD hot paths — steps/sec, cache on/off\n");
 
     let mut rows = Vec::new();
-    let mut kernel_ok = true;
     for &(atoms, steps) in sizes {
-        let scalar = steps_per_sec(atoms, steps, EvalMode::SerialScalar, false);
-        let soa = steps_per_sec(atoms, steps, EvalMode::Serial, false);
-        let nocache = steps_per_sec(atoms, steps, EvalMode::Serial, true);
-        let kernel_speedup = soa / scalar;
+        let soa = steps_per_sec(atoms, steps, false);
+        let nocache = steps_per_sec(atoms, steps, true);
         let cache_speedup = soa / nocache;
-        if atoms >= 1000 {
-            kernel_ok &= kernel_speedup >= 1.5;
-        }
         let _ = writeln!(
             out,
-            "N={atoms:5}  scalar {scalar:9.1}  soa {soa:9.1}  (x{kernel_speedup:.2})  \
-             rebuild-every-step {nocache:9.1}  (cache x{cache_speedup:.2})"
+            "N={atoms:5}  soa {soa:9.1}  rebuild-every-step {nocache:9.1}  (cache x{cache_speedup:.2})"
         );
         rows.push(json!({
             "atoms": atoms,
             "steps": steps,
-            "steps_per_sec_scalar": scalar,
             "steps_per_sec_soa": soa,
             "steps_per_sec_rebuild_every_step": nocache,
-            "kernel_speedup": kernel_speedup,
             "cache_speedup": cache_speedup,
         }));
     }
@@ -104,8 +93,6 @@ fn main() {
     let batch_builds = cell_list_builds() - builds_before;
 
     let _ = writeln!(out);
-    let _ =
-        writeln!(out, "{}", check("SoA kernel >= 1.5x scalar steps/sec at >= 1k atoms", kernel_ok));
     let _ = writeln!(
         out,
         "{}",
@@ -123,10 +110,7 @@ fn main() {
         "meta": bench_meta(),
         "sizes": rows,
         "s_exchange_batch": { "requests": 4, "cell_list_builds": batch_builds },
-        "checks": {
-            "soa_speedup_ge_1_5_at_1k": kernel_ok,
-            "s_exchange_single_build": batch_builds == 1,
-        },
+        "checks": { "s_exchange_single_build": batch_builds == 1 },
     });
     write_bench_json("BENCH_neighbor.json", &payload);
 

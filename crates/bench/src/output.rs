@@ -29,14 +29,15 @@ pub fn repo_root() -> PathBuf {
 }
 
 /// Provenance block every `BENCH_*.json` record carries: toolchain, commit,
-/// thread count and wall-clock stamp. Numbers measured under different
+/// the host's thread count (`available_parallelism`, what the simulated
+/// executor's MD waves run on) and wall-clock stamp. Numbers measured under different
 /// thread counts are not comparable — `repex analyze --bench` warns on that.
 pub fn bench_meta() -> Value {
     let unix = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
     serde_json::json!({
         "rustc_version": command_line("rustc", &["--version"]),
         "git_rev": command_line("git", &["rev-parse", "--short", "HEAD"]),
-        "n_threads": rayon::current_num_threads(),
+        "n_threads": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "timestamp": unix,
     })
 }

@@ -4,13 +4,13 @@
 //! paper makes in Fig. 12).
 
 use super::{dihedral_atoms_1based, dihedral_name_from_1based, Amm, MdSpec};
+use crate::replica::lock_system;
 use mdsim::engine::{MdEngine, MdJob, PmemdEngine, SanderEngine};
 use mdsim::forcefield::NonbondedParams;
 use mdsim::io::mdin::{parse_disang, render_disang, DisangRestraint, MdinControl};
 use mdsim::{DihedralRestraint, System};
-use parking_lot::Mutex;
 use pilot::staging::StagingArea;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// AMM for the Amber engine family.
 pub struct AmberAmm {
@@ -54,7 +54,7 @@ impl Amm for AmberAmm {
         let title = format!("replica {} cycle {}", spec.replica, spec.cycle);
         let mut files = vec![(format!("{base}.mdin"), ctl.render(&title))];
         if let Some(name) = disang {
-            let sys = spec.system.lock();
+            let sys = lock_system(&spec.system);
             let records: Vec<DisangRestraint> = restraints
                 .iter()
                 .map(|r| {
@@ -80,7 +80,7 @@ impl Amm for AmberAmm {
         let restraints: Vec<DihedralRestraint> = match &ctl.disang {
             Some(f) => {
                 let records = staging.read_text(f, parse_disang)?.map_err(|e| e.to_string())?;
-                let sys = system.lock();
+                let sys = lock_system(system);
                 records
                     .into_iter()
                     .enumerate()

@@ -7,10 +7,9 @@ use super::{Amm, MdSpec};
 use mdsim::engine::{GmxEngine, MdEngine, MdJob};
 use mdsim::forcefield::NonbondedParams;
 use mdsim::io::mdp::MdpConfig;
-use mdsim::System;
-use parking_lot::Mutex;
+use mdsim::{DihedralRestraint, System};
 use pilot::staging::StagingArea;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// AMM for the GROMACS engine family.
 pub struct GromacsAmm {
@@ -44,12 +43,7 @@ impl Amm for GromacsAmm {
             rcoulomb_nm: self.engine.base.cutoff / 10.0,
             salt_concentration: spec.params.salt_molar,
             solvent_ph: spec.params.ph,
-            dihres: spec
-                .params
-                .restraints
-                .iter()
-                .map(|r| (r.dihedral.clone(), r.center_deg, r.k_deg))
-                .collect(),
+            dihres: DihedralRestraint::to_triples(&spec.params.restraints),
         };
         Ok(vec![(format!("{base}.mdp"), cfg.render())])
     }

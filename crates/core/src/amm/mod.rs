@@ -18,18 +18,17 @@ pub use amber::AmberAmm;
 pub use gromacs::GromacsAmm;
 pub use namd::NamdAmm;
 
-use crate::replica::SlotParams;
+use crate::replica::{lock_system, SlotParams};
 use crate::task::{MdTaskReport, TaskResult};
 use hpc::perfmodel::EngineKind;
 use mdsim::engine::{MdEngine, MdJob};
 use mdsim::io::mdinfo::MdInfo;
 use mdsim::io::restart::write_restart;
 use mdsim::System;
-use parking_lot::Mutex;
 use pilot::description::{DurationSpec, UnitDescription};
 use pilot::executor::TaskWork;
 use pilot::staging::StagingArea;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Everything needed to prepare one replica's MD segment.
 #[derive(Clone)]
@@ -123,7 +122,7 @@ pub fn prepare_md(
             sample_warmup,
             ..amm.parse(&staging, &control, &system)?
         };
-        let mut sys = system.lock();
+        let mut sys = lock_system(&system);
         let out = engine.run(&mut sys, &job).map_err(|e| e.to_string())?;
         let title = format!("{restart_tag}replica {replica} cycle {cycle}");
         staging.put_text(restart, write_restart(&title, &out.final_state));

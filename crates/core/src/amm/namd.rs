@@ -5,10 +5,9 @@ use super::{Amm, MdSpec};
 use mdsim::engine::{MdEngine, MdJob, NamdEngine};
 use mdsim::forcefield::NonbondedParams;
 use mdsim::io::namdconf::NamdConfig;
-use mdsim::System;
-use parking_lot::Mutex;
+use mdsim::{DihedralRestraint, System};
 use pilot::staging::StagingArea;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// AMM for the NAMD engine.
 pub struct NamdAmm {
@@ -41,12 +40,7 @@ impl Amm for NamdAmm {
             salt_concentration: spec.params.salt_molar,
             solvent_ph: spec.params.ph,
             output_energies: spec.steps.max(1),
-            restraints: spec
-                .params
-                .restraints
-                .iter()
-                .map(|r| (r.dihedral.clone(), r.center_deg, r.k_deg))
-                .collect(),
+            restraints: DihedralRestraint::to_triples(&spec.params.restraints),
         };
         Ok(vec![(format!("{base}.conf"), cfg.render())])
     }

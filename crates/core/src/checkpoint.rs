@@ -26,6 +26,7 @@
 
 use crate::config::{Pattern, SimulationConfig};
 use crate::emm::DriverCtx;
+use crate::replica::lock_system;
 use crate::report::CycleReport;
 use exchange::stats::{AcceptanceStats, RoundTripTracker};
 use serde::{Deserialize, Serialize};
@@ -158,7 +159,7 @@ impl CampaignCheckpoint {
                 let restart = match ctx.preseg_snapshots.get(&r.id) {
                     Some(text) => text.clone(),
                     None => {
-                        let sys = r.system.lock();
+                        let sys = lock_system(&r.system);
                         mdsim::io::restart::write_restart_with_cycle(
                             &format!("replica {}", r.id),
                             &sys.state,
@@ -282,7 +283,7 @@ impl CampaignCheckpoint {
                 .get_mut(rc.id)
                 .ok_or_else(|| format!("checkpoint names unknown replica {}", rc.id))?;
             {
-                let mut sys = r.system.lock();
+                let mut sys = lock_system(&r.system);
                 if sys.state.n_atoms() != state.n_atoms() {
                     return Err(format!(
                         "checkpoint replica {} has {} atoms but the config builds {}",
@@ -381,7 +382,7 @@ mod tests {
         ctx.telemetry_seq = 9;
         ctx.record_samples_at(1, 0, &[(0.25, -0.5)]);
         {
-            let mut sys = ctx.replicas[2].system.lock();
+            let mut sys = lock_system(&ctx.replicas[2].system);
             sys.state.positions[0] = mdsim::Vec3::new(0.1 + 0.2, -7.25, 1e-9);
             sys.state.step = 4242;
         }
@@ -406,7 +407,7 @@ mod tests {
         assert_eq!(back.completed_cycles, 5);
         assert_eq!(back.telemetry_seq, 9, "snapshot cursor survives resume");
         // Microstate round-trips bit-exactly, clock fast-forwards.
-        let sys = back.replicas[2].system.lock();
+        let sys = lock_system(&back.replicas[2].system);
         assert_eq!(sys.state.positions[0].x, 0.1 + 0.2);
         assert_eq!(sys.state.step, 4242);
         drop(sys);
@@ -450,11 +451,11 @@ mod tests {
     fn async_in_flight_uses_preseg_snapshot() {
         let mut ctx = build_ctx(small_cfg()).unwrap();
         let pre = {
-            let sys = ctx.replicas[1].system.lock();
+            let sys = lock_system(&ctx.replicas[1].system);
             mdsim::io::restart::write_restart_with_cycle("pre", &sys.state, 3)
         };
         // The segment already ran eagerly: the live System has moved on.
-        ctx.replicas[1].system.lock().state.positions[0] = mdsim::Vec3::new(9.0, 9.0, 9.0);
+        lock_system(&ctx.replicas[1].system).state.positions[0] = mdsim::Vec3::new(9.0, 9.0, 9.0);
         ctx.preseg_snapshots.insert(1, pre.clone());
         let st = AsyncSchedulerState { in_flight: vec![(1, 0)], ..Default::default() };
         let cp = CampaignCheckpoint::capture(&ctx, SchedulerState::Async(st), &[]);

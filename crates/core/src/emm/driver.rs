@@ -12,6 +12,7 @@
 use super::{attempt_seed, attempt_task_name, emit_live, DriverCtx};
 use crate::checkpoint::SchedulerState;
 use crate::config::FaultPolicy;
+use crate::replica::lock_system;
 use crate::report::CycleReport;
 use crate::task::TaskResult;
 use obs::Event;
@@ -174,7 +175,7 @@ impl Core {
         // A retry runs an independent trajectory under a fresh unit name.
         spec.seed = attempt_seed(spec.seed, slot, attempt);
         if self.snapshot_md {
-            let sys = ctx.replicas[replica].system.lock();
+            let sys = lock_system(&ctx.replicas[replica].system);
             let text = mdsim::io::restart::write_restart_with_cycle(
                 &format!("replica {replica}"),
                 &sys.state,

@@ -17,7 +17,7 @@ pub mod sync;
 use crate::amm::{Amm, MdSpec};
 use crate::config::{EngineChoice, Pattern, SimulationConfig};
 use crate::ram::{ExchangeInput, GroupInput, SlotInput};
-use crate::replica::{Replica, SlotParams};
+use crate::replica::{lock_system, Replica, SlotParams};
 use crate::task::TaskResult;
 use exchange::multidim::ParamGrid;
 use exchange::stats::{AcceptanceStats, RoundTripTracker};
@@ -417,7 +417,7 @@ impl DriverCtx {
 }
 
 fn rescale_velocities(replica: &Replica, factor: f64) {
-    let mut sys = replica.system.lock();
+    let mut sys = lock_system(&replica.system);
     for v in &mut sys.state.velocities {
         *v *= factor;
     }
@@ -603,7 +603,7 @@ mod tests {
         let mut ctx = small_ctx();
         // Give replica 0 known velocities.
         {
-            let mut sys = ctx.replicas[0].system.lock();
+            let mut sys = lock_system(&ctx.replicas[0].system);
             for v in &mut sys.state.velocities {
                 *v = mdsim::Vec3::new(1.0, 0.0, 0.0);
             }
@@ -615,7 +615,7 @@ mod tests {
         assert_eq!(ctx.slot_owner[1], 0);
         assert_eq!(ctx.replicas[0].slot, 1);
         assert_eq!(ctx.replicas[1].slot, 0);
-        let v = ctx.replicas[0].system.lock().state.velocities[0].x;
+        let v = lock_system(&ctx.replicas[0].system).state.velocities[0].x;
         assert!(
             (v - (t1 / t0).sqrt()).abs() < 1e-12,
             "velocity rescaled by sqrt(T_new/T_old): {v}"

@@ -7,6 +7,7 @@
 //! evaluations per candidate pair through the engine (the cost the paper
 //! singles out as dominating S-REMD).
 
+use crate::replica::lock_system;
 use crate::task::ExchangeReport;
 use exchange::metropolis::{
     hamiltonian_delta, metropolis_accept, temperature_delta, umbrella_delta,
@@ -16,10 +17,9 @@ use exchange::param::ExchangeParam;
 use exchange::stats::AcceptanceStats;
 use mdsim::engine::{MdEngine, SinglePointRequest};
 use mdsim::{DihedralRestraint, System};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-slot data the exchange needs.
 pub struct SlotInput {
@@ -113,8 +113,8 @@ fn pair_delta(
             let ra = sa.param.as_restraint().expect("umbrella param");
             let rb = sb.param.as_restraint().expect("umbrella param");
             let (phi_a, phi_b) = {
-                let sys_a = sa.system.lock();
-                let sys_b = sb.system.lock();
+                let sys_a = lock_system(&sa.system);
+                let sys_b = lock_system(&sb.system);
                 (
                     sys_a
                         .named_dihedral_angle(&ra.dihedral)
@@ -139,8 +139,8 @@ fn pair_delta(
                 SinglePointRequest::new(*ca, sa.ph, &sa.restraints),
                 SinglePointRequest::new(*cb, sb.ph, &sb.restraints),
             ];
-            let sys_a = sa.system.lock();
-            let sys_b = sb.system.lock();
+            let sys_a = lock_system(&sa.system);
+            let sys_b = lock_system(&sb.system);
             let on_a = engine.single_points_with(&sys_a, &requests);
             let on_b = engine.single_points_with(&sys_b, &requests);
             Ok(hamiltonian_delta(
@@ -160,8 +160,8 @@ fn pair_delta(
                 SinglePointRequest::new(sa.salt_molar, *pa, &sa.restraints),
                 SinglePointRequest::new(sb.salt_molar, *pb, &sb.restraints),
             ];
-            let sys_a = sa.system.lock();
-            let sys_b = sb.system.lock();
+            let sys_a = lock_system(&sa.system);
+            let sys_b = lock_system(&sb.system);
             let on_a = engine.single_points_with(&sys_a, &requests);
             let on_b = engine.single_points_with(&sys_b, &requests);
             Ok(hamiltonian_delta(

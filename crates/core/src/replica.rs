@@ -4,8 +4,14 @@
 use exchange::multidim::ParamGrid;
 use exchange::param::ExchangeParam;
 use mdsim::{DihedralRestraint, System};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Lock a replica's microstate. A payload that panicked mid-segment fails
+/// its unit; it must not also wedge the replica for the relaunch or the
+/// checkpoint, so a poisoned lock is recovered.
+pub fn lock_system(system: &Mutex<System>) -> MutexGuard<'_, System> {
+    system.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A replica: identity, current grid slot, and the shared microstate handle
 /// that MD and exchange tasks operate on.
@@ -147,6 +153,6 @@ mod tests {
         assert_eq!(r.slot, 7);
         assert_eq!(r.segments_done, 0);
         assert!(!r.stale);
-        assert_eq!(r.system.lock().n_atoms(), mdsim::models::BACKBONE_ATOMS);
+        assert_eq!(lock_system(&r.system).n_atoms(), mdsim::models::BACKBONE_ATOMS);
     }
 }

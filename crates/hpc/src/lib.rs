@@ -13,7 +13,6 @@
 pub mod cluster;
 pub mod events;
 pub mod fault;
-pub mod filesystem;
 pub mod perfmodel;
 pub mod pool;
 pub mod queue;
@@ -24,7 +23,6 @@ pub mod timeline;
 pub use cluster::{ClusterSpec, FilesystemSpec};
 pub use events::EventQueue;
 pub use fault::{FaultModel, FaultModelError, HazardModel};
-pub use filesystem::SharedFilesystem;
 pub use perfmodel::{EngineKind, ExchangeKind, PerfModel};
 pub use pool::{CorePool, PoolError};
 pub use scenario::Scenario;

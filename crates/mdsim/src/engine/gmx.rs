@@ -8,10 +8,9 @@
 //!   `tau-t` instead of a friction constant (γ = 1/τ), cutoffs in nm;
 //! * the `sd` integrator (GROMACS's Langevin) is the only supported one.
 
-use super::{EngineError, MdEngine, MdJob, MdOutput};
+use super::{MdEngine, MdJob};
 use crate::forcefield::{DihedralRestraint, NonbondedParams};
 use crate::io::mdp::MdpConfig;
-use crate::system::System;
 
 /// GROMACS-analogue MD engine.
 #[derive(Debug, Clone, Default)]
@@ -35,25 +34,10 @@ impl GmxEngine {
             seed: cfg.ld_seed,
             salt_molar: cfg.salt_concentration,
             ph: cfg.solvent_ph,
-            restraints: cfg
-                .dihres
-                .iter()
-                .map(|(name, center, k)| DihedralRestraint::new(name.clone(), *k, *center))
-                .collect(),
+            restraints: DihedralRestraint::from_triples(&cfg.dihres),
             sample_stride: 0,
             sample_warmup: 0,
         }
-    }
-
-    /// Run directly from `.mdp` text.
-    pub fn run_mdp_text(
-        &self,
-        system: &mut System,
-        mdp_text: &str,
-        sample_stride: u64,
-    ) -> Result<MdOutput, EngineError> {
-        let cfg = MdpConfig::parse(mdp_text).map_err(|e| EngineError::BadInput(e.to_string()))?;
-        self.run(system, &MdJob { sample_stride, ..Self::job_from_mdp(&cfg) })
     }
 }
 
@@ -70,41 +54,10 @@ mod tests {
     use crate::models::{alanine_dipeptide, dipeptide_forcefield};
 
     #[test]
-    fn runs_from_mdp_text() {
-        let engine = GmxEngine::new(dipeptide_forcefield().nonbonded);
-        let mut sys = alanine_dipeptide();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        use rand::SeedableRng;
-        sys.assign_maxwell_boltzmann(300.0, &mut rng);
-        let mdp = "\
-integrator = sd
-nsteps = 200
-dt = 0.002
-ref-t = 320
-tau-t = 0.2
-ld-seed = 7
-dihres = phi 60 0.02
-";
-        let out = engine.run_mdp_text(&mut sys, mdp, 50).unwrap();
-        assert_eq!(out.final_state.step, 200);
-        assert_eq!(out.dihedral_trace.len(), 4);
-    }
-
-    #[test]
     fn mdp_units_translate() {
         let cfg = MdpConfig { tau_t: 0.25, ..Default::default() };
         let job = GmxEngine::job_from_mdp(&cfg);
         assert!((job.gamma_ps - 4.0).abs() < 1e-12, "gamma = 1/tau");
-    }
-
-    #[test]
-    fn bad_mdp_is_engine_error() {
-        let engine = GmxEngine::default();
-        let mut sys = alanine_dipeptide();
-        assert!(matches!(
-            engine.run_mdp_text(&mut sys, "integrator = md\n", 0),
-            Err(EngineError::BadInput(_))
-        ));
     }
 
     #[test]

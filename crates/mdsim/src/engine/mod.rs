@@ -5,12 +5,13 @@
 //! propagates a [`System`], and reports energies. The physics is shared —
 //! one Langevin segment loop ([`run_langevin`]) and one single-point path,
 //! both provided by [`MdEngine`] over an engine's base parameters and its
-//! force kernel — so an engine is what it adds to them:
+//! thread count — so an engine is what it adds to them:
 //!
-//! * [`SanderEngine`] — the Amber `sander` analogue: the serial kernel,
-//!   nothing else.
-//! * [`PmemdEngine`] — the `pmemd.MPI` analogue: the Rayon-parallel kernel;
-//!   like the real code it refuses to run on a single core.
+//! * [`SanderEngine`] — the Amber `sander` analogue: one thread, nothing
+//!   else.
+//! * [`PmemdEngine`] — the `pmemd.MPI` analogue: the force evaluation on as
+//!   many threads as the replica has cores; like the real code it refuses
+//!   to run on a single core.
 //! * [`NamdEngine`] — NAMD-style configuration (fs time step), its own RNG
 //!   stream, and velocities drawn at the start of a cold run.
 //! * [`GmxEngine`] — `.mdp` configuration (`tau-t` for friction, nm cutoffs).
@@ -28,7 +29,7 @@ pub use sander::SanderEngine;
 use crate::forcefield::{
     DihedralRestraint, EnergyBreakdown, EvalContext, ForceField, NonbondedParams,
 };
-use crate::integrator::{EvalMode, Integrator, LangevinBaoab};
+use crate::integrator::LangevinBaoab;
 use crate::io::mdinfo::MdInfo;
 use crate::system::{State, System};
 use rand::rngs::StdRng;
@@ -138,22 +139,20 @@ impl std::error::Error for EngineError {}
 /// The black-box MD engine interface the framework programs against.
 ///
 /// An implementation names its parameters ([`MdEngine::base`], and
-/// [`MdEngine::eval_mode`] when it is not the serial kernel); running a
-/// segment and evaluating single points are provided over those two.
+/// [`MdEngine::threads`] when it is more than one); running a segment and
+/// evaluating single points are provided over those two.
 pub trait MdEngine: Send + Sync {
     /// Base nonbonded parameters; a job's salt and pH override them.
     fn base(&self) -> &NonbondedParams;
 
-    /// The force kernel this engine evaluates with.
-    fn eval_mode(&self) -> EvalMode {
-        EvalMode::Serial
+    /// Threads a force or energy evaluation runs on.
+    fn threads(&self) -> usize {
+        1
     }
 
     /// Propagate `system` in place according to `job`.
     fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        run_langevin(system, job, self.base(), self.eval_mode(), |_| {
-            StdRng::seed_from_u64(job.seed)
-        })
+        run_langevin(system, job, self.base(), self.threads(), |_| StdRng::seed_from_u64(job.seed))
     }
 
     /// Single-point energy under given salt/pH/restraint parameters,
@@ -167,7 +166,7 @@ pub trait MdEngine: Send + Sync {
         restraints: &[DihedralRestraint],
     ) -> EnergyBreakdown {
         let request = SinglePointRequest::new(salt_molar, ph, restraints);
-        single_point(self.base(), self.eval_mode(), system, &request, &mut EvalContext::new())
+        single_point(self.base(), self.threads(), system, &request, &mut EvalContext::new())
     }
 
     /// Single-point energy at neutral pH (convenience).
@@ -194,25 +193,22 @@ pub trait MdEngine: Send + Sync {
         requests: &[SinglePointRequest<'_>],
     ) -> Vec<EnergyBreakdown> {
         let mut ctx = EvalContext::new();
-        let (base, mode) = (self.base(), self.eval_mode());
-        requests.iter().map(|r| single_point(base, mode, system, r, &mut ctx)).collect()
+        let (base, threads) = (self.base(), self.threads());
+        requests.iter().map(|r| single_point(base, threads, system, r, &mut ctx)).collect()
     }
 }
 
-/// One single-point energy (no force accumulation) on the kernel `mode`
-/// names, through a context the caller may share across requests.
+/// One single-point energy (no force accumulation) on `threads` threads,
+/// through a context the caller may share across requests.
 fn single_point(
     base: &NonbondedParams,
-    mode: EvalMode,
+    threads: usize,
     system: &System,
     request: &SinglePointRequest<'_>,
     ctx: &mut EvalContext,
 ) -> EnergyBreakdown {
-    let ff = job_forcefield(base, request.salt_molar, request.ph, request.restraints);
-    match mode {
-        EvalMode::Parallel => ff.energy_par_ctx(system, ctx),
-        EvalMode::Serial | EvalMode::SerialScalar => ff.energy_ctx(system, ctx),
-    }
+    job_forcefield(base, request.salt_molar, request.ph, request.restraints)
+        .evaluate(system, ctx, None, threads)
 }
 
 /// The one MD segment loop: Langevin (BAOAB) dynamics for `job.steps` steps
@@ -227,7 +223,7 @@ pub(crate) fn run_langevin(
     system: &mut System,
     job: &MdJob,
     base: &NonbondedParams,
-    mode: EvalMode,
+    threads: usize,
     prelude: impl FnOnce(&mut System) -> StdRng,
 ) -> Result<MdOutput, EngineError> {
     /// Look for non-finite coordinates every this many steps.
@@ -239,7 +235,7 @@ pub(crate) fn run_langevin(
     let mut trace = Vec::new();
     let mut last = ff.energy(system);
     for step in 1..=job.steps {
-        last = integ.step(system, &ff, mode, &mut rng);
+        last = integ.step(system, &ff, threads, &mut rng);
         if job.sample_stride > 0 && step > job.sample_warmup && step % job.sample_stride == 0 {
             if let (Some(phi), Some(psi)) =
                 (system.named_dihedral_angle("phi"), system.named_dihedral_angle("psi"))

@@ -13,7 +13,6 @@
 
 use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
 use crate::forcefield::{DihedralRestraint, NonbondedParams};
-use crate::integrator::EvalMode;
 use crate::io::namdconf::NamdConfig;
 use crate::system::System;
 use rand::rngs::StdRng;
@@ -41,26 +40,10 @@ impl NamdEngine {
             seed: cfg.seed,
             salt_molar: cfg.salt_concentration,
             ph: cfg.solvent_ph,
-            restraints: cfg
-                .restraints
-                .iter()
-                .map(|(name, center, k)| DihedralRestraint::new(name.clone(), *k, *center))
-                .collect(),
+            restraints: DihedralRestraint::from_triples(&cfg.restraints),
             sample_stride: 0,
             sample_warmup: 0,
         }
-    }
-
-    /// Run directly from NAMD-style configuration text.
-    pub fn run_config_text(
-        &self,
-        system: &mut System,
-        config_text: &str,
-        sample_stride: u64,
-    ) -> Result<MdOutput, EngineError> {
-        let cfg =
-            NamdConfig::parse(config_text).map_err(|e| EngineError::BadInput(e.to_string()))?;
-        self.run(system, &MdJob { sample_stride, ..Self::job_from_config(&cfg) })
     }
 }
 
@@ -70,7 +53,7 @@ impl MdEngine for NamdEngine {
     }
 
     fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        run_langevin(system, job, &self.base, EvalMode::Serial, |system| {
+        run_langevin(system, job, &self.base, 1, |system| {
             // Its own noise stream, not the Amber family's under the same
             // seed: salted with "NAMD".
             let mut rng = StdRng::seed_from_u64(job.seed ^ 0x4e41_4d44);
@@ -91,24 +74,6 @@ mod tests {
     use crate::models::{alanine_dipeptide, dipeptide_forcefield};
 
     #[test]
-    fn runs_from_config_text() {
-        let engine = NamdEngine::new(dipeptide_forcefield().nonbonded);
-        let mut sys = alanine_dipeptide();
-        let cfg = "\
-numsteps 300
-timestep 2.0
-temperature 320
-langevinDamping 5
-seed 77
-harmonicDihedral phi 60 0.02
-";
-        let out = engine.run_config_text(&mut sys, cfg, 50).unwrap();
-        assert_eq!(out.final_state.step, 300);
-        assert_eq!(out.dihedral_trace.len(), 6);
-        assert!(out.mdinfo.restraint >= 0.0);
-    }
-
-    #[test]
     fn cold_start_assigns_velocities() {
         let engine = NamdEngine::new(dipeptide_forcefield().nonbonded);
         let mut sys = alanine_dipeptide(); // zero velocities
@@ -116,14 +81,6 @@ harmonicDihedral phi 60 0.02
         let job = MdJob { steps: 10, temperature: 300.0, ..Default::default() };
         engine.run(&mut sys, &job).unwrap();
         assert!(sys.kinetic_energy() > 0.0);
-    }
-
-    #[test]
-    fn bad_config_is_engine_error() {
-        let engine = NamdEngine::default();
-        let mut sys = alanine_dipeptide();
-        let err = engine.run_config_text(&mut sys, "bogusKeyword 1\n", 0).unwrap_err();
-        assert!(matches!(err, EngineError::BadInput(_)));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! `pmemd.MPI`-analogue: the parallel Amber-family engine.
 //!
-//! Uses the Rayon-parallel force evaluation. Like the real `pmemd.MPI` (and
-//! as the paper notes in the Fig. 12 experiment), it cannot run on a single
-//! core — RepEx switches executables between `sander` and `pmemd.MPI` based
-//! on the cores-per-replica setting, and our AMM does the same.
+//! The one force evaluation on `cores` threads (scoped workers over a pair
+//! partition that depends on the pair count and `cores` only, so a replica's
+//! energies do not depend on the host; see [`crate::forcefield`]). Like the
+//! real `pmemd.MPI` (and as the paper notes in the Fig. 12 experiment), it
+//! cannot run on a single core — RepEx switches executables between `sander`
+//! and `pmemd.MPI` based on the cores-per-replica setting, and our AMM does
+//! the same.
 
 use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
 use crate::forcefield::NonbondedParams;
-use crate::integrator::EvalMode;
 use crate::system::System;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,8 +21,7 @@ const MIN_CORES: usize = 2;
 #[derive(Debug, Clone)]
 pub struct PmemdEngine {
     pub base: NonbondedParams,
-    /// Cores this instance is configured to use (for validation only; the
-    /// actual parallelism is the Rayon pool of the executing task).
+    /// Cores per replica: the thread count of every evaluation.
     pub cores: usize,
 }
 
@@ -35,10 +36,8 @@ impl MdEngine for PmemdEngine {
         &self.base
     }
 
-    /// Single points take the energy-only parallel path too: no force
-    /// accumulation.
-    fn eval_mode(&self) -> EvalMode {
-        EvalMode::Parallel
+    fn threads(&self) -> usize {
+        self.cores
     }
 
     fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
@@ -49,7 +48,7 @@ impl MdEngine for PmemdEngine {
                 minimum: MIN_CORES,
             });
         }
-        run_langevin(system, job, &self.base, self.eval_mode(), |_| StdRng::seed_from_u64(job.seed))
+        run_langevin(system, job, &self.base, self.cores, |_| StdRng::seed_from_u64(job.seed))
     }
 }
 

@@ -1,50 +1,42 @@
 //! Bonded force-field terms: harmonic bonds, harmonic angles and periodic
-//! torsions. Each function accumulates forces in-place and returns the term
-//! energy. All formulations are validated against finite differences in the
-//! module tests of [`crate::forcefield`].
+//! torsions. Each term is one function returning the term energy and, when
+//! handed a force buffer, accumulating forces into it — the `Option` idiom
+//! of `soa.rs`, so the energy-only and energy+force paths are the same
+//! expressions and agree bitwise. All formulations are validated against
+//! finite differences in the tests of [`crate::forcefield`] and `tests/evaluate.rs`.
 
 use crate::system::PbcBox;
 use crate::topology::{Angle, Bond, Torsion};
 use crate::vec3::Vec3;
 
 /// Harmonic bond energy `k (r - r0)^2` (Amber convention, no 1/2 factor).
-pub fn bond_energy_force(
+pub fn bond_energy(
     bond: &Bond,
     positions: &[Vec3],
     pbc: &PbcBox,
-    forces: &mut [Vec3],
+    forces: Option<&mut [Vec3]>,
 ) -> f64 {
     let (i, j) = (bond.i as usize, bond.j as usize);
     let d = pbc.min_image(positions[i], positions[j]);
     let r = d.norm();
     let dr = r - bond.r0;
-    let energy = bond.k * dr * dr;
-    if r > 1e-12 {
-        // dE/dr = 2 k (r - r0); force on i is -dE/dr * d/r.
-        let f = d * (-2.0 * bond.k * dr / r);
-        forces[i] += f;
-        forces[j] -= f;
+    if let Some(forces) = forces {
+        if r > 1e-12 {
+            // dE/dr = 2 k (r - r0); force on i is -dE/dr * d/r.
+            let f = d * (-2.0 * bond.k * dr / r);
+            forces[i] += f;
+            forces[j] -= f;
+        }
     }
-    energy
-}
-
-/// Energy of a harmonic bond without force accumulation (single-point path).
-/// Uses the same expressions as [`bond_energy_force`], so the two agree
-/// bitwise.
-pub fn bond_energy(bond: &Bond, positions: &[Vec3], pbc: &PbcBox) -> f64 {
-    let (i, j) = (bond.i as usize, bond.j as usize);
-    let d = pbc.min_image(positions[i], positions[j]);
-    let r = d.norm();
-    let dr = r - bond.r0;
     bond.k * dr * dr
 }
 
 /// Harmonic angle energy `k (theta - theta0)^2`.
-pub fn angle_energy_force(
+pub fn angle_energy(
     angle: &Angle,
     positions: &[Vec3],
     pbc: &PbcBox,
-    forces: &mut [Vec3],
+    forces: Option<&mut [Vec3]>,
 ) -> f64 {
     let (i, j, k) = (angle.i as usize, angle.j as usize, angle.k_atom as usize);
     let u = pbc.min_image(positions[i], positions[j]);
@@ -57,32 +49,16 @@ pub fn angle_energy_force(
     let cos_t = (u.dot(v) / (nu * nv)).clamp(-1.0, 1.0);
     let theta = cos_t.acos();
     let dtheta = theta - angle.theta0;
-    let energy = angle.k * dtheta * dtheta;
-
-    let sin_t = (1.0 - cos_t * cos_t).sqrt().max(1e-8);
-    let de_dtheta = 2.0 * angle.k * dtheta;
-    // dtheta/dri = -(v_hat - u_hat cos_t) / (|u| sin_t); F_i = -dE/dtheta * dtheta/dri.
-    let fi = (v / nv - u * (cos_t / nu)) * (de_dtheta / (nu * sin_t));
-    let fk = (u / nu - v * (cos_t / nv)) * (de_dtheta / (nv * sin_t));
-    forces[i] += fi;
-    forces[k] += fk;
-    forces[j] -= fi + fk;
-    energy
-}
-
-/// Energy of a harmonic angle without force accumulation.
-pub fn angle_energy(angle: &Angle, positions: &[Vec3], pbc: &PbcBox) -> f64 {
-    let (i, j, k) = (angle.i as usize, angle.j as usize, angle.k_atom as usize);
-    let u = pbc.min_image(positions[i], positions[j]);
-    let v = pbc.min_image(positions[k], positions[j]);
-    let nu = u.norm();
-    let nv = v.norm();
-    if nu < 1e-12 || nv < 1e-12 {
-        return 0.0;
+    if let Some(forces) = forces {
+        let sin_t = (1.0 - cos_t * cos_t).sqrt().max(1e-8);
+        let de_dtheta = 2.0 * angle.k * dtheta;
+        // dtheta/dri = -(v_hat - u_hat cos_t) / (|u| sin_t); F_i = -dE/dtheta * dtheta/dri.
+        let fi = (v / nv - u * (cos_t / nu)) * (de_dtheta / (nu * sin_t));
+        let fk = (u / nu - v * (cos_t / nv)) * (de_dtheta / (nv * sin_t));
+        forces[i] += fi;
+        forces[k] += fk;
+        forces[j] -= fi + fk;
     }
-    let cos_t = (u.dot(v) / (nu * nv)).clamp(-1.0, 1.0);
-    let theta = cos_t.acos();
-    let dtheta = theta - angle.theta0;
     angle.k * dtheta * dtheta
 }
 
@@ -147,11 +123,11 @@ pub(crate) fn apply_dihedral_force(
 }
 
 /// Periodic torsion energy `k (1 + cos(n phi - delta))`.
-pub fn torsion_energy_force(
+pub fn torsion_energy(
     torsion: &Torsion,
     positions: &[Vec3],
     pbc: &PbcBox,
-    forces: &mut [Vec3],
+    forces: Option<&mut [Vec3]>,
 ) -> f64 {
     let (i, j, k, l) =
         (torsion.i as usize, torsion.j as usize, torsion.k_atom as usize, torsion.l as usize);
@@ -162,23 +138,10 @@ pub fn torsion_energy_force(
     };
     let n = torsion.n as f64;
     let arg = n * phi - torsion.delta;
-    let energy = torsion.k * (1.0 + arg.cos());
-    let de_dphi = -torsion.k * n * arg.sin();
-    apply_dihedral_force([i, j, k, l], de_dphi, b1, b2, b3, n1, n2, forces);
-    energy
-}
-
-/// Energy of a periodic torsion without force accumulation.
-pub fn torsion_energy(torsion: &Torsion, positions: &[Vec3], pbc: &PbcBox) -> f64 {
-    let (i, j, k, l) =
-        (torsion.i as usize, torsion.j as usize, torsion.k_atom as usize, torsion.l as usize);
-    let Some((phi, ..)) =
-        dihedral_geometry(positions[i], positions[j], positions[k], positions[l], pbc)
-    else {
-        return 0.0;
-    };
-    let n = torsion.n as f64;
-    let arg = n * phi - torsion.delta;
+    if let Some(forces) = forces {
+        let de_dphi = -torsion.k * n * arg.sin();
+        apply_dihedral_force([i, j, k, l], de_dphi, b1, b2, b3, n1, n2, forces);
+    }
     torsion.k * (1.0 + arg.cos())
 }
 
@@ -187,7 +150,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn energy_only_matches_energy_force_variants() {
+    fn energy_is_the_same_bits_with_and_without_a_force_buffer() {
         let pos = [
             Vec3::new(0.1, 1.0, 0.2),
             Vec3::new(0.0, 0.0, 0.1),
@@ -197,14 +160,20 @@ mod tests {
         let pbc = PbcBox::VACUUM;
         let mut f = vec![Vec3::ZERO; 4];
         let bond = Bond { i: 0, j: 1, k: 120.0, r0: 1.2 };
-        assert_eq!(bond_energy(&bond, &pos, &pbc), bond_energy_force(&bond, &pos, &pbc, &mut f));
+        assert_eq!(
+            bond_energy(&bond, &pos, &pbc, None),
+            bond_energy(&bond, &pos, &pbc, Some(&mut f))
+        );
         let angle = Angle { i: 0, j: 1, k_atom: 2, k: 35.0, theta0: 1.9 };
         assert_eq!(
-            angle_energy(&angle, &pos, &pbc),
-            angle_energy_force(&angle, &pos, &pbc, &mut f)
+            angle_energy(&angle, &pos, &pbc, None),
+            angle_energy(&angle, &pos, &pbc, Some(&mut f))
         );
         let t = Torsion { i: 0, j: 1, k_atom: 2, l: 3, k: 3.0, n: 3, delta: 0.4 };
-        assert_eq!(torsion_energy(&t, &pos, &pbc), torsion_energy_force(&t, &pos, &pbc, &mut f));
+        assert_eq!(
+            torsion_energy(&t, &pos, &pbc, None),
+            torsion_energy(&t, &pos, &pbc, Some(&mut f))
+        );
     }
 
     #[test]
@@ -212,7 +181,7 @@ mod tests {
         let bond = Bond { i: 0, j: 1, k: 300.0, r0: 1.5 };
         let pos = [Vec3::ZERO, Vec3::new(1.5, 0.0, 0.0)];
         let mut f = vec![Vec3::ZERO; 2];
-        let e = bond_energy_force(&bond, &pos, &PbcBox::VACUUM, &mut f);
+        let e = bond_energy(&bond, &pos, &PbcBox::VACUUM, Some(&mut f));
         assert!(e.abs() < 1e-12);
         assert!(f[0].norm() < 1e-12);
     }
@@ -222,7 +191,7 @@ mod tests {
         let bond = Bond { i: 0, j: 1, k: 100.0, r0: 1.0 };
         let pos = [Vec3::ZERO, Vec3::new(2.0, 0.0, 0.0)];
         let mut f = vec![Vec3::ZERO; 2];
-        let e = bond_energy_force(&bond, &pos, &PbcBox::VACUUM, &mut f);
+        let e = bond_energy(&bond, &pos, &PbcBox::VACUUM, Some(&mut f));
         assert!((e - 100.0).abs() < 1e-12); // k * (2-1)^2
         assert!(f[0].x > 0.0, "atom 0 pulled toward atom 1");
         assert!(f[1].x < 0.0);
@@ -234,7 +203,7 @@ mod tests {
         let angle = Angle { i: 0, j: 1, k_atom: 2, k: 50.0, theta0: std::f64::consts::FRAC_PI_2 };
         let pos = [Vec3::new(1.0, 0.0, 0.0), Vec3::ZERO, Vec3::new(0.0, 1.0, 0.0)];
         let mut f = vec![Vec3::ZERO; 3];
-        let e = angle_energy_force(&angle, &pos, &PbcBox::VACUUM, &mut f);
+        let e = angle_energy(&angle, &pos, &PbcBox::VACUUM, Some(&mut f));
         assert!(e.abs() < 1e-12);
         assert!(f.iter().all(|v| v.norm() < 1e-9));
     }
@@ -244,7 +213,7 @@ mod tests {
         let angle = Angle { i: 0, j: 1, k_atom: 2, k: 35.0, theta0: 1.9 };
         let pos = [Vec3::new(1.0, 0.3, -0.2), Vec3::ZERO, Vec3::new(-0.4, 1.1, 0.6)];
         let mut f = vec![Vec3::ZERO; 3];
-        angle_energy_force(&angle, &pos, &PbcBox::VACUUM, &mut f);
+        angle_energy(&angle, &pos, &PbcBox::VACUUM, Some(&mut f));
         let total: Vec3 = f.iter().copied().sum();
         assert!(total.norm() < 1e-10);
     }
@@ -260,7 +229,7 @@ mod tests {
             Vec3::new(1.0, -1.0, 0.0),
         ];
         let mut f = vec![Vec3::ZERO; 4];
-        let e = torsion_energy_force(&t, &pos, &PbcBox::VACUUM, &mut f);
+        let e = torsion_energy(&t, &pos, &PbcBox::VACUUM, Some(&mut f));
         assert!(e.abs() < 1e-9, "E = {e}");
         assert!(f.iter().all(|v| v.norm() < 1e-8));
     }
@@ -275,7 +244,7 @@ mod tests {
             Vec3::new(1.3, -0.9, 0.7),
         ];
         let mut f = vec![Vec3::ZERO; 4];
-        torsion_energy_force(&t, &pos, &PbcBox::VACUUM, &mut f);
+        torsion_energy(&t, &pos, &PbcBox::VACUUM, Some(&mut f));
         let total: Vec3 = f.iter().copied().sum();
         assert!(total.norm() < 1e-10, "net force {}", total.norm());
     }
@@ -291,7 +260,7 @@ mod tests {
             Vec3::new(3.0, 0.0, 0.0),
         ];
         let mut f = vec![Vec3::ZERO; 4];
-        let e = torsion_energy_force(&t, &pos, &PbcBox::VACUUM, &mut f);
+        let e = torsion_energy(&t, &pos, &PbcBox::VACUUM, Some(&mut f));
         assert_eq!(e, 0.0);
         assert!(f.iter().all(|v| v.is_finite()));
     }

@@ -1,25 +1,33 @@
 //! The complete force field: bonded + nonbonded + umbrella restraints.
 //!
-//! [`ForceField::energy_forces_ctx`] is the serial evaluation used by the
-//! `sander`-like engine; [`ForceField::energy_forces_par_ctx`] is the
-//! Rayon-parallel evaluation used by the `pmemd`-like engine for multi-core
-//! replicas. Both produce identical energies (up to floating-point
-//! reassociation in the parallel reduction).
+//! There is one evaluation, [`ForceField::evaluate`]: bonded terms and
+//! restraints, then the blocked SoA nonbonded kernel (`soa.rs`) over the
+//! cached pair list, with the force buffer an `Option` from top to bottom —
+//! a single-point energy is the same expressions with the scatter skipped,
+//! so it agrees with the energy of a force evaluation bit for bit (exchange
+//! acceptance is only as exact as the single-point energies under it).
+//! [`ForceField::energy_forces_ctx`] and [`ForceField::energy_ctx`] are its
+//! two one-thread spellings.
+//!
+//! The thread count is the replica's core count (`PmemdEngine::cores`; 1 for
+//! every other engine). One thread evaluates the unsplit range `0..n_pairs`.
+//! More split the pair list into `min(threads, n_pairs / MIN_CHUNK_PAIRS)`
+//! contiguous chunks — boundaries a function of `(n_pairs, threads)` and
+//! nothing else, never of the host — run on `std::thread::scope` workers and
+//! merged in chunk order, so a multi-core replica's sums are the same on
+//! every machine.
 //!
 //! All hot paths take an [`EvalContext`], which owns the persistent state
 //! that makes repeated evaluations cheap: the Verlet neighbor list (reused
 //! across MD steps until an atom moves more than half the skin), the
 //! precomputed Lennard-Jones mixing table, the pH-adjusted charge buffer,
-//! the structure-of-arrays kernel lanes (see `soa.rs`) and the pooled
-//! per-chunk force buffers of the parallel reduction. The context-free
-//! wrappers ([`ForceField::energy_forces`] and friends) build a throwaway
-//! context and exist for one-shot calls and tests.
+//! the structure-of-arrays kernel lanes and the pooled per-chunk force
+//! buffers. [`ForceField::energy_forces`] and [`ForceField::energy`] build
+//! a throwaway context for one-shot calls and tests.
 //!
-//! The nonbonded inner loop itself lives in `soa.rs` as a blocked,
-//! branch-free pass over flat `f64` arrays;
-//! [`ForceField::energy_forces_scalar_ctx`] keeps the original
-//! pair-at-a-time kernel as the correctness reference and benchmark
-//! baseline.
+//! The oracle for the SoA kernel is the straight-line
+//! [`nonbonded::pair_energy_force`], looped over the neighbor list by the
+//! tests (`tests/evaluate.rs`).
 
 pub mod bonded;
 pub mod nonbonded;
@@ -33,9 +41,19 @@ use crate::neighbor::NeighborCache;
 use crate::system::System;
 use crate::vec3::Vec3;
 use nonbonded::{LjTable, NbScalars};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use soa::SoaNonbonded;
+use std::ops::Range;
+
+/// Fewest pairs a chunk of a multi-thread evaluation holds: below this the
+/// per-chunk O(N) force-buffer zero/merge and the thread hand-off cost more
+/// than the pairs.
+pub const MIN_CHUNK_PAIRS: usize = 4096;
+
+/// Pairs of chunk `c` of `n_chunks` over `n_pairs`.
+fn chunk_range(n_pairs: usize, n_chunks: usize, c: usize) -> Range<usize> {
+    c * n_pairs / n_chunks..(c + 1) * n_pairs / n_chunks
+}
 
 /// Energy decomposition mirroring an Amber `mdinfo` record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -65,9 +83,9 @@ impl EnergyBreakdown {
 ///
 /// Owns everything the force loop would otherwise rebuild or reallocate per
 /// call: the Verlet neighbor list, the LJ mixing table, the effective-charge
-/// buffer and the pooled force buffers of the parallel reduction. A context
-/// belongs to one [`System`] at a time; it detects coordinate, box, atom
-/// count and cutoff changes automatically and rebuilds what is stale, so
+/// buffer and the pooled force buffers of a multi-thread evaluation. A
+/// context belongs to one [`System`] at a time; it detects coordinate, box,
+/// atom count and cutoff changes automatically and rebuilds what is stale, so
 /// sharing one across the single-point evaluations of an exchange batch (same
 /// coordinates, different [`NonbondedParams`]) reuses the pair list for all
 /// of them.
@@ -79,8 +97,9 @@ pub struct EvalContext {
     /// Effective per-atom charges (base charge plus pH shift on titratable
     /// sites), refreshed every evaluation without allocating.
     charges: Vec<f64>,
-    /// Pooled per-chunk force buffers for the parallel reduction.
-    par_forces: Vec<Vec<Vec3>>,
+    /// Pooled force buffers of chunks `1..` of a multi-thread evaluation
+    /// (chunk 0 scatters straight into the caller's buffer).
+    chunk_forces: Vec<Vec<Vec3>>,
     /// Structure-of-arrays view of atoms and pairs for the vectorizable
     /// kernel; pair lanes are regathered only on neighbor-list rebuilds.
     soa: SoaNonbonded,
@@ -95,13 +114,7 @@ impl EvalContext {
     /// Context with an explicit skin width (0 = rebuild whenever the
     /// coordinates change at all; the fresh-build reference behavior).
     pub fn with_skin(skin: f64) -> Self {
-        EvalContext {
-            neighbors: NeighborCache::new(skin),
-            lj: None,
-            charges: Vec::new(),
-            par_forces: Vec::new(),
-            soa: SoaNonbonded::default(),
-        }
+        EvalContext { neighbors: NeighborCache::new(skin), ..Default::default() }
     }
 
     /// Drop all cached state (e.g. after the caller swapped to a different
@@ -115,10 +128,9 @@ impl EvalContext {
     fn prepare(&mut self, ff: &ForceField, system: &System) {
         let rebuilt = self.neighbors.ensure(system, ff.nonbonded.cutoff);
         let top = &system.topology;
-        let lj_fresh =
-            self.lj.as_ref().is_some_and(|t| t.matches(top.atoms.len(), ff.nonbonded.cutoff));
+        let lj_fresh = self.lj.as_ref().is_some_and(|t| t.matches(top.atoms.len()));
         if !lj_fresh {
-            self.lj = Some(LjTable::build(&top.atoms, ff.nonbonded.cutoff));
+            self.lj = Some(LjTable::build(&top.atoms));
         }
         self.charges.clear();
         self.charges.extend(top.atoms.iter().map(|a| a.charge));
@@ -132,6 +144,57 @@ impl EvalContext {
             self.soa.sync_pairs(self.neighbors.pairs(), table);
         }
         self.soa.sync_atoms(&system.state.positions, &self.charges, &system.pbc);
+    }
+
+    /// The nonbonded `(lj, coulomb)` sums over the prepared pair list on
+    /// `threads` threads, scattering forces when given a buffer.
+    fn nonbonded(
+        &mut self,
+        sc: &NbScalars,
+        mut forces: Option<&mut [Vec3]>,
+        threads: usize,
+    ) -> (f64, f64) {
+        let EvalContext { soa, chunk_forces, .. } = self;
+        let soa: &SoaNonbonded = soa;
+        let n_pairs = soa.n_pairs();
+        let n_chunks = threads.min(n_pairs / MIN_CHUNK_PAIRS).max(1);
+        if n_chunks == 1 {
+            return soa.eval(sc, 0..n_pairs, forces);
+        }
+        // One pooled buffer per spawned chunk: no per-call O(N) allocation
+        // and no atomics in the pair loop.
+        chunk_forces.resize_with(n_chunks - 1, Vec::new);
+        if let Some(f) = forces.as_deref() {
+            for buf in chunk_forces.iter_mut() {
+                buf.clear();
+                buf.resize(f.len(), Vec3::ZERO);
+            }
+        }
+        let scatter = forces.is_some();
+        let sums = std::thread::scope(|s| {
+            let workers: Vec<_> = chunk_forces
+                .iter_mut()
+                .enumerate()
+                .map(|(w, buf)| {
+                    let range = chunk_range(n_pairs, n_chunks, w + 1);
+                    s.spawn(move || soa.eval(sc, range, scatter.then_some(buf.as_mut_slice())))
+                })
+                .collect();
+            let head = soa.eval(sc, chunk_range(n_pairs, n_chunks, 0), forces.as_deref_mut());
+            // Chunk order, whatever order the workers finished in.
+            workers.into_iter().fold(head, |(lj, coul), w| {
+                let (l, c) = w.join().expect("a nonbonded worker panicked");
+                (lj + l, coul + c)
+            })
+        });
+        if let Some(forces) = forces {
+            for buf in chunk_forces.iter() {
+                for (f, p) in forces.iter_mut().zip(buf) {
+                    *f += *p;
+                }
+            }
+        }
+        sums
     }
 }
 
@@ -154,231 +217,70 @@ impl ForceField {
         self.restraints = restraints;
     }
 
-    /// Serial evaluation through a persistent context: fills `forces` (must
-    /// be `n_atoms` long, will be zeroed) and returns the energy breakdown.
-    /// The nonbonded loop runs the blocked SoA kernel.
+    /// The one evaluation: bonded terms, restraints and the nonbonded
+    /// kernel on `threads` threads (see the module docs for the partition).
+    /// With a force buffer (must be `n_atoms` long, is zeroed first) forces
+    /// are accumulated into it; the energies are the same bits either way.
+    pub fn evaluate(
+        &self,
+        system: &System,
+        ctx: &mut EvalContext,
+        mut forces: Option<&mut [Vec3]>,
+        threads: usize,
+    ) -> EnergyBreakdown {
+        if let Some(f) = forces.as_deref_mut() {
+            assert_eq!(f.len(), system.n_atoms());
+            f.fill(Vec3::ZERO);
+        }
+        let mut e = EnergyBreakdown::default();
+        let pos = &system.state.positions;
+        let pbc = &system.pbc;
+        let top = &system.topology;
+        for b in &top.bonds {
+            e.bond += bonded::bond_energy(b, pos, pbc, forces.as_deref_mut());
+        }
+        for a in &top.angles {
+            e.angle += bonded::angle_energy(a, pos, pbc, forces.as_deref_mut());
+        }
+        for t in &top.torsions {
+            e.torsion += bonded::torsion_energy(t, pos, pbc, forces.as_deref_mut());
+        }
+        for r in &self.restraints {
+            if let Some(d) = top.dihedral(&r.dihedral) {
+                e.restraint += r.energy(d.atoms, pos, pbc, forces.as_deref_mut());
+            }
+        }
+        ctx.prepare(self, system);
+        (e.lj, e.coulomb) = ctx.nonbonded(&NbScalars::new(&self.nonbonded), forces, threads);
+        e
+    }
+
+    /// One-thread evaluation through a persistent context: fills `forces`
+    /// and returns the energy breakdown.
     pub fn energy_forces_ctx(
         &self,
         system: &System,
         ctx: &mut EvalContext,
         forces: &mut [Vec3],
     ) -> EnergyBreakdown {
-        assert_eq!(forces.len(), system.n_atoms());
-        forces.fill(Vec3::ZERO);
-        let mut e = self.bonded_energy_forces(system, forces);
-        ctx.prepare(self, system);
-        let sc = NbScalars::new(&self.nonbonded);
-        let (lj, coul) = ctx.soa.eval(&sc, 0..ctx.soa.n_pairs(), Some(forces));
-        e.lj = lj;
-        e.coulomb = coul;
-        e
+        self.evaluate(system, ctx, Some(forces), 1)
     }
 
-    /// Serial evaluation over the scalar pair-at-a-time kernel
-    /// ([`nonbonded::LjTable::pair_eval`]). This is the reference path the
-    /// SoA kernel is validated against (to 1e-9 in the module proptests)
-    /// and the "before" side of `bench_neighbor`'s kernel comparison.
-    pub fn energy_forces_scalar_ctx(
-        &self,
-        system: &System,
-        ctx: &mut EvalContext,
-        forces: &mut [Vec3],
-    ) -> EnergyBreakdown {
-        assert_eq!(forces.len(), system.n_atoms());
-        forces.fill(Vec3::ZERO);
-        let mut e = self.bonded_energy_forces(system, forces);
-        ctx.prepare(self, system);
-        let sc = NbScalars::new(&self.nonbonded);
-        let table = ctx.lj.as_ref().expect("prepared");
-        let pos = &system.state.positions;
-        let pbc = &system.pbc;
-        let mut lj = 0.0;
-        let mut coul = 0.0;
-        for &(i, j) in ctx.neighbors.pairs() {
-            let (iu, ju) = (i as usize, j as usize);
-            let d = pbc.min_image(pos[iu], pos[ju]);
-            let r2 = d.norm_sq();
-            let (e_lj, e_coul, f_over_r) =
-                table.pair_eval(&sc, ctx.charges[iu], ctx.charges[ju], iu, ju, r2);
-            lj += e_lj;
-            coul += e_coul;
-            let f = d * f_over_r;
-            forces[iu] += f;
-            forces[ju] -= f;
-        }
-        e.lj = lj;
-        e.coulomb = coul;
-        e
-    }
-
-    /// Parallel evaluation through a persistent context, using Rayon for the
-    /// nonbonded loop (the dominant cost). Bonded terms stay serial: they
-    /// are O(N) with tiny constants. Chunk results are merged serially in
-    /// chunk order, so the result is deterministic for a given thread-pool
-    /// size.
-    pub fn energy_forces_par_ctx(
-        &self,
-        system: &System,
-        ctx: &mut EvalContext,
-        forces: &mut [Vec3],
-    ) -> EnergyBreakdown {
-        assert_eq!(forces.len(), system.n_atoms());
-        forces.fill(Vec3::ZERO);
-        let mut e = self.bonded_energy_forces(system, forces);
-        ctx.prepare(self, system);
-        let sc = NbScalars::new(&self.nonbonded);
-        let n = system.n_atoms();
-
-        // Disjoint borrows: the SoA lanes are read while the pooled force
-        // buffers are written.
-        let EvalContext { soa, par_forces, .. } = ctx;
-        let n_pairs = soa.n_pairs();
-
-        // Retuned for the SoA kernel: it chews through pairs ~2x faster
-        // than the scalar path, so chunks are bigger to keep the per-chunk
-        // O(N) force-buffer zero/merge from dominating.
-        let chunk = (n_pairs / (rayon::current_num_threads() * 2)).max(4096);
-        let n_chunks = n_pairs.div_ceil(chunk);
-        if par_forces.len() < n_chunks {
-            par_forces.resize_with(n_chunks, Vec::new);
-        }
-        for buf in par_forces.iter_mut().take(n_chunks) {
-            buf.resize(n, Vec3::ZERO);
-            buf.fill(Vec3::ZERO);
-        }
-
-        // Each Rayon task owns a pooled force buffer; no per-chunk O(N)
-        // allocation and no atomics in the hot pair loop.
-        let soa: &SoaNonbonded = soa;
-        let sums: Vec<(f64, f64)> = par_forces[..n_chunks]
-            .par_iter_mut()
-            .enumerate()
-            .map(|(c, local)| {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(n_pairs);
-                soa.eval(&sc, lo..hi, Some(local.as_mut_slice()))
-            })
-            .collect();
-        let mut lj = 0.0;
-        let mut coul = 0.0;
-        for &(l, c) in &sums {
-            lj += l;
-            coul += c;
-        }
-        for local in &par_forces[..n_chunks] {
-            for (f, p) in forces.iter_mut().zip(local) {
-                *f += *p;
-            }
-        }
-        e.lj = lj;
-        e.coulomb = coul;
-        e
-    }
-
-    /// Energy-only evaluation through a persistent context: no force
-    /// accumulation anywhere (single-point energies for exchange phases).
+    /// One-thread energy-only evaluation through a persistent context
+    /// (single-point energies for exchange phases).
     pub fn energy_ctx(&self, system: &System, ctx: &mut EvalContext) -> EnergyBreakdown {
-        let mut e = self.bonded_energy(system);
-        ctx.prepare(self, system);
-        let sc = NbScalars::new(&self.nonbonded);
-        // Same kernel as the force path with the scatter skipped, so the
-        // energies agree bit for bit.
-        let (lj, coul) = ctx.soa.eval(&sc, 0..ctx.soa.n_pairs(), None);
-        e.lj = lj;
-        e.coulomb = coul;
-        e
+        self.evaluate(system, ctx, None, 1)
     }
 
-    /// Parallel energy-only evaluation: scalar-only Rayon reduction over the
-    /// cached pair list, merged deterministically in chunk order.
-    pub fn energy_par_ctx(&self, system: &System, ctx: &mut EvalContext) -> EnergyBreakdown {
-        let mut e = self.bonded_energy(system);
-        ctx.prepare(self, system);
-        let sc = NbScalars::new(&self.nonbonded);
-        let soa = &ctx.soa;
-        let n_pairs = soa.n_pairs();
-        let chunk = (n_pairs / (rayon::current_num_threads() * 2)).max(4096);
-        let n_chunks = n_pairs.div_ceil(chunk);
-        let sums: Vec<(f64, f64)> = (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(n_pairs);
-                soa.eval(&sc, lo..hi, None)
-            })
-            .collect();
-        let mut lj = 0.0;
-        let mut coul = 0.0;
-        for &(l, c) in &sums {
-            lj += l;
-            coul += c;
-        }
-        e.lj = lj;
-        e.coulomb = coul;
-        e
-    }
-
-    /// Serial evaluation with a throwaway context (one-shot calls, tests).
+    /// [`ForceField::energy_forces_ctx`] with a throwaway context (one-shot
+    /// calls, tests).
     pub fn energy_forces(&self, system: &System, forces: &mut [Vec3]) -> EnergyBreakdown {
         self.energy_forces_ctx(system, &mut EvalContext::new(), forces)
     }
 
-    /// Parallel evaluation with a throwaway context.
-    pub fn energy_forces_par(&self, system: &System, forces: &mut [Vec3]) -> EnergyBreakdown {
-        self.energy_forces_par_ctx(system, &mut EvalContext::new(), forces)
-    }
-
-    /// Energy-only evaluation with a throwaway context (single-point energy;
-    /// skips force accumulation entirely).
+    /// [`ForceField::energy_ctx`] with a throwaway context.
     pub fn energy(&self, system: &System) -> EnergyBreakdown {
         self.energy_ctx(system, &mut EvalContext::new())
-    }
-
-    /// Bonded terms + restraints with force accumulation; returns a
-    /// breakdown with the nonbonded channels still zero.
-    fn bonded_energy_forces(&self, system: &System, forces: &mut [Vec3]) -> EnergyBreakdown {
-        let mut e = EnergyBreakdown::default();
-        let pos = &system.state.positions;
-        let pbc = &system.pbc;
-        let top = &system.topology;
-        for b in &top.bonds {
-            e.bond += bonded::bond_energy_force(b, pos, pbc, forces);
-        }
-        for a in &top.angles {
-            e.angle += bonded::angle_energy_force(a, pos, pbc, forces);
-        }
-        for t in &top.torsions {
-            e.torsion += bonded::torsion_energy_force(t, pos, pbc, forces);
-        }
-        for r in &self.restraints {
-            if let Some(d) = top.dihedral(&r.dihedral) {
-                e.restraint += r.energy_force(d.atoms, pos, pbc, forces);
-            }
-        }
-        e
-    }
-
-    /// Bonded terms + restraints, energy only.
-    fn bonded_energy(&self, system: &System) -> EnergyBreakdown {
-        let mut e = EnergyBreakdown::default();
-        let pos = &system.state.positions;
-        let pbc = &system.pbc;
-        let top = &system.topology;
-        for b in &top.bonds {
-            e.bond += bonded::bond_energy(b, pos, pbc);
-        }
-        for a in &top.angles {
-            e.angle += bonded::angle_energy(a, pos, pbc);
-        }
-        for t in &top.torsions {
-            e.torsion += bonded::torsion_energy(t, pos, pbc);
-        }
-        for r in &self.restraints {
-            if let Some(d) = top.dihedral(&r.dihedral) {
-                e.restraint += r.energy(d.atoms, pos, pbc);
-            }
-        }
-        e
     }
 }
 
@@ -510,17 +412,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let (sys, ff) = rich_system(3);
-        let mut f_ser = vec![Vec3::ZERO; sys.n_atoms()];
-        let mut f_par = vec![Vec3::ZERO; sys.n_atoms()];
-        let e_ser = ff.energy_forces(&sys, &mut f_ser);
-        let e_par = ff.energy_forces_par(&sys, &mut f_par);
-        assert!((e_ser.total() - e_par.total()).abs() < 1e-9);
-        assert!((e_ser.lj - e_par.lj).abs() < 1e-9);
-        assert!((e_ser.coulomb - e_par.coulomb).abs() < 1e-9);
-        for (a, b) in f_ser.iter().zip(&f_par) {
-            assert!((*a - *b).norm() < 1e-9);
+    fn four_threads_are_the_four_chunks_whoever_runs_them() {
+        // The partition is a function of (n_pairs, threads) only: the four
+        // scoped workers must give the bits one thread gives walking the
+        // same four chunks in order.
+        let sys = lj_fluid(600, 26.0, 3);
+        let ff =
+            ForceField::new(NonbondedParams { cutoff: 6.0, salt_molar: 0.5, ..Default::default() });
+        let n = sys.n_atoms();
+        let mut ctx = EvalContext::new();
+        let mut f_par = vec![Vec3::ZERO; n];
+        let e_par = ff.evaluate(&sys, &mut ctx, Some(&mut f_par), 4);
+
+        let n_pairs = ctx.soa.n_pairs();
+        assert!(n_pairs >= 4 * MIN_CHUNK_PAIRS, "{n_pairs} pairs do not fill four chunks");
+        let sc = NbScalars::new(&ff.nonbonded);
+        let mut f_seq = vec![Vec3::ZERO; n];
+        let (mut lj, mut coul) = ctx.soa.eval(&sc, chunk_range(n_pairs, 4, 0), Some(&mut f_seq));
+        for c in 1..4 {
+            let mut buf = vec![Vec3::ZERO; n];
+            let (l, q) = ctx.soa.eval(&sc, chunk_range(n_pairs, 4, c), Some(&mut buf));
+            lj += l;
+            coul += q;
+            for (f, p) in f_seq.iter_mut().zip(&buf) {
+                *f += *p;
+            }
+        }
+        assert_eq!((e_par.lj, e_par.coulomb), (lj, coul));
+        assert_eq!(f_par, f_seq);
+        // Energy-only on four threads: the same sums without the buffers.
+        assert_eq!(ff.evaluate(&sys, &mut ctx, None, 4), e_par);
+        // The chunks tile the pair list.
+        assert_eq!(chunk_range(n_pairs, 4, 0).start, 0);
+        assert_eq!(chunk_range(n_pairs, 4, 3).end, n_pairs);
+        for c in 0..3 {
+            assert_eq!(chunk_range(n_pairs, 4, c).end, chunk_range(n_pairs, 4, c + 1).start);
         }
     }
 
@@ -586,11 +512,7 @@ mod tests {
         let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
         let with_forces = ff.energy_forces(&sys, &mut forces);
         let energy_only = ff.energy(&sys);
-        let mut ctx = EvalContext::new();
-        let par_energy_only = ff.energy_par_ctx(&sys, &mut ctx);
-        assert!((with_forces.total() - energy_only.total()).abs() < 1e-12);
         assert_eq!(with_forces, energy_only, "energy-only path must agree exactly");
-        assert!((with_forces.total() - par_energy_only.total()).abs() < 1e-9);
     }
 
     #[test]
@@ -622,7 +544,9 @@ mod tests {
     #[test]
     fn titratable_charges_respond_to_ph() {
         let (mut sys, mut ff) = rich_system(10);
-        sys.topology.titratable = vec![Titratable { atom: 2, pka: 6.5, proton_charge: 1.0 }];
+        // Atom 3: its 1-4 partner, atom 0, is charged and not excluded (every
+        // charged partner of atom 2 is, so a site there moves no energy).
+        sys.topology.titratable = vec![Titratable { atom: 3, pka: 6.5, proton_charge: 1.0 }];
         ff.nonbonded.ph = 4.0; // well below pKa: site nearly fully protonated
         let acidic = ff.energy(&sys).coulomb;
         ff.nonbonded.ph = 10.0; // well above: deprotonated
@@ -702,28 +626,26 @@ mod tests {
         assert!((e.lj - direct).abs() < 1e-6 * direct.abs().max(1.0), "{} vs {direct}", e.lj);
     }
 
-    #[test]
-    fn soa_force_path_matches_scalar_reference_on_fluid() {
-        // Deterministic spot check (the proptest below fuzzes widely): the
-        // SoA kernel against the scalar reference on a periodic LJ fluid
-        // crossing the cell-list threshold.
-        let sys = lj_fluid(600, 26.0, 17);
-        let ff = ForceField::new(NonbondedParams {
-            cutoff: 6.0,
-            dielectric: 1.0,
-            salt_molar: 0.0,
-            ph: 7.0,
-        });
-        let mut f_soa = vec![Vec3::ZERO; sys.n_atoms()];
-        let mut f_ref = vec![Vec3::ZERO; sys.n_atoms()];
-        let e_soa = ff.energy_forces_ctx(&sys, &mut EvalContext::new(), &mut f_soa);
-        let e_ref = ff.energy_forces_scalar_ctx(&sys, &mut EvalContext::new(), &mut f_ref);
-        let scale = e_ref.total().abs().max(1.0);
-        assert!((e_soa.lj - e_ref.lj).abs() < 1e-9 * scale);
-        assert!((e_soa.coulomb - e_ref.coulomb).abs() < 1e-9 * scale);
-        for (a, b) in f_soa.iter().zip(&f_ref) {
-            assert!((*a - *b).norm() < 1e-9 * scale, "{a:?} vs {b:?}");
+    /// The oracle: the straight-line `pair_energy_force` looped over the
+    /// context's pair list, with the pH-adjusted charges the kernel sees.
+    fn oracle_nonbonded(ff: &ForceField, sys: &System, ctx: &EvalContext) -> (f64, Vec<Vec3>) {
+        let mut atoms = sys.topology.atoms.clone();
+        for site in &sys.topology.titratable {
+            atoms[site.atom as usize].charge += site.charge_shift(ff.nonbonded.ph);
         }
+        let pos = &sys.state.positions;
+        let mut energy = 0.0;
+        let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
+        for &(i, j) in ctx.neighbors.pairs() {
+            let (i, j) = (i as usize, j as usize);
+            let d = sys.pbc.min_image(pos[i], pos[j]);
+            let (e, f_over_r) =
+                nonbonded::pair_energy_force(&atoms[i], &atoms[j], d.norm_sq(), &ff.nonbonded);
+            energy += e;
+            forces[i] += d * f_over_r;
+            forces[j] -= d * f_over_r;
+        }
+        (energy, forces)
     }
 
     proptest::proptest! {
@@ -731,10 +653,10 @@ mod tests {
         /// The SoA kernel is a pure layout/scheduling transform: on random
         /// systems — vacuum and periodic, with and without exclusions,
         /// screened and unscreened, charged and neutral, LJ-inactive types
-        /// mixed in — energies and forces must match the scalar reference
-        /// kernel to 1e-9 (relative to the energy scale).
+        /// mixed in — energies and forces must match the oracle kernel to
+        /// 1e-9 (relative to the energy scale).
         #[test]
-        fn soa_matches_scalar_reference(
+        fn soa_matches_the_pair_oracle(
             seed in 0u64..1000,
             n in 2usize..60,
             periodic in proptest::bool::ANY,
@@ -770,22 +692,22 @@ mod tests {
                 ) + jitter;
             }
             let pbc = if periodic { PbcBox::cubic(l) } else { PbcBox::VACUUM };
-            let sys = System::new(top, pbc, state).unwrap();
+            let mut sys = System::new(top, pbc, state).unwrap();
+            // Nonbonded only on both sides: the bonds go, their exclusions stay.
+            sys.topology.bonds.clear();
             let ff = ForceField::new(NonbondedParams {
                 cutoff: 6.0,
                 dielectric: 4.0,
                 salt_molar: if salted { 0.5 } else { 0.0 },
                 ph: 7.0,
             });
+            let mut ctx = EvalContext::new();
             let mut f_soa = vec![Vec3::ZERO; n];
-            let mut f_ref = vec![Vec3::ZERO; n];
-            let e_soa = ff.energy_forces_ctx(&sys, &mut EvalContext::new(), &mut f_soa);
-            let e_ref = ff.energy_forces_scalar_ctx(&sys, &mut EvalContext::new(), &mut f_ref);
-            let scale = e_ref.total().abs().max(1.0);
-            proptest::prop_assert!((e_soa.lj - e_ref.lj).abs() < 1e-9 * scale,
-                "lj {} vs {}", e_soa.lj, e_ref.lj);
-            proptest::prop_assert!((e_soa.coulomb - e_ref.coulomb).abs() < 1e-9 * scale,
-                "coulomb {} vs {}", e_soa.coulomb, e_ref.coulomb);
+            let e_soa = ff.energy_forces_ctx(&sys, &mut ctx, &mut f_soa);
+            let (e_ref, f_ref) = oracle_nonbonded(&ff, &sys, &ctx);
+            let scale = e_ref.abs().max(1.0);
+            proptest::prop_assert!((e_soa.lj + e_soa.coulomb - e_ref).abs() < 1e-9 * scale,
+                "nonbonded {} vs {}", e_soa.lj + e_soa.coulomb, e_ref);
             for (a, b) in f_soa.iter().zip(&f_ref) {
                 proptest::prop_assert!((*a - *b).norm() < 1e-9 * scale, "{:?} vs {:?}", a, b);
             }

@@ -59,22 +59,14 @@ impl NonbondedParams {
 /// the inner pair loop: the screening length involves a `sqrt`, the Coulomb
 /// prefactor a division, and the cutoff screening factor an `exp`, none of
 /// which depend on the pair.
-///
-/// All derived quantities are computed with exactly the arithmetic (operand
-/// order and association) of the reference kernel [`pair_energy_force`], so
-/// the fast path is bitwise-identical, not merely close.
 #[derive(Debug, Clone, Copy)]
 pub struct NbScalars {
-    /// Cutoff distance rc.
-    pub rc: f64,
     /// rc².
     pub rc2: f64,
     /// Inverse Debye length.
     pub kappa: f64,
     /// `COULOMB_K / dielectric`.
     pub pref: f64,
-    /// `exp(-kappa * rc)` — the Coulomb energy-shift screening factor.
-    pub exp_mkrc: f64,
     /// `1 / rc` (hoisted so the SoA kernel never divides by the cutoff).
     pub inv_rc: f64,
     /// `exp(-kappa * rc) / rc` — the full Coulomb energy shift per unit
@@ -86,16 +78,13 @@ impl NbScalars {
     pub fn new(params: &NonbondedParams) -> Self {
         let rc = params.cutoff;
         let kappa = params.kappa();
-        let exp_mkrc = (-kappa * rc).exp();
         let inv_rc = 1.0 / rc;
         NbScalars {
-            rc,
             rc2: rc * rc,
             kappa,
             pref: COULOMB_K / params.dielectric,
-            exp_mkrc,
             inv_rc,
-            cshift: exp_mkrc * inv_rc,
+            cshift: (-kappa * rc).exp() * inv_rc,
         }
     }
 }
@@ -107,26 +96,22 @@ pub(crate) struct LjEntry {
     pub(crate) eps4: f64,
     /// `σ_ij²`.
     pub(crate) sigma2: f64,
-    /// Energy shift so the LJ term vanishes at the cutoff.
-    pub(crate) eshift: f64,
 }
 
-const LJ_INACTIVE: LjEntry = LjEntry { eps4: 0.0, sigma2: 0.0, eshift: 0.0 };
+const LJ_INACTIVE: LjEntry = LjEntry { eps4: 0.0, sigma2: 0.0 };
 
 /// Precomputed Lennard-Jones mixing table.
 ///
 /// Atoms are deduplicated into types by their exact `(ε, σ)` bits; the table
-/// stores the mixed constants (including the cutoff shift, which costs a
-/// division and two multiplies per pair in the naive kernel) for every type
-/// combination. Real systems have a handful of types, so the table is tiny
-/// and stays in cache.
+/// stores the mixed constants for every type combination. Real systems have
+/// a handful of types, so the table is tiny and stays in cache.
 ///
-/// The table depends only on the atoms' LJ parameters and the cutoff — not
-/// on charges (pH adjustment changes charges only) nor on salt/dielectric —
-/// so one table serves every salt/pH variant evaluated on a system.
+/// The table depends only on the atoms' LJ parameters — not on charges (pH
+/// adjustment changes charges only), salt, dielectric or cutoff (the kernel
+/// recomputes the cutoff shift from `eps4`/`sigma2`) — so one table serves
+/// every variant evaluated on a system.
 #[derive(Debug, Clone)]
 pub struct LjTable {
-    cutoff: f64,
     n_types: usize,
     /// LJ type index per atom.
     type_of: Vec<u32>,
@@ -135,8 +120,8 @@ pub struct LjTable {
 }
 
 impl LjTable {
-    /// Build the type assignment and mixing table for `atoms` at `cutoff`.
-    pub fn build(atoms: &[Atom], cutoff: f64) -> Self {
+    /// Build the type assignment and mixing table for `atoms`.
+    pub fn build(atoms: &[Atom]) -> Self {
         let mut index: HashMap<(u64, u64), u32> = HashMap::new();
         let mut types: Vec<(f64, f64)> = Vec::new();
         let type_of: Vec<u32> = atoms
@@ -156,23 +141,17 @@ impl LjTable {
                 let eps = (ei * ej).sqrt();
                 if eps > 0.0 {
                     let sigma = 0.5 * (si + sj);
-                    let src2 = (sigma * sigma) / (cutoff * cutoff);
-                    let src6 = src2 * src2 * src2;
-                    table[ti * n_types + tj] = LjEntry {
-                        eps4: 4.0 * eps,
-                        sigma2: sigma * sigma,
-                        eshift: 4.0 * eps * (src6 * src6 - src6),
-                    };
+                    table[ti * n_types + tj] = LjEntry { eps4: 4.0 * eps, sigma2: sigma * sigma };
                 }
             }
         }
-        LjTable { cutoff, n_types, type_of, table }
+        LjTable { n_types, type_of, table }
     }
 
-    /// Cheap staleness check: the table keys on atom count and cutoff (LJ
+    /// Cheap staleness check: the table keys on the atom count (LJ
     /// parameters are immutable for any one [`crate::system::System`]).
-    pub fn matches(&self, n_atoms: usize, cutoff: f64) -> bool {
-        self.type_of.len() == n_atoms && self.cutoff == cutoff
+    pub fn matches(&self, n_atoms: usize) -> bool {
+        self.type_of.len() == n_atoms
     }
 
     /// Number of distinct LJ types found.
@@ -186,58 +165,16 @@ impl LjTable {
     pub(crate) fn entry(&self, i: usize, j: usize) -> LjEntry {
         self.table[self.type_of[i] as usize * self.n_types + self.type_of[j] as usize]
     }
-
-    /// Single-pass pair evaluation: `(lj_energy, coulomb_energy,
-    /// force_over_r)` for atoms `i` and `j` at squared separation `r2`,
-    /// with charges passed explicitly (they may be pH-adjusted copies).
-    ///
-    /// The energy split comes from the one evaluation — no second LJ-only
-    /// pass. Arithmetic matches [`pair_energy_force`] bit for bit.
-    #[inline]
-    pub fn pair_eval(
-        &self,
-        sc: &NbScalars,
-        qi: f64,
-        qj: f64,
-        i: usize,
-        j: usize,
-        r2: f64,
-    ) -> (f64, f64, f64) {
-        if r2 >= sc.rc2 || r2 < 1e-12 {
-            return (0.0, 0.0, 0.0);
-        }
-        let r = r2.sqrt();
-        let mut lj = 0.0;
-        let mut de_dr = 0.0;
-
-        let e = &self.table[self.type_of[i] as usize * self.n_types + self.type_of[j] as usize];
-        if e.eps4 > 0.0 {
-            let sr2 = e.sigma2 / r2;
-            let sr6 = sr2 * sr2 * sr2;
-            let sr12 = sr6 * sr6;
-            lj = e.eps4 * (sr12 - sr6) - e.eshift;
-            de_dr += e.eps4 * (-12.0 * sr12 + 6.0 * sr6) / r;
-        }
-
-        let mut coulomb = 0.0;
-        let qq = qi * qj;
-        if qq != 0.0 {
-            coulomb = sc.pref * qq * (-sc.kappa * r).exp() / r - sc.pref * qq * sc.exp_mkrc / sc.rc;
-            de_dr += -sc.pref * qq * (-sc.kappa * r).exp() * (sc.kappa * r + 1.0) / r2;
-        }
-
-        (lj, coulomb, -de_dr / r)
-    }
 }
 
 /// Pairwise energy and `-(1/r) dE/dr` scaling factor for one LJ + screened
 /// Coulomb pair. Returns `(energy, force_over_r)` so that the force on atom
 /// `i` is `d * force_over_r` with `d = r_i - r_j`.
 ///
-/// This is the straight-line reference kernel; the hot paths use
-/// [`LjTable::pair_eval`], which hoists the per-pair invariants and returns
-/// the LJ/Coulomb split from a single evaluation. The table kernel is
-/// validated against this one bit for bit in the module tests.
+/// This is the straight-line reference kernel, kept as the oracle: the hot
+/// path is the blocked kernel in `soa.rs`, which the tests compare against a
+/// loop of this function over the neighbor list (to 1e-9; the blocked kernel
+/// reassociates and uses FMA).
 #[inline]
 pub fn pair_energy_force(ai: &Atom, aj: &Atom, r2: f64, params: &NonbondedParams) -> (f64, f64) {
     let rc = params.cutoff;
@@ -345,41 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn table_kernel_matches_reference_bitwise() {
-        // The precomputed-table kernel must reproduce the reference kernel
-        // exactly: energies (split LJ/Coulomb summing to the reference
-        // total) and force_over_r, for a mix of charged, neutral, LJ-only
-        // and inert atoms across several parameter sets.
-        let atoms = vec![
-            Atom { mass: 12.0, charge: 0.3, lj_epsilon: 0.1, lj_sigma: 3.4 },
-            Atom { mass: 14.0, charge: -0.5, lj_epsilon: 0.12, lj_sigma: 3.3 },
-            Atom { mass: 18.0, charge: 0.0, lj_epsilon: 0.15, lj_sigma: 3.15 },
-            Atom { mass: 23.0, charge: 1.0, lj_epsilon: 0.0, lj_sigma: 3.0 },
-            Atom { mass: 12.0, charge: 0.3, lj_epsilon: 0.1, lj_sigma: 3.4 }, // dup type
-        ];
-        for params in [
-            NonbondedParams::default(),
-            NonbondedParams { cutoff: 12.0, dielectric: 2.0, salt_molar: 0.5, ph: 7.0 },
-            NonbondedParams { cutoff: 7.5, dielectric: 78.5, salt_molar: 1.0, ph: 4.0 },
-        ] {
-            let table = LjTable::build(&atoms, params.cutoff);
-            let sc = NbScalars::new(&params);
-            for i in 0..atoms.len() {
-                for j in (i + 1)..atoms.len() {
-                    for r in [0.5, 2.9, 3.6, 5.0, 7.4, 9.1, 14.0] {
-                        let r2 = r * r;
-                        let (e_ref, f_ref) = pair_energy_force(&atoms[i], &atoms[j], r2, &params);
-                        let (lj, coul, f) =
-                            table.pair_eval(&sc, atoms[i].charge, atoms[j].charge, i, j, r2);
-                        assert_eq!(lj + coul, e_ref, "energy i={i} j={j} r={r}");
-                        assert_eq!(f, f_ref, "force i={i} j={j} r={r}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lj_table_dedups_types() {
         let atoms = vec![
             Atom::lj(18.0, 0.15, 3.15),
@@ -387,11 +289,10 @@ mod tests {
             Atom::lj(12.0, 0.1, 3.4),
             Atom::lj(18.0, 0.15, 3.15),
         ];
-        let table = LjTable::build(&atoms, 9.0);
+        let table = LjTable::build(&atoms);
         assert_eq!(table.n_types(), 2);
-        assert!(table.matches(4, 9.0));
-        assert!(!table.matches(5, 9.0));
-        assert!(!table.matches(4, 8.0));
+        assert!(table.matches(4));
+        assert!(!table.matches(5));
     }
 
     #[test]

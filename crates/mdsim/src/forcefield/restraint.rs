@@ -37,33 +37,16 @@ impl DihedralRestraint {
         self.k_deg * d * d
     }
 
-    /// Energy contribution over explicit atom indices, without force
-    /// accumulation (single-point path). Bitwise-identical to the energy
-    /// returned by [`DihedralRestraint::energy_force`].
-    pub fn energy(&self, atoms: [u32; 4], positions: &[Vec3], pbc: &PbcBox) -> f64 {
-        let idx = [atoms[0] as usize, atoms[1] as usize, atoms[2] as usize, atoms[3] as usize];
-        let Some((phi, ..)) = dihedral_geometry(
-            positions[idx[0]],
-            positions[idx[1]],
-            positions[idx[2]],
-            positions[idx[3]],
-            pbc,
-        ) else {
-            return 0.0;
-        };
-        let d_deg = angle_diff_deg(rad_to_deg(phi), self.center_deg);
-        self.k_deg * d_deg * d_deg
-    }
-
-    /// Energy and force contribution over explicit atom indices.
-    pub fn energy_force(
+    /// Energy contribution over explicit atom indices; with a force buffer,
+    /// the forces are accumulated into it (same energy bits either way).
+    pub fn energy(
         &self,
         atoms: [u32; 4],
         positions: &[Vec3],
         pbc: &PbcBox,
-        forces: &mut [Vec3],
+        forces: Option<&mut [Vec3]>,
     ) -> f64 {
-        let idx = [atoms[0] as usize, atoms[1] as usize, atoms[2] as usize, atoms[3] as usize];
+        let idx = atoms.map(|a| a as usize);
         let Some((phi, b1, b2, b3, n1, n2)) = dihedral_geometry(
             positions[idx[0]],
             positions[idx[1]],
@@ -73,12 +56,24 @@ impl DihedralRestraint {
         ) else {
             return 0.0;
         };
-        let d_deg = angle_diff_deg(rad_to_deg(phi), self.center_deg);
-        let energy = self.k_deg * d_deg * d_deg;
-        // dE/dphi with phi in radians: dE/d(d_deg) * 180/pi.
-        let de_dphi = 2.0 * self.k_deg * d_deg * (180.0 / std::f64::consts::PI);
-        apply_dihedral_force(idx, de_dphi, b1, b2, b3, n1, n2, forces);
-        energy
+        if let Some(forces) = forces {
+            let d_deg = angle_diff_deg(rad_to_deg(phi), self.center_deg);
+            // dE/dphi with phi in radians: dE/d(d_deg) * 180/pi.
+            let de_dphi = 2.0 * self.k_deg * d_deg * (180.0 / std::f64::consts::PI);
+            apply_dihedral_force(idx, de_dphi, b1, b2, b3, n1, n2, forces);
+        }
+        self.energy_at(phi)
+    }
+
+    /// The `(dihedral name, center in degrees, k)` triples the NAMD and
+    /// GROMACS control files carry.
+    pub fn to_triples(restraints: &[DihedralRestraint]) -> Vec<(String, f64, f64)> {
+        restraints.iter().map(|r| (r.dihedral.clone(), r.center_deg, r.k_deg)).collect()
+    }
+
+    /// Inverse of [`DihedralRestraint::to_triples`].
+    pub fn from_triples(triples: &[(String, f64, f64)]) -> Vec<DihedralRestraint> {
+        triples.iter().map(|(name, center, k)| Self::new(name.clone(), *k, *center)).collect()
     }
 }
 
@@ -108,6 +103,14 @@ mod tests {
     }
 
     #[test]
+    fn triples_carry_center_before_k_and_round_trip() {
+        let rs = vec![DihedralRestraint::new("phi", 0.02, 60.0)];
+        let triples = DihedralRestraint::to_triples(&rs);
+        assert_eq!(triples, vec![("phi".to_string(), 60.0, 0.02)]);
+        assert_eq!(DihedralRestraint::from_triples(&triples), rs);
+    }
+
+    #[test]
     fn restraint_forces_conserve_momentum() {
         let r = DihedralRestraint::new("phi", 0.05, 60.0);
         let pos = [
@@ -117,7 +120,7 @@ mod tests {
             Vec3::new(1.3, -0.9, 0.7),
         ];
         let mut f = vec![Vec3::ZERO; 4];
-        let e = r.energy_force([0, 1, 2, 3], &pos, &PbcBox::VACUUM, &mut f);
+        let e = r.energy([0, 1, 2, 3], &pos, &PbcBox::VACUUM, Some(&mut f));
         assert!(e > 0.0);
         let total: Vec3 = f.iter().copied().sum();
         assert!(total.norm() < 1e-10);
@@ -135,12 +138,12 @@ mod tests {
             Vec3::new(1.0, 1.0, 0.0),
         ];
         let mut f = vec![Vec3::ZERO; 4];
-        let e0 = r.energy_force([0, 1, 2, 3], &pos, &PbcBox::VACUUM, &mut f);
+        let e0 = r.energy([0, 1, 2, 3], &pos, &PbcBox::VACUUM, Some(&mut f));
         for (p, fo) in pos.iter_mut().zip(&f) {
             *p += *fo * 1e-4;
         }
         let mut f2 = vec![Vec3::ZERO; 4];
-        let e1 = r.energy_force([0, 1, 2, 3], &pos, &PbcBox::VACUUM, &mut f2);
+        let e1 = r.energy([0, 1, 2, 3], &pos, &PbcBox::VACUUM, Some(&mut f2));
         assert!(e1 < e0, "descent step must lower energy: {e0} -> {e1}");
     }
 }

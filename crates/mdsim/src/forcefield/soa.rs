@@ -1,10 +1,10 @@
-//! Structure-of-arrays nonbonded kernel.
+//! Structure-of-arrays nonbonded kernel — the one the force field runs.
 //!
-//! The scalar path ([`LjTable::pair_eval`]) walks `Vec<Vec3>` positions,
-//! chases the type table per pair and branches on cutoff, LJ activity and
-//! charge products. This module flattens everything the inner loop touches
-//! into parallel `f64` arrays and splits the loop into three phases per
-//! block of pairs:
+//! A pair-at-a-time kernel (the oracle, `nonbonded::pair_energy_force`)
+//! walks `Vec<Vec3>` positions, mixes LJ parameters per pair and branches
+//! on cutoff, LJ activity and charge products. This module flattens
+//! everything the inner loop touches into parallel `f64` arrays and splits
+//! the loop into three phases per block of pairs:
 //!
 //! - **Phase 0 (gather)**: indexed loads only. Atom data is packed as one
 //!   `[x, y, z, q]` quad per atom so a random neighbor access touches a
@@ -14,7 +14,7 @@
 //!   buffers. Because no load in this loop depends on a runtime index, LLVM
 //!   auto-vectorizes it; measured on the seed layout, fusing the gathers
 //!   into this loop instead *defeated* vectorization and ran slower than
-//!   the scalar path. Cutoff and overlap handling are multiplicative masks,
+//!   a pair-at-a-time loop. Cutoff and overlap handling are multiplicative masks,
 //!   the minimum image is multiply + `round` (no division by the box), the
 //!   only division per pair is `1/r²` (with `1/r = sqrt(1/r²)` instead of a
 //!   second divide), products `a·b + c` use `mul_add` so FMA units are used
@@ -47,7 +47,7 @@ use std::ops::Range;
 /// than 32/64/256 on AVX-512 hardware.
 const BLOCK: usize = 128;
 
-/// Squared-distance floor mirroring the scalar kernel's overlap guard
+/// Squared-distance floor mirroring the oracle kernel's overlap guard
 /// (`r2 < 1e-12` contributes nothing); clamping instead of branching keeps
 /// the arithmetic finite so the mask multiply yields exact zeros.
 const MIN_R2: f64 = 1e-12;

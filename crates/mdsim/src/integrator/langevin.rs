@@ -5,7 +5,6 @@
 //! what temperature-exchange REMD assumes. The friction constant is given in
 //! ps⁻¹ (Amber's `gamma_ln` convention).
 
-use super::{EvalMode, Integrator};
 use crate::forcefield::{EnergyBreakdown, EvalContext, ForceField};
 use crate::system::System;
 use crate::units::{kbt, AKMA_PER_PS};
@@ -13,7 +12,9 @@ use crate::vec3::Vec3;
 use rand::RngCore;
 use rand_distr::{Distribution, StandardNormal};
 
-/// BAOAB Langevin integrator.
+/// BAOAB Langevin integrator. It owns its scratch force buffer and a
+/// persistent [`EvalContext`] (Verlet neighbor list + evaluation scratch), so
+/// steady stepping neither allocates nor rebuilds the pair list.
 pub struct LangevinBaoab {
     dt_ps: f64,
     dt: f64,
@@ -47,14 +48,14 @@ impl LangevinBaoab {
         assert!(t > 0.0);
         self.temperature = t;
     }
-}
 
-impl Integrator for LangevinBaoab {
-    fn step(
+    /// Advance by one step, evaluating forces on `threads` threads; returns
+    /// the potential-energy breakdown at the new positions.
+    pub fn step(
         &mut self,
         system: &mut System,
         ff: &ForceField,
-        mode: EvalMode,
+        threads: usize,
         rng: &mut dyn RngCore,
     ) -> EnergyBreakdown {
         let n = system.n_atoms();
@@ -63,7 +64,7 @@ impl Integrator for LangevinBaoab {
             self.forces_valid = false;
         }
         if !self.forces_valid {
-            mode.energy_forces(ff, system, &mut self.ctx, &mut self.forces);
+            ff.evaluate(system, &mut self.ctx, Some(&mut self.forces), threads);
         }
         let dt = self.dt;
         let gamma = self.gamma_ps / AKMA_PER_PS; // per AKMA time unit
@@ -98,7 +99,7 @@ impl Integrator for LangevinBaoab {
             system.state.positions[i] += v * (0.5 * dt);
         }
         // B: half kick with new forces.
-        let breakdown = mode.energy_forces(ff, system, &mut self.ctx, &mut self.forces);
+        let breakdown = ff.evaluate(system, &mut self.ctx, Some(&mut self.forces), threads);
         for i in 0..n {
             let inv_m = 1.0 / system.topology.atoms[i].mass;
             system.state.velocities[i] += self.forces[i] * (0.5 * dt * inv_m);
@@ -109,11 +110,10 @@ impl Integrator for LangevinBaoab {
         breakdown
     }
 
-    fn dt_ps(&self) -> f64 {
-        self.dt_ps
-    }
-
-    fn invalidate(&mut self) {
+    /// Drop cached forces and evaluation state (call after positions change
+    /// externally, e.g. when a restart file is loaded or an exchange swaps
+    /// configurations).
+    pub fn invalidate(&mut self) {
         self.forces_valid = false;
         self.ctx.invalidate();
     }
@@ -137,13 +137,13 @@ mod tests {
 
         // Equilibrate.
         for _ in 0..3000 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         // Sample.
         let mut acc = 0.0;
         let samples = 3000;
         for _ in 0..samples {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
             acc += sys.instantaneous_temperature();
         }
         let mean_t = acc / samples as f64;
@@ -159,7 +159,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let e0 = ff.energy(&sys).total() + sys.kinetic_energy();
         for _ in 0..2000 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         let e1 = ff.energy(&sys).total() + sys.kinetic_energy();
         assert!((e1 - e0).abs() < 1e-3 * e0.abs().max(1.0), "drift {}", e1 - e0);
@@ -173,15 +173,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         sys.assign_maxwell_boltzmann(100.0, &mut rng);
         for _ in 0..2000 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         integ.set_temperature(400.0);
         for _ in 0..4000 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         let mut acc = 0.0;
         for _ in 0..2000 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
             acc += sys.instantaneous_temperature();
         }
         let mean_t = acc / 2000.0;
@@ -207,7 +207,7 @@ mod tests {
         let mut f_cached = vec![Vec3::ZERO; n];
         let mut f_fresh = vec![Vec3::ZERO; n];
         for step in 0..100 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
             let e_cached = ff.energy_forces_ctx(&sys, &mut cached, &mut f_cached);
             let e_fresh =
                 ff.energy_forces_ctx(&sys, &mut EvalContext::with_skin(0.0), &mut f_fresh);
@@ -239,7 +239,7 @@ mod tests {
             let mut integ = LangevinBaoab::new(0.001, 300.0, 2.0);
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..100 {
-                integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+                integ.step(&mut sys, &ff, 1, &mut rng);
             }
             sys.state.positions[1]
         };

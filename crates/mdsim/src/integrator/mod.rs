@@ -1,85 +1,12 @@
-//! Time integrators: NVE velocity Verlet and Langevin (BAOAB) dynamics.
+//! The time integrator: Langevin dynamics in the BAOAB splitting. At zero
+//! friction the O step is the identity (`c1 = 1`, `c2 = 0`) and B-A-A-B is
+//! velocity Verlet, so NVE dynamics is `LangevinBaoab::new(dt, T, 0.0)`
+//! (energy conservation and the analytic oscillation period are checked on
+//! it in `tests/evaluate.rs`).
 
 mod langevin;
-mod verlet;
 
 pub use langevin::LangevinBaoab;
-pub use verlet::VelocityVerlet;
-
-use crate::forcefield::{EnergyBreakdown, EvalContext, ForceField};
-use crate::system::System;
-use crate::vec3::Vec3;
-use rand::RngCore;
-
-/// Whether the force evaluation runs serially or on the Rayon pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Serial SoA kernel (the default single-core path).
-    Serial,
-    /// Serial scalar pair-at-a-time kernel — the correctness reference and
-    /// benchmark baseline for the SoA path; not for production use.
-    SerialScalar,
-    /// Rayon-parallel SoA kernel.
-    Parallel,
-}
-
-impl EvalMode {
-    pub(crate) fn energy_forces(
-        self,
-        ff: &ForceField,
-        system: &System,
-        ctx: &mut EvalContext,
-        forces: &mut [Vec3],
-    ) -> EnergyBreakdown {
-        match self {
-            EvalMode::Serial => ff.energy_forces_ctx(system, ctx, forces),
-            EvalMode::SerialScalar => ff.energy_forces_scalar_ctx(system, ctx, forces),
-            EvalMode::Parallel => ff.energy_forces_par_ctx(system, ctx, forces),
-        }
-    }
-}
-
-/// A propagator advancing a [`System`] one step at a time.
-///
-/// Integrators own their scratch force buffers and a persistent
-/// [`EvalContext`] (Verlet neighbor list + evaluation scratch), so steady
-/// stepping neither allocates nor rebuilds the pair list.
-pub trait Integrator {
-    /// Advance by one step; returns the potential-energy breakdown evaluated
-    /// during the step (at the new positions).
-    fn step(
-        &mut self,
-        system: &mut System,
-        ff: &ForceField,
-        mode: EvalMode,
-        rng: &mut dyn RngCore,
-    ) -> EnergyBreakdown;
-
-    /// The time step in ps.
-    fn dt_ps(&self) -> f64;
-
-    /// Drop cached forces and evaluation state (call after positions change
-    /// externally, e.g. when a restart file is loaded or an exchange swaps
-    /// configurations).
-    fn invalidate(&mut self);
-}
-
-/// Run `n` steps and return the last breakdown (convenience for tests and
-/// the engines).
-pub fn run_steps(
-    integrator: &mut dyn Integrator,
-    system: &mut System,
-    ff: &ForceField,
-    mode: EvalMode,
-    rng: &mut dyn RngCore,
-    n: u64,
-) -> EnergyBreakdown {
-    let mut last = EnergyBreakdown::default();
-    for _ in 0..n {
-        last = integrator.step(system, ff, mode, rng);
-    }
-    last
-}
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -5,4 +5,3 @@ pub mod mdinfo;
 pub mod mdp;
 pub mod namdconf;
 pub mod restart;
-pub mod trajectory;

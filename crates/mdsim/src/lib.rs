@@ -7,9 +7,9 @@
 //!   Lennard-Jones, salt-screened Coulomb (Debye–Hückel) and harmonic
 //!   dihedral (umbrella) restraints — the three exchange parameters of the
 //!   paper (T, U, S) all act on real physics here;
-//! * NVE velocity-Verlet and Langevin (BAOAB) integrators;
-//! * serial and Rayon-parallel engines behind the [`engine::MdEngine`]
-//!   trait;
+//! * one integrator, Langevin BAOAB (velocity Verlet at zero friction);
+//! * one force evaluation, run on one thread or on a replica's cores, and
+//!   four engines over it behind the [`engine::MdEngine`] trait;
 //! * the file formats the framework stages between tasks: Amber-style
 //!   `mdin`/`DISANG`/restart/`mdinfo` and NAMD-style config files;
 //! * ready-made systems: the reduced alanine dipeptide (with solvated

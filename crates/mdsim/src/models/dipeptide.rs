@@ -162,7 +162,7 @@ pub fn dipeptide_forcefield() -> ForceField {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrator::{EvalMode, Integrator, LangevinBaoab};
+    use crate::integrator::LangevinBaoab;
 
     #[test]
     fn vacuum_model_shape() {
@@ -207,7 +207,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         for _ in 0..5000 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         assert!(sys.state.is_finite(), "trajectory blew up");
         // Chain stays bonded: no bond stretched beyond 2x equilibrium.
@@ -248,7 +248,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         for _ in 0..200 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         assert!(sys.state.is_finite());
         let t = sys.instantaneous_temperature();

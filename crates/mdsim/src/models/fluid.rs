@@ -53,7 +53,7 @@ pub fn lj_forcefield() -> ForceField {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrator::{EvalMode, Integrator, LangevinBaoab};
+    use crate::integrator::LangevinBaoab;
     use rand::SeedableRng;
 
     #[test]
@@ -72,7 +72,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         sys.assign_maxwell_boltzmann(95.0, &mut rng);
         for _ in 0..1500 {
-            integ.step(&mut sys, &ff, EvalMode::Serial, &mut rng);
+            integ.step(&mut sys, &ff, 1, &mut rng);
         }
         assert!(sys.state.is_finite());
         let e = ff.energy(&sys);

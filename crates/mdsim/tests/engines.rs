@@ -5,7 +5,7 @@ use mdsim::engine::{
     EngineError, GmxEngine, MdEngine, MdJob, NamdEngine, PmemdEngine, SanderEngine,
     SinglePointRequest,
 };
-use mdsim::models::{alanine_dipeptide, dipeptide_forcefield};
+use mdsim::models::{alanine_dipeptide, dipeptide_forcefield, solvated_alanine_dipeptide};
 use mdsim::{DihedralRestraint, System};
 
 /// NAMD XORs this into the job seed ("NAMD"). Pinned here: changing it
@@ -66,13 +66,45 @@ fn engines_share_one_trajectory_up_to_their_preludes() {
     let from_rest = run(&SanderEngine::new(base), alanine_dipeptide(), 33 ^ NAMD_SEED_SALT);
     assert_ne!(cold.final_state.positions, from_rest.final_state.positions);
 
-    // pmemd.MPI is the same loop on the parallel kernel: the same trajectory
-    // up to summation order.
+    // pmemd.MPI is the same loop with the evaluation on four threads: the
+    // same trajectory up to summation order (and, on these 21 pairs, one
+    // chunk).
     let pmemd = run(&PmemdEngine::new(base, 4), warm_system(), 33);
     for (a, b) in pmemd.final_state.positions.iter().zip(&sander.final_state.positions) {
         assert!((*a - *b).norm() < 1e-6, "{a:?} vs {b:?}");
     }
     assert!((pmemd.mdinfo.eptot - sander.mdinfo.eptot).abs() < 1e-6);
+}
+
+#[test]
+fn four_cores_are_four_cores_whatever_the_host_is_doing() {
+    // 2881 atoms: the pair list really splits in four. The partition reads
+    // the pair count and the core count, never the host, so the run alone
+    // and four runs at once (an MD wave: sixteen threads on however many
+    // CPUs there are — one under the suite's `taskset -c 0` pass) are the
+    // same bits.
+    let base = dipeptide_forcefield().nonbonded;
+    let job = MdJob { steps: 5, seed: 3, ..Default::default() };
+    let run = |engine: &dyn MdEngine| {
+        let mut sys = solvated_alanine_dipeptide(2881, 9);
+        engine.run(&mut sys, &job).unwrap()
+    };
+    let pmemd = PmemdEngine::new(base, 4);
+    let alone = run(&pmemd);
+    let wave: Vec<_> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..4).map(|_| s.spawn(|| run(&pmemd))).collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for out in &wave {
+        assert_eq!(out, &alone);
+    }
+    // And sander's trajectory up to summation order.
+    let sander = run(&SanderEngine::new(base));
+    assert_ne!(alone.mdinfo.eptot, sander.mdinfo.eptot, "four chunks, not one");
+    for (a, b) in alone.final_state.positions.iter().zip(&sander.final_state.positions) {
+        assert!((*a - *b).norm() < 1e-6, "{a:?} vs {b:?}");
+    }
+    assert!((alone.mdinfo.eptot - sander.mdinfo.eptot).abs() < 1e-6 * sander.mdinfo.eptot.abs());
 }
 
 #[test]

@@ -1,84 +1,58 @@
 //! Real-thread executor: payloads run concurrently on actual cores and are
-//! charged their measured wall time.
+//! charged their measured wall time. Built on `std` alone: one OS thread per
+//! unit, a `std::sync::mpsc` channel for completions, and a mutex + condvar
+//! permit count ([`Permits`]) for the core budget.
 
 use crate::description::UnitDescription;
 use crate::executor::{CompletedUnit, Executor, TaskWork, UnitId};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hpc::SimTime;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 #[cfg(loom)]
-use loom::sync::{Condvar, Mutex};
+use loom::sync;
 #[cfg(not(loom))]
-use parking_lot::{Condvar, Mutex};
+use std::sync;
 
 /// Core-permit accounting shared with worker threads. A unit requesting
 /// `k` cores holds `k` permits for its whole run.
 ///
-/// Compiled against parking_lot in production and against loom's modeled
+/// One body over `sync`: `std::sync` in production, loom's modeled
 /// primitives under `--cfg loom`, where `tests/loom_permits.rs`
 /// exhaustively checks the acquire/release protocol for over-subscription
-/// and lost wakeups.
+/// and lost wakeups. Every update leaves the count valid, so a poisoned
+/// lock is recovered rather than propagated.
 pub struct Permits {
-    available: Mutex<usize>,
-    cv: Condvar,
+    available: sync::Mutex<usize>,
+    cv: sync::Condvar,
 }
 
 impl Permits {
     pub fn new(cores: usize) -> Self {
-        Permits { available: Mutex::new(cores), cv: Condvar::new() }
+        Permits { available: sync::Mutex::new(cores), cv: sync::Condvar::new() }
     }
 
     /// Block until `n` permits are free, then take them.
     pub fn acquire(&self, n: usize) {
-        #[cfg(not(loom))]
-        {
-            let mut avail = self.available.lock();
-            while *avail < n {
-                self.cv.wait(&mut avail);
-            }
-            *avail -= n;
+        let mut avail = self.available.lock().unwrap_or_else(PoisonError::into_inner);
+        while *avail < n {
+            avail = self.cv.wait(avail).unwrap_or_else(PoisonError::into_inner);
         }
-        #[cfg(loom)]
-        {
-            use std::sync::PoisonError;
-            let mut avail = self.available.lock().unwrap_or_else(PoisonError::into_inner);
-            while *avail < n {
-                avail = self.cv.wait(avail).unwrap_or_else(PoisonError::into_inner);
-            }
-            *avail -= n;
-        }
+        *avail -= n;
     }
 
     /// Return `n` permits and wake every waiter: waiters need different
     /// permit counts, so a single `notify_one` could wake a waiter whose
     /// demand still isn't met while a satisfiable one keeps sleeping.
     pub fn release(&self, n: usize) {
-        #[cfg(not(loom))]
-        {
-            let mut avail = self.available.lock();
-            *avail += n;
-        }
-        #[cfg(loom)]
-        {
-            use std::sync::PoisonError;
-            let mut avail = self.available.lock().unwrap_or_else(PoisonError::into_inner);
-            *avail += n;
-        }
+        *self.available.lock().unwrap_or_else(PoisonError::into_inner) += n;
         self.cv.notify_all();
     }
 
     /// Currently free permits (a racy snapshot, for observability only).
     pub fn available(&self) -> usize {
-        #[cfg(not(loom))]
-        {
-            *self.available.lock()
-        }
-        #[cfg(loom)]
-        {
-            *self.available.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
+        *self.available.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -99,7 +73,7 @@ pub struct LocalExecutor<R> {
 impl<R: Send + 'static> LocalExecutor<R> {
     pub fn new(cores: usize) -> Self {
         assert!(cores > 0);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         LocalExecutor {
             cores,
             permits: Arc::new(Permits::new(cores)),

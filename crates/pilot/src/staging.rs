@@ -7,15 +7,16 @@
 //! genuinely serialize inputs/outputs through it using the mdsim text
 //! formats, and the virtual cluster charges `T_data` for the movement.
 
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+type Files = BTreeMap<String, Arc<Vec<u8>>>;
 
 /// A thread-safe staging area. Cheap to clone (shared).
 #[derive(Debug, Clone, Default)]
 pub struct StagingArea {
-    inner: Arc<RwLock<BTreeMap<String, Arc<Vec<u8>>>>>,
+    inner: Arc<RwLock<Files>>,
 }
 
 impl StagingArea {
@@ -23,9 +24,19 @@ impl StagingArea {
         Self::default()
     }
 
+    // Every update is one map operation, so the map is valid even if a
+    // holder panicked: a poisoned lock is recovered.
+    fn read(&self) -> RwLockReadGuard<'_, Files> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Files> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Store a file, replacing any existing content.
     pub fn put(&self, name: impl Into<String>, data: impl Into<Vec<u8>>) {
-        self.inner.write().insert(name.into(), Arc::new(data.into()));
+        self.write().insert(name.into(), Arc::new(data.into()));
     }
 
     /// Store UTF-8 text.
@@ -35,7 +46,7 @@ impl StagingArea {
 
     /// Fetch a file's bytes.
     pub fn get(&self, name: &str) -> Option<Arc<Vec<u8>>> {
-        self.inner.read().get(name).cloned()
+        self.read().get(name).cloned()
     }
 
     /// Parse a staged text file in place: `parse` borrows the stored bytes
@@ -55,7 +66,7 @@ impl StagingArea {
     }
 
     pub fn delete(&self, name: &str) -> bool {
-        self.inner.write().remove(name).is_some()
+        self.write().remove(name).is_some()
     }
 
     /// Delete every file whose name starts with `prefix`; returns how many.
@@ -65,7 +76,7 @@ impl StagingArea {
     /// invariant callers keep: *a file is removed only after every unit that
     /// names it as input has settled.*
     pub fn delete_prefix(&self, prefix: &str) -> usize {
-        let mut files = self.inner.write();
+        let mut files = self.write();
         let doomed: Vec<String> = files
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(name, _)| name.starts_with(prefix))
@@ -76,35 +87,35 @@ impl StagingArea {
     }
 
     pub fn contains(&self, name: &str) -> bool {
-        self.inner.read().contains_key(name)
+        self.read().contains_key(name)
     }
 
     /// Names matching a prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner.read().keys().filter(|k| k.starts_with(prefix)).cloned().collect()
+        self.read().keys().filter(|k| k.starts_with(prefix)).cloned().collect()
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Total stored bytes (used to charge filesystem transfer time).
     pub fn total_bytes(&self) -> u64 {
-        self.inner.read().values().map(|v| v.len() as u64).sum()
+        self.read().values().map(|v| v.len() as u64).sum()
     }
 
     /// Size of one file in bytes.
     pub fn size_of(&self, name: &str) -> Option<u64> {
-        self.inner.read().get(name).map(|v| v.len() as u64)
+        self.read().get(name).map(|v| v.len() as u64)
     }
 
     /// Drop everything (between cycles in tests).
     pub fn clear(&self) {
-        self.inner.write().clear();
+        self.write().clear();
     }
 }
 

@@ -51,10 +51,10 @@ fn replica_microstates_evolve_and_stay_finite() {
 
     let mut ctx = build_ctx(quick_tremd(6, 3)).unwrap();
     let initial: Vec<_> =
-        ctx.replicas.iter().map(|r| r.system.lock().state.positions.clone()).collect();
+        ctx.replicas.iter().map(|r| r.system.lock().unwrap().state.positions.clone()).collect();
     repex::emm::sync::run_sync(&mut ctx).unwrap();
     for (r, init) in ctx.replicas.iter().zip(&initial) {
-        let sys = r.system.lock();
+        let sys = r.system.lock().unwrap();
         assert!(sys.state.is_finite());
         assert_ne!(&sys.state.positions, init, "replica {} never moved", r.id);
         assert_eq!(sys.state.step, 3 * 10, "3 cycles x 10 surrogate steps");
@@ -142,7 +142,7 @@ fn minimize_first_lowers_starting_energy() {
     let ff = dipeptide_forcefield();
     let raw = ff.energy(&alanine_dipeptide()).total();
     for r in &ctx.replicas {
-        let sys = r.system.lock();
+        let sys = r.system.lock().unwrap();
         // Compare potential with velocities ignored: the minimized start
         // must be strictly below the raw builder geometry.
         let e = ff.energy(&sys).total();

@@ -21,7 +21,7 @@ fn temperature_ladder_produces_temperature_ordered_energies() {
     let mut temps = Vec::new();
     for slot in 0..6 {
         let replica = ctx.slot_owner[slot];
-        let sys = ctx.replicas[replica].system.lock();
+        let sys = ctx.replicas[replica].system.lock().unwrap();
         temps.push(sys.instantaneous_temperature());
     }
     // The hottest window should be measurably hotter than the coldest.
@@ -104,7 +104,7 @@ fn velocity_rescaling_on_t_swap_keeps_kinetic_energy_sane() {
     let mut ctx = build_ctx(cfg).unwrap();
     repex::emm::sync::run_sync(&mut ctx).unwrap();
     for r in &ctx.replicas {
-        let sys = r.system.lock();
+        let sys = r.system.lock().unwrap();
         let t = sys.instantaneous_temperature();
         assert!(t > 30.0 && t < 2000.0, "replica {} at unphysical T {t}", r.id);
         assert!(sys.state.is_finite());
