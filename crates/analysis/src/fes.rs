@@ -260,9 +260,7 @@ pub fn render_ascii(fes: &FreeEnergySurface, levels: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rand_distr::{Distribution, Normal};
+    use rng::Rng;
 
     /// Draw samples from a harmonic bias on a FLAT landscape: Gaussian
     /// around the window center with sigma = sqrt(kT / (2 k)) degrees.
@@ -272,15 +270,14 @@ mod tests {
         k_deg: f64,
         t: f64,
         n: usize,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> BiasedWindow {
         let kt = 1.0 / beta(t);
         let sigma = (kt / (2.0 * k_deg)).sqrt();
-        let dist = Normal::new(0.0, sigma).unwrap();
         let samples = (0..n)
             .map(|_| {
-                let phi = (center_phi + dist.sample(rng)).to_radians();
-                let psi = (center_psi + dist.sample(rng)).to_radians();
+                let phi = (center_phi + sigma * rng.normal()).to_radians();
+                let psi = (center_psi + sigma * rng.normal()).to_radians();
                 (phi, psi)
             })
             .collect();
@@ -296,7 +293,7 @@ mod tests {
     fn wham_recovers_flat_landscape() {
         // Samples generated under harmonic biases on a flat landscape:
         // WHAM must unbias them back to (nearly) flat F where sampled.
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed(42);
         let t = 300.0;
         let k = 0.002; // soft springs -> wide overlap
         let mut windows = Vec::new();
@@ -321,13 +318,12 @@ mod tests {
     fn unbiased_fes_finds_the_well() {
         // Gaussian samples around (60, -60): minimum should be there and F
         // grows away from it.
-        let mut rng = StdRng::seed_from_u64(3);
-        let dist: Normal<f64> = Normal::new(0.0, 20.0).unwrap();
+        let mut rng = Rng::seed(3);
         let samples: Vec<(f64, f64)> = (0..50_000)
             .map(|_| {
                 (
-                    (60.0 + dist.sample(&mut rng)).to_radians(),
-                    (-60.0 + dist.sample(&mut rng)).to_radians(),
+                    (60.0 + 20.0 * rng.normal()).to_radians(),
+                    (-60.0 + 20.0 * rng.normal()).to_radians(),
                 )
             })
             .collect();
@@ -346,11 +342,12 @@ mod tests {
     #[test]
     fn gaussian_well_depth_matches_analytic() {
         // For p ~ N(0, sigma) in each axis, F(r) - F(0) = kT r²/(2σ²).
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed(9);
         let sigma_deg = 30.0;
-        let dist: Normal<f64> = Normal::new(0.0, sigma_deg).unwrap();
         let samples: Vec<(f64, f64)> = (0..200_000)
-            .map(|_| (dist.sample(&mut rng).to_radians(), dist.sample(&mut rng).to_radians()))
+            .map(|_| {
+                ((sigma_deg * rng.normal()).to_radians(), (sigma_deg * rng.normal()).to_radians())
+            })
             .collect();
         let t = 300.0;
         let fes = unbiased_fes(&samples, t, 36);
@@ -380,7 +377,7 @@ mod tests {
 
     #[test]
     fn wham_invariant_to_window_order() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed(5);
         let t = 300.0;
         let mut windows = Vec::new();
         for c in [-120.0, 0.0, 120.0] {

@@ -37,14 +37,11 @@ pub fn ladder_overlaps(energy_samples: &[Vec<f64>], bins: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rand_distr::{Distribution, Normal};
+    use rng::Rng;
 
     fn gaussian_sample(mean: f64, sd: f64, n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let d: Normal<f64> = Normal::new(mean, sd).unwrap();
-        (0..n).map(|_| d.sample(&mut rng)).collect()
+        let mut rng = Rng::seed(seed);
+        (0..n).map(|_| mean + sd * rng.normal()).collect()
     }
 
     #[test]

@@ -131,8 +131,7 @@ pub fn round_trip_times(rungs: &[usize], ladder_len: usize) -> Option<RoundTripS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rng::Rng;
 
     #[test]
     fn mean_and_variance_basics() {
@@ -144,8 +143,8 @@ mod tests {
 
     #[test]
     fn block_average_recovers_mean_and_sane_error() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let xs: Vec<f64> = (0..10_000).map(|_| 5.0 + rng.gen::<f64>() - 0.5).collect();
+        let mut rng = Rng::seed(1);
+        let xs: Vec<f64> = (0..10_000).map(|_| 5.0 + rng.f64() - 0.5).collect();
         let (m, se) = block_average(&xs, 10);
         assert!((m - 5.0).abs() < 0.02);
         // White noise with sd ~0.29 over 10k points: se ~ 0.003.
@@ -154,8 +153,8 @@ mod tests {
 
     #[test]
     fn autocorrelation_of_white_noise_is_small() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let xs: Vec<f64> = (0..5000).map(|_| rng.gen::<f64>()).collect();
+        let mut rng = Rng::seed(2);
+        let xs: Vec<f64> = (0..5000).map(|_| rng.f64()).collect();
         assert!((autocorrelation(&xs, 0) - 1.0).abs() < 1e-12);
         assert!(autocorrelation(&xs, 1).abs() < 0.05);
         let tau = integrated_autocorrelation_time(&xs);
@@ -166,12 +165,12 @@ mod tests {
     #[test]
     fn ar1_series_has_predictable_tau() {
         // AR(1) with phi = 0.9: rho(k) = 0.9^k, tau = (1+phi)/(1-phi) = 19.
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         let phi = 0.9f64;
         let mut x = 0.0;
         let xs: Vec<f64> = (0..200_000)
             .map(|_| {
-                x = phi * x + rng.gen::<f64>() - 0.5;
+                x = phi * x + rng.f64() - 0.5;
                 x
             })
             .collect();

@@ -15,8 +15,7 @@ use hpc::perfmodel::{EngineKind, PerfModel};
 use hpc::ClusterSpec;
 use mdsim::engine::{MdEngine, MdJob, SanderEngine};
 use mdsim::models::{alanine_dipeptide, dipeptide_forcefield};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 
 /// Configuration of the baseline run.
 #[derive(Debug, Clone)]
@@ -75,13 +74,13 @@ pub fn run_integrated_tremd(cfg: &IntegratedConfig) -> IntegratedReport {
     let temps: Vec<f64> = dim.ladder.iter().map(|p| p.scalar()).collect();
     let engine = SanderEngine::new(dipeptide_forcefield().nonbonded);
     let perf = PerfModel::default();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed(cfg.seed);
 
     // Real replica microstates; slot i holds temperature temps[i].
     let mut systems: Vec<_> = (0..cfg.n_replicas)
         .map(|i| {
             let mut s = alanine_dipeptide();
-            let mut r = StdRng::seed_from_u64(cfg.seed ^ (i as u64 + 1));
+            let mut r = Rng::seed(cfg.seed ^ (i as u64 + 1));
             s.assign_maxwell_boltzmann(temps[i], &mut r);
             s
         })

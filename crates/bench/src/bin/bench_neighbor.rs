@@ -20,8 +20,7 @@ use mdsim::engine::{MdEngine, SanderEngine, SinglePointRequest};
 use mdsim::integrator::LangevinBaoab;
 use mdsim::models::{dipeptide_forcefield, solvated_alanine_dipeptide};
 use mdsim::neighbor::cell_list_builds;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 use serde_json::json;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -35,7 +34,7 @@ fn steps_per_sec(atoms: usize, steps: u64, rebuild_every_step: bool) -> f64 {
     for _ in 0..TRIALS {
         let mut sys = solvated_alanine_dipeptide(atoms, 11);
         let ff = dipeptide_forcefield();
-        let mut rng = StdRng::seed_from_u64(17);
+        let mut rng = Rng::seed(17);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         let mut integ = LangevinBaoab::new(0.001, 300.0, 2.0);
         // Warm up (first build, buffer allocation) outside the timed window.

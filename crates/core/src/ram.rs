@@ -17,8 +17,7 @@ use exchange::param::ExchangeParam;
 use exchange::stats::AcceptanceStats;
 use mdsim::engine::{MdEngine, SinglePointRequest};
 use mdsim::{DihedralRestraint, System};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 use std::sync::{Arc, Mutex};
 
 /// Per-slot data the exchange needs.
@@ -72,7 +71,7 @@ pub fn run_exchange(
     let mut swaps = Vec::new();
     let mut stats = AcceptanceStats::default();
     let mut pair_outcomes = Vec::new();
-    let mut rng = StdRng::seed_from_u64(
+    let mut rng = Rng::seed(
         input.seed ^ input.cycle.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (input.dim as u64) << 56,
     );
     for group in &input.groups {

@@ -13,8 +13,7 @@ use hpc::fault::FaultModel;
 use hpc::perfmodel::PerfModel;
 use mdsim::models::{alanine_dipeptide, dipeptide_forcefield, solvated_alanine_dipeptide};
 use pilot::{Backend, Pilot, PilotDescription, PilotManager};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 use std::sync::Arc;
 
 /// Create the pilot for a configuration (exposed for fault-injection tests).
@@ -68,7 +67,7 @@ pub fn build_ctx(cfg: SimulationConfig) -> Result<DriverCtx, String> {
             let ff = dipeptide_forcefield();
             mdsim::minimize::minimize(&mut system, &ff, 500, 1.0);
         }
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(slot as u64));
+        let mut rng = Rng::seed(cfg.seed.wrapping_add(slot as u64));
         system.assign_maxwell_boltzmann(params.temperature, &mut rng);
         replicas.push(Replica::new(slot, slot, system));
     }

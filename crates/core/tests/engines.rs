@@ -214,6 +214,36 @@ fn every_binding_goes_down_the_one_task_path() {
     assert_eq!((spec.engine.executable(), spec.cores), ("namd2", 64));
 }
 
+/// A 64-bit seed survives render → stage → parse in every dialect, so the
+/// replicas of a wide campaign keep the distinct thermostat streams
+/// `task_seed` gives them (read through `f64`, the 7000 cycle-0 replicas of
+/// `--seed 7` reached the engine with 8 distinct seeds).
+#[test]
+fn every_dialect_round_trips_a_64_bit_seed() {
+    let mut cfg = SimulationConfig::t_remd(4, 6000, 2);
+    cfg.seed = 7;
+    let ctx = build_ctx(cfg).unwrap();
+    let seeds: Vec<u64> = (0..7000).map(|replica| ctx.task_seed(replica, 0, 0)).collect();
+    for b in [&BINDINGS[0], &BINDINGS[3], &BINDINGS[4]] {
+        let (amm, mut spec) = segment(b, vec![]);
+        let staging = StagingArea::new();
+        let mut round_trip = |seed: u64| {
+            spec.seed = seed;
+            let inputs = amm.render(&spec, BASE).unwrap();
+            let control = inputs[0].0.clone();
+            for (name, text) in inputs {
+                staging.put_text(name, text);
+            }
+            amm.parse(&staging, &control, &spec.system).unwrap().seed
+        };
+        assert_eq!(round_trip(u64::MAX - 1), u64::MAX - 1, "{}", b.name);
+        let parsed: std::collections::BTreeSet<u64> =
+            seeds.iter().map(|&s| round_trip(s)).collect();
+        assert_eq!(parsed.len(), 7000, "{}: one noise stream per replica", b.name);
+        assert!(seeds.iter().all(|s| parsed.contains(s)), "{}", b.name);
+    }
+}
+
 /// Bad inputs fail preparation or fail the task; none of them panics (a
 /// panicking payload is re-raised on the submitter and kills the campaign).
 #[test]

@@ -1,14 +1,15 @@
 //! Metropolis acceptance criteria for the three exchange types.
 //!
 //! Each criterion reduces to `P = min(1, exp(-delta))` with a type-specific
-//! `delta` derived from detailed balance over the extended ensemble.
+//! `delta` derived from detailed balance over the extended ensemble; the
+//! uniform draw it is compared against comes from the caller's [`Rng`].
 
 use mdsim::units::beta;
-use rand::Rng;
+use rng::Rng;
 
 /// Generic Metropolis accept/reject given `delta` (dimensionless).
-pub fn metropolis_accept<R: Rng + ?Sized>(delta: f64, rng: &mut R) -> bool {
-    delta <= 0.0 || rng.gen::<f64>() < (-delta).exp()
+pub fn metropolis_accept(delta: f64, rng: &mut Rng) -> bool {
+    delta <= 0.0 || rng.f64() < (-delta).exp()
 }
 
 /// Acceptance probability for a given `delta` (for statistics/analysis).
@@ -52,12 +53,10 @@ pub fn hamiltonian_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn negative_delta_always_accepts() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed(1);
         for _ in 0..100 {
             assert!(metropolis_accept(-0.5, &mut rng));
             assert!(metropolis_accept(0.0, &mut rng));
@@ -66,7 +65,7 @@ mod tests {
 
     #[test]
     fn acceptance_rate_matches_probability() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed(2);
         let delta = 1.2;
         let trials = 50_000;
         let accepted = (0..trials).filter(|_| metropolis_accept(delta, &mut rng)).count();
@@ -141,22 +140,23 @@ mod tests {
         assert!(acceptance_probability(d_cold) < acceptance_probability(d_hot));
     }
 
-    proptest::proptest! {
-        #[test]
-        fn probability_in_unit_interval(delta in -100.0f64..100.0) {
-            let p = acceptance_probability(delta);
-            proptest::prop_assert!((0.0..=1.0).contains(&p));
-        }
+    #[test]
+    fn probability_in_unit_interval() {
+        rng::check(256, |r| {
+            let p = acceptance_probability(r.range(-100.0..100.0));
+            assert!((0.0..=1.0).contains(&p));
+        });
+    }
 
-        #[test]
-        fn detailed_balance_antisymmetry(
-            t_i in 250.0f64..450.0, t_j in 250.0f64..450.0,
-            e_i in -500.0f64..500.0, e_j in -500.0f64..500.0,
-        ) {
+    #[test]
+    fn detailed_balance_antisymmetry() {
+        rng::check(256, |r| {
+            let (t_i, t_j) = (r.range(250.0..450.0), r.range(250.0..450.0));
+            let (e_i, e_j) = (r.range(-500.0..500.0), r.range(-500.0..500.0));
             // Swapping back must have the opposite delta.
             let fwd = temperature_delta(t_i, e_i, t_j, e_j);
             let back = temperature_delta(t_i, e_j, t_j, e_i);
-            proptest::prop_assert!((fwd + back).abs() < 1e-9);
-        }
+            assert!((fwd + back).abs() < 1e-9);
+        });
     }
 }

@@ -5,10 +5,11 @@
 //! (Section 2.1). Tasks fail independently with an exponential time-to-
 //! failure; the framework layer decides whether to relaunch or continue.
 //! [`HazardModel`] generalises the constant-rate model to time-correlated
-//! failure storms (piecewise-constant hazard).
+//! failure storms (piecewise-constant hazard). Failure times are
+//! [`Rng::exp`] draws (one uniform per task under a storm) from the caller's
+//! unit-scoped generator, so an outcome is a function of the unit's identity.
 
-use rand::Rng;
-use rand_distr::{Distribution, Exp};
+use rng::Rng;
 
 /// Why an MTBF value was rejected by [`FaultModel::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,19 +38,17 @@ impl std::error::Error for FaultModelError {}
 
 /// Exponential per-task failure model.
 ///
-/// The sampling distribution is validated and built once at construction,
-/// not on every `sample_failure` call.
+/// The MTBF is validated once at construction: a `FaultModel` always holds a
+/// rate `sample_failure` can draw from.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultModel {
     /// Mean time between failures for a single running task, in seconds.
     /// `f64::INFINITY` disables failures.
     mtbf_seconds: f64,
-    /// Prebuilt exponential distribution; `None` when failures are disabled.
-    exp: Option<Exp<f64>>,
 }
 
 impl FaultModel {
-    pub const NONE: FaultModel = FaultModel { mtbf_seconds: f64::INFINITY, exp: None };
+    pub const NONE: FaultModel = FaultModel { mtbf_seconds: f64::INFINITY };
 
     pub fn new(mtbf_seconds: f64) -> Result<Self, FaultModelError> {
         if mtbf_seconds.is_nan() {
@@ -64,8 +63,7 @@ impl FaultModel {
         if !mtbf_seconds.is_normal() {
             return Err(FaultModelError::Subnormal);
         }
-        let exp = Exp::new(1.0 / mtbf_seconds).map_err(|_| FaultModelError::NonPositive)?;
-        Ok(FaultModel { mtbf_seconds, exp: Some(exp) })
+        Ok(FaultModel { mtbf_seconds })
     }
 
     /// Mean time between failures in seconds (`INFINITY` when disabled).
@@ -84,9 +82,11 @@ impl FaultModel {
 
     /// If the task fails before completing `duration` seconds of work,
     /// return the failure time offset; otherwise `None`.
-    pub fn sample_failure<R: Rng + ?Sized>(&self, duration: f64, rng: &mut R) -> Option<f64> {
-        let exp = self.exp?;
-        let t = exp.sample(rng);
+    pub fn sample_failure(&self, duration: f64, rng: &mut Rng) -> Option<f64> {
+        if !self.mtbf_seconds.is_finite() {
+            return None;
+        }
+        let t = rng.exp(self.rate());
         (t < duration).then_some(t)
     }
 
@@ -199,16 +199,11 @@ impl HazardModel {
 
     /// If a task starting at absolute time `start` fails before completing
     /// `duration` seconds, return the failure offset from `start`.
-    pub fn sample_failure<R: Rng + ?Sized>(
-        &self,
-        start: f64,
-        duration: f64,
-        rng: &mut R,
-    ) -> Option<f64> {
+    pub fn sample_failure(&self, start: f64, duration: f64, rng: &mut Rng) -> Option<f64> {
         match self {
             HazardModel::Constant(fm) => fm.sample_failure(duration, rng),
             HazardModel::Storm { .. } => {
-                let u: f64 = rng.gen();
+                let u = rng.f64();
                 if u <= f64::MIN_POSITIVE {
                     return Some(0.0);
                 }
@@ -259,12 +254,10 @@ impl HazardModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn none_never_fails() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed(1);
         for _ in 0..100 {
             assert!(FaultModel::NONE.sample_failure(1e9, &mut rng).is_none());
         }
@@ -293,7 +286,7 @@ mod tests {
         let fm = FaultModel::new(1000.0).unwrap();
         let duration = 500.0;
         let expect = fm.failure_probability(duration);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed(42);
         let trials = 20_000;
         let fails = (0..trials).filter(|_| fm.sample_failure(duration, &mut rng).is_some()).count();
         let rate = fails as f64 / trials as f64;
@@ -303,7 +296,7 @@ mod tests {
     #[test]
     fn failure_time_is_within_duration() {
         let fm = FaultModel::new(10.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed(7);
         for _ in 0..1000 {
             if let Some(t) = fm.sample_failure(25.0, &mut rng) {
                 assert!((0.0..25.0).contains(&t));
@@ -354,7 +347,7 @@ mod tests {
     #[test]
     fn storm_sampling_matches_analytic_probability() {
         let h = storm();
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed(11);
         let trials = 20_000;
         let duration = 300.0;
         let start = 900.0; // spans calm tail + storm head of the next period

@@ -16,10 +16,13 @@
 //!   replicas on SuperMIC (Fig. 5);
 //! * data staging times ordered T < U < S with S ≈ 6.3 s at 1 728 replicas
 //!   (Fig. 5).
+//!
+//! Run-to-run spread is a lognormal factor of median 1,
+//! `exp(sigma * `[`Rng::normal`]`)` ([`NoiseModel`]), drawn from the caller's
+//! unit-scoped generator.
 
 use crate::cluster::ClusterSpec;
-use rand::Rng;
-use rand_distr::{Distribution, LogNormal};
+use rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Which executable a task runs (determines the cost model).
@@ -330,11 +333,11 @@ impl Default for NoiseModel {
 
 impl NoiseModel {
     /// Draw a multiplicative factor with median 1.0.
-    pub fn factor<R: Rng + ?Sized>(&self, sigma: f64, rng: &mut R) -> f64 {
+    pub fn factor(&self, sigma: f64, rng: &mut Rng) -> f64 {
         if sigma <= 0.0 {
             return 1.0;
         }
-        LogNormal::new(0.0, sigma).expect("positive sigma").sample(rng)
+        (sigma * rng.normal()).exp()
     }
 }
 
@@ -477,9 +480,8 @@ mod tests {
 
     #[test]
     fn noise_has_median_one() {
-        use rand::SeedableRng;
         let n = NoiseModel::default();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         let mut samples: Vec<f64> = (0..2001).map(|_| n.factor(0.1, &mut rng)).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = samples[samples.len() / 2];

@@ -2,12 +2,11 @@
 //!
 //! Pilot jobs sit in the machine's batch queue before becoming active; the
 //! whole point of the pilot abstraction is to pay this wait once rather than
-//! per task. We model wait time as lognormal, growing with the fraction of
-//! the machine requested.
+//! per task. We model wait time as lognormal — `exp(ln median + sigma *`
+//! [`Rng::normal`]`)` — growing with the fraction of the machine requested.
 
 use crate::cluster::ClusterSpec;
-use rand::Rng;
-use rand_distr::{Distribution, LogNormal};
+use rng::Rng;
 
 /// Queue wait model parameters.
 #[derive(Debug, Clone, Copy)]
@@ -28,16 +27,10 @@ impl Default for BatchQueue {
 
 impl BatchQueue {
     /// Sample a queue wait for a pilot requesting `cores` on `cluster`.
-    pub fn sample_wait<R: Rng + ?Sized>(
-        &self,
-        cores: usize,
-        cluster: &ClusterSpec,
-        rng: &mut R,
-    ) -> f64 {
+    pub fn sample_wait(&self, cores: usize, cluster: &ClusterSpec, rng: &mut Rng) -> f64 {
         let fraction = (cores as f64 / cluster.total_cores() as f64).clamp(0.0, 1.0);
         let median = self.base_median * (1.0 + fraction).powf(self.size_exponent * 10.0);
-        let dist = LogNormal::new(median.ln(), self.sigma).expect("sigma > 0");
-        dist.sample(rng)
+        (median.ln() + self.sigma * rng.normal()).exp()
     }
 
     /// Median (deterministic) wait, for reporting.
@@ -50,8 +43,6 @@ impl BatchQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn bigger_requests_wait_longer_in_median() {
@@ -66,7 +57,7 @@ mod tests {
     fn samples_are_positive_and_spread() {
         let q = BatchQueue::default();
         let c = ClusterSpec::supermic();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed(1);
         let samples: Vec<f64> = (0..200).map(|_| q.sample_wait(1000, &c, &mut rng)).collect();
         assert!(samples.iter().all(|s| *s > 0.0));
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;

@@ -10,7 +10,7 @@
 
 use crate::cluster::ClusterSpec;
 use crate::fault::{FaultModel, FaultModelError, HazardModel};
-use rand::Rng;
+use rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A named stress scenario with its parameters.
@@ -143,12 +143,7 @@ impl Scenario {
     /// stable slow-node membership (heterogeneous scenario); per-task
     /// straggler draws come from the caller's unit-scoped `rng`, so the
     /// outcome is a pure function of the unit identity.
-    pub fn speed_factor<R: Rng + ?Sized>(
-        &self,
-        replica: Option<usize>,
-        seed: u64,
-        rng: &mut R,
-    ) -> f64 {
+    pub fn speed_factor(&self, replica: Option<usize>, seed: u64, rng: &mut Rng) -> f64 {
         match *self {
             Scenario::HeterogeneousNodes { slow_fraction, slowdown } => match replica {
                 Some(r) => {
@@ -163,7 +158,7 @@ impl Scenario {
                 None => 1.0,
             },
             Scenario::Stragglers { fraction, slowdown } => {
-                if rng.gen::<f64>() < fraction {
+                if rng.f64() < fraction {
                     slowdown
                 } else {
                     1.0
@@ -174,19 +169,12 @@ impl Scenario {
     }
 }
 
-/// splitmix64 finalizer: a cheap avalanche for stable membership hashing.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The SplitMix64 step: a cheap avalanche for stable membership hashing.
+pub use rng::mix64;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn parameter_validation() {
@@ -230,7 +218,7 @@ mod tests {
     #[test]
     fn heterogeneous_membership_is_stable_and_fractional() {
         let sc = Scenario::HeterogeneousNodes { slow_fraction: 0.25, slowdown: 3.0 };
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed(0);
         let n = 1000;
         let slow: Vec<usize> =
             (0..n).filter(|&r| sc.speed_factor(Some(r), 77, &mut rng) > 1.0).collect();
@@ -247,7 +235,7 @@ mod tests {
     #[test]
     fn straggler_draws_follow_the_fraction() {
         let sc = Scenario::Stragglers { fraction: 0.1, slowdown: 8.0 };
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         let n = 20_000;
         let hits = (0..n).filter(|_| sc.speed_factor(None, 0, &mut rng) > 1.0).count();
         let rate = hits as f64 / n as f64;

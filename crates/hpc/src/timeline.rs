@@ -260,12 +260,12 @@ mod tests {
         tl.schedule(3, 1.0, SimTime::ZERO);
     }
 
-    proptest::proptest! {
-        #[test]
-        fn makespan_at_least_work_over_cores(
-            n_cores in 1usize..16,
-            durations in proptest::collection::vec(0.1f64..50.0, 1..40),
-        ) {
+    #[test]
+    fn makespan_at_least_work_over_cores() {
+        rng::check(256, |r| {
+            let n_cores = r.range(1usize..16);
+            let len = r.range(1..40usize);
+            let durations: Vec<f64> = (0..len).map(|_| r.range(0.1..50.0)).collect();
             let mut tl = CoreTimeline::new(n_cores);
             let total: f64 = durations.iter().sum();
             let longest = durations.iter().copied().fold(0.0f64, f64::max);
@@ -274,19 +274,25 @@ mod tests {
             }
             let makespan = tl.all_idle_at().as_secs();
             // Classic bounds: max(work/cores, longest) <= makespan <= work.
-            proptest::prop_assert!(makespan >= total / n_cores as f64 - 1e-9);
-            proptest::prop_assert!(makespan >= longest - 1e-9);
-            proptest::prop_assert!(makespan <= total + 1e-9);
-        }
+            assert!(makespan >= total / n_cores as f64 - 1e-9);
+            assert!(makespan >= longest - 1e-9);
+            assert!(makespan <= total + 1e-9);
+        });
+    }
 
-        /// The group representation against a per-core reference scheduler
-        /// (the seed's representation): identical slots for random mixed
-        /// workloads with barriers.
-        #[test]
-        fn group_heap_matches_per_core_reference(
-            n_cores in 1usize..12,
-            ops in proptest::collection::vec((1usize..6, 0.0f64..20.0, 0.0f64..30.0, proptest::bool::ANY), 1..60),
-        ) {
+    /// The group representation against a per-core reference scheduler
+    /// (the seed's representation): identical slots for random mixed
+    /// workloads with barriers.
+    #[test]
+    fn group_heap_matches_per_core_reference() {
+        rng::check(256, |r| {
+            let n_cores = r.range(1usize..12);
+            let len = r.range(1..60usize);
+            let ops: Vec<(usize, f64, f64, bool)> = (0..len)
+                .map(|_| {
+                    (r.range(1usize..6), r.range(0.0..20.0), r.range(0.0..30.0), r.below(2) == 1)
+                })
+                .collect();
             let mut tl = CoreTimeline::new(n_cores);
             // Reference: explicit per-core free times, greedy k-earliest.
             let mut free = vec![0.0f64; n_cores];
@@ -307,12 +313,15 @@ mod tests {
                 for f in free.iter_mut().take(cores) {
                     *f = end;
                 }
-                proptest::prop_assert!((slot.start.as_secs() - start).abs() < 1e-9,
-                    "start {} vs reference {start}", slot.start.as_secs());
-                proptest::prop_assert!((slot.end.as_secs() - end).abs() < 1e-9);
+                assert!(
+                    (slot.start.as_secs() - start).abs() < 1e-9,
+                    "start {} vs reference {start}",
+                    slot.start.as_secs()
+                );
+                assert!((slot.end.as_secs() - end).abs() < 1e-9);
             }
             let ref_makespan = free.iter().copied().fold(0.0f64, f64::max);
-            proptest::prop_assert!((tl.all_idle_at().as_secs() - ref_makespan).abs() < 1e-9);
-        }
+            assert!((tl.all_idle_at().as_secs() - ref_makespan).abs() < 1e-9);
+        });
     }
 }

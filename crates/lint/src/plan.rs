@@ -1080,9 +1080,8 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
     use repex::config::{DimensionConfig, SimulationConfig, Workload};
 
     fn cost_with_cores(n: usize, steps: u64, cores: Option<usize>) -> CostPrediction {
@@ -1103,69 +1102,63 @@ mod proptests {
         ladders[0].mean_acceptance.expect("T ladder")
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The MD phase (waves × segment) never slows down when cores are
-        /// added. (The *full* makespan is deliberately not monotone: the
-        /// Mode II per-core scheduling tax grows with the pilot — the
-        /// paper's Fig. 11b dip — so the provable floor is Mode I.)
-        #[test]
-        fn md_phase_monotone_in_cores(
-            n in 2usize..48,
-            steps in 100u64..4000,
-            c1 in 1usize..48,
-            extra in 1usize..48,
-        ) {
+    /// The MD phase (waves × segment) never slows down when cores are
+    /// added. (The *full* makespan is deliberately not monotone: the
+    /// Mode II per-core scheduling tax grows with the pilot — the
+    /// paper's Fig. 11b dip — so the provable floor is Mode I.)
+    #[test]
+    fn md_phase_monotone_in_cores() {
+        rng::check(64, |r| {
+            let (n, steps) = (r.range(2usize..48), r.range(100u64..4000));
+            let (c1, extra) = (r.range(1usize..48), r.range(1usize..48));
             let c2 = c1 + extra;
             let slow = cost_with_cores(n, steps, Some(c1.min(n)));
             let fast = cost_with_cores(n, steps, Some(c2.min(n)));
-            prop_assert!(fast.cycle.t_md <= slow.cycle.t_md + 1e-9);
-        }
+            assert!(fast.cycle.t_md <= slow.cycle.t_md + 1e-9);
+        });
+    }
 
-        /// Mode I is the makespan floor over every Mode II core count.
-        #[test]
-        fn mode_i_never_loses(
-            n in 2usize..48,
-            steps in 100u64..4000,
-            cores in 1usize..48,
-        ) {
+    /// Mode I is the makespan floor over every Mode II core count.
+    #[test]
+    fn mode_i_never_loses() {
+        rng::check(64, |r| {
+            let (n, steps, cores) =
+                (r.range(2usize..48), r.range(100u64..4000), r.range(1usize..48));
             let mode_i = cost_with_cores(n, steps, None);
             let other = cost_with_cores(n, steps, Some(cores.min(n)));
-            prop_assert!(mode_i.makespan_seconds <= other.makespan_seconds + 1e-9);
-        }
+            assert!(mode_i.makespan_seconds <= other.makespan_seconds + 1e-9);
+        });
+    }
 
-        /// Widening a ladder's temperature span never increases predicted
-        /// acceptance (up to histogram-bin jitter).
-        #[test]
-        fn wider_spacing_never_raises_acceptance(
-            count in 3usize..10,
-            atoms in 50usize..5000,
-            max1 in 320.0f64..450.0,
-            widen in 10.0f64..150.0,
-        ) {
+    /// Widening a ladder's temperature span never increases predicted
+    /// acceptance (up to histogram-bin jitter).
+    #[test]
+    fn wider_spacing_never_raises_acceptance() {
+        rng::check(64, |r| {
+            let (count, atoms) = (r.range(3usize..10), r.range(50usize..5000));
+            let (max1, widen) = (r.range(320.0..450.0), r.range(10.0..150.0));
             let narrow = mean_acceptance(273.0, max1, count, atoms);
             let wide = mean_acceptance(273.0, max1 + widen, count, atoms);
-            prop_assert!(
+            assert!(
                 wide <= narrow + 0.02,
                 "wider ladder predicted higher acceptance: {wide} > {narrow}"
             );
-        }
+        });
+    }
 
-        /// Adding rungs over a fixed span never decreases predicted
-        /// acceptance (up to histogram-bin jitter).
-        #[test]
-        fn denser_ladder_never_loses_acceptance(
-            count in 3usize..9,
-            atoms in 50usize..5000,
-            max_k in 320.0f64..450.0,
-        ) {
+    /// Adding rungs over a fixed span never decreases predicted
+    /// acceptance (up to histogram-bin jitter).
+    #[test]
+    fn denser_ladder_never_loses_acceptance() {
+        rng::check(64, |r| {
+            let (count, atoms) = (r.range(3usize..9), r.range(50usize..5000));
+            let max_k = r.range(320.0..450.0);
             let sparse = mean_acceptance(273.0, max_k, count, atoms);
             let dense = mean_acceptance(273.0, max_k, count + 2, atoms);
-            prop_assert!(
+            assert!(
                 dense >= sparse - 0.02,
                 "denser ladder predicted lower acceptance: {dense} < {sparse}"
             );
-        }
+        });
     }
 }

@@ -32,8 +32,7 @@ use crate::forcefield::{
 use crate::integrator::LangevinBaoab;
 use crate::io::mdinfo::MdInfo;
 use crate::system::{State, System};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One request in a single-point energy batch: the exchange parameters under
@@ -152,7 +151,7 @@ pub trait MdEngine: Send + Sync {
 
     /// Propagate `system` in place according to `job`.
     fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        run_langevin(system, job, self.base(), self.threads(), |_| StdRng::seed_from_u64(job.seed))
+        run_langevin(system, job, self.base(), self.threads(), |_| Rng::seed(job.seed))
     }
 
     /// Single-point energy under given salt/pH/restraint parameters,
@@ -224,7 +223,7 @@ pub(crate) fn run_langevin(
     job: &MdJob,
     base: &NonbondedParams,
     threads: usize,
-    prelude: impl FnOnce(&mut System) -> StdRng,
+    prelude: impl FnOnce(&mut System) -> Rng,
 ) -> Result<MdOutput, EngineError> {
     /// Look for non-finite coordinates every this many steps.
     const BLOWUP_CHECK_STRIDE: u64 = 200;

@@ -15,8 +15,7 @@ use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
 use crate::forcefield::{DihedralRestraint, NonbondedParams};
 use crate::io::namdconf::NamdConfig;
 use crate::system::System;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 
 /// NAMD-analogue MD engine.
 #[derive(Debug, Clone, Default)]
@@ -56,7 +55,7 @@ impl MdEngine for NamdEngine {
         run_langevin(system, job, &self.base, 1, |system| {
             // Its own noise stream, not the Amber family's under the same
             // seed: salted with "NAMD".
-            let mut rng = StdRng::seed_from_u64(job.seed ^ 0x4e41_4d44);
+            let mut rng = Rng::seed(job.seed ^ 0x4e41_4d44);
             // NAMD semantics: the `temperature` keyword initializes
             // velocities when the system has (near-)zero kinetic energy.
             if system.kinetic_energy() < 1e-9 {

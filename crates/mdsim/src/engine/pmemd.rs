@@ -11,8 +11,7 @@
 use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
 use crate::forcefield::NonbondedParams;
 use crate::system::System;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 
 /// Fewest cores `pmemd.MPI` runs on.
 const MIN_CORES: usize = 2;
@@ -48,7 +47,7 @@ impl MdEngine for PmemdEngine {
                 minimum: MIN_CORES,
             });
         }
-        run_langevin(system, job, &self.base, self.cores, |_| StdRng::seed_from_u64(job.seed))
+        run_langevin(system, job, &self.base, self.cores, |_| Rng::seed(job.seed))
     }
 }
 
@@ -72,7 +71,7 @@ mod tests {
         let pmemd = PmemdEngine::new(base, 4);
         let sander = SanderEngine::new(base);
         let mut sys = solvated_alanine_dipeptide(450, 2);
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Rng::seed(8);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         let a = sander.single_point(&sys, 0.2, &[]);
         let b = pmemd.single_point(&sys, 0.2, &[]);
@@ -83,7 +82,7 @@ mod tests {
     fn runs_solvated_system() {
         let engine = PmemdEngine::new(dipeptide_forcefield().nonbonded, 4);
         let mut sys = solvated_alanine_dipeptide(500, 3);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed(5);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         let job = MdJob { steps: 50, dt_ps: 0.001, ..Default::default() };
         let out = engine.run(&mut sys, &job).unwrap();

@@ -29,12 +29,11 @@ mod tests {
     use crate::forcefield::DihedralRestraint;
     use crate::models::{alanine_dipeptide, dipeptide_forcefield};
     use crate::system::System;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rng::Rng;
 
     fn prepared_system(seed: u64, t: f64) -> System {
         let mut sys = alanine_dipeptide();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         sys.assign_maxwell_boltzmann(t, &mut rng);
         sys
     }

@@ -290,8 +290,7 @@ mod tests {
     use crate::neighbor::all_pairs;
     use crate::system::{PbcBox, State};
     use crate::topology::{Angle, Atom, Bond, NamedDihedral, Titratable, Topology, Torsion};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rng::Rng;
 
     /// LJ-only shifted pair energy, as an independent reference for the
     /// kernel's split (the production path gets it from one evaluation).
@@ -314,7 +313,7 @@ mod tests {
     /// A small but fully-featured system: a 4-atom chain with bonds, an
     /// angle, a torsion, a named dihedral and a few charged LJ particles.
     fn rich_system(seed: u64) -> (System, ForceField) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         let mut atoms = vec![
             Atom { mass: 12.0, charge: 0.3, lj_epsilon: 0.1, lj_sigma: 3.4 },
             Atom { mass: 12.0, charge: -0.3, lj_epsilon: 0.1, lj_sigma: 3.4 },
@@ -352,7 +351,7 @@ mod tests {
         state.positions[3] = Vec3::new(3.8, 0.5, 0.6);
         for i in 4..n {
             let k = i - 4;
-            let jitter = rng.gen::<f64>() * 0.2;
+            let jitter = rng.f64() * 0.2;
             state.positions[i] = Vec3::new(
                 (k % 4) as f64 * 3.8 - 2.0 + jitter,
                 4.0 + (k / 4) as f64 * 3.8,
@@ -521,7 +520,7 @@ mod tests {
         // coordinates must match fresh-context evaluations each time.
         let (mut sys, ff) = rich_system(8);
         let mut ctx = EvalContext::new();
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = Rng::seed(21);
         for _ in 0..20 {
             let mut f_ctx = vec![Vec3::ZERO; sys.n_atoms()];
             let mut f_fresh = vec![Vec3::ZERO; sys.n_atoms()];
@@ -533,9 +532,9 @@ mod tests {
             }
             for p in &mut sys.state.positions {
                 *p += Vec3::new(
-                    rng.gen::<f64>() * 0.1 - 0.05,
-                    rng.gen::<f64>() * 0.1 - 0.05,
-                    rng.gen::<f64>() * 0.1 - 0.05,
+                    rng.f64() * 0.1 - 0.05,
+                    rng.f64() * 0.1 - 0.05,
+                    rng.f64() * 0.1 - 0.05,
                 );
             }
         }
@@ -567,14 +566,14 @@ mod tests {
 
     /// A 500-atom LJ fluid in a periodic box: crosses CELL_LIST_THRESHOLD.
     fn lj_fluid(n: usize, l: f64, seed: u64) -> System {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         let top = Topology {
             atoms: vec![Atom { mass: 18.0, charge: 0.0, lj_epsilon: 0.15, lj_sigma: 3.15 }; n],
             ..Default::default()
         };
         let mut state = State::zeros(n);
         for p in &mut state.positions {
-            *p = Vec3::new(rng.gen::<f64>() * l, rng.gen::<f64>() * l, rng.gen::<f64>() * l);
+            *p = Vec3::new(rng.f64() * l, rng.f64() * l, rng.f64() * l);
         }
         System::new(top, PbcBox::cubic(l), state).unwrap()
     }
@@ -648,22 +647,16 @@ mod tests {
         (energy, forces)
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// The SoA kernel is a pure layout/scheduling transform: on random
-        /// systems — vacuum and periodic, with and without exclusions,
-        /// screened and unscreened, charged and neutral, LJ-inactive types
-        /// mixed in — energies and forces must match the oracle kernel to
-        /// 1e-9 (relative to the energy scale).
-        #[test]
-        fn soa_matches_the_pair_oracle(
-            seed in 0u64..1000,
-            n in 2usize..60,
-            periodic in proptest::bool::ANY,
-            bonded in proptest::bool::ANY,
-            salted in proptest::bool::ANY,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
+    /// The SoA kernel is a pure layout/scheduling transform: on random
+    /// systems — vacuum and periodic, with and without exclusions,
+    /// screened and unscreened, charged and neutral, LJ-inactive types
+    /// mixed in — energies and forces must match the oracle kernel to
+    /// 1e-9 (relative to the energy scale).
+    #[test]
+    fn soa_matches_the_pair_oracle() {
+        rng::check(48, |rng| {
+            let n = rng.range(2usize..60);
+            let [periodic, bonded, salted] = [(); 3].map(|()| rng.below(2) == 1);
             let l = 14.0;
             let atoms: Vec<Atom> = (0..n)
                 .map(|k| Atom {
@@ -684,7 +677,7 @@ mod tests {
             // Jittered lattice: dense enough for many in-cutoff pairs,
             // without pathological overlaps.
             for (k, p) in state.positions.iter_mut().enumerate() {
-                let jitter = Vec3::new(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
+                let jitter = Vec3::new(rng.f64(), rng.f64(), rng.f64());
                 *p = Vec3::new(
                     (k % 4) as f64 * 3.4,
                     ((k / 4) % 4) as f64 * 3.4,
@@ -706,11 +699,15 @@ mod tests {
             let e_soa = ff.energy_forces_ctx(&sys, &mut ctx, &mut f_soa);
             let (e_ref, f_ref) = oracle_nonbonded(&ff, &sys, &ctx);
             let scale = e_ref.abs().max(1.0);
-            proptest::prop_assert!((e_soa.lj + e_soa.coulomb - e_ref).abs() < 1e-9 * scale,
-                "nonbonded {} vs {}", e_soa.lj + e_soa.coulomb, e_ref);
+            assert!(
+                (e_soa.lj + e_soa.coulomb - e_ref).abs() < 1e-9 * scale,
+                "nonbonded {} vs {}",
+                e_soa.lj + e_soa.coulomb,
+                e_ref
+            );
             for (a, b) in f_soa.iter().zip(&f_ref) {
-                proptest::prop_assert!((*a - *b).norm() < 1e-9 * scale, "{:?} vs {:?}", a, b);
+                assert!((*a - *b).norm() < 1e-9 * scale, "{:?} vs {:?}", a, b);
             }
-        }
+        });
     }
 }

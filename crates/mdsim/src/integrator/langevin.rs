@@ -3,14 +3,15 @@
 //! This is the production thermostat of the substrate: it samples the
 //! canonical ensemble at the replica's target temperature, which is exactly
 //! what temperature-exchange REMD assumes. The friction constant is given in
-//! ps⁻¹ (Amber's `gamma_ln` convention).
+//! ps⁻¹ (Amber's `gamma_ln` convention). The noise is three [`Rng::normal`]
+//! draws per atom per step from the caller's generator: a replica's
+//! trajectory is a function of its segment seed, and independent of the others'.
 
 use crate::forcefield::{EnergyBreakdown, EvalContext, ForceField};
 use crate::system::System;
 use crate::units::{kbt, AKMA_PER_PS};
 use crate::vec3::Vec3;
-use rand::RngCore;
-use rand_distr::{Distribution, StandardNormal};
+use rng::Rng;
 
 /// BAOAB Langevin integrator. It owns its scratch force buffer and a
 /// persistent [`EvalContext`] (Verlet neighbor list + evaluation scratch), so
@@ -56,7 +57,7 @@ impl LangevinBaoab {
         system: &mut System,
         ff: &ForceField,
         threads: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut Rng,
     ) -> EnergyBreakdown {
         let n = system.n_atoms();
         if self.forces.len() != n {
@@ -86,11 +87,7 @@ impl LangevinBaoab {
         for i in 0..n {
             let m = system.topology.atoms[i].mass;
             let sigma = (kt / m).sqrt();
-            let xi = Vec3::new(
-                StandardNormal.sample(rng),
-                StandardNormal.sample(rng),
-                StandardNormal.sample(rng),
-            );
+            let xi = Vec3::new(rng.normal(), rng.normal(), rng.normal());
             system.state.velocities[i] = system.state.velocities[i] * c1 + xi * (c2 * sigma);
         }
         // A: half drift.
@@ -123,8 +120,6 @@ impl LangevinBaoab {
 mod tests {
     use super::super::testutil::{diatomic, lj_lattice};
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn thermostat_equilibrates_to_target_temperature() {
@@ -132,7 +127,7 @@ mod tests {
         let ff = ForceField::default();
         let target = 120.0;
         let mut integ = LangevinBaoab::new(0.002, target, 5.0);
-        let mut rng = StdRng::seed_from_u64(17);
+        let mut rng = Rng::seed(17);
         sys.assign_maxwell_boltzmann(300.0, &mut rng); // deliberately wrong T
 
         // Equilibrate.
@@ -156,7 +151,7 @@ mod tests {
         let mut sys = diatomic(300.0, 1.5, 0.15);
         let ff = ForceField::default();
         let mut integ = LangevinBaoab::new(0.0005, 300.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed(5);
         let e0 = ff.energy(&sys).total() + sys.kinetic_energy();
         for _ in 0..2000 {
             integ.step(&mut sys, &ff, 1, &mut rng);
@@ -170,7 +165,7 @@ mod tests {
         let mut sys = lj_lattice(3, 4.2);
         let ff = ForceField::default();
         let mut integ = LangevinBaoab::new(0.002, 100.0, 10.0);
-        let mut rng = StdRng::seed_from_u64(23);
+        let mut rng = Rng::seed(23);
         sys.assign_maxwell_boltzmann(100.0, &mut rng);
         for _ in 0..2000 {
             integ.step(&mut sys, &ff, 1, &mut rng);
@@ -199,7 +194,7 @@ mod tests {
         let mut sys = lj_lattice(8, 4.2); // 512 atoms: cell-list + Verlet path
         let ff = ForceField::default();
         let mut integ = LangevinBaoab::new(0.002, 120.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed(42);
         sys.assign_maxwell_boltzmann(120.0, &mut rng);
 
         let n = sys.n_atoms();
@@ -237,7 +232,7 @@ mod tests {
             let mut sys = diatomic(300.0, 1.5, 0.1);
             let ff = ForceField::default();
             let mut integ = LangevinBaoab::new(0.001, 300.0, 2.0);
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed(seed);
             for _ in 0..100 {
                 integ.step(&mut sys, &ff, 1, &mut rng);
             }

@@ -239,12 +239,7 @@ fn normalize_key(key: &str) -> Result<String, MdinError> {
 }
 
 fn parse_num(key: &str, value: &str) -> Result<u64, MdinError> {
-    value
-        .trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-        .map(|v| v as u64)
+    super::parse_u64(value)
         .ok_or_else(|| MdinError::BadValue { key: key.to_string(), value: value.to_string() })
 }
 
@@ -266,7 +261,7 @@ mod tests {
             dt: 0.002,
             temp0: 329.0,
             gamma_ln: 5.0,
-            ig: 987,
+            ig: u64::MAX - 1, // every bit of a 64-bit seed survives
             saltcon: 0.5,
             solvph: 5.5,
             cut: 9.0,
@@ -304,6 +299,16 @@ production
     fn bad_value_is_error() {
         let text = " &cntrl\n nstlim = banana,\n /";
         assert!(matches!(MdinControl::parse(text), Err(MdinError::BadValue { .. })));
+    }
+
+    #[test]
+    fn integer_fields_accept_an_integral_float_spelling_only() {
+        let ctl = MdinControl::parse(" &cntrl\n nstlim = 1000.0, ntpr = 5e2, ig = 7,\n /").unwrap();
+        assert_eq!((ctl.nstlim, ctl.ntpr, ctl.ig), (1000, 500, 7));
+        for bad in ["10.5", "-1", "1e30", "nan"] {
+            let text = format!(" &cntrl\n nstlim = {bad},\n /");
+            assert!(matches!(MdinControl::parse(&text), Err(MdinError::BadValue { .. })), "{bad}");
+        }
     }
 
     #[test]

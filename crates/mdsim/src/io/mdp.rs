@@ -98,10 +98,9 @@ impl MdpConfig {
                 .ok_or_else(|| MdpError(format!("line {}: expected key = value", lineno + 1)))?;
             let key = key.trim().to_ascii_lowercase().replace('_', "-");
             let value = value.trim();
-            let parse_f = |v: &str| {
-                v.parse::<f64>()
-                    .map_err(|_| MdpError(format!("line {}: bad number {v:?}", lineno + 1)))
-            };
+            let bad = |v: &str| MdpError(format!("line {}: bad number {v:?}", lineno + 1));
+            let parse_f = |v: &str| v.parse::<f64>().map_err(|_| bad(v));
+            let parse_u = |v: &str| super::parse_u64(v).ok_or_else(|| bad(v));
             match key.as_str() {
                 "integrator" => {
                     if value != "sd" {
@@ -111,11 +110,11 @@ impl MdpConfig {
                         )));
                     }
                 }
-                "nsteps" => cfg.nsteps = parse_f(value)? as u64,
+                "nsteps" => cfg.nsteps = parse_u(value)?,
                 "dt" => cfg.dt = parse_f(value)?,
                 "ref-t" => cfg.ref_t = parse_f(value)?,
                 "tau-t" => cfg.tau_t = parse_f(value)?,
-                "ld-seed" => cfg.ld_seed = parse_f(value)? as u64,
+                "ld-seed" => cfg.ld_seed = parse_u(value)?,
                 "rcoulomb" => cfg.rcoulomb_nm = parse_f(value)?,
                 "salt-concentration" => cfg.salt_concentration = parse_f(value)?,
                 "solvent-ph" => cfg.solvent_ph = parse_f(value)?,
@@ -152,7 +151,7 @@ mod tests {
             dt: 0.002,
             ref_t: 329.0,
             tau_t: 0.5,
-            ld_seed: 77,
+            ld_seed: u64::MAX - 1, // every bit of a 64-bit seed survives
             rcoulomb_nm: 1.0,
             salt_concentration: 0.15,
             solvent_ph: 6.0,

@@ -98,20 +98,19 @@ impl NamdConfig {
                     Ok(rest[0].to_string())
                 }
             };
-            let parse_f = |v: &str| {
-                v.parse::<f64>()
-                    .map_err(|_| NamdConfError(format!("line {}: bad number {v:?}", lineno + 1)))
-            };
+            let bad = |v: &str| NamdConfError(format!("line {}: bad number {v:?}", lineno + 1));
+            let parse_f = |v: &str| v.parse::<f64>().map_err(|_| bad(v));
+            let parse_u = |v: &str| super::parse_u64(v).ok_or_else(|| bad(v));
             match key.as_str() {
-                "numsteps" => cfg.numsteps = parse_f(&one(&rest)?)? as u64,
+                "numsteps" => cfg.numsteps = parse_u(&one(&rest)?)?,
                 "timestep" => cfg.timestep_fs = parse_f(&one(&rest)?)?,
                 "temperature" => cfg.temperature = parse_f(&one(&rest)?)?,
                 "langevindamping" => cfg.langevin_damping = parse_f(&one(&rest)?)?,
-                "seed" => cfg.seed = parse_f(&one(&rest)?)? as u64,
+                "seed" => cfg.seed = parse_u(&one(&rest)?)?,
                 "cutoff" => cfg.cutoff = parse_f(&one(&rest)?)?,
                 "saltconcentration" => cfg.salt_concentration = parse_f(&one(&rest)?)?,
                 "solventph" => cfg.solvent_ph = parse_f(&one(&rest)?)?,
-                "outputenergies" => cfg.output_energies = parse_f(&one(&rest)?)? as u64,
+                "outputenergies" => cfg.output_energies = parse_u(&one(&rest)?)?,
                 "harmonicdihedral" => {
                     if rest.len() != 3 {
                         return Err(NamdConfError(format!(
@@ -148,7 +147,7 @@ mod tests {
             timestep_fs: 2.0,
             temperature: 350.0,
             langevin_damping: 5.0,
-            seed: 314,
+            seed: u64::MAX - 1, // every bit of a 64-bit seed survives
             cutoff: 10.0,
             salt_concentration: 0.15,
             solvent_ph: 6.2,

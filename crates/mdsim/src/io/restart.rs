@@ -119,7 +119,6 @@ pub fn read_restart_with_cycle(text: &str) -> Result<(State, u64), RestartError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn sample_state(n: usize) -> State {
         let mut st = State::zeros(n);
@@ -206,37 +205,37 @@ mod tests {
         assert!(read_restart("title\n1 0.0 0 0 99\n1 2 3 4 5 6\n").is_err());
     }
 
-    proptest! {
-        #[test]
-        fn roundtrip_random_states(
-            n in 1usize..40,
-            seed in 0u64..1000,
-            step in 0u64..u64::MAX,
-            cycle in 0u64..100_000,
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    #[test]
+    fn roundtrip_random_states() {
+        rng::check(256, |r| {
+            let n = r.range(1usize..40);
+            let step = r.range(0u64..u64::MAX);
+            let cycle = r.range(0u64..100_000);
             let mut st = State::zeros(n);
             for p in &mut st.positions {
-                *p = Vec3::new(rng.gen_range(-999.0..999.0), rng.gen_range(-999.0..999.0), rng.gen_range(-999.0..999.0));
+                *p = Vec3::new(
+                    r.range(-999.0..999.0),
+                    r.range(-999.0..999.0),
+                    r.range(-999.0..999.0),
+                );
             }
             for v in &mut st.velocities {
-                *v = Vec3::new(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0));
+                *v = Vec3::new(r.range(-10.0..10.0), r.range(-10.0..10.0), r.range(-10.0..10.0));
             }
-            st.time_ps = rng.gen_range(0.0..1e4);
+            st.time_ps = r.range(0.0..1e4);
             st.step = step;
             let (back, back_cycle) =
                 read_restart_with_cycle(&write_restart_with_cycle("x", &st, cycle)).unwrap();
-            prop_assert_eq!(back.step, step);
-            prop_assert_eq!(back_cycle, cycle);
-            prop_assert_eq!(back.time_ps, st.time_ps);
+            assert_eq!(back.step, step);
+            assert_eq!(back_cycle, cycle);
+            assert_eq!(back.time_ps, st.time_ps);
             // Bit-exact round trip: checkpoint/resume depends on it.
             for (a, b) in st.positions.iter().zip(&back.positions) {
-                prop_assert_eq!((a.x, a.y, a.z), (b.x, b.y, b.z));
+                assert_eq!((a.x, a.y, a.z), (b.x, b.y, b.z));
             }
             for (a, b) in st.velocities.iter().zip(&back.velocities) {
-                prop_assert_eq!((a.x, a.y, a.z), (b.x, b.y, b.z));
+                assert_eq!((a.x, a.y, a.z), (b.x, b.y, b.z));
             }
-        }
+        });
     }
 }

@@ -21,8 +21,7 @@ use crate::forcefield::{ForceField, NonbondedParams};
 use crate::system::{PbcBox, State, System};
 use crate::topology::{Angle, Atom, Bond, NamedDihedral, Titratable, Topology, Torsion};
 use crate::vec3::Vec3;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rng::Rng;
 
 /// Number of backbone atoms in the reduced dipeptide.
 pub const BACKBONE_ATOMS: usize = 7;
@@ -122,7 +121,7 @@ pub fn solvated_alanine_dipeptide(total_atoms: usize, seed: u64) -> System {
 
     // Solvent on a jittered cubic lattice, skipping sites too close to the
     // backbone — avoids initial overlaps that would blow up the integrator.
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     let per_side = (total_atoms as f64).cbrt().ceil() as usize;
     let spacing = l / per_side as f64;
     let mut placed = 0;
@@ -141,9 +140,9 @@ pub fn solvated_alanine_dipeptide(total_atoms: usize, seed: u64) -> System {
                     continue;
                 }
                 let jitter = Vec3::new(
-                    (rng.gen::<f64>() - 0.5) * 0.3,
-                    (rng.gen::<f64>() - 0.5) * 0.3,
-                    (rng.gen::<f64>() - 0.5) * 0.3,
+                    (rng.f64() - 0.5) * 0.3,
+                    (rng.f64() - 0.5) * 0.3,
+                    (rng.f64() - 0.5) * 0.3,
                 );
                 state.positions[BACKBONE_ATOMS + placed] = site + jitter;
                 placed += 1;
@@ -204,7 +203,7 @@ mod tests {
         let mut sys = alanine_dipeptide();
         let ff = dipeptide_forcefield();
         let mut integ = LangevinBaoab::new(0.002, 300.0, 5.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let mut rng = Rng::seed(99);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         for _ in 0..5000 {
             integ.step(&mut sys, &ff, 1, &mut rng);
@@ -245,7 +244,7 @@ mod tests {
         let mut sys = solvated_alanine_dipeptide(500, 7);
         let ff = dipeptide_forcefield();
         let mut integ = LangevinBaoab::new(0.001, 300.0, 5.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed(4);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         for _ in 0..200 {
             integ.step(&mut sys, &ff, 1, &mut rng);

@@ -5,8 +5,7 @@ use crate::forcefield::{ForceField, NonbondedParams};
 use crate::system::{PbcBox, State, System};
 use crate::topology::{Atom, Topology};
 use crate::vec3::Vec3;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rng::Rng;
 
 /// Build an LJ fluid of `n` argon-like atoms at reduced density `rho_star`
 /// (atoms per σ³; liquid argon ≈ 0.8).
@@ -20,7 +19,7 @@ pub fn lj_fluid(n: usize, rho_star: f64, seed: u64) -> System {
     let mut state = State::zeros(n);
     let per_side = (n as f64).cbrt().ceil() as usize;
     let spacing = l / per_side as f64;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed(seed);
     let mut placed = 0;
     'fill: for x in 0..per_side {
         for y in 0..per_side {
@@ -29,9 +28,9 @@ pub fn lj_fluid(n: usize, rho_star: f64, seed: u64) -> System {
                     break 'fill;
                 }
                 let jitter = Vec3::new(
-                    (rng.gen::<f64>() - 0.5) * 0.2,
-                    (rng.gen::<f64>() - 0.5) * 0.2,
-                    (rng.gen::<f64>() - 0.5) * 0.2,
+                    (rng.f64() - 0.5) * 0.2,
+                    (rng.f64() - 0.5) * 0.2,
+                    (rng.f64() - 0.5) * 0.2,
                 );
                 state.positions[placed] = Vec3::new(
                     (x as f64 + 0.5) * spacing,
@@ -54,7 +53,6 @@ pub fn lj_forcefield() -> ForceField {
 mod tests {
     use super::*;
     use crate::integrator::LangevinBaoab;
-    use rand::SeedableRng;
 
     #[test]
     fn density_is_respected() {
@@ -69,7 +67,7 @@ mod tests {
         let mut sys = lj_fluid(64, 0.6, 2);
         let ff = lj_forcefield();
         let mut integ = LangevinBaoab::new(0.004, 95.0, 2.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut rng = Rng::seed(12);
         sys.assign_maxwell_boltzmann(95.0, &mut rng);
         for _ in 0..1500 {
             integ.step(&mut sys, &ff, 1, &mut rng);

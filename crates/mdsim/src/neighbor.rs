@@ -393,8 +393,7 @@ mod tests {
     use super::*;
     use crate::system::State;
     use crate::topology::{Atom, Topology};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rng::Rng;
     use std::collections::BTreeSet;
 
     fn within_cutoff_pairs(
@@ -411,6 +410,16 @@ mod tests {
             .collect()
     }
 
+    /// Move every atom up to `max` along a random direction.
+    fn displace_within(sys: &mut System, max: f64, rng: &mut Rng) {
+        for p in &mut sys.state.positions {
+            let dir =
+                Vec3::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0);
+            let norm = dir.norm().max(1e-9);
+            *p += dir * (rng.f64() * max / norm);
+        }
+    }
+
     #[test]
     fn all_pairs_count() {
         assert_eq!(all_pairs(5).count(), 10);
@@ -420,12 +429,10 @@ mod tests {
 
     #[test]
     fn cell_list_matches_all_pairs_periodic() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed(42);
         let pbc = PbcBox::cubic(20.0);
         let positions: Vec<Vec3> = (0..300)
-            .map(|_| {
-                Vec3::new(rng.gen::<f64>() * 20.0, rng.gen::<f64>() * 20.0, rng.gen::<f64>() * 20.0)
-            })
+            .map(|_| Vec3::new(rng.f64() * 20.0, rng.f64() * 20.0, rng.f64() * 20.0))
             .collect();
         let cutoff = 4.0;
         let cl = CellList::build(&positions, &pbc, cutoff);
@@ -436,15 +443,11 @@ mod tests {
 
     #[test]
     fn cell_list_matches_all_pairs_vacuum() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed(11);
         let pbc = PbcBox::VACUUM;
         let positions: Vec<Vec3> = (0..200)
             .map(|_| {
-                Vec3::new(
-                    rng.gen::<f64>() * 30.0 - 15.0,
-                    rng.gen::<f64>() * 30.0 - 15.0,
-                    rng.gen::<f64>() * 30.0 - 15.0,
-                )
+                Vec3::new(rng.f64() * 30.0 - 15.0, rng.f64() * 30.0 - 15.0, rng.f64() * 30.0 - 15.0)
             })
             .collect();
         let cutoff = 5.0;
@@ -503,12 +506,11 @@ mod tests {
 
     #[test]
     fn cache_reuses_until_half_skin_displacement() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         let l = 30.0;
         let n = 600; // above CELL_LIST_THRESHOLD: the cell-list path
-        let positions: Vec<Vec3> = (0..n)
-            .map(|_| Vec3::new(rng.gen::<f64>() * l, rng.gen::<f64>() * l, rng.gen::<f64>() * l))
-            .collect();
+        let positions: Vec<Vec3> =
+            (0..n).map(|_| Vec3::new(rng.f64() * l, rng.f64() * l, rng.f64() * l)).collect();
         let mut sys = cache_system(positions, PbcBox::cubic(l));
         let cutoff = 6.0;
         let mut cache = NeighborCache::new(2.0);
@@ -541,11 +543,9 @@ mod tests {
 
     #[test]
     fn cache_small_system_is_position_independent() {
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Rng::seed(8);
         let positions: Vec<Vec3> = (0..50)
-            .map(|_| {
-                Vec3::new(rng.gen::<f64>() * 10.0, rng.gen::<f64>() * 10.0, rng.gen::<f64>() * 10.0)
-            })
+            .map(|_| Vec3::new(rng.f64() * 10.0, rng.f64() * 10.0, rng.f64() * 10.0))
             .collect();
         let mut sys = cache_system(positions, PbcBox::VACUUM);
         let mut cache = NeighborCache::new(1.0);
@@ -590,22 +590,17 @@ mod tests {
         assert!(cache.ensure(&sys, 4.0));
     }
 
-    proptest::proptest! {
-        /// The Verlet guarantee: after arbitrary per-atom displacements of at
-        /// most skin/2, a cached list built at the original coordinates still
-        /// finds every within-cutoff pair (periodic and vacuum).
-        #[test]
-        fn verlet_skin_never_misses_after_displacement(
-            seed in 0u64..200,
-            n in 2usize..60,
-            periodic in proptest::bool::ANY,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let l = 14.0 + (seed % 5) as f64;
-            let pbc = if periodic { PbcBox::cubic(l) } else { PbcBox::VACUUM };
-            let positions: Vec<Vec3> = (0..n)
-                .map(|_| Vec3::new(rng.gen::<f64>() * l, rng.gen::<f64>() * l, rng.gen::<f64>() * l))
-                .collect();
+    /// The Verlet guarantee: after arbitrary per-atom displacements of at
+    /// most skin/2, a cached list built at the original coordinates still
+    /// finds every within-cutoff pair (periodic and vacuum).
+    #[test]
+    fn verlet_skin_never_misses_after_displacement() {
+        rng::check(256, |rng| {
+            let n = rng.range(2usize..60);
+            let l = 14.0 + rng.below(5) as f64;
+            let pbc = if rng.below(2) == 1 { PbcBox::cubic(l) } else { PbcBox::VACUUM };
+            let positions: Vec<Vec3> =
+                (0..n).map(|_| Vec3::new(rng.f64() * l, rng.f64() * l, rng.f64() * l)).collect();
             let cutoff = 3.5;
             let skin = 1.2;
             let mut sys = cache_system(positions, pbc);
@@ -613,62 +608,47 @@ mod tests {
             cache.ensure(&sys, cutoff);
             // Random displacement of up to skin/2 per atom (the validity
             // envelope; `ensure` is deliberately NOT called afterwards).
-            for p in &mut sys.state.positions {
-                let dir = Vec3::new(
-                    rng.gen::<f64>() * 2.0 - 1.0,
-                    rng.gen::<f64>() * 2.0 - 1.0,
-                    rng.gen::<f64>() * 2.0 - 1.0,
-                );
-                let norm = dir.norm().max(1e-9);
-                *p += dir * (rng.gen::<f64>() * 0.5 * skin / norm);
-            }
+            displace_within(&mut sys, 0.5 * skin, rng);
             let got = cached_within_cutoff(&sys, &cache, cutoff);
             let expect = within_cutoff_pairs(&sys.state.positions, &sys.pbc, cutoff, all_pairs(n));
-            proptest::prop_assert_eq!(got, expect);
-        }
+            assert_eq!(got, expect);
+        });
+    }
 
-        /// Same guarantee through the cell-list path (above the threshold).
-        #[test]
-        fn verlet_skin_never_misses_large_system(seed in 0u64..20) {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
+    /// Same guarantee through the cell-list path (above the threshold).
+    #[test]
+    fn verlet_skin_never_misses_large_system() {
+        rng::check(256, |rng| {
             let n = 450; // > CELL_LIST_THRESHOLD
             let l = 26.0;
-            let pbc = if seed % 2 == 0 { PbcBox::cubic(l) } else { PbcBox::VACUUM };
-            let positions: Vec<Vec3> = (0..n)
-                .map(|_| Vec3::new(rng.gen::<f64>() * l, rng.gen::<f64>() * l, rng.gen::<f64>() * l))
-                .collect();
+            let pbc = if rng.below(2) == 0 { PbcBox::cubic(l) } else { PbcBox::VACUUM };
+            let positions: Vec<Vec3> =
+                (0..n).map(|_| Vec3::new(rng.f64() * l, rng.f64() * l, rng.f64() * l)).collect();
             let cutoff = 5.0;
             let skin = 1.5;
             let mut sys = cache_system(positions, pbc);
             let mut cache = NeighborCache::new(skin);
             cache.ensure(&sys, cutoff);
-            for p in &mut sys.state.positions {
-                let dir = Vec3::new(
-                    rng.gen::<f64>() * 2.0 - 1.0,
-                    rng.gen::<f64>() * 2.0 - 1.0,
-                    rng.gen::<f64>() * 2.0 - 1.0,
-                );
-                let norm = dir.norm().max(1e-9);
-                *p += dir * (rng.gen::<f64>() * 0.5 * skin / norm);
-            }
+            displace_within(&mut sys, 0.5 * skin, rng);
             let got = cached_within_cutoff(&sys, &cache, cutoff);
             let expect = within_cutoff_pairs(&sys.state.positions, &sys.pbc, cutoff, all_pairs(n));
-            proptest::prop_assert_eq!(got, expect);
-        }
+            assert_eq!(got, expect);
+        });
+    }
 
-        #[test]
-        fn cell_list_never_misses_a_pair(seed in 0u64..500, n in 2usize..80) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let l = 12.0 + (seed % 7) as f64;
+    #[test]
+    fn cell_list_never_misses_a_pair() {
+        rng::check(256, |rng| {
+            let n = rng.range(2usize..80);
+            let l = 12.0 + rng.below(7) as f64;
             let pbc = PbcBox::cubic(l);
-            let positions: Vec<Vec3> = (0..n)
-                .map(|_| Vec3::new(rng.gen::<f64>() * l, rng.gen::<f64>() * l, rng.gen::<f64>() * l))
-                .collect();
+            let positions: Vec<Vec3> =
+                (0..n).map(|_| Vec3::new(rng.f64() * l, rng.f64() * l, rng.f64() * l)).collect();
             let cutoff = 3.5;
             let cl = CellList::build(&positions, &pbc, cutoff);
             let got = within_cutoff_pairs(&positions, &pbc, cutoff, cl.pairs().into_iter());
             let expect = within_cutoff_pairs(&positions, &pbc, cutoff, all_pairs(n));
-            proptest::prop_assert_eq!(got, expect);
-        }
+            assert_eq!(got, expect);
+        });
     }
 }

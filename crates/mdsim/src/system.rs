@@ -3,8 +3,7 @@
 use crate::topology::Topology;
 use crate::units::{kbt, wrap_angle};
 use crate::vec3::Vec3;
-use rand::Rng;
-use rand_distr::{Distribution, Normal};
+use rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Orthorhombic periodic box (or `None` extent for vacuum).
@@ -186,11 +185,10 @@ impl System {
 
     /// Draw velocities from the Maxwell-Boltzmann distribution at `t` K and
     /// remove centre-of-mass drift.
-    pub fn assign_maxwell_boltzmann<R: Rng + ?Sized>(&mut self, t: f64, rng: &mut R) {
+    pub fn assign_maxwell_boltzmann(&mut self, t: f64, rng: &mut Rng) {
         for (atom, v) in self.topology.atoms.iter().zip(self.state.velocities.iter_mut()) {
             let sigma = (kbt(t) / atom.mass).sqrt();
-            let normal = Normal::new(0.0, sigma).expect("sigma is finite and positive");
-            *v = Vec3::new(normal.sample(rng), normal.sample(rng), normal.sample(rng));
+            *v = Vec3::new(sigma * rng.normal(), sigma * rng.normal(), sigma * rng.normal());
         }
         self.remove_com_motion();
     }
@@ -237,8 +235,6 @@ impl System {
 mod tests {
     use super::*;
     use crate::topology::{Atom, NamedDihedral};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn four_atom_system(positions: [Vec3; 4]) -> System {
         let topology = Topology {
@@ -318,7 +314,7 @@ mod tests {
             Topology { atoms: vec![Atom::lj(18.0, 0.15, 3.2); 2000], ..Default::default() };
         let state = State::zeros(2000);
         let mut sys = System::new(topology, PbcBox::cubic(50.0), state).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed(7);
         sys.assign_maxwell_boltzmann(300.0, &mut rng);
         let t = sys.instantaneous_temperature();
         assert!((t - 300.0).abs() < 15.0, "T = {t}");
@@ -328,7 +324,7 @@ mod tests {
     fn com_motion_removed() {
         let topology = Topology { atoms: vec![Atom::lj(10.0, 0.1, 3.0); 50], ..Default::default() };
         let mut sys = System::new(topology, PbcBox::VACUUM, State::zeros(50)).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed(3);
         sys.assign_maxwell_boltzmann(500.0, &mut rng);
         let p: Vec3 =
             sys.topology.atoms.iter().zip(&sys.state.velocities).map(|(a, v)| *v * a.mass).sum();

@@ -81,7 +81,6 @@ pub fn beta(t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use std::f64::consts::PI;
 
     #[test]
@@ -114,19 +113,22 @@ mod tests {
         assert!((dt - 0.04091).abs() < 1e-4);
     }
 
-    proptest! {
-        #[test]
-        fn wrap_angle_is_idempotent(a in -1e4f64..1e4) {
-            let w = wrap_angle(a);
-            prop_assert!(w > -PI - 1e-12 && w <= PI + 1e-12);
-            prop_assert!((wrap_angle(w) - w).abs() < 1e-12);
-        }
+    #[test]
+    fn wrap_angle_is_idempotent() {
+        rng::check(256, |r| {
+            let w = wrap_angle(r.range(-1e4..1e4));
+            assert!(w > -PI - 1e-12 && w <= PI + 1e-12);
+            assert!((wrap_angle(w) - w).abs() < 1e-12);
+        });
+    }
 
-        #[test]
-        fn wrap_deg_preserves_sin_cos(a in -1e4f64..1e4) {
+    #[test]
+    fn wrap_deg_preserves_sin_cos() {
+        rng::check(256, |r| {
+            let a = r.range(-1e4..1e4);
             let w = wrap_angle_deg(a);
-            prop_assert!((deg_to_rad(a).sin() - deg_to_rad(w).sin()).abs() < 1e-6);
-            prop_assert!((deg_to_rad(a).cos() - deg_to_rad(w).cos()).abs() < 1e-6);
-        }
+            assert!((deg_to_rad(a).sin() - deg_to_rad(w).sin()).abs() < 1e-6);
+            assert!((deg_to_rad(a).cos() - deg_to_rad(w).cos()).abs() < 1e-6);
+        });
     }
 }

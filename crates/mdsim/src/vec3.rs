@@ -190,7 +190,6 @@ impl Index<usize> for Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
@@ -256,25 +255,29 @@ mod tests {
         let _ = Vec3::ZERO[3];
     }
 
-    proptest! {
-        #[test]
-        fn cross_is_orthogonal(ax in -1e3f64..1e3, ay in -1e3f64..1e3, az in -1e3f64..1e3,
-                               bx in -1e3f64..1e3, by in -1e3f64..1e3, bz in -1e3f64..1e3) {
-            let a = Vec3::new(ax, ay, az);
-            let b = Vec3::new(bx, by, bz);
+    fn any_vec3(r: &mut rng::Rng) -> Vec3 {
+        Vec3::new(r.range(-1e3..1e3), r.range(-1e3..1e3), r.range(-1e3..1e3))
+    }
+
+    #[test]
+    fn cross_is_orthogonal() {
+        rng::check(256, |r| {
+            let a = any_vec3(r);
+            let b = any_vec3(r);
             let c = a.cross(b);
             // |a.c| should be tiny relative to the magnitudes involved.
             let scale = (a.norm() * b.norm()).max(1.0);
-            prop_assert!((c.dot(a)).abs() <= 1e-6 * scale * scale);
-            prop_assert!((c.dot(b)).abs() <= 1e-6 * scale * scale);
-        }
+            assert!((c.dot(a)).abs() <= 1e-6 * scale * scale);
+            assert!((c.dot(b)).abs() <= 1e-6 * scale * scale);
+        });
+    }
 
-        #[test]
-        fn triangle_inequality(ax in -1e3f64..1e3, ay in -1e3f64..1e3, az in -1e3f64..1e3,
-                               bx in -1e3f64..1e3, by in -1e3f64..1e3, bz in -1e3f64..1e3) {
-            let a = Vec3::new(ax, ay, az);
-            let b = Vec3::new(bx, by, bz);
-            prop_assert!((a + b).norm() <= a.norm() + b.norm() + 1e-9);
-        }
+    #[test]
+    fn triangle_inequality() {
+        rng::check(256, |r| {
+            let a = any_vec3(r);
+            let b = any_vec3(r);
+            assert!((a + b).norm() <= a.norm() + b.norm() + 1e-9);
+        });
     }
 }

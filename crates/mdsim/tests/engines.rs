@@ -13,7 +13,7 @@ use mdsim::{DihedralRestraint, System};
 const NAMD_SEED_SALT: u64 = 0x4e41_4d44;
 
 /// A system with thermal velocities: a short NAMD run on the cold model
-/// draws them (std only — this file is also built without `rand`).
+/// draws them.
 fn warm_system() -> System {
     let mut sys = alanine_dipeptide();
     let warm_up = MdJob { steps: 20, seed: 5, ..Default::default() };

@@ -13,8 +13,7 @@ use mdsim::models::{
 use mdsim::topology::{Angle, Atom, Bond, NamedDihedral, Titratable, Topology, Torsion};
 use mdsim::units::AKMA_PER_PS;
 use mdsim::{DihedralRestraint, EvalContext, ForceField, PbcBox, State, System, Vec3};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 
 /// A periodic LJ fluid two cells wide at its cutoff, made to answer to every
 /// axis of the table: alternating charges (salt), one titratable site (pH),
@@ -301,7 +300,7 @@ fn zero_friction_conserves_energy_on_the_diatomic() {
     let mut sys = diatomic(300.0, 1.5, 0.2);
     let ff = ForceField::default();
     let mut integ = nve(0.0002);
-    let mut rng = StdRng::seed_from_u64(0);
+    let mut rng = Rng::seed(0);
     let e0 = ff.energy(&sys).total() + sys.kinetic_energy();
     let mut max_drift: f64 = 0.0;
     for _ in 0..5000 {
@@ -336,7 +335,7 @@ fn zero_friction_conserves_energy_on_the_lj_lattice() {
         *p = Vec3::new(x as f64, y as f64, z as f64) * spacing;
     }
     let mut sys = System::new(top, PbcBox::cubic(n_side as f64 * spacing), state).unwrap();
-    let mut rng = StdRng::seed_from_u64(17);
+    let mut rng = Rng::seed(17);
     sys.assign_maxwell_boltzmann(60.0, &mut rng);
 
     let ff = ForceField::default();
@@ -365,7 +364,7 @@ fn zero_friction_reproduces_the_analytic_oscillation_period() {
     let ff = ForceField::default();
     let dt = 0.00002;
     let mut integ = nve(dt);
-    let mut rng = StdRng::seed_from_u64(0);
+    let mut rng = Rng::seed(0);
     // Bond length starts at maximum extension and crosses r0 downward
     // exactly once per period; time three downward crossings.
     let mut prev_len = 1.6;

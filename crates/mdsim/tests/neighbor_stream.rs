@@ -7,20 +7,12 @@ use mdsim::models::{dipeptide_forcefield, lj_fluid, lj_forcefield, solvated_alan
 use mdsim::neighbor::{CellList, NeighborCache};
 use mdsim::topology::Bond;
 use mdsim::{System, Vec3};
+use rng::Rng;
 
-/// A deterministic value in [-0.5, 0.5) (splitmix64; the registry's `rand`
-/// is not a dependency of the offline test package).
-fn jitter(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-}
-
-fn shake(sys: &mut System, amplitude: f64, state: &mut u64) {
+/// Move every coordinate by up to half of `amplitude` either way.
+fn shake(sys: &mut System, amplitude: f64, rng: &mut Rng) {
     for p in &mut sys.state.positions {
-        *p += Vec3::new(jitter(state), jitter(state), jitter(state)) * amplitude;
+        *p += Vec3::new(rng.f64() - 0.5, rng.f64() - 0.5, rng.f64() - 0.5) * amplitude;
     }
 }
 
@@ -58,7 +50,7 @@ fn streamed_list_equals_materialised_then_filtered() {
         ("fluid, short cutoff", with_bonds(lj_fluid(600, 0.6, 7)), 4.0),
         ("solvated dipeptide", solvated_alanine_dipeptide(2881, 9), 9.0),
     ];
-    let mut rng = 42;
+    let mut rng = Rng::seed(42);
     for (what, mut sys, cutoff) in cases {
         let mut cache = NeighborCache::default();
         for round in 0..3 {
@@ -76,7 +68,7 @@ fn streamed_list_equals_materialised_then_filtered() {
 fn cached_energy_matches_fresh_on_the_cell_list_path() {
     let fluid = (with_bonds(lj_fluid(450, 0.8, 3)), lj_forcefield());
     let solvated = (solvated_alanine_dipeptide(2881, 4), dipeptide_forcefield());
-    let mut rng = 7;
+    let mut rng = Rng::seed(7);
     for (mut sys, ff) in [fluid, solvated] {
         let mut ctx = EvalContext::new();
         let n = sys.n_atoms();

@@ -10,7 +10,7 @@
 //!
 //! Quantiles are approximate: a value is reported as the geometric midpoint
 //! of its bucket, so the relative error is bounded by half the bucket width
-//! (2^(1/16) ≈ 4.4%). The proptest suite in `tests/prop_stats.rs` pins this
+//! (2^(1/16) ≈ 4.4%). The property suite in `tests/prop_stats.rs` pins this
 //! bound against exact sorted-vector quantiles, including after merges.
 
 /// Sub-buckets per power of two. 8 gives ~9% bucket width (2^(1/8)).

@@ -1,9 +1,11 @@
 //! Property tests pinning `obs::stats::LogHistogram` quantiles to exact
 //! sorted-vector quantiles within the documented bucket resolution, for
-//! both the direct-record and the merge path.
+//! both the direct-record and the merge path. Also compiled by
+//! `tests-offline/`.
 
 use obs::LogHistogram;
-use proptest::prelude::*;
+use rng::Rng;
+use std::ops::Range;
 
 /// Exact nearest-rank quantile over a sorted copy of `values`.
 fn exact_quantile(values: &[f64], q: f64) -> f64 {
@@ -33,16 +35,18 @@ fn assert_within_resolution(h: &LogHistogram, values: &[f64], q: f64) {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// `len` (drawn from its range) values, each from `draw`.
+fn draws(r: &mut Rng, len: Range<usize>, mut draw: impl FnMut(&mut Rng) -> f64) -> Vec<f64> {
+    (0..r.range(len)).map(|_| draw(r)).collect()
+}
 
-    #[test]
-    fn quantiles_track_exact_sorted_quantiles(
-        values in prop::collection::vec(1e-6f64..1e6, 1..400),
-        qs in prop::collection::vec(0.0f64..=1.0, 1..8),
-    ) {
+#[test]
+fn quantiles_track_exact_sorted_quantiles() {
+    rng::check(128, |r| {
+        let values = draws(r, 1..400, |r| r.range(1e-6..1e6));
+        let qs = draws(r, 1..8, |r| r.range(0.0..=1.0));
         let h: LogHistogram = values.iter().copied().collect();
-        prop_assert_eq!(h.count(), values.len() as u64);
+        assert_eq!(h.count(), values.len() as u64);
         for q in qs {
             assert_within_resolution(&h, &values, q);
         }
@@ -50,23 +54,24 @@ proptest! {
         let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mean = values.iter().sum::<f64>() / values.len() as f64;
-        prop_assert_eq!(h.min(), lo);
-        prop_assert_eq!(h.max(), hi);
-        prop_assert!((h.mean() - mean).abs() <= mean.abs() * 1e-12 + 1e-12);
-    }
+        assert_eq!(h.min(), lo);
+        assert_eq!(h.max(), hi);
+        assert!((h.mean() - mean).abs() <= mean.abs() * 1e-12 + 1e-12);
+    });
+}
 
-    #[test]
-    fn merged_histogram_matches_single_histogram(
-        a in prop::collection::vec(1e-6f64..1e6, 0..200),
-        b in prop::collection::vec(1e-6f64..1e6, 0..200),
-    ) {
+#[test]
+fn merged_histogram_matches_single_histogram() {
+    rng::check(128, |r| {
+        let a = draws(r, 0..200, |r| r.range(1e-6..1e6));
+        let b = draws(r, 0..200, |r| r.range(1e-6..1e6));
         let mut merged: LogHistogram = a.iter().copied().collect();
         let hb: LogHistogram = b.iter().copied().collect();
         merged.merge(&hb);
         let combined: LogHistogram = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(merged.count(), combined.count());
+        assert_eq!(merged.count(), combined.count());
         for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert_eq!(merged.quantile(q), combined.quantile(q), "q={}", q);
+            assert_eq!(merged.quantile(q), combined.quantile(q), "q={}", q);
         }
         // The merged quantiles also track the exact pooled quantiles.
         let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
@@ -75,21 +80,22 @@ proptest! {
                 assert_within_resolution(&merged, &all, q);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn zeros_and_subnormals_never_panic(
-        values in prop::collection::vec(prop_oneof![
-            Just(0.0f64),
-            1e-40f64..1e-20,
-            0.001f64..1000.0,
-        ], 1..100),
-    ) {
+#[test]
+fn zeros_and_subnormals_never_panic() {
+    rng::check(128, |r| {
+        let values = draws(r, 1..100, |r| match r.below(3) {
+            0 => 0.0,
+            1 => r.range(1e-40..1e-20),
+            _ => r.range(0.001..1000.0),
+        });
         let h: LogHistogram = values.iter().copied().collect();
         for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let v = h.quantile(q);
-            prop_assert!(v.is_finite());
-            prop_assert!(v >= 0.0);
+            assert!(v.is_finite());
+            assert!(v >= 0.0);
         }
-    }
+    });
 }

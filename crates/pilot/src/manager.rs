@@ -14,8 +14,7 @@ use crate::staging::StagingArea;
 use crate::states::PilotState;
 use hpc::fault::{FaultModel, HazardModel};
 use hpc::scenario::Scenario;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 
 /// Which backend a pilot uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +77,7 @@ impl PilotManager {
         desc.validate()?;
         let mut queue_wait = 0.0;
         if let Some(queue) = &desc.queue {
-            let mut rng = StdRng::seed_from_u64(desc.seed ^ 0x5149_5545); // "QUEUE"
+            let mut rng = Rng::seed(desc.seed ^ 0x5149_5545); // "QUEUE"
             queue_wait = queue.sample_wait(desc.cores, &desc.cluster, &mut rng);
         }
         let executor: Box<dyn Executor<R>> = match self.backend {

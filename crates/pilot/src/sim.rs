@@ -7,8 +7,7 @@ use hpc::perfmodel::NoiseModel;
 use hpc::scenario::Scenario;
 use hpc::timeline::CoreTimeline;
 use hpc::{EventQueue, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::Rng;
 
 /// FNV-1a over the unit name: the per-unit RNG stream key.
 fn name_hash(name: &str) -> u64 {
@@ -110,7 +109,7 @@ impl<R> SimExecutor<R> {
     /// submitting thread, in submission order.
     fn account(&mut self, desc: UnitDescription, result: Result<R, String>) -> UnitId {
         // Every stochastic charge for this unit comes from its own stream.
-        let mut unit_rng = StdRng::seed_from_u64(self.seed ^ name_hash(&desc.name));
+        let mut unit_rng = Rng::seed(self.seed ^ name_hash(&desc.name));
         let modeled = match desc.duration {
             DurationSpec::Modeled { seconds, sigma } => {
                 let mut m = seconds * self.noise.factor(sigma, &mut unit_rng);

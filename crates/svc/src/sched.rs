@@ -152,7 +152,6 @@ impl FairShare {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn cand(id: &str, tenant: &str, weight: f64, cores: usize, seq: u64) -> Candidate {
         Candidate {
@@ -314,14 +313,14 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Invariant: a plan never over-commits the pool, whatever the mix
-        /// of candidate widths; and with 1-core saturation it fills it.
-        #[test]
-        fn plan_never_exceeds_free_cores(
-            widths in proptest::collection::vec(1usize..12, 1..20),
-            pool in 1usize..32,
-        ) {
+    /// Invariant: a plan never over-commits the pool, whatever the mix
+    /// of candidate widths; and with 1-core saturation it fills it.
+    #[test]
+    fn plan_never_exceeds_free_cores() {
+        rng::check(256, |r| {
+            let len = r.range(1..20usize);
+            let widths: Vec<usize> = (0..len).map(|_| r.range(1usize..12)).collect();
+            let pool = r.range(1usize..32);
             let fs = FairShare::new(pool);
             let queued: Vec<Candidate> = widths
                 .iter()
@@ -330,51 +329,61 @@ mod tests {
                 .collect();
             let planned = fs.plan(&queued);
             let sum: usize = planned.iter().map(|c| c.cores).sum();
-            prop_assert!(sum <= pool, "planned {sum} cores into a {pool}-core pool");
+            assert!(sum <= pool, "planned {sum} cores into a {pool}-core pool");
             // Committing the whole plan must succeed exactly as planned.
             let mut fs = FairShare::new(pool);
             for c in &planned {
-                prop_assert!(fs.start(c).is_ok());
+                assert!(fs.start(c).is_ok());
             }
-            prop_assert_eq!(fs.pool().leased(), sum);
-        }
+            assert_eq!(fs.pool().leased(), sum);
+        });
+    }
 
-        /// No tenant starves: under a saturating queue of equal-width jobs,
-        /// every tenant with nonzero weight is served, with long-run shares
-        /// within 10% of its weight fraction.
-        #[test]
-        fn no_tenant_starves_under_saturation(
-            weights in proptest::collection::vec(0.5f64..4.0, 2..5),
-        ) {
+    /// No tenant starves: under a saturating queue of equal-width jobs,
+    /// every tenant with nonzero weight is served, with long-run shares
+    /// within 10% of its weight fraction.
+    #[test]
+    fn no_tenant_starves_under_saturation() {
+        rng::check(256, |r| {
+            let len = r.range(2..5usize);
+            let weights: Vec<f64> = (0..len).map(|_| r.range(0.5..4.0)).collect();
             let served = saturate(&weights, 1, 8, 600);
             let total: f64 = served.iter().sum();
             let wsum: f64 = weights.iter().sum();
             for (t, &s) in served.iter().enumerate() {
-                prop_assert!(s > 0.0, "tenant {} starved: {:?}", t, served);
+                assert!(s > 0.0, "tenant {} starved: {:?}", t, served);
                 let expect = total * weights[t] / wsum;
                 let rel = (s - expect).abs() / expect;
-                prop_assert!(rel < 0.10,
-                    "tenant {} served {} vs expected {} (weights {:?})", t, s, expect, weights);
+                assert!(
+                    rel < 0.10,
+                    "tenant {} served {} vs expected {} (weights {:?})",
+                    t,
+                    s,
+                    expect,
+                    weights
+                );
             }
-        }
+        });
+    }
 
-        /// Cancellation (or any finish) frees capacity for the immediately
-        /// following plan: after filling the pool and releasing one lease,
-        /// a candidate no wider than the released width is planned.
-        #[test]
-        fn release_is_visible_to_the_next_plan(
-            widths in proptest::collection::vec(1usize..6, 2..8),
-        ) {
+    /// Cancellation (or any finish) frees capacity for the immediately
+    /// following plan: after filling the pool and releasing one lease,
+    /// a candidate no wider than the released width is planned.
+    #[test]
+    fn release_is_visible_to_the_next_plan() {
+        rng::check(256, |r| {
+            let len = r.range(2..8usize);
+            let widths: Vec<usize> = (0..len).map(|_| r.range(1usize..6)).collect();
             let pool: usize = widths.iter().sum();
             let mut fs = FairShare::new(pool);
             for (i, &w) in widths.iter().enumerate() {
                 fs.start(&cand(&format!("j{i}"), "t", 1.0, w, i as u64)).unwrap();
             }
-            prop_assert_eq!(fs.free_cores(), 0);
+            assert_eq!(fs.free_cores(), 0);
             let victim = widths.len() / 2;
             fs.finish(&format!("j{victim}"), "t", 1.0).unwrap();
             let queued = vec![cand("next", "u", 1.0, widths[victim], 99)];
-            prop_assert_eq!(fs.plan(&queued).len(), 1, "freed cores not replannable");
-        }
+            assert_eq!(fs.plan(&queued).len(), 1, "freed cores not replannable");
+        });
     }
 }
