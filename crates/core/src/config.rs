@@ -486,6 +486,19 @@ impl SimulationConfig {
         if self.dt_ps <= 0.0 {
             out.push(Diagnostic::error("C022", "dt-ps must be positive").with_path("/dt-ps"));
         }
+        if let Some(Workload::DipeptideSolvated { atoms }) = self.workload {
+            let min = mdsim::models::min_solvated_atoms();
+            if atoms < min {
+                out.push(
+                    Diagnostic::error(
+                        "C023",
+                        format!("a solvated dipeptide needs at least {min} atoms, got {atoms}"),
+                    )
+                    .with_path("/workload/atoms")
+                    .with_hint("the periodic box must be at least two cutoffs wide"),
+                );
+            }
+        }
         if self.resource.cores_per_replica == 0 {
             out.push(
                 Diagnostic::error("C030", "cores-per-replica must be positive")
@@ -991,10 +1004,13 @@ mod tests {
     /// One crafted config per structural code: the registry check
     /// (`tests/it_diag_registry.rs`) requires every cataloged code to be
     /// exercised by at least one test, and this table is the single place
-    /// the resource/pattern family (C002, C03x, C04x) is pinned down.
+    /// the workload and resource/pattern family (C002, C023, C03x, C04x) is
+    /// pinned down.
     #[test]
     fn every_structural_code_fires_on_its_crafted_config() {
         let cases: Vec<(&str, fn(&mut SimulationConfig))> = vec![
+            // A box under two cutoffs wide.
+            ("C023", |c| c.workload = Some(Workload::DipeptideSolvated { atoms: 150 })),
             ("C002", |c| {
                 // Four sound dimensions: grid assembly itself refuses.
                 let dim = DimensionConfig::Temperature { min_k: 300.0, max_k: 310.0, count: 2 };

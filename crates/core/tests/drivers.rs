@@ -9,7 +9,7 @@ use obs::Event;
 use pilot::description::UnitDescription;
 use pilot::executor::{CompletedUnit, Executor, TaskWork, UnitId};
 use repex::checkpoint::{CampaignCheckpoint, SchedulerState};
-use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig};
+use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig, Workload};
 use repex::emm::asynchronous::run_async;
 use repex::emm::sync::run_sync;
 use repex::emm::DriverCtx;
@@ -432,6 +432,21 @@ fn sync_config_is_rejected() {
     cfg.pattern = Pattern::Synchronous;
     let mut ctx = build_ctx(cfg).unwrap();
     assert!(run_async(&mut ctx).is_err());
+}
+
+/// A solvated box under two cutoffs wide is refused by validation (C023)
+/// instead of panicking in the model builder or dropping interactions.
+#[test]
+fn undersized_solvated_workload_is_refused_not_built() {
+    for (atoms, refused) in [(0, true), (6, true), (150, true), (600, false), (2881, false)] {
+        let mut cfg = quick_cfg(2);
+        cfg.workload = Some(Workload::DipeptideSolvated { atoms });
+        let found = cfg.validate_diagnostics();
+        let hit = found.iter().find(|d| d.code == "C023");
+        assert_eq!(hit.is_some(), refused, "{atoms} atoms: {found:?}");
+        assert!(hit.is_none_or(|d| d.path.as_deref() == Some("/workload/atoms")));
+        assert_eq!(build_ctx(cfg).is_err(), refused, "{atoms} atoms");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -232,9 +232,9 @@ pub(crate) fn run_langevin(
     let mut rng = prelude(system);
     let mut integ = LangevinBaoab::new(job.dt_ps, job.temperature, job.gamma_ps);
     let mut trace = Vec::new();
-    let mut last = ff.energy(system);
+    let mut last = None;
     for step in 1..=job.steps {
-        last = integ.step(system, &ff, threads, &mut rng);
+        last = Some(integ.step(system, &ff, threads, &mut rng));
         if job.sample_stride > 0 && step > job.sample_warmup && step % job.sample_stride == 0 {
             if let (Some(phi), Some(psi)) =
                 (system.named_dihedral_angle("phi"), system.named_dihedral_angle("psi"))
@@ -249,6 +249,9 @@ pub(crate) fn run_langevin(
     if !system.state.is_finite() {
         return Err(EngineError::NumericalBlowup { step: job.steps });
     }
+    // The last step's breakdown is the energy at the final positions; only
+    // a segment of no steps has to evaluate one.
+    let last = last.unwrap_or_else(|| ff.energy(system));
     let mdinfo = MdInfo::from_breakdown(
         system.state.step,
         system.state.time_ps,

@@ -21,7 +21,7 @@
 //! that makes repeated evaluations cheap: the Verlet neighbor list (reused
 //! across MD steps until an atom moves more than half the skin), the
 //! precomputed Lennard-Jones mixing table, the pH-adjusted charge buffer,
-//! the structure-of-arrays kernel lanes and the pooled per-chunk force
+//! the kernel's packed per-atom quads and the pooled per-chunk force
 //! buffers. [`ForceField::energy_forces`] and [`ForceField::energy`] build
 //! a throwaway context for one-shot calls and tests.
 //!
@@ -47,7 +47,9 @@ use std::ops::Range;
 
 /// Fewest pairs a chunk of a multi-thread evaluation holds: below this the
 /// per-chunk O(N) force-buffer zero/merge and the thread hand-off cost more
-/// than the pairs.
+/// than the pairs. Sized when a pair cost 35 ns; it costs about 12 now, and
+/// no workload runs more than one thread, so the value is unverified until
+/// the cores-per-replica measurement of ROADMAP item 2.
 pub const MIN_CHUNK_PAIRS: usize = 4096;
 
 /// Pairs of chunk `c` of `n_chunks` over `n_pairs`.
@@ -100,8 +102,7 @@ pub struct EvalContext {
     /// Pooled force buffers of chunks `1..` of a multi-thread evaluation
     /// (chunk 0 scatters straight into the caller's buffer).
     chunk_forces: Vec<Vec<Vec3>>,
-    /// Structure-of-arrays view of atoms and pairs for the vectorizable
-    /// kernel; pair lanes are regathered only on neighbor-list rebuilds.
+    /// The kernel's packed per-atom view, refreshed every evaluation.
     soa: SoaNonbonded,
 }
 
@@ -126,22 +127,15 @@ impl EvalContext {
 
     /// Refresh every cached component for `system` under `ff`'s parameters.
     fn prepare(&mut self, ff: &ForceField, system: &System) {
-        let rebuilt = self.neighbors.ensure(system, ff.nonbonded.cutoff);
+        self.neighbors.ensure(system, ff.nonbonded.cutoff);
         let top = &system.topology;
-        let lj_fresh = self.lj.as_ref().is_some_and(|t| t.matches(top.atoms.len()));
-        if !lj_fresh {
+        if !self.lj.as_ref().is_some_and(|t| t.matches(top.atoms.len())) {
             self.lj = Some(LjTable::build(&top.atoms));
         }
         self.charges.clear();
         self.charges.extend(top.atoms.iter().map(|a| a.charge));
         for site in &top.titratable {
             self.charges[site.atom as usize] += site.charge_shift(ff.nonbonded.ph);
-        }
-        // SoA pair lanes follow the neighbor list + LJ table; atom lanes
-        // (positions, effective charges, box) are refreshed every call.
-        let table = self.lj.as_ref().expect("just built");
-        if rebuilt || !lj_fresh || self.soa.n_pairs() != self.neighbors.pairs().len() {
-            self.soa.sync_pairs(self.neighbors.pairs(), table);
         }
         self.soa.sync_atoms(&system.state.positions, &self.charges, &system.pbc);
     }
@@ -154,12 +148,14 @@ impl EvalContext {
         mut forces: Option<&mut [Vec3]>,
         threads: usize,
     ) -> (f64, f64) {
-        let EvalContext { soa, chunk_forces, .. } = self;
+        let EvalContext { soa, chunk_forces, neighbors, lj, .. } = self;
         let soa: &SoaNonbonded = soa;
-        let n_pairs = soa.n_pairs();
+        let pairs = neighbors.pairs();
+        let lj = lj.as_ref().expect("prepared");
+        let n_pairs = pairs.len();
         let n_chunks = threads.min(n_pairs / MIN_CHUNK_PAIRS).max(1);
         if n_chunks == 1 {
-            return soa.eval(sc, 0..n_pairs, forces);
+            return soa.eval(sc, lj, pairs, forces);
         }
         // One pooled buffer per spawned chunk: no per-call O(N) allocation
         // and no atomics in the pair loop.
@@ -176,11 +172,12 @@ impl EvalContext {
                 .iter_mut()
                 .enumerate()
                 .map(|(w, buf)| {
-                    let range = chunk_range(n_pairs, n_chunks, w + 1);
-                    s.spawn(move || soa.eval(sc, range, scatter.then_some(buf.as_mut_slice())))
+                    let chunk = &pairs[chunk_range(n_pairs, n_chunks, w + 1)];
+                    s.spawn(move || soa.eval(sc, lj, chunk, scatter.then_some(buf.as_mut_slice())))
                 })
                 .collect();
-            let head = soa.eval(sc, chunk_range(n_pairs, n_chunks, 0), forces.as_deref_mut());
+            let head = &pairs[chunk_range(n_pairs, n_chunks, 0)];
+            let head = soa.eval(sc, lj, head, forces.as_deref_mut());
             // Chunk order, whatever order the workers finished in.
             workers.into_iter().fold(head, |(lj, coul), w| {
                 let (l, c) = w.join().expect("a nonbonded worker panicked");
@@ -423,14 +420,19 @@ mod tests {
         let mut f_par = vec![Vec3::ZERO; n];
         let e_par = ff.evaluate(&sys, &mut ctx, Some(&mut f_par), 4);
 
-        let n_pairs = ctx.soa.n_pairs();
+        let n_pairs = ctx.neighbors.pairs().len();
         assert!(n_pairs >= 4 * MIN_CHUNK_PAIRS, "{n_pairs} pairs do not fill four chunks");
         let sc = NbScalars::new(&ff.nonbonded);
+        let table = ctx.lj.as_ref().unwrap();
+        let chunk = |c: usize, f: &mut [Vec3]| {
+            let pairs = &ctx.neighbors.pairs()[chunk_range(n_pairs, 4, c)];
+            ctx.soa.eval(&sc, table, pairs, Some(f))
+        };
         let mut f_seq = vec![Vec3::ZERO; n];
-        let (mut lj, mut coul) = ctx.soa.eval(&sc, chunk_range(n_pairs, 4, 0), Some(&mut f_seq));
+        let (mut lj, mut coul) = chunk(0, &mut f_seq);
         for c in 1..4 {
             let mut buf = vec![Vec3::ZERO; n];
-            let (l, q) = ctx.soa.eval(&sc, chunk_range(n_pairs, 4, c), Some(&mut buf));
+            let (l, q) = chunk(c, &mut buf);
             lj += l;
             coul += q;
             for (f, p) in f_seq.iter_mut().zip(&buf) {

@@ -159,8 +159,8 @@ impl LjTable {
         self.n_types
     }
 
-    /// Mixed constants for the atom pair `(i, j)` — used by the SoA kernel
-    /// to gather per-pair parameters once per neighbor-list rebuild.
+    /// Mixed constants for the atom pair `(i, j)` — the blocked kernel's
+    /// gather phase looks them up per pair.
     #[inline]
     pub(crate) fn entry(&self, i: usize, j: usize) -> LjEntry {
         self.table[self.type_of[i] as usize * self.n_types + self.type_of[j] as usize]
@@ -174,7 +174,7 @@ impl LjTable {
 /// This is the straight-line reference kernel, kept as the oracle: the hot
 /// path is the blocked kernel in `soa.rs`, which the tests compare against a
 /// loop of this function over the neighbor list (to 1e-9; the blocked kernel
-/// reassociates and uses FMA).
+/// reassociates).
 #[inline]
 pub fn pair_energy_force(ai: &Atom, aj: &Atom, r2: f64, params: &NonbondedParams) -> (f64, f64) {
     let rc = params.cutoff;

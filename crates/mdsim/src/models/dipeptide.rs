@@ -97,14 +97,21 @@ pub fn alanine_dipeptide() -> System {
     System::new(top, PbcBox::VACUUM, state).expect("backbone topology is valid")
 }
 
+/// Fewest atoms [`solvated_alanine_dipeptide`] builds: at the model's density
+/// the box edge must reach twice [`dipeptide_forcefield`]'s cutoff, because
+/// the nonbonded kernel and the cell search follow one image per pair.
+pub fn min_solvated_atoms() -> usize {
+    let edge = 2.0 * dipeptide_forcefield().nonbonded.cutoff;
+    ((edge * edge * edge * WATER_NUMBER_DENSITY).ceil() as usize).max(BACKBONE_ATOMS)
+}
+
 /// A solvated dipeptide with `total_atoms` atoms (backbone + LJ solvent) in
 /// a periodic box at liquid-water density. Matches the paper's cost scale:
 /// `total_atoms = 2881` for the 1-D experiments, `64366` for Fig. 12.
+/// Panics below [`min_solvated_atoms`].
 pub fn solvated_alanine_dipeptide(total_atoms: usize, seed: u64) -> System {
-    assert!(
-        total_atoms >= BACKBONE_ATOMS,
-        "need at least {BACKBONE_ATOMS} atoms, got {total_atoms}"
-    );
+    let min = min_solvated_atoms();
+    assert!(total_atoms >= min, "need at least {min} atoms, got {total_atoms}");
     let n_solvent = total_atoms - BACKBONE_ATOMS;
     let volume = total_atoms as f64 / WATER_NUMBER_DENSITY;
     let l = volume.cbrt();

@@ -2,32 +2,31 @@
 //!
 //! Three strategies:
 //!
-//! * [`all_pairs`] — O(N²) half loop, exact, used for small systems and as a
-//!   reference in tests.
-//! * [`CellList`] — O(N) linked-cell search, used when the atom count makes
-//!   the quadratic loop too slow. For periodic boxes the cells tile the box;
-//!   in vacuum the bounding box of the coordinates is used.
+//! * [`all_pairs`] — O(N²) half loop over every pair `i < j`, used for small
+//!   systems and as a reference in tests.
+//! * [`CellList`] — O(N) cell-grid search for the pairs `i < j` within a
+//!   cutoff, used when the atom count makes the quadratic loop too slow. For
+//!   periodic boxes the cells tile the box; in vacuum the bounding box of
+//!   the coordinates is used.
 //! * [`NeighborCache`] — a persistent Verlet list built from the cell list
-//!   with a skin margin, reused across MD steps until an atom has moved far
-//!   enough to invalidate it. This is what the evaluation context of
+//!   with a skin margin (reach `cutoff + skin`, topology exclusions removed),
+//!   reused across MD steps until an atom has moved far enough to invalidate
+//!   it. This is what the evaluation context of
 //!   [`crate::forcefield::EvalContext`] holds.
 //!
-//! `all_pairs` and `CellList` produce candidate pairs with `i < j` whose
-//! separation may exceed the cutoff slightly (the nonbonded kernel re-checks
-//! `r² < rc²`). The `NeighborCache` additionally pre-filters topology
-//! exclusions and pairs beyond `cutoff + skin`.
+//! The nonbonded kernel re-checks `r² < rc²` on whatever list it is given.
 
 use crate::system::{PbcBox, System};
 use crate::vec3::Vec3;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atom count above which the cell list beats the O(N²) loop. Small systems
 /// (the reduced dipeptide) are faster without the list.
 pub const CELL_LIST_THRESHOLD: usize = 400;
 
-/// Process-wide count of [`CellList::build`] calls. Diagnostics only: lets
-/// tests and benches assert that cached evaluation paths do not rebuild the
-/// cell list (e.g. one build per S-exchange single-point batch).
+/// Process-wide count of [`CellList::build`] calls. Diagnostics only: the
+/// `mdsim.cell_list_builds_total` gauge of a campaign's metrics export.
 static CELL_LIST_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Total number of cell-list builds performed by this process so far.
@@ -50,30 +49,54 @@ pub fn all_pairs(n: usize) -> impl Iterator<Item = (u32, u32)> {
     (0..n as u32).flat_map(move |i| (i + 1..n as u32).map(move |j| (i, j)))
 }
 
-/// Linked-cell neighbor list.
+/// Index of cell `c` in a grid of `dims` cells, x fastest.
+#[inline]
+fn flat(dims: [usize; 3], c: [usize; 3]) -> usize {
+    (c[2] * dims[1] + c[1]) * dims[0] + c[0]
+}
+
+/// Cell-grid neighbor search.
+///
+/// Atoms are counting-sorted by cell: cell `c` owns the slice
+/// `start[c]..start[c + 1]` of `order` (atom indices, ascending within a
+/// cell — the sort is stable) and of `coords` (their coordinates, wrapped
+/// into the primary cell when periodic), so the search walks contiguous
+/// memory instead of chasing per-atom links.
+///
+/// **Image-shift invariant.** With cells at least `reach` wide and at least
+/// three of them along every periodic axis, a pair within `reach` sits in
+/// the same or in adjacent cells, the offset between the two cells is unique,
+/// and the periodic image of the neighbor that lies in the adjacent cell is
+/// the minimum image: any other image is a whole box — three cells or more —
+/// further along some axis, hence beyond `reach`. The box vector that maps a
+/// neighbor cell next to its home cell is therefore computed once per cell
+/// pair and the inner loop is a plain difference. A periodic grid with fewer
+/// than three cells along some axis is *aliased* (two offsets reach the same
+/// cell): it takes the minimum image per pair and may visit a pair twice.
 pub struct CellList {
     /// Number of cells in each direction.
     dims: [usize; 3],
-    /// Cell edge lengths.
-    cell: Vec3,
-    /// Origin of cell (0,0,0).
-    origin: Vec3,
-    /// Head-of-chain atom index per cell (`u32::MAX` = empty).
-    heads: Vec<u32>,
-    /// Next atom in the same cell (`u32::MAX` = end).
-    next: Vec<u32>,
-    /// Whether neighbor cells wrap around (periodic).
-    periodic: bool,
+    /// Box the coordinates were wrapped into.
+    pbc: PbcBox,
+    /// Periodic with fewer than 3 cells along some axis.
+    aliased: bool,
+    /// Squared search radius.
+    reach_sq: f64,
+    /// Volume the cells tile: the box, or the coordinates' bounding box.
+    volume: f64,
+    /// Cell `c` owns `start[c]..start[c + 1]` of `order` and `coords`.
+    start: Vec<u32>,
+    order: Vec<u32>,
+    coords: Vec<Vec3>,
 }
 
-const NONE: u32 = u32::MAX;
-
 impl CellList {
-    /// Build a cell list with cells at least `cutoff` wide.
+    /// Sort `positions` into cells at least `cutoff` wide; the search then
+    /// reports the pairs within `cutoff` of each other.
     pub fn build(positions: &[Vec3], pbc: &PbcBox, cutoff: f64) -> Self {
         assert!(cutoff > 0.0, "cutoff must be positive");
-        let (origin, extent, periodic) = match pbc.lengths() {
-            Some(l) => (Vec3::ZERO, l, true),
+        let (origin, extent) = match pbc.lengths() {
+            Some(l) => (Vec3::ZERO, l),
             None => {
                 let mut lo = Vec3::splat(f64::INFINITY);
                 let mut hi = Vec3::splat(f64::NEG_INFINITY);
@@ -85,110 +108,144 @@ impl CellList {
                     lo = Vec3::ZERO;
                     hi = Vec3::splat(cutoff);
                 }
-                // Pad so no atom sits exactly on the upper face.
-                (lo, hi - lo + Vec3::splat(1e-6), false)
+                // Pad so the extent is positive even for a single point.
+                (lo, hi - lo + Vec3::splat(1e-6))
             }
         };
-        let dims = [
-            ((extent.x / cutoff).floor() as usize).max(1),
-            ((extent.y / cutoff).floor() as usize).max(1),
-            ((extent.z / cutoff).floor() as usize).max(1),
-        ];
-        let cell = Vec3::new(
-            extent.x / dims[0] as f64,
-            extent.y / dims[1] as f64,
-            extent.z / dims[2] as f64,
+        // `as usize` truncates, which is `floor` for a non-negative quotient.
+        let dim = |extent: f64| ((extent / cutoff) as usize).max(1);
+        let dims = [dim(extent.x), dim(extent.y), dim(extent.z)];
+        let per_length = Vec3::new(
+            dims[0] as f64 / extent.x,
+            dims[1] as f64 / extent.y,
+            dims[2] as f64 / extent.z,
         );
-        let mut list = CellList {
-            dims,
-            cell,
-            origin,
-            heads: vec![NONE; dims[0] * dims[1] * dims[2]],
-            next: vec![NONE; positions.len()],
-            periodic,
+        let n_cells = dims[0] * dims[1] * dims[2];
+        // Atoms on the upper face (vacuum) or wrapped onto it by rounding
+        // (periodic) belong to the last cell.
+        let cell_of = |p: Vec3| {
+            let along = |v: f64, n: usize| (v as usize).min(n - 1);
+            let c = [
+                along(p.x * per_length.x, dims[0]),
+                along(p.y * per_length.y, dims[1]),
+                along(p.z * per_length.z, dims[2]),
+            ];
+            flat(dims, c)
         };
-        for (idx, p) in positions.iter().enumerate() {
-            let c = list.cell_of(pbc.wrap(*p - origin) + origin);
-            let flat = list.flat(c);
-            list.next[idx] = list.heads[flat];
-            list.heads[flat] = idx as u32;
+        // Counting sort, stable in the atom index.
+        let wrapped: Vec<Vec3> = positions.iter().map(|p| pbc.wrap(*p - origin)).collect();
+        let cells: Vec<u32> = wrapped.iter().map(|p| cell_of(*p) as u32).collect();
+        let mut start = vec![0u32; n_cells + 1];
+        for &c in &cells {
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..n_cells {
+            start[c + 1] += start[c];
+        }
+        let mut fill = start.clone();
+        let mut order = vec![0u32; positions.len()];
+        let mut coords = vec![Vec3::ZERO; positions.len()];
+        for (idx, (&c, &p)) in cells.iter().zip(&wrapped).enumerate() {
+            let slot = &mut fill[c as usize];
+            order[*slot as usize] = idx as u32;
+            coords[*slot as usize] = p;
+            *slot += 1;
         }
         CELL_LIST_BUILDS.fetch_add(1, Ordering::Relaxed);
-        list
+        CellList {
+            dims,
+            pbc: *pbc,
+            aliased: pbc.lengths().is_some() && dims.iter().any(|&d| d < 3),
+            reach_sq: cutoff * cutoff,
+            volume: extent.x * extent.y * extent.z,
+            start,
+            order,
+            coords,
+        }
     }
 
-    #[inline]
-    fn cell_of(&self, p: Vec3) -> [usize; 3] {
-        let rel = p - self.origin;
-        let clampdim = |v: f64, c: f64, n: usize| -> usize {
-            let i = (v / c).floor() as isize;
-            i.clamp(0, n as isize - 1) as usize
-        };
-        [
-            clampdim(rel.x, self.cell.x, self.dims[0]),
-            clampdim(rel.y, self.cell.y, self.dims[1]),
-            clampdim(rel.z, self.cell.z, self.dims[2]),
-        ]
-    }
-
-    #[inline]
-    fn flat(&self, c: [usize; 3]) -> usize {
-        (c[2] * self.dims[1] + c[1]) * self.dims[0] + c[0]
-    }
-
-    /// Collect candidate pairs (`i < j`), each once.
+    /// Collect the pairs (`i < j`) within the cutoff, each once.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.expected_pairs());
         self.for_each_pair(|i, j| out.push((i, j)));
         self.dedup_if_aliased(&mut out);
         out
     }
 
-    /// Visit candidate pairs (`i < j`) from each cell and its half-shell of
-    /// neighbor cells, without materialising them: a caller that keeps only
-    /// a fraction (the [`NeighborCache`] keeps about one in seven) filters
-    /// here. In periodic grids with fewer than 3 cells along an axis a pair
-    /// can be visited more than once (through different images).
+    /// The pairs within the cutoff if the atoms were spread evenly over the
+    /// volume, plus an eighth: what a collector of [`CellList::for_each_pair`]
+    /// reserves, so the list is one allocation made by the thread that uses
+    /// it. Grown from empty it is a chain of `realloc`s, which glibc serves
+    /// from the arena the first few bytes came from — any thread's, out of
+    /// the thread cache — and a campaign's peak RSS then steps by 3 MiB from
+    /// run to run (`results/pr17_mdsim_hot_path.txt`). An underestimate
+    /// (clustered atoms) only brings the doubling back.
+    fn expected_pairs(&self) -> usize {
+        let n = self.order.len();
+        let sphere = 4.0 / 3.0 * std::f64::consts::PI * self.reach_sq * self.reach_sq.sqrt();
+        let share = (sphere / self.volume).min(1.0);
+        (1.125 * share * (n * n.saturating_sub(1) / 2) as f64) as usize
+    }
+
+    /// Visit the pairs (`i < j`) within the cutoff, home atom outermost,
+    /// from each cell and its half-shell of neighbor cells, without
+    /// materialising them: a caller that filters further (the
+    /// [`NeighborCache`] drops exclusions) does so here. An aliased grid (see
+    /// the type docs) can visit a pair more than once.
     pub fn for_each_pair(&self, mut visit: impl FnMut(u32, u32)) {
-        let (nx, ny, nz) = (self.dims[0] as isize, self.dims[1] as isize, self.dims[2] as isize);
-        for cz in 0..nz {
-            for cy in 0..ny {
-                for cx in 0..nx {
-                    let home = self.flat([cx as usize, cy as usize, cz as usize]);
-                    // Within the home cell.
-                    let mut a = self.heads[home];
-                    while a != NONE {
-                        let mut b = self.next[a as usize];
-                        while b != NONE {
-                            visit(a.min(b), a.max(b));
-                            b = self.next[b as usize];
+        let dims = self.dims.map(|d| d as isize);
+        let cell_at = |c: [isize; 3]| flat(self.dims, c.map(|v| v as usize));
+        let atoms_of = |cell: usize| self.start[cell] as usize..self.start[cell + 1] as usize;
+        let edge = self.pbc.edge();
+        let periodic = self.pbc.lengths().is_some();
+        // `from` is the home atom's position less the neighbor cell's image
+        // shift, so `coords[b] - from` is the displacement to that image.
+        let mut scan = |ia: u32, from: Vec3, others: Range<usize>| {
+            for b in others {
+                let d = if self.aliased {
+                    self.pbc.min_image(self.coords[b], from)
+                } else {
+                    self.coords[b] - from
+                };
+                if d.norm_sq() <= self.reach_sq {
+                    let ib = self.order[b];
+                    visit(ia.min(ib), ia.max(ib));
+                }
+            }
+        };
+        let mut shell = Vec::with_capacity(HALF_SHELL.len());
+        for cz in 0..dims[2] {
+            for cy in 0..dims[1] {
+                for cx in 0..dims[0] {
+                    let home = cell_at([cx, cy, cz]);
+                    // Neighbor cells of the half-shell, each with the box
+                    // vector that brings it next to the home cell.
+                    shell.clear();
+                    for offset in HALF_SHELL {
+                        let mut c = [cx + offset[0], cy + offset[1], cz + offset[2]];
+                        if !periodic && (0..3).any(|k| c[k] < 0 || c[k] >= dims[k]) {
+                            continue;
                         }
-                        a = self.next[a as usize];
+                        let mut turns = [0.0; 3];
+                        for k in 0..3 {
+                            let t = c[k].div_euclid(dims[k]);
+                            c[k] -= t * dims[k];
+                            turns[k] = t as f64;
+                        }
+                        let shift =
+                            Vec3::new(turns[0] * edge.x, turns[1] * edge.y, turns[2] * edge.z);
+                        let other = cell_at(c);
+                        // An aliased grid can wrap a neighbor back onto the
+                        // home cell, whose pairs are already covered.
+                        if other != home {
+                            shell.push((atoms_of(other), shift));
+                        }
                     }
-                    // Half-shell of 13 neighbor cells to avoid double counting.
-                    for (dx, dy, dz) in HALF_SHELL {
-                        let (mut x, mut y, mut z) = (cx + dx, cy + dy, cz + dz);
-                        if self.periodic {
-                            x = x.rem_euclid(nx);
-                            y = y.rem_euclid(ny);
-                            z = z.rem_euclid(nz);
-                        } else if x < 0 || x >= nx || y < 0 || y >= ny || z < 0 || z >= nz {
-                            continue;
-                        }
-                        let other = self.flat([x as usize, y as usize, z as usize]);
-                        if other == home {
-                            // Small periodic boxes can alias a neighbor back
-                            // onto the home cell; skip to avoid duplicates.
-                            continue;
-                        }
-                        let mut a = self.heads[home];
-                        while a != NONE {
-                            let mut b = self.heads[other];
-                            while b != NONE {
-                                visit(a.min(b), a.max(b));
-                                b = self.next[b as usize];
-                            }
-                            a = self.next[a as usize];
+                    for a in atoms_of(home) {
+                        let (ia, pa) = (self.order[a], self.coords[a]);
+                        scan(ia, pa, a + 1..atoms_of(home).end);
+                        for (others, shift) in &shell {
+                            scan(ia, pa - *shift, others.clone());
                         }
                     }
                 }
@@ -196,13 +253,12 @@ impl CellList {
         }
     }
 
-    /// Aliasing in tiny periodic grids (fewer than 3 cells along an axis)
-    /// reaches a pair through different images; sort and dedup what was
-    /// collected from [`CellList::for_each_pair`] to keep the once-each
-    /// contract. Filtering before this gives the same list as filtering
-    /// after, on far fewer pairs.
+    /// An aliased grid reaches a pair through different images; sort and
+    /// dedup what was collected from [`CellList::for_each_pair`] to keep the
+    /// once-each contract. Filtering before this gives the same list as
+    /// filtering after, on fewer pairs.
     fn dedup_if_aliased(&self, pairs: &mut Vec<(u32, u32)>) {
-        if self.periodic && self.dims.iter().any(|&d| d < 3) {
+        if self.aliased {
             pairs.sort_unstable();
             pairs.dedup();
         }
@@ -210,7 +266,7 @@ impl CellList {
 
     /// Number of cells (for diagnostics).
     pub fn n_cells(&self) -> usize {
-        self.heads.len()
+        self.start.len() - 1
     }
 }
 
@@ -343,6 +399,7 @@ impl NeighborCache {
         self.pairs.clear();
         if n < CELL_LIST_THRESHOLD {
             self.all_pairs_list = true;
+            self.pairs.reserve(n * n.saturating_sub(1) / 2);
             for (i, j) in all_pairs(n) {
                 if !top.is_excluded(i, j) {
                     self.pairs.push((i, j));
@@ -350,13 +407,11 @@ impl NeighborCache {
             }
         } else {
             self.all_pairs_list = false;
-            let reach = cutoff + self.skin;
-            let reach_sq = reach * reach;
-            let cl = CellList::build(pos, &system.pbc, reach);
+            let cl = CellList::build(pos, &system.pbc, cutoff + self.skin);
+            self.pairs.reserve(cl.expected_pairs());
             let pairs = &mut self.pairs;
             cl.for_each_pair(|i, j| {
-                let d = system.pbc.min_image(pos[i as usize], pos[j as usize]);
-                if d.norm_sq() <= reach_sq && !top.is_excluded(i, j) {
+                if !top.is_excluded(i, j) {
                     pairs.push((i, j));
                 }
             });
@@ -372,20 +427,20 @@ impl NeighborCache {
 }
 
 /// 13 of the 26 neighbor offsets: a deterministic half-shell.
-const HALF_SHELL: [(isize, isize, isize); 13] = [
-    (1, 0, 0),
-    (-1, 1, 0),
-    (0, 1, 0),
-    (1, 1, 0),
-    (-1, -1, 1),
-    (0, -1, 1),
-    (1, -1, 1),
-    (-1, 0, 1),
-    (0, 0, 1),
-    (1, 0, 1),
-    (-1, 1, 1),
-    (0, 1, 1),
-    (1, 1, 1),
+const HALF_SHELL: [[isize; 3]; 13] = [
+    [1, 0, 0],
+    [-1, 1, 0],
+    [0, 1, 0],
+    [1, 1, 0],
+    [-1, -1, 1],
+    [0, -1, 1],
+    [1, -1, 1],
+    [-1, 0, 1],
+    [0, 0, 1],
+    [1, 0, 1],
+    [-1, 1, 1],
+    [0, 1, 1],
+    [1, 1, 1],
 ];
 
 #[cfg(test)]
@@ -634,6 +689,73 @@ mod tests {
             let expect = within_cutoff_pairs(&sys.state.positions, &sys.pbc, cutoff, all_pairs(n));
             assert_eq!(got, expect);
         });
+    }
+
+    /// Geometry the models never produce: an orthorhombic box whose edges
+    /// differ pairwise by 30 % or more, 1–5 cells per axis (aliased, or three
+    /// and more along every axis: the image-shift search), and coordinates
+    /// up to three box lengths out of the primary cell, as an unwrapped run
+    /// leaves them. A per-axis shift applied to the wrong axis fails here.
+    #[test]
+    fn orthorhombic_unwrapped_pairs_equal_brute_force_each_once() {
+        rng::check(192, |rng| {
+            let reach = rng.range(2.5..4.0);
+            let aliased = rng.below(2) == 0;
+            let shortest =
+                reach * if aliased { rng.range(1.02..2.98) } else { rng.range(3.02..3.4) };
+            let middle = shortest * rng.range(1.3..1.32);
+            let mut edges = [shortest, middle, middle * rng.range(1.3..1.31)];
+            rng.shuffle(&mut edges);
+            let pbc = PbcBox::new(Some(Vec3::new(edges[0], edges[1], edges[2])));
+            let n = rng.range(2usize..220);
+            let positions: Vec<Vec3> = (0..n)
+                .map(|_| {
+                    let mut along = |l: f64| l * rng.range(-3.0..4.0);
+                    Vec3::new(along(edges[0]), along(edges[1]), along(edges[2]))
+                })
+                .collect();
+            let cl = CellList::build(&positions, &pbc, reach);
+            assert_eq!(cl.aliased, aliased, "{:?} cells", cl.dims);
+            assert!(cl.dims.iter().all(|d| (1..=5).contains(d)), "{:?} cells", cl.dims);
+            let got = cl.pairs();
+            let set: BTreeSet<_> = got.iter().copied().collect();
+            assert_eq!(set.len(), got.len(), "a pair listed twice");
+            let expect: BTreeSet<_> = all_pairs(n)
+                .filter(|&(i, j)| {
+                    let d = pbc.min_image(positions[i as usize], positions[j as usize]);
+                    d.norm_sq() <= reach * reach
+                })
+                .collect();
+            assert_eq!(set, expect, "{:?} cells, edges {edges:?}", cl.dims);
+        });
+    }
+
+    /// The reservation covers a uniform periodic fluid's list, so collecting
+    /// it never regrows, and is not far over it.
+    #[test]
+    fn expected_pairs_cover_a_uniform_fluid_closely() {
+        rng::check(32, |rng| {
+            let l = rng.range(20.0..30.0);
+            let n = rng.range(800usize..1500);
+            let positions: Vec<Vec3> =
+                (0..n).map(|_| Vec3::new(rng.f64() * l, rng.f64() * l, rng.f64() * l)).collect();
+            let cl = CellList::build(&positions, &PbcBox::cubic(l), rng.range(5.0..7.0));
+            let (found, reserved) = (cl.pairs().len(), cl.expected_pairs());
+            assert!(found <= reserved && reserved <= found * 5 / 4, "{found} found, {reserved}");
+        });
+    }
+
+    /// The benchmark's system (a solute in a solvent placed on a jittered
+    /// lattice, not a uniform fluid): its list fits the reservation too.
+    #[test]
+    fn solvated_dipeptide_list_is_allocated_once() {
+        let sys = crate::models::solvated_alanine_dipeptide(2881, 7);
+        let cutoff = crate::models::dipeptide_forcefield().nonbonded.cutoff;
+        let mut cache = NeighborCache::default();
+        cache.ensure(&sys, cutoff);
+        let reserved =
+            CellList::build(&sys.state.positions, &sys.pbc, cutoff + cache.skin).expected_pairs();
+        assert_eq!(cache.pairs.capacity(), reserved, "{} pairs", cache.pairs.len());
     }
 
     #[test]

@@ -6,13 +6,24 @@ use crate::vec3::Vec3;
 use rng::Rng;
 use serde::{Deserialize, Serialize};
 
+/// Round to the nearest integer by adding and subtracting 1.5·2⁵², exact for
+/// `|x| < 2⁵¹`: two additions, where `f64::round` is a call into libm on the
+/// default x86-64 target (DESIGN.md §10). A tie rounds to even instead of
+/// away from zero; as a count of box lengths that selects the other of two
+/// equidistant images, both `L/2` away on that axis.
+#[inline]
+pub(crate) fn nearest(x: f64) -> f64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 * 2^52
+    (x + SHIFT) - SHIFT
+}
+
 /// Orthorhombic periodic box (or `None` extent for vacuum).
 ///
 /// The reciprocal edge lengths are precomputed at construction so that
-/// [`PbcBox::min_image`] and [`PbcBox::wrap`] — both inside the pair inner
-/// loop — cost one multiply + round per axis instead of a division. In
-/// vacuum `edge` and `inv` are zero, which makes the shift term vanish and
-/// keeps both methods branch-free.
+/// [`PbcBox::min_image`] and [`PbcBox::wrap`] cost one multiply and one
+/// rounding per axis instead of a division. In vacuum `edge` and `inv` are
+/// zero, which makes the shift term vanish and keeps both methods
+/// branch-free.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(from = "PbcBoxRepr", into = "PbcBoxRepr")]
 pub struct PbcBox {
@@ -90,9 +101,9 @@ impl PbcBox {
     pub fn min_image(&self, a: Vec3, b: Vec3) -> Vec3 {
         // Branch-free: in vacuum edge and inv are zero, so the shift is 0.
         let mut d = a - b;
-        d.x -= self.edge.x * (d.x * self.inv.x).round();
-        d.y -= self.edge.y * (d.y * self.inv.y).round();
-        d.z -= self.edge.z * (d.z * self.inv.z).round();
+        d.x -= self.edge.x * nearest(d.x * self.inv.x);
+        d.y -= self.edge.y * nearest(d.y * self.inv.y);
+        d.z -= self.edge.z * nearest(d.z * self.inv.z);
         d
     }
 
@@ -252,6 +263,61 @@ mod tests {
         let b = PbcBox::cubic(10.0);
         let d = b.min_image(Vec3::new(9.5, 0.0, 0.0), Vec3::new(0.5, 0.0, 0.0));
         assert!((d.x + 1.0).abs() < 1e-12, "expected -1.0, got {}", d.x);
+    }
+
+    #[test]
+    fn nearest_is_round_off_ties_and_even_on_them() {
+        rng::check(4096, |r| {
+            let x = r.range(-2147483648.0..2147483648.0); // ±2³¹
+            if x.fract().abs() != 0.5 {
+                assert_eq!(nearest(x), x.round(), "{x}");
+            }
+            // Whole numbers, and the last value below a tie, stay put.
+            let k = x.trunc();
+            assert_eq!(nearest(k), k);
+            let below = f64::from_bits((k.abs() + 0.5).to_bits() - 1).copysign(k);
+            assert_eq!(nearest(below), k, "{below}");
+        });
+        for (tie, even) in [(0.5, 0.0), (1.5, 2.0), (2.5, 2.0), (-0.5, 0.0), (-1.5, -2.0)] {
+            assert_eq!(nearest(tie), even);
+        }
+    }
+
+    /// Each axis folds by its own edge: edges 30 % apart and coordinates
+    /// several boxes out of the primary cell, as an unwrapped run leaves
+    /// them, so a swapped axis lands outside `L/2` or off the lattice.
+    #[test]
+    fn min_image_is_within_half_an_edge_on_every_axis() {
+        rng::check(1024, |r| {
+            let lx = r.range(5.0..40.0);
+            let ly = lx * r.range(1.3..1.5);
+            let lz = ly * r.range(1.3..1.5);
+            let edges = [lx, ly, lz];
+            let b = PbcBox::new(Some(Vec3::new(lx, ly, lz)));
+            let mut point = |tie: bool| {
+                let c: Vec<f64> = edges
+                    .iter()
+                    // On a tie the separation is a whole number of half edges.
+                    .map(|l| {
+                        if tie {
+                            l * 0.5 * r.range(-6i32..=6) as f64
+                        } else {
+                            l * r.range(-3.0..4.0)
+                        }
+                    })
+                    .collect();
+                Vec3::new(c[0], c[1], c[2])
+            };
+            for (p, q) in [(point(false), point(false)), (point(true), Vec3::ZERO)] {
+                let d = b.min_image(p, q);
+                for k in 0..3 {
+                    let l = edges[k];
+                    assert!(d[k].abs() <= 0.5 * l * (1.0 + 1e-12), "axis {k}: {} of {l}", d[k]);
+                    let boxes = ((p - q)[k] - d[k]) / l;
+                    assert!((boxes - boxes.round()).abs() < 1e-9, "axis {k}: {boxes} boxes");
+                }
+            }
+        });
     }
 
     #[test]

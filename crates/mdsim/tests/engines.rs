@@ -5,8 +5,11 @@ use mdsim::engine::{
     EngineError, GmxEngine, MdEngine, MdJob, NamdEngine, PmemdEngine, SanderEngine,
     SinglePointRequest,
 };
+use mdsim::integrator::LangevinBaoab;
+use mdsim::io::mdinfo::MdInfo;
 use mdsim::models::{alanine_dipeptide, dipeptide_forcefield, solvated_alanine_dipeptide};
-use mdsim::{DihedralRestraint, System};
+use mdsim::{DihedralRestraint, EnergyBreakdown, ForceField, NonbondedParams, System};
+use rng::Rng;
 
 /// NAMD XORs this into the job seed ("NAMD"). Pinned here: changing it
 /// changes every NAMD trajectory.
@@ -74,6 +77,59 @@ fn engines_share_one_trajectory_up_to_their_preludes() {
         assert!((*a - *b).norm() < 1e-6, "{a:?} vs {b:?}");
     }
     assert!((pmemd.mdinfo.eptot - sander.mdinfo.eptot).abs() < 1e-6);
+}
+
+/// `mdinfo` is the energy at the final coordinates and costs no evaluation
+/// of its own: a segment reports what its last step computed, and only a
+/// segment of no steps evaluates its input.
+#[test]
+fn mdinfo_is_the_last_steps_breakdown_or_the_inputs_energy_when_no_step_ran() {
+    let base = dipeptide_forcefield().nonbonded;
+    let forcefield = |job: &MdJob| {
+        let mut ff =
+            ForceField::new(NonbondedParams { salt_molar: job.salt_molar, ph: job.ph, ..base });
+        ff.set_restraints(job.restraints.clone());
+        ff
+    };
+    let mdinfo = |sys: &System, e: &EnergyBreakdown| {
+        let (t, ke) = (sys.instantaneous_temperature(), sys.kinetic_energy());
+        MdInfo::from_breakdown(sys.state.step, sys.state.time_ps, t, ke, e)
+    };
+    let still = MdJob { steps: 0, ..job(7) };
+    let ff = forcefield(&still);
+
+    // sander: nothing moves, and the record is the input's energy.
+    let mut sys = warm_system();
+    let before = sys.clone();
+    let out = SanderEngine::new(base).run(&mut sys, &still).unwrap();
+    assert_eq!(sys.state, before.state);
+    assert_eq!(out.final_state, before.state);
+    assert_eq!(out.mdinfo, mdinfo(&before, &ff.energy(&before)));
+    assert!(out.mdinfo.restraint > 0.0 && out.dihedral_trace.is_empty());
+
+    // NAMD draws a cold system's velocities first; the coordinates, and so
+    // the potential terms, are still the input's.
+    let mut cold = alanine_dipeptide();
+    let out = NamdEngine::new(base).run(&mut cold, &still).unwrap();
+    assert!(cold.kinetic_energy() > 1e-9);
+    assert_eq!(cold.state.positions, alanine_dipeptide().state.positions);
+    assert_eq!(out.mdinfo, mdinfo(&cold, &ff.energy(&alanine_dipeptide())));
+
+    // Steps, on a system whose pair list is cached across them: the loop an
+    // engine runs, by hand.
+    let moving = MdJob { steps: 12, ..job(7) };
+    let ff = forcefield(&moving);
+    let mut sys = solvated_alanine_dipeptide(600, 2);
+    let mut by_hand = sys.clone();
+    let out = SanderEngine::new(base).run(&mut sys, &moving).unwrap();
+    let mut integ = LangevinBaoab::new(moving.dt_ps, moving.temperature, moving.gamma_ps);
+    let mut rng = Rng::seed(moving.seed);
+    let mut last = EnergyBreakdown::default();
+    for _ in 0..moving.steps {
+        last = integ.step(&mut by_hand, &ff, 1, &mut rng);
+    }
+    assert_eq!(out.final_state, by_hand.state);
+    assert_eq!(out.mdinfo, mdinfo(&by_hand, &last));
 }
 
 #[test]

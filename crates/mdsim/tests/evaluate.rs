@@ -5,11 +5,12 @@
 
 use mdsim::forcefield::bonded::{angle_energy, bond_energy, torsion_energy};
 use mdsim::forcefield::nonbonded::pair_energy_force;
-use mdsim::forcefield::{EnergyBreakdown, MIN_CHUNK_PAIRS};
+use mdsim::forcefield::{EnergyBreakdown, NonbondedParams, MIN_CHUNK_PAIRS};
 use mdsim::integrator::LangevinBaoab;
 use mdsim::models::{
     alanine_dipeptide, dipeptide_forcefield, lj_fluid, lj_forcefield, solvated_alanine_dipeptide,
 };
+use mdsim::neighbor::{NeighborCache, CELL_LIST_THRESHOLD};
 use mdsim::topology::{Angle, Atom, Bond, NamedDihedral, Titratable, Topology, Torsion};
 use mdsim::units::AKMA_PER_PS;
 use mdsim::{DihedralRestraint, EvalContext, ForceField, PbcBox, State, System, Vec3};
@@ -179,6 +180,71 @@ fn one_evaluation_across_systems_salt_ph_restraints_and_threads() {
     };
     assert!(pairs(&systems[0].1, &systems[0].2) < MIN_CHUNK_PAIRS);
     assert!(pairs(&systems[1].1, &systems[1].2) >= 4 * MIN_CHUNK_PAIRS);
+}
+
+/// Geometry the models never produce: edges 30 % apart, and atoms an
+/// unwrapped run has carried up to three box lengths out of the primary
+/// cell. The lattice puts the atom count on both sides of the cell-list
+/// threshold (all-pairs list below, aliased and image-shift grids above).
+#[test]
+fn kernel_matches_the_oracle_in_orthorhombic_boxes_on_unwrapped_coordinates() {
+    // Cases that went through the cell search: [aliased, image-shift].
+    let mut searched = [0, 0];
+    rng::check(32, |rng| {
+        let cutoff = 4.0;
+        let reach = cutoff + NeighborCache::DEFAULT_SKIN;
+        let shortest = reach * rng.range(1.5..3.4);
+        let middle = shortest * rng.range(1.3..1.32);
+        let mut edges = [shortest, middle, middle * rng.range(1.3..1.31)];
+        rng.shuffle(&mut edges);
+        // A jittered lattice (no overlaps), each atom then moved by whole
+        // box lengths of its own per axis.
+        let sites = edges.map(|l| (l / 2.6) as usize);
+        let mut positions = Vec::new();
+        for x in 0..sites[0] {
+            for y in 0..sites[1] {
+                for z in 0..sites[2] {
+                    let mut along = |k: usize, site: usize| {
+                        let lattice = (site as f64 + 0.5 + rng.range(-0.1..0.1)) / sites[k] as f64;
+                        edges[k] * (lattice + rng.range(-3i32..=3) as f64)
+                    };
+                    positions.push(Vec3::new(along(0, x), along(1, y), along(2, z)));
+                }
+            }
+        }
+        let n = positions.len();
+        let atoms = (0..n)
+            .map(|k| Atom {
+                mass: 16.0,
+                charge: if k % 2 == 0 { 0.3 } else { -0.3 },
+                lj_epsilon: 0.1 + 0.05 * (k % 3) as f64,
+                lj_sigma: 3.0,
+            })
+            .collect();
+        let mut state = State::zeros(n);
+        state.positions = positions;
+        let pbc = PbcBox::new(Some(Vec3::new(edges[0], edges[1], edges[2])));
+        let sys = System::new(Topology { atoms, ..Default::default() }, pbc, state).unwrap();
+        let salt_molar = if rng.below(2) == 0 { 0.0 } else { 0.4 };
+        let ff = ForceField::new(NonbondedParams { cutoff, dielectric: 2.0, salt_molar, ph: 7.0 });
+
+        let mut ctx = EvalContext::new();
+        let (e, f) = eval(&ff, &sys, &mut ctx, 1);
+        let (e_ref, f_ref) = oracle_nonbonded(&ff, &sys, &ctx);
+        let what = format!("{n} atoms, edges {edges:?}, salt {salt_molar}");
+        assert!(e_ref.abs() > 1.0, "{what}: a live energy, not {e_ref}");
+        let tol = 1e-9 * e_ref.abs();
+        assert!((e.lj + e.coulomb - e_ref).abs() <= tol, "{what}: {} vs {e_ref}", e.lj + e.coulomb);
+        for (k, (a, b)) in f.iter().zip(&f_ref).enumerate() {
+            for axis in 0..3 {
+                assert!((a[axis] - b[axis]).abs() <= tol, "{what}: atom {k}: {a:?} vs {b:?}");
+            }
+        }
+        if n >= CELL_LIST_THRESHOLD {
+            searched[usize::from(shortest >= 3.0 * reach)] += 1;
+        }
+    });
+    assert!(searched.iter().all(|&c| c > 0) && searched[0] + searched[1] < 32, "{searched:?}");
 }
 
 /// Central difference of `energy` over every coordinate of `pos` against
