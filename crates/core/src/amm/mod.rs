@@ -97,7 +97,9 @@ pub fn prepare_md(
 ) -> Result<(UnitDescription, TaskWork<TaskResult>), String> {
     let base = file_base(spec.replica, spec.cycle);
     let inputs = amm.render(&spec, &base)?;
-    let control = inputs[0].0.clone();
+    let Some(control) = inputs.first().map(|(name, _)| name.clone()) else {
+        return Err(format!("AMM rendered no input file for md-{base}"));
+    };
     for (name, text) in inputs {
         staging.put_text(name, text);
     }
@@ -124,8 +126,11 @@ pub fn prepare_md(
         };
         let mut sys = lock_system(&system);
         let out = engine.run(&mut sys, &job).map_err(|e| e.to_string())?;
+        // The exchange reads the `.mdinfo`: text now. No unit opens the
+        // restart (the next segment continues from the live `System`): it is
+        // staged as the state it says and rendered for whoever reads it.
         let title = format!("{restart_tag}replica {replica} cycle {cycle}");
-        staging.put_text(restart, write_restart(&title, &out.final_state));
+        staging.put_text_with(restart, move || write_restart(&title, &out.final_state));
         staging.put_text(mdinfo, out.mdinfo.render());
         Ok(TaskResult::Md(MdTaskReport {
             replica,

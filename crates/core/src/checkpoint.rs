@@ -29,6 +29,7 @@ use crate::emm::DriverCtx;
 use crate::replica::lock_system;
 use crate::report::CycleReport;
 use exchange::stats::{AcceptanceStats, RoundTripTracker};
+use mdsim::io::restart::write_restart_with_cycle;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -144,9 +145,8 @@ pub struct CampaignCheckpoint {
 
 impl CampaignCheckpoint {
     /// Snapshot a live campaign. For replicas with an in-flight segment the
-    /// async driver stashes a pre-segment restart in
-    /// `ctx.preseg_snapshots`; everyone else serializes their current
-    /// microstate.
+    /// async driver stashes the pre-segment microstate in
+    /// `ctx.preseg_snapshots`; everyone else serializes their current one.
     pub fn capture(
         ctx: &DriverCtx,
         scheduler: SchedulerState,
@@ -156,15 +156,12 @@ impl CampaignCheckpoint {
             .replicas
             .iter()
             .map(|r| {
+                let title = format!("replica {}", r.id);
                 let restart = match ctx.preseg_snapshots.get(&r.id) {
-                    Some(text) => text.clone(),
+                    Some((state, cycle)) => write_restart_with_cycle(&title, state, *cycle),
                     None => {
                         let sys = lock_system(&r.system);
-                        mdsim::io::restart::write_restart_with_cycle(
-                            &format!("replica {}", r.id),
-                            &sys.state,
-                            r.segments_done,
-                        )
+                        write_restart_with_cycle(&title, &sys.state, r.segments_done)
                     }
                 };
                 ReplicaCheckpoint {
@@ -450,13 +447,11 @@ mod tests {
     #[test]
     fn async_in_flight_uses_preseg_snapshot() {
         let mut ctx = build_ctx(small_cfg()).unwrap();
-        let pre = {
-            let sys = lock_system(&ctx.replicas[1].system);
-            mdsim::io::restart::write_restart_with_cycle("pre", &sys.state, 3)
-        };
+        let before = lock_system(&ctx.replicas[1].system).state.clone();
+        let pre = write_restart_with_cycle("replica 1", &before, 3);
         // The segment already ran eagerly: the live System has moved on.
         lock_system(&ctx.replicas[1].system).state.positions[0] = mdsim::Vec3::new(9.0, 9.0, 9.0);
-        ctx.preseg_snapshots.insert(1, pre.clone());
+        ctx.preseg_snapshots.insert(1, (before, 3));
         let st = AsyncSchedulerState { in_flight: vec![(1, 0)], ..Default::default() };
         let cp = CampaignCheckpoint::capture(&ctx, SchedulerState::Async(st), &[]);
         assert_eq!(cp.replicas[1].restart, pre, "in-flight replica stores the pre-segment state");

@@ -175,14 +175,8 @@ impl Core {
         // A retry runs an independent trajectory under a fresh unit name.
         spec.seed = attempt_seed(spec.seed, slot, attempt);
         if self.snapshot_md {
-            let sys = lock_system(&ctx.replicas[replica].system);
-            let text = mdsim::io::restart::write_restart_with_cycle(
-                &format!("replica {replica}"),
-                &sys.state,
-                cycle,
-            );
-            drop(sys);
-            ctx.preseg_snapshots.insert(replica, text);
+            let state = lock_system(&ctx.replicas[replica].system).state.clone();
+            ctx.preseg_snapshots.insert(replica, (state, cycle));
         }
         let (mut desc, work) = crate::amm::prepare_md(&ctx.amm, spec, &ctx.pilot.staging)?;
         desc.name = attempt_task_name(&desc.name, dim, attempt);

@@ -109,13 +109,13 @@ pub struct DriverCtx {
     /// completed by this invocation — a deterministic mid-campaign
     /// interruption point (`repex run --stop-after`).
     pub cycle_limit: Option<u64>,
-    /// Pre-segment restart snapshots for in-flight MD work, keyed by
+    /// Pre-segment microstate and cycle of in-flight MD work, keyed by
     /// replica id (tick policy, populated only while checkpointing): the
     /// executor runs payloads eagerly, so by checkpoint time an in-flight
     /// segment has already advanced its `System` — the checkpoint must
     /// store the microstate from *before* the segment so resume can
-    /// resubmit the same unit.
-    pub preseg_snapshots: HashMap<usize, String>,
+    /// resubmit the same unit. Rendered by the checkpoint that needs it.
+    pub preseg_snapshots: HashMap<usize, (mdsim::State, u64)>,
     /// Requested live telemetry exports (`None` = no exporters; the live
     /// fold may still run to feed `--progress`).
     pub live_request: Option<LiveTelemetry>,

@@ -331,6 +331,35 @@ fn interrupted_sync_campaign_resumes_bit_exactly() {
     assert_eq!(strip(rec_split.events()), strip(rec_full.events()));
 }
 
+/// A checkpoint taken while a segment is in flight stores that replica's
+/// microstate from *before* the segment — kept as a state and rendered by
+/// `capture` — and everyone else's live one. (`checkpoint.rs` has the same
+/// guard as a unit test; this copy is the one that compiles offline.)
+#[test]
+fn async_in_flight_uses_preseg_snapshot() {
+    use mdsim::io::restart::write_restart_with_cycle;
+    use repex::checkpoint::AsyncSchedulerState;
+    use repex::replica::lock_system;
+
+    let mut ctx = build_ctx(async_cfg(4, 2)).unwrap();
+    let before = lock_system(&ctx.replicas[1].system).state.clone();
+    ctx.preseg_snapshots.insert(1, (before.clone(), 3));
+    // The segment already ran eagerly: the live System has moved on.
+    for replica in [0, 1] {
+        lock_system(&ctx.replicas[replica].system).state.positions[0] =
+            mdsim::Vec3::new(9.0, 9.0, 9.0);
+    }
+    let st = AsyncSchedulerState { in_flight: vec![(1, 0)], ..Default::default() };
+    let cp = CampaignCheckpoint::capture(&ctx, SchedulerState::Async(st), &[]);
+    assert_eq!(
+        cp.replicas[1].restart,
+        write_restart_with_cycle("replica 1", &before, 3),
+        "in-flight replica stores the pre-segment state"
+    );
+    let live = lock_system(&ctx.replicas[0].system).state.clone();
+    assert_eq!(cp.replicas[0].restart, write_restart_with_cycle("replica 0", &live, 0));
+}
+
 // ---------------------------------------------------------------------------
 // Tick policy.
 // ---------------------------------------------------------------------------

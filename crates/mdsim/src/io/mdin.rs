@@ -9,6 +9,7 @@
 //! `saltcon`, `cut`, `ntpr`. A `DISANG=<file>` line after the namelist
 //! names the restraint file.
 
+use super::push_fixed;
 use std::fmt::Write as _;
 
 /// Parsed `&cntrl` namelist.
@@ -77,17 +78,19 @@ impl MdinControl {
     /// Render as an Amber mdin file with a title line.
     pub fn render(&self, title: &str) -> String {
         let mut s = String::with_capacity(256);
-        let _ = writeln!(s, "{title}");
-        let _ = writeln!(s, " &cntrl");
-        let _ = writeln!(s, "  nstlim = {}, dt = {:.5},", self.nstlim, self.dt);
-        let _ = writeln!(s, "  temp0 = {:.3}, gamma_ln = {:.3},", self.temp0, self.gamma_ln);
-        let _ = writeln!(s, "  ig = {}, ntpr = {},", self.ig, self.ntpr);
-        let _ = writeln!(
-            s,
-            "  saltcon = {:.4}, solvph = {:.3}, cut = {:.2},",
-            self.saltcon, self.solvph, self.cut
-        );
-        let _ = writeln!(s, " /");
+        let _ = write!(s, "{title}\n &cntrl\n  nstlim = {}, dt = ", self.nstlim);
+        push_fixed(&mut s, self.dt, 0, 5);
+        s.push_str(",\n  temp0 = ");
+        push_fixed(&mut s, self.temp0, 0, 3);
+        s.push_str(", gamma_ln = ");
+        push_fixed(&mut s, self.gamma_ln, 0, 3);
+        let _ = write!(s, ",\n  ig = {}, ntpr = {},\n  saltcon = ", self.ig, self.ntpr);
+        push_fixed(&mut s, self.saltcon, 0, 4);
+        s.push_str(", solvph = ");
+        push_fixed(&mut s, self.solvph, 0, 3);
+        s.push_str(", cut = ");
+        push_fixed(&mut s, self.cut, 0, 2);
+        s.push_str(",\n /\n");
         if let Some(d) = &self.disang {
             let _ = writeln!(s, "DISANG={d}");
         }
@@ -96,26 +99,31 @@ impl MdinControl {
 
     /// Parse an mdin file (title line is ignored).
     pub fn parse(text: &str) -> Result<Self, MdinError> {
-        let body = extract_namelist(text, "cntrl").ok_or(MdinError::MissingNamelist("cntrl"))?;
-        let kv = parse_kv(&body)?;
+        let body = extract_namelist(text, "&cntrl").ok_or(MdinError::MissingNamelist("cntrl"))?;
         let mut ctl = MdinControl::default();
-        for (key, value) in &kv {
-            match key.as_str() {
-                "nstlim" => ctl.nstlim = parse_num(key, value)?,
-                "dt" => ctl.dt = parse_float(key, value)?,
-                "temp0" => ctl.temp0 = parse_float(key, value)?,
-                "gamma_ln" => ctl.gamma_ln = parse_float(key, value)?,
-                "ig" => ctl.ig = parse_num(key, value)?,
-                "saltcon" => ctl.saltcon = parse_float(key, value)?,
-                "solvph" => ctl.solvph = parse_float(key, value)?,
-                "cut" => ctl.cut = parse_float(key, value)?,
-                "ntpr" => ctl.ntpr = parse_num(key, value)?,
-                _ => {} // unknown keys tolerated, like sander
+        let mut ints = [("nstlim", &mut ctl.nstlim), ("ig", &mut ctl.ig), ("ntpr", &mut ctl.ntpr)];
+        let mut floats = [
+            ("dt", &mut ctl.dt),
+            ("temp0", &mut ctl.temp0),
+            ("gamma_ln", &mut ctl.gamma_ln),
+            ("saltcon", &mut ctl.saltcon),
+            ("solvph", &mut ctl.solvph),
+            ("cut", &mut ctl.cut),
+        ];
+        for pair in parse_kv(body) {
+            let (key, value) = pair?;
+            // Unknown keys are tolerated, like sander.
+            if let Some((name, field)) = ints.iter_mut().find(|(n, _)| key.eq_ignore_ascii_case(n))
+            {
+                **field = parse_num(name, value)?;
+            } else if let Some((name, field)) =
+                floats.iter_mut().find(|(n, _)| key.eq_ignore_ascii_case(n))
+            {
+                **field = parse_float(name, value)?;
             }
         }
         for line in text.lines() {
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix("DISANG=") {
+            if let Some(rest) = line.trim().strip_prefix("DISANG=") {
                 ctl.disang = Some(rest.trim().to_string());
             }
         }
@@ -136,13 +144,14 @@ pub struct DisangRestraint {
 
 /// Render a DISANG file from restraint records.
 pub fn render_disang(restraints: &[DisangRestraint]) -> String {
-    let mut s = String::new();
+    let mut s = String::with_capacity(64 * restraints.len());
     for r in restraints {
-        let _ = writeln!(
-            s,
-            " &rst iat={},{},{},{}, r2={:.4}, rk2={:.6}, /",
-            r.iat[0], r.iat[1], r.iat[2], r.iat[3], r.r2, r.rk2
-        );
+        let [a, b, c, d] = r.iat;
+        let _ = write!(s, " &rst iat={a},{b},{c},{d}, r2=");
+        push_fixed(&mut s, r.r2, 0, 4);
+        s.push_str(", rk2=");
+        push_fixed(&mut s, r.rk2, 0, 6);
+        s.push_str(", /\n");
     }
     s
 }
@@ -156,30 +165,18 @@ pub fn parse_disang(text: &str) -> Result<Vec<DisangRestraint>, MdinError> {
         let end = rest
             .find('/')
             .ok_or_else(|| MdinError::Malformed("unterminated &rst record".into()))?;
-        let body = &rest[..end];
-        let kv = parse_kv(body)?;
-        let mut iat = None;
-        let mut r2 = None;
-        let mut rk2 = None;
-        for (key, value) in &kv {
-            match key.as_str() {
-                "iat" => {
-                    let parts: Vec<u32> = value
-                        .split(',')
-                        .map(|p| p.trim().parse::<u32>())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| MdinError::BadValue {
-                            key: key.clone(),
-                            value: value.clone(),
-                        })?;
-                    if parts.len() != 4 {
-                        return Err(MdinError::BadValue { key: key.clone(), value: value.clone() });
-                    }
-                    iat = Some([parts[0], parts[1], parts[2], parts[3]]);
-                }
-                "r2" => r2 = Some(parse_float(key, value)?),
-                "rk2" => rk2 = Some(parse_float(key, value)?),
-                _ => {}
+        let (mut iat, mut r2, mut rk2) = (None, None, None);
+        for pair in parse_kv(&rest[..end]) {
+            let (key, value) = pair?;
+            if key.eq_ignore_ascii_case("iat") {
+                let bad = || MdinError::BadValue { key: "iat".into(), value: value.into() };
+                let atoms: Result<Vec<u32>, _> =
+                    value.split(',').map(|p| p.trim().parse()).collect();
+                iat = Some(atoms.ok().and_then(|four| four.try_into().ok()).ok_or_else(bad)?);
+            } else if key.eq_ignore_ascii_case("r2") {
+                r2 = Some(parse_float("r2", value)?);
+            } else if key.eq_ignore_ascii_case("rk2") {
+                rk2 = Some(parse_float("rk2", value)?);
             }
         }
         match (iat, r2, rk2) {
@@ -191,51 +188,38 @@ pub fn parse_disang(text: &str) -> Result<Vec<DisangRestraint>, MdinError> {
     Ok(out)
 }
 
-/// Extract the body between `&name` and the terminating `/`.
-fn extract_namelist(text: &str, name: &str) -> Option<String> {
-    let tag = format!("&{name}");
-    let start = text.find(&tag)? + tag.len();
-    let rest = &text[start..];
-    let end = rest.find('/')?;
-    Some(rest[..end].to_string())
+/// The body between `tag` (`&name`) and the terminating `/`.
+fn extract_namelist<'a>(text: &'a str, tag: &str) -> Option<&'a str> {
+    let rest = &text[text.find(tag)? + tag.len()..];
+    Some(&rest[..rest.find('/')?])
 }
 
-/// Parse `key = value` pairs separated by commas/newlines. Values containing
-/// commas (like `iat=1,2,3,4`) are supported: digits following `key=` are
-/// grouped until the next `key=` token.
-fn parse_kv(body: &str) -> Result<Vec<(String, String)>, MdinError> {
-    let mut out: Vec<(String, String)> = Vec::new();
-    // Tokenize on '=' boundaries: everything before the first '=' is a key;
-    // each subsequent segment holds "value[, nextkey]".
-    let segments: Vec<&str> = body.split('=').collect();
-    if segments.len() < 2 {
-        return Ok(out);
-    }
-    let mut key = segments[0].trim().trim_start_matches(',').trim().to_string();
-    for (i, seg) in segments[1..].iter().enumerate() {
-        let is_last = i == segments.len() - 2;
-        if is_last {
-            out.push((normalize_key(&key)?, seg.trim().trim_end_matches(',').trim().to_string()));
-        } else {
+/// The `key = value` pairs of a namelist body, separated by commas or
+/// newlines, borrowed from it in file order. A value may contain commas
+/// (`iat=1,2,3,4`): it runs up to the word before the next `=`.
+fn parse_kv(body: &str) -> impl Iterator<Item = Result<(&str, &str), MdinError>> {
+    let separator = |c: char| c == ',' || c.is_whitespace();
+    // Everything before the first '=' is a key; each later segment holds
+    // "value[, nextkey]".
+    let mut segments = body.split('=').peekable();
+    let mut key = segments.next().unwrap_or("").trim().trim_start_matches(',').trim();
+    std::iter::from_fn(move || {
+        let mut value = segments.next()?;
+        let this = key;
+        if segments.peek().is_some() {
             // The trailing word of this segment is the next key.
-            let seg_trim = seg.trim_end();
-            let cut = seg_trim
-                .rfind(|c: char| c == ',' || c.is_whitespace())
-                .ok_or_else(|| MdinError::Malformed(format!("cannot split {seg_trim:?}")))?;
-            let (value, next_key) = seg_trim.split_at(cut);
-            out.push((normalize_key(&key)?, value.trim().trim_end_matches(',').trim().to_string()));
-            key = next_key.trim_start_matches(|c: char| c == ',' || c.is_whitespace()).to_string();
+            value = value.trim_end();
+            let Some(cut) = value.rfind(separator) else {
+                return Some(Err(MdinError::Malformed(format!("cannot split {value:?}"))));
+            };
+            key = value[cut..].trim_start_matches(separator);
+            value = &value[..cut];
         }
-    }
-    Ok(out)
-}
-
-fn normalize_key(key: &str) -> Result<String, MdinError> {
-    let k = key.trim().to_ascii_lowercase();
-    if k.is_empty() || !k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-        return Err(MdinError::Malformed(format!("bad key {key:?}")));
-    }
-    Ok(k)
+        if this.is_empty() || !this.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            return Some(Err(MdinError::Malformed(format!("bad key {this:?}"))));
+        }
+        Some(Ok((this, value.trim().trim_end_matches(',').trim())))
+    })
 }
 
 fn parse_num(key: &str, value: &str) -> Result<u64, MdinError> {
@@ -271,6 +255,110 @@ mod tests {
         let text = ctl.render("U-REMD cycle 4 replica 12");
         let back = MdinControl::parse(&text).unwrap();
         assert_eq!(back, ctl);
+    }
+
+    /// `MdinControl::render` and `render_disang` as they were written
+    /// through `core::fmt`: the oracles.
+    fn render_oracle(ctl: &MdinControl, title: &str) -> String {
+        let mut s = String::new();
+        let _ = writeln!(s, "{title}");
+        let _ = writeln!(s, " &cntrl");
+        let _ = writeln!(s, "  nstlim = {}, dt = {:.5},", ctl.nstlim, ctl.dt);
+        let _ = writeln!(s, "  temp0 = {:.3}, gamma_ln = {:.3},", ctl.temp0, ctl.gamma_ln);
+        let _ = writeln!(s, "  ig = {}, ntpr = {},", ctl.ig, ctl.ntpr);
+        let _ = writeln!(
+            s,
+            "  saltcon = {:.4}, solvph = {:.3}, cut = {:.2},",
+            ctl.saltcon, ctl.solvph, ctl.cut
+        );
+        let _ = writeln!(s, " /");
+        if let Some(d) = &ctl.disang {
+            let _ = writeln!(s, "DISANG={d}");
+        }
+        s
+    }
+
+    fn render_disang_oracle(restraints: &[DisangRestraint]) -> String {
+        let mut s = String::new();
+        for r in restraints {
+            let _ = writeln!(
+                s,
+                " &rst iat={},{},{},{}, r2={:.4}, rk2={:.6}, /",
+                r.iat[0], r.iat[1], r.iat[2], r.iat[3], r.r2, r.rk2
+            );
+        }
+        s
+    }
+
+    #[test]
+    fn renders_are_byte_equal_to_the_core_fmt_oracles() {
+        // A ladder value, a short decimal (ties at the shorter fields), or
+        // anything at all.
+        fn value(r: &mut rng::Rng) -> f64 {
+            match r.below(3) {
+                0 => r.range(0.0..500.0),
+                1 => r.range(0i64..1 << 20) as f64 / 1024.0,
+                _ => r.normal() * 10f64.powi(r.range(-8..10)),
+            }
+        }
+        rng::check(2000, |r| {
+            let ctl = MdinControl {
+                dt: value(r),
+                temp0: value(r),
+                gamma_ln: value(r),
+                saltcon: value(r),
+                solvph: value(r),
+                cut: value(r),
+                nstlim: r.next_u64() >> r.below(64),
+                ig: r.next_u64(),
+                ntpr: r.below(10_000),
+                disang: (r.below(2) == 0)
+                    .then(|| format!("r{:05}_c{:04}.RST", r.below(7000), r.below(20))),
+            };
+            assert_eq!(ctl.render("replica 3 cycle 9"), render_oracle(&ctl, "replica 3 cycle 9"));
+            let restraints: Vec<DisangRestraint> = (0..r.below(4))
+                .map(|_| DisangRestraint {
+                    iat: [(); 4].map(|()| r.range(0u32..100_000)),
+                    r2: r.range(-180.0..180.0),
+                    rk2: value(r),
+                })
+                .collect();
+            assert_eq!(render_disang(&restraints), render_disang_oracle(&restraints));
+        });
+    }
+
+    /// The borrowing `parse_kv`: what it yields for the bodies both namelists
+    /// meet, and the two ways it fails.
+    #[test]
+    fn parse_kv_borrows_keys_and_values_in_file_order() {
+        let pairs = |body| parse_kv(body).collect::<Result<Vec<_>, _>>();
+        assert_eq!(
+            pairs("\n  NstLim = 10, dt=0.002,\n ig = 7 ntpr=1,,\n"),
+            Ok(vec![("NstLim", "10"), ("dt", "0.002"), ("ig", "7"), ("ntpr", "1")])
+        );
+        assert_eq!(
+            pairs(" iat=3,4,5,6, r2=-120.0000, rk2=0.020000, "),
+            Ok(vec![("iat", "3,4,5,6"), ("r2", "-120.0000"), ("rk2", "0.020000")])
+        );
+        assert_eq!(pairs(", cut = 9.0"), Ok(vec![("cut", "9.0")]));
+        assert_eq!(pairs(""), Ok(vec![]));
+        assert_eq!(pairs("no pairs here"), Ok(vec![]));
+        assert_eq!(pairs("a = 1, b c = 2"), Ok(vec![("a", "1, b"), ("c", "2")]));
+        assert_eq!(pairs("a==1"), Err(MdinError::Malformed("cannot split \"\"".into())));
+        assert_eq!(pairs("temp-0 = 1"), Err(MdinError::Malformed("bad key \"temp-0\"".into())));
+        assert_eq!(pairs(" = 1"), Err(MdinError::Malformed("bad key \"\"".into())));
+        // Keys match whatever their case; the error names the key as the
+        // parser knows it.
+        let ctl = MdinControl::parse(" &cntrl NSTLIM = 5, Temp0 = 310.0, /").unwrap();
+        assert_eq!((ctl.nstlim, ctl.temp0), (5, 310.0));
+        assert_eq!(
+            MdinControl::parse(" &cntrl TEMP0 = hot, /"),
+            Err(MdinError::BadValue { key: "temp0".into(), value: "hot".into() })
+        );
+        assert_eq!(
+            parse_disang(" &rst IAT=1,2,3, R2=0, RK2=1, /"),
+            Err(MdinError::BadValue { key: "iat".into(), value: "1,2,3".into() })
+        );
     }
 
     #[test]

@@ -91,26 +91,23 @@ impl NamdConfig {
             let Some(first) = parts.next() else { continue };
             let key = first.to_ascii_lowercase();
             let rest: Vec<&str> = parts.collect();
-            let one = |rest: &[&str]| -> Result<String, NamdConfError> {
-                if rest.len() != 1 {
-                    Err(NamdConfError(format!("line {}: {key} expects 1 value", lineno + 1)))
-                } else {
-                    Ok(rest[0].to_string())
-                }
+            let one = || match rest[..] {
+                [value] => Ok(value),
+                _ => Err(NamdConfError(format!("line {}: {key} expects 1 value", lineno + 1))),
             };
             let bad = |v: &str| NamdConfError(format!("line {}: bad number {v:?}", lineno + 1));
             let parse_f = |v: &str| v.parse::<f64>().map_err(|_| bad(v));
             let parse_u = |v: &str| super::parse_u64(v).ok_or_else(|| bad(v));
             match key.as_str() {
-                "numsteps" => cfg.numsteps = parse_u(&one(&rest)?)?,
-                "timestep" => cfg.timestep_fs = parse_f(&one(&rest)?)?,
-                "temperature" => cfg.temperature = parse_f(&one(&rest)?)?,
-                "langevindamping" => cfg.langevin_damping = parse_f(&one(&rest)?)?,
-                "seed" => cfg.seed = parse_u(&one(&rest)?)?,
-                "cutoff" => cfg.cutoff = parse_f(&one(&rest)?)?,
-                "saltconcentration" => cfg.salt_concentration = parse_f(&one(&rest)?)?,
-                "solventph" => cfg.solvent_ph = parse_f(&one(&rest)?)?,
-                "outputenergies" => cfg.output_energies = parse_u(&one(&rest)?)?,
+                "numsteps" => cfg.numsteps = parse_u(one()?)?,
+                "timestep" => cfg.timestep_fs = parse_f(one()?)?,
+                "temperature" => cfg.temperature = parse_f(one()?)?,
+                "langevindamping" => cfg.langevin_damping = parse_f(one()?)?,
+                "seed" => cfg.seed = parse_u(one()?)?,
+                "cutoff" => cfg.cutoff = parse_f(one()?)?,
+                "saltconcentration" => cfg.salt_concentration = parse_f(one()?)?,
+                "solventph" => cfg.solvent_ph = parse_f(one()?)?,
+                "outputenergies" => cfg.output_energies = parse_u(one()?)?,
                 "harmonicdihedral" => {
                     if rest.len() != 3 {
                         return Err(NamdConfError(format!(

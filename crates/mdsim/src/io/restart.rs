@@ -8,8 +8,9 @@
 //! (campaign checkpoints serialize replica microstates through this format,
 //! and a resumed run must continue bit-for-bit), and the header carries the
 //! step/cycle counters that the classic format drops (readers accept old
-//! two-field headers, parsing step = cycle = 0). This is the file the AMM
-//! stages between MD cycles and that exchange winners swap.
+//! two-field headers, parsing step = cycle = 0). A segment stages one for
+//! whoever inspects the staging area (tests, a user): the campaign continues
+//! from the in-memory `System`, and `checkpoint.rs` renders its own from it.
 
 use crate::system::State;
 use crate::vec3::Vec3;

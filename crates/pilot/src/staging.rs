@@ -5,13 +5,25 @@
 //! which is accessible by subsequent tasks"). Our staging area is an
 //! in-memory, thread-safe key-value store of rendered file contents — tasks
 //! genuinely serialize inputs/outputs through it using the mdsim text
-//! formats, and the virtual cluster charges `T_data` for the movement.
+//! formats. A file another unit reads is text from the moment it is staged;
+//! one that only a person or a test opens ([`StagingArea::put_text_with`])
+//! is rendered when first read.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, LazyLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-type Files = BTreeMap<String, Arc<Vec<u8>>>;
+type Writer = Box<dyn FnOnce() -> Arc<Vec<u8>> + Send>;
+
+/// A staged file: its bytes, or the writer that owns what they will say.
+/// An enum so that an eager file carries nothing for the deferred kind.
+#[derive(Debug, Clone)]
+enum Blob {
+    Bytes(Arc<Vec<u8>>),
+    Deferred(Arc<LazyLock<Arc<Vec<u8>>, Writer>>),
+}
+
+type Files = BTreeMap<String, Blob>;
 
 /// A thread-safe staging area. Cheap to clone (shared).
 #[derive(Debug, Clone, Default)]
@@ -36,7 +48,7 @@ impl StagingArea {
 
     /// Store a file, replacing any existing content.
     pub fn put(&self, name: impl Into<String>, data: impl Into<Vec<u8>>) {
-        self.write().insert(name.into(), Arc::new(data.into()));
+        self.write().insert(name.into(), Blob::Bytes(Arc::new(data.into())));
     }
 
     /// Store UTF-8 text.
@@ -44,9 +56,28 @@ impl StagingArea {
         self.put(name, text.into().into_bytes());
     }
 
+    /// Store UTF-8 text that `render` produces when the file is first read:
+    /// the file exists from this call, `render` runs at most once (never for
+    /// a file nobody reads) and what it returns is cached. The content is
+    /// fixed now, because `render` owns everything it reads.
+    pub fn put_text_with(
+        &self,
+        name: impl Into<String>,
+        render: impl FnOnce() -> String + Send + 'static,
+    ) {
+        let writer: Writer = Box::new(move || Arc::new(render().into_bytes()));
+        self.write().insert(name.into(), Blob::Deferred(Arc::new(LazyLock::new(writer))));
+    }
+
     /// Fetch a file's bytes.
     pub fn get(&self, name: &str) -> Option<Arc<Vec<u8>>> {
-        self.read().get(name).cloned()
+        // The guard is gone before a deferred file renders: concurrent first
+        // readers wait on the file, not on the map.
+        let blob = self.read().get(name).cloned()?;
+        Some(match blob {
+            Blob::Bytes(bytes) => bytes,
+            Blob::Deferred(file) => Arc::clone(LazyLock::force(&file)),
+        })
     }
 
     /// Parse a staged text file in place: `parse` borrows the stored bytes
@@ -76,13 +107,19 @@ impl StagingArea {
     /// invariant callers keep: *a file is removed only after every unit that
     /// names it as input has settled.*
     pub fn delete_prefix(&self, prefix: &str) -> usize {
+        // The matching names are one contiguous key range, ending before the
+        // prefix with its last character bumped; where that character has no
+        // successor (or there is none) the range runs on and the filter
+        // decides.
+        let mut end = prefix.to_owned();
+        let end = match end.pop().and_then(|last| char::from_u32(last as u32 + 1)) {
+            Some(next) => Bound::Excluded(end + next.encode_utf8(&mut [0; 4])),
+            None => Bound::Unbounded,
+        };
+        let range = (Bound::Included(prefix.to_owned()), end);
         let mut files = self.write();
-        let doomed: Vec<String> = files
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .map(|(name, _)| name.clone())
-            .collect();
-        doomed.iter().for_each(|name| drop(files.remove(name)));
+        let doomed: Vec<_> = files.extract_if(range, |name, _| name.starts_with(prefix)).collect();
+        drop(files); // the blobs drop after the lock is released
         doomed.len()
     }
 
@@ -102,26 +139,13 @@ impl StagingArea {
     pub fn is_empty(&self) -> bool {
         self.read().is_empty()
     }
-
-    /// Total stored bytes (used to charge filesystem transfer time).
-    pub fn total_bytes(&self) -> u64 {
-        self.read().values().map(|v| v.len() as u64).sum()
-    }
-
-    /// Size of one file in bytes.
-    pub fn size_of(&self, name: &str) -> Option<u64> {
-        self.read().get(name).map(|v| v.len() as u64)
-    }
-
-    /// Drop everything (between cycles in tests).
-    pub fn clear(&self) {
-        self.write().clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
     use std::thread;
 
     #[test]
@@ -183,17 +207,105 @@ mod tests {
         assert_eq!(s.list(""), vec!["ex/r1.out", "md/r1.out", "md/r2.out"]);
     }
 
+    /// `delete_prefix` against the filter it replaced, on the prefixes whose
+    /// range end is not "last byte plus one".
     #[test]
-    fn byte_accounting() {
+    fn delete_prefix_is_starts_with_for_every_prefix() {
+        let names = [
+            "",
+            "a",
+            "a\u{7f}",
+            "a\u{7f}b",
+            "a\u{80}",
+            "a\u{d7ff}",
+            "a\u{d7ff}z",
+            "a\u{e000}",
+            "aé",
+            "aéz",
+            "aê",
+            "a\u{10ffff}",
+            "a\u{10ffff}\u{10ffff}",
+            "a\u{10ffff}b",
+            "b",
+            "\u{10ffff}",
+            "\u{10ffff}x",
+        ];
+        for prefix in ["", "a", "a\u{7f}", "aé", "a\u{d7ff}", "a\u{10ffff}", "\u{10ffff}", "zz"] {
+            let s = StagingArea::new();
+            names.iter().for_each(|name| s.put_text(*name, ""));
+            let doomed = names.iter().filter(|name| name.starts_with(prefix)).count();
+            assert_eq!(s.delete_prefix(prefix), doomed, "{prefix:?}");
+            let mut kept: Vec<&str> =
+                names.iter().copied().filter(|name| !name.starts_with(prefix)).collect();
+            kept.sort_unstable();
+            assert_eq!(s.list(""), kept, "{prefix:?}");
+        }
+    }
+
+    /// A counting writer: how many times it ran.
+    fn deferred(s: &StagingArea, name: &str, text: &'static str) -> Arc<AtomicUsize> {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&runs);
+        s.put_text_with(name, move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            text.to_owned()
+        });
+        runs
+    }
+
+    #[test]
+    fn a_deferred_file_exists_at_once_and_renders_only_for_a_reader() {
         let s = StagingArea::new();
-        s.put("a", vec![0u8; 100]);
-        s.put("b", vec![0u8; 50]);
-        assert_eq!(s.total_bytes(), 150);
-        assert_eq!(s.size_of("a"), Some(100));
-        s.put("a", vec![0u8; 10]); // replace
-        assert_eq!(s.total_bytes(), 60);
-        s.clear();
-        assert!(s.is_empty());
+        let unread = deferred(&s, "r0.rst7", "never");
+        let replaced = deferred(&s, "r1.rst7", "never");
+        let deleted = deferred(&s, "r2.rst7", "never");
+        let read = deferred(&s, "r3.rst7", "coordinates");
+        s.put_text("r3.mdinfo", "NSTEP");
+        assert!(s.contains("r0.rst7") && !s.is_empty());
+        assert_eq!(s.len(), 5);
+        assert_eq!(s.list("r3"), vec!["r3.mdinfo", "r3.rst7"]);
+        s.put_text("r1.rst7", "eager now");
+        assert!(s.delete("r2.rst7"));
+
+        // Rendered by the first read, of any kind, and cached.
+        assert_eq!(read.load(Ordering::SeqCst), 0);
+        assert_eq!(s.read_text("r3.rst7", str::len), Ok(11));
+        assert_eq!(s.get_text("r3.rst7").unwrap(), "coordinates");
+        assert_eq!(s.get("r3.rst7").unwrap().as_slice(), b"coordinates");
+        assert_eq!(read.load(Ordering::SeqCst), 1);
+        assert_eq!(s.get_text("r1.rst7").unwrap(), "eager now");
+
+        assert_eq!(s.delete_prefix("r"), 4);
+        drop(s);
+        for never in [unread, replaced, deleted] {
+            assert_eq!(never.load(Ordering::SeqCst), 0);
+            assert_eq!(Arc::strong_count(&never), 1, "the writer was dropped, not leaked");
+        }
+    }
+
+    #[test]
+    fn racing_first_readers_render_once_and_outside_the_map_lock() {
+        let s = StagingArea::new();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let (counter, inside) = (Arc::clone(&runs), s.clone());
+        s.put_text_with("r0.rst7", move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            // Writing to the map from inside the writer would deadlock if a
+            // reader rendered under the map's lock.
+            inside.put_text("seen-by-writer", "");
+            "coordinates".to_owned()
+        });
+        let barrier = Barrier::new(8);
+        thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    assert_eq!(s.get_text("r0.rst7").unwrap(), "coordinates");
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert!(s.contains("seen-by-writer"));
     }
 
     #[test]
