@@ -9,10 +9,9 @@
 
 use crate::histogram::Histogram2D;
 use mdsim::units::{angle_diff_deg, beta};
-use serde::{Deserialize, Serialize};
 
 /// One umbrella window's data: the bias parameters and its samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BiasedWindow {
     /// Harmonic center on φ in degrees.
     pub phi_center_deg: f64,
@@ -39,7 +38,7 @@ impl BiasedWindow {
 
 /// A free-energy surface on the (φ, ψ) grid, in kcal/mol, shifted so the
 /// minimum is zero. Bins never visited hold `f64::INFINITY`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FreeEnergySurface {
     pub bins: usize,
     /// Row-major F values (φ index × ψ index).

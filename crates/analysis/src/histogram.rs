@@ -1,9 +1,7 @@
 //! Periodic 2-D histograms over the (φ, ψ) torus.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D histogram with periodic binning over `[-180°, 180°) × [-180°, 180°)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram2D {
     pub bins: usize,
     counts: Vec<u64>,

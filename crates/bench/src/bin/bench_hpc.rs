@@ -21,7 +21,7 @@
 use bench::output::{bench_meta, check, emit, write_bench_json};
 use hpc::timeline::CoreTimeline;
 use hpc::SimTime;
-use serde_json::json;
+use obs::obj;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
@@ -162,33 +162,33 @@ fn main() {
             "cores={cores:6}  seed {eps_seed:10.0} ev/s  indexed {eps_idx:10.0} ev/s  (x{speedup:.1})  \
              makespan {mk_idx:.1}s"
         );
-        rows.push(json!({
-            "cores": cores,
-            "cycles": cycles,
-            "events": ev,
-            "events_per_sec_seed": eps_seed,
-            "events_per_sec_indexed": eps_idx,
-            "speedup": speedup,
-            "makespan_secs": mk_idx,
-        }));
+        rows.push(obj! {
+            "cores" => cores,
+            "cycles" => cycles,
+            "events" => ev,
+            "events_per_sec_seed" => eps_seed,
+            "events_per_sec_indexed" => eps_idx,
+            "speedup" => speedup,
+            "makespan_secs" => mk_idx,
+        });
     }
 
     let _ = writeln!(out);
     let _ = writeln!(out, "{}", check("indexed engine >= 5x events/sec at 10^4 cores", speedup_ok));
     let _ = writeln!(out, "{}", check("seed and indexed engines agree on makespan", makespans_ok));
 
-    let payload = json!({
-        "bench": "hpc_event_engine",
-        "unit": "events_per_sec",
-        "status": "measured",
-        "quick": quick,
-        "meta": bench_meta(),
-        "sizes": rows,
-        "checks": {
-            "indexed_speedup_ge_5_at_10k_cores": speedup_ok,
-            "makespans_agree": makespans_ok,
+    let payload = obj! {
+        "bench" => "hpc_event_engine",
+        "unit" => "events_per_sec",
+        "status" => "measured",
+        "quick" => quick,
+        "meta" => bench_meta(),
+        "sizes" => rows,
+        "checks" => obj! {
+            "indexed_speedup_ge_5_at_10k_cores" => speedup_ok,
+            "makespans_agree" => makespans_ok,
         },
-    });
+    };
     write_bench_json("BENCH_hpc.json", &payload);
 
     emit("bench_hpc", &out);

@@ -5,7 +5,7 @@
 //! provenance metadata ([`bench_meta`]) so points are comparable across
 //! machines and commits.
 
-use serde_json::Value;
+use obs::json::Value;
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -34,12 +34,12 @@ pub fn repo_root() -> PathBuf {
 /// thread counts are not comparable — `repex analyze --bench` warns on that.
 pub fn bench_meta() -> Value {
     let unix = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
-    serde_json::json!({
-        "rustc_version": command_line("rustc", &["--version"]),
-        "git_rev": command_line("git", &["rev-parse", "--short", "HEAD"]),
-        "n_threads": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "timestamp": unix,
-    })
+    obs::obj! {
+        "rustc_version" => command_line("rustc", &["--version"]),
+        "git_rev" => command_line("git", &["rev-parse", "--short", "HEAD"]),
+        "n_threads" => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "timestamp" => unix,
+    }
 }
 
 fn command_line(cmd: &str, args: &[&str]) -> String {
@@ -52,8 +52,7 @@ fn command_line(cmd: &str, args: &[&str]) -> String {
 /// Write a `BENCH_*.json` payload at the repo root.
 pub fn write_bench_json(filename: &str, payload: &Value) {
     let path = repo_root().join(filename);
-    let body = serde_json::to_string_pretty(payload).expect("bench payload serializes");
-    match fs::write(&path, body) {
+    match fs::write(&path, payload.pretty()) {
         Ok(()) => eprintln!("[written: {}]", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }

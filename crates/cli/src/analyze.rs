@@ -20,7 +20,8 @@
 use analysis::tables::{f1, TextTable};
 use lint::report::Report;
 use lint::Diagnostic;
-use obs::{Event, OverheadScope};
+use obs::json::{self, Encode, Value};
+use obs::{obj, Event, OverheadScope};
 use std::collections::BTreeSet;
 
 pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
@@ -38,22 +39,20 @@ pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
             // Same boundary as check/plan: unparseable input exits 2, but a
             // requested --json artifact still records a typed C000 error.
             crate::write_parse_failure_report(json_out.as_deref(), &e);
-            return Err(e);
+            return Err(format!("{path}: {e}"));
         }
     };
     let policy = obs::StragglerPolicy { z_threshold: z, ratio_threshold: ratio };
-    let mut doc = analyze(&events, policy);
+    let doc = analyze(&events, policy);
     let report = Report::new(derive_diagnostics(&events, &doc), None);
     print_human(&doc);
     if !report.is_empty() {
         eprint!("{}", report.render_human(path));
     }
     let has_errors = report.has_errors();
-    doc["diagnostics"] = serde_json::to_value(&report.diagnostics).map_err(|e| e.to_string())?;
-    doc["summary"] = serde_json::to_value(report.summary).map_err(|e| e.to_string())?;
     if let Some(out) = json_out {
-        let body = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        std::fs::write(&out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
+        let doc = doc.with("diagnostics", &report.diagnostics).with("summary", report.summary);
+        std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("[analysis written: {out}]");
     }
     Ok(u8::from(has_errors))
@@ -66,7 +65,7 @@ pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
 /// batches; A104 = failures cluster in a burst (storm or bad node, not
 /// independent faults); A105 = per-replica MD speeds are heterogeneous;
 /// A106 = data staging dominates an outsized share of the critical path.
-fn derive_diagnostics(events: &[Event], doc: &serde_json::Value) -> Vec<Diagnostic> {
+fn derive_diagnostics(events: &[Event], doc: &Value) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let windows = events
         .iter()
@@ -214,8 +213,7 @@ fn cmd_bench(paths: &[String]) -> Result<u8, String> {
     let mut records = Vec::new();
     for p in paths {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-        let doc: serde_json::Value =
-            serde_json::from_str(&text).map_err(|e| format!("{p} is not valid JSON: {e}"))?;
+        let doc = json::parse(&text).map_err(|e| format!("{p} is not valid JSON: {e}"))?;
         records.push((p.clone(), doc));
     }
     let mut table = TextTable::new(vec!["File", "Bench", "Unit", "Threads", "Rev", "Rows"]);
@@ -226,7 +224,7 @@ fn cmd_bench(paths: &[String]) -> Result<u8, String> {
             doc["unit"].as_str().unwrap_or("?").to_string(),
             doc["meta"]["n_threads"].to_string(),
             doc["meta"]["git_rev"].as_str().unwrap_or("?").to_string(),
-            doc["sizes"].as_array().map_or(0, Vec::len).to_string(),
+            doc["sizes"].as_array().map_or(0, <[Value]>::len).to_string(),
         ]);
     }
     println!("{}", table.render());
@@ -241,7 +239,7 @@ fn cmd_bench(paths: &[String]) -> Result<u8, String> {
 /// under different thread counts are being compared (steps/sec and
 /// events/sec scale with the pool, so the comparison is meaningless);
 /// A111 = a record predates the provenance schema.
-fn bench_diagnostics(records: &[(String, serde_json::Value)]) -> Vec<Diagnostic> {
+fn bench_diagnostics(records: &[(String, Value)]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let threads: Vec<(&str, Option<u64>)> =
         records.iter().map(|(p, d)| (p.as_str(), d["meta"]["n_threads"].as_u64())).collect();
@@ -284,11 +282,11 @@ fn num_flag(args: &[String], flag: &str) -> Result<Option<f64>, String> {
 // Trace parsing: Chrome Trace Event Format back to typed obs::Events.
 // ---------------------------------------------------------------------------
 
-fn secs(v: &serde_json::Value, key: &str) -> f64 {
+fn secs(v: &Value, key: &str) -> f64 {
     v[key].as_f64().unwrap_or(0.0) / 1e6
 }
 
-fn arg_u(v: &serde_json::Value, key: &str) -> usize {
+fn arg_u(v: &Value, key: &str) -> usize {
     v["args"][key].as_u64().unwrap_or(0) as usize
 }
 
@@ -296,12 +294,11 @@ fn arg_u(v: &serde_json::Value, key: &str) -> usize {
 ///
 /// Unknown categories are skipped (forward compatibility); `ph:"M"`
 /// metadata records carry no events.
-pub fn parse_trace(text: &str) -> Result<Vec<Event>, String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-    let records = doc["traceEvents"]
-        .as_array()
-        .ok_or("trace has no traceEvents array (not a repex chrome trace?)")?;
+pub fn parse_trace(text: &str) -> Result<Vec<Event>, json::Error> {
+    let doc = json::parse(text)?;
+    let records = doc["traceEvents"].as_array().ok_or_else(|| {
+        json::Error::shape("no traceEvents array (not a repex chrome trace?)").under("traceEvents")
+    })?;
     let mut events = Vec::with_capacity(records.len());
     for r in records {
         let ph = r["ph"].as_str().unwrap_or("");
@@ -378,7 +375,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<Event>, String> {
     Ok(events)
 }
 
-fn kind_of(r: &serde_json::Value) -> char {
+fn kind_of(r: &Value) -> char {
     r["args"]["kind"].as_str().and_then(|s| s.chars().next()).unwrap_or('?')
 }
 
@@ -412,7 +409,7 @@ fn round_trips_from_trace(events: &[Event]) -> Option<u64> {
 /// Build the analysis document. All numbers derive from the event stream;
 /// the per-cycle critical-path totals are cross-checked against the Eq. 1
 /// aggregator (`max_path_vs_eq1_drift` reports the largest deviation).
-pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> serde_json::Value {
+pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> Value {
     let breakdowns = obs::cycle_breakdowns(events);
     let mut tc = obs::LogHistogram::new();
     for b in &breakdowns {
@@ -436,54 +433,57 @@ pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> serde_json::Va
     let health = obs::exchange_health(events);
     let max_imbalance = tl.phases.iter().map(|p| p.imbalance).fold(0.0f64, f64::max);
 
-    serde_json::json!({
-        "events": events.len(),
-        "cycles": {
-            "count": breakdowns.len(),
-            "tc": {
-                "p50": tc.p50(), "p90": tc.p90(), "p99": tc.p99(),
-                "mean": tc.mean(), "min": tc.min(), "max": tc.max(),
+    let by_category = global_path.by_category.iter().map(|(c, t)| (c.to_string(), t.encode()));
+    let bound_by = bound_by.iter().map(|(phase, n)| (phase.to_string(), n.encode()));
+    obj! {
+        "events" => events.len(),
+        "cycles" => obj! {
+            "count" => breakdowns.len(),
+            "tc" => obj! {
+                "p50" => tc.p50(), "p90" => tc.p90(), "p99" => tc.p99(),
+                "mean" => tc.mean(), "min" => tc.min(), "max" => tc.max(),
             },
         },
-        "breakdown_avg": {
-            "t_md": avg.t_md,
-            "t_ex": avg.t_ex_total(),
-            "t_data": avg.t_data,
-            "t_repex_over": avg.t_repex_over,
-            "t_rp_over": avg.t_rp_over,
+        "breakdown_avg" => obj! {
+            "t_md" => avg.t_md,
+            "t_ex" => avg.t_ex_total(),
+            "t_data" => avg.t_data,
+            "t_repex_over" => avg.t_repex_over,
+            "t_rp_over" => avg.t_rp_over,
         },
-        "timeline": {
-            "span": tl.span,
-            "straggler_count": tl.straggler_count,
-            "stragglers": tl.stragglers(),
-            "mean_stretch": tl.mean_stretch,
-            "max_stretch": tl.max_stretch,
-            "max_batch_imbalance": max_imbalance,
-            "replicas": tl.replicas.len(),
+        "timeline" => obj! {
+            "span" => tl.span,
+            "straggler_count" => tl.straggler_count,
+            "stragglers" => tl.stragglers(),
+            "mean_stretch" => tl.mean_stretch,
+            "max_stretch" => tl.max_stretch,
+            "max_batch_imbalance" => max_imbalance,
+            "replicas" => tl.replicas.len(),
         },
-        "critical_path": {
-            "total": global_path.total,
-            "span": global_path.span,
-            "slack": global_path.slack,
-            "dominant": global_path.dominant,
-            "by_category": global_path.by_category.iter()
-                .map(|(c, t)| (c.to_string(), serde_json::json!(t)))
-                .collect::<serde_json::Map<_, _>>(),
-            "cycles_bound_by": bound_by,
-            "max_path_vs_eq1_drift": max_drift,
+        "critical_path" => obj! {
+            "total" => global_path.total,
+            "span" => global_path.span,
+            "slack" => global_path.slack,
+            "dominant" => global_path.dominant,
+            "by_category" => Value::Obj(by_category.collect()),
+            "cycles_bound_by" => Value::Obj(bound_by.collect()),
+            "max_path_vs_eq1_drift" => max_drift,
         },
-        "exchange_health": health.iter().map(|h| serde_json::json!({
-            "dim": h.dim,
-            "kind": h.kind.to_string(),
-            "attempts": h.attempts,
-            "accepted": h.accepted,
-            "ratio": h.ratio(),
-        })).collect::<Vec<_>>(),
-        "round_trips": round_trips_from_trace(events),
-    })
+        "exchange_health" => health
+            .iter()
+            .map(|h| obj! {
+                "dim" => h.dim,
+                "kind" => h.kind,
+                "attempts" => h.attempts,
+                "accepted" => h.accepted,
+                "ratio" => h.ratio(),
+            })
+            .collect::<Vec<_>>(),
+        "round_trips" => round_trips_from_trace(events),
+    }
 }
 
-fn print_human(doc: &serde_json::Value) {
+fn print_human(doc: &Value) {
     let cycles = &doc["cycles"];
     let tc = &cycles["tc"];
     println!("trace: {} events, {} cycles", doc["events"], cycles["count"]);
@@ -515,11 +515,11 @@ fn print_human(doc: &serde_json::Value) {
 
     let tl = &doc["timeline"];
     println!(
-        "timeline: span {}s, {} replicas, stragglers {} {:?}, MD batch stretch mean {:.2} max {:.2} (imbalance up to {}s)",
+        "timeline: span {}s, {} replicas, stragglers {} {}, MD batch stretch mean {:.2} max {:.2} (imbalance up to {}s)",
         f1(tl["span"].as_f64().unwrap_or(0.0)),
         tl["replicas"],
         tl["straggler_count"],
-        tl["stragglers"].as_array().cloned().unwrap_or_default(),
+        tl["stragglers"],
         tl["mean_stretch"].as_f64().unwrap_or(1.0),
         tl["max_stretch"].as_f64().unwrap_or(1.0),
         f1(tl["max_batch_imbalance"].as_f64().unwrap_or(0.0)),
@@ -644,7 +644,7 @@ mod tests {
         assert!((health[0]["ratio"].as_f64().unwrap() - 0.5).abs() < 1e-12);
         // One accepted swap 0<->1 then back: one half-trip each is not a
         // full round trip for a 2-rung ladder replay, but the key exists.
-        assert!(doc["round_trips"].is_u64());
+        assert!(doc["round_trips"].as_u64().is_some());
     }
 
     fn diag_codes(diags: &[Diagnostic]) -> Vec<&str> {
@@ -757,10 +757,10 @@ mod tests {
 
     #[test]
     fn stragglers_warn_a103() {
-        let doc = serde_json::json!({
-            "timeline": {"straggler_count": 2, "stragglers": [0, 3]},
-            "exchange_health": [],
-        });
+        let doc = obj! {
+            "timeline" => obj! { "straggler_count" => 2, "stragglers" => vec![0, 3] },
+            "exchange_health" => Vec::<Value>::new(),
+        };
         let diags = derive_diagnostics(&[], &doc);
         assert!(diag_codes(&diags).contains(&"A103"), "{diags:?}");
     }
@@ -816,17 +816,16 @@ mod tests {
         assert!(diag_codes(&diags).contains(&"A106"), "{diags:?}");
     }
 
-    fn bench_record(n_threads: Option<u64>) -> serde_json::Value {
-        let mut meta = serde_json::json!({
-            "rustc_version": "rustc 1.95.0", "git_rev": "abc1234", "timestamp": 1,
-        });
+    fn bench_record(n_threads: Option<u64>) -> Value {
+        let mut meta =
+            obj! { "rustc_version" => "rustc 1.95.0", "git_rev" => "abc1234", "timestamp" => 1 };
         if let Some(t) = n_threads {
-            meta["n_threads"] = serde_json::json!(t);
+            meta = meta.with("n_threads", t);
         }
-        serde_json::json!({
-            "bench": "neighbor_cache", "unit": "steps_per_sec", "status": "measured",
-            "meta": meta, "sizes": [{"atoms": 400}],
-        })
+        obj! {
+            "bench" => "neighbor_cache", "unit" => "steps_per_sec", "status" => "measured",
+            "meta" => meta, "sizes" => vec![obj! { "atoms" => 400 }],
+        }
     }
 
     #[test]

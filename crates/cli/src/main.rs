@@ -47,6 +47,7 @@ mod watch;
 
 use analysis::tables::{f1, TextTable};
 use lint::report::Report;
+use obs::json;
 use repex::config::{DimensionConfig, SimulationConfig};
 use repex::simulation::RemdSimulation;
 use std::process::ExitCode;
@@ -158,7 +159,12 @@ findings,\n2 usage error (unparseable input always exits 2; a requested \
 
 fn load_config(path: &str) -> Result<SimulationConfig, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    SimulationConfig::from_json(&text)
+    SimulationConfig::from_json(&text).map_err(config_error)
+}
+
+/// How every verb words a config that does not parse or decode.
+pub(crate) fn config_error(e: json::Error) -> String {
+    format!("config parse error: {e}")
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
@@ -196,7 +202,7 @@ fn cmd_check(args: &[String]) -> Result<u8, String> {
         Ok(cfg) => cfg,
         Err(e) => {
             write_parse_failure_report(json_out.as_deref(), &e);
-            return Err(e);
+            return Err(config_error(e));
         }
     };
     let diags = lint::lint_config(&cfg, &lint::LintOptions::default());
@@ -227,10 +233,15 @@ pub(crate) fn float_flag(args: &[String], flag: &str) -> Result<Option<f64>, Str
 /// fails to parse is a *usage* error (exit 2, message on stderr) — never an
 /// exit-1 "findings" outcome — but when the caller asked for a `--json`
 /// artifact, a typed C000 record is still written so machine consumers see
-/// what happened instead of a missing file.
-pub(crate) fn write_parse_failure_report(json_out: Option<&str>, message: &str) {
+/// what happened instead of a missing file: where the text stops being JSON,
+/// or the pointer, line and column of the value that has the wrong shape.
+pub(crate) fn write_parse_failure_report(json_out: Option<&str>, e: &json::Error) {
     if let Some(out) = json_out {
-        let report = Report::new(vec![lint::Diagnostic::error("C000", message)], None);
+        let mut diagnostic = lint::Diagnostic::error("C000", e.to_string());
+        diagnostic.path = Some(e.pointer.clone()).filter(|pointer| !pointer.is_empty());
+        let mut report = Report::new(vec![diagnostic], None);
+        report.diagnostics[0].line = e.position.map(|(line, _)| line);
+        report.diagnostics[0].col = e.position.map(|(_, col)| col);
         // Best-effort: the exit-2 path is already reporting the parse error.
         let _ = std::fs::write(out, report.to_json());
     }
@@ -268,7 +279,7 @@ fn cmd_run(args: &[String]) -> Result<u8, String> {
             }
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let mut cfg = SimulationConfig::from_json(&text)?;
+            let mut cfg = SimulationConfig::from_json(&text).map_err(config_error)?;
             if let Some(n) = progress {
                 cfg.progress_every = n;
             }
@@ -377,8 +388,7 @@ fn cmd_run(args: &[String]) -> Result<u8, String> {
         // The document is built by the shared encoder so it is
         // byte-identical to what the campaign service serves from
         // `GET /campaigns/:id/results`.
-        let doc = report.to_json_doc();
-        let body = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
+        let body = report.to_json_doc().pretty();
         std::fs::write(&out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("[report written: {out}]");
     }
@@ -451,8 +461,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(code, 0, "warnings must not affect the exit code");
-        let report: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        let report = json::parse(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
         assert_eq!(report["n_replicas"], 4);
         assert!(report["makespan_s"].as_f64().unwrap() > 0.0);
     }
@@ -482,8 +491,7 @@ mod tests {
         .unwrap();
         assert_eq!(code, 0);
         assert!(ckpt_dir.join("checkpoint.json").exists(), "checkpoint written at the stop");
-        let partial: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&partial_out).unwrap()).unwrap();
+        let partial = json::parse(&std::fs::read_to_string(&partial_out).unwrap()).unwrap();
         assert_eq!(partial["cycles"].as_array().unwrap().len(), 1, "stopped after one cycle");
 
         let code = cmd_run(&[
@@ -494,8 +502,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(code, 0);
-        let fin: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&final_out).unwrap()).unwrap();
+        let fin = json::parse(&std::fs::read_to_string(&final_out).unwrap()).unwrap();
         assert_eq!(fin["cycles"].as_array().unwrap().len(), 3, "resume finishes the campaign");
         assert!(
             fin["makespan_s"].as_f64().unwrap() > partial["makespan_s"].as_f64().unwrap(),
@@ -530,11 +537,9 @@ mod tests {
             .unwrap(),
             0
         );
-        let trace: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+        let trace = json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
         assert!(!trace["traceEvents"].as_array().unwrap().is_empty());
-        let metrics: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+        let metrics = json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
         assert!(metrics["exchange.T.attempts"].as_u64().unwrap() > 0);
     }
 
@@ -563,14 +568,12 @@ mod tests {
             bogus_ckpt.to_string_lossy().into_owned(),
         ]);
         assert!(result.is_err(), "checkpointing into a file must fail the run");
-        let trace: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+        let trace = json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
         assert!(
             !trace["traceEvents"].as_array().unwrap().is_empty(),
             "the buffered trace is flushed despite the error"
         );
-        let metrics: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+        let metrics = json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
         assert!(metrics["exchange.T.attempts"].as_u64().unwrap() > 0);
     }
 
@@ -597,8 +600,7 @@ mod tests {
         .unwrap();
         assert_eq!(code, 0);
         let text = std::fs::read_to_string(&stream_path).unwrap();
-        let snaps: Vec<serde_json::Value> =
-            text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+        let snaps: Vec<json::Value> = text.lines().map(|l| json::parse(l).unwrap()).collect();
         assert_eq!(snaps.len(), 2, "one snapshot per synchronous cycle");
         let last = snaps.last().unwrap();
         assert_eq!(last["campaign"], "cli-smoke");
@@ -637,14 +639,13 @@ mod tests {
             .unwrap(),
             0
         );
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        let doc = json::parse(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
         assert_eq!(doc["cycles"]["count"], 2);
         assert!(doc["cycles"]["tc"]["p50"].as_f64().unwrap() > 0.0);
         assert!(doc["critical_path"]["max_path_vs_eq1_drift"].as_f64().unwrap() < 1e-9);
         assert_eq!(doc["critical_path"]["dominant"], "md");
         assert!(doc["exchange_health"][0]["attempts"].as_u64().unwrap() > 0);
-        assert!(doc["round_trips"].is_u64());
+        assert!(doc["round_trips"].as_u64().is_some());
     }
 
     #[test]
@@ -688,8 +689,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(code, 1, "error-level findings exit 1");
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&diag).unwrap()).unwrap();
+        let doc = json::parse(&std::fs::read_to_string(&diag).unwrap()).unwrap();
         assert!(doc["summary"]["errors"].as_u64().unwrap() >= 1);
         assert!(doc["diagnostics"]
             .as_array()

@@ -30,7 +30,7 @@ pub fn cmd_plan(args: &[String]) -> Result<u8, String> {
             // parse is a usage error (exit 2), but a requested --json
             // artifact still gets a typed C000 record.
             crate::write_parse_failure_report(json_out.as_deref(), &e);
-            return Err(e);
+            return Err(crate::config_error(e));
         }
     };
     let opts = PlanOptions {
@@ -48,13 +48,12 @@ pub fn cmd_plan(args: &[String]) -> Result<u8, String> {
         print!("{}", report.render_human(path));
     }
     if let Some(out) = json_out {
-        let doc = serde_json::json!({
-            "plan": outcome.report,
-            "diagnostics": &report.diagnostics,
-            "summary": &report.summary,
-        });
-        let body = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        std::fs::write(&out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
+        let doc = obs::obj! {
+            "plan" => outcome.report,
+            "diagnostics" => report.diagnostics,
+            "summary" => report.summary,
+        };
+        std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("[plan written: {out}]");
     }
     Ok(u8::from(report.has_errors()))

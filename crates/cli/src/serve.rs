@@ -16,6 +16,8 @@
 //! rejected the request (diagnostics printed), 2 = usage/IO error.
 
 use crate::{flag_value, uint_flag};
+use obs::json::{self, Value};
+use obs::obj;
 
 /// Default control-plane address, shared by `serve` and the client verbs.
 const DEFAULT_ADDR: &str = "127.0.0.1:8642";
@@ -67,15 +69,14 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<u8, String> {
     }
 }
 
-fn parse_body(body: &[u8]) -> serde_json::Value {
-    serde_json::from_slice(body).unwrap_or_else(
-        |_| serde_json::json!({ "error": String::from_utf8_lossy(body).into_owned() }),
-    )
+fn parse_body(body: &[u8]) -> Value {
+    let text = String::from_utf8_lossy(body);
+    json::parse(&text).unwrap_or_else(|_| obj! { "error" => *text })
 }
 
 /// Print a rejection body (`error` + optional `diagnostics`) the same way
 /// `repex check` renders findings.
-fn print_rejection(status: u16, doc: &serde_json::Value) {
+fn print_rejection(status: u16, doc: &Value) {
     eprintln!("rejected ({status}): {}", doc["error"].as_str().unwrap_or("unknown error"));
     for d in doc["diagnostics"].as_array().into_iter().flatten() {
         eprintln!(
@@ -102,17 +103,16 @@ pub(crate) fn cmd_submit(args: &[String]) -> Result<u8, String> {
     };
     let priority = uint_flag(args, "--priority")?.unwrap_or(0);
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let config: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let body = serde_json::json!({
-        "campaign": campaign,
-        "tenant": tenant,
-        "weight": weight,
-        "priority": priority,
-        "config": config,
-    });
+    let config = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let body = obj! {
+        "campaign" => campaign,
+        "tenant" => tenant,
+        "weight" => weight,
+        "priority" => priority,
+        "config" => config,
+    };
     let (status, resp) =
-        svc::http::request(&server, "POST", "/campaigns", Some(body.to_string().as_bytes()))?;
+        svc::http::request(&server, "POST", "/campaigns", Some(body.compact().as_bytes()))?;
     let doc = parse_body(&resp);
     if status == 201 {
         println!(
@@ -134,7 +134,7 @@ pub(crate) fn cmd_submit(args: &[String]) -> Result<u8, String> {
 }
 
 /// Render one campaign's status document as a human line.
-fn status_line(doc: &serde_json::Value) -> String {
+fn status_line(doc: &Value) -> String {
     let mut line = format!(
         "campaign {} [{}] tenant {} weight {} cores {}",
         doc["campaign"].as_str().unwrap_or("?"),
@@ -144,7 +144,7 @@ fn status_line(doc: &serde_json::Value) -> String {
         doc["cores"],
     );
     let snap = &doc["snapshot"];
-    if snap.is_object() {
+    if snap.as_object().is_some() {
         line.push_str(&format!(
             "  progress {}/{} t {:.1}s",
             snap["completed"],
@@ -172,7 +172,7 @@ pub(crate) fn cmd_status(args: &[String]) -> Result<u8, String> {
         return Ok(1);
     }
     if json {
-        println!("{}", serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?);
+        println!("{}", doc.pretty());
     } else if let Some(campaigns) = doc["campaigns"].as_array() {
         println!(
             "pool {} ({} cores, {} free)  queue depth {}",
@@ -215,7 +215,7 @@ pub(crate) fn cmd_results(args: &[String]) -> Result<u8, String> {
         print_rejection(status, &doc);
         return Ok(1);
     }
-    let pretty = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
+    let pretty = doc.pretty();
     match json_out {
         Some(out) => {
             std::fs::write(&out, &pretty).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -293,14 +293,16 @@ mod tests {
         // Poll the status verb until the campaign finishes.
         let id_args: Vec<String> =
             vec!["verbs-a".into(), "--server".into(), server.clone(), "--json".into()];
-        for _ in 0..200 {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
             let (status, body) =
                 svc::http::request(&server, "GET", "/campaigns/verbs-a", None).unwrap();
             assert_eq!(status, 200);
-            let doc: serde_json::Value = serde_json::from_slice(&body).unwrap();
+            let doc = parse_body(&body);
             if doc["state"] == "done" {
                 break;
             }
+            assert!(std::time::Instant::now() < deadline, "verbs-a not done after 60 s: {doc}");
             std::thread::sleep(std::time::Duration::from_millis(100));
         }
         assert_eq!(cmd_status(&id_args).unwrap(), 0);
@@ -316,8 +318,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(code, 0);
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        let doc = json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(doc["report"]["n_replicas"], 4);
 
         assert_eq!(cmd_metrics(&["--server".into(), server.clone()]).unwrap(), 0);

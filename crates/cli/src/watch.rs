@@ -28,6 +28,8 @@
 //! Exit codes: 0 = clean, 1 = an error-severity finding is active in the
 //! latest snapshot, 2 = usage/IO/parse error (via `Err`).
 
+use obs::json::{self, Value};
+use obs::obj;
 use std::io::{Read, Seek, SeekFrom};
 
 /// Poll interval while following a live stream.
@@ -43,7 +45,7 @@ pub fn cmd_watch(args: &[String]) -> Result<u8, String> {
     if once {
         let doc = watch_doc(path)?;
         if json {
-            println!("{}", serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?);
+            println!("{}", doc.pretty());
         } else {
             print_summary(&doc);
         }
@@ -59,7 +61,7 @@ fn follow(path: &str, json: bool) -> Result<u8, String> {
     std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut offset = 0u64;
     let mut warned = false;
-    let mut latest: Option<serde_json::Value> = None;
+    let mut latest: Option<Value> = None;
     loop {
         let lines = read_complete_lines(path, &mut offset)?;
         for snap in parse_follow_batch(lines, &mut offset, &mut warned, path) {
@@ -96,12 +98,12 @@ fn follow(path: &str, json: bool) -> Result<u8, String> {
 /// fields, and the ratio recomputed from the cumulative integer counters
 /// with the same expression — so a mid-run `watch --once --json` agrees
 /// with a post-hoc trace replay over the same event prefix.
-pub(crate) fn watch_doc(path: &str) -> Result<serde_json::Value, String> {
+pub(crate) fn watch_doc(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let snaps = parse_stream(path, &text)?;
     let merged = merge_by_seq(snaps);
     let latest = merged.last().cloned().ok_or(format!("{path} holds no snapshots yet"))?;
-    let acceptance: Vec<serde_json::Value> = latest["dims"]
+    let acceptance: Vec<Value> = latest["dims"]
         .as_array()
         .into_iter()
         .flatten()
@@ -109,26 +111,26 @@ pub(crate) fn watch_doc(path: &str) -> Result<serde_json::Value, String> {
             let attempts = d["attempts"].as_u64().unwrap_or(0);
             let accepted = d["accepted"].as_u64().unwrap_or(0);
             let ratio = if attempts == 0 { 0.0 } else { accepted as f64 / attempts as f64 };
-            serde_json::json!({
-                "dim": d["dim"],
-                "kind": d["kind"],
-                "attempts": attempts,
-                "accepted": accepted,
-                "ratio": ratio,
-            })
+            obj! {
+                "dim" => d["dim"],
+                "kind" => d["kind"],
+                "attempts" => attempts,
+                "accepted" => accepted,
+                "ratio" => ratio,
+            }
         })
         .collect();
-    Ok(serde_json::json!({
-        "stream": path,
-        "snapshots": merged.len(),
-        "latest": latest,
-        "acceptance": acceptance,
-        "active_findings": latest["findings"],
-        "done": latest["done"],
-    }))
+    Ok(obj! {
+        "stream" => path,
+        "snapshots" => merged.len(),
+        "latest" => latest,
+        "acceptance" => acceptance,
+        "active_findings" => latest["findings"],
+        "done" => latest["done"],
+    })
 }
 
-fn exit_code(doc: &serde_json::Value) -> u8 {
+fn exit_code(doc: &Value) -> u8 {
     let has_error = doc["active_findings"]
         .as_array()
         .is_some_and(|fs| fs.iter().any(|f| f["severity"] == "error"));
@@ -138,11 +140,11 @@ fn exit_code(doc: &serde_json::Value) -> u8 {
 /// Parse the JSONL text. A torn *final* line (no trailing newline, not yet
 /// valid JSON) is the writer mid-append and is ignored; a malformed line
 /// anywhere else is corruption and errors.
-fn parse_stream(path: &str, text: &str) -> Result<Vec<serde_json::Value>, String> {
+fn parse_stream(path: &str, text: &str) -> Result<Vec<Value>, String> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let mut out = Vec::with_capacity(lines.len());
     for (i, line) in lines.iter().enumerate() {
-        match serde_json::from_str(line) {
+        match json::parse(line) {
             Ok(v) => out.push(v),
             Err(_) if i + 1 == lines.len() && !text.ends_with('\n') => {}
             Err(e) => return Err(format!("{path}:{}: malformed snapshot line: {e}", i + 1)),
@@ -153,7 +155,7 @@ fn parse_stream(path: &str, text: &str) -> Result<Vec<serde_json::Value>, String
 
 /// Keep the last record per sequence number, ordered by `seq` — the reader
 /// half of `obs::merge_snapshots`, over raw JSON values.
-fn merge_by_seq(snaps: Vec<serde_json::Value>) -> Vec<serde_json::Value> {
+fn merge_by_seq(snaps: Vec<Value>) -> Vec<Value> {
     let mut by_seq = std::collections::BTreeMap::new();
     for s in snaps {
         let seq = s["seq"].as_u64().unwrap_or(0);
@@ -198,11 +200,11 @@ fn parse_follow_batch(
     offset: &mut u64,
     warned: &mut bool,
     path: &str,
-) -> Vec<serde_json::Value> {
+) -> Vec<Value> {
     let mut out = Vec::with_capacity(lines.len());
     let last = lines.len().saturating_sub(1);
     for (i, (start, line)) in lines.into_iter().enumerate() {
-        match serde_json::from_str(&line) {
+        match json::parse(&line) {
             Ok(v) => out.push(v),
             Err(_) if i == last => {
                 *offset = start;
@@ -221,7 +223,7 @@ fn parse_follow_batch(
 
 /// One human line per snapshot: progress, clock, ETA, Tc percentiles,
 /// per-dimension acceptance, fault counters.
-fn health_line(s: &serde_json::Value) -> String {
+fn health_line(s: &Value) -> String {
     let mut line = format!(
         "[watch] #{} {}/{} units  t {:.1}s  eta {:.1}s  Tc p50 {:.2}s p99 {:.2}s",
         s["seq"],
@@ -246,7 +248,7 @@ fn health_line(s: &serde_json::Value) -> String {
     line
 }
 
-fn print_summary(doc: &serde_json::Value) {
+fn print_summary(doc: &Value) {
     let latest = &doc["latest"];
     println!(
         "stream: {} ({} snapshot(s), campaign {:?})",
@@ -255,11 +257,11 @@ fn print_summary(doc: &serde_json::Value) {
         latest["campaign"].as_str().unwrap_or("?"),
     );
     println!("{}", health_line(latest));
-    let findings = doc["active_findings"].as_array().cloned().unwrap_or_default();
+    let findings = doc["active_findings"].as_array().unwrap_or_default();
     if findings.is_empty() {
         println!("no live findings");
     } else {
-        for f in &findings {
+        for f in findings {
             println!(
                 "{} {}: {}",
                 f["code"].as_str().unwrap_or("?"),
@@ -275,16 +277,30 @@ mod tests {
     use super::*;
 
     fn snap_line(seq: u64, done: bool, attempts: u64, accepted: u64) -> String {
-        serde_json::json!({
-            "seq": seq, "campaign": "watch-test", "time": seq as f64 * 10.0,
-            "completed": seq, "total": 4, "eta_seconds": 1.0, "done": done,
-            "failed_tasks": 0, "stragglers": 0,
-            "tc": {"p50": 1.0, "p99": 2.0},
-            "dims": [{"dim": 0, "kind": "T", "attempts": attempts,
-                      "accepted": accepted, "ratio": 0.5}],
-            "findings": [],
-        })
-        .to_string()
+        let dim = obj! {
+            "dim" => 0, "kind" => "T", "attempts" => attempts, "accepted" => accepted, "ratio" => 0.5,
+        };
+        obj! {
+            "seq" => seq, "campaign" => "watch-test", "time" => seq as f64 * 10.0,
+            "completed" => seq, "total" => 4, "eta_seconds" => 1.0, "done" => done,
+            "failed_tasks" => 0, "stragglers" => 0,
+            "tc" => obj! { "p50" => 1.0, "p99" => 2.0 },
+            "dims" => vec![dim],
+            "findings" => Vec::<Value>::new(),
+        }
+        .compact()
+    }
+
+    /// `cmd_watch` following a stream, refused if it is still tailing after
+    /// 30 s: follow mode only returns on a `done` snapshot it can read.
+    fn follow_to_the_end(path: &std::path::Path, extra: &[&str]) -> u8 {
+        let mut args = vec![path.to_string_lossy().into_owned()];
+        args.extend(extra.iter().map(|a| a.to_string()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(cmd_watch(&args)));
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("watch is still following a finished stream after 30 s")
+            .unwrap()
     }
 
     fn temp_stream(name: &str, body: &str) -> std::path::PathBuf {
@@ -342,10 +358,8 @@ mod tests {
     fn follow_mode_drains_a_finished_stream_and_exits() {
         let body = format!("{}\n{}\n", snap_line(1, false, 2, 1), snap_line(2, true, 4, 2));
         let path = temp_stream("follow.jsonl", &body);
-        let code = cmd_watch(&[path.to_string_lossy().into_owned()]).unwrap();
-        assert_eq!(code, 0, "done snapshot ends the tail");
-        let code = cmd_watch(&[path.to_string_lossy().into_owned(), "--json".into()]).unwrap();
-        assert_eq!(code, 0);
+        assert_eq!(follow_to_the_end(&path, &[]), 0, "done snapshot ends the tail");
+        assert_eq!(follow_to_the_end(&path, &["--json"]), 0);
     }
 
     #[test]
@@ -354,8 +368,7 @@ mod tests {
         // Batch ending in a malformed fragment: possibly a torn write, so
         // the cursor rewinds to the fragment's start for the next poll.
         let mut offset = 100u64;
-        let lines =
-            vec![(0u64, snap_line(1, false, 2, 1)), (50u64, "{\"seq\":2,\"tr".to_string())];
+        let lines = vec![(0u64, snap_line(1, false, 2, 1)), (50u64, "{\"seq\":2,\"tr".to_string())];
         let snaps = parse_follow_batch(lines, &mut offset, &mut warned, "s");
         assert_eq!(snaps.len(), 1);
         assert_eq!(offset, 50, "cursor rewound to the torn line's start");
@@ -363,8 +376,7 @@ mod tests {
         // The same fragment with a complete line after it is genuine
         // corruption: skipped (once, with a warning), cursor untouched.
         let mut offset = 200u64;
-        let lines =
-            vec![(50u64, "{\"seq\":2,\"tr".to_string()), (80u64, snap_line(3, true, 6, 3))];
+        let lines = vec![(50u64, "{\"seq\":2,\"tr".to_string()), (80u64, snap_line(3, true, 6, 3))];
         let snaps = parse_follow_batch(lines, &mut offset, &mut warned, "s");
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0]["seq"], 3);
@@ -394,22 +406,19 @@ mod tests {
                 writeln!(f, "{}", snap_line(3, true, 6, 3)).unwrap();
             })
         };
-        let code = cmd_watch(&[path.to_string_lossy().into_owned()]).unwrap();
+        let code = follow_to_the_end(&path, &[]);
         writer.join().unwrap();
         assert_eq!(code, 0, "the reassembled line parses and done ends the tail");
     }
 
     #[test]
     fn error_findings_set_the_exit_code() {
-        let mut snap: serde_json::Value = serde_json::from_str(&snap_line(1, true, 2, 1)).unwrap();
-        snap["findings"] = serde_json::json!([
-            {"code": "W999", "severity": "error", "message": "synthetic"}
-        ]);
+        let finding = obj! { "code" => "W999", "severity" => "error", "message" => "synthetic" };
+        let snap = json::parse(&snap_line(1, true, 2, 1)).unwrap().with("findings", vec![finding]);
         let path = temp_stream("errors.jsonl", &format!("{snap}\n"));
         let code = cmd_watch(&[path.to_string_lossy().into_owned(), "--once".into()]).unwrap();
         assert_eq!(code, 1, "error-severity finding exits 1");
-        let code = cmd_watch(&[path.to_string_lossy().into_owned()]).unwrap();
-        assert_eq!(code, 1, "follow mode honors the same convention");
+        assert_eq!(follow_to_the_end(&path, &[]), 1, "follow mode honors the same convention");
     }
 
     /// The acceptance criterion from the live-telemetry work: a mid-run

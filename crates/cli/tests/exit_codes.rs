@@ -87,6 +87,49 @@ fn unparseable_config_exits_two_and_writes_a_c000_artifact() {
     }
 }
 
+/// A config that is JSON but not a config: the C000 record names the value
+/// by pointer and says where it is in the file.
+#[test]
+fn a_config_of_the_wrong_shape_gets_a_c000_with_its_line_and_column() {
+    let text = std::fs::read_to_string(tremd()).expect("example config");
+    let broken = text.replace("\"count\": 24", "\"count\": 8.5");
+    assert_ne!(text, broken, "the example config shape moved under this test");
+    let path = scratch("count-fraction.json");
+    std::fs::write(&path, &broken).expect("write broken config");
+    let line = 1 + broken.lines().position(|l| l.contains("8.5")).expect("the edited line");
+    for sub in ["check", "plan"] {
+        let artifact = scratch(&format!("{sub}-c000-shape.json"));
+        let out = run(&[
+            sub,
+            path.to_str().expect("utf-8 temp path"),
+            "--json",
+            artifact.to_str().expect("utf-8 temp path"),
+        ]);
+        assert_eq!(code(&out), 2, "{sub}: a config that does not decode is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("/dimensions/0/count: expected an unsigned integer"), "{stderr}");
+        let written = std::fs::read_to_string(&artifact).expect("the --json artifact");
+        let doc = obs::json::parse(&written).expect("the artifact is JSON");
+        let record = &doc["diagnostics"][0];
+        assert_eq!(record["code"], PARSE_FAILURE_CODE, "{written}");
+        assert_eq!(record["path"], "/dimensions/0/count", "{written}");
+        assert_eq!(record["line"], line, "{written}");
+        assert!(record["col"].as_u64().is_some_and(|col| col > 1), "{written}");
+    }
+}
+
+/// `BENCH_hpc.json` at the repository root was written through the registry
+/// JSON crate this workspace used until PR 19 (sorted keys, its float
+/// format): the in-tree reader still takes it.
+#[test]
+fn a_bench_record_written_before_the_in_tree_json_layer_still_reads() {
+    let record = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hpc.json");
+    let out = run(&["analyze", "--bench", record]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("hpc_event_engine") && stdout.contains("events_per_sec"), "{stdout}");
+}
+
 #[test]
 fn malformed_trace_exits_two_and_writes_a_c000_artifact() {
     let bad = scratch("not-a-trace.json");

@@ -4,11 +4,9 @@
 //! capabilities from the code (dimension limit, patterns, engines) so the
 //! table cannot silently drift from the implementation.
 
-use serde::{Deserialize, Serialize};
-
 /// Qualitative levels used by the paper for fault tolerance and execution
 /// modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
     NA,
     Low,
@@ -29,7 +27,7 @@ impl std::fmt::Display for Level {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PackageCapabilities {
     pub name: &'static str,
     pub max_replicas: u64,

@@ -30,7 +30,8 @@ use crate::replica::lock_system;
 use crate::report::CycleReport;
 use exchange::stats::{AcceptanceStats, RoundTripTracker};
 use mdsim::io::restart::write_restart_with_cycle;
-use serde::{Deserialize, Serialize};
+use obs::json::{self, Decode, Encode, Value, Variant};
+use obs::{json_struct, obj};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -62,7 +63,7 @@ impl CheckpointPolicy {
 }
 
 /// One replica's durable state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaCheckpoint {
     pub id: usize,
     /// Slot (parameter rung) the replica currently occupies.
@@ -76,9 +77,16 @@ pub struct ReplicaCheckpoint {
     pub restart: String,
 }
 
+json_struct!(ReplicaCheckpoint {
+    id: "id",
+    slot: "slot",
+    failures: "failures",
+    stale: "stale",
+    restart: "restart",
+});
+
 /// Async scheduler state: enough to restart the event loop mid-campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AsyncSchedulerState {
     /// Virtual time of the next exchange-criterion tick.
     pub next_tick: f64,
@@ -96,9 +104,16 @@ pub struct AsyncSchedulerState {
     pub retry: Vec<(usize, u32)>,
 }
 
+json_struct!(AsyncSchedulerState {
+    next_tick: "next-tick",
+    exchange_rounds: "exchange-rounds",
+    ready: "ready",
+    in_flight: "in-flight",
+    retry: "retry",
+});
+
 /// Which pattern driver wrote the checkpoint, plus its loop position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerState {
     Sync {
         /// Cycles fully completed (the resume loop starts here).
@@ -107,9 +122,34 @@ pub enum SchedulerState {
     Async(AsyncSchedulerState),
 }
 
+/// `{"sync": {"cycles_done": 2}}` or `{"async": {..}}`: the variant in
+/// kebab-case, `cycles_done` under its own name.
+impl Encode for SchedulerState {
+    fn encode(&self) -> Value {
+        match self {
+            SchedulerState::Sync { cycles_done } => {
+                Variant::encode(None, "sync", vec![("cycles_done", cycles_done.encode())])
+            }
+            SchedulerState::Async(state) => obj! { "async" => state },
+        }
+    }
+}
+
+impl Decode for SchedulerState {
+    fn decode(v: &Value) -> Result<Self, json::Error> {
+        let variant = Variant::of(v, None)?;
+        match variant.name {
+            "sync" => Ok(SchedulerState::Sync { cycles_done: variant.field("cycles_done")? }),
+            "async" => AsyncSchedulerState::decode(variant.body)
+                .map(SchedulerState::Async)
+                .map_err(|e| e.under("async")),
+            _ => Err(variant.unknown(&["sync", "async"])),
+        }
+    }
+}
+
 /// A complete, versioned snapshot of a running campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     pub version: u32,
     pub config: SimulationConfig,
@@ -139,9 +179,27 @@ pub struct CampaignCheckpoint {
     /// checkpoint, so a resumed leg continues the snapshot stream with
     /// strictly increasing seqs. Defaults to 0 when reading checkpoints
     /// written before the live telemetry plane existed (same version).
-    #[serde(default)]
     pub telemetry_seq: u64,
 }
+
+json_struct!(CampaignCheckpoint {
+    version: "version",
+    config: "config",
+    clock_seconds: "clock-seconds",
+    md_core_seconds: "md-core-seconds",
+    failed_tasks: "failed-tasks",
+    relaunched_tasks: "relaunched-tasks",
+    slot_owner: "slot-owner",
+    acceptance: "acceptance",
+    pair_acceptance: "pair-acceptance",
+    round_trips: "round-trips",
+    rung_history: "rung-history",
+    window_samples: "window-samples",
+    cycle_reports: "cycle-reports",
+    replicas: "replicas",
+    scheduler: "scheduler",
+    telemetry_seq: "telemetry-seq" = 0,
+});
 
 impl CampaignCheckpoint {
     /// Snapshot a live campaign. For replicas with an in-flight segment the
@@ -201,7 +259,7 @@ impl CampaignCheckpoint {
     pub fn save(&self, dir: &Path) -> Result<(), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("checkpoint: cannot create {}: {e}", dir.display()))?;
-        let text = serde_json::to_string(self).map_err(|e| format!("checkpoint encode: {e}"))?;
+        let text = self.encode().compact();
         let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
         let fin = dir.join(CHECKPOINT_FILE);
         std::fs::write(&tmp, text)
@@ -217,7 +275,7 @@ impl CampaignCheckpoint {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("checkpoint: cannot read {}: {e}", path.display()))?;
         let cp: CampaignCheckpoint =
-            serde_json::from_str(&text).map_err(|e| format!("checkpoint decode: {e}"))?;
+            json::from_str(&text).map_err(|e| format!("checkpoint decode: {e}"))?;
         if cp.version != CHECKPOINT_VERSION {
             return Err(format!(
                 "checkpoint version {} is not supported (this build reads version {})",
@@ -444,21 +502,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn async_in_flight_uses_preseg_snapshot() {
-        let mut ctx = build_ctx(small_cfg()).unwrap();
-        let before = lock_system(&ctx.replicas[1].system).state.clone();
-        let pre = write_restart_with_cycle("replica 1", &before, 3);
-        // The segment already ran eagerly: the live System has moved on.
-        lock_system(&ctx.replicas[1].system).state.positions[0] = mdsim::Vec3::new(9.0, 9.0, 9.0);
-        ctx.preseg_snapshots.insert(1, (before, 3));
-        let st = AsyncSchedulerState { in_flight: vec![(1, 0)], ..Default::default() };
-        let cp = CampaignCheckpoint::capture(&ctx, SchedulerState::Async(st), &[]);
-        assert_eq!(cp.replicas[1].restart, pre, "in-flight replica stores the pre-segment state");
-    }
-
-    /// Needs a real `serde_json` (the offline stand-in always errs), so it
-    /// lives here rather than with the driver tests in `tests/drivers.rs`.
     #[test]
     fn async_checkpoint_resume_completes_the_campaign() {
         use crate::emm::asynchronous::run_async;

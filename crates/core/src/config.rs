@@ -13,11 +13,11 @@ use exchange::pairing::PairingStrategy;
 use exchange::param::Dimension;
 use hpc::perfmodel::{EngineKind, PerfModel};
 use hpc::ClusterSpec;
-use serde::{Deserialize, Serialize};
+use obs::json::{self, Encode};
+use obs::{json_enum, json_struct};
 
 /// Which MD engine family (and executable) runs the simulation phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
     /// Amber family: `sander` for 1 core/replica, `pmemd.MPI` otherwise
     /// (`pmemd.cuda` when `resource.use-gpu` is set).
@@ -28,9 +28,10 @@ pub enum EngineChoice {
     Gromacs,
 }
 
+json_enum!(EngineChoice { Amber: "amber", Namd: "namd", Gromacs: "gromacs" });
+
 /// Synchronization pattern (Section 3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case", rename_all_fields = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pattern {
     /// Global barrier between simulation and exchange phases.
     Synchronous,
@@ -40,10 +41,15 @@ pub enum Pattern {
     Asynchronous { tick_fraction: f64 },
 }
 
+// `"synchronous"` or `{"asynchronous": {"tick-fraction": 0.25}}`.
+json_enum!(Pattern {
+    Synchronous: "synchronous",
+    Asynchronous { tick_fraction: "tick-fraction" }: "asynchronous",
+});
+
 /// What to do when a replica's MD task fails (Section 1: RepEx "can either
 /// continue a simulation in case of replica failure or can relaunch").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case", rename_all_fields = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPolicy {
     /// The failed replica sits out this cycle's exchange and resumes from
     /// its previous restart next cycle.
@@ -52,9 +58,11 @@ pub enum FaultPolicy {
     Relaunch { max_retries: u32 },
 }
 
+// `"continue"` or `{"relaunch": {"max-retries": 3}}`.
+json_enum!(FaultPolicy { Continue: "continue", Relaunch { max_retries: "max-retries" }: "relaunch" });
+
 /// The physical model replicas simulate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case", rename_all_fields = "kebab-case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// Reduced 7-atom alanine dipeptide in vacuum (cheap enough for real
     /// sampling at paper-scale replica counts).
@@ -62,6 +70,12 @@ pub enum Workload {
     /// Solvated dipeptide with the given total atom count.
     DipeptideSolvated { atoms: usize },
 }
+
+// `"dipeptide-vacuum"` or `{"dipeptide-solvated": {"atoms": 2881}}`.
+json_enum!(Workload {
+    DipeptideVacuum: "dipeptide-vacuum",
+    DipeptideSolvated { atoms: "atoms" }: "dipeptide-solvated",
+});
 
 impl Workload {
     /// Atom count charged to the performance model. For the vacuum model
@@ -76,8 +90,7 @@ impl Workload {
 }
 
 /// One dimension in the config file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case", rename_all_fields = "kebab-case", tag = "type")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DimensionConfig {
     Temperature {
         min_k: f64,
@@ -106,6 +119,15 @@ pub enum DimensionConfig {
         count: usize,
     },
 }
+
+// `{"type": "temperature", "min-k": 273.0, "max-k": 373.0, "count": 8}`.
+json_enum!(DimensionConfig tagged by "type" {
+    Temperature { min_k: "min-k", max_k: "max-k", count: "count" }: "temperature",
+    TemperatureList { temps_k: "temps-k" }: "temperature-list",
+    Umbrella { dihedral: "dihedral", count: "count", k_deg: "k-deg" }: "umbrella",
+    Salt { min_molar: "min-molar", max_molar: "max-molar", count: "count" }: "salt",
+    Ph { min_ph: "min-ph", max_ph: "max-ph", count: "count" }: "ph",
+});
 
 impl DimensionConfig {
     /// Structural checks this dimension must pass before [`Self::build`]
@@ -249,8 +271,7 @@ impl DimensionConfig {
 }
 
 /// Where and how the workload executes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceConfig {
     /// Cluster preset name: `supermic`, `stampede`, or `small:<cores>`.
     pub cluster: String,
@@ -264,9 +285,16 @@ pub struct ResourceConfig {
     /// Run MD on GPUs (one GPU per replica; Amber family switches to
     /// `pmemd.cuda`). The paper's Section 5: GPU support "is already
     /// available on Stampede".
-    #[serde(default)]
     pub use_gpu: bool,
 }
+
+json_struct!(ResourceConfig {
+    cluster: "cluster",
+    cores: "cores",
+    cores_per_replica: "cores-per-replica",
+    backend: "backend",
+    use_gpu: "use-gpu" = false,
+});
 
 impl Default for ResourceConfig {
     fn default() -> Self {
@@ -281,8 +309,7 @@ impl Default for ResourceConfig {
 }
 
 /// The complete simulation description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     pub title: String,
     pub engine: EngineChoice,
@@ -292,89 +319,85 @@ pub struct SimulationConfig {
     pub steps_per_cycle: u64,
     /// Number of cycles (exchange attempts per dimension sweep).
     pub n_cycles: u64,
-    #[serde(default = "default_dt")]
     pub dt_ps: f64,
-    #[serde(default = "default_gamma")]
     pub gamma_ps: f64,
     /// Thermostat temperature when no T dimension is present.
-    #[serde(default = "default_temperature")]
     pub base_temperature: f64,
-    #[serde(default)]
     pub workload: Option<Workload>,
     /// Atom count charged to the virtual-cluster performance model
     /// (defaults to the workload's real atom count).
-    #[serde(default)]
     pub cost_atoms: Option<usize>,
     /// Real MD steps integrated per segment under the simulated backend
     /// (virtual time is still charged for `steps_per_cycle`).
-    #[serde(default = "default_surrogate")]
     pub surrogate_steps: u64,
     /// Record (phi, psi) samples every this many integrated steps
     /// (0 = off).
-    #[serde(default)]
     pub sample_stride: u64,
     /// Skip sampling during the first steps of each segment
     /// (re-equilibration after exchanges).
-    #[serde(default)]
     pub sample_warmup: u64,
     /// Discard samples from cycles before this one (equilibration; the
     /// paper analyzes "the last 1 ns of production data").
-    #[serde(default)]
     pub production_after_cycle: u64,
-    #[serde(default = "default_fault_policy")]
     pub fault_policy: FaultPolicy,
     /// Mean time between failures injected per running task, in seconds
     /// (`None` = no failure injection). Pairs with `fault-policy`.
-    #[serde(default)]
     pub fault_mtbf_seconds: Option<f64>,
     /// Stress scenario layered over the simulated cluster: failure storms,
     /// heterogeneous node speeds, filesystem slowdowns or straggler
     /// injection (`None` = nominal cluster). Simulated backend only.
-    #[serde(default)]
     pub scenario: Option<hpc::Scenario>,
     /// Asynchronous pattern only: minimum number of ready replicas before a
     /// tick flushes an exchange round (a FIFO-style window; `None` = flush
     /// whatever is ready). Must be at least 2 when set.
-    #[serde(default)]
     pub async_min_ready: Option<usize>,
-    #[serde(default = "default_pairing")]
     pub pairing: PairingStrategy,
-    #[serde(default)]
     pub seed: u64,
-    #[serde(default)]
     pub resource: ResourceConfig,
     /// Skip the exchange phase entirely (the "No exchange" baseline of
     /// Fig. 7).
-    #[serde(default)]
     pub no_exchange: bool,
     /// Energy-minimize each replica's starting structure before assigning
     /// velocities (standard equilibration-protocol hygiene).
-    #[serde(default)]
     pub minimize_first: bool,
     /// Print a run-health progress line every N cycles (0 = off): Tc
     /// p50/p99, per-dimension acceptance, cumulative straggler flags.
-    #[serde(default)]
     pub progress_every: u64,
 }
 
-fn default_dt() -> f64 {
-    0.002
-}
-fn default_gamma() -> f64 {
-    5.0
-}
-fn default_temperature() -> f64 {
-    300.0
-}
-fn default_surrogate() -> u64 {
-    200
-}
-fn default_fault_policy() -> FaultPolicy {
-    FaultPolicy::Continue
-}
-fn default_pairing() -> PairingStrategy {
-    PairingStrategy::NeighborAlternating
-}
+json_struct!(SimulationConfig {
+    title: "title",
+    engine: "engine",
+    pattern: "pattern",
+    dimensions: "dimensions",
+    steps_per_cycle: "steps-per-cycle",
+    n_cycles: "n-cycles",
+    dt_ps: "dt-ps" = DEFAULT_DT_PS,
+    gamma_ps: "gamma-ps" = DEFAULT_GAMMA_PS,
+    base_temperature: "base-temperature" = DEFAULT_TEMPERATURE,
+    workload: "workload",
+    cost_atoms: "cost-atoms",
+    surrogate_steps: "surrogate-steps" = DEFAULT_SURROGATE_STEPS,
+    sample_stride: "sample-stride" = 0,
+    sample_warmup: "sample-warmup" = 0,
+    production_after_cycle: "production-after-cycle" = 0,
+    fault_policy: "fault-policy" = FaultPolicy::Continue,
+    fault_mtbf_seconds: "fault-mtbf-seconds",
+    scenario: "scenario",
+    async_min_ready: "async-min-ready",
+    pairing: "pairing" = PairingStrategy::NeighborAlternating,
+    seed: "seed" = 0,
+    resource: "resource" = ResourceConfig::default(),
+    no_exchange: "no-exchange" = false,
+    minimize_first: "minimize-first" = false,
+    progress_every: "progress-every" = 0,
+});
+
+/// What an absent key means, for the four keys with a number to fall back to.
+const DEFAULT_DT_PS: f64 = 0.002;
+const DEFAULT_GAMMA_PS: f64 = 5.0;
+const DEFAULT_TEMPERATURE: f64 = 300.0;
+const DEFAULT_SURROGATE_STEPS: u64 = 200;
 
 impl SimulationConfig {
     /// A minimal 1-D T-REMD config, the starting point most callers tweak.
@@ -390,20 +413,20 @@ impl SimulationConfig {
             }],
             steps_per_cycle: steps,
             n_cycles: cycles,
-            dt_ps: default_dt(),
-            gamma_ps: default_gamma(),
-            base_temperature: default_temperature(),
+            dt_ps: DEFAULT_DT_PS,
+            gamma_ps: DEFAULT_GAMMA_PS,
+            base_temperature: DEFAULT_TEMPERATURE,
             workload: Some(Workload::DipeptideVacuum),
             cost_atoms: Some(2881),
-            surrogate_steps: default_surrogate(),
+            surrogate_steps: DEFAULT_SURROGATE_STEPS,
             sample_stride: 0,
             sample_warmup: 0,
             production_after_cycle: 0,
-            fault_policy: default_fault_policy(),
+            fault_policy: FaultPolicy::Continue,
             fault_mtbf_seconds: None,
             scenario: None,
             async_min_ready: None,
-            pairing: default_pairing(),
+            pairing: PairingStrategy::NeighborAlternating,
             seed: 1,
             resource: ResourceConfig {
                 cluster: "supermic".into(),
@@ -428,14 +451,15 @@ impl SimulationConfig {
         Ok(self.build_grid()?.n_slots())
     }
 
-    /// Parse from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("config parse error: {e}"))
+    /// Parse from JSON text. A syntax error carries its line and column; a
+    /// shape error the pointer of the offending value and where that is.
+    pub fn from_json(text: &str) -> Result<Self, json::Error> {
+        json::from_str(text)
     }
 
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("config serializes")
+        self.encode().pretty()
     }
 
     /// Resolve the cluster preset, with any configured scenario's

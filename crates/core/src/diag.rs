@@ -9,12 +9,12 @@
 //! uniformly (`repex check`, `repex analyze`) and maps them onto one exit
 //! code convention: 0 = clean, 1 = Error-level findings, 2 = usage error.
 
-use serde::{Deserialize, Serialize};
+use obs::json::{self, Decode, Encode, Value};
+use obs::obj;
 use std::fmt;
 
 /// How bad a finding is. Ordered: `Info < Warning < Error`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational: a prediction or note, nothing to fix.
     Info,
@@ -25,18 +25,10 @@ pub enum Severity {
     Error,
 }
 
-impl Severity {
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+obs::json_enum!(Severity { Info: "info", Warning: "warning", Error: "error" });
 
 /// One typed finding about a simulation plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Stable rule code, e.g. `C020` or `L401`.
     pub code: String,
@@ -44,11 +36,35 @@ pub struct Diagnostic {
     pub message: String,
     /// JSON-pointer-style path into the config document (kebab-case keys),
     /// e.g. `/dimensions/0/count`. `None` for whole-document findings.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub path: Option<String>,
     /// Suggested fix.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub hint: Option<String>,
+}
+
+/// `path` and `hint` are left out when there is none.
+impl Encode for Diagnostic {
+    fn encode(&self) -> Value {
+        let all = obj! {
+            "code" => self.code,
+            "severity" => self.severity,
+            "message" => self.message,
+            "path" => self.path,
+            "hint" => self.hint,
+        };
+        all.without_nulls()
+    }
+}
+
+impl Decode for Diagnostic {
+    fn decode(v: &Value) -> Result<Self, json::Error> {
+        Ok(Diagnostic {
+            code: v.field("code", None)?,
+            severity: v.field("severity", None)?,
+            message: v.field("message", None)?,
+            path: v.field("path", None)?,
+            hint: v.field("hint", None)?,
+        })
+    }
 }
 
 impl Diagnostic {
@@ -87,7 +103,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]: {}", self.severity.label(), self.code, self.message)?;
+        write!(f, "{}[{}]: {}", self.severity.name(), self.code, self.message)?;
         if let Some(path) = &self.path {
             write!(f, " (at {path})")?;
         }
@@ -131,7 +147,7 @@ mod tests {
     fn severity_is_ordered() {
         assert!(Severity::Info < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
-        assert_eq!(Severity::Error.label(), "error");
+        assert_eq!(Severity::Error.name(), "error");
     }
 
     #[test]
@@ -165,12 +181,11 @@ mod tests {
     fn json_schema_shape() {
         let d = Diagnostic::warning("L401", "predicted acceptance 0.02 below 0.05")
             .with_path("/dimensions/0");
-        let v: serde_json::Value = serde_json::to_value(&d).unwrap();
+        let v = d.encode();
         assert_eq!(v["code"], "L401");
         assert_eq!(v["severity"], "warning");
         assert_eq!(v["path"], "/dimensions/0");
         assert!(v.get("hint").is_none(), "absent hint is omitted");
-        let back: Diagnostic = serde_json::from_value(v).unwrap();
-        assert_eq!(back, d);
+        assert_eq!(Diagnostic::decode(&v), Ok(d));
     }
 }

@@ -3,14 +3,17 @@
 use crate::emm::WindowSamples;
 use crate::timing::{average_cycles, CycleTiming};
 use exchange::stats::AcceptanceStats;
-use serde::{Deserialize, Serialize};
+use obs::json::Value;
+use obs::{json_struct, obj};
 
 /// One cycle's record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleReport {
     pub cycle: u64,
     pub timing: CycleTiming,
 }
+
+json_struct!(CycleReport { cycle: "cycle", timing: "timing" });
 
 /// Everything a finished simulation reports.
 pub struct SimulationReport {
@@ -67,28 +70,29 @@ impl SimulationReport {
     /// `GET /campaigns/:id/results`. One shared encoder, so a campaign run
     /// through the service can be compared bit-for-bit against the same
     /// config run standalone.
-    pub fn to_json_doc(&self) -> serde_json::Value {
-        serde_json::json!({
-            "title": self.title,
-            "pattern": self.pattern,
-            "execution_mode": self.execution_mode,
-            "n_replicas": self.n_replicas,
-            "pilot_cores": self.pilot_cores,
-            "makespan_s": self.makespan,
-            "utilization_percent": self.utilization_percent,
-            "failed_tasks": self.failed_tasks,
-            "relaunched_tasks": self.relaunched_tasks,
-            "round_trips": self.round_trips,
-            "cycles": self.cycles,
-            "acceptance": self.acceptance.iter().map(|(l, a)| {
-                serde_json::json!({
-                    "dimension": l.to_string(),
-                    "attempts": a.attempts,
-                    "accepted": a.accepted,
-                    "ratio": a.ratio(),
-                })
-            }).collect::<Vec<_>>(),
-        })
+    pub fn to_json_doc(&self) -> Value {
+        let acceptance = self.acceptance.iter().map(|(letter, a)| {
+            obj! {
+                "dimension" => letter.to_string(),
+                "attempts" => a.attempts,
+                "accepted" => a.accepted,
+                "ratio" => a.ratio(),
+            }
+        });
+        obj! {
+            "title" => self.title,
+            "pattern" => self.pattern,
+            "execution_mode" => self.execution_mode,
+            "n_replicas" => self.n_replicas,
+            "pilot_cores" => self.pilot_cores,
+            "makespan_s" => self.makespan,
+            "utilization_percent" => self.utilization_percent,
+            "failed_tasks" => self.failed_tasks,
+            "relaunched_tasks" => self.relaunched_tasks,
+            "round_trips" => self.round_trips,
+            "cycles" => self.cycles,
+            "acceptance" => acceptance.collect::<Vec<_>>(),
+        }
     }
 
     /// One-line human summary.

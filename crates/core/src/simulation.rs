@@ -210,19 +210,12 @@ impl RemdSimulation {
     /// Execute the configured pattern and assemble the report.
     pub fn run(mut self) -> Result<SimulationReport, String> {
         crate::emm::start_live(&mut self.ctx)?;
-        let pattern_name;
-        let cycles: Vec<CycleReport>;
-        match self.ctx.cfg.pattern {
-            Pattern::Synchronous => {
-                pattern_name = "sync";
-                cycles = run_sync(&mut self.ctx)?;
-            }
+        let (pattern_name, outcome) = match self.ctx.cfg.pattern {
+            Pattern::Synchronous => ("sync", run_sync(&mut self.ctx)),
             Pattern::Asynchronous { .. } => {
-                pattern_name = "async";
-                let _out = run_async(&mut self.ctx)?;
-                cycles = Vec::new();
+                ("async", run_async(&mut self.ctx).map(|_| Vec::<CycleReport>::new()))
             }
-        }
+        };
         let ctx = self.ctx;
         let makespan = ctx.pilot.executor.now().as_secs();
         let cores = ctx.pilot.cores();
@@ -256,6 +249,9 @@ impl RemdSimulation {
                 mdsim::neighbor::neighbor_cache_rebuilds(),
             );
         }
+        // Only now: a run that failed part-way still leaves the summary
+        // counters of what it did in the recorder its caller flushes.
+        let cycles = outcome?;
         Ok(SimulationReport {
             title: ctx.cfg.title.clone(),
             pattern: pattern_name,

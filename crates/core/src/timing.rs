@@ -1,11 +1,10 @@
 //! Cycle-time decomposition and efficiency metrics (Eqs. 1–4 of the paper).
 
 use hpc::perfmodel::ExchangeKind;
-use serde::{Deserialize, Serialize};
 
 /// Decomposition of one simulation cycle (Eq. 1):
 /// `Tc = T_MD + T_EX + T_data + T_RepEx_over + T_RP_over`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleTiming {
     /// MD simulation wall time, summed over the cycle's dimension passes.
     pub t_md: f64,
@@ -18,6 +17,14 @@ pub struct CycleTiming {
     /// Runtime-system overhead (task launching, internal communication).
     pub t_rp_over: f64,
 }
+
+obs::json_struct!(CycleTiming {
+    t_md: "t_md",
+    t_ex: "t_ex",
+    t_data: "t_data",
+    t_repex_over: "t_repex_over",
+    t_rp_over: "t_rp_over",
+});
 
 impl CycleTiming {
     /// Total exchange time across dimensions.

@@ -1,7 +1,6 @@
 //! Driver-level tests of the two RE patterns through the crate's public API
 //! (`build_ctx`, `make_pilot`, `run_sync`/`run_async`, pub `DriverCtx`
-//! fields). Also compiled by `tests-offline/`, which is where they run in a
-//! container without a registry.
+//! fields).
 
 use hpc::fault::FaultModel;
 use hpc::SimTime;
@@ -50,8 +49,8 @@ fn tsu_cfg(n_cycles: u64) -> SimulationConfig {
 /// Run whichever pattern the context is configured for.
 fn run(ctx: &mut DriverCtx) {
     match ctx.cfg.pattern {
-        Pattern::Synchronous => drop(run_sync(ctx).unwrap()),
-        Pattern::Asynchronous { .. } => drop(run_async(ctx).unwrap()),
+        Pattern::Synchronous => drop(run_sync(ctx).expect("the sync campaign runs")),
+        Pattern::Asynchronous { .. } => drop(run_async(ctx).expect("the async campaign runs")),
     }
 }
 
@@ -274,7 +273,8 @@ fn multidim_cycle_has_exchange_per_dimension() {
 /// A campaign interrupted at a cycle barrier and restored from an in-memory
 /// checkpoint equals its uninterrupted twin exactly — same failures and
 /// retries, same exchange decisions, same per-cycle timings, same virtual
-/// clock, same trace. (No file, so no JSON layer: this runs offline.)
+/// clock, same trace. (No file: `tests/it_fault_tolerance.rs` has the twin
+/// that goes through `checkpoint.json`.)
 #[test]
 fn interrupted_sync_campaign_resumes_bit_exactly() {
     let mut cfg = quick_cfg(8);
@@ -333,8 +333,7 @@ fn interrupted_sync_campaign_resumes_bit_exactly() {
 
 /// A checkpoint taken while a segment is in flight stores that replica's
 /// microstate from *before* the segment — kept as a state and rendered by
-/// `capture` — and everyone else's live one. (`checkpoint.rs` has the same
-/// guard as a unit test; this copy is the one that compiles offline.)
+/// `capture` — and everyone else's live one.
 #[test]
 fn async_in_flight_uses_preseg_snapshot() {
     use mdsim::io::restart::write_restart_with_cycle;
@@ -509,7 +508,7 @@ impl Executor<TaskResult> for Tap {
     fn next_completion(&mut self) -> Option<CompletedUnit<TaskResult>> {
         let unit = self.inner.next_completion()?;
         if let Err(message) = &unit.outcome {
-            self.errors.lock().unwrap().push(message.clone());
+            self.errors.lock().expect("no holder panics").push(message.clone());
         }
         Some(unit)
     }
@@ -556,7 +555,7 @@ struct Outcome {
 /// Run `cfg` to the end, traced, through a [`Tap`].
 fn campaign(cfg: SimulationConfig, batch: bool) -> Outcome {
     let recorder = obs::Recorder::enabled();
-    let mut ctx = build_ctx(cfg).unwrap();
+    let mut ctx = build_ctx(cfg).expect("a valid config");
     let errors = Arc::new(Mutex::new(Vec::new()));
     let placeholder = Box::new(pilot::SimExecutor::new(1, 0));
     let inner = std::mem::replace(&mut ctx.pilot.executor, placeholder);
@@ -564,8 +563,10 @@ fn campaign(cfg: SimulationConfig, batch: bool) -> Outcome {
     ctx.pilot.executor.set_recorder(recorder.clone());
     ctx.recorder = recorder.clone();
     let cycles = match ctx.cfg.pattern {
-        Pattern::Synchronous => run_sync(&mut ctx).unwrap(),
-        Pattern::Asynchronous { .. } => run_async(&mut ctx).map(|_| Vec::new()).unwrap(),
+        Pattern::Synchronous => run_sync(&mut ctx).expect("the sync campaign runs"),
+        Pattern::Asynchronous { .. } => {
+            run_async(&mut ctx).map(|_| Vec::new()).expect("the async campaign runs")
+        }
     };
     assert_slot_bijection(&ctx);
     // CacheRebuild carries a process-wide counter other tests bump.
@@ -574,7 +575,7 @@ fn campaign(cfg: SimulationConfig, batch: bool) -> Outcome {
         .into_iter()
         .filter(|e| !matches!(e, Event::CacheRebuild { .. }))
         .collect();
-    let errors = errors.lock().unwrap().clone();
+    let errors = errors.lock().expect("no holder panics").clone();
     Outcome {
         events,
         counters: recorder.counters(),

@@ -1,7 +1,7 @@
 //! The engine seam, through the crate's public API: every engine binding
 //! goes down the one MD task path (`amm::prepare_md`) and differs only in
 //! its file dialect. One table over the five bindings; a short campaign per
-//! `EngineChoice`. Also compiled by `tests-offline/`.
+//! `EngineChoice`.
 
 use mdsim::engine::{MdEngine, MdJob};
 use mdsim::forcefield::NonbondedParams;
@@ -97,7 +97,7 @@ fn segment(b: &Binding, restraints: Vec<DihedralRestraint>) -> (Arc<dyn Amm>, Md
     cfg.resource.use_gpu = b.gpu;
     cfg.surrogate_steps = 50;
     cfg.sample_stride = 10;
-    let ctx = build_ctx(cfg).unwrap();
+    let ctx = build_ctx(cfg).expect("a valid config");
     let mut spec = ctx.md_spec(3, 1, 0);
     assert_eq!((spec.replica, spec.cycle), (3, 1));
     spec.params.temperature = 320.0;
@@ -445,8 +445,8 @@ fn dialect_campaigns() -> Vec<(&'static str, repex::emm::DriverCtx)> {
                     DimensionConfig::Umbrella { dihedral: "phi".into(), count: 2, k_deg: 0.02 },
                 ];
             }
-            let mut ctx = build_ctx(cfg).unwrap();
-            run_sync(&mut ctx).unwrap();
+            let mut ctx = build_ctx(cfg).expect("a valid config");
+            run_sync(&mut ctx).expect("the campaign runs");
             assert_eq!(ctx.failed_tasks, 0, "{name}");
             (name, ctx)
         })

@@ -1,8 +1,7 @@
 //! Campaign state must stay O(replicas): a quadratic structure (the n × n
 //! visit matrix `RoundTripTracker` used to carry cost 16 kB per replica at
 //! this size, 56 kB at the paper's 7000) shows up here as bytes per replica.
-//! Its own test binary, so nothing else allocates while it counts. Also
-//! compiled by `tests-offline/`.
+//! Its own test binary, so nothing else allocates while it counts.
 
 use repex::config::SimulationConfig;
 use repex::simulation::build_ctx;

@@ -7,11 +7,10 @@
 //! are "group\[ed\] by parameter values in each dimension" (Section 4.4).
 
 use crate::param::{Dimension, ExchangeParam};
-use serde::{Deserialize, Serialize};
 
 /// The full parameter grid: ordered dimensions (the paper's "arbitrary
 /// ordering" TSU vs TUU is simply the order of this vector).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamGrid {
     pub dims: Vec<Dimension>,
 }

@@ -6,17 +6,17 @@
 //! baseline (it mixes worse because distant pairs rarely accept).
 
 use rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Strategy for picking exchange partners within one dimension's group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairingStrategy {
     /// Alternating nearest neighbours by cycle parity (standard REMD).
     NeighborAlternating,
     /// Uniformly random disjoint pairs (ablation baseline).
     Random,
 }
+
+obs::json_enum!(PairingStrategy { NeighborAlternating: "neighbor-alternating", Random: "random" });
 
 /// Produce disjoint index pairs over `n` ladder slots for a given cycle.
 /// Indices refer to *ladder positions* (0 = lowest parameter value).

@@ -5,10 +5,9 @@
 //! multi-dimensional REMD with arbitrary ordering (TSU, TUU, ...).
 
 use mdsim::DihedralRestraint;
-use serde::{Deserialize, Serialize};
 
 /// One exchangeable thermodynamic control variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExchangeParam {
     /// Thermostat temperature in K.
     Temperature(f64),
@@ -53,7 +52,7 @@ impl ExchangeParam {
 }
 
 /// One exchange dimension: an ordered ladder of parameter values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dimension {
     /// Human-readable name ("T", "U-phi", "S").
     pub name: String,

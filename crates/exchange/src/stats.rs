@@ -1,14 +1,14 @@
 //! Exchange statistics: acceptance ratios, ladder traversal and round trips.
 
-use serde::{Deserialize, Serialize};
-
 /// Attempt/accept counters (per dimension, per pair, whatever the caller
 /// aggregates over).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AcceptanceStats {
     pub attempts: u64,
     pub accepted: u64,
 }
+
+obs::json_struct!(AcceptanceStats { attempts: "attempts", accepted: "accepted" });
 
 impl AcceptanceStats {
     pub fn record(&mut self, accepted: bool) {
@@ -43,7 +43,7 @@ impl AcceptanceStats {
 /// Tracks each replica's walk along a 1-D ladder and counts round trips
 /// (bottom → top → bottom), the standard mixing diagnostic for REMD. State is
 /// O(replicas): which rungs a replica visited is the driver's `rung_history`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundTripTracker {
     ladder_len: usize,
     /// Last endpoint each replica visited: 0 = bottom, 1 = top, -1 = none.
@@ -51,6 +51,12 @@ pub struct RoundTripTracker {
     /// Completed half-trips per replica (2 half-trips = 1 round trip).
     half_trips: Vec<u64>,
 }
+
+obs::json_struct!(RoundTripTracker {
+    ladder_len: "ladder_len",
+    last_end: "last_end",
+    half_trips: "half_trips",
+});
 
 impl RoundTripTracker {
     pub fn new(n_replicas: usize, ladder_len: usize) -> Self {

@@ -1,9 +1,7 @@
 //! Cluster descriptions and presets for the machines the paper used.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of an HPC resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     pub name: String,
     pub nodes: usize,
@@ -18,7 +16,7 @@ pub struct ClusterSpec {
 }
 
 /// Parallel-filesystem performance model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilesystemSpec {
     /// Per-operation latency in seconds (metadata + open/close).
     pub latency: f64,

@@ -23,10 +23,9 @@
 
 use crate::cluster::ClusterSpec;
 use rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which executable a task runs (determines the cost model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     Sander,
     PmemdMpi,
@@ -50,7 +49,7 @@ impl EngineKind {
 }
 
 /// Exchange parameter type (determines exchange + data cost models).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExchangeKind {
     Temperature,
     Umbrella,
@@ -71,8 +70,16 @@ impl ExchangeKind {
     }
 }
 
+// On the wire the variant names themselves: `t_ex: [["Temperature", 10.0]]`.
+obs::json_enum!(ExchangeKind {
+    Temperature: "Temperature",
+    Umbrella: "Umbrella",
+    Salt: "Salt",
+    Ph: "Ph"
+});
+
 /// MD wall-time model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MdCostModel {
     /// sander: seconds per (atom × step) on a speed-1.0 core.
     pub sander_per_atom_step: f64,
@@ -139,7 +146,7 @@ impl MdCostModel {
 /// single-point-energy task per replica (using Amber group files that need
 /// as many cores as the group has members), which is why its constants are
 /// an order of magnitude larger (Fig. 6, Section 4.2).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExchangeCostModel {
     pub t_base: f64,
     pub t_per_replica: f64,
@@ -221,7 +228,7 @@ impl ExchangeCostModel {
 /// files, restart swaps, DISANG rewrites, group files for S). Coefficients
 /// are calibrated to Fig. 5 on SuperMIC and scale with the target machine's
 /// filesystem latency relative to SuperMIC's.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DataCostModel {
     pub t_base: f64,
     pub t_per_replica: f64,
@@ -265,7 +272,7 @@ impl DataCostModel {
 }
 
 /// Framework and runtime overhead model (`T_RepEx-over`, `T_RP-over`).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OverheadModel {
     /// RepEx task-preparation overhead, 1-D simulations: base + per-replica.
     pub repex_1d_base: f64,
@@ -317,7 +324,7 @@ impl OverheadModel {
 }
 
 /// Multiplicative lognormal noise for task durations (stragglers).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NoiseModel {
     /// Lognormal sigma for MD tasks.
     pub md_sigma: f64,
@@ -342,7 +349,7 @@ impl NoiseModel {
 }
 
 /// Bundle of all calibrated models: what a virtual cluster charges.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PerfModel {
     pub md: MdCostModel,
     pub exchange: ExchangeCostModel,

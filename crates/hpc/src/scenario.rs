@@ -11,11 +11,9 @@
 use crate::cluster::ClusterSpec;
 use crate::fault::{FaultModel, FaultModelError, HazardModel};
 use rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A named stress scenario with its parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "kebab-case", rename_all_fields = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scenario {
     /// Periodic bursts of failures: during a storm window the task MTBF
     /// drops to `storm_mtbf_seconds`; outside it the config's baseline
@@ -52,17 +50,23 @@ pub enum Scenario {
     },
 }
 
-impl Scenario {
-    /// Short stable name (used in diagnostics and analyze findings).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::FailureStorm { .. } => "failure-storm",
-            Scenario::HeterogeneousNodes { .. } => "heterogeneous-nodes",
-            Scenario::SlowFilesystem { .. } => "slow-filesystem",
-            Scenario::Stragglers { .. } => "stragglers",
-        }
-    }
+// `{"kind": "stragglers", "fraction": 0.1, "slowdown": 3.0}`; `Scenario::name`
+// is the short stable name diagnostics and analyze findings use too.
+obs::json_enum!(Scenario tagged by "kind" {
+    FailureStorm {
+        storm_mtbf_seconds: "storm-mtbf-seconds",
+        period_seconds: "period-seconds",
+        storm_fraction: "storm-fraction",
+    }: "failure-storm",
+    HeterogeneousNodes { slow_fraction: "slow-fraction", slowdown: "slowdown" }: "heterogeneous-nodes",
+    SlowFilesystem {
+        latency_factor: "latency-factor",
+        bandwidth_factor: "bandwidth-factor",
+    }: "slow-filesystem",
+    Stragglers { fraction: "fraction", slowdown: "slowdown" }: "stragglers",
+});
 
+impl Scenario {
     /// Validate parameters; the message is surfaced as a config diagnostic.
     pub fn check(&self) -> Result<(), String> {
         fn finite_positive(v: f64, what: &str) -> Result<(), String> {
@@ -175,6 +179,7 @@ pub use rng::mix64;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json::{self, Encode};
 
     #[test]
     fn parameter_validation() {
@@ -272,16 +277,28 @@ mod tests {
     }
 
     #[test]
-    fn serde_kebab_case_round_trip() {
+    fn every_scenario_round_trips_through_its_kebab_case_wire_form() {
         let sc = Scenario::FailureStorm {
             storm_mtbf_seconds: 50.0,
             period_seconds: 1000.0,
             storm_fraction: 0.2,
         };
-        let json = serde_json::to_string(&sc).unwrap();
-        assert!(json.contains("\"kind\":\"failure-storm\""), "{json}");
-        assert!(json.contains("storm-mtbf-seconds"), "{json}");
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sc);
+        let text = sc.encode().compact();
+        assert!(text.contains("\"kind\":\"failure-storm\""), "{text}");
+        assert!(text.contains("storm-mtbf-seconds"), "{text}");
+        for sc in [
+            sc,
+            Scenario::HeterogeneousNodes { slow_fraction: 0.25, slowdown: 3.0 },
+            Scenario::SlowFilesystem { latency_factor: 10.0, bandwidth_factor: 0.1 },
+            Scenario::Stragglers { fraction: 1.0 / 3.0, slowdown: 2.5 },
+        ] {
+            assert_eq!(json::from_str::<Scenario>(&sc.encode().compact()), Ok(sc));
+        }
+        let e = json::from_str::<Scenario>(r#"{"kind": "meteor", "size": 3}"#).unwrap_err();
+        assert!(e.to_string().starts_with("/kind: unknown variant `meteor`"), "{e}");
+        assert!(e.message.contains("slow-filesystem"), "the accepted names are listed: {e}");
+        let e =
+            json::from_str::<Scenario>(r#"{"kind": "stragglers", "fraction": "x"}"#).unwrap_err();
+        assert_eq!(e.pointer, "/fraction");
     }
 }

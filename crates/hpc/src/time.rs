@@ -4,12 +4,11 @@
 //! newtype so it is totally ordered (NaN is rejected at construction) and can
 //! live in heaps.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in seconds since pilot start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 impl SimTime {

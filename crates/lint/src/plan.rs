@@ -46,9 +46,10 @@ use exchange::pairing::PairingStrategy;
 use hpc::fault::{FaultModel, HazardModel};
 use hpc::perfmodel::{ExchangeKind, PerfModel};
 use hpc::{ClusterSpec, Scenario};
+use obs::json::{Encode, Value};
+use obs::json_fields;
 use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig, Workload};
 use repex::diag::{has_errors, sort_by_severity};
-use serde::Serialize;
 
 /// Tunables for [`plan_config`].
 #[derive(Debug, Clone)]
@@ -80,7 +81,7 @@ impl Default for PlanOptions {
 }
 
 /// Eq. 1 components of one cycle, in modeled wall seconds.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CycleBreakdown {
     /// Simulation phase: `dims × waves × md`, inflated by relaunches and
     /// scenario stragglers.
@@ -98,6 +99,12 @@ pub struct CycleBreakdown {
     pub t_tick_wait: f64,
 }
 
+impl Encode for CycleBreakdown {
+    fn encode(&self) -> Value {
+        json_fields!(self; t_md, t_exchange, t_data, t_rp_over, t_repex_over, t_tick_wait)
+    }
+}
+
 impl CycleBreakdown {
     /// Predicted `Tc`: the sum of all components.
     pub fn total(&self) -> f64 {
@@ -111,7 +118,7 @@ impl CycleBreakdown {
 }
 
 /// Predicted cost of running a configuration to completion.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CostPrediction {
     /// `"synchronous"` or `"asynchronous"`.
     pub pattern: String,
@@ -139,8 +146,14 @@ pub struct CostPrediction {
     pub core_seconds: f64,
 }
 
+impl Encode for CostPrediction {
+    fn encode(&self) -> Value {
+        json_fields!(self; pattern, execution_mode, n_replicas, pilot_cores, waves, md_segment_seconds, relaunch_inflation, scenario_inflation, cycle, cycle_seconds, makespan_seconds, utilization_percent, core_seconds)
+    }
+}
+
 /// Predicted exchange quality of one ladder dimension.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LadderPrediction {
     pub dim: usize,
     pub kind: char,
@@ -157,8 +170,14 @@ pub struct LadderPrediction {
     pub round_trip_seconds: Option<f64>,
 }
 
+impl Encode for LadderPrediction {
+    fn encode(&self) -> Value {
+        json_fields!(self; dim, kind, rungs, pair_acceptance, mean_acceptance, min_acceptance, round_trip_cycles, round_trip_seconds)
+    }
+}
+
 /// One point of the deterministic candidate search.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CandidatePlan {
     pub label: String,
     /// Replicas after the ladder tweak.
@@ -181,14 +200,26 @@ pub struct CandidatePlan {
     pub configured: bool,
 }
 
+impl Encode for CandidatePlan {
+    fn encode(&self) -> Value {
+        json_fields!(self; label, n_replicas, cores, execution_mode, pairing, makespan_seconds, utilization_percent, core_seconds, mean_acceptance, round_trip_seconds, feasible, score, configured)
+    }
+}
+
 /// Everything `repex plan` reports for a structurally valid configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlanReport {
     pub title: String,
     pub cost: CostPrediction,
     pub ladders: Vec<LadderPrediction>,
     /// Ranked best-first; empty when the search is disabled.
     pub candidates: Vec<CandidatePlan>,
+}
+
+impl Encode for PlanReport {
+    fn encode(&self) -> Value {
+        json_fields!(self; title, cost, ladders, candidates)
+    }
 }
 
 /// Result of planning: the report (when the config is structurally sound)
@@ -206,13 +237,6 @@ fn kind_of(letter: char) -> ExchangeKind {
         'S' => ExchangeKind::Salt,
         'P' => ExchangeKind::Ph,
         _ => ExchangeKind::Temperature,
-    }
-}
-
-fn pairing_name(p: PairingStrategy) -> &'static str {
-    match p {
-        PairingStrategy::NeighborAlternating => "neighbor-alternating",
-        PairingStrategy::Random => "random",
     }
 }
 
@@ -493,7 +517,7 @@ fn search_candidates(
             for pairing in &pairings {
                 let key = CandidateKey { rungs: *rungs, cores: *cores, pairing: *pairing };
                 if let Some(c) = evaluate_candidate(cfg, &base, &key, n, opts) {
-                    let id = (c.n_replicas, c.cores, pairing_name(*pairing));
+                    let id = (c.n_replicas, c.cores, pairing.name());
                     if seen.contains(&id) {
                         continue;
                     }
@@ -562,12 +586,12 @@ fn evaluate_candidate(
             n,
             pilot_cores,
             cost.execution_mode,
-            pairing_name(key.pairing),
+            key.pairing.name(),
         ),
         n_replicas: n,
         cores: pilot_cores,
         execution_mode: cost.execution_mode,
-        pairing: pairing_name(key.pairing).into(),
+        pairing: key.pairing.name().into(),
         makespan_seconds: cost.makespan_seconds,
         utilization_percent: cost.utilization_percent,
         core_seconds: cost.core_seconds,
@@ -1064,7 +1088,7 @@ mod tests {
     fn report_serializes_to_json() {
         let cfg = SimulationConfig::t_remd(8, 6000, 2);
         let report = plan(&cfg).report.unwrap();
-        let v = serde_json::to_value(&report).unwrap();
+        let v = report.encode();
         assert!(v["cost"]["makespan_seconds"].as_f64().unwrap() > 0.0);
         assert!(v["ladders"][0]["mean_acceptance"].as_f64().unwrap() > 0.0);
         assert!(v["candidates"].as_array().unwrap().len() > 1);

@@ -13,34 +13,50 @@
 //! }
 //! ```
 
-use crate::span;
+use obs::json::{self, Encode, Value};
+use obs::json_fields;
 use repex::diag::{severity_counts, Diagnostic};
-use serde::Serialize;
 
 /// One diagnostic plus its resolved source span (when the config source
 /// text contains the flagged path).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Located {
-    #[serde(flatten)]
     pub diagnostic: Diagnostic,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub line: Option<usize>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub col: Option<usize>,
 }
 
-#[derive(Debug, Clone, Copy, Serialize)]
+/// The diagnostic's own keys, then `line` and `col` when the span resolved.
+impl Encode for Located {
+    fn encode(&self) -> Value {
+        self.diagnostic.encode().with("line", self.line).with("col", self.col).without_nulls()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 pub struct Summary {
     pub errors: usize,
     pub warnings: usize,
     pub infos: usize,
 }
 
+impl Encode for Summary {
+    fn encode(&self) -> Value {
+        json_fields!(self; errors, warnings, infos)
+    }
+}
+
 /// A complete lint/analyze report, ready for either output format.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     pub diagnostics: Vec<Located>,
     pub summary: Summary,
+}
+
+impl Encode for Report {
+    fn encode(&self) -> Value {
+        json_fields!(self; diagnostics, summary)
+    }
 }
 
 impl Report {
@@ -51,9 +67,8 @@ impl Report {
         let diagnostics = diagnostics
             .into_iter()
             .map(|d| {
-                let at = source
-                    .zip(d.path.as_deref())
-                    .and_then(|(text, path)| span::locate(text, path));
+                let at =
+                    source.zip(d.path.as_deref()).and_then(|(text, path)| json::locate(text, path));
                 Located { diagnostic: d, line: at.map(|(l, _)| l), col: at.map(|(_, c)| c) }
             })
             .collect();
@@ -70,7 +85,7 @@ impl Report {
 
     /// The shared `--json` schema.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
+        self.encode().pretty()
     }
 
     /// Compiler-style listing, one finding per line plus hints.
@@ -122,7 +137,7 @@ mod tests {
     fn json_schema_shape() {
         let src = r#"{"resource": {"cores": 2}}"#;
         let r = Report::new(sample(), Some(src));
-        let v: serde_json::Value = serde_json::from_str(&r.to_json()).expect("valid json");
+        let v = json::parse(&r.to_json()).expect("valid json");
         let diags = v["diagnostics"].as_array().expect("array");
         assert_eq!(diags.len(), 3);
         assert_eq!(diags[0]["code"], "L201");

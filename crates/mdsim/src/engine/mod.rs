@@ -33,7 +33,6 @@ use crate::integrator::LangevinBaoab;
 use crate::io::mdinfo::MdInfo;
 use crate::system::{State, System};
 use rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One request in a single-point energy batch: the exchange parameters under
 /// which the system's (fixed) coordinates are to be evaluated.
@@ -54,7 +53,7 @@ impl<'a> SinglePointRequest<'a> {
 }
 
 /// A fully-specified MD task (the content of one replica's cycle).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MdJob {
     /// Number of integration steps.
     pub steps: u64,

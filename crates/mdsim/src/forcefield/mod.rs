@@ -41,7 +41,6 @@ use crate::neighbor::NeighborCache;
 use crate::system::System;
 use crate::vec3::Vec3;
 use nonbonded::{LjTable, NbScalars};
-use serde::{Deserialize, Serialize};
 use soa::SoaNonbonded;
 use std::ops::Range;
 
@@ -58,7 +57,7 @@ fn chunk_range(n_pairs: usize, n_chunks: usize, c: usize) -> Range<usize> {
 }
 
 /// Energy decomposition mirroring an Amber `mdinfo` record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     pub bond: f64,
     pub angle: f64,
@@ -196,7 +195,7 @@ impl EvalContext {
 }
 
 /// A complete parameterized force field.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ForceField {
     pub nonbonded: NonbondedParams,
     /// Umbrella restraints on named dihedrals.

@@ -11,7 +11,6 @@
 //! is continuous (no impulsive heating at the cutoff).
 
 use crate::topology::Atom;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Coulomb constant in kcal·Å/(mol·e²).
@@ -22,7 +21,7 @@ pub const COULOMB_K: f64 = 332.063_71;
 pub const DEBYE_PREFACTOR: f64 = 3.04;
 
 /// Parameters controlling the nonbonded evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonbondedParams {
     /// Interaction cutoff in Å.
     pub cutoff: f64,

@@ -11,10 +11,9 @@ use crate::forcefield::bonded::{apply_dihedral_force, dihedral_geometry};
 use crate::system::PbcBox;
 use crate::units::{angle_diff_deg, rad_to_deg};
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Harmonic restraint on a dihedral angle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DihedralRestraint {
     /// Name of the restrained dihedral (must exist in the topology's
     /// `named_dihedrals`, e.g. "phi" or "psi").

@@ -4,7 +4,6 @@ use crate::topology::Topology;
 use crate::units::{kbt, wrap_angle};
 use crate::vec3::Vec3;
 use rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Round to the nearest integer by adding and subtracting 1.5·2⁵², exact for
 /// `|x| < 2⁵¹`: two additions, where `f64::round` is a call into libm on the
@@ -24,8 +23,7 @@ pub(crate) fn nearest(x: f64) -> f64 {
 /// rounding per axis instead of a division. In vacuum `edge` and `inv` are
 /// zero, which makes the shift term vanish and keeps both methods
 /// branch-free.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(from = "PbcBoxRepr", into = "PbcBoxRepr")]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PbcBox {
     /// Edge lengths in Å; `None` means no periodicity.
     lengths: Option<Vec3>,
@@ -33,25 +31,6 @@ pub struct PbcBox {
     edge: Vec3,
     /// Reciprocal edge lengths `1/L` (zero in vacuum).
     inv: Vec3,
-}
-
-/// Serialized form of [`PbcBox`]: only the edge lengths are stored; the
-/// cached reciprocals are rebuilt on load.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct PbcBoxRepr {
-    lengths: Option<Vec3>,
-}
-
-impl From<PbcBoxRepr> for PbcBox {
-    fn from(repr: PbcBoxRepr) -> Self {
-        PbcBox::new(repr.lengths)
-    }
-}
-
-impl From<PbcBox> for PbcBoxRepr {
-    fn from(b: PbcBox) -> Self {
-        PbcBoxRepr { lengths: b.lengths }
-    }
 }
 
 impl PbcBox {
@@ -122,7 +101,7 @@ impl PbcBox {
 }
 
 /// Mutable per-step state of a system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct State {
     pub positions: Vec<Vec3>,
     pub velocities: Vec<Vec3>,
@@ -153,7 +132,7 @@ impl State {
 }
 
 /// A complete molecular system: immutable topology + box + mutable state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct System {
     pub topology: Topology,
     pub pbc: PbcBox,

@@ -4,10 +4,8 @@
 //! force field and the engines. Indices are `u32` to keep hot structs small
 //! (see the type-size guidance in the HPC coding guides).
 
-use serde::{Deserialize, Serialize};
-
 /// Static per-atom parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Atom {
     /// Mass in amu.
     pub mass: f64,
@@ -27,7 +25,7 @@ impl Atom {
 }
 
 /// Harmonic bond: `E = k (r - r0)^2` (Amber convention, no 1/2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bond {
     pub i: u32,
     pub j: u32,
@@ -38,7 +36,7 @@ pub struct Bond {
 }
 
 /// Harmonic angle: `E = k (θ - θ0)^2` with θ in radians.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Angle {
     pub i: u32,
     pub j: u32,
@@ -50,7 +48,7 @@ pub struct Angle {
 }
 
 /// Periodic torsion: `E = k (1 + cos(n φ - δ))`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Torsion {
     pub i: u32,
     pub j: u32,
@@ -68,7 +66,7 @@ pub struct Torsion {
 /// `charge` stores the deprotonated charge; when protonated (fraction given
 /// by Henderson–Hasselbalch at the solvent pH) the site carries
 /// `charge + proton_charge`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Titratable {
     pub atom: u32,
     /// Acid dissociation constant of the site.
@@ -94,14 +92,14 @@ impl Titratable {
 
 /// A named torsion that exchange/analysis code can address symbolically
 /// (e.g. the φ and ψ backbone dihedrals of the dipeptide model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NamedDihedral {
     pub name: String,
     pub atoms: [u32; 4],
 }
 
 /// Complete bonded topology plus per-atom parameters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     pub atoms: Vec<Atom>,
     pub bonds: Vec<Bond>,
@@ -110,7 +108,6 @@ pub struct Topology {
     /// Dihedrals addressable by name (restraint targets, order parameters).
     pub named_dihedrals: Vec<NamedDihedral>,
     /// Titratable sites (pH-REMD exchange parameter).
-    #[serde(default)]
     pub titratable: Vec<Titratable>,
     /// Pairs excluded from nonbonded interactions (1-2 and 1-3 neighbours),
     /// stored sorted as (min, max).

@@ -5,12 +5,11 @@
 //! `#[repr(C)]` POD layout so slices of `Vec3` can be treated as flat `f64`
 //! buffers by the parallel engines.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A 3-vector of `f64`, the only floating-point width used by the substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Vec3 {
     pub x: f64,

@@ -1,5 +1,5 @@
 //! The four engines are one Langevin loop and one single-point path; an
-//! engine is what it adds to them. Also compiled by `tests-offline/`.
+//! engine is what it adds to them.
 
 use mdsim::engine::{
     EngineError, GmxEngine, MdEngine, MdJob, NamdEngine, PmemdEngine, SanderEngine,
@@ -20,7 +20,9 @@ const NAMD_SEED_SALT: u64 = 0x4e41_4d44;
 fn warm_system() -> System {
     let mut sys = alanine_dipeptide();
     let warm_up = MdJob { steps: 20, seed: 5, ..Default::default() };
-    NamdEngine::new(dipeptide_forcefield().nonbonded).run(&mut sys, &warm_up).unwrap();
+    NamdEngine::new(dipeptide_forcefield().nonbonded)
+        .run(&mut sys, &warm_up)
+        .expect("the warm-up segment runs");
     assert!(sys.kinetic_energy() > 1e-9);
     sys
 }

@@ -1,7 +1,7 @@
 //! The force field has one evaluation and the crate one integrator; this
 //! file holds what must stay true of them. The oracle for the blocked SoA
 //! kernel is the straight-line `pair_energy_force`, looped here over the
-//! context's pair list. Also compiled by `tests-offline/`.
+//! context's pair list.
 
 use mdsim::forcefield::bonded::{angle_energy, bond_energy, torsion_energy};
 use mdsim::forcefield::nonbonded::pair_energy_force;
@@ -349,7 +349,7 @@ fn diatomic(k: f64, r0: f64, stretch: f64) -> System {
     };
     let mut state = State::zeros(2);
     state.positions[1] = Vec3::new(r0 + stretch, 0.0, 0.0);
-    System::new(top, PbcBox::VACUUM, state).unwrap()
+    System::new(top, PbcBox::VACUUM, state).expect("state and topology agree")
 }
 
 /// BAOAB at zero friction is velocity Verlet (`c1 = 1`, `c2 = 0`); the tests

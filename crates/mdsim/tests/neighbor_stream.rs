@@ -1,6 +1,5 @@
 //! The `NeighborCache` filters pairs while the cell list enumerates them; the
 //! oracle is the materialised list, `CellList::pairs()`, filtered afterwards.
-//! Also compiled by `tests-offline/`.
 
 use mdsim::forcefield::EvalContext;
 use mdsim::models::{dipeptide_forcefield, lj_fluid, lj_forcefield, solvated_alanine_dipeptide};

@@ -1,7 +1,6 @@
 //! Property tests pinning `obs::stats::LogHistogram` quantiles to exact
 //! sorted-vector quantiles within the documented bucket resolution, for
-//! both the direct-record and the merge path. Also compiled by
-//! `tests-offline/`.
+//! both the direct-record and the merge path.
 
 use obs::LogHistogram;
 use rng::Rng;

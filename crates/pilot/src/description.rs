@@ -2,10 +2,9 @@
 
 use hpc::cluster::ClusterSpec;
 use hpc::queue::BatchQueue;
-use serde::{Deserialize, Serialize};
 
 /// How a unit's wall-clock duration is determined.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DurationSpec {
     /// Run the payload and charge its real wall time (LocalExecutor).
     Measured,
@@ -21,7 +20,7 @@ impl DurationSpec {
 }
 
 /// Declarative description of one compute unit (RP's ComputeUnitDescription).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitDescription {
     /// Human-readable name ("md-r0042-c003", "exchange-T-c003").
     pub name: String,
@@ -38,7 +37,6 @@ pub struct UnitDescription {
     /// Replica this unit works for, when it works for exactly one — keys
     /// stable per-replica placement effects (heterogeneous node speeds).
     /// `None` for collective units such as exchanges.
-    #[serde(default)]
     pub replica: Option<usize>,
 }
 

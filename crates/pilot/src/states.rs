@@ -4,10 +4,8 @@
 //! reads like code written against RP: units go NEW → SCHEDULING → EXECUTING
 //! → DONE/FAILED/CANCELED; pilots go NEW → QUEUED → ACTIVE → DONE/FAILED.
 
-use serde::{Deserialize, Serialize};
-
 /// Compute-unit lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnitState {
     New,
     Scheduling,
@@ -41,7 +39,7 @@ impl UnitState {
 }
 
 /// Pilot lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PilotState {
     New,
     Queued,

@@ -1,5 +1,5 @@
 //! `SimExecutor::submit_batch` against its oracle: the same units through
-//! `submit`, one by one. Also compiled by `tests-offline/`.
+//! `submit`, one by one.
 
 use hpc::fault::{FaultModel, HazardModel};
 use pilot::executor::{drain, Executor, TaskWork};

@@ -32,12 +32,8 @@ pub struct Response {
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, doc: &serde_json::Value) -> Self {
-        Response {
-            status,
-            content_type: "application/json",
-            body: doc.to_string().into_bytes(),
-        }
+    pub fn json(status: u16, doc: &obs::json::Value) -> Self {
+        Response { status, content_type: "application/json", body: doc.compact().into_bytes() }
     }
 
     /// A plain-text response (Prometheus exposition uses this).
@@ -124,7 +120,7 @@ fn handle_connection(stream: TcpStream, handler: &Handler) {
     let resp = match read_request(&mut reader) {
         Ok(Some(req)) => handler(&req),
         Ok(None) => return, // empty connection (e.g. the shutdown poke)
-        Err(msg) => Response::json(400, &serde_json::json!({ "error": msg })),
+        Err(msg) => Response::json(400, &obs::obj! { "error" => msg }),
     };
     let mut stream = reader.into_inner();
     let _ = write_response(&mut stream, &resp);
@@ -270,7 +266,7 @@ mod tests {
                 body.extend_from_slice(&req.body);
                 Response { status: 200, content_type: "text/plain", body }
             } else {
-                Response::json(404, &serde_json::json!({ "error": "no such route" }))
+                Response::json(404, &obs::obj! { "error" => "no such route" })
             }
         });
         HttpServer::bind("127.0.0.1:0", handler).unwrap()
@@ -297,7 +293,7 @@ mod tests {
         let addr = server.addr().to_string();
         let (status, body) = request(&addr, "GET", "/nope", None).unwrap();
         assert_eq!(status, 404);
-        let doc: serde_json::Value = serde_json::from_slice(&body).unwrap();
+        let doc = obs::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert_eq!(doc["error"], "no such route");
         server.stop();
     }

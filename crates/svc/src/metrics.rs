@@ -129,7 +129,7 @@ mod tests {
         let merged = merge_prometheus(&[prom("a", 1), prom("b", 2)]);
         let mut seen = std::collections::HashSet::new();
         for line in merged.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
-            let series = line.rsplit_once(' ').map(|(s, _)| s).unwrap_or(line);
+            let series = line.rsplit_once(' ').map_or(line, |(s, _)| s);
             assert!(seen.insert(series.to_string()), "duplicate series {series}");
         }
     }

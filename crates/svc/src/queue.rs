@@ -16,13 +16,13 @@
 //!     report.json     canonical report document (written when done)
 //! ```
 
+use obs::json::{self, Encode};
+use obs::{json_enum, json_struct};
 use repex::config::SimulationConfig;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Lifecycle of a campaign job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Admitted, waiting for cores (or re-queued between slices / after a
     /// service restart).
@@ -42,22 +42,18 @@ impl JobState {
     pub fn is_terminal(self) -> bool {
         matches!(self, JobState::Done | JobState::Cancelled | JobState::Failed)
     }
-
-    /// The kebab-case wire name (matches the serde encoding).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Cancelled => "cancelled",
-            JobState::Failed => "failed",
-        }
-    }
 }
 
+json_enum!(JobState {
+    Queued: "queued",
+    Running: "running",
+    Done: "done",
+    Cancelled: "cancelled",
+    Failed: "failed",
+});
+
 /// The durable control record of one campaign job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone)]
 pub struct JobRecord {
     /// Campaign id: validated by `obs::validate_campaign_id` at admission,
     /// doubles as the spool directory name and the Prometheus `campaign`
@@ -78,17 +74,28 @@ pub struct JobRecord {
     /// charged to the tenant up front at admission and credited back at
     /// the terminal state. Defaults to 0 for records written before the
     /// planner existed.
-    #[serde(default)]
     pub predicted_core_seconds: f64,
     pub state: JobState,
     /// Error message (only for [`JobState::Failed`]).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
     /// The submitted configuration, stored verbatim — the service never
     /// rewrites it, which is what makes results bit-identical to a
     /// standalone run.
     pub config: SimulationConfig,
 }
+
+json_struct!(JobRecord {
+    campaign: "campaign",
+    tenant: "tenant",
+    weight: "weight",
+    priority: "priority",
+    seq: "seq",
+    cores: "cores",
+    predicted_core_seconds: "predicted-core-seconds" = 0.0,
+    state: "state",
+    error: "error",
+    config: "config",
+});
 
 /// One job's paths inside the spool.
 #[derive(Debug, Clone)]
@@ -132,8 +139,8 @@ impl JobDirs {
 pub fn save_record(dirs: &JobDirs, record: &JobRecord) -> Result<(), String> {
     std::fs::create_dir_all(&dirs.dir)
         .map_err(|e| format!("cannot create {}: {e}", dirs.dir.display()))?;
-    let body = serde_json::to_string_pretty(record)
-        .map_err(|e| format!("cannot encode job record: {e}"))?;
+    // No `error` key unless there is one.
+    let body = record.encode().without_nulls().pretty();
     let target = dirs.record();
     let tmp = dirs.dir.join("job.json.tmp");
     std::fs::write(&tmp, body).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
@@ -145,7 +152,7 @@ pub fn load_record(dirs: &JobDirs) -> Result<JobRecord, String> {
     let path = dirs.record();
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("bad job record {}: {e}", path.display()))
+    json::from_str(&text).map_err(|e| format!("bad job record {}: {e}", path.display()))
 }
 
 /// Scan a spool root: every subdirectory with a parseable `job.json`, in
@@ -217,9 +224,19 @@ mod tests {
         assert_eq!(loaded.state, JobState::Running);
         assert_eq!(loaded.seq, 3);
         assert_eq!(loaded.config.title, rec.config.title);
-        // States encode kebab-case on the wire.
+        // States encode kebab-case on the wire; no error, no `error` key.
         let text = std::fs::read_to_string(dirs.record()).unwrap();
         assert!(text.contains("\"running\""), "{text}");
+        assert!(text.contains("\"predicted-core-seconds\": 0.0") && !text.contains("\"error\""));
+        // A record from before the planner existed has no prediction.
+        let old = text.replace("\"predicted-core-seconds\": 0.0,", "");
+        assert_ne!(old, text);
+        std::fs::write(dirs.record(), old).unwrap();
+        assert_eq!(load_record(&dirs).unwrap().predicted_core_seconds, 0.0);
+        rec.state = JobState::Failed;
+        rec.error = Some("disk full".into());
+        save_record(&dirs, &rec).unwrap();
+        assert_eq!(load_record(&dirs).unwrap().error.as_deref(), Some("disk full"));
         let _ = std::fs::remove_dir_all(&spool);
     }
 
@@ -258,6 +275,6 @@ mod tests {
         assert!(JobState::Failed.is_terminal());
         assert!(!JobState::Queued.is_terminal());
         assert!(!JobState::Running.is_terminal());
-        assert_eq!(JobState::Cancelled.as_str(), "cancelled");
+        assert_eq!(JobState::Cancelled.name(), "cancelled");
     }
 }

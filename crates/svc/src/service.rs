@@ -32,19 +32,19 @@
 
 use crate::http::{Handler, HttpServer, Request, Response};
 use crate::metrics::{merge_prometheus, service_gauge};
-use crate::queue::{load_record, save_record, scan_spool, JobDirs, JobRecord, JobState};
+use crate::queue::{save_record, scan_spool, JobDirs, JobRecord, JobState};
 use crate::sched::{Candidate, FairShare};
-use parking_lot::{Condvar, Mutex};
+use obs::json::{self, Decode, Value};
+use obs::{json_struct, obj};
 use repex::config::SimulationConfig;
 use repex::diag::Diagnostic;
 use repex::emm::LiveTelemetry;
 use repex::simulation::RemdSimulation;
-use serde::Deserialize;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Service configuration (`repex serve` flags).
@@ -120,6 +120,14 @@ struct Inner {
     wake: Condvar,
 }
 
+impl Inner {
+    /// A holder that panicked leaves the state as its last completed
+    /// update left it; the service keeps serving from there.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A running campaign service. [`CampaignService::stop`] (or drop) shuts
 /// down gracefully: running slices are stopped at their next consistency
 /// point, checkpointed, and re-queued durably so a restarted service
@@ -131,35 +139,27 @@ pub struct CampaignService {
     sched: Option<std::thread::JoinHandle<()>>,
 }
 
-#[derive(Deserialize)]
 struct SubmitRequest {
     campaign: String,
-    #[serde(default = "default_tenant")]
     tenant: String,
-    #[serde(default = "default_weight")]
     weight: f64,
-    #[serde(default)]
     priority: u8,
-    config: serde_json::Value,
+    config: Value,
 }
 
-fn default_tenant() -> String {
-    "default".into()
-}
-
-fn default_weight() -> f64 {
-    1.0
-}
+json_struct!(SubmitRequest {
+    campaign: "campaign",
+    tenant: "tenant" = "default".to_string(),
+    weight: "weight" = 1.0,
+    priority: "priority" = 0,
+    config: "config",
+});
 
 /// JSON body for a typed rejection: top-level error plus the full
 /// diagnostic list (same schema as `repex check --json` findings).
 fn reject(status: u16, diags: Vec<Diagnostic>) -> Response {
-    let error = diags.first().map(|d| d.message.clone()).unwrap_or_else(|| "rejected".to_string());
-    let doc = serde_json::json!({
-        "error": error,
-        "diagnostics": diags,
-    });
-    Response::json(status, &doc)
+    let error = diags.first().map_or_else(|| "rejected".to_string(), |d| d.message.clone());
+    Response::json(status, &obj! { "error" => error, "diagnostics" => diags })
 }
 
 impl CampaignService {
@@ -236,7 +236,7 @@ impl CampaignService {
 
     fn shutdown(&mut self) {
         {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.lock();
             st.stopping = true;
             for job in st.jobs.values() {
                 if job.record.state == JobState::Running {
@@ -263,7 +263,7 @@ impl Drop for CampaignService {
 }
 
 fn scheduler_loop(inner: &Arc<Inner>) {
-    let mut st = inner.state.lock();
+    let mut st = inner.lock();
     loop {
         if st.stopping {
             if st.running == 0 {
@@ -313,7 +313,7 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                 }
             }
         }
-        inner.wake.wait_for(&mut st, inner.cfg.tick);
+        st = inner.wake.wait_timeout(st, inner.cfg.tick).unwrap_or_else(PoisonError::into_inner).0;
     }
 }
 
@@ -322,7 +322,7 @@ fn scheduler_loop(inner: &Arc<Inner>) {
 /// fold the outcome back into the job state.
 fn run_slice(inner: &Arc<Inner>, id: &str) {
     let (config, dirs, cancel, recorder, slice_cycles) = {
-        let st = inner.state.lock();
+        let st = inner.lock();
         let Some(job) = st.jobs.get(id) else { return };
         (
             job.record.config.clone(),
@@ -337,7 +337,7 @@ fn run_slice(inner: &Arc<Inner>, id: &str) {
     let result = run_leg(&config, &dirs, &cancel, &recorder, is_async, slice_cycles);
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut st = inner.state.lock();
+    let mut st = inner.lock();
     let Some(job) = st.jobs.get_mut(id) else { return };
     let tenant = job.record.tenant.clone();
     match result {
@@ -410,8 +410,7 @@ fn run_leg(
             campaign: Some(
                 dirs.dir
                     .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| config.title.clone()),
+                    .map_or_else(|| config.title.clone(), |n| n.to_string_lossy().into_owned()),
             ),
         });
     if !is_async && slice_cycles > 0 {
@@ -428,9 +427,7 @@ fn finalize(
     report: &repex::SimulationReport,
     recorder: &obs::Recorder,
 ) -> Result<(), String> {
-    let body = serde_json::to_string_pretty(&report.to_json_doc())
-        .map_err(|e| format!("encode report: {e}"))?;
-    std::fs::write(dirs.report(), body)
+    std::fs::write(dirs.report(), report.to_json_doc().pretty())
         .map_err(|e| format!("write {}: {e}", dirs.report().display()))?;
     std::fs::write(dirs.trace(), recorder.chrome_trace_json())
         .map_err(|e| format!("write {}: {e}", dirs.trace().display()))?;
@@ -451,23 +448,17 @@ fn route(inner: &Arc<Inner>, req: &Request) -> Response {
         ("DELETE", ["campaigns", id]) => cancel(inner, id),
         ("GET", ["campaigns", id, "results"]) => results(inner, id),
         ("GET", _) | ("DELETE", _) => {
-            Response::json(404, &serde_json::json!({ "error": format!("no route {path}") }))
+            Response::json(404, &obj! { "error" => format!("no route {path}") })
         }
-        (m, _) => {
-            Response::json(405, &serde_json::json!({ "error": format!("method {m} not allowed") }))
-        }
+        (m, _) => Response::json(405, &obj! { "error" => format!("method {m} not allowed") }),
     }
 }
 
 fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
-    let req: SubmitRequest = match serde_json::from_slice(body) {
+    let text = String::from_utf8_lossy(body);
+    let req: SubmitRequest = match json::from_str(&text) {
         Ok(r) => r,
-        Err(e) => {
-            return Response::json(
-                400,
-                &serde_json::json!({ "error": format!("bad submit body: {e}") }),
-            )
-        }
+        Err(e) => return Response::json(400, &obj! { "error" => format!("bad submit body: {e}") }),
     };
     if let Err(e) = obs::validate_campaign_id(&req.campaign) {
         return reject(
@@ -485,13 +476,10 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
             )],
         );
     }
-    let config: SimulationConfig = match serde_json::from_value(req.config) {
+    let config = match SimulationConfig::decode(&req.config) {
         Ok(c) => c,
         Err(e) => {
-            return Response::json(
-                400,
-                &serde_json::json!({ "error": format!("config parse error: {e}") }),
-            )
+            return Response::json(400, &obj! { "error" => format!("config parse error: {e}") })
         }
     };
     // The pool constraint: every tenant's pilot is carved out of the one
@@ -515,7 +503,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
         Err(e) => return reject(422, vec![Diagnostic::error("C002", e)]),
     };
     let pool_cores = {
-        let st = inner.state.lock();
+        let st = inner.lock();
         st.fair.pool().total()
     };
     if cores > pool_cores {
@@ -553,9 +541,9 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
         return reject(422, diags);
     }
 
-    let mut st = inner.state.lock();
+    let mut st = inner.lock();
     if st.stopping {
-        return Response::json(503, &serde_json::json!({ "error": "service is shutting down" }));
+        return Response::json(503, &obj! { "error" => "service is shutting down" });
     }
     if st.jobs.contains_key(&req.campaign) {
         return reject(
@@ -597,16 +585,16 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
     st.fair.charge_estimate(&record.tenant, record.weight, predicted);
     let dirs = JobDirs::new(&inner.cfg.spool, &req.campaign);
     if let Err(e) = save_record(&dirs, &record) {
-        return Response::json(500, &serde_json::json!({ "error": e }));
+        return Response::json(500, &obj! { "error" => e });
     }
-    let doc = serde_json::json!({
-        "campaign": record.campaign,
-        "tenant": record.tenant,
-        "state": record.state.as_str(),
-        "seq": record.seq,
-        "cores": record.cores,
-        "warnings": diags,
-    });
+    let doc = obj! {
+        "campaign" => record.campaign,
+        "tenant" => record.tenant,
+        "state" => record.state,
+        "seq" => record.seq,
+        "cores" => record.cores,
+        "warnings" => diags,
+    };
     st.jobs.insert(
         req.campaign,
         Job {
@@ -623,75 +611,63 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
 }
 
 /// Job summary shared by the list and status endpoints.
-fn job_doc(job: &Job) -> serde_json::Value {
-    serde_json::json!({
-        "campaign": job.record.campaign,
-        "tenant": job.record.tenant,
-        "weight": job.record.weight,
-        "priority": job.record.priority,
-        "seq": job.record.seq,
-        "cores": job.record.cores,
-        "state": job.record.state.as_str(),
-        "error": job.record.error,
-    })
+fn job_doc(job: &Job) -> Value {
+    obj! {
+        "campaign" => job.record.campaign,
+        "tenant" => job.record.tenant,
+        "weight" => job.record.weight,
+        "priority" => job.record.priority,
+        "seq" => job.record.seq,
+        "cores" => job.record.cores,
+        "state" => job.record.state,
+        "error" => job.record.error,
+    }
 }
 
 fn list(inner: &Arc<Inner>) -> Response {
-    let st = inner.state.lock();
+    let st = inner.lock();
     let mut campaigns: Vec<&Job> = st.jobs.values().collect();
     campaigns.sort_by_key(|j| j.record.seq);
-    let doc = serde_json::json!({
-        "pool": {
-            "cluster": inner.cfg.cluster,
-            "total_cores": st.fair.pool().total(),
-            "free_cores": st.fair.free_cores(),
-            "peak_leased_cores": st.fair.peak_leased(),
+    let doc = obj! {
+        "pool" => obj! {
+            "cluster" => inner.cfg.cluster,
+            "total_cores" => st.fair.pool().total(),
+            "free_cores" => st.fair.free_cores(),
+            "peak_leased_cores" => st.fair.peak_leased(),
         },
-        "queue_depth": st.jobs.values().filter(|j| j.record.state == JobState::Queued).count(),
-        "campaigns": campaigns.iter().map(|j| job_doc(j)).collect::<Vec<_>>(),
-    });
+        "queue_depth" => st.jobs.values().filter(|j| j.record.state == JobState::Queued).count(),
+        "campaigns" => campaigns.iter().map(|j| job_doc(j)).collect::<Vec<_>>(),
+    };
     Response::json(200, &doc)
 }
 
 /// Latest complete parseable snapshot line from a campaign's JSONL stream.
-fn latest_snapshot(path: &std::path::Path) -> Option<serde_json::Value> {
+fn latest_snapshot(path: &std::path::Path) -> Option<Value> {
     let text = std::fs::read_to_string(path).ok()?;
-    text.lines().rev().find_map(|l| serde_json::from_str(l.trim()).ok())
+    text.lines().rev().find_map(|l| json::parse(l).ok())
 }
 
 fn status(inner: &Arc<Inner>, id: &str) -> Response {
-    let st = inner.state.lock();
+    let st = inner.lock();
     let Some(job) = st.jobs.get(id) else {
-        return Response::json(404, &serde_json::json!({ "error": format!("no campaign {id:?}") }));
+        return Response::json(404, &obj! { "error" => format!("no campaign {id:?}") });
     };
-    let mut doc = job_doc(job);
-    if let Some(obj) = doc.as_object_mut() {
-        obj.insert(
-            "snapshot".into(),
-            latest_snapshot(&job.dirs.stream()).unwrap_or(serde_json::Value::Null),
-        );
-        obj.insert(
-            "checkpoint_exists".into(),
-            serde_json::Value::Bool(
-                job.dirs.checkpoint().join(repex::checkpoint::CHECKPOINT_FILE).exists(),
-            ),
-        );
-    }
+    let checkpoint = job.dirs.checkpoint().join(repex::checkpoint::CHECKPOINT_FILE);
+    let doc = job_doc(job)
+        .with("snapshot", latest_snapshot(&job.dirs.stream()))
+        .with("checkpoint_exists", checkpoint.exists());
     Response::json(200, &doc)
 }
 
 fn cancel(inner: &Arc<Inner>, id: &str) -> Response {
-    let mut st = inner.state.lock();
+    let mut st = inner.lock();
     let Some(job) = st.jobs.get_mut(id) else {
-        return Response::json(404, &serde_json::json!({ "error": format!("no campaign {id:?}") }));
+        return Response::json(404, &obj! { "error" => format!("no campaign {id:?}") });
     };
     match job.record.state {
         s if s.is_terminal() => Response::json(
             409,
-            &serde_json::json!({
-                "error": format!("campaign {id:?} is already {}", s.as_str()),
-                "state": s.as_str(),
-            }),
+            &obj! { "error" => format!("campaign {id:?} is already {}", s.name()), "state" => s },
         ),
         JobState::Queued => {
             job.user_cancelled = true;
@@ -699,51 +675,48 @@ fn cancel(inner: &Arc<Inner>, id: &str) -> Response {
             let tenant = job.record.tenant.clone();
             let (weight, predicted) = (job.record.weight, job.record.predicted_core_seconds);
             if let Err(e) = save_record(&job.dirs, &job.record) {
-                return Response::json(500, &serde_json::json!({ "error": e }));
+                return Response::json(500, &obj! { "error" => e });
             }
             // A job cancelled before it ever ran owes nothing.
             st.fair.credit_estimate(&tenant, weight, predicted);
-            Response::json(200, &serde_json::json!({ "campaign": id, "state": "cancelled" }))
+            Response::json(200, &obj! { "campaign" => id, "state" => "cancelled" })
         }
         JobState::Running => {
             // The runner observes the flag at the next consistency point,
             // writes a final checkpoint and marks the job cancelled.
             job.user_cancelled = true;
             job.cancel.store(true, Ordering::Relaxed);
-            Response::json(202, &serde_json::json!({ "campaign": id, "state": "cancelling" }))
+            Response::json(202, &obj! { "campaign" => id, "state" => "cancelling" })
         }
         _ => unreachable!("terminal states matched above"),
     }
 }
 
 fn results(inner: &Arc<Inner>, id: &str) -> Response {
-    let st = inner.state.lock();
+    let st = inner.lock();
     let Some(job) = st.jobs.get(id) else {
-        return Response::json(404, &serde_json::json!({ "error": format!("no campaign {id:?}") }));
+        return Response::json(404, &obj! { "error" => format!("no campaign {id:?}") });
     };
     if job.record.state != JobState::Done {
         return Response::json(
             409,
-            &serde_json::json!({
-                "error": format!(
+            &obj! {
+                "error" => format!(
                     "campaign {id:?} is {}, results are available once done",
-                    job.record.state.as_str()
+                    job.record.state.name()
                 ),
-                "state": job.record.state.as_str(),
-                "job_error": job.record.error,
-            }),
+                "state" => job.record.state,
+                "job_error" => job.record.error,
+            },
         );
     }
-    let report: serde_json::Value = match std::fs::read_to_string(job.dirs.report())
+    let report = match std::fs::read_to_string(job.dirs.report())
         .map_err(|e| e.to_string())
-        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
+        .and_then(|t| json::parse(&t).map_err(String::from))
     {
         Ok(doc) => doc,
         Err(e) => {
-            return Response::json(
-                500,
-                &serde_json::json!({ "error": format!("report unreadable: {e}") }),
-            )
+            return Response::json(500, &obj! { "error" => format!("report unreadable: {e}") })
         }
     };
     // Busy-core integral two ways: from the in-process event trace, and
@@ -753,34 +726,35 @@ fn results(inner: &Arc<Inner>, id: &str) -> Response {
     let report_busy = report["utilization_percent"].as_f64().unwrap_or(0.0) / 100.0
         * report["pilot_cores"].as_f64().unwrap_or(0.0)
         * report["makespan_s"].as_f64().unwrap_or(0.0);
-    let doc = serde_json::json!({
-        "campaign": id,
-        "state": "done",
-        "report": report,
-        "service": {
-            "tenant": job.record.tenant,
-            "weight": job.record.weight,
-            "cores": job.record.cores,
-            "md_busy_core_seconds": report_busy,
-            "trace_md_busy_core_seconds": trace_busy,
-            "artifacts": {
-                "report": job.dirs.report(),
-                "trace": job.dirs.trace(),
-                "stream": job.dirs.stream(),
-                "prometheus": job.dirs.prom(),
-                "checkpoint": job.dirs.checkpoint(),
+    let path = |p: PathBuf| p.display().to_string();
+    let doc = obj! {
+        "campaign" => id,
+        "state" => "done",
+        "report" => report,
+        "service" => obj! {
+            "tenant" => job.record.tenant,
+            "weight" => job.record.weight,
+            "cores" => job.record.cores,
+            "md_busy_core_seconds" => report_busy,
+            "trace_md_busy_core_seconds" => trace_busy,
+            "artifacts" => obj! {
+                "report" => path(job.dirs.report()),
+                "trace" => path(job.dirs.trace()),
+                "stream" => path(job.dirs.stream()),
+                "prometheus" => path(job.dirs.prom()),
+                "checkpoint" => path(job.dirs.checkpoint()),
             },
         },
-    });
+    };
     Response::json(200, &doc)
 }
 
 fn metrics(inner: &Arc<Inner>) -> Response {
-    let st = inner.state.lock();
+    let st = inner.lock();
     let mut parts = Vec::new();
     let mut by_state: HashMap<&'static str, usize> = HashMap::new();
     for job in st.jobs.values() {
-        *by_state.entry(job.record.state.as_str()).or_default() += 1;
+        *by_state.entry(job.record.state.name()).or_default() += 1;
     }
     parts.push(service_gauge(
         "repex_svc_pool_cores",
@@ -838,11 +812,22 @@ mod tests {
             vec![Diagnostic::error("S010", "queue is at capacity").with_hint("retry later")],
         );
         assert_eq!(resp.status, 429);
-        let doc: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+        let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(doc["error"], "queue is at capacity");
         assert_eq!(doc["diagnostics"][0]["code"], "S010");
         assert_eq!(doc["diagnostics"][0]["severity"], "error");
         assert_eq!(doc["diagnostics"][0]["hint"], "retry later");
+    }
+
+    #[test]
+    fn submit_body_defaults_and_shape_errors() {
+        let req: SubmitRequest = json::from_str(r#"{"campaign": "c", "config": {}}"#).unwrap();
+        assert_eq!((req.tenant.as_str(), req.weight, req.priority), ("default", 1.0, 0));
+        let e =
+            json::from_str::<SubmitRequest>(r#"{"campaign": "c", "config": {}, "priority": 256}"#);
+        assert!(e.is_err_and(|e| e.pointer == "/priority" && e.message.contains("out of range")));
+        let e = json::from_str::<SubmitRequest>(r#"{"config": {}}"#).map(|r| r.campaign);
+        assert_eq!(e.unwrap_err().message, "missing field `campaign`");
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn metrics_json_carries_exchange_health_keys() {
         .with_recorder(recorder.clone())
         .run()
         .unwrap();
-    let metrics: serde_json::Value = serde_json::from_str(&recorder.metrics_json()).unwrap();
+    let metrics = obs::json::parse(&recorder.metrics_json()).unwrap();
     let (_, stats) = &report.acceptance[0];
     assert_eq!(metrics["exchange.T.attempts"].as_u64().unwrap(), stats.attempts);
     assert_eq!(metrics["exchange.T.accepted"].as_u64().unwrap(), stats.accepted);
@@ -138,11 +138,9 @@ fn exported_files_stay_parsable_even_with_non_finite_values() {
     std::fs::write(&trace_path, recorder.chrome_trace_json()).unwrap();
     std::fs::write(&metrics_path, recorder.metrics_json()).unwrap();
 
-    let trace: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    let trace = obs::json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
     assert!(!trace["traceEvents"].as_array().unwrap().is_empty());
-    let metrics: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+    let metrics = obs::json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
     assert_eq!(metrics["bad.ratio"].as_f64().unwrap(), 0.0);
     assert_eq!(metrics["good.counter"].as_u64().unwrap(), 7);
 }

@@ -3,6 +3,7 @@
 
 use hpc::fault::FaultModel;
 use integration::quick_tremd;
+use obs::json::Encode;
 use repex::config::{FaultPolicy, Pattern};
 use repex::simulation::RemdSimulation;
 
@@ -104,8 +105,8 @@ fn interrupted_and_resumed_sync_campaign_matches_uninterrupted_exactly() {
     assert_eq!(resumed.rung_history, full.rung_history);
     assert_eq!(resumed.makespan, full.makespan, "the fast-forwarded clock is bit-exact");
     assert_eq!(
-        serde_json::to_value(&resumed.cycles).unwrap(),
-        serde_json::to_value(&full.cycles).unwrap(),
+        resumed.cycles.encode().compact(),
+        full.cycles.encode().compact(),
         "per-cycle Eq. 1 timings replay bit-for-bit"
     );
 

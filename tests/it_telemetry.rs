@@ -18,18 +18,18 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn parse_stream(path: &PathBuf) -> Vec<serde_json::Value> {
+fn parse_stream(path: &PathBuf) -> Vec<obs::json::Value> {
     std::fs::read_to_string(path)
         .unwrap()
         .lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| serde_json::from_str(l).expect("every streamed line is a complete JSON record"))
+        .map(|l| obs::json::parse(l).expect("every streamed line is a complete JSON record"))
         .collect()
 }
 
 /// The reader-side merge: last record per `seq`, ordered by `seq`
 /// (mirrors `obs::merge_snapshots` over raw JSON values).
-fn merge(snaps: Vec<serde_json::Value>) -> Vec<serde_json::Value> {
+fn merge(snaps: Vec<obs::json::Value>) -> Vec<obs::json::Value> {
     let mut by_seq = std::collections::BTreeMap::new();
     for s in snaps {
         by_seq.insert(s["seq"].as_u64().unwrap(), s);
@@ -37,7 +37,7 @@ fn merge(snaps: Vec<serde_json::Value>) -> Vec<serde_json::Value> {
     by_seq.into_values().collect()
 }
 
-fn window_sum(snaps: &[serde_json::Value], key: &str) -> u64 {
+fn window_sum(snaps: &[obs::json::Value], key: &str) -> u64 {
     snaps.iter().map(|s| s[key].as_u64().unwrap()).sum()
 }
 

@@ -87,8 +87,8 @@ fn async_chrome_trace_has_clean_per_replica_rows() {
     let report = RemdSimulation::new(cfg).unwrap().with_recorder(recorder.clone()).run().unwrap();
     assert_eq!(report.pattern, "async");
 
-    let doc: serde_json::Value = serde_json::from_str(&recorder.chrome_trace_json())
-        .expect("exported trace must be valid JSON");
+    let doc =
+        obs::json::parse(&recorder.chrome_trace_json()).expect("exported trace must be valid JSON");
     let trace_events = doc["traceEvents"].as_array().unwrap();
 
     // Collect MD spans (pid 0 = the replicas process) per row.
