@@ -13,7 +13,8 @@ pub fn histogram_overlap(a: &[f64], b: &[f64], bins: usize) -> f64 {
     }
     let lo = a.iter().chain(b).copied().fold(f64::INFINITY, f64::min);
     let hi = a.iter().chain(b).copied().fold(f64::NEG_INFINITY, f64::max);
-    if !(hi > lo) {
+    // `!(hi > lo)`, spelled so that an incomparable pair visibly lands here too.
+    if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
         return 1.0; // all samples identical
     }
     let width = (hi - lo) / bins as f64;

@@ -596,7 +596,7 @@ mod tests {
                 cycle,
                 slot_lo: 0,
                 slot_hi: 1,
-                accepted: cycle % 2 == 0,
+                accepted: cycle.is_multiple_of(2),
                 at: t0 + 12.0,
             },
             Event::ExchangeWindow {

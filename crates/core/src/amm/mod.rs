@@ -7,8 +7,9 @@
 //! input files read, how to parse them back into an [`MdJob`], what the
 //! restart file is called, and the engine to run. Everything a segment does
 //! with them is [`prepare_md`], once for every engine: stage the inputs,
-//! describe the unit, and build the payload that re-reads the staged files,
-//! runs the engine and stages restart + `.mdinfo` back.
+//! describe the unit under the name its caller gives it, and build the
+//! payload that re-reads the staged files, runs the engine and stages
+//! restart + `.mdinfo` back.
 
 pub mod amber;
 pub mod gromacs;
@@ -36,7 +37,8 @@ pub struct MdSpec {
     pub replica: usize,
     pub slot: usize,
     pub cycle: u64,
-    pub params: SlotParams,
+    /// The slot's entry of the campaign's table, shared, not copied.
+    pub params: Arc<SlotParams>,
     pub system: Arc<Mutex<System>>,
     /// Nominal steps (written to the input file and charged to the cost
     /// model).
@@ -88,17 +90,20 @@ pub trait Amm: Send + Sync {
     ) -> Result<MdJob, String>;
 }
 
-/// Stage `spec`'s input files and return the unit description plus the
-/// payload that runs the engine — the whole MD task path, for any dialect.
+/// Stage `spec`'s input files and return the unit description, under the
+/// caller's `name`, plus the payload that runs the engine — the whole MD
+/// task path, for any dialect. What makes a name unique (the attempt, the
+/// dimension pass) is the caller's bookkeeping.
 pub fn prepare_md(
     amm: &Arc<dyn Amm>,
     spec: MdSpec,
+    name: String,
     staging: &StagingArea,
 ) -> Result<(UnitDescription, TaskWork<TaskResult>), String> {
     let base = file_base(spec.replica, spec.cycle);
     let inputs = amm.render(&spec, &base)?;
     let Some(control) = inputs.first().map(|(name, _)| name.clone()) else {
-        return Err(format!("AMM rendered no input file for md-{base}"));
+        return Err(format!("AMM rendered no input file for {name} ({base})"));
     };
     for (name, text) in inputs {
         staging.put_text(name, text);
@@ -106,10 +111,9 @@ pub fn prepare_md(
     let (restart_ext, restart_tag) = amm.restart_format();
     let restart = format!("{base}.{restart_ext}");
     let mdinfo = format!("{base}.mdinfo");
-    let desc = UnitDescription::new(format!("md-{base}"), spec.engine.executable(), spec.cores)
+    let desc = UnitDescription::new(name, spec.engine.executable(), spec.cores)
         .with_replica(spec.replica)
-        .with_duration(spec.duration)
-        .with_staging(vec![control.clone()], vec![restart.clone(), mdinfo.clone()]);
+        .with_duration(spec.duration);
 
     // The payload re-reads and parses the staged input files — the same
     // round trip the real RAM makes on the cluster.

@@ -58,7 +58,7 @@ impl CheckpointPolicy {
 
     /// Whether a checkpoint is due after `done` completed cycles/rounds.
     pub fn due(&self, done: u64) -> bool {
-        done > 0 && done % self.every == 0
+        done > 0 && done.is_multiple_of(self.every)
     }
 }
 

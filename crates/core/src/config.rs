@@ -1032,7 +1032,8 @@ mod tests {
     /// pinned down.
     #[test]
     fn every_structural_code_fires_on_its_crafted_config() {
-        let cases: Vec<(&str, fn(&mut SimulationConfig))> = vec![
+        type Edit = fn(&mut SimulationConfig);
+        let cases: Vec<(&str, Edit)> = vec![
             // A box under two cutoffs wide.
             ("C023", |c| c.workload = Some(Workload::DipeptideSolvated { atoms: 150 })),
             ("C002", |c| {

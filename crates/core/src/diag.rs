@@ -136,7 +136,7 @@ pub fn severity_counts(diags: &[Diagnostic]) -> (usize, usize, usize) {
 
 /// Sort findings most-severe first, stable within a severity (rule order).
 pub fn sort_by_severity(diags: &mut [Diagnostic]) {
-    diags.sort_by(|a, b| b.severity.cmp(&a.severity));
+    diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
 }
 
 #[cfg(test)]

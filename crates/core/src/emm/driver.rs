@@ -178,9 +178,9 @@ impl Core {
             let state = lock_system(&ctx.replicas[replica].system).state.clone();
             ctx.preseg_snapshots.insert(replica, (state, cycle));
         }
-        let (mut desc, work) = crate::amm::prepare_md(&ctx.amm, spec, &ctx.pilot.staging)?;
-        desc.name = attempt_task_name(&desc.name, dim, attempt);
-        Ok((Flight::Md { slot, replica, attempt, cycle, dim }, (desc, work)))
+        let name = attempt_task_name(replica, cycle, dim, attempt);
+        let unit = crate::amm::prepare_md(&ctx.amm, spec, name, &ctx.pilot.staging)?;
+        Ok((Flight::Md { slot, replica, attempt, cycle, dim }, unit))
     }
 
     /// Submit a wave of MD segments in dimension pass `dim`, one
@@ -239,6 +239,8 @@ impl Core {
             ctx.failed_tasks += 1;
         }
         if let Flight::Md { slot, replica, attempt, cycle, dim } = flight {
+            // A failed exchange belongs to no replica; a failed segment to one.
+            ctx.replicas[replica].failures += u32::from(!ok);
             ctx.preseg_snapshots.remove(&replica);
             self.events.push(Event::MdSegment {
                 replica,
@@ -350,7 +352,7 @@ impl Core {
         // single source of truth shared with the exporters and `repex
         // watch` (equivalence with the old in-driver accounting is proven
         // in tests/it_telemetry.rs).
-        if ctx.cfg.progress_every > 0 && steps % ctx.cfg.progress_every == 0 {
+        if ctx.cfg.progress_every > 0 && steps.is_multiple_of(ctx.cfg.progress_every) {
             if let Some(snap) = &snapshot {
                 eprintln!("{}", obs::render_progress_line(snap));
             }

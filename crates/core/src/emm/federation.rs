@@ -168,7 +168,8 @@ pub fn run_federated(
         }
         for slot in 0..n {
             let spec = ctx.md_spec(slot, cycle, 0);
-            let (desc, work) = crate::amm::prepare_md(&ctx.amm, spec, &ctx.pilot.staging)?;
+            let name = format!("md-{}", crate::amm::file_base(spec.replica, cycle));
+            let (desc, work) = crate::amm::prepare_md(&ctx.amm, spec, name, &ctx.pilot.staging)?;
             pilots[home_pilot[slot]].executor.submit(desc, work)?;
         }
         for p in pilots.iter_mut() {

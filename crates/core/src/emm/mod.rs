@@ -66,6 +66,9 @@ pub(crate) struct LiveSinks {
 pub struct DriverCtx {
     pub cfg: SimulationConfig,
     pub grid: ParamGrid,
+    /// What each slot implies ([`SlotParams::resolve`], once, in
+    /// `build_ctx`); units and exchange inputs share the entries.
+    pub slot_params: Vec<std::sync::Arc<SlotParams>>,
     pub amm: std::sync::Arc<dyn Amm>,
     pub replicas: Vec<Replica>,
     /// slot index -> replica id currently holding that slot.
@@ -141,9 +144,7 @@ impl DriverCtx {
     /// True when an embedding caller (the campaign service, a signal
     /// handler) has requested a cooperative stop.
     pub fn stop_requested(&self) -> bool {
-        self.stop_flag
-            .as_ref()
-            .is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed))
+        self.stop_flag.as_ref().is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed))
     }
 
     /// Telemetry progress as (completed, total): cycles for the synchronous
@@ -189,7 +190,6 @@ impl DriverCtx {
     pub fn md_spec(&self, slot: usize, cycle: u64, dim_pass: usize) -> MdSpec {
         let replica_id = self.slot_owner[slot];
         let replica = &self.replicas[replica_id];
-        let params = SlotParams::resolve(&self.grid, slot, self.cfg.base_temperature);
         let duration = if self.simulated {
             DurationSpec::Modeled {
                 seconds: self.md_model_seconds(),
@@ -207,7 +207,7 @@ impl DriverCtx {
             replica: replica_id,
             slot,
             cycle,
-            params,
+            params: std::sync::Arc::clone(&self.slot_params[slot]),
             system: std::sync::Arc::clone(&replica.system),
             steps: self.cfg.steps_per_cycle,
             run_steps,
@@ -234,17 +234,13 @@ impl DriverCtx {
             .iter()
             .map(|&slot| {
                 let replica = &self.replicas[self.slot_owner[slot]];
-                let params = SlotParams::resolve(&self.grid, slot, self.cfg.base_temperature);
                 let coords = self.grid.coords_of(slot);
                 SlotInput {
                     slot,
                     replica: replica.id,
                     file_base: crate::amm::file_base(replica.id, segment_of(replica)),
                     param: self.grid.dims[dim].ladder[coords[dim]].clone(),
-                    temperature: params.temperature,
-                    salt_molar: params.salt_molar,
-                    ph: params.ph,
-                    restraints: params.restraints,
+                    params: std::sync::Arc::clone(&self.slot_params[slot]),
                     system: std::sync::Arc::clone(&replica.system),
                     stale: replica.stale,
                 }
@@ -333,11 +329,11 @@ impl DriverCtx {
             let ra = self.slot_owner[slot_a];
             let rb = self.slot_owner[slot_b];
             if is_t {
-                let pa = SlotParams::resolve(&self.grid, slot_a, self.cfg.base_temperature);
-                let pb = SlotParams::resolve(&self.grid, slot_b, self.cfg.base_temperature);
+                let ta = self.slot_params[slot_a].temperature;
+                let tb = self.slot_params[slot_b].temperature;
                 // Replica ra moves slot_a -> slot_b.
-                rescale_velocities(&self.replicas[ra], (pb.temperature / pa.temperature).sqrt());
-                rescale_velocities(&self.replicas[rb], (pa.temperature / pb.temperature).sqrt());
+                rescale_velocities(&self.replicas[ra], (tb / ta).sqrt());
+                rescale_velocities(&self.replicas[rb], (ta / tb).sqrt());
             }
             self.slot_owner.swap(slot_a, slot_b);
             self.replicas[ra].slot = slot_b;
@@ -398,7 +394,7 @@ impl DriverCtx {
             .window_samples
             .iter()
             .map(|(&slot, samples)| {
-                let params = SlotParams::resolve(&self.grid, slot, self.cfg.base_temperature);
+                let params = &self.slot_params[slot];
                 WindowSamples {
                     slot,
                     temperature: params.temperature,
@@ -423,15 +419,16 @@ fn rescale_velocities(replica: &Replica, factor: f64) {
     }
 }
 
-/// Globally-unique unit name for one MD attempt: the AMM's base name (which
-/// encodes replica and cycle) plus the dimension pass and attempt number.
+/// Globally-unique unit name for one MD attempt: replica and cycle as the
+/// staged files spell them ([`crate::amm::file_base`]), the dimension pass
+/// and the attempt number.
 ///
 /// The driver core keys its in-flight table on unit names, so names must be
 /// unique across relaunches and cycles — a retried task must never collide
 /// with, and inherit the stale retry count of, any other in-flight or
 /// completed unit.
-pub(crate) fn attempt_task_name(base: &str, dim: usize, attempt: u32) -> String {
-    format!("{base}-d{dim}-a{attempt}")
+pub(crate) fn attempt_task_name(replica: usize, cycle: u64, dim: usize, attempt: u32) -> String {
+    format!("md-r{replica:05}_c{cycle:04}-d{dim}-a{attempt}")
 }
 
 /// Deterministic seed perturbation for relaunch attempt `attempt` of the MD
@@ -608,8 +605,8 @@ mod tests {
                 *v = mdsim::Vec3::new(1.0, 0.0, 0.0);
             }
         }
-        let t0 = SlotParams::resolve(&ctx.grid, 0, 300.0).temperature;
-        let t1 = SlotParams::resolve(&ctx.grid, 1, 300.0).temperature;
+        let t0 = ctx.grid.dims[0].ladder[0].scalar();
+        let t1 = ctx.grid.dims[0].ladder[1].scalar();
         ctx.apply_swaps(0, &[(0, 1)]);
         assert_eq!(ctx.slot_owner[0], 1);
         assert_eq!(ctx.slot_owner[1], 0);
@@ -673,12 +670,16 @@ mod tests {
     fn attempt_names_unique_across_dims_cycles_and_retries() {
         use std::collections::HashSet;
         let mut names = HashSet::new();
+        // One format, spelled like the files the attempt stages.
+        assert_eq!(
+            attempt_task_name(7, 3, 1, 2),
+            format!("md-{}-d1-a2", crate::amm::file_base(7, 3))
+        );
         for cycle in 0..3u64 {
             for dim in 0..2 {
                 for attempt in 0..3u32 {
-                    let base = format!("md-r{:05}_c{:04}", 7, cycle);
                     assert!(
-                        names.insert(attempt_task_name(&base, dim, attempt)),
+                        names.insert(attempt_task_name(7, cycle, dim, attempt)),
                         "collision at c{cycle} d{dim} a{attempt}"
                     );
                 }

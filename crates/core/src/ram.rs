@@ -7,7 +7,7 @@
 //! evaluations per candidate pair through the engine (the cost the paper
 //! singles out as dominating S-REMD).
 
-use crate::replica::lock_system;
+use crate::replica::{lock_system, SlotParams};
 use crate::task::ExchangeReport;
 use exchange::metropolis::{
     hamiltonian_delta, metropolis_accept, temperature_delta, umbrella_delta,
@@ -16,7 +16,7 @@ use exchange::pairing::{select_pairs, PairingStrategy};
 use exchange::param::ExchangeParam;
 use exchange::stats::AcceptanceStats;
 use mdsim::engine::{MdEngine, SinglePointRequest};
-use mdsim::{DihedralRestraint, System};
+use mdsim::System;
 use rng::Rng;
 use std::sync::{Arc, Mutex};
 
@@ -32,15 +32,11 @@ pub struct SlotInput {
     pub file_base: String,
     /// The rung's parameter in the exchanging dimension.
     pub param: ExchangeParam,
-    /// Thermostat temperature at this slot (shared across the group except
-    /// in a T dimension).
-    pub temperature: f64,
-    /// Salt concentration at this slot.
-    pub salt_molar: f64,
-    /// Solvent pH at this slot.
-    pub ph: f64,
-    /// All restraints at this slot (for S single-points).
-    pub restraints: Vec<DihedralRestraint>,
+    /// Everything the slot implies: the thermostat temperature (shared
+    /// across the group except in a T dimension), salt, pH and all
+    /// restraints (for the S and pH single-points). The campaign's table
+    /// entry, shared.
+    pub params: Arc<SlotParams>,
     /// Microstate handle.
     pub system: Arc<Mutex<System>>,
     /// Whether this slot's occupant is stale (failed MD, sits out).
@@ -128,22 +124,22 @@ fn pair_delta(
             let u_a_of_b = ra.energy_at(phi_b);
             let u_b_of_a = rb.energy_at(phi_a);
             let u_b_of_b = rb.energy_at(phi_b);
-            Ok(umbrella_delta(sa.temperature, u_a_of_a, u_a_of_b, u_b_of_a, u_b_of_b))
+            Ok(umbrella_delta(sa.params.temperature, u_a_of_a, u_a_of_b, u_b_of_a, u_b_of_b))
         }
         (ExchangeParam::Salt(ca), ExchangeParam::Salt(cb)) => {
             // Four single-point energies through the engine — the expensive
             // part of S-REMD exchange. Batched per system so each replica's
             // pair list is built once and shared by both parameter sets.
             let requests = [
-                SinglePointRequest::new(*ca, sa.ph, &sa.restraints),
-                SinglePointRequest::new(*cb, sb.ph, &sb.restraints),
+                SinglePointRequest::new(*ca, sa.params.ph, &sa.params.restraints),
+                SinglePointRequest::new(*cb, sb.params.ph, &sb.params.restraints),
             ];
             let sys_a = lock_system(&sa.system);
             let sys_b = lock_system(&sb.system);
             let on_a = engine.single_points_with(&sys_a, &requests);
             let on_b = engine.single_points_with(&sys_b, &requests);
             Ok(hamiltonian_delta(
-                sa.temperature,
+                sa.params.temperature,
                 on_a[0].total(),
                 on_b[0].total(),
                 on_a[1].total(),
@@ -156,15 +152,15 @@ fn pair_delta(
             // proposed extension; same structure as constant-pH REMD).
             // Batched like S-exchange: one pair list per system.
             let requests = [
-                SinglePointRequest::new(sa.salt_molar, *pa, &sa.restraints),
-                SinglePointRequest::new(sb.salt_molar, *pb, &sb.restraints),
+                SinglePointRequest::new(sa.params.salt_molar, *pa, &sa.params.restraints),
+                SinglePointRequest::new(sb.params.salt_molar, *pb, &sb.params.restraints),
             ];
             let sys_a = lock_system(&sa.system);
             let sys_b = lock_system(&sb.system);
             let on_a = engine.single_points_with(&sys_a, &requests);
             let on_b = engine.single_points_with(&sys_b, &requests);
             Ok(hamiltonian_delta(
-                sa.temperature,
+                sa.params.temperature,
                 on_a[0].total(),
                 on_b[0].total(),
                 on_a[1].total(),
@@ -185,7 +181,17 @@ mod tests {
     use mdsim::engine::SanderEngine;
     use mdsim::io::mdinfo::MdInfo;
     use mdsim::models::{alanine_dipeptide, dipeptide_forcefield};
+    use mdsim::DihedralRestraint;
     use pilot::staging::StagingArea;
+
+    fn params(
+        temperature: f64,
+        salt_molar: f64,
+        ph: f64,
+        restraints: Vec<DihedralRestraint>,
+    ) -> Arc<SlotParams> {
+        Arc::new(SlotParams { temperature, salt_molar, ph, restraints })
+    }
 
     fn engine() -> Arc<dyn MdEngine> {
         Arc::new(SanderEngine::new(dipeptide_forcefield().nonbonded))
@@ -215,10 +221,7 @@ mod tests {
             replica: rung,
             file_base: base.to_string(),
             param: ExchangeParam::Temperature(t),
-            temperature: t,
-            salt_molar: 0.0,
-            ph: 7.0,
-            restraints: vec![],
+            params: params(t, 0.0, 7.0, vec![]),
             system: Arc::new(Mutex::new(alanine_dipeptide())),
             stale: false,
         }
@@ -310,10 +313,7 @@ mod tests {
                 center_deg: center,
                 k_deg: 0.02,
             },
-            temperature: 300.0,
-            salt_molar: 0.0,
-            ph: 7.0,
-            restraints: vec![DihedralRestraint::new("phi", 0.02, center)],
+            params: params(300.0, 0.0, 7.0, vec![DihedralRestraint::new("phi", 0.02, center)]),
             system: Arc::new(Mutex::new(sys)),
             stale: false,
         }
@@ -345,10 +345,7 @@ mod tests {
             replica: rung,
             file_base: format!("s{rung}"),
             param: ExchangeParam::Salt(salt),
-            temperature: 300.0,
-            salt_molar: salt,
-            ph: 7.0,
-            restraints: vec![],
+            params: params(300.0, salt, 7.0, vec![]),
             system: Arc::new(Mutex::new(alanine_dipeptide())),
             stale: false,
         }
@@ -375,10 +372,7 @@ mod tests {
             replica: rung,
             file_base: format!("p{rung}"),
             param: ExchangeParam::Ph(ph),
-            temperature: 300.0,
-            salt_molar: 0.0,
-            ph,
-            restraints: vec![],
+            params: params(300.0, 0.0, ph, vec![]),
             system: Arc::new(Mutex::new(alanine_dipeptide())),
             stale: false,
         }

@@ -26,7 +26,8 @@ pub struct Replica {
     pub system: Arc<Mutex<System>>,
     /// MD segments completed.
     pub segments_done: u64,
-    /// Failures observed (for fault-policy bookkeeping).
+    /// Failed attempts at this replica's MD segments, relaunched or not
+    /// (counted where a completion settles; carried by checkpoints).
     pub failures: u32,
     /// Whether the last MD segment failed and was not recovered — a stale
     /// replica sits out the next exchange.

@@ -5,13 +5,15 @@ use crate::config::{EngineChoice, Pattern, SimulationConfig, Workload};
 use crate::emm::asynchronous::run_async;
 use crate::emm::sync::run_sync;
 use crate::emm::DriverCtx;
-use crate::replica::Replica;
+use crate::replica::{Replica, SlotParams};
 use crate::report::{CycleReport, SimulationReport};
 use crate::task::TaskResult;
 use exchange::stats::{AcceptanceStats, RoundTripTracker};
 use hpc::fault::FaultModel;
 use hpc::perfmodel::PerfModel;
-use mdsim::models::{alanine_dipeptide, dipeptide_forcefield, solvated_alanine_dipeptide};
+use mdsim::models::{
+    alanine_dipeptide_on, dipeptide_forcefield, dipeptide_topology, solvated_alanine_dipeptide_on,
+};
 use pilot::{Backend, Pilot, PilotDescription, PilotManager};
 use rng::Rng;
 use std::sync::Arc;
@@ -52,17 +54,24 @@ pub fn build_ctx(cfg: SimulationConfig) -> Result<DriverCtx, String> {
         EngineChoice::Gromacs => Arc::new(GromacsAmm::new(base)),
     };
 
-    // Build and lightly decorrelate the replicas' initial microstates.
+    // What a slot implies is fixed at set-up: resolved here, read everywhere.
+    let slot_params: Vec<Arc<SlotParams>> = (0..n)
+        .map(|slot| Arc::new(SlotParams::resolve(&grid, slot, cfg.base_temperature)))
+        .collect();
+
+    // Build and lightly decorrelate the replicas' initial microstates, over
+    // one topology: only the coordinates depend on the slot.
     let workload = cfg.workload.clone().unwrap_or(Workload::DipeptideVacuum);
+    let topology = dipeptide_topology(workload.real_atoms());
     let mut replicas = Vec::with_capacity(n);
-    for slot in 0..n {
-        let mut system = match &workload {
-            Workload::DipeptideVacuum => alanine_dipeptide(),
-            Workload::DipeptideSolvated { atoms } => {
-                solvated_alanine_dipeptide(*atoms, cfg.seed ^ slot as u64)
+    for (slot, params) in slot_params.iter().enumerate() {
+        let topology = Arc::clone(&topology);
+        let mut system = match workload {
+            Workload::DipeptideVacuum => alanine_dipeptide_on(topology),
+            Workload::DipeptideSolvated { .. } => {
+                solvated_alanine_dipeptide_on(topology, cfg.seed ^ slot as u64)
             }
         };
-        let params = crate::replica::SlotParams::resolve(&grid, slot, cfg.base_temperature);
         if cfg.minimize_first {
             let ff = dipeptide_forcefield();
             mdsim::minimize::minimize(&mut system, &ff, 500, 1.0);
@@ -87,6 +96,7 @@ pub fn build_ctx(cfg: SimulationConfig) -> Result<DriverCtx, String> {
     Ok(DriverCtx {
         cfg,
         grid,
+        slot_params,
         amm,
         replicas,
         slot_owner: (0..n).collect(),
@@ -165,10 +175,7 @@ impl RemdSimulation {
     /// configured, and returns the partial report — the cancellation path
     /// of the campaign service. Unlike [`Self::with_cycle_limit`] the
     /// interruption point is chosen at runtime, not planned.
-    pub fn with_stop_flag(
-        mut self,
-        flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    ) -> Self {
+    pub fn with_stop_flag(mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
         self.ctx.stop_flag = Some(flag);
         self
     }

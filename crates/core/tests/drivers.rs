@@ -98,6 +98,22 @@ fn fault_policies_hold_for_both_patterns() {
                     .filter(|e| matches!(e, Event::MdSegment { ok: false, .. }))
                     .count() as u64;
                 let done: u64 = ctx.replicas.iter().map(|r| r.segments_done).sum();
+                // Each replica counts its own failed attempts — what its
+                // checkpoint record says — and a failed exchange is nobody's.
+                for r in &ctx.replicas {
+                    let own = events.iter().filter(|e| {
+                        matches!(e, Event::MdSegment { ok: false, replica, .. } if *replica == r.id)
+                    });
+                    assert_eq!(
+                        u64::from(r.failures),
+                        own.count() as u64,
+                        "{row}: replica {}",
+                        r.id
+                    );
+                }
+                let counted: u64 = ctx.replicas.iter().map(|r| u64::from(r.failures)).sum();
+                assert_eq!(counted, failed_md, "{row}");
+                assert!(counted <= ctx.failed_tasks, "{row}: the rest are exchanges");
                 let relaunching = matches!(policy, FaultPolicy::Relaunch { .. });
                 if relaunching {
                     assert!(ctx.relaunched_tasks > 0, "{row}: relaunch policy must retry");
@@ -304,6 +320,7 @@ fn interrupted_sync_campaign_resumes_bit_exactly() {
         &head_reports,
     );
     drop(head);
+    let checkpoint_failures: u32 = checkpoint.replicas.iter().map(|r| r.failures).sum();
     let mut tail = traced(checkpoint.restore().unwrap(), &rec_split);
     let reports = run_sync(&mut tail).unwrap();
 
@@ -318,6 +335,11 @@ fn interrupted_sync_campaign_resumes_bit_exactly() {
     assert_eq!(utilization(&tail).to_bits(), utilization(&full).to_bits());
     assert_eq!(tail.failed_tasks, full.failed_tasks);
     assert_eq!(tail.relaunched_tasks, full.relaunched_tasks);
+    // Per-replica failure counts cross the checkpoint and keep counting.
+    let failures = |ctx: &DriverCtx| ctx.replicas.iter().map(|r| r.failures).collect::<Vec<_>>();
+    assert_eq!(failures(&tail), failures(&full));
+    assert!(checkpoint_failures > 0, "some were counted before the interruption");
+    assert!(failures(&full).iter().sum::<u32>() > checkpoint_failures, "and some after it");
     assert_eq!(tail.acceptance, full.acceptance);
     assert_eq!(tail.pair_acceptance, full.pair_acceptance);
     assert_eq!(tail.rung_history, full.rung_history);

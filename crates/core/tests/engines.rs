@@ -12,6 +12,7 @@ use pilot::staging::StagingArea;
 use repex::amm::{prepare_md, read_staged_mdinfo, AmberAmm, Amm, GromacsAmm, MdSpec, NamdAmm};
 use repex::config::{DimensionConfig, EngineChoice, SimulationConfig};
 use repex::emm::sync::run_sync;
+use repex::replica::SlotParams;
 use repex::simulation::build_ctx;
 use std::sync::{Arc, Mutex};
 
@@ -85,6 +86,8 @@ const BINDINGS: [Binding; 5] = [
 ];
 
 const BASE: &str = "r00003_c0001";
+/// What the driver calls the first attempt of that segment's first pass.
+const NAME: &str = "md-r00003_c0001-d0-a0";
 
 /// The AMM and the segment spec a campaign configured as `b` hands to
 /// `prepare_md` for replica 3, cycle 1 — taken from the real context, so the
@@ -100,10 +103,9 @@ fn segment(b: &Binding, restraints: Vec<DihedralRestraint>) -> (Arc<dyn Amm>, Md
     let ctx = build_ctx(cfg).expect("a valid config");
     let mut spec = ctx.md_spec(3, 1, 0);
     assert_eq!((spec.replica, spec.cycle), (3, 1));
-    spec.params.temperature = 320.0;
-    spec.params.salt_molar = 0.25;
-    spec.params.ph = 6.0;
-    spec.params.restraints = restraints;
+    assert!(Arc::ptr_eq(&spec.params, &ctx.slot_params[3]), "the table's entry, not a copy");
+    spec.params =
+        Arc::new(SlotParams { temperature: 320.0, salt_molar: 0.25, ph: 6.0, restraints });
     (Arc::clone(&ctx.amm), spec)
 }
 
@@ -120,19 +122,24 @@ fn every_binding_goes_down_the_one_task_path() {
             let staging = StagingArea::new();
             let (amm, spec) = segment(b, restraints);
             let seed = spec.seed;
-            let (desc, work) = prepare_md(&amm, spec, &staging).unwrap();
+            let (desc, work) = prepare_md(&amm, spec, NAME.into(), &staging).unwrap();
 
-            // The unit: one name scheme, the binding's executable and cores,
-            // the control file in, restart + mdinfo out.
+            // The unit: the caller's name, the binding's executable and
+            // cores; staged so far, the control file (and Amber's DISANG).
             let control = format!("{BASE}.{}", b.control_ext);
             let restart = format!("{BASE}.{}", b.restart_ext);
             let mdinfo = format!("{BASE}.mdinfo");
-            assert_eq!(desc.name, format!("md-{BASE}"), "{row}");
+            let rst = format!("{BASE}.RST");
+            assert_eq!(desc.name, NAME, "{row}");
             assert_eq!(desc.executable, b.executable, "{row}");
             assert_eq!(desc.cores, b.cores, "{row}");
             assert_eq!(desc.replica, Some(3), "{row}");
-            assert_eq!(desc.input_staging, vec![control.clone()], "{row}");
-            assert_eq!(desc.output_staging, vec![restart.clone(), mdinfo.clone()], "{row}");
+            let mut inputs = vec![control.clone()];
+            if restrained && b.control_ext == "mdin" {
+                inputs.push(rst.clone());
+            }
+            inputs.sort();
+            assert_eq!(staging.list(BASE), inputs, "{row}: inputs in");
 
             // The inputs: the slot's current parameters in the dialect's own
             // keywords and units, nominal steps, the base's 9 Å cutoff.
@@ -147,7 +154,6 @@ fn every_binding_goes_down_the_one_task_path() {
                     assert_eq!(ctl.nstlim, 6000, "{row}: nominal steps in the file");
                     has(&format!("ig = {seed},"));
                     has("cut = 9.00,");
-                    let rst = format!("{BASE}.RST");
                     assert_eq!(ctl.disang.as_deref(), restrained.then_some(rst.as_str()), "{row}");
                     assert_eq!(staging.contains(&rst), restrained, "{row}");
                     if restrained {
@@ -188,11 +194,7 @@ fn every_binding_goes_down_the_one_task_path() {
                 }
                 other => unreachable!("{other}"),
             }
-            assert_eq!(
-                staging.len(),
-                1 + usize::from(restrained && b.control_ext == "mdin"),
-                "{row}"
-            );
+            assert_eq!(staging.len(), inputs.len(), "{row}: nothing under another base");
 
             // The payload: runs the surrogate steps, reports for its
             // replica, and stages restart + mdinfo under the dialect's names.
@@ -200,7 +202,10 @@ fn every_binding_goes_down_the_one_task_path() {
             let md = result.as_md().unwrap();
             assert_eq!((md.replica, md.slot, md.cycle), (3, 3, 1), "{row}");
             assert_eq!(md.trace.len(), 5, "{row}: 50 steps / stride 10");
-            assert!(staging.contains(&restart), "{row}");
+            let mut staged = inputs;
+            staged.extend([restart.clone(), mdinfo]);
+            staged.sort();
+            assert_eq!(staging.list(BASE), staged, "{row}: restart + mdinfo out");
             let info = read_staged_mdinfo(&staging, BASE).unwrap();
             assert_eq!(info.nstep, 50, "{row}");
             assert!((info.eptot - md.potential).abs() < 1e-3, "{row}");
@@ -254,7 +259,7 @@ fn bad_inputs_fail_the_task_not_the_process() {
         let prepared = |restraints| {
             let staging = StagingArea::new();
             let (amm, spec) = segment(b, restraints);
-            let unit = prepare_md(&amm, spec, &staging);
+            let unit = prepare_md(&amm, spec, NAME.into(), &staging);
             (staging, unit)
         };
 
@@ -327,8 +332,8 @@ fn an_amm_that_renders_no_input_file_fails_preparation() {
     let (_, spec) = segment(&BINDINGS[0], vec![]);
     let amm: Arc<dyn Amm> = Arc::new(Silent(AmberAmm::new(dipeptide_forcefield().nonbonded)));
     let staging = StagingArea::new();
-    let err = prepare_md(&amm, spec, &staging).err().expect("no control file, no unit");
-    assert!(err.contains("rendered no input file") && err.contains(BASE), "{err}");
+    let err = prepare_md(&amm, spec, NAME.into(), &staging).err().expect("no control, no unit");
+    assert!(err.contains("rendered no input file") && err.contains(NAME), "{err}");
     assert!(staging.is_empty());
 }
 
@@ -348,7 +353,7 @@ fn the_staged_restart_is_the_state_at_staging_time() {
         let next = MdSpec { cycle: 2, ..spec.clone() };
         let (_, tag) = amm.restart_format();
 
-        let (_, work) = prepare_md(&amm, spec, &staging).unwrap();
+        let (_, work) = prepare_md(&amm, spec, NAME.into(), &staging).unwrap();
         work().unwrap();
         let after_first = lock_system(&system).state.clone();
         assert_eq!(after_first.step, 50, "{}", b.name);
@@ -357,7 +362,7 @@ fn the_staged_restart_is_the_state_at_staging_time() {
         assert_eq!(staging.list(BASE).len(), 3, "{}: control, restart, mdinfo", b.name);
 
         // The replica moves on before anybody opens the file.
-        let (_, work) = prepare_md(&amm, next, &staging).unwrap();
+        let (_, work) = prepare_md(&amm, next, "md-r00003_c0002-d0-a0".into(), &staging).unwrap();
         work().unwrap();
         assert_eq!(lock_system(&system).state.step, 100, "{}", b.name);
 

@@ -28,14 +28,12 @@ impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PoolError::ZeroCores { id } => write!(f, "lease {id:?} requests zero cores"),
-            PoolError::ExceedsPool { id, want, pool } => write!(
-                f,
-                "lease {id:?} requests {want} cores but the shared pool has only {pool}"
-            ),
-            PoolError::Exhausted { id, want, free } => write!(
-                f,
-                "lease {id:?} requests {want} cores but only {free} are free"
-            ),
+            PoolError::ExceedsPool { id, want, pool } => {
+                write!(f, "lease {id:?} requests {want} cores but the shared pool has only {pool}")
+            }
+            PoolError::Exhausted { id, want, free } => {
+                write!(f, "lease {id:?} requests {want} cores but only {free} are free")
+            }
             PoolError::DuplicateLease { id } => write!(f, "lease {id:?} is already live"),
             PoolError::UnknownLease { id } => write!(f, "no live lease {id:?}"),
         }
@@ -150,10 +148,7 @@ mod tests {
     #[test]
     fn typed_rejections() {
         let mut p = CorePool::new(8);
-        assert_eq!(
-            p.try_lease("z", "t", 0),
-            Err(PoolError::ZeroCores { id: "z".into() })
-        );
+        assert_eq!(p.try_lease("z", "t", 0), Err(PoolError::ZeroCores { id: "z".into() }));
         assert_eq!(
             p.try_lease("big", "t", 9),
             Err(PoolError::ExceedsPool { id: "big".into(), want: 9, pool: 8 })
@@ -163,10 +158,7 @@ mod tests {
             p.try_lease("b", "t", 4),
             Err(PoolError::Exhausted { id: "b".into(), want: 4, free: 2 })
         );
-        assert_eq!(
-            p.try_lease("a", "t", 1),
-            Err(PoolError::DuplicateLease { id: "a".into() })
-        );
+        assert_eq!(p.try_lease("a", "t", 1), Err(PoolError::DuplicateLease { id: "a".into() }));
         assert_eq!(p.release("nope"), Err(PoolError::UnknownLease { id: "nope".into() }));
         // A failed lease leaves the pool untouched.
         assert_eq!(p.leased(), 6);
@@ -180,10 +172,7 @@ mod tests {
         let mut p = CorePool::new(4);
         p.try_lease("a", "t", 4).unwrap();
         assert_eq!(p.free(), 0);
-        assert!(matches!(
-            p.try_lease("b", "t", 1),
-            Err(PoolError::Exhausted { .. })
-        ));
+        assert!(matches!(p.try_lease("b", "t", 1), Err(PoolError::Exhausted { .. })));
         p.release("a").unwrap();
         p.try_lease("b", "t", 1).unwrap();
     }

@@ -151,7 +151,7 @@ impl Scenario {
         match *self {
             Scenario::HeterogeneousNodes { slow_fraction, slowdown } => match replica {
                 Some(r) => {
-                    let h = mix64(seed ^ 0x4E0D_E5_u64 ^ (r as u64).wrapping_mul(0x9E37)) as f64
+                    let h = mix64(seed ^ 0x004E_0DE5_u64 ^ (r as u64).wrapping_mul(0x9E37)) as f64
                         / u64::MAX as f64;
                     if h < slow_fraction {
                         slowdown
@@ -162,7 +162,8 @@ impl Scenario {
                 None => 1.0,
             },
             Scenario::Stragglers { fraction, slowdown } => {
-                if rng.f64() < fraction {
+                let straggles = rng.f64() < fraction;
+                if straggles {
                     slowdown
                 } else {
                     1.0

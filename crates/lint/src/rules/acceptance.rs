@@ -19,6 +19,7 @@ const KB: f64 = 0.0019872;
 /// |relative error| < 1.15e-9 — far below histogram resolution).
 pub fn probit(p: f64) -> f64 {
     debug_assert!(p > 0.0 && p < 1.0);
+    #[allow(clippy::excessive_precision)] // the coefficients as published
     const A: [f64; 6] = [
         -3.969683028665376e1,
         2.209460984245205e2,

@@ -33,7 +33,7 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let last = ctx.n - (waves - 1) * slots;
     if waves > 1 && (last as f64) < opts.imbalance_threshold * slots as f64 {
         // The largest wave size that divides the replica count evenly.
-        let even = (1..=slots).rev().find(|s| ctx.n % s == 0).unwrap_or(1);
+        let even = (1..=slots).rev().find(|&s| ctx.n.is_multiple_of(s)).unwrap_or(1);
         out.push(
             Diagnostic::warning(
                 "L101",

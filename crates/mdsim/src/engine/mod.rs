@@ -258,6 +258,9 @@ pub(crate) fn run_langevin(
         system.kinetic_energy(),
         &last,
     );
+    // The pair list goes back before the state is copied: the copy outlives this
+    // call, and nothing that does may lie above a live list (DESIGN.md §10).
+    drop(integ);
     Ok(MdOutput { final_state: system.state.clone(), mdinfo, dihedral_trace: trace })
 }
 

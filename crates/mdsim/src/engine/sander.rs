@@ -125,6 +125,21 @@ mod tests {
         }
     }
 
+    /// Whatever the force kernel makes of a non-finite coordinate (it screens
+    /// the atom's pairs out), the segment fails on the coordinate itself —
+    /// through the all-pairs list and through the cell search.
+    #[test]
+    fn a_nan_coordinate_fails_the_segment() {
+        use crate::models::solvated_alanine_dipeptide;
+        let engine = SanderEngine::new(dipeptide_forcefield().nonbonded);
+        for mut sys in [prepared_system(4, 300.0), solvated_alanine_dipeptide(900, 3)] {
+            sys.state.positions[4].y = f64::NAN;
+            let job = MdJob { steps: 5, ..Default::default() };
+            let err = engine.run(&mut sys, &job).unwrap_err();
+            assert!(matches!(err, EngineError::NumericalBlowup { step: 5 }), "{err:?}");
+        }
+    }
+
     #[test]
     fn salt_parameter_reaches_energy() {
         let engine = SanderEngine::new(NonbondedParams {

@@ -39,6 +39,7 @@ pub use restraint::DihedralRestraint;
 
 use crate::neighbor::NeighborCache;
 use crate::system::System;
+use crate::topology::Topology;
 use crate::vec3::Vec3;
 use nonbonded::{LjTable, NbScalars};
 use soa::SoaNonbonded;
@@ -124,10 +125,9 @@ impl EvalContext {
         self.lj = None;
     }
 
-    /// Refresh every cached component for `system` under `ff`'s parameters.
+    /// Refresh every cached component for `system` under `ff`'s parameters; the pair list last.
     fn prepare(&mut self, ff: &ForceField, system: &System) {
-        self.neighbors.ensure(system, ff.nonbonded.cutoff);
-        let top = &system.topology;
+        let top: &Topology = &system.topology;
         if !self.lj.as_ref().is_some_and(|t| t.matches(top.atoms.len())) {
             self.lj = Some(LjTable::build(&top.atoms));
         }
@@ -137,6 +137,7 @@ impl EvalContext {
             self.charges[site.atom as usize] += site.charge_shift(ff.nonbonded.ph);
         }
         self.soa.sync_atoms(&system.state.positions, &self.charges, &system.pbc);
+        self.neighbors.ensure(system, ff.nonbonded.cutoff);
     }
 
     /// The nonbonded `(lj, coulomb)` sums over the prepared pair list on
@@ -231,7 +232,7 @@ impl ForceField {
         let mut e = EnergyBreakdown::default();
         let pos = &system.state.positions;
         let pbc = &system.pbc;
-        let top = &system.topology;
+        let top: &Topology = &system.topology;
         for b in &top.bonds {
             e.bond += bonded::bond_energy(b, pos, pbc, forces.as_deref_mut());
         }
@@ -546,7 +547,8 @@ mod tests {
         let (mut sys, mut ff) = rich_system(10);
         // Atom 3: its 1-4 partner, atom 0, is charged and not excluded (every
         // charged partner of atom 2 is, so a site there moves no energy).
-        sys.topology.titratable = vec![Titratable { atom: 3, pka: 6.5, proton_charge: 1.0 }];
+        std::sync::Arc::make_mut(&mut sys.topology).titratable =
+            vec![Titratable { atom: 3, pka: 6.5, proton_charge: 1.0 }];
         ff.nonbonded.ph = 4.0; // well below pKa: site nearly fully protonated
         let acidic = ff.energy(&sys).coulomb;
         ff.nonbonded.ph = 10.0; // well above: deprotonated
@@ -688,7 +690,7 @@ mod tests {
             let pbc = if periodic { PbcBox::cubic(l) } else { PbcBox::VACUUM };
             let mut sys = System::new(top, pbc, state).unwrap();
             // Nonbonded only on both sides: the bonds go, their exclusions stay.
-            sys.topology.bonds.clear();
+            std::sync::Arc::make_mut(&mut sys.topology).bonds.clear();
             let ff = ForceField::new(NonbondedParams {
                 cutoff: 6.0,
                 dielectric: 4.0,

@@ -59,7 +59,7 @@ impl NonbondedParams {
 /// prefactor a division, and the cutoff screening factor an `exp`, none of
 /// which depend on the pair.
 #[derive(Debug, Clone, Copy)]
-pub struct NbScalars {
+pub(crate) struct NbScalars {
     /// rc².
     pub rc2: f64,
     /// Inverse Debye length.
@@ -110,7 +110,7 @@ const LJ_INACTIVE: LjEntry = LjEntry { eps4: 0.0, sigma2: 0.0 };
 /// recomputes the cutoff shift from `eps4`/`sigma2`) — so one table serves
 /// every variant evaluated on a system.
 #[derive(Debug, Clone)]
-pub struct LjTable {
+pub(crate) struct LjTable {
     n_types: usize,
     /// LJ type index per atom.
     type_of: Vec<u32>,
@@ -151,11 +151,6 @@ impl LjTable {
     /// parameters are immutable for any one [`crate::system::System`]).
     pub fn matches(&self, n_atoms: usize) -> bool {
         self.type_of.len() == n_atoms
-    }
-
-    /// Number of distinct LJ types found.
-    pub fn n_types(&self) -> usize {
-        self.n_types
     }
 
     /// Mixed constants for the atom pair `(i, j)` — the blocked kernel's
@@ -289,7 +284,7 @@ mod tests {
             Atom::lj(18.0, 0.15, 3.15),
         ];
         let table = LjTable::build(&atoms);
-        assert_eq!(table.n_types(), 2);
+        assert_eq!(table.n_types, 2);
         assert!(table.matches(4));
         assert!(!table.matches(5));
     }

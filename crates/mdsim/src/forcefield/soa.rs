@@ -6,40 +6,45 @@
 //! neighbor list in blocks of pairs and splits the loop into three phases
 //! per block, the middle one over parallel `f64` block buffers:
 //!
-//! - **Phase 0 (gather)**: indexed loads only. Atom data is packed as one
-//!   `[x, y, z, q]` quad per atom so a random neighbor access touches a
-//!   single cache line instead of four distinct lanes; the mixed LJ
-//!   constants come out of the type table (a handful of entries, resident in
-//!   L1); the phase writes position deltas, charge products and the two LJ
-//!   constants into fixed-size block buffers. Nothing is stored per pair
-//!   beyond the neighbor list itself: 24 bytes of index and parameter lanes
-//!   per pair (5.7 MB per context at 2881 atoms, three times the list) cost
-//!   more resident memory than the ~1 ns per pair they saved was worth.
-//! - **Phase 1 (arithmetic)**: branch-free, index-free math over the block
-//!   buffers and, when the potential is unscreened, free of calls — which is
-//!   what lets LLVM vectorise the loop for the target everyone builds:
-//!   baseline x86-64 (SSE2, two lanes), no `RUSTFLAGS`. On that target
-//!   `f64`'s fused multiply-add, `round` and `floor` are calls into libm
-//!   (FMA and `roundpd` are not in the baseline), and a vector loop unpacks
-//!   every lane to make them; so products are written `a * b + c`, and the
-//!   minimum image is multiply + `system::nearest` (two additions; on a tie
-//!   it picks the other of two equidistant images, `L/2` away, which the
-//!   cutoff mask drops either way). Both also make the result the same bits
-//!   whether or not the host has FMA. Measured on the seed layout, fusing
-//!   the gathers into this loop instead *defeated* vectorization and ran
-//!   slower than a pair-at-a-time loop. Cutoff and overlap handling are
-//!   multiplicative masks, the only division per pair is `1/r²` (with
-//!   `1/r = sqrt(1/r²)` instead of a second divide), and `exp` — a libm call
-//!   per pair — is only present when the potential is screened (`kappa > 0`,
-//!   dispatched once per call via a const generic). The LJ energy shift is
-//!   recomputed from `eps4`/`sig2` and the hoisted `1/rc²` rather than kept
-//!   as a third constant per table entry and block buffer.
+//! - **Phase 0 (gather and screen)**: the only indexed loads. Atom data is
+//!   packed as one `[x, y, z, q]` quad per atom so a random neighbor access
+//!   touches a single cache line; the mixed LJ constants come out of the
+//!   type table (a handful of entries, resident in L1). The minimum image
+//!   and `r²` are taken here, in scalar code, because they decide whether
+//!   the pair goes any further: every pair is written to lane `len` of the
+//!   block buffers, and `len` moves on only for a pair inside the cutoff and
+//!   off the overlap floor (no branch). A Verlet list reaches `cutoff +
+//!   skin`: at 9 + 1.5 Å, 37 % of it by volume contributes nothing, and the
+//!   phases below never see it. Nothing is stored per pair beyond the list
+//!   itself (parameter lanes cost 5.7 MB per context at 2881 atoms to save
+//!   ~1 ns per pair).
+//! - **Phase 1 (arithmetic)**: branch-free, index-free, mask-free math over
+//!   the kept lanes and, when the potential is unscreened, free of calls —
+//!   which is what lets LLVM vectorise the loop for the target everyone
+//!   builds: baseline x86-64 (SSE2, two lanes), no `RUSTFLAGS`. On that
+//!   target `f64`'s fused multiply-add, `round` and `floor` are calls into
+//!   libm (FMA and `roundpd` are not in the baseline), and a vector loop
+//!   unpacks every lane to make them; so products are written `a * b + c`,
+//!   and the minimum image is multiply + `system::nearest` (two additions;
+//!   on a tie it picks the other of two equidistant images, `L/2` away,
+//!   which the cutoff screens out either way). Both also make the result the
+//!   same bits whether or not the host has FMA. Fusing the indexed loads into
+//!   this loop *defeated* vectorization and ran slower than a pair-at-a-time
+//!   loop. The only division per pair is `1/r²` (`1/r = sqrt(1/r²)`), and
+//!   `exp` — a libm call per pair — is only present when the potential is
+//!   screened (`kappa > 0`, dispatched once per call via a const generic).
+//!   The LJ energy shift is recomputed from `eps4`/`sig2` and the hoisted
+//!   `1/rc²` rather than kept as a third constant per table entry.
 //! - **Phase 2 (scatter)**: scalar indexed accumulation, kept out of phase
 //!   1 so it cannot inhibit vectorization. The cell search emits pairs home
 //!   atom outermost, so the list is long runs of one home atom — as `i`
 //!   whenever its partner has the larger index. The scatter accumulates a
-//!   run of equal `i` in registers and touches `forces[i]` once per run; it
-//!   is correct for any order.
+//!   run of equal `i` in registers and touches `forces[i]` once per run. A
+//!   run is a run *of the list*, numbered in phase 0 over every pair: pairs
+//!   are stored `(min, max)`, so a screened-out `(3, 5)` can sit between
+//!   `(5, 9)` and `(5, 20)`, and summing across it would re-associate
+//!   `f[5]` — the last bit of a force would depend on what the cutoff
+//!   dropped, where a dropped pair used to add an exact zero.
 //!
 //! Per-atom quads are refreshed every evaluation (positions drift each MD
 //! step). Box constants store edge lengths and their precomputed
@@ -51,16 +56,14 @@ use super::nonbonded::{LjTable, NbScalars};
 use crate::system::{nearest, PbcBox};
 use crate::vec3::Vec3;
 
-/// Pairs processed per block. The eleven `f64` block buffers total 11 KiB —
-/// comfortably L1-resident next to the gather traffic — and the block is
-/// long enough to amortize the scalar scatter loop. (128 was chosen over
-/// 32/64/256 on a `target-cpu=native` build; not re-measured on the default
-/// target.)
+/// Pairs listed per block. The block buffers total 12.5 KiB — comfortably
+/// L1-resident next to the gather traffic — and the block is long enough to
+/// amortize the scalar scatter loop. (128 was chosen over 32/64/256 on a
+/// `target-cpu=native` build; not re-measured on the default target.)
 const BLOCK: usize = 128;
 
 /// Squared-distance floor mirroring the oracle kernel's overlap guard
-/// (`r2 < 1e-12` contributes nothing); clamping instead of branching keeps
-/// the arithmetic finite so the mask multiply yields exact zeros.
+/// (`r2 < 1e-12` contributes nothing): screened out with the far pairs.
 const MIN_R2: f64 = 1e-12;
 
 /// The kernel's view of the atoms. Owned by `EvalContext`; the buffer is
@@ -111,6 +114,154 @@ impl SoaNonbonded {
     }
 
     fn eval_impl<const SCREENED: bool>(
+        &self,
+        sc: &NbScalars,
+        lj: &LjTable,
+        pairs: &[(u32, u32)],
+        mut forces: Option<&mut [Vec3]>,
+    ) -> (f64, f64) {
+        let xyzq = &self.xyzq[..];
+        let [ex, ey, ez] = self.edge;
+        let [ix, iy, iz] = self.inv;
+        // Hoisted 1/rc² for the in-loop energy-shift recomputation; no
+        // division (NbScalars carries 1/rc), and 0 when the cutoff is
+        // infinite so the shift vanishes exactly, matching the table.
+        let inv_rc2 = sc.inv_rc * sc.inv_rc;
+        let mut lj_total = 0.0;
+        let mut coul_total = 0.0;
+        let mut dxs = [0.0f64; BLOCK];
+        let mut dys = [0.0f64; BLOCK];
+        let mut dzs = [0.0f64; BLOCK];
+        let mut qqs = [0.0f64; BLOCK];
+        let mut eps4 = [0.0f64; BLOCK];
+        let mut sig2 = [0.0f64; BLOCK];
+        let mut e_lj = [0.0f64; BLOCK];
+        let mut e_c = [0.0f64; BLOCK];
+        let mut fx = [0.0f64; BLOCK];
+        let mut fy = [0.0f64; BLOCK];
+        let mut fz = [0.0f64; BLOCK];
+        // The kept lanes' atoms, and the run of the list each came from.
+        let mut is = [0u32; BLOCK];
+        let mut js = [0u32; BLOCK];
+        let mut runs = [0u32; BLOCK];
+        for block in pairs.chunks(BLOCK) {
+            // Phase 0: gather, image, screen. The only indexed loads in the
+            // kernel; a lane is kept only if `len` moves past it.
+            let mut len = 0;
+            let mut run = 0;
+            let mut run_i = block[0].0;
+            for &(i, j) in block {
+                run += u32::from(i != run_i);
+                run_i = i;
+                let a = xyzq[i as usize];
+                let b = xyzq[j as usize];
+                let mut dx = a[0] - b[0];
+                let mut dy = a[1] - b[1];
+                let mut dz = a[2] - b[2];
+                dx -= ex * nearest(dx * ix);
+                dy -= ey * nearest(dy * iy);
+                dz -= ez * nearest(dz * iz);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                dxs[len] = dx;
+                dys[len] = dy;
+                dzs[len] = dz;
+                qqs[len] = a[3] * b[3];
+                let mixed = lj.entry(i as usize, j as usize);
+                eps4[len] = mixed.eps4;
+                sig2[len] = mixed.sigma2;
+                is[len] = i;
+                js[len] = j;
+                runs[len] = run;
+                // False for NaN: a non-finite coordinate contributes nothing
+                // here and is caught where it lives (`State::is_finite`).
+                len += usize::from((r2 < sc.rc2) & (r2 >= MIN_R2));
+            }
+            // Phase 1: branch-free, index-free fused energy + force
+            // arithmetic, with no call unless SCREENED.
+            for t in 0..len {
+                let (dx, dy, dz) = (dxs[t], dys[t], dzs[t]);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                let inv_r2 = 1.0 / r2;
+                let inv_r = inv_r2.sqrt();
+                let sr2 = sig2[t] * inv_r2;
+                let sr6 = sr2 * sr2 * sr2;
+                let e4s6 = eps4[t] * sr6;
+                let src2 = sig2[t] * inv_rc2;
+                let src6 = src2 * src2 * src2;
+                let eshift = (eps4[t] * src6) * (src6 - 1.0);
+                let pqq = sc.pref * qqs[t];
+                // `coul_f` is the Coulomb part of `-dE/dr · r`, so the total
+                // force scale is a single `(coul_f + lj_f) / r²` below.
+                let (coul, coul_f) = if SCREENED {
+                    let r = r2 * inv_r;
+                    let ekr = (-sc.kappa * r).exp();
+                    (
+                        pqq * (ekr * inv_r) - pqq * sc.cshift,
+                        pqq * ekr * (sc.kappa * r + 1.0) * inv_r,
+                    )
+                } else {
+                    (pqq * inv_r - pqq * sc.cshift, pqq * inv_r)
+                };
+                let lj_f = e4s6 * (sr6 * 12.0 - 6.0);
+                e_lj[t] = e4s6 * (sr6 - 1.0) - eshift;
+                e_c[t] = coul;
+                let f_over_r = (coul_f + lj_f) * inv_r2;
+                fx[t] = dx * f_over_r;
+                fy[t] = dy * f_over_r;
+                fz[t] = dz * f_over_r;
+            }
+            let mut s_lj = 0.0;
+            let mut s_c = 0.0;
+            for t in 0..len {
+                s_lj += e_lj[t];
+                s_c += e_c[t];
+            }
+            lj_total += s_lj;
+            coul_total += s_c;
+            // Phase 2: scalar scatter. A run of equal `i` in the list
+            // (common: it is home atom outermost) accumulates in registers
+            // and hits memory once.
+            if let Some(f) = forces.as_deref_mut() {
+                let mut t = 0;
+                while t < len {
+                    let run = runs[t];
+                    let i = is[t];
+                    let mut acc = Vec3::ZERO;
+                    while t < len && runs[t] == run {
+                        let fv = Vec3::new(fx[t], fy[t], fz[t]);
+                        acc += fv;
+                        f[js[t] as usize] -= fv;
+                        t += 1;
+                    }
+                    f[i as usize] += acc;
+                }
+            }
+        }
+        (lj_total, coul_total)
+    }
+}
+
+#[cfg(test)]
+impl SoaNonbonded {
+    /// The kernel as it shipped before phase 0 screened (PR 17's body,
+    /// unedited): every listed pair goes through the arithmetic and the
+    /// cutoff is a multiplicative mask. The oracle the screening kernel must
+    /// match bit for bit.
+    pub(crate) fn eval_masked(
+        &self,
+        sc: &NbScalars,
+        lj: &LjTable,
+        pairs: &[(u32, u32)],
+        forces: Option<&mut [Vec3]>,
+    ) -> (f64, f64) {
+        if sc.kappa == 0.0 {
+            self.eval_masked_impl::<false>(sc, lj, pairs, forces)
+        } else {
+            self.eval_masked_impl::<true>(sc, lj, pairs, forces)
+        }
+    }
+
+    fn eval_masked_impl<const SCREENED: bool>(
         &self,
         sc: &NbScalars,
         lj: &LjTable,
@@ -222,5 +373,185 @@ impl SoaNonbonded {
             }
         }
         (lj_total, coul_total)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::forcefield::{chunk_range, EvalContext, NonbondedParams, MIN_CHUNK_PAIRS};
+    use crate::models::{alanine_dipeptide, dipeptide_forcefield, solvated_alanine_dipeptide};
+    use crate::topology::Atom;
+    use rng::Rng;
+
+    fn bits(forces: &[Vec3]) -> Vec<[u64; 3]> {
+        forces.iter().map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect()
+    }
+
+    /// The oracle over the context's prepared list the way `threads` threads
+    /// walk it: chunk 0 into `forces`, the others into zeroed buffers, merged
+    /// in chunk order.
+    fn masked(
+        ctx: &EvalContext,
+        sc: &NbScalars,
+        threads: usize,
+        mut forces: Option<&mut [Vec3]>,
+    ) -> (f64, f64) {
+        let pairs = ctx.neighbors.pairs();
+        let lj = ctx.lj.as_ref().unwrap();
+        let n_chunks = threads.min(pairs.len() / MIN_CHUNK_PAIRS).max(1);
+        let head = &pairs[chunk_range(pairs.len(), n_chunks, 0)];
+        let (mut e_lj, mut e_c) = ctx.soa.eval_masked(sc, lj, head, forces.as_deref_mut());
+        for c in 1..n_chunks {
+            let chunk = &pairs[chunk_range(pairs.len(), n_chunks, c)];
+            let mut buf = forces.as_deref().map(|f| vec![Vec3::ZERO; f.len()]);
+            let (l, q) = ctx.soa.eval_masked(sc, lj, chunk, buf.as_deref_mut());
+            (e_lj, e_c) = (e_lj + l, e_c + q);
+            if let (Some(f), Some(buf)) = (forces.as_deref_mut(), &buf) {
+                f.iter_mut().zip(buf).for_each(|(f, p)| *f += *p);
+            }
+        }
+        (e_lj, e_c)
+    }
+
+    fn pair_bits((l, q): (f64, f64)) -> (u64, u64) {
+        (l.to_bits(), q.to_bits())
+    }
+
+    /// Screening in the gather changes which lanes exist, not one bit of
+    /// what comes out: both sums and every force component equal the masked
+    /// kernel's on the systems of `tests/evaluate.rs`, at the coordinates
+    /// the list was built on and after a drift inside the skin (when a third
+    /// of the list lies beyond the cutoff, and not the same third).
+    #[test]
+    fn screening_in_the_gather_keeps_every_bit() {
+        let systems = [
+            ("vacuum", alanine_dipeptide()),
+            ("solvated 900", solvated_alanine_dipeptide(900, 3)),
+            ("solvated 2881", solvated_alanine_dipeptide(2881, 9)),
+        ];
+        for (name, mut sys) in systems {
+            let mut rng = Rng::seed(11);
+            let mut ctx = EvalContext::new();
+            for drifted in [false, true] {
+                if drifted {
+                    for p in &mut sys.state.positions {
+                        *p += Vec3::new(rng.f64() - 0.5, rng.f64() - 0.5, rng.f64() - 0.5) * 0.6;
+                    }
+                }
+                for salt in [0.0, 0.5] {
+                    let mut ff = dipeptide_forcefield();
+                    ff.nonbonded.salt_molar = salt;
+                    let sc = NbScalars::new(&ff.nonbonded);
+                    assert_eq!(sc.kappa != 0.0, salt != 0.0);
+                    // The kernel adds to what the bonded terms left in the
+                    // buffer: any realistic non-zero content will do.
+                    let mut bonded = vec![Vec3::ZERO; sys.n_atoms()];
+                    ff.evaluate(&sys, &mut ctx, Some(&mut bonded), 1);
+                    for threads in [1, 4] {
+                        let row =
+                            format!("{name}, drifted {drifted}, salt {salt}, {threads} thread(s)");
+                        assert_eq!(
+                            ctx.neighbors.rebuilds(),
+                            1,
+                            "{row}: the drift stays in the skin"
+                        );
+                        let mut expected = bonded.clone();
+                        let e_expected = masked(&ctx, &sc, threads, Some(&mut expected));
+                        let mut got = bonded.clone();
+                        let e_got = ctx.nonbonded(&sc, Some(&mut got), threads);
+                        assert_eq!(pair_bits(e_got), pair_bits(e_expected), "{row}");
+                        assert_eq!(bits(&got), bits(&expected), "{row}");
+                        // Without a buffer: the same sums, from both.
+                        assert_eq!(pair_bits(ctx.nonbonded(&sc, None, threads)), pair_bits(e_got));
+                        assert_eq!(pair_bits(masked(&ctx, &sc, threads, None)), pair_bits(e_got));
+                    }
+                }
+            }
+            if name != "vacuum" {
+                let pos = &sys.state.positions;
+                let pairs = ctx.neighbors.pairs();
+                let beyond = pairs
+                    .iter()
+                    .filter(|&&(i, j)| {
+                        sys.pbc.min_image(pos[i as usize], pos[j as usize]).norm() >= 9.0
+                    })
+                    .count();
+                let share = beyond as f64 / pairs.len() as f64;
+                assert!(
+                    (0.3..0.45).contains(&share),
+                    "{name}: {share} of the list is screened out"
+                );
+            }
+        }
+    }
+
+    /// A hand-made list with what the cell search produces and the systems
+    /// above may not: an out-of-range `(3, 5)` between `(5, 9)` and
+    /// `(5, 20)` — two runs of `i = 5` today, which must stay two sums — a
+    /// coincident pair under the overlap floor inside a run, a run that is
+    /// screened out whole, and a block boundary inside a run.
+    #[test]
+    fn a_screened_out_pair_still_ends_a_run() {
+        rng::check(64, |rng| {
+            let n = 160;
+            let atoms: Vec<Atom> = (0..n)
+                .map(|k| Atom {
+                    mass: 12.0,
+                    charge: [0.4, -0.3, 0.1][k % 3],
+                    lj_epsilon: 0.1 + 0.01 * (k % 2) as f64,
+                    lj_sigma: 3.2,
+                })
+                .collect();
+            // A cloud 8 Å across under a 6 Å cutoff: a pair is in range about
+            // as often as not.
+            let mut positions: Vec<Vec3> =
+                (0..n).map(|_| Vec3::new(rng.f64(), rng.f64(), rng.f64()) * 8.0).collect();
+            positions[3] = positions[5] + Vec3::new(30.0, 0.0, 0.0);
+            positions[9] = positions[5] + Vec3::new(3.1, 0.2, -0.4);
+            positions[20] = positions[5] + Vec3::new(-0.3, 3.4, 0.5);
+            positions[11] = positions[10]; // r² = 0 < MIN_R2
+            positions[40] = Vec3::new(500.0, 500.0, 500.0); // in range of nobody
+            let mut pairs = vec![(5, 9), (3, 5), (5, 20), (10, 11), (10, 12), (10, 13)];
+            pairs.extend((41..60).map(|j| (40, j)));
+            // One long run across the first block boundary, then noise.
+            pairs.extend((61..160).map(|j| (60, j)));
+            pairs.extend((0..200).map(|_| {
+                let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+                (a.min(b), a.max(b).max(a.min(b) + 1).min(n as u32 - 1))
+            }));
+            let salt = if rng.below(2) == 0 { 0.0 } else { 0.5 };
+            let sc = NbScalars::new(&NonbondedParams {
+                cutoff: 6.0,
+                dielectric: 4.0,
+                salt_molar: salt,
+                ph: 7.0,
+            });
+            let lj = LjTable::build(&atoms);
+            let charges: Vec<f64> = atoms.iter().map(|a| a.charge).collect();
+            let mut soa = SoaNonbonded::default();
+            soa.sync_atoms(&positions, &charges, &PbcBox::VACUUM);
+
+            let mut expected = vec![Vec3::ZERO; n];
+            let e_expected = soa.eval_masked(&sc, &lj, &pairs, Some(&mut expected));
+            let mut got = vec![Vec3::ZERO; n];
+            let e_got = soa.eval(&sc, &lj, &pairs, Some(&mut got));
+            assert_eq!(pair_bits(e_got), pair_bits(e_expected));
+            assert_eq!(bits(&got), bits(&expected));
+            // The special cases did what they are there for.
+            assert!(got[5].norm() > 0.0, "(5, 9) and (5, 20) are in range");
+            assert_eq!(got[40], Vec3::ZERO, "a run screened out whole");
+            assert!(got.iter().all(|f| f.is_finite()), "the coincident pair is dropped");
+
+            // A non-finite coordinate is screened out like a far pair (the
+            // mask used to turn it into NaN forces): nothing here panics or
+            // spreads it, and the segment fails on the coordinate itself
+            // (`sander::tests::a_nan_coordinate_fails_the_segment`).
+            positions[70].y = f64::NAN;
+            soa.sync_atoms(&positions, &charges, &PbcBox::VACUUM);
+            got.fill(Vec3::ZERO);
+            let (e_lj, e_c) = soa.eval(&sc, &lj, &pairs, Some(&mut got));
+            assert!(e_lj.is_finite() && e_c.is_finite() && got.iter().all(|f| f.is_finite()));
+        });
     }
 }

@@ -8,7 +8,7 @@
 //! trajectory is a function of its segment seed, and independent of the others'.
 
 use crate::forcefield::{EnergyBreakdown, EvalContext, ForceField};
-use crate::system::System;
+use crate::system::{State, System};
 use crate::units::{kbt, AKMA_PER_PS};
 use crate::vec3::Vec3;
 use rng::Rng;
@@ -72,35 +72,34 @@ impl LangevinBaoab {
         let c1 = (-gamma * dt).exp();
         let c2 = (1.0 - c1 * c1).sqrt();
         let kt = kbt(self.temperature);
+        // Borrowed once: through the `Arc` the pointer is re-loaded per atom.
+        let atoms = &system.topology.atoms[..];
+        let kick = |velocities: &mut [Vec3], forces: &[Vec3]| {
+            for ((v, f), a) in velocities.iter_mut().zip(forces).zip(atoms) {
+                *v += *f * (0.5 * dt * (1.0 / a.mass));
+            }
+        };
+        let drift = |state: &mut State| {
+            for (p, v) in state.positions.iter_mut().zip(&state.velocities) {
+                *p += *v * (0.5 * dt);
+            }
+        };
 
         // B: half kick.
-        for i in 0..n {
-            let inv_m = 1.0 / system.topology.atoms[i].mass;
-            system.state.velocities[i] += self.forces[i] * (0.5 * dt * inv_m);
-        }
+        kick(&mut system.state.velocities, &self.forces);
         // A: half drift.
-        for i in 0..n {
-            let v = system.state.velocities[i];
-            system.state.positions[i] += v * (0.5 * dt);
-        }
+        drift(&mut system.state);
         // O: Ornstein-Uhlenbeck velocity refresh.
-        for i in 0..n {
-            let m = system.topology.atoms[i].mass;
-            let sigma = (kt / m).sqrt();
+        for (v, a) in system.state.velocities.iter_mut().zip(atoms) {
+            let sigma = (kt / a.mass).sqrt();
             let xi = Vec3::new(rng.normal(), rng.normal(), rng.normal());
-            system.state.velocities[i] = system.state.velocities[i] * c1 + xi * (c2 * sigma);
+            *v = *v * c1 + xi * (c2 * sigma);
         }
         // A: half drift.
-        for i in 0..n {
-            let v = system.state.velocities[i];
-            system.state.positions[i] += v * (0.5 * dt);
-        }
+        drift(&mut system.state);
         // B: half kick with new forces.
         let breakdown = ff.evaluate(system, &mut self.ctx, Some(&mut self.forces), threads);
-        for i in 0..n {
-            let inv_m = 1.0 / system.topology.atoms[i].mass;
-            system.state.velocities[i] += self.forces[i] * (0.5 * dt * inv_m);
-        }
+        kick(&mut system.state.velocities, &self.forces);
         self.forces_valid = true;
         system.state.step += 1;
         system.state.time_ps += self.dt_ps;

@@ -22,6 +22,7 @@ use crate::system::{PbcBox, State, System};
 use crate::topology::{Angle, Atom, Bond, NamedDihedral, Titratable, Topology, Torsion};
 use crate::vec3::Vec3;
 use rng::Rng;
+use std::sync::Arc;
 
 /// Number of backbone atoms in the reduced dipeptide.
 pub const BACKBONE_ATOMS: usize = 7;
@@ -29,7 +30,12 @@ pub const BACKBONE_ATOMS: usize = 7;
 /// Liquid-water number density in atoms/Å³ (one site per water).
 const WATER_NUMBER_DENSITY: f64 = 0.0334;
 
-fn backbone_topology() -> Topology {
+/// The dipeptide's topology at `total_atoms` atoms: the backbone, then
+/// neutral LJ solvent, and a function of nothing else. Whoever builds many
+/// systems of one size (a campaign's replicas) builds it once and hands a
+/// clone of the `Arc` to [`alanine_dipeptide_on`] or its solvated twin.
+pub fn dipeptide_topology(total_atoms: usize) -> Arc<Topology> {
+    assert!(total_atoms >= BACKBONE_ATOMS, "the backbone alone is {BACKBONE_ATOMS} atoms");
     let b = |i: u32, j: u32| Bond { i, j, k: 300.0, r0: 1.45 };
     let a = |i: u32, j: u32, k_atom: u32| Angle { i, j, k_atom, k: 60.0, theta0: 1.95 };
     // Ramachandran-like torsion terms: a 2-fold + 1-fold combination per
@@ -48,9 +54,11 @@ fn backbone_topology() -> Topology {
     // Alternating partial charges make the Coulomb term (and hence salt
     // screening, i.e. S-REMD) matter.
     let charges = [0.0, 0.45, -0.35, 0.10, 0.45, -0.35, 0.0];
+    let solvent = Atom { mass: 18.0, charge: 0.0, lj_epsilon: 0.152, lj_sigma: 3.15 };
     let atoms = charges
         .iter()
         .map(|&q| Atom { mass: 13.0, charge: q, lj_epsilon: 0.09, lj_sigma: 3.3 })
+        .chain(std::iter::repeat_n(solvent, total_atoms - BACKBONE_ATOMS))
         .collect();
     let mut top = Topology {
         atoms,
@@ -70,7 +78,7 @@ fn backbone_topology() -> Topology {
         exclusions: vec![],
     };
     top.build_exclusions();
-    top
+    Arc::new(top)
 }
 
 /// Extended-chain starting coordinates for the backbone, centred at `origin`.
@@ -91,10 +99,14 @@ fn backbone_positions(origin: Vec3) -> Vec<Vec3> {
 /// The vacuum reduced dipeptide (7 atoms) — cheap enough for real REMD
 /// sampling in tests, examples and the Fig. 4 validation run.
 pub fn alanine_dipeptide() -> System {
-    let top = backbone_topology();
+    alanine_dipeptide_on(dipeptide_topology(BACKBONE_ATOMS))
+}
+
+/// [`alanine_dipeptide`] over a shared [`dipeptide_topology`].
+pub fn alanine_dipeptide_on(topology: Arc<Topology>) -> System {
     let mut state = State::zeros(BACKBONE_ATOMS);
     state.positions = backbone_positions(Vec3::ZERO);
-    System::new(top, PbcBox::VACUUM, state).expect("backbone topology is valid")
+    System::new(topology, PbcBox::VACUUM, state).expect("backbone topology is valid")
 }
 
 /// Fewest atoms [`solvated_alanine_dipeptide`] builds: at the model's density
@@ -110,16 +122,18 @@ pub fn min_solvated_atoms() -> usize {
 /// `total_atoms = 2881` for the 1-D experiments, `64366` for Fig. 12.
 /// Panics below [`min_solvated_atoms`].
 pub fn solvated_alanine_dipeptide(total_atoms: usize, seed: u64) -> System {
+    solvated_alanine_dipeptide_on(dipeptide_topology(total_atoms), seed)
+}
+
+/// [`solvated_alanine_dipeptide`] over a shared [`dipeptide_topology`]: only
+/// the lattice jitter depends on `seed`.
+pub fn solvated_alanine_dipeptide_on(topology: Arc<Topology>, seed: u64) -> System {
+    let total_atoms = topology.n_atoms();
     let min = min_solvated_atoms();
     assert!(total_atoms >= min, "need at least {min} atoms, got {total_atoms}");
     let n_solvent = total_atoms - BACKBONE_ATOMS;
     let volume = total_atoms as f64 / WATER_NUMBER_DENSITY;
     let l = volume.cbrt();
-
-    let mut top = backbone_topology();
-    for _ in 0..n_solvent {
-        top.atoms.push(Atom { mass: 18.0, charge: 0.0, lj_epsilon: 0.152, lj_sigma: 3.15 });
-    }
 
     let mut state = State::zeros(total_atoms);
     let centre = Vec3::splat(l / 2.0);
@@ -157,7 +171,7 @@ pub fn solvated_alanine_dipeptide(total_atoms: usize, seed: u64) -> System {
         }
     }
     assert_eq!(placed, n_solvent, "lattice too small to place all solvent");
-    System::new(top, PbcBox::cubic(l), state).expect("solvated topology is valid")
+    System::new(topology, PbcBox::cubic(l), state).expect("solvated topology is valid")
 }
 
 /// The force field the dipeptide models are parameterized for.

@@ -4,7 +4,7 @@ mod dipeptide;
 mod fluid;
 
 pub use dipeptide::{
-    alanine_dipeptide, dipeptide_forcefield, min_solvated_atoms, solvated_alanine_dipeptide,
-    BACKBONE_ATOMS,
+    alanine_dipeptide, alanine_dipeptide_on, dipeptide_forcefield, dipeptide_topology,
+    min_solvated_atoms, solvated_alanine_dipeptide, solvated_alanine_dipeptide_on, BACKBONE_ATOMS,
 };
 pub use fluid::{lj_fluid, lj_forcefield};

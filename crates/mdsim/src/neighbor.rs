@@ -17,6 +17,7 @@
 //! The nonbonded kernel re-checks `r² < rc²` on whatever list it is given.
 
 use crate::system::{PbcBox, System};
+use crate::topology::Topology;
 use crate::vec3::Vec3;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,6 +74,7 @@ fn flat(dims: [usize; 3], c: [usize; 3]) -> usize {
 /// pair and the inner loop is a plain difference. A periodic grid with fewer
 /// than three cells along some axis is *aliased* (two offsets reach the same
 /// cell): it takes the minimum image per pair and may visit a pair twice.
+#[derive(Debug, Clone, Default)]
 pub struct CellList {
     /// Number of cells in each direction.
     dims: [usize; 3],
@@ -94,20 +96,21 @@ impl CellList {
     /// Sort `positions` into cells at least `cutoff` wide; the search then
     /// reports the pairs within `cutoff` of each other.
     pub fn build(positions: &[Vec3], pbc: &PbcBox, cutoff: f64) -> Self {
+        let mut grid = CellList::default();
+        grid.sort(positions, pbc, cutoff);
+        grid
+    }
+
+    /// [`CellList::build`] into this grid's buffers: sorting the same atom
+    /// count into the same box again allocates nothing.
+    pub fn sort(&mut self, positions: &[Vec3], pbc: &PbcBox, cutoff: f64) {
         assert!(cutoff > 0.0, "cutoff must be positive");
         let (origin, extent) = match pbc.lengths() {
             Some(l) => (Vec3::ZERO, l),
+            None if positions.is_empty() => (Vec3::ZERO, Vec3::splat(cutoff + 1e-6)),
             None => {
-                let mut lo = Vec3::splat(f64::INFINITY);
-                let mut hi = Vec3::splat(f64::NEG_INFINITY);
-                for p in positions {
-                    lo = lo.min(*p);
-                    hi = hi.max(*p);
-                }
-                if positions.is_empty() {
-                    lo = Vec3::ZERO;
-                    hi = Vec3::splat(cutoff);
-                }
+                let lo = positions.iter().fold(Vec3::splat(f64::INFINITY), |lo, p| lo.min(*p));
+                let hi = positions.iter().fold(Vec3::splat(f64::NEG_INFINITY), |hi, p| hi.max(*p));
                 // Pad so the extent is positive even for a single point.
                 (lo, hi - lo + Vec3::splat(1e-6))
             }
@@ -121,47 +124,45 @@ impl CellList {
             dims[2] as f64 / extent.z,
         );
         let n_cells = dims[0] * dims[1] * dims[2];
-        // Atoms on the upper face (vacuum) or wrapped onto it by rounding
-        // (periodic) belong to the last cell.
-        let cell_of = |p: Vec3| {
+        // An atom's cell and wrapped coordinate, taken in both passes. Atoms on
+        // the upper face, or wrapped onto it by rounding, belong to the last cell.
+        let place = |p: &Vec3| {
+            let p = pbc.wrap(*p - origin);
             let along = |v: f64, n: usize| (v as usize).min(n - 1);
             let c = [
                 along(p.x * per_length.x, dims[0]),
                 along(p.y * per_length.y, dims[1]),
                 along(p.z * per_length.z, dims[2]),
             ];
-            flat(dims, c)
+            (flat(dims, c), p)
         };
-        // Counting sort, stable in the atom index.
-        let wrapped: Vec<Vec3> = positions.iter().map(|p| pbc.wrap(*p - origin)).collect();
-        let cells: Vec<u32> = wrapped.iter().map(|p| cell_of(*p) as u32).collect();
-        let mut start = vec![0u32; n_cells + 1];
-        for &c in &cells {
-            start[c as usize + 1] += 1;
+        // Counting sort, stable in the atom index. Cell `c` is counted in `start[c + 2]`:
+        // the running sum leaves its first slot in `start[c + 1]`, and filling moves it on.
+        let start = &mut self.start;
+        start.clear();
+        start.resize(n_cells + 2, 0);
+        for p in positions {
+            start[place(p).0 + 2] += 1;
         }
         for c in 0..n_cells {
-            start[c + 1] += start[c];
+            start[c + 2] += start[c + 1];
         }
-        let mut fill = start.clone();
-        let mut order = vec![0u32; positions.len()];
-        let mut coords = vec![Vec3::ZERO; positions.len()];
-        for (idx, (&c, &p)) in cells.iter().zip(&wrapped).enumerate() {
-            let slot = &mut fill[c as usize];
-            order[*slot as usize] = idx as u32;
-            coords[*slot as usize] = p;
+        self.order.resize(positions.len(), 0);
+        self.coords.resize(positions.len(), Vec3::ZERO);
+        for (idx, p) in positions.iter().enumerate() {
+            let (c, p) = place(p);
+            let slot = &mut start[c + 1];
+            self.order[*slot as usize] = idx as u32;
+            self.coords[*slot as usize] = p;
             *slot += 1;
         }
+        start.pop();
         CELL_LIST_BUILDS.fetch_add(1, Ordering::Relaxed);
-        CellList {
-            dims,
-            pbc: *pbc,
-            aliased: pbc.lengths().is_some() && dims.iter().any(|&d| d < 3),
-            reach_sq: cutoff * cutoff,
-            volume: extent.x * extent.y * extent.z,
-            start,
-            order,
-            coords,
-        }
+        self.dims = dims;
+        self.pbc = *pbc;
+        self.aliased = pbc.lengths().is_some() && dims.iter().any(|&d| d < 3);
+        self.reach_sq = cutoff * cutoff;
+        self.volume = extent.x * extent.y * extent.z;
     }
 
     /// Collect the pairs (`i < j`) within the cutoff, each once.
@@ -174,12 +175,8 @@ impl CellList {
 
     /// The pairs within the cutoff if the atoms were spread evenly over the
     /// volume, plus an eighth: what a collector of [`CellList::for_each_pair`]
-    /// reserves, so the list is one allocation made by the thread that uses
-    /// it. Grown from empty it is a chain of `realloc`s, which glibc serves
-    /// from the arena the first few bytes came from — any thread's, out of
-    /// the thread cache — and a campaign's peak RSS then steps by 3 MiB from
-    /// run to run (`results/pr17_mdsim_hot_path.txt`). An underestimate
-    /// (clustered atoms) only brings the doubling back.
+    /// reserves, so the list is one allocation, made by the thread that uses
+    /// it (DESIGN.md §10). An underestimate only brings the doubling back.
     fn expected_pairs(&self) -> usize {
         let n = self.order.len();
         let sphere = 4.0 / 3.0 * std::f64::consts::PI * self.reach_sq * self.reach_sq.sqrt();
@@ -213,14 +210,14 @@ impl CellList {
                 }
             }
         };
-        let mut shell = Vec::with_capacity(HALF_SHELL.len());
+        let mut shell: [_; HALF_SHELL.len()] = std::array::from_fn(|_| (0..0, Vec3::ZERO));
         for cz in 0..dims[2] {
             for cy in 0..dims[1] {
                 for cx in 0..dims[0] {
                     let home = cell_at([cx, cy, cz]);
                     // Neighbor cells of the half-shell, each with the box
                     // vector that brings it next to the home cell.
-                    shell.clear();
+                    let mut in_shell = 0;
                     for offset in HALF_SHELL {
                         let mut c = [cx + offset[0], cy + offset[1], cz + offset[2]];
                         if !periodic && (0..3).any(|k| c[k] < 0 || c[k] >= dims[k]) {
@@ -238,13 +235,14 @@ impl CellList {
                         // An aliased grid can wrap a neighbor back onto the
                         // home cell, whose pairs are already covered.
                         if other != home {
-                            shell.push((atoms_of(other), shift));
+                            shell[in_shell] = (atoms_of(other), shift);
+                            in_shell += 1;
                         }
                     }
                     for a in atoms_of(home) {
                         let (ia, pa) = (self.order[a], self.coords[a]);
                         scan(ia, pa, a + 1..atoms_of(home).end);
-                        for (others, shift) in &shell {
+                        for (others, shift) in &shell[..in_shell] {
                             scan(ia, pa - *shift, others.clone());
                         }
                     }
@@ -262,11 +260,6 @@ impl CellList {
             pairs.sort_unstable();
             pairs.dedup();
         }
-    }
-
-    /// Number of cells (for diagnostics).
-    pub fn n_cells(&self) -> usize {
-        self.start.len() - 1
     }
 }
 
@@ -298,6 +291,8 @@ pub struct NeighborCache {
     pairs: Vec<(u32, u32)>,
     /// Positions at build time (displacement reference).
     ref_positions: Vec<Vec3>,
+    /// The cell grid the list was searched on, kept for its buffers.
+    grid: CellList,
     /// Whether `pairs` is a position-independent all-pairs list.
     all_pairs_list: bool,
     valid: bool,
@@ -326,6 +321,7 @@ impl NeighborCache {
             pbc: PbcBox::VACUUM,
             pairs: Vec::new(),
             ref_positions: Vec::new(),
+            grid: CellList::default(),
             all_pairs_list: false,
             valid: false,
             rebuilds: 0,
@@ -395,7 +391,10 @@ impl NeighborCache {
     fn rebuild(&mut self, system: &System, cutoff: f64) {
         let n = system.n_atoms();
         let pos = &system.state.positions;
-        let top = &system.topology;
+        let top: &Topology = &system.topology;
+        // The list last: nothing a cache allocates lies above a live list (DESIGN.md §10).
+        self.ref_positions.clear();
+        self.ref_positions.extend_from_slice(pos);
         self.pairs.clear();
         if n < CELL_LIST_THRESHOLD {
             self.all_pairs_list = true;
@@ -407,18 +406,16 @@ impl NeighborCache {
             }
         } else {
             self.all_pairs_list = false;
-            let cl = CellList::build(pos, &system.pbc, cutoff + self.skin);
-            self.pairs.reserve(cl.expected_pairs());
+            self.grid.sort(pos, &system.pbc, cutoff + self.skin);
+            self.pairs.reserve(self.grid.expected_pairs());
             let pairs = &mut self.pairs;
-            cl.for_each_pair(|i, j| {
+            self.grid.for_each_pair(|i, j| {
                 if !top.is_excluded(i, j) {
                     pairs.push((i, j));
                 }
             });
-            cl.dedup_if_aliased(&mut self.pairs);
+            self.grid.dedup_if_aliased(&mut self.pairs);
         }
-        self.ref_positions.clear();
-        self.ref_positions.extend_from_slice(pos);
         self.n_atoms = n;
         self.cutoff = cutoff;
         self.pbc = system.pbc;

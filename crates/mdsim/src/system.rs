@@ -4,6 +4,7 @@ use crate::topology::Topology;
 use crate::units::{kbt, wrap_angle};
 use crate::vec3::Vec3;
 use rng::Rng;
+use std::sync::Arc;
 
 /// Round to the nearest integer by adding and subtracting 1.5·2⁵², exact for
 /// `|x| < 2⁵¹`: two additions, where `f64::round` is a call into libm on the
@@ -31,6 +32,12 @@ pub struct PbcBox {
     edge: Vec3,
     /// Reciprocal edge lengths `1/L` (zero in vacuum).
     inv: Vec3,
+}
+
+impl Default for PbcBox {
+    fn default() -> Self {
+        PbcBox::VACUUM
+    }
 }
 
 impl PbcBox {
@@ -132,15 +139,22 @@ impl State {
 }
 
 /// A complete molecular system: immutable topology + box + mutable state.
+///
+/// The topology is shared: systems built over one `Arc` (a campaign's
+/// replicas, a clone) hold one allocation, and nothing that runs a system
+/// writes to it. Whoever edits one after construction — tests do — goes
+/// through [`Arc::make_mut`], which copies it for that system first, and
+/// invalidates any [`crate::forcefield::EvalContext`] built before.
 #[derive(Debug, Clone)]
 pub struct System {
-    pub topology: Topology,
+    pub topology: Arc<Topology>,
     pub pbc: PbcBox,
     pub state: State,
 }
 
 impl System {
-    pub fn new(topology: Topology, pbc: PbcBox, state: State) -> Result<Self, String> {
+    pub fn new(top: impl Into<Arc<Topology>>, pbc: PbcBox, state: State) -> Result<Self, String> {
+        let topology = top.into();
         topology.validate()?;
         if topology.n_atoms() != state.n_atoms() {
             return Err(format!(

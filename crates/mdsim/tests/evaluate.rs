@@ -15,6 +15,7 @@ use mdsim::topology::{Angle, Atom, Bond, NamedDihedral, Titratable, Topology, To
 use mdsim::units::AKMA_PER_PS;
 use mdsim::{DihedralRestraint, EvalContext, ForceField, PbcBox, State, System, Vec3};
 use rng::Rng;
+use std::sync::Arc;
 
 /// A periodic LJ fluid two cells wide at its cutoff, made to answer to every
 /// axis of the table: alternating charges (salt), one titratable site (pH),
@@ -23,16 +24,16 @@ use rng::Rng;
 fn charged_bonded_fluid() -> System {
     let mut sys = lj_fluid(450, 0.8, 5);
     let n = sys.n_atoms() as u32;
-    for (k, atom) in sys.topology.atoms.iter_mut().enumerate() {
+    let top = Arc::make_mut(&mut sys.topology);
+    for (k, atom) in top.atoms.iter_mut().enumerate() {
         atom.charge = if k % 2 == 0 { 0.25 } else { -0.25 };
     }
-    sys.topology.titratable = vec![Titratable { atom: 10, pka: 6.0, proton_charge: 0.5 }];
-    sys.topology.bonds =
-        (0..n - 1).step_by(2).map(|i| Bond { i, j: i + 1, k: 100.0, r0: 3.8 }).collect();
+    top.titratable = vec![Titratable { atom: 10, pka: 6.0, proton_charge: 0.5 }];
+    top.bonds = (0..n - 1).step_by(2).map(|i| Bond { i, j: i + 1, k: 100.0, r0: 3.8 }).collect();
     // Lattice sites (0,0,0), (0,0,1), (0,1,1), (1,1,1) of the 8-per-side
     // fill: a right-angled chain, far from a degenerate dihedral.
-    sys.topology.named_dihedrals = vec![NamedDihedral { name: "psi".into(), atoms: [0, 1, 9, 73] }];
-    sys.topology.build_exclusions();
+    top.named_dihedrals = vec![NamedDihedral { name: "psi".into(), atoms: [0, 1, 9, 73] }];
+    top.build_exclusions();
     sys
 }
 
@@ -40,9 +41,10 @@ fn charged_bonded_fluid() -> System {
 /// left of an evaluation is the nonbonded kernel alone.
 fn nonbonded_only(sys: &System) -> System {
     let mut nb = sys.clone();
-    nb.topology.bonds.clear();
-    nb.topology.angles.clear();
-    nb.topology.torsions.clear();
+    let top = Arc::make_mut(&mut nb.topology);
+    top.bonds.clear();
+    top.angles.clear();
+    top.torsions.clear();
     nb
 }
 
@@ -258,6 +260,7 @@ fn assert_forces_are_minus_gradient(
     let h = 1e-6;
     let mut p = pos.to_vec();
     for atom in 0..pos.len() {
+        #[allow(clippy::needless_range_loop)] // index pairs (atom, axis) read best this way
         for axis in 0..3 {
             let mut at = |delta: f64| {
                 let mut moved = pos[atom];

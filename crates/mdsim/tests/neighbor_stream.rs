@@ -19,9 +19,9 @@ fn shake(sys: &mut System, amplitude: f64, rng: &mut Rng) {
 /// something to remove among near neighbours.
 fn with_bonds(mut sys: System) -> System {
     let n = sys.n_atoms() as u32;
-    sys.topology.bonds =
-        (0..n - 1).step_by(2).map(|i| Bond { i, j: i + 1, k: 100.0, r0: 3.8 }).collect();
-    sys.topology.build_exclusions();
+    let top = std::sync::Arc::make_mut(&mut sys.topology);
+    top.bonds = (0..n - 1).step_by(2).map(|i| Bond { i, j: i + 1, k: 100.0, r0: 3.8 }).collect();
+    top.build_exclusions();
     sys
 }
 

@@ -107,13 +107,13 @@ pub fn replay_slot_walk(events: &[Event], n_slots: usize) -> SlotReplay {
     let mut records = Vec::new();
     for event in events {
         match event {
-            Event::ExchangeOutcome { slot_lo, slot_hi, accepted: true, .. } => {
-                if *slot_hi < n_slots {
-                    let (a, b) = (*slot_lo, *slot_hi);
-                    owner.swap(a, b);
-                    slot_of[owner[a]] = a;
-                    slot_of[owner[b]] = b;
-                }
+            Event::ExchangeOutcome { slot_lo, slot_hi, accepted: true, .. }
+                if *slot_hi < n_slots =>
+            {
+                let (a, b) = (*slot_lo, *slot_hi);
+                owner.swap(a, b);
+                slot_of[owner[a]] = a;
+                slot_of[owner[b]] = b;
             }
             Event::ExchangeWindow { participants, .. } if *participants > 0 => {
                 records.push(slot_of.clone());

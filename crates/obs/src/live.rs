@@ -816,7 +816,7 @@ pub fn evaluate_rules(s: &TelemetrySnapshot, idle_windows: u32) -> Vec<Finding> 
             });
         } else if d.attempts >= W203_MIN_ATTEMPTS {
             let r = d.ratio();
-            if r < W203_MIN_RATIO || r > W203_MAX_RATIO {
+            if !(W203_MIN_RATIO..=W203_MAX_RATIO).contains(&r) {
                 findings.push(Finding {
                     code: "W203",
                     severity: "warning",
@@ -977,7 +977,6 @@ mod tests {
                 slot_of: vec![1, 0],
                 rt_last_end: vec![1, 0],
                 rt_half_trips: vec![3, 2],
-                ..Default::default()
             },
         });
         st.fold(&outcome(0, 1, true));
@@ -1097,14 +1096,8 @@ mod tests {
             validate_campaign_id(&"a".repeat(65)),
             Err(CampaignIdError::TooLong { len: 65 })
         );
-        assert_eq!(
-            validate_campaign_id("-leading"),
-            Err(CampaignIdError::BadStart { ch: '-' })
-        );
-        assert_eq!(
-            validate_campaign_id(".hidden"),
-            Err(CampaignIdError::BadStart { ch: '.' })
-        );
+        assert_eq!(validate_campaign_id("-leading"), Err(CampaignIdError::BadStart { ch: '-' }));
+        assert_eq!(validate_campaign_id(".hidden"), Err(CampaignIdError::BadStart { ch: '.' }));
         assert_eq!(
             validate_campaign_id("has space"),
             Err(CampaignIdError::BadChar { ch: ' ', index: 3 })

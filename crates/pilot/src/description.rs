@@ -25,15 +25,11 @@ pub struct UnitDescription {
     /// Human-readable name ("md-r0042-c003", "exchange-T-c003").
     pub name: String,
     /// Executable label carried for bookkeeping ("sander", "namd2", ...).
-    pub executable: String,
+    pub executable: &'static str,
     /// Cores required.
     pub cores: usize,
     /// Duration semantics.
     pub duration: DurationSpec,
-    /// Names of staged input files the unit reads.
-    pub input_staging: Vec<String>,
-    /// Names of staged output files the unit writes.
-    pub output_staging: Vec<String>,
     /// Replica this unit works for, when it works for exactly one — keys
     /// stable per-replica placement effects (heterogeneous node speeds).
     /// `None` for collective units such as exchanges.
@@ -41,14 +37,12 @@ pub struct UnitDescription {
 }
 
 impl UnitDescription {
-    pub fn new(name: impl Into<String>, executable: impl Into<String>, cores: usize) -> Self {
+    pub fn new(name: impl Into<String>, executable: &'static str, cores: usize) -> Self {
         UnitDescription {
             name: name.into(),
-            executable: executable.into(),
+            executable,
             cores,
             duration: DurationSpec::Measured,
-            input_staging: Vec::new(),
-            output_staging: Vec::new(),
             replica: None,
         }
     }
@@ -60,12 +54,6 @@ impl UnitDescription {
 
     pub fn with_replica(mut self, replica: usize) -> Self {
         self.replica = Some(replica);
-        self
-    }
-
-    pub fn with_staging(mut self, inputs: Vec<String>, outputs: Vec<String>) -> Self {
-        self.input_staging = inputs;
-        self.output_staging = outputs;
         self
     }
 
@@ -137,9 +125,9 @@ mod tests {
     fn unit_builder_and_validation() {
         let u = UnitDescription::new("md-r0-c0", "sander", 1)
             .with_duration(DurationSpec::modeled(139.6, 0.03))
-            .with_staging(vec!["in".into()], vec!["out".into()]);
+            .with_replica(4);
         assert!(u.validate().is_ok());
-        assert_eq!(u.input_staging, vec!["in"]);
+        assert_eq!((u.executable, u.replica), ("sander", Some(4)));
 
         assert!(UnitDescription::new("", "x", 1).validate().is_err());
         assert!(UnitDescription::new("a", "x", 0).validate().is_err());

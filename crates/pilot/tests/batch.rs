@@ -31,7 +31,9 @@ fn units(n: u64) -> Vec<Unit> {
 }
 
 /// Everything a completion carries, floats as bits.
-fn stream(ex: &mut SimExecutor<u64>) -> Vec<(u64, String, usize, u64, u64, Result<u64, String>)> {
+type Completion = (u64, String, usize, u64, u64, Result<u64, String>);
+
+fn stream(ex: &mut SimExecutor<u64>) -> Vec<Completion> {
     drain(ex)
         .into_iter()
         .map(|c| {

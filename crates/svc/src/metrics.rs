@@ -80,15 +80,18 @@ pub fn merge_prometheus(parts: &[String]) -> String {
 /// Render one service-level gauge block (name sanitized through the same
 /// `obs` alphabet as campaign metrics, labels escaped through the shared
 /// [`obs::campaign_label`] sanitizer).
-pub fn service_gauge(name: &str, help: &str, labels: &[(&str, &str)], value: impl std::fmt::Display) -> String {
+pub fn service_gauge(
+    name: &str,
+    help: &str,
+    labels: &[(&str, &str)],
+    value: impl std::fmt::Display,
+) -> String {
     let name = obs::sanitize_metric_name(name);
     let label_text = if labels.is_empty() {
         String::new()
     } else {
-        let inner: Vec<String> = labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", obs::campaign_label(v)))
-            .collect();
+        let inner: Vec<String> =
+            labels.iter().map(|(k, v)| format!("{k}=\"{}\"", obs::campaign_label(v))).collect();
         format!("{{{}}}", inner.join(","))
     };
     format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name}{label_text} {value}\n")
