@@ -1,4 +1,4 @@
-//! Shared sweep helpers for the figure/table binaries.
+//! The configurations behind the figures, and the two ways to run one.
 
 use repex::config::{DimensionConfig, EngineChoice, Pattern, SimulationConfig};
 use repex::report::SimulationReport;
@@ -107,8 +107,8 @@ pub fn utilization_config(n_replicas: usize, pattern: Pattern, cycles: u64) -> S
     cfg
 }
 
-/// Run a configuration, panicking with context on error (bench binaries
-/// want loud failures).
+/// Run a configuration, panicking with context on error (an experiment
+/// wants loud failures).
 pub fn run(cfg: SimulationConfig) -> SimulationReport {
     let title = cfg.title.clone();
     RemdSimulation::new(cfg)
@@ -119,7 +119,7 @@ pub fn run(cfg: SimulationConfig) -> SimulationReport {
 
 /// Like [`run`], but with structured tracing enabled: returns the report
 /// together with the recorder holding the run's event stream and counters.
-/// Figure binaries that decompose `Tc` (Fig. 5) or reconstruct utilization
+/// Figures that decompose `Tc` (Fig. 5) or reconstruct utilization
 /// (Fig. 13) read from the recorder so the plot and the trace agree.
 pub fn run_traced(cfg: SimulationConfig) -> (SimulationReport, obs::Recorder) {
     let title = cfg.title.clone();

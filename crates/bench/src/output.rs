@@ -1,81 +1,93 @@
-//! Result emission: every figure binary prints to stdout and writes the same
-//! text into `results/<name>.txt` so EXPERIMENTS.md can reference stable
-//! artifacts. Perf-trajectory binaries additionally write `BENCH_*.json`
-//! records at the repo root via [`write_bench_json`], stamped with
-//! provenance metadata ([`bench_meta`]) so points are comparable across
-//! machines and commits.
+//! What an experiment returns and how it is recorded: a [`Figure`] is the
+//! text of one table/figure plus its shape checks; the `paper` binary writes
+//! it to `results/<name>.txt` under a `# meta:` provenance line and folds
+//! every figure's checks into one exit status ([`exit_status`]).
 
-use obs::json::Value;
+use analysis::tables::TextTable;
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
-use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Directory the binaries write into (repo-relative).
+/// One regenerated table or figure of the paper's evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Figure {
+    /// Stem of the `results/` file.
+    pub name: &'static str,
+    pub text: String,
+    /// The shape checks against the paper's qualitative claims, in the order
+    /// their `[PASS]`/`[FAIL]` lines appear in `text`.
+    pub checks: Vec<(String, bool)>,
+}
+
+impl Figure {
+    pub fn new(name: &'static str) -> Self {
+        Figure { name, text: String::new(), checks: Vec::new() }
+    }
+
+    pub fn line(&mut self, text: impl AsRef<str>) {
+        self.text.push_str(text.as_ref());
+        self.text.push('\n');
+    }
+
+    /// A rendered table followed by the blank line that separates it from
+    /// the checks.
+    pub fn table(&mut self, table: &TextTable) {
+        self.text.push_str(&table.render());
+        self.text.push('\n');
+    }
+
+    /// Record a shape check and print its `[PASS]`/`[FAIL]` line.
+    pub fn check(&mut self, label: impl Into<String>, ok: bool) {
+        let label = label.into();
+        self.line(format!("[{}] {label}", if ok { "PASS" } else { "FAIL" }));
+        self.checks.push((label, ok));
+    }
+
+    pub fn failed(&self) -> impl Iterator<Item = &str> {
+        self.checks.iter().filter(|(_, ok)| !ok).map(|(label, _)| label.as_str())
+    }
+
+    /// Write `results/<name>.txt`: the provenance line, then the text.
+    pub fn write(&self, meta: &str) -> std::io::Result<PathBuf> {
+        let path = results_dir().join(format!("{}.txt", self.name));
+        fs::write(&path, format!("{meta}\n{}", self.text))?;
+        Ok(path)
+    }
+}
+
+/// The process status for a set of regenerated figures: 1 if any check of
+/// any figure failed.
+pub fn exit_status(figures: &[Figure]) -> u8 {
+    u8::from(figures.iter().any(|f| f.failed().next().is_some()))
+}
+
+/// Directory the `paper` binary writes into (repo-relative).
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.push("results");
-    p
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-/// The repository root (parent of `results/`).
-pub fn repo_root() -> PathBuf {
-    let mut p = results_dir();
-    p.pop();
-    p
+/// The `# meta:` line every results file starts with: toolchain, commit
+/// (`-dirty` when the work tree differs from it) and the host's thread
+/// count. No timestamp — git knows when. Read it before writing anything:
+/// a regenerated file makes the tree dirty.
+pub fn meta_line() -> String {
+    let clean = command_line("git", &["status", "--porcelain"]).is_some_and(|s| s.is_empty());
+    let rev = match command_line("git", &["rev-parse", "--short", "HEAD"]) {
+        Some(rev) if clean => rev,
+        Some(rev) => format!("{rev}-dirty"),
+        None => "unknown".into(),
+    };
+    format!(
+        "# meta: {} | rev {rev} | threads {}",
+        command_line("rustc", &["--version"]).unwrap_or_else(|| "rustc unknown".into()),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    )
 }
 
-/// Provenance block every `BENCH_*.json` record carries: toolchain, commit,
-/// the host's thread count (`available_parallelism`, what the simulated
-/// executor's MD waves run on) and wall-clock stamp. Numbers measured under different
-/// thread counts are not comparable — `repex analyze --bench` warns on that.
-pub fn bench_meta() -> Value {
-    let unix = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
-    obs::obj! {
-        "rustc_version" => command_line("rustc", &["--version"]),
-        "git_rev" => command_line("git", &["rev-parse", "--short", "HEAD"]),
-        "n_threads" => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "timestamp" => unix,
-    }
-}
-
-fn command_line(cmd: &str, args: &[&str]) -> String {
-    match Command::new(cmd).args(args).current_dir(repo_root()).output() {
-        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        _ => "unknown".into(),
-    }
-}
-
-/// Write a `BENCH_*.json` payload at the repo root.
-pub fn write_bench_json(filename: &str, payload: &Value) {
-    let path = repo_root().join(filename);
-    match fs::write(&path, payload.pretty()) {
-        Ok(()) => eprintln!("[written: {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Print `content` and persist it under `results/<name>.txt`.
-pub fn emit(name: &str, content: &str) {
-    println!("{content}");
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.txt"));
-        if let Err(e) = fs::write(&path, content) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("[written: {}]", path.display());
-        }
-    }
-}
-
-/// A PASS/FAIL line for the shape checks each binary performs against the
-/// paper's qualitative claims.
-pub fn check(label: &str, ok: bool) -> String {
-    format!("[{}] {label}", if ok { "PASS" } else { "FAIL" })
+fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
+    let out = Command::new(cmd).args(args).current_dir(results_dir()).output().ok()?;
+    out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
 #[cfg(test)]
@@ -84,23 +96,29 @@ mod tests {
 
     #[test]
     fn results_dir_is_repo_root_results() {
-        let d = results_dir();
+        let d = results_dir().canonicalize().unwrap();
         assert!(d.ends_with("results"));
         assert!(d.parent().unwrap().join("Cargo.toml").exists(), "repo root");
     }
 
     #[test]
     fn check_formatting() {
-        assert_eq!(check("x", true), "[PASS] x");
-        assert_eq!(check("y", false), "[FAIL] y");
+        let mut fig = Figure::new("x");
+        fig.line("title");
+        fig.check("x", true);
+        fig.check(format!("y {}", 2), false);
+        assert_eq!(fig.text, "title\n[PASS] x\n[FAIL] y 2\n");
+        assert_eq!(fig.checks, [("x".to_string(), true), ("y 2".to_string(), false)]);
+        assert_eq!(fig.failed().collect::<Vec<_>>(), ["y 2"]);
     }
 
     #[test]
     fn bench_meta_has_provenance_fields() {
-        let meta = bench_meta();
-        for key in ["rustc_version", "git_rev", "n_threads", "timestamp"] {
-            assert!(meta.get(key).is_some(), "missing {key}");
-        }
-        assert!(meta["n_threads"].as_u64().unwrap() >= 1);
+        let meta = meta_line();
+        let fields: Vec<&str> = meta.strip_prefix("# meta: ").unwrap().split(" | ").collect();
+        assert_eq!(fields.len(), 3, "{meta}");
+        assert!(fields[0].starts_with("rustc "), "{meta}");
+        assert!(fields[1].starts_with("rev ") && !meta.contains('\n'), "{meta}");
+        assert!(fields[2].strip_prefix("threads ").unwrap().parse::<usize>().unwrap() >= 1);
     }
 }

@@ -10,12 +10,6 @@
 //! Health findings are emitted as A1xx diagnostics in the same JSON schema
 //! and with the same exit-code convention as `repex check`: 0 clean,
 //! 1 error-level findings, 2 usage/parse error.
-//!
-//! `repex analyze --bench <BENCH_*.json>...` instead summarizes the perf
-//! records the bench binaries write at the repo root, and warns (A110/A111)
-//! when the provenance metadata says the numbers are not comparable —
-//! most importantly when records were measured under different thread
-//! counts.
 
 use analysis::tables::{f1, TextTable};
 use lint::report::Report;
@@ -25,9 +19,6 @@ use obs::{obj, Event, OverheadScope};
 use std::collections::BTreeSet;
 
 pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
-    if args.first().is_some_and(|a| a == "--bench") {
-        return cmd_bench(&args[1..]);
-    }
     let path = args.first().ok_or("analyze needs a trace file path")?;
     let json_out = crate::flag_value(args, "--json")?;
     let z = num_flag(args, "--straggler-z")?.unwrap_or(2.0);
@@ -199,74 +190,6 @@ fn derive_diagnostics(events: &[Event], doc: &Value) -> Vec<Diagnostic> {
             )
             .with_hint("batch stage-ins, widen striping, or run fewer concurrent replicas"),
         );
-    }
-    out
-}
-
-/// `repex analyze --bench a.json [b.json ...]`: summarize `BENCH_*.json`
-/// perf records and lint their provenance. Exit codes follow the analyze
-/// convention (warnings do not affect the exit code).
-fn cmd_bench(paths: &[String]) -> Result<u8, String> {
-    if paths.is_empty() {
-        return Err("analyze --bench needs at least one BENCH_*.json path".into());
-    }
-    let mut records = Vec::new();
-    for p in paths {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-        let doc = json::parse(&text).map_err(|e| format!("{p} is not valid JSON: {e}"))?;
-        records.push((p.clone(), doc));
-    }
-    let mut table = TextTable::new(vec!["File", "Bench", "Unit", "Threads", "Rev", "Rows"]);
-    for (path, doc) in &records {
-        table.add_row(vec![
-            path.clone(),
-            doc["bench"].as_str().unwrap_or("?").to_string(),
-            doc["unit"].as_str().unwrap_or("?").to_string(),
-            doc["meta"]["n_threads"].to_string(),
-            doc["meta"]["git_rev"].as_str().unwrap_or("?").to_string(),
-            doc["sizes"].as_array().map_or(0, <[Value]>::len).to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-    let report = Report::new(bench_diagnostics(&records), None);
-    if !report.is_empty() {
-        eprint!("{}", report.render_human("bench"));
-    }
-    Ok(u8::from(report.has_errors()))
-}
-
-/// Provenance lints over a set of bench records. A110 = records measured
-/// under different thread counts are being compared (steps/sec and
-/// events/sec scale with the pool, so the comparison is meaningless);
-/// A111 = a record predates the provenance schema.
-fn bench_diagnostics(records: &[(String, Value)]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let threads: Vec<(&str, Option<u64>)> =
-        records.iter().map(|(p, d)| (p.as_str(), d["meta"]["n_threads"].as_u64())).collect();
-    for (p, t) in &threads {
-        if t.is_none() {
-            out.push(Diagnostic::warning(
-                "A111",
-                format!("{p} has no meta.n_threads provenance field (pre-schema record?)"),
-            ));
-        }
-    }
-    let known: Vec<(&str, u64)> = threads.iter().filter_map(|&(p, t)| t.map(|t| (p, t))).collect();
-    if let Some(&(first_path, first)) = known.first() {
-        for &(p, t) in &known[1..] {
-            if t != first {
-                out.push(
-                    Diagnostic::warning(
-                        "A110",
-                        format!(
-                            "comparing benches measured under different thread counts: \
-                             {first_path} used {first} thread(s) but {p} used {t}",
-                        ),
-                    )
-                    .with_hint("re-measure on the same machine/thread pool before comparing"),
-                );
-            }
-        }
     }
     out
 }
@@ -814,59 +737,6 @@ mod tests {
         let doc = analyze(&events, obs::StragglerPolicy::default());
         let diags = derive_diagnostics(&events, &doc);
         assert!(diag_codes(&diags).contains(&"A106"), "{diags:?}");
-    }
-
-    fn bench_record(n_threads: Option<u64>) -> Value {
-        let mut meta =
-            obj! { "rustc_version" => "rustc 1.95.0", "git_rev" => "abc1234", "timestamp" => 1 };
-        if let Some(t) = n_threads {
-            meta = meta.with("n_threads", t);
-        }
-        obj! {
-            "bench" => "neighbor_cache", "unit" => "steps_per_sec", "status" => "measured",
-            "meta" => meta, "sizes" => vec![obj! { "atoms" => 400 }],
-        }
-    }
-
-    #[test]
-    fn bench_records_with_matching_threads_are_clean() {
-        let a = ("a.json".to_string(), bench_record(Some(8)));
-        let b = ("b.json".to_string(), bench_record(Some(8)));
-        assert!(bench_diagnostics(&[a, b]).is_empty());
-    }
-
-    #[test]
-    fn bench_thread_count_mismatch_warns_a110() {
-        let a = ("a.json".to_string(), bench_record(Some(8)));
-        let b = ("b.json".to_string(), bench_record(Some(4)));
-        let diags = bench_diagnostics(&[a, b]);
-        assert!(diag_codes(&diags).contains(&"A110"), "{diags:?}");
-        assert!(!diags.iter().any(|d| d.severity == lint::Severity::Error));
-    }
-
-    #[test]
-    fn bench_record_without_provenance_warns_a111() {
-        let a = ("a.json".to_string(), bench_record(None));
-        let diags = bench_diagnostics(&[a]);
-        assert!(diag_codes(&diags).contains(&"A111"), "{diags:?}");
-    }
-
-    #[test]
-    fn analyze_bench_mode_reads_files_and_exits_clean() {
-        let dir = std::env::temp_dir().join("repex-cli-bench");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("BENCH_a.json");
-        let b = dir.join("BENCH_b.json");
-        std::fs::write(&a, bench_record(Some(8)).to_string()).unwrap();
-        std::fs::write(&b, bench_record(Some(4)).to_string()).unwrap();
-        let code = cmd_analyze(&[
-            "--bench".into(),
-            a.to_string_lossy().into_owned(),
-            b.to_string_lossy().into_owned(),
-        ])
-        .unwrap();
-        assert_eq!(code, 0, "A110 is a warning, not an error");
-        assert!(cmd_analyze(&["--bench".into()]).is_err(), "no paths is a usage error");
     }
 
     #[test]

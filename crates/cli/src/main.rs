@@ -20,7 +20,6 @@
 //! repex plan <config.json> [--json <plan.json>]   predict cost/acceptance, rank plans
 //!            [--target-round-trip <s>] [--budget-core-hours <h>] [--no-search]
 //! repex analyze <trace.json> [--json <out.json>]  run-health report from a trace
-//! repex analyze --bench <BENCH_*.json>...       compare perf records (provenance-linted)
 //! repex validate <config.json>                  check a configuration
 //! repex example-config [tremd|tsu|ph]           print a starter config
 //! repex capabilities                            print the Table 1 comparison
@@ -101,7 +100,6 @@ fn print_usage() {
 [--budget-core-hours <h>] [--no-search]\n  \
          repex analyze <trace.json> [--json <out.json>] \
 [--straggler-z <z>] [--straggler-ratio <r>]\n  \
-         repex analyze --bench <BENCH_*.json>...\n  \
          repex validate <config.json>\n  repex example-config [tremd|tsu|ph]\n  \
          repex capabilities\n  \
          repex serve --spool <dir> [--cluster <preset>] [--addr <host:port>]\n            \
@@ -147,9 +145,7 @@ and continues the campaign\nas if never interrupted; --stop-after checkpoints \
 and exits after n more cycles.\n\
          analyze re-reads a --trace file and reports Tc percentiles, \
 stragglers,\nbatch imbalance, the critical path and exchange health \
-(see EXPERIMENTS.md).\n\
-         analyze --bench summarizes BENCH_*.json perf records and warns when \
-records\nbeing compared were measured under different thread counts.\n\n\
+(see EXPERIMENTS.md).\n\n\
          Exit codes for check/plan/analyze/run: 0 clean, 1 error-level \
 findings,\n2 usage error (unparseable input always exits 2; a requested \
 --json artifact\nstill records it as a C000 diagnostic).\n\

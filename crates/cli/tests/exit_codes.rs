@@ -118,18 +118,6 @@ fn a_config_of_the_wrong_shape_gets_a_c000_with_its_line_and_column() {
     }
 }
 
-/// `BENCH_hpc.json` at the repository root was written through the registry
-/// JSON crate this workspace used until PR 19 (sorted keys, its float
-/// format): the in-tree reader still takes it.
-#[test]
-fn a_bench_record_written_before_the_in_tree_json_layer_still_reads() {
-    let record = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hpc.json");
-    let out = run(&["analyze", "--bench", record]);
-    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("hpc_event_engine") && stdout.contains("events_per_sec"), "{stdout}");
-}
-
 #[test]
 fn malformed_trace_exits_two_and_writes_a_c000_artifact() {
     let bad = scratch("not-a-trace.json");
@@ -145,9 +133,4 @@ fn malformed_trace_exits_two_and_writes_a_c000_artifact() {
     let written =
         std::fs::read_to_string(&artifact).expect("analyze must still write the artifact");
     assert!(written.contains(&format!("\"{PARSE_FAILURE_CODE}\"")), "analyze artifact: {written}");
-}
-
-#[test]
-fn bench_mode_without_records_is_a_usage_error() {
-    assert_eq!(code(&run(&["analyze", "--bench"])), 2);
 }
