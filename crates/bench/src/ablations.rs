@@ -7,7 +7,7 @@ use crate::experiments::{one_d_config, run, OneDKind};
 use crate::figures::span;
 use crate::output::Figure;
 use analysis::tables::{f1, f2, TextTable};
-use analysis::timeseries::round_trip_times;
+use analysis::timeseries::{mean, round_trip_times};
 use exchange::ladder_opt::{respace_temperature_ladder, PairAcceptance};
 use exchange::pairing::PairingStrategy;
 use repex::config::{DimensionConfig, Pattern, SimulationConfig};
@@ -165,11 +165,7 @@ pub fn ablate_pairing() -> Figure {
             name.to_string(),
             f2(acc),
             format!("{}", report.round_trips),
-            if rts.is_empty() {
-                "-".to_string()
-            } else {
-                f1(rts.iter().sum::<f64>() / rts.len() as f64)
-            },
+            if rts.is_empty() { "-".to_string() } else { f1(mean(&rts)) },
         ]);
     }
     fig.table(&table);

@@ -20,12 +20,7 @@ fn main() -> ExitCode {
     let mut figures: Vec<Figure> = Vec::new();
     for experiment in REGISTRY.iter().filter(|e| e.figures.iter().any(|f| wanted(f))) {
         for figure in (experiment.run)().into_iter().filter(|f| wanted(f.name)) {
-            println!(
-                "\n=== {} {}\n{}",
-                figure.name,
-                "=".repeat(60 - figure.name.len()),
-                figure.text
-            );
+            println!("\n=== {} ===\n{}", figure.name, figure.text);
             match figure.write(&meta) {
                 Ok(path) => eprintln!("[written: {}]", path.display()),
                 Err(e) => {

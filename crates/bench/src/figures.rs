@@ -9,6 +9,7 @@ use crate::experiments::{
 use crate::output::Figure;
 use analysis::fes::{render_ascii, wham_fes_min_count, BiasedWindow};
 use analysis::tables::{f1, f2, TextTable};
+use analysis::timeseries::mean;
 use baselines::no_exchange_config;
 use repex::capabilities::{paper_repex_row, render_table1_markdown, repex_capabilities, table1};
 use repex::config::{DimensionConfig, Pattern, SimulationConfig, Workload};
@@ -17,10 +18,6 @@ use repex::timing::{strong_efficiency, weak_efficiency, CycleTiming};
 /// Smallest and largest value of a series.
 pub(crate) fn span(values: &[f64]) -> (f64, f64) {
     values.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-}
-
-fn mean(values: &[f64]) -> f64 {
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// Every value within `tolerance` (a fraction) of the series' mean.
@@ -680,21 +677,21 @@ fn fig11_efficiency_tsu(weak: &[CycleTiming], strong: &[(u8, CycleTiming)]) -> F
 
     fig.line("\n(a) Weak scaling (Eq. 2; base = 64 replicas on 64 cores)\n");
     let mut table_a = TextTable::new(vec!["Cores", "Efficiency (%)"]);
-    let weak: Vec<f64> = weak
+    let weak_eff: Vec<f64> = weak
         .iter()
         .map(|c| {
             weak_efficiency(weak[0].total(), c.total())
                 .expect("positive cycle times from a completed run")
         })
         .collect();
-    for (&n, &e) in REPLICA_SWEEP.iter().zip(&weak) {
+    for (&n, &e) in REPLICA_SWEEP.iter().zip(&weak_eff) {
         table_a.add_row(vec![format!("{n}"), f1(e)]);
     }
     fig.table(&table_a);
 
     fig.line("(b) Strong scaling (Eq. 3; 1728 replicas, base = 112 cores)\n");
     let mut table_b = TextTable::new(vec!["Cores", "Efficiency (%)"]);
-    let strong: Vec<f64> = STRONG_CORES
+    let strong_eff: Vec<f64> = STRONG_CORES
         .iter()
         .zip(strong)
         .map(|(&cores, (_, c))| {
@@ -702,26 +699,26 @@ fn fig11_efficiency_tsu(weak: &[CycleTiming], strong: &[(u8, CycleTiming)]) -> F
                 .expect("positive cycle times from a completed run")
         })
         .collect();
-    for (&cores, &e) in STRONG_CORES.iter().zip(&strong) {
+    for (&cores, &e) in STRONG_CORES.iter().zip(&strong_eff) {
         table_b.add_row(vec![format!("{cores}"), f1(e)]);
     }
     fig.table(&table_b);
 
     fig.check(
-        format!("weak efficiency decreases with cores ({:.1}% → {:.1}%)", weak[0], weak[4]),
-        weak.windows(2).all(|w| w[1] <= w[0] + 1.0),
+        format!("weak efficiency decreases with cores ({:.1}% → {:.1}%)", weak_eff[0], weak_eff[4]),
+        weak_eff.windows(2).all(|w| w[1] <= w[0] + 1.0),
     );
     fig.check(
-        format!("weak efficiency stays above 50% (min {:.1}%)", span(&weak).0),
-        span(&weak).0 > 50.0,
+        format!("weak efficiency stays above 50% (min {:.1}%)", span(&weak_eff).0),
+        span(&weak_eff).0 > 50.0,
     );
-    let min_strong = span(&strong).0;
+    let min_strong = span(&strong_eff).0;
     fig.check(
         format!(
             "strong efficiency dips then recovers at cores = replicas ({:.1}% at 1728 vs min {min_strong:.1}%)",
-            strong[4]
+            strong_eff[4]
         ),
-        strong[4] > min_strong && min_strong < strong[0],
+        strong_eff[4] > min_strong && min_strong < strong_eff[0],
     );
     fig
 }
