@@ -10,7 +10,7 @@
 
 use mdsim::engine::{MdEngine, MdJob, SanderEngine};
 use mdsim::models::{dipeptide_forcefield, solvated_alanine_dipeptide};
-use mdsim::neighbor::neighbor_cache_rebuilds;
+use mdsim::neighbor::{neighbor_cache_rebuilds, NeighborCache};
 use repex::checkpoint::CampaignCheckpoint;
 use repex::config::{SimulationConfig, Workload};
 use repex::emm::sync::run_sync;
@@ -131,7 +131,8 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
     const N: usize = 2000;
     /// Measured 2026-10-02: 45.5, on two worker threads or inline (59.5
     /// before units shared their slot's parameters and stopped carrying an
-    /// executable string and two staging lists), plus a tenth.
+    /// executable string and two staging lists), plus a tenth. 46.5 since
+    /// the pair list is two blocks, its runs reserved once, one per atom.
     const BUDGET_PER_SEGMENT: f64 = 50.0;
     let _turn = TURN.lock().unwrap();
     let mut ctx = build_ctx(wide_cfg(N)).unwrap();
@@ -150,13 +151,15 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
 }
 
 /// Nothing lies above a live pair list (DESIGN.md §10): a context reserves
-/// its list last, a segment allocates nothing while it holds one — not in a
-/// mid-run rebuild either — and the state `run` copies out, which outlives
-/// the call as the staged restart, is copied after the list is released.
-/// Otherwise whatever small block was cut above the list, freed into the
-/// thread's cache or still alive, is what the same worker's next 2 MiB list
-/// has to fit under; when it did not, the list went to the top of the malloc
-/// arena and `peak_rss_mib` on `md-solvated` read 1.6 MiB more in some runs.
+/// its list last — the runs, then the partners, the one block of `LARGE`
+/// bytes or more (≈ 400 kB at 1100 atoms) — a segment allocates nothing
+/// while it holds one — not in a mid-run rebuild either — and the state
+/// `run` copies out, which outlives the call as the staged restart, is
+/// copied after the list is released. Otherwise whatever small block was cut
+/// above the list, freed into the thread's cache or still alive, is what the
+/// same worker's next 1 MB list (at 2881 atoms) has to fit under; when it did
+/// not, the list went to the top of the malloc arena and `peak_rss_mib` on
+/// `md-solvated` read 1.6 MiB more in some runs.
 #[test]
 fn a_segment_allocates_nothing_above_its_pair_list() {
     const ATOMS: usize = 1100;
@@ -178,4 +181,27 @@ fn a_segment_allocates_nothing_above_its_pair_list() {
         0,
         "allocations made while the pair list (allocation {reserved}) was live"
     );
+}
+
+/// The Verlet list of the benchmark's system costs four bytes per pair and
+/// eight per run of a home atom (at most one per atom), plus the eighth the
+/// partners are reserved over a uniform fluid's count; what else a cache
+/// builds is per atom — reference positions (24 B) and the cell grid's
+/// order and wrapped coordinates (28 B), with its cell offsets — so a fresh
+/// cache's first build holds no more than that. A flat list of `(u32, u32)`
+/// pairs held eight bytes per pair and fails here.
+#[test]
+fn a_solvated_pair_list_holds_four_bytes_a_pair() {
+    const ATOMS: usize = 2881;
+    let _turn = TURN.lock().unwrap();
+    let sys = solvated_alanine_dipeptide(ATOMS, 7);
+    let mut cache = NeighborCache::default();
+    let before = LIVE.load(Ordering::Relaxed);
+    cache.ensure(&sys, dipeptide_forcefield().nonbonded.cutoff);
+    let held = (LIVE.load(Ordering::Relaxed) - before) as usize;
+    let pairs = cache.pairs().len();
+    let list = 4 * pairs * 9 / 8 + 8 * ATOMS;
+    let per_atom = 64 * ATOMS;
+    println!("NeighborCache::ensure: {held} B for {pairs} pairs of {ATOMS} atoms");
+    assert!(held <= list + per_atom, "{held} B held for {pairs} pairs, budget {list} + {per_atom}");
 }

@@ -12,8 +12,9 @@
 //! The thread count is the replica's core count (`PmemdEngine::cores`; 1 for
 //! every other engine). One thread evaluates the unsplit range `0..n_pairs`.
 //! More split the pair list into `min(threads, n_pairs / MIN_CHUNK_PAIRS)`
-//! contiguous chunks — boundaries a function of `(n_pairs, threads)` and
-//! nothing else, never of the host — run on `std::thread::scope` workers and
+//! contiguous ranges of pair indices — boundaries a function of `(n_pairs,
+//! threads)` and nothing else, never of the host, and free to fall inside a
+//! home atom's run of the list — run on `std::thread::scope` workers and
 //! merged in chunk order, so a multi-core replica's sums are the same on
 //! every machine.
 //!
@@ -49,7 +50,7 @@ use std::ops::Range;
 /// per-chunk O(N) force-buffer zero/merge and the thread hand-off cost more
 /// than the pairs. Sized when a pair cost 35 ns; it costs about 12 now, and
 /// no workload runs more than one thread, so the value is unverified until
-/// the cores-per-replica measurement of ROADMAP item 2.
+/// the cores-per-replica measurement of ROADMAP item 1c (Fig. 12 on threads).
 pub const MIN_CHUNK_PAIRS: usize = 4096;
 
 /// Pairs of chunk `c` of `n_chunks` over `n_pairs`.
@@ -155,7 +156,7 @@ impl EvalContext {
         let n_pairs = pairs.len();
         let n_chunks = threads.min(n_pairs / MIN_CHUNK_PAIRS).max(1);
         if n_chunks == 1 {
-            return soa.eval(sc, lj, pairs, forces);
+            return soa.eval(sc, lj, pairs, 0..n_pairs, forces);
         }
         // One pooled buffer per spawned chunk: no per-call O(N) allocation
         // and no atomics in the pair loop.
@@ -172,12 +173,13 @@ impl EvalContext {
                 .iter_mut()
                 .enumerate()
                 .map(|(w, buf)| {
-                    let chunk = &pairs[chunk_range(n_pairs, n_chunks, w + 1)];
-                    s.spawn(move || soa.eval(sc, lj, chunk, scatter.then_some(buf.as_mut_slice())))
+                    let chunk = chunk_range(n_pairs, n_chunks, w + 1);
+                    let buf = scatter.then_some(buf.as_mut_slice());
+                    s.spawn(move || soa.eval(sc, lj, pairs, chunk, buf))
                 })
                 .collect();
-            let head = &pairs[chunk_range(n_pairs, n_chunks, 0)];
-            let head = soa.eval(sc, lj, head, forces.as_deref_mut());
+            let head = chunk_range(n_pairs, n_chunks, 0);
+            let head = soa.eval(sc, lj, pairs, head, forces.as_deref_mut());
             // Chunk order, whatever order the workers finished in.
             workers.into_iter().fold(head, |(lj, coul), w| {
                 let (l, c) = w.join().expect("a nonbonded worker panicked");
@@ -425,8 +427,8 @@ mod tests {
         let sc = NbScalars::new(&ff.nonbonded);
         let table = ctx.lj.as_ref().unwrap();
         let chunk = |c: usize, f: &mut [Vec3]| {
-            let pairs = &ctx.neighbors.pairs()[chunk_range(n_pairs, 4, c)];
-            ctx.soa.eval(&sc, table, pairs, Some(f))
+            let range = chunk_range(n_pairs, 4, c);
+            ctx.soa.eval(&sc, table, ctx.neighbors.pairs(), range, Some(f))
         };
         let mut f_seq = vec![Vec3::ZERO; n];
         let (mut lj, mut coul) = chunk(0, &mut f_seq);
@@ -638,7 +640,7 @@ mod tests {
         let pos = &sys.state.positions;
         let mut energy = 0.0;
         let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
-        for &(i, j) in ctx.neighbors.pairs() {
+        for (i, j) in ctx.neighbors.pairs().iter() {
             let (i, j) = (i as usize, j as usize);
             let d = sys.pbc.min_image(pos[i], pos[j]);
             let (e, f_over_r) =

@@ -4,7 +4,16 @@
 //! walks `Vec<Vec3>` positions, mixes LJ parameters per pair and branches
 //! on cutoff, LJ activity and charge products. This module walks the
 //! neighbor list in blocks of pairs and splits the loop into three phases
-//! per block, the middle one over parallel `f64` block buffers:
+//! per block, the middle one over parallel `f64` block buffers.
+//!
+//! The list is a [`PairList`], stored by home atom: a block is `BLOCK`
+//! consecutive pairs of the range being evaluated, whatever runs it cuts,
+//! and phase 0 walks it run by run — one loop over each run's stretch of
+//! partners, the home atom fixed — forming each pair's `(min, max)` as it
+//! goes. A chunk of a multi-thread evaluation is a range of pair indices;
+//! the run that holds its first pair is found once per call, by bisection.
+//! So the pair sequence, the block boundaries, the run numbers of phase 2
+//! and every sum are those of a flat list of `(min, max)` pairs.
 //!
 //! - **Phase 0 (gather and screen)**: the only indexed loads. Atom data is
 //!   packed as one `[x, y, z, q]` quad per atom so a random neighbor access
@@ -36,15 +45,15 @@
 //!   The LJ energy shift is recomputed from `eps4`/`sig2` and the hoisted
 //!   `1/rc²` rather than kept as a third constant per table entry.
 //! - **Phase 2 (scatter)**: scalar indexed accumulation, kept out of phase
-//!   1 so it cannot inhibit vectorization. The cell search emits pairs home
-//!   atom outermost, so the list is long runs of one home atom — as `i`
-//!   whenever its partner has the larger index. The scatter accumulates a
-//!   run of equal `i` in registers and touches `forces[i]` once per run. A
-//!   run is a run *of the list*, numbered in phase 0 over every pair: pairs
-//!   are stored `(min, max)`, so a screened-out `(3, 5)` can sit between
-//!   `(5, 9)` and `(5, 20)`, and summing across it would re-associate
-//!   `f[5]` — the last bit of a force would depend on what the cutoff
-//!   dropped, where a dropped pair used to add an exact zero.
+//!   1 so it cannot inhibit vectorization. The list is long runs of one
+//!   home atom — as `i` whenever its partner has the larger index. The
+//!   scatter accumulates a run of equal `i` in registers and touches
+//!   `forces[i]` once per run. A run of `i` is numbered in phase 0 over
+//!   every pair, kept or not: home 5 with partners 9, 3 and 20 is `(5, 9)`,
+//!   `(3, 5)`, `(5, 20)`, and if a screened-out `(3, 5)` did not end the
+//!   first run of `i = 5`, summing across it would re-associate `f[5]` —
+//!   the last bit of a force would depend on what the cutoff dropped, where
+//!   a dropped pair used to add an exact zero.
 //!
 //! Per-atom quads are refreshed every evaluation (positions drift each MD
 //! step). Box constants store edge lengths and their precomputed
@@ -53,8 +62,10 @@
 //! `objdump` line that shows what the release binary's loop contains.
 
 use super::nonbonded::{LjTable, NbScalars};
+use crate::neighbor::PairList;
 use crate::system::{nearest, PbcBox};
 use crate::vec3::Vec3;
+use std::ops::Range;
 
 /// Pairs listed per block. The block buffers total 12.5 KiB — comfortably
 /// L1-resident next to the gather traffic — and the block is long enough to
@@ -91,9 +102,10 @@ impl SoaNonbonded {
         self.inv = [i.x, i.y, i.z];
     }
 
-    /// Evaluate `pairs` under the mixing table `lj`, returning `(lj, coulomb)`
-    /// energy sums and (optionally) scattering forces into `forces` (length
-    /// = n_atoms).
+    /// Evaluate the pairs `range` of `list` under the mixing table `lj`,
+    /// returning `(lj, coulomb)` energy sums and (optionally) scattering
+    /// forces into `forces` (length = n_atoms). Blocks are `BLOCK` pairs of
+    /// the range, whatever runs they cut.
     ///
     /// Screened and unscreened Coulomb are monomorphized separately so the
     /// common `kappa == 0` case contains no `exp` at all; at `kappa == 0`
@@ -103,13 +115,14 @@ impl SoaNonbonded {
         &self,
         sc: &NbScalars,
         lj: &LjTable,
-        pairs: &[(u32, u32)],
+        list: &PairList,
+        range: Range<usize>,
         forces: Option<&mut [Vec3]>,
     ) -> (f64, f64) {
         if sc.kappa == 0.0 {
-            self.eval_impl::<false>(sc, lj, pairs, forces)
+            self.eval_impl::<false>(sc, lj, list, range, forces)
         } else {
-            self.eval_impl::<true>(sc, lj, pairs, forces)
+            self.eval_impl::<true>(sc, lj, list, range, forces)
         }
     }
 
@@ -117,7 +130,8 @@ impl SoaNonbonded {
         &self,
         sc: &NbScalars,
         lj: &LjTable,
-        pairs: &[(u32, u32)],
+        list: &PairList,
+        range: Range<usize>,
         mut forces: Option<&mut [Vec3]>,
     ) -> (f64, f64) {
         let xyzq = &self.xyzq[..];
@@ -144,37 +158,52 @@ impl SoaNonbonded {
         let mut is = [0u32; BLOCK];
         let mut js = [0u32; BLOCK];
         let mut runs = [0u32; BLOCK];
-        for block in pairs.chunks(BLOCK) {
+        let (homes, partners) = (&list.runs[..], &list.partners[..]);
+        // The run that holds the block's next pair: found once per call.
+        let mut r = list.run_of(range.start);
+        for block_start in range.clone().step_by(BLOCK) {
             // Phase 0: gather, image, screen. The only indexed loads in the
-            // kernel; a lane is kept only if `len` moves past it.
+            // kernel; a lane is kept only if `len` moves past it. Each run's
+            // stretch of the block is one loop over its partners.
+            let block_end = (block_start + BLOCK).min(range.end);
             let mut len = 0;
             let mut run = 0;
-            let mut run_i = block[0].0;
-            for &(i, j) in block {
-                run += u32::from(i != run_i);
-                run_i = i;
-                let a = xyzq[i as usize];
-                let b = xyzq[j as usize];
-                let mut dx = a[0] - b[0];
-                let mut dy = a[1] - b[1];
-                let mut dz = a[2] - b[2];
-                dx -= ex * nearest(dx * ix);
-                dy -= ey * nearest(dy * iy);
-                dz -= ez * nearest(dz * iz);
-                let r2 = dx * dx + dy * dy + dz * dz;
-                dxs[len] = dx;
-                dys[len] = dy;
-                dzs[len] = dz;
-                qqs[len] = a[3] * b[3];
-                let mixed = lj.entry(i as usize, j as usize);
-                eps4[len] = mixed.eps4;
-                sig2[len] = mixed.sigma2;
-                is[len] = i;
-                js[len] = j;
-                runs[len] = run;
-                // False for NaN: a non-finite coordinate contributes nothing
-                // here and is caught where it lives (`State::is_finite`).
-                len += usize::from((r2 < sc.rc2) & (r2 >= MIN_R2));
+            let mut run_i = homes[r].0.min(partners[block_start]);
+            let mut p = block_start;
+            while p < block_end {
+                let home = homes[r].0;
+                let run_end = list.run_end(r);
+                let end = run_end.min(block_end);
+                r += usize::from(end == run_end);
+                for &partner in &partners[p..end] {
+                    let (i, j) = (home.min(partner), home.max(partner));
+                    run += u32::from(i != run_i);
+                    run_i = i;
+                    let a = xyzq[i as usize];
+                    let b = xyzq[j as usize];
+                    let mut dx = a[0] - b[0];
+                    let mut dy = a[1] - b[1];
+                    let mut dz = a[2] - b[2];
+                    dx -= ex * nearest(dx * ix);
+                    dy -= ey * nearest(dy * iy);
+                    dz -= ez * nearest(dz * iz);
+                    let r2 = dx * dx + dy * dy + dz * dz;
+                    dxs[len] = dx;
+                    dys[len] = dy;
+                    dzs[len] = dz;
+                    qqs[len] = a[3] * b[3];
+                    let mixed = lj.entry(i as usize, j as usize);
+                    eps4[len] = mixed.eps4;
+                    sig2[len] = mixed.sigma2;
+                    is[len] = i;
+                    js[len] = j;
+                    runs[len] = run;
+                    // False for NaN: a non-finite coordinate contributes
+                    // nothing here and is caught where it lives
+                    // (`State::is_finite`).
+                    len += usize::from((r2 < sc.rc2) & (r2 >= MIN_R2));
+                }
+                p = end;
             }
             // Phase 1: branch-free, index-free fused energy + force
             // arithmetic, with no call unless SCREENED.
@@ -388,16 +417,16 @@ mod tests {
         forces.iter().map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect()
     }
 
-    /// The oracle over the context's prepared list the way `threads` threads
-    /// walk it: chunk 0 into `forces`, the others into zeroed buffers, merged
-    /// in chunk order.
+    /// The oracle over the context's prepared list, materialised as `(min,
+    /// max)` pairs, the way `threads` threads walk it: chunk 0 into `forces`,
+    /// the others into zeroed buffers, merged in chunk order.
     fn masked(
         ctx: &EvalContext,
         sc: &NbScalars,
         threads: usize,
         mut forces: Option<&mut [Vec3]>,
     ) -> (f64, f64) {
-        let pairs = ctx.neighbors.pairs();
+        let pairs: Vec<_> = ctx.neighbors.pairs().iter().collect();
         let lj = ctx.lj.as_ref().unwrap();
         let n_chunks = threads.min(pairs.len() / MIN_CHUNK_PAIRS).max(1);
         let head = &pairs[chunk_range(pairs.len(), n_chunks, 0)];
@@ -418,11 +447,14 @@ mod tests {
         (l.to_bits(), q.to_bits())
     }
 
-    /// Screening in the gather changes which lanes exist, not one bit of
-    /// what comes out: both sums and every force component equal the masked
-    /// kernel's on the systems of `tests/evaluate.rs`, at the coordinates
-    /// the list was built on and after a drift inside the skin (when a third
-    /// of the list lies beyond the cutoff, and not the same third).
+    /// Screening in the gather and walking the list run by run change which
+    /// lanes exist, not one bit of what comes out: both sums and every force
+    /// component equal the masked kernel's over the materialised list, on
+    /// the systems of `tests/evaluate.rs` (the all-pairs, aliased and
+    /// image-shift lists), at the coordinates the list was built on and after
+    /// a drift inside the skin (when a third of the list lies beyond the
+    /// cutoff, and not the same third), on one to four threads — so with
+    /// chunks that start inside a run.
     #[test]
     fn screening_in_the_gather_keeps_every_bit() {
         let systems = [
@@ -430,6 +462,7 @@ mod tests {
             ("solvated 900", solvated_alanine_dipeptide(900, 3)),
             ("solvated 2881", solvated_alanine_dipeptide(2881, 9)),
         ];
+        let mut chunks_cut_runs = 0;
         for (name, mut sys) in systems {
             let mut rng = Rng::seed(11);
             let mut ctx = EvalContext::new();
@@ -448,7 +481,7 @@ mod tests {
                     // buffer: any realistic non-zero content will do.
                     let mut bonded = vec![Vec3::ZERO; sys.n_atoms()];
                     ff.evaluate(&sys, &mut ctx, Some(&mut bonded), 1);
-                    for threads in [1, 4] {
+                    for threads in 1..=4 {
                         let row =
                             format!("{name}, drifted {drifted}, salt {salt}, {threads} thread(s)");
                         assert_eq!(
@@ -456,6 +489,12 @@ mod tests {
                             1,
                             "{row}: the drift stays in the skin"
                         );
+                        let list = ctx.neighbors.pairs();
+                        let n_chunks = threads.min(list.len() / MIN_CHUNK_PAIRS).max(1);
+                        chunks_cut_runs += (1..n_chunks)
+                            .map(|c| chunk_range(list.len(), n_chunks, c).start as u32)
+                            .filter(|&start| list.runs.iter().all(|&(_, s)| s != start))
+                            .count();
                         let mut expected = bonded.clone();
                         let e_expected = masked(&ctx, &sc, threads, Some(&mut expected));
                         let mut got = bonded.clone();
@@ -473,7 +512,7 @@ mod tests {
                 let pairs = ctx.neighbors.pairs();
                 let beyond = pairs
                     .iter()
-                    .filter(|&&(i, j)| {
+                    .filter(|&(i, j)| {
                         sys.pbc.min_image(pos[i as usize], pos[j as usize]).norm() >= 9.0
                     })
                     .count();
@@ -484,13 +523,16 @@ mod tests {
                 );
             }
         }
+        assert!(chunks_cut_runs > 0, "no chunk started inside a run");
     }
 
     /// A hand-made list with what the cell search produces and the systems
-    /// above may not: an out-of-range `(3, 5)` between `(5, 9)` and
-    /// `(5, 20)` — two runs of `i = 5` today, which must stay two sums — a
-    /// coincident pair under the overlap floor inside a run, a run that is
-    /// screened out whole, and a block boundary inside a run.
+    /// above may not: home 5 with partners 9, 3 and 20 — an out-of-range
+    /// `(3, 5)` between `(5, 9)` and `(5, 20)`, two runs of `i = 5` for the
+    /// scatter, which must stay two sums — a coincident pair under the
+    /// overlap floor inside a run, a run that is screened out whole, a block
+    /// boundary inside a run, homes that recur after other homes and sit
+    /// above or below their partners, and a chunk cut anywhere.
     #[test]
     fn a_screened_out_pair_still_ends_a_run() {
         rng::check(64, |rng| {
@@ -512,14 +554,24 @@ mod tests {
             positions[20] = positions[5] + Vec3::new(-0.3, 3.4, 0.5);
             positions[11] = positions[10]; // r² = 0 < MIN_R2
             positions[40] = Vec3::new(500.0, 500.0, 500.0); // in range of nobody
-            let mut pairs = vec![(5, 9), (3, 5), (5, 20), (10, 11), (10, 12), (10, 13)];
-            pairs.extend((41..60).map(|j| (40, j)));
+
+            // `(home, partner)`, as the cell search hands them out.
+            let mut hand = vec![(5, 9), (5, 3), (5, 20), (10, 11), (10, 12), (10, 13)];
+            hand.extend((41..60).map(|j| (40, j)));
             // One long run across the first block boundary, then noise.
-            pairs.extend((61..160).map(|j| (60, j)));
-            pairs.extend((0..200).map(|_| {
-                let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
-                (a.min(b), a.max(b).max(a.min(b) + 1).min(n as u32 - 1))
+            hand.extend((61..160).map(|j| (60, j)));
+            hand.extend((0..200).map(|_| {
+                let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64 - 1) as u32);
+                (a, if b < a { b } else { b + 1 })
             }));
+            let mut list = PairList::default();
+            {
+                let mut push = list.appender();
+                hand.iter().for_each(|&(home, partner)| push(home, partner));
+            }
+            let pairs: Vec<_> = list.iter().collect();
+            assert_eq!(pairs[..3], [(5, 9), (3, 5), (5, 20)]);
+            assert_eq!(list.runs[..4], [(5, 0), (10, 3), (40, 6), (60, 25)]);
             let salt = if rng.below(2) == 0 { 0.0 } else { 0.5 };
             let sc = NbScalars::new(&NonbondedParams {
                 cutoff: 6.0,
@@ -532,12 +584,18 @@ mod tests {
             let mut soa = SoaNonbonded::default();
             soa.sync_atoms(&positions, &charges, &PbcBox::VACUUM);
 
-            let mut expected = vec![Vec3::ZERO; n];
-            let e_expected = soa.eval_masked(&sc, &lj, &pairs, Some(&mut expected));
+            // The whole list, and two chunks cut at any pair.
+            let cut = rng.range(1..pairs.len());
             let mut got = vec![Vec3::ZERO; n];
-            let e_got = soa.eval(&sc, &lj, &pairs, Some(&mut got));
-            assert_eq!(pair_bits(e_got), pair_bits(e_expected));
-            assert_eq!(bits(&got), bits(&expected));
+            for range in [0..cut, cut..pairs.len(), 0..pairs.len()] {
+                let mut expected = vec![Vec3::ZERO; n];
+                let e_expected =
+                    soa.eval_masked(&sc, &lj, &pairs[range.clone()], Some(&mut expected));
+                got.fill(Vec3::ZERO);
+                let e_got = soa.eval(&sc, &lj, &list, range.clone(), Some(&mut got));
+                assert_eq!(pair_bits(e_got), pair_bits(e_expected), "{range:?}");
+                assert_eq!(bits(&got), bits(&expected), "{range:?}");
+            }
             // The special cases did what they are there for.
             assert!(got[5].norm() > 0.0, "(5, 9) and (5, 20) are in range");
             assert_eq!(got[40], Vec3::ZERO, "a run screened out whole");
@@ -550,7 +608,7 @@ mod tests {
             positions[70].y = f64::NAN;
             soa.sync_atoms(&positions, &charges, &PbcBox::VACUUM);
             got.fill(Vec3::ZERO);
-            let (e_lj, e_c) = soa.eval(&sc, &lj, &pairs, Some(&mut got));
+            let (e_lj, e_c) = soa.eval(&sc, &lj, &list, 0..list.len(), Some(&mut got));
             assert!(e_lj.is_finite() && e_c.is_finite() && got.iter().all(|f| f.is_finite()));
         });
     }

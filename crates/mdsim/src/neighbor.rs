@@ -14,6 +14,12 @@
 //!   it. This is what the evaluation context of
 //!   [`crate::forcefield::EvalContext`] holds.
 //!
+//! The Verlet list is a [`PairList`]: the pairs grouped by home atom, one
+//! `u32` per pair and one `(home, start)` per run of a home atom — half the
+//! bytes of a flat `(u32, u32)` list (237 289 pairs at 2881 solvated atoms:
+//! 0.95 MB where the flat list took 1.90). The cell search emits pairs home
+//! atom outermost, so the runs are long (≈ 82 partners each).
+//!
 //! The nonbonded kernel re-checks `r² < rc²` on whatever list it is given.
 
 use crate::system::{PbcBox, System};
@@ -165,11 +171,17 @@ impl CellList {
         self.volume = extent.x * extent.y * extent.z;
     }
 
-    /// Collect the pairs (`i < j`) within the cutoff, each once.
+    /// Collect the pairs (`i < j`) within the cutoff, each once: the
+    /// materialised list the tests hold a [`NeighborCache`] to. An aliased
+    /// grid (see the type docs) reaches a pair through different images, so
+    /// its list is sorted and deduplicated.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.expected_pairs());
-        self.for_each_pair(|i, j| out.push((i, j)));
-        self.dedup_if_aliased(&mut out);
+        self.for_each_pair(|home, partner| out.push((home.min(partner), home.max(partner))));
+        if self.aliased {
+            out.sort_unstable();
+            out.dedup();
+        }
         out
     }
 
@@ -184,11 +196,13 @@ impl CellList {
         (1.125 * share * (n * n.saturating_sub(1) / 2) as f64) as usize
     }
 
-    /// Visit the pairs (`i < j`) within the cutoff, home atom outermost,
-    /// from each cell and its half-shell of neighbor cells, without
-    /// materialising them: a caller that filters further (the
-    /// [`NeighborCache`] drops exclusions) does so here. An aliased grid (see
-    /// the type docs) can visit a pair more than once.
+    /// Visit the pairs within the cutoff as `(home, partner)`, home atom
+    /// outermost — every pair of a home atom in one stretch, the partner's
+    /// index above or below the home's — from each cell and its half-shell of
+    /// neighbor cells, without materialising them: a caller that filters
+    /// further (the [`NeighborCache`] drops exclusions) does so here. An
+    /// aliased grid (see the type docs) can visit a pair more than once, from
+    /// either end.
     pub fn for_each_pair(&self, mut visit: impl FnMut(u32, u32)) {
         let dims = self.dims.map(|d| d as isize);
         let cell_at = |c: [isize; 3]| flat(self.dims, c.map(|v| v as usize));
@@ -205,8 +219,7 @@ impl CellList {
                     self.coords[b] - from
                 };
                 if d.norm_sq() <= self.reach_sq {
-                    let ib = self.order[b];
-                    visit(ia.min(ib), ia.max(ib));
+                    visit(ia, self.order[b]);
                 }
             }
         };
@@ -250,16 +263,111 @@ impl CellList {
             }
         }
     }
+}
 
-    /// An aliased grid reaches a pair through different images; sort and
-    /// dedup what was collected from [`CellList::for_each_pair`] to keep the
-    /// once-each contract. Filtering before this gives the same list as
-    /// filtering after, on fewer pairs.
-    fn dedup_if_aliased(&self, pairs: &mut Vec<(u32, u32)>) {
-        if self.aliased {
-            pairs.sort_unstable();
-            pairs.dedup();
+/// A pair list stored by home atom: run `r` pairs home atom `runs[r].0` with
+/// each of `partners[runs[r].1..runs[r + 1].1]` (the last run ends at
+/// `partners.len()`). A pair is `(home, partner)` with the partner's index
+/// above or below the home's; [`PairList::iter`] and the kernel read it as
+/// `(min, max)`. Pairs are numbered by their place in `partners`, so a range
+/// of pair indices is a range of `partners` and may start or end inside a
+/// run.
+#[derive(Debug, Clone, Default)]
+pub struct PairList {
+    /// `(home, start)` per run, `start` ascending; no run is empty.
+    pub(crate) runs: Vec<(u32, u32)>,
+    pub(crate) partners: Vec<u32>,
+}
+
+impl PairList {
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.partners.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.partners.is_empty()
+    }
+
+    /// Every pair as `(min, max)`, in list order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.runs.len()).flat_map(move |r| {
+            let home = self.runs[r].0;
+            self.partners[self.runs[r].1 as usize..self.run_end(r)]
+                .iter()
+                .map(move |&p| (home.min(p), home.max(p)))
+        })
+    }
+
+    /// The run that holds pair `pair`, by bisection.
+    pub(crate) fn run_of(&self, pair: usize) -> usize {
+        self.runs.partition_point(|&(_, start)| start as usize <= pair).saturating_sub(1)
+    }
+
+    /// One past the last pair of run `r`.
+    #[inline]
+    pub(crate) fn run_end(&self, r: usize) -> usize {
+        self.runs.get(r + 1).map_or(self.partners.len(), |&(_, start)| start as usize)
+    }
+
+    /// An appender of pairs `(home, partner)`: it opens a run when the home
+    /// changes, keeping the current home in a register rather than reading
+    /// it back from `runs` per pair.
+    pub(crate) fn appender(&mut self) -> impl FnMut(u32, u32) + '_ {
+        // No atom has index `u32::MAX`: the first pair opens a run.
+        let mut current = self.runs.last().map_or(u32::MAX, |&(home, _)| home);
+        move |home, partner| {
+            if home != current {
+                self.runs.push((home, self.partners.len() as u32));
+                current = home;
+            }
+            self.partners.push(partner);
         }
+    }
+
+    /// Rebuild an aliased grid's list: every pair once, sorted as `(min,
+    /// max)`, with home = `min` — what [`CellList::pairs`] gives, filtered.
+    /// The search may visit a pair more than once and from either end, so
+    /// one pass counts the visits per smaller atom (in `runs`, which holds
+    /// `n_atoms` entries), one places the larger atoms into `partners` by
+    /// bucket, and each bucket is sorted, deduplicated and moved down in
+    /// place. Both buffers, emptied by the caller, are sized before they are
+    /// filled, `runs` first.
+    fn collect_sorted(&mut self, n_atoms: usize, search: impl Fn(&mut dyn FnMut(u32, u32))) {
+        let PairList { runs, partners } = self;
+        runs.resize(n_atoms, (0, 0));
+        search(&mut |a, b| runs[a.min(b) as usize].1 += 1);
+        let mut visits = 0;
+        for (_, slot) in runs.iter_mut() {
+            (*slot, visits) = (visits, visits + *slot);
+        }
+        partners.resize(visits as usize, 0);
+        // Each bucket's cursor moves from its first slot to the next bucket's.
+        search(&mut |a, b| {
+            let slot = &mut runs[a.min(b) as usize].1;
+            partners[*slot as usize] = a.max(b);
+            *slot += 1;
+        });
+        let (mut kept, mut n_runs, mut from) = (0, 0, 0);
+        for home in 0..n_atoms {
+            let to = runs[home].1 as usize;
+            partners[from..to].sort_unstable();
+            let start = kept;
+            for k in from..to {
+                if kept == start || partners[k] != partners[kept - 1] {
+                    partners[kept] = partners[k];
+                    kept += 1;
+                }
+            }
+            // `n_runs <= home`: the entries still to be read are not overwritten.
+            if kept > start {
+                runs[n_runs] = (home as u32, start as u32);
+                n_runs += 1;
+            }
+            from = to;
+        }
+        partners.truncate(kept);
+        runs.truncate(n_runs);
     }
 }
 
@@ -288,7 +396,7 @@ pub struct NeighborCache {
     n_atoms: usize,
     pbc: PbcBox,
     /// Exclusion-filtered pairs within `cutoff + skin` at build time.
-    pairs: Vec<(u32, u32)>,
+    pairs: PairList,
     /// Positions at build time (displacement reference).
     ref_positions: Vec<Vec3>,
     /// The cell grid the list was searched on, kept for its buffers.
@@ -319,7 +427,7 @@ impl NeighborCache {
             cutoff: 0.0,
             n_atoms: 0,
             pbc: PbcBox::VACUUM,
-            pairs: Vec::new(),
+            pairs: PairList::default(),
             ref_positions: Vec::new(),
             grid: CellList::default(),
             all_pairs_list: false,
@@ -353,9 +461,9 @@ impl NeighborCache {
         stale
     }
 
-    /// The cached candidate pairs (`i < j`), exclusions already removed.
-    /// Only meaningful after [`NeighborCache::ensure`].
-    pub fn pairs(&self) -> &[(u32, u32)] {
+    /// The cached candidate pairs, exclusions already removed. Only
+    /// meaningful after [`NeighborCache::ensure`].
+    pub fn pairs(&self) -> &PairList {
         &self.pairs
     }
 
@@ -392,29 +500,43 @@ impl NeighborCache {
         let n = system.n_atoms();
         let pos = &system.state.positions;
         let top: &Topology = &system.topology;
-        // The list last: nothing a cache allocates lies above a live list (DESIGN.md §10).
+        // The list last, its runs (one per atom at most) before its partners:
+        // nothing a cache allocates lies above a live list (DESIGN.md §10).
         self.ref_positions.clear();
         self.ref_positions.extend_from_slice(pos);
-        self.pairs.clear();
-        if n < CELL_LIST_THRESHOLD {
-            self.all_pairs_list = true;
-            self.pairs.reserve(n * n.saturating_sub(1) / 2);
+        self.all_pairs_list = n < CELL_LIST_THRESHOLD;
+        let list = &mut self.pairs;
+        list.runs.clear();
+        list.runs.reserve(n);
+        list.partners.clear();
+        if self.all_pairs_list {
+            list.partners.reserve(n * n.saturating_sub(1) / 2);
+            let mut push = list.appender();
             for (i, j) in all_pairs(n) {
                 if !top.is_excluded(i, j) {
-                    self.pairs.push((i, j));
+                    push(i, j);
                 }
             }
         } else {
-            self.all_pairs_list = false;
-            self.grid.sort(pos, &system.pbc, cutoff + self.skin);
-            self.pairs.reserve(self.grid.expected_pairs());
-            let pairs = &mut self.pairs;
-            self.grid.for_each_pair(|i, j| {
-                if !top.is_excluded(i, j) {
-                    pairs.push((i, j));
-                }
-            });
-            self.grid.dedup_if_aliased(&mut self.pairs);
+            let grid = &mut self.grid;
+            grid.sort(pos, &system.pbc, cutoff + self.skin);
+            if grid.aliased {
+                list.collect_sorted(n, |visit| {
+                    grid.for_each_pair(|a, b| {
+                        if !top.is_excluded(a, b) {
+                            visit(a, b);
+                        }
+                    });
+                });
+            } else {
+                list.partners.reserve(grid.expected_pairs());
+                let mut push = list.appender();
+                grid.for_each_pair(|home, partner| {
+                    if !top.is_excluded(home, partner) {
+                        push(home, partner);
+                    }
+                });
+            }
         }
         self.n_atoms = n;
         self.cutoff = cutoff;
@@ -553,7 +675,7 @@ mod tests {
         cache: &NeighborCache,
         cutoff: f64,
     ) -> BTreeSet<(u32, u32)> {
-        within_cutoff_pairs(&sys.state.positions, &sys.pbc, cutoff, cache.pairs().iter().copied())
+        within_cutoff_pairs(&sys.state.positions, &sys.pbc, cutoff, cache.pairs().iter())
     }
 
     #[test]
@@ -623,7 +745,7 @@ mod tests {
         let sys = System::new(top, PbcBox::VACUUM, state).unwrap();
         let mut cache = NeighborCache::new(1.0);
         cache.ensure(&sys, 5.0);
-        let pairs: BTreeSet<_> = cache.pairs().iter().copied().collect();
+        let pairs: BTreeSet<_> = cache.pairs().iter().collect();
         assert!(!pairs.contains(&(0, 1)), "bonded pair filtered out");
         assert!(pairs.contains(&(0, 2)));
         assert!(pairs.contains(&(1, 2)));
@@ -743,16 +865,19 @@ mod tests {
     }
 
     /// The benchmark's system (a solute in a solvent placed on a jittered
-    /// lattice, not a uniform fluid): its list fits the reservation too.
+    /// lattice, not a uniform fluid): its partners fit the reservation too,
+    /// and its runs the one-per-atom reservation made before them.
     #[test]
     fn solvated_dipeptide_list_is_allocated_once() {
         let sys = crate::models::solvated_alanine_dipeptide(2881, 7);
         let cutoff = crate::models::dipeptide_forcefield().nonbonded.cutoff;
         let mut cache = NeighborCache::default();
         cache.ensure(&sys, cutoff);
-        let reserved =
-            CellList::build(&sys.state.positions, &sys.pbc, cutoff + cache.skin).expected_pairs();
-        assert_eq!(cache.pairs.capacity(), reserved, "{} pairs", cache.pairs.len());
+        let grid = CellList::build(&sys.state.positions, &sys.pbc, cutoff + cache.skin);
+        assert!(!grid.aliased, "{:?} cells", grid.dims);
+        let list = &cache.pairs;
+        assert_eq!(list.partners.capacity(), grid.expected_pairs(), "{} pairs", list.len());
+        assert_eq!(list.runs.capacity(), sys.n_atoms(), "{} runs", list.runs.len());
     }
 
     #[test]

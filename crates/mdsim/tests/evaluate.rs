@@ -58,7 +58,7 @@ fn oracle_nonbonded(ff: &ForceField, sys: &System, ctx: &EvalContext) -> (f64, V
     let pos = &sys.state.positions;
     let mut energy = 0.0;
     let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
-    for &(i, j) in ctx.neighbors.pairs() {
+    for (i, j) in ctx.neighbors.pairs().iter() {
         let (i, j) = (i as usize, j as usize);
         let d = sys.pbc.min_image(pos[i], pos[j]);
         let (e, f_over_r) = pair_energy_force(&atoms[i], &atoms[j], d.norm_sq(), &ff.nonbonded);

@@ -1,9 +1,11 @@
-//! The `NeighborCache` filters pairs while the cell list enumerates them; the
-//! oracle is the materialised list, `CellList::pairs()`, filtered afterwards.
+//! The `NeighborCache` filters pairs while the cell list enumerates them and
+//! stores them by home atom; the oracle is the materialised list,
+//! `CellList::pairs()`, filtered afterwards: the same pairs in the same order,
+//! on the all-pairs, aliased and image-shift paths.
 
 use mdsim::forcefield::EvalContext;
 use mdsim::models::{dipeptide_forcefield, lj_fluid, lj_forcefield, solvated_alanine_dipeptide};
-use mdsim::neighbor::{CellList, NeighborCache};
+use mdsim::neighbor::{CellList, NeighborCache, CELL_LIST_THRESHOLD};
 use mdsim::topology::Bond;
 use mdsim::{System, Vec3};
 use rng::Rng;
@@ -56,10 +58,38 @@ fn streamed_list_equals_materialised_then_filtered() {
             assert!(cache.ensure(&sys, cutoff), "{what}: round {round} must rebuild");
             let expect = oracle(&sys, cutoff, cache.skin());
             assert!(expect.len() > sys.n_atoms(), "{what}: a dense list");
-            assert_eq!(cache.pairs(), &expect[..], "{what}: round {round}");
+            assert_eq!(cache.pairs().len(), expect.len(), "{what}: round {round}");
+            assert!(cache.pairs().iter().eq(expect), "{what}: round {round}");
             // Past skin/2 for most atoms: the next `ensure` rebuilds.
             shake(&mut sys, 2.5, &mut rng);
         }
+    }
+}
+
+/// Below `CELL_LIST_THRESHOLD` the cache lists every pair but the excluded
+/// ones, whatever the coordinates: what a search with one cell, reaching
+/// across the whole box, materialises and the filter keeps, in its order.
+#[test]
+fn all_pairs_list_equals_a_search_that_reaches_everything() {
+    let cases = [
+        ("solvated dipeptide, 300 atoms", solvated_alanine_dipeptide(300, 2)),
+        ("fluid, 350 atoms", with_bonds(lj_fluid(350, 0.8, 4))),
+    ];
+    for (what, sys) in cases {
+        let n = sys.n_atoms();
+        assert!(n < CELL_LIST_THRESHOLD, "{what}");
+        let mut cache = NeighborCache::default();
+        cache.ensure(&sys, 9.0);
+        let edges = sys.pbc.lengths().expect("a periodic box");
+        let everywhere = 2.0 * (edges.x + edges.y + edges.z);
+        let expect: Vec<_> = CellList::build(&sys.state.positions, &sys.pbc, everywhere)
+            .pairs()
+            .into_iter()
+            .filter(|&(i, j)| !sys.topology.is_excluded(i, j))
+            .collect();
+        assert!(expect.len() < n * (n - 1) / 2, "{what}: no exclusion to filter");
+        assert_eq!(cache.pairs().len(), expect.len(), "{what}");
+        assert!(cache.pairs().iter().eq(expect), "{what}");
     }
 }
 
