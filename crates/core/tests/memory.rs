@@ -32,7 +32,7 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 /// last made, and when it last released, a block of `LARGE` bytes or more.
 static LARGE_MADE_AT: AtomicUsize = AtomicUsize::new(0);
 static LARGE_RELEASED_AT: AtomicUsize = AtomicUsize::new(0);
-const LARGE: usize = 256 << 10;
+const LARGE: usize = 128 << 10;
 thread_local! {
     static MINE: Cell<usize> = const { Cell::new(0) };
 }
@@ -132,7 +132,11 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
     /// Measured 2026-10-02: 45.5, on two worker threads or inline (59.5
     /// before units shared their slot's parameters and stopped carrying an
     /// executable string and two staging lists), plus a tenth. 46.5 since
-    /// the pair list is two blocks, its runs reserved once, one per atom.
+    /// the pair list is two blocks, its runs reserved once, one per atom;
+    /// 47.5 since a context keeps the kernel's block buffers (one block, no
+    /// longer cleared on the stack per call) and the integrator its per-atom
+    /// constants (one), while the all-pairs list stopped copying reference
+    /// positions it never reads (one fewer).
     const BUDGET_PER_SEGMENT: f64 = 50.0;
     let _turn = TURN.lock().unwrap();
     let mut ctx = build_ctx(wide_cfg(N)).unwrap();
@@ -152,12 +156,13 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
 
 /// Nothing lies above a live pair list (DESIGN.md §10): a context reserves
 /// its list last — the runs, then the partners, the one block of `LARGE`
-/// bytes or more (≈ 400 kB at 1100 atoms) — a segment allocates nothing
+/// bytes or more (≈ 200 kB at 1100 atoms, two bytes a pair; `LARGE` was
+/// 256 kB while a partner took four) — a segment allocates nothing
 /// while it holds one — not in a mid-run rebuild either — and the state
 /// `run` copies out, which outlives the call as the staged restart, is
 /// copied after the list is released. Otherwise whatever small block was cut
 /// above the list, freed into the thread's cache or still alive, is what the
-/// same worker's next 1 MB list (at 2881 atoms) has to fit under; when it did
+/// same worker's next 0.5 MB list (at 2881 atoms) has to fit under; when it did
 /// not, the list went to the top of the malloc arena and `peak_rss_mib` on
 /// `md-solvated` read 1.6 MiB more in some runs.
 #[test]
@@ -183,15 +188,17 @@ fn a_segment_allocates_nothing_above_its_pair_list() {
     );
 }
 
-/// The Verlet list of the benchmark's system costs four bytes per pair and
-/// eight per run of a home atom (at most one per atom), plus the eighth the
-/// partners are reserved over a uniform fluid's count; what else a cache
-/// builds is per atom — reference positions (24 B) and the cell grid's
-/// order and wrapped coordinates (28 B), with its cell offsets — so a fresh
-/// cache's first build holds no more than that. A flat list of `(u32, u32)`
-/// pairs held eight bytes per pair and fails here.
+/// The Verlet list of the benchmark's system costs two bytes per pair — a
+/// partner's index within its 65 536-atom page — and twelve per run of a
+/// home atom on one page (at most one per atom: 2881 atoms are one page),
+/// plus the eighth the partners are reserved over a uniform fluid's count;
+/// what else a cache builds is per atom — reference positions (24 B) and the
+/// cell grid's order and wrapped coordinates (28 B), with its cell offsets —
+/// so a fresh cache's first build holds no more than that. A list of `u32`
+/// partners held four bytes per pair and fails here, a flat list of `(u32,
+/// u32)` pairs eight.
 #[test]
-fn a_solvated_pair_list_holds_four_bytes_a_pair() {
+fn a_solvated_pair_list_holds_two_bytes_a_pair() {
     const ATOMS: usize = 2881;
     let _turn = TURN.lock().unwrap();
     let sys = solvated_alanine_dipeptide(ATOMS, 7);
@@ -200,7 +207,7 @@ fn a_solvated_pair_list_holds_four_bytes_a_pair() {
     cache.ensure(&sys, dipeptide_forcefield().nonbonded.cutoff);
     let held = (LIVE.load(Ordering::Relaxed) - before) as usize;
     let pairs = cache.pairs().len();
-    let list = 4 * pairs * 9 / 8 + 8 * ATOMS;
+    let list = 2 * pairs * 9 / 8 + 12 * ATOMS;
     let per_atom = 64 * ATOMS;
     println!("NeighborCache::ensure: {held} B for {pairs} pairs of {ATOMS} atoms");
     assert!(held <= list + per_atom, "{held} B held for {pairs} pairs, budget {list} + {per_atom}");

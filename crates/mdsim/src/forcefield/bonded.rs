@@ -62,16 +62,20 @@ pub fn angle_energy(
     angle.k * dtheta * dtheta
 }
 
+/// A dihedral angle, radians in `(-pi, pi]`, and the intermediates the force
+/// evaluation needs: `(phi, b1, b2, b3, n1, n2)`.
+pub(crate) type DihedralGeometry = (f64, Vec3, Vec3, Vec3, Vec3, Vec3);
+
 /// Dihedral angle over four positions, radians in `(-pi, pi]`, plus the
 /// intermediates needed for the force evaluation.
-#[inline]
+#[inline(always)]
 pub(crate) fn dihedral_geometry(
     ri: Vec3,
     rj: Vec3,
     rk: Vec3,
     rl: Vec3,
     pbc: &PbcBox,
-) -> Option<(f64, Vec3, Vec3, Vec3, Vec3, Vec3)> {
+) -> Option<DihedralGeometry> {
     let b1 = pbc.min_image(rj, ri);
     let b2 = pbc.min_image(rk, rj);
     let b3 = pbc.min_image(rl, rk);
@@ -93,7 +97,7 @@ pub(crate) fn dihedral_geometry(
 /// Shared by the periodic torsion term and by harmonic dihedral (umbrella)
 /// restraints, which differ only in their `E(phi)`.
 #[allow(clippy::too_many_arguments)] // geometry intermediates, hot path
-#[inline]
+#[inline(always)]
 pub(crate) fn apply_dihedral_force(
     atoms: [usize; 4],
     de_dphi: f64,
@@ -122,6 +126,17 @@ pub(crate) fn apply_dihedral_force(
     forces[atoms[3]] += fl;
 }
 
+/// [`dihedral_geometry`] of the atoms `atoms`.
+#[inline]
+pub(crate) fn dihedral_geometry_of(
+    atoms: [u32; 4],
+    positions: &[Vec3],
+    pbc: &PbcBox,
+) -> Option<DihedralGeometry> {
+    let [i, j, k, l] = atoms.map(|a| positions[a as usize]);
+    dihedral_geometry(i, j, k, l, pbc)
+}
+
 /// Periodic torsion energy `k (1 + cos(n phi - delta))`.
 pub fn torsion_energy(
     torsion: &Torsion,
@@ -129,18 +144,27 @@ pub fn torsion_energy(
     pbc: &PbcBox,
     forces: Option<&mut [Vec3]>,
 ) -> f64 {
-    let (i, j, k, l) =
-        (torsion.i as usize, torsion.j as usize, torsion.k_atom as usize, torsion.l as usize);
-    let Some((phi, b1, b2, b3, n1, n2)) =
-        dihedral_geometry(positions[i], positions[j], positions[k], positions[l], pbc)
-    else {
+    let atoms = [torsion.i, torsion.j, torsion.k_atom, torsion.l];
+    torsion_term(torsion, dihedral_geometry_of(atoms, positions, pbc).as_ref(), forces)
+}
+
+/// [`torsion_energy`] over its quartet's geometry (`None`: degenerate), which
+/// consecutive terms on one quartet share.
+#[inline]
+pub(crate) fn torsion_term(
+    torsion: &Torsion,
+    geometry: Option<&DihedralGeometry>,
+    forces: Option<&mut [Vec3]>,
+) -> f64 {
+    let Some(&(phi, b1, b2, b3, n1, n2)) = geometry else {
         return 0.0;
     };
     let n = torsion.n as f64;
     let arg = n * phi - torsion.delta;
     if let Some(forces) = forces {
         let de_dphi = -torsion.k * n * arg.sin();
-        apply_dihedral_force([i, j, k, l], de_dphi, b1, b2, b3, n1, n2, forces);
+        let atoms = [torsion.i, torsion.j, torsion.k_atom, torsion.l].map(|a| a as usize);
+        apply_dihedral_force(atoms, de_dphi, b1, b2, b3, n1, n2, forces);
     }
     torsion.k * (1.0 + arg.cos())
 }

@@ -22,8 +22,9 @@
 //! that makes repeated evaluations cheap: the Verlet neighbor list (reused
 //! across MD steps until an atom moves more than half the skin), the
 //! precomputed Lennard-Jones mixing table, the pH-adjusted charge buffer,
-//! the kernel's packed per-atom quads and the pooled per-chunk force
-//! buffers. [`ForceField::energy_forces`] and [`ForceField::energy`] build
+//! the kernel's scalars, packed per-atom quads and block buffers, and the
+//! pooled per-chunk force buffers — each rebuilt only when its inputs
+//! change. [`ForceField::energy_forces`] and [`ForceField::energy`] build
 //! a throwaway context for one-shot calls and tests.
 //!
 //! The oracle for the SoA kernel is the straight-line
@@ -43,8 +44,9 @@ use crate::system::System;
 use crate::topology::Topology;
 use crate::vec3::Vec3;
 use nonbonded::{LjTable, NbScalars};
-use soa::SoaNonbonded;
+use soa::{Block, SoaNonbonded};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Fewest pairs a chunk of a multi-thread evaluation holds: below this the
 /// per-chunk O(N) force-buffer zero/merge and the thread hand-off cost more
@@ -86,23 +88,31 @@ impl EnergyBreakdown {
 ///
 /// Owns everything the force loop would otherwise rebuild or reallocate per
 /// call: the Verlet neighbor list, the LJ mixing table, the effective-charge
-/// buffer and the pooled force buffers of a multi-thread evaluation. A
-/// context belongs to one [`System`] at a time; it detects coordinate, box,
-/// atom count and cutoff changes automatically and rebuilds what is stale, so
-/// sharing one across the single-point evaluations of an exchange batch (same
-/// coordinates, different [`NonbondedParams`]) reuses the pair list for all
-/// of them.
+/// buffer, the kernel's scalars, its block buffers and the pooled force
+/// buffers of a multi-thread evaluation. A context belongs to one [`System`]
+/// at a time; it detects a new topology (by its `Arc`, which it keeps alive so
+/// the address cannot be reused), coordinate, box, atom count, cutoff, pH and
+/// parameter changes and rebuilds what is stale, so sharing one across the
+/// single-point evaluations of an exchange batch (same coordinates, different
+/// [`NonbondedParams`]) reuses the pair list for all of them.
 #[derive(Debug, Clone, Default)]
 pub struct EvalContext {
     /// The Verlet list (public so callers can inspect rebuild statistics).
     pub neighbors: NeighborCache,
+    /// The topology the table, the charges and the list were made for.
+    topology: Option<Arc<Topology>>,
     lj: Option<LjTable>,
     /// Effective per-atom charges (base charge plus pH shift on titratable
-    /// sites), refreshed every evaluation without allocating.
+    /// sites) for the topology above at pH `charges_ph`.
     charges: Vec<f64>,
+    charges_ph: Option<f64>,
+    /// The kernel's scalars and the parameters they were made from.
+    scalars: Option<(NonbondedParams, NbScalars)>,
     /// Pooled force buffers of chunks `1..` of a multi-thread evaluation
     /// (chunk 0 scatters straight into the caller's buffer).
     chunk_forces: Vec<Vec<Vec3>>,
+    /// The kernel's block buffers, one per chunk.
+    blocks: Vec<Block>,
     /// The kernel's packed per-atom view, refreshed every evaluation.
     soa: SoaNonbonded,
 }
@@ -119,26 +129,50 @@ impl EvalContext {
         EvalContext { neighbors: NeighborCache::new(skin), ..Default::default() }
     }
 
-    /// Drop all cached state (e.g. after the caller swapped to a different
-    /// system or mutated the topology).
+    /// Drop all cached state (e.g. after the caller mutated the topology in
+    /// place, which keeps its `Arc`).
     pub fn invalidate(&mut self) {
         self.neighbors.invalidate();
+        self.topology = None;
         self.lj = None;
+        self.charges_ph = None;
     }
 
-    /// Refresh every cached component for `system` under `ff`'s parameters; the pair list last.
-    fn prepare(&mut self, ff: &ForceField, system: &System) {
+    /// Refresh every cached component for `system` under `ff`'s parameters,
+    /// each only when what it depends on changed; the pair list last. Returns
+    /// the kernel's scalars.
+    fn prepare(&mut self, ff: &ForceField, system: &System) -> NbScalars {
+        let params = ff.nonbonded;
+        if !self.topology.as_ref().is_some_and(|t| Arc::ptr_eq(t, &system.topology)) {
+            self.invalidate();
+            self.topology = Some(Arc::clone(&system.topology));
+        }
         let top: &Topology = &system.topology;
-        if !self.lj.as_ref().is_some_and(|t| t.matches(top.atoms.len())) {
+        if self.lj.is_none() {
             self.lj = Some(LjTable::build(&top.atoms));
         }
-        self.charges.clear();
-        self.charges.extend(top.atoms.iter().map(|a| a.charge));
-        for site in &top.titratable {
-            self.charges[site.atom as usize] += site.charge_shift(ff.nonbonded.ph);
+        if self.charges_ph.map(f64::to_bits) != Some(params.ph.to_bits()) {
+            self.charges.clear();
+            self.charges.extend(top.atoms.iter().map(|a| a.charge));
+            for site in &top.titratable {
+                self.charges[site.atom as usize] += site.charge_shift(params.ph);
+            }
+            self.charges_ph = Some(params.ph);
+        }
+        let sc = match self.scalars {
+            Some((made_from, sc)) if made_from == params => sc,
+            _ => {
+                let sc = NbScalars::new(&params);
+                self.scalars = Some((params, sc));
+                sc
+            }
+        };
+        if self.blocks.is_empty() {
+            self.blocks.push(Block::default());
         }
         self.soa.sync_atoms(&system.state.positions, &self.charges, &system.pbc);
-        self.neighbors.ensure(system, ff.nonbonded.cutoff);
+        self.neighbors.ensure(system, params.cutoff);
+        sc
     }
 
     /// The nonbonded `(lj, coulomb)` sums over the prepared pair list on
@@ -149,14 +183,16 @@ impl EvalContext {
         mut forces: Option<&mut [Vec3]>,
         threads: usize,
     ) -> (f64, f64) {
-        let EvalContext { soa, chunk_forces, neighbors, lj, .. } = self;
+        let EvalContext { soa, chunk_forces, blocks, neighbors, lj, .. } = self;
         let soa: &SoaNonbonded = soa;
         let pairs = neighbors.pairs();
         let lj = lj.as_ref().expect("prepared");
         let n_pairs = pairs.len();
         let n_chunks = threads.min(n_pairs / MIN_CHUNK_PAIRS).max(1);
+        blocks.resize_with(n_chunks.max(blocks.len()), Block::default);
+        let (head_block, blocks) = blocks.split_first_mut().expect("one block at least");
         if n_chunks == 1 {
-            return soa.eval(sc, lj, pairs, 0..n_pairs, forces);
+            return soa.eval(sc, lj, pairs, 0..n_pairs, forces, head_block);
         }
         // One pooled buffer per spawned chunk: no per-call O(N) allocation
         // and no atomics in the pair loop.
@@ -171,15 +207,16 @@ impl EvalContext {
         let sums = std::thread::scope(|s| {
             let workers: Vec<_> = chunk_forces
                 .iter_mut()
+                .zip(blocks.iter_mut())
                 .enumerate()
-                .map(|(w, buf)| {
+                .map(|(w, (buf, block))| {
                     let chunk = chunk_range(n_pairs, n_chunks, w + 1);
                     let buf = scatter.then_some(buf.as_mut_slice());
-                    s.spawn(move || soa.eval(sc, lj, pairs, chunk, buf))
+                    s.spawn(move || soa.eval(sc, lj, pairs, chunk, buf, block))
                 })
                 .collect();
             let head = chunk_range(n_pairs, n_chunks, 0);
-            let head = soa.eval(sc, lj, pairs, head, forces.as_deref_mut());
+            let head = soa.eval(sc, lj, pairs, head, forces.as_deref_mut(), head_block);
             // Chunk order, whatever order the workers finished in.
             workers.into_iter().fold(head, |(lj, coul), w| {
                 let (l, c) = w.join().expect("a nonbonded worker panicked");
@@ -241,16 +278,25 @@ impl ForceField {
         for a in &top.angles {
             e.angle += bonded::angle_energy(a, pos, pbc, forces.as_deref_mut());
         }
+        // Consecutive terms on one quartet (phi and psi carry two each)
+        // share its geometry.
+        let mut quartet = None;
+        let mut geometry = None;
         for t in &top.torsions {
-            e.torsion += bonded::torsion_energy(t, pos, pbc, forces.as_deref_mut());
+            let atoms = [t.i, t.j, t.k_atom, t.l];
+            if quartet != Some(atoms) {
+                geometry = bonded::dihedral_geometry_of(atoms, pos, pbc);
+                quartet = Some(atoms);
+            }
+            e.torsion += bonded::torsion_term(t, geometry.as_ref(), forces.as_deref_mut());
         }
         for r in &self.restraints {
             if let Some(d) = top.dihedral(&r.dihedral) {
                 e.restraint += r.energy(d.atoms, pos, pbc, forces.as_deref_mut());
             }
         }
-        ctx.prepare(self, system);
-        (e.lj, e.coulomb) = ctx.nonbonded(&NbScalars::new(&self.nonbonded), forces, threads);
+        let sc = ctx.prepare(self, system);
+        (e.lj, e.coulomb) = ctx.nonbonded(&sc, forces, threads);
         e
     }
 
@@ -428,7 +474,7 @@ mod tests {
         let table = ctx.lj.as_ref().unwrap();
         let chunk = |c: usize, f: &mut [Vec3]| {
             let range = chunk_range(n_pairs, 4, c);
-            ctx.soa.eval(&sc, table, ctx.neighbors.pairs(), range, Some(f))
+            ctx.soa.eval(&sc, table, ctx.neighbors.pairs(), range, Some(f), &mut Block::default())
         };
         let mut f_seq = vec![Vec3::ZERO; n];
         let (mut lj, mut coul) = chunk(0, &mut f_seq);
@@ -567,6 +613,42 @@ mod tests {
         let basic_ctx = ff.energy_ctx(&sys, &mut ctx).coulomb;
         assert!((acidic - acidic_ctx).abs() < 1e-12);
         assert!((basic - basic_ctx).abs() < 1e-12);
+    }
+
+    /// A context keys what it caches on the topology it was handed, not on
+    /// the atom count: moved between two topologies of one size and one set
+    /// of coordinates — other LJ types, charges, titratable sites and
+    /// exclusions — it gives the bits a fresh context gives, each way.
+    #[test]
+    fn a_context_follows_a_new_topology_of_the_same_size() {
+        let (a, mut ff) = rich_system(11);
+        let mut b = a.clone();
+        {
+            let top = Arc::make_mut(&mut b.topology);
+            for (k, atom) in top.atoms.iter_mut().enumerate() {
+                atom.lj_epsilon = 0.05 + 0.02 * (k % 3) as f64;
+                atom.lj_sigma = 3.0 + 0.1 * (k % 2) as f64;
+                atom.charge = [0.3, -0.2, 0.0, -0.1][k % 4];
+            }
+            top.titratable = vec![Titratable { atom: 3, pka: 6.5, proton_charge: 1.0 }];
+            top.bonds.pop();
+            top.exclusions.clear();
+            top.build_exclusions();
+        }
+        assert_eq!(a.n_atoms(), b.n_atoms());
+        assert!(!Arc::ptr_eq(&a.topology, &b.topology));
+        ff.nonbonded.ph = 5.0;
+        let bits = |sys: &System, ctx: &mut EvalContext| {
+            let mut f = vec![Vec3::ZERO; sys.n_atoms()];
+            let e = ff.evaluate(sys, ctx, Some(&mut f), 1);
+            let f: Vec<_> = f.iter().map(|v| [v.x, v.y, v.z].map(f64::to_bits)).collect();
+            (format!("{e:?}"), f)
+        };
+        let mut shared = EvalContext::new();
+        for sys in [&a, &b, &a, &b] {
+            assert_eq!(bits(sys, &mut shared), bits(sys, &mut EvalContext::new()));
+        }
+        assert_ne!(bits(&a, &mut shared), bits(&b, &mut shared), "the two systems differ");
     }
 
     /// A 500-atom LJ fluid in a periodic box: crosses CELL_LIST_THRESHOLD.

@@ -11,7 +11,6 @@
 //! is continuous (no impulsive heating at the cutoff).
 
 use crate::topology::Atom;
-use std::collections::HashMap;
 
 /// Coulomb constant in kcal·Å/(mol·e²).
 pub const COULOMB_K: f64 = 332.063_71;
@@ -108,7 +107,7 @@ const LJ_INACTIVE: LjEntry = LjEntry { eps4: 0.0, sigma2: 0.0 };
 /// The table depends only on the atoms' LJ parameters — not on charges (pH
 /// adjustment changes charges only), salt, dielectric or cutoff (the kernel
 /// recomputes the cutoff shift from `eps4`/`sigma2`) — so one table serves
-/// every variant evaluated on a system.
+/// every variant evaluated on a system. `EvalContext` keeps one per topology.
 #[derive(Debug, Clone)]
 pub(crate) struct LjTable {
     n_types: usize,
@@ -121,15 +120,19 @@ pub(crate) struct LjTable {
 impl LjTable {
     /// Build the type assignment and mixing table for `atoms`.
     pub fn build(atoms: &[Atom]) -> Self {
-        let mut index: HashMap<(u64, u64), u32> = HashMap::new();
+        // Types in order of first appearance, found by a scan of the few
+        // seen so far (the table is `n_types²` entries: types are few).
         let mut types: Vec<(f64, f64)> = Vec::new();
+        let key = |e: f64, s: f64| (e.to_bits(), s.to_bits());
         let type_of: Vec<u32> = atoms
             .iter()
             .map(|a| {
-                *index.entry((a.lj_epsilon.to_bits(), a.lj_sigma.to_bits())).or_insert_with(|| {
+                let k = key(a.lj_epsilon, a.lj_sigma);
+                let t = types.iter().position(|&(e, s)| key(e, s) == k).unwrap_or_else(|| {
                     types.push((a.lj_epsilon, a.lj_sigma));
-                    (types.len() - 1) as u32
-                })
+                    types.len() - 1
+                });
+                t as u32
             })
             .collect();
         let n_types = types.len();
@@ -147,14 +150,8 @@ impl LjTable {
         LjTable { n_types, type_of, table }
     }
 
-    /// Cheap staleness check: the table keys on the atom count (LJ
-    /// parameters are immutable for any one [`crate::system::System`]).
-    pub fn matches(&self, n_atoms: usize) -> bool {
-        self.type_of.len() == n_atoms
-    }
-
-    /// Mixed constants for the atom pair `(i, j)` — the blocked kernel's
-    /// gather phase looks them up per pair.
+    /// Mixed constants for the atom pair `(i, j)` — the blocked kernel looks
+    /// them up per pair it keeps after the screen.
     #[inline]
     pub(crate) fn entry(&self, i: usize, j: usize) -> LjEntry {
         self.table[self.type_of[i] as usize * self.n_types + self.type_of[j] as usize]
@@ -285,8 +282,7 @@ mod tests {
         ];
         let table = LjTable::build(&atoms);
         assert_eq!(table.n_types, 2);
-        assert!(table.matches(4));
-        assert!(!table.matches(5));
+        assert_eq!(table.type_of, [0, 0, 1, 0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! restraint centers, so the exchange acceptance requires evaluating each
 //! replica's coordinates under the partner's bias (`bias_energy`).
 
-use crate::forcefield::bonded::{apply_dihedral_force, dihedral_geometry};
+use crate::forcefield::bonded::{apply_dihedral_force, dihedral_geometry_of};
 use crate::system::PbcBox;
 use crate::units::{angle_diff_deg, rad_to_deg};
 use crate::vec3::Vec3;
@@ -46,13 +46,7 @@ impl DihedralRestraint {
         forces: Option<&mut [Vec3]>,
     ) -> f64 {
         let idx = atoms.map(|a| a as usize);
-        let Some((phi, b1, b2, b3, n1, n2)) = dihedral_geometry(
-            positions[idx[0]],
-            positions[idx[1]],
-            positions[idx[2]],
-            positions[idx[3]],
-            pbc,
-        ) else {
+        let Some((phi, b1, b2, b3, n1, n2)) = dihedral_geometry_of(atoms, positions, pbc) else {
             return 0.0;
         };
         if let Some(forces) = forces {

@@ -6,27 +6,34 @@
 //! neighbor list in blocks of pairs and splits the loop into three phases
 //! per block, the middle one over parallel `f64` block buffers.
 //!
-//! The list is a [`PairList`], stored by home atom: a block is `BLOCK`
-//! consecutive pairs of the range being evaluated, whatever runs it cuts,
-//! and phase 0 walks it run by run — one loop over each run's stretch of
-//! partners, the home atom fixed — forming each pair's `(min, max)` as it
-//! goes. A chunk of a multi-thread evaluation is a range of pair indices;
-//! the run that holds its first pair is found once per call, by bisection.
-//! So the pair sequence, the block boundaries, the run numbers of phase 2
-//! and every sum are those of a flat list of `(min, max)` pairs.
+//! The list is a [`PairList`], stored by home atom in 16-bit pages: a block
+//! is `BLOCK` consecutive pairs of the range being evaluated, whatever runs
+//! it cuts, and phase 0 walks it run by run — one loop over each run's
+//! stretch of partners, the home atom and the page fixed — forming each
+//! pair's `(min, max)` as it goes. A chunk of a multi-thread evaluation is a
+//! range of pair indices; the run that holds its first pair is found once
+//! per call, by bisection. The scatter's runs are numbered by `min` over the
+//! pair sequence, not by storage run, so a home split across pages is still
+//! one run of `i`. So the pair sequence, the block boundaries, the run
+//! numbers of phase 2 and every sum are those of a flat list of `(min, max)`
+//! pairs.
 //!
-//! - **Phase 0 (gather and screen)**: the only indexed loads. Atom data is
-//!   packed as one `[x, y, z, q]` quad per atom so a random neighbor access
-//!   touches a single cache line; the mixed LJ constants come out of the
-//!   type table (a handful of entries, resident in L1). The minimum image
-//!   and `r²` are taken here, in scalar code, because they decide whether
-//!   the pair goes any further: every pair is written to lane `len` of the
+//! - **Phase 0 (gather and screen)**: the positions. Atom data is packed as
+//!   one `[x, y, z, q]` quad per atom so a random neighbor access touches a
+//!   single cache line. The minimum image and `r²` are taken here, in scalar
+//!   code, because they decide whether the pair goes any further: every
+//!   pair's deltas, atoms and run number are written to lane `len` of the
 //!   block buffers, and `len` moves on only for a pair inside the cutoff and
 //!   off the overlap floor (no branch). A Verlet list reaches `cutoff +
-//!   skin`: at 9 + 1.5 Å, 37 % of it by volume contributes nothing, and the
-//!   phases below never see it. Nothing is stored per pair beyond the list
+//!   skin`: at 9 + 1.5 Å, 37 % of it by volume contributes nothing, and
+//!   nothing below sees it. Nothing is stored per pair beyond the list
 //!   itself (parameter lanes cost 5.7 MB per context at 2881 atoms to save
 //!   ~1 ns per pair).
+//! - **The lookups**, over the kept lanes only: the charge product from the
+//!   two quads (in cache since phase 0) and the mixed LJ constants from the
+//!   type table (a handful of entries, resident in L1). Kept out of phase 0
+//!   they are not paid for the screened-out pairs, and phase 0 keeps its
+//!   values in registers.
 //! - **Phase 1 (arithmetic)**: branch-free, index-free, mask-free math over
 //!   the kept lanes and, when the potential is unscreened, free of calls —
 //!   which is what lets LLVM vectorise the loop for the target everyone
@@ -55,14 +62,16 @@
 //!   the last bit of a force would depend on what the cutoff dropped, where
 //!   a dropped pair used to add an exact zero.
 //!
-//! Per-atom quads are refreshed every evaluation (positions drift each MD
-//! step). Box constants store edge lengths and their precomputed
+//! The block buffers belong to the caller (`EvalContext` keeps one per
+//! chunk), so a call neither allocates nor clears them. Per-atom quads are
+//! refreshed every evaluation (positions drift each MD step). Box constants
+//! store edge lengths and their precomputed
 //! reciprocals, with vacuum encoded as zeros so the minimum-image shift
 //! vanishes without a branch. DESIGN.md §10 has the
 //! `objdump` line that shows what the release binary's loop contains.
 
 use super::nonbonded::{LjTable, NbScalars};
-use crate::neighbor::PairList;
+use crate::neighbor::{PairList, Run};
 use crate::system::{nearest, PbcBox};
 use crate::vec3::Vec3;
 use std::ops::Range;
@@ -70,7 +79,9 @@ use std::ops::Range;
 /// Pairs listed per block. The block buffers total 12.5 KiB — comfortably
 /// L1-resident next to the gather traffic — and the block is long enough to
 /// amortize the scalar scatter loop. (128 was chosen over 32/64/256 on a
-/// `target-cpu=native` build; not re-measured on the default target.)
+/// `target-cpu=native` build; not re-measured on the default target.) The
+/// energy sums take one partial sum per block, so another value moves their
+/// last bits.
 const BLOCK: usize = 128;
 
 /// Squared-distance floor mirroring the oracle kernel's overlap guard
@@ -105,7 +116,7 @@ impl SoaNonbonded {
     /// Evaluate the pairs `range` of `list` under the mixing table `lj`,
     /// returning `(lj, coulomb)` energy sums and (optionally) scattering
     /// forces into `forces` (length = n_atoms). Blocks are `BLOCK` pairs of
-    /// the range, whatever runs they cut.
+    /// the range, whatever runs they cut; their lanes live in `block`.
     ///
     /// Screened and unscreened Coulomb are monomorphized separately so the
     /// common `kappa == 0` case contains no `exp` at all; at `kappa == 0`
@@ -118,11 +129,12 @@ impl SoaNonbonded {
         list: &PairList,
         range: Range<usize>,
         forces: Option<&mut [Vec3]>,
+        block: &mut Block,
     ) -> (f64, f64) {
         if sc.kappa == 0.0 {
-            self.eval_impl::<false>(sc, lj, list, range, forces)
+            self.eval_impl::<false>(sc, lj, list, range, forces, block)
         } else {
-            self.eval_impl::<true>(sc, lj, list, range, forces)
+            self.eval_impl::<true>(sc, lj, list, range, forces, block)
         }
     }
 
@@ -133,6 +145,7 @@ impl SoaNonbonded {
         list: &PairList,
         range: Range<usize>,
         mut forces: Option<&mut [Vec3]>,
+        block: &mut Block,
     ) -> (f64, f64) {
         let xyzq = &self.xyzq[..];
         let [ex, ey, ez] = self.edge;
@@ -143,40 +156,32 @@ impl SoaNonbonded {
         let inv_rc2 = sc.inv_rc * sc.inv_rc;
         let mut lj_total = 0.0;
         let mut coul_total = 0.0;
-        let mut dxs = [0.0f64; BLOCK];
-        let mut dys = [0.0f64; BLOCK];
-        let mut dzs = [0.0f64; BLOCK];
-        let mut qqs = [0.0f64; BLOCK];
-        let mut eps4 = [0.0f64; BLOCK];
-        let mut sig2 = [0.0f64; BLOCK];
-        let mut e_lj = [0.0f64; BLOCK];
-        let mut e_c = [0.0f64; BLOCK];
-        let mut fx = [0.0f64; BLOCK];
-        let mut fy = [0.0f64; BLOCK];
-        let mut fz = [0.0f64; BLOCK];
-        // The kept lanes' atoms, and the run of the list each came from.
-        let mut is = [0u32; BLOCK];
-        let mut js = [0u32; BLOCK];
-        let mut runs = [0u32; BLOCK];
+        // Lanes `0..len` of every buffer are written before they are read:
+        // what a previous call left in them is never looked at.
+        let Block { dxs, dys, dzs, qqs, eps4, sig2, e_lj, e_c, fx, fy, fz, is, js, runs } = block;
         let (homes, partners) = (&list.runs[..], &list.partners[..]);
         // The run that holds the block's next pair: found once per call.
         let mut r = list.run_of(range.start);
         for block_start in range.clone().step_by(BLOCK) {
-            // Phase 0: gather, image, screen. The only indexed loads in the
-            // kernel; a lane is kept only if `len` moves past it. Each run's
-            // stretch of the block is one loop over its partners.
+            // Phase 0: gather positions, image, screen. A lane is kept only if
+            // `len` moves past it. Each run's stretch of the block is one
+            // loop over its partners.
             let block_end = (block_start + BLOCK).min(range.end);
             let mut len = 0;
             let mut run = 0;
-            let mut run_i = homes[r].0.min(partners[block_start]);
+            let first = homes[r].page | u32::from(partners[block_start]);
+            let mut run_i = homes[r].home.min(first);
             let mut p = block_start;
             while p < block_end {
-                let home = homes[r].0;
+                let Run { home, page, .. } = homes[r];
                 let run_end = list.run_end(r);
                 let end = run_end.min(block_end);
                 r += usize::from(end == run_end);
-                for &partner in &partners[p..end] {
+                for &lo in &partners[p..end] {
+                    let partner = page | u32::from(lo);
                     let (i, j) = (home.min(partner), home.max(partner));
+                    // Runs of the scatter are runs of `i` over the pair
+                    // sequence, whatever the storage runs and pages.
                     run += u32::from(i != run_i);
                     run_i = i;
                     let a = xyzq[i as usize];
@@ -191,10 +196,6 @@ impl SoaNonbonded {
                     dxs[len] = dx;
                     dys[len] = dy;
                     dzs[len] = dz;
-                    qqs[len] = a[3] * b[3];
-                    let mixed = lj.entry(i as usize, j as usize);
-                    eps4[len] = mixed.eps4;
-                    sig2[len] = mixed.sigma2;
                     is[len] = i;
                     js[len] = j;
                     runs[len] = run;
@@ -204,6 +205,15 @@ impl SoaNonbonded {
                     len += usize::from((r2 < sc.rc2) & (r2 >= MIN_R2));
                 }
                 p = end;
+            }
+            // The lookups, for the kept lanes only: charge products from the
+            // quads (already in cache) and mixed LJ constants from the table.
+            for t in 0..len {
+                let (i, j) = (is[t] as usize, js[t] as usize);
+                qqs[t] = xyzq[i][3] * xyzq[j][3];
+                let mixed = lj.entry(i, j);
+                eps4[t] = mixed.eps4;
+                sig2[t] = mixed.sigma2;
             }
             // Phase 1: branch-free, index-free fused energy + force
             // arithmetic, with no call unless SCREENED.
@@ -267,6 +277,52 @@ impl SoaNonbonded {
             }
         }
         (lj_total, coul_total)
+    }
+}
+
+/// The kernel's block buffers: one block's lanes, `BLOCK` of each. Owned by
+/// the caller — one per chunk of an evaluation, kept by `EvalContext` across
+/// calls — so a call neither zeroes nor allocates them (12.5 KiB, which a
+/// 7-atom evaluation of 21 pairs used to clear on every call).
+#[derive(Debug, Clone)]
+pub(crate) struct Block {
+    dxs: [f64; BLOCK],
+    dys: [f64; BLOCK],
+    dzs: [f64; BLOCK],
+    qqs: [f64; BLOCK],
+    eps4: [f64; BLOCK],
+    sig2: [f64; BLOCK],
+    e_lj: [f64; BLOCK],
+    e_c: [f64; BLOCK],
+    fx: [f64; BLOCK],
+    fy: [f64; BLOCK],
+    fz: [f64; BLOCK],
+    /// The kept lanes' atoms, and the run of `i` each came from.
+    is: [u32; BLOCK],
+    js: [u32; BLOCK],
+    runs: [u32; BLOCK],
+}
+
+impl Default for Block {
+    fn default() -> Self {
+        let z = [0.0; BLOCK];
+        let n = [0; BLOCK];
+        Block {
+            dxs: z,
+            dys: z,
+            dzs: z,
+            qqs: z,
+            eps4: z,
+            sig2: z,
+            e_lj: z,
+            e_c: z,
+            fx: z,
+            fy: z,
+            fz: z,
+            is: n,
+            js: n,
+            runs: n,
+        }
     }
 }
 
@@ -493,7 +549,7 @@ mod tests {
                         let n_chunks = threads.min(list.len() / MIN_CHUNK_PAIRS).max(1);
                         chunks_cut_runs += (1..n_chunks)
                             .map(|c| chunk_range(list.len(), n_chunks, c).start as u32)
-                            .filter(|&start| list.runs.iter().all(|&(_, s)| s != start))
+                            .filter(|&start| list.runs.iter().all(|run| run.start != start))
                             .count();
                         let mut expected = bonded.clone();
                         let e_expected = masked(&ctx, &sc, threads, Some(&mut expected));
@@ -571,31 +627,9 @@ mod tests {
             }
             let pairs: Vec<_> = list.iter().collect();
             assert_eq!(pairs[..3], [(5, 9), (3, 5), (5, 20)]);
-            assert_eq!(list.runs[..4], [(5, 0), (10, 3), (40, 6), (60, 25)]);
-            let salt = if rng.below(2) == 0 { 0.0 } else { 0.5 };
-            let sc = NbScalars::new(&NonbondedParams {
-                cutoff: 6.0,
-                dielectric: 4.0,
-                salt_molar: salt,
-                ph: 7.0,
-            });
-            let lj = LjTable::build(&atoms);
-            let charges: Vec<f64> = atoms.iter().map(|a| a.charge).collect();
-            let mut soa = SoaNonbonded::default();
-            soa.sync_atoms(&positions, &charges, &PbcBox::VACUUM);
-
-            // The whole list, and two chunks cut at any pair.
-            let cut = rng.range(1..pairs.len());
-            let mut got = vec![Vec3::ZERO; n];
-            for range in [0..cut, cut..pairs.len(), 0..pairs.len()] {
-                let mut expected = vec![Vec3::ZERO; n];
-                let e_expected =
-                    soa.eval_masked(&sc, &lj, &pairs[range.clone()], Some(&mut expected));
-                got.fill(Vec3::ZERO);
-                let e_got = soa.eval(&sc, &lj, &list, range.clone(), Some(&mut got));
-                assert_eq!(pair_bits(e_got), pair_bits(e_expected), "{range:?}");
-                assert_eq!(bits(&got), bits(&expected), "{range:?}");
-            }
+            let runs: Vec<_> = list.runs.iter().map(|r| (r.home, r.page, r.start)).collect();
+            assert_eq!(runs[..4], [(5, 0, 0), (10, 0, 3), (40, 0, 6), (60, 0, 25)]);
+            let mut got = assert_eval_is_masked(&atoms, &positions, &list, rng);
             // The special cases did what they are there for.
             assert!(got[5].norm() > 0.0, "(5, 9) and (5, 20) are in range");
             assert_eq!(got[40], Vec3::ZERO, "a run screened out whole");
@@ -606,10 +640,121 @@ mod tests {
             // spreads it, and the segment fails on the coordinate itself
             // (`sander::tests::a_nan_coordinate_fails_the_segment`).
             positions[70].y = f64::NAN;
+            let charges: Vec<f64> = atoms.iter().map(|a| a.charge).collect();
+            let mut soa = SoaNonbonded::default();
             soa.sync_atoms(&positions, &charges, &PbcBox::VACUUM);
+            let sc = NbScalars::new(&NonbondedParams {
+                cutoff: 6.0,
+                dielectric: 4.0,
+                salt_molar: 0.5,
+                ph: 7.0,
+            });
+            let lj = LjTable::build(&atoms);
             got.fill(Vec3::ZERO);
-            let (e_lj, e_c) = soa.eval(&sc, &lj, &list, 0..list.len(), Some(&mut got));
+            let (e_lj, e_c) =
+                soa.eval(&sc, &lj, &list, 0..list.len(), Some(&mut got), &mut Block::default());
             assert!(e_lj.is_finite() && e_c.is_finite() && got.iter().all(|f| f.is_finite()));
+        });
+    }
+
+    /// `list` through the kernel equals the masked kernel over the list's
+    /// `(min, max)` pairs bit for bit, for the whole list and for two chunks
+    /// cut at any pair, at salt 0 or 0.5 (drawn); returns the whole list's
+    /// forces.
+    fn assert_eval_is_masked(
+        atoms: &[Atom],
+        positions: &[Vec3],
+        list: &PairList,
+        rng: &mut Rng,
+    ) -> Vec<Vec3> {
+        let n = atoms.len();
+        let pairs: Vec<_> = list.iter().collect();
+        let salt = if rng.below(2) == 0 { 0.0 } else { 0.5 };
+        let sc = NbScalars::new(&NonbondedParams {
+            cutoff: 6.0,
+            dielectric: 4.0,
+            salt_molar: salt,
+            ph: 7.0,
+        });
+        let lj = LjTable::build(atoms);
+        let charges: Vec<f64> = atoms.iter().map(|a| a.charge).collect();
+        let mut soa = SoaNonbonded::default();
+        soa.sync_atoms(positions, &charges, &PbcBox::VACUUM);
+        // One block buffer for every call: what a call leaves in it must not
+        // reach the next.
+        let mut block = Block::default();
+        let cut = rng.range(1..pairs.len());
+        let mut got = vec![Vec3::ZERO; n];
+        for range in [0..cut, cut..pairs.len(), 0..pairs.len()] {
+            let mut expected = vec![Vec3::ZERO; n];
+            let e_expected = soa.eval_masked(&sc, &lj, &pairs[range.clone()], Some(&mut expected));
+            got.fill(Vec3::ZERO);
+            let e_got = soa.eval(&sc, &lj, list, range.clone(), Some(&mut got), &mut block);
+            assert_eq!(pair_bits(e_got), pair_bits(e_expected), "{range:?}");
+            assert_eq!(bits(&got), bits(&expected), "{range:?}");
+            let e_none = soa.eval(&sc, &lj, list, range.clone(), None, &mut block);
+            assert_eq!(pair_bits(e_none), pair_bits(e_expected), "{range:?}, no forces");
+        }
+        got
+    }
+
+    /// A list over more than 65 536 atoms, by hand: homes on either side of
+    /// atom 65 536 whose partners cross it, back and forth, so that one home's
+    /// stretch is several storage runs and one run of `i` for the scatter
+    /// spans storage runs (home 65 530 with partners 65 540, 65 535 and
+    /// 65 541 is three runs on two pages and one `i`), a home above the
+    /// boundary whose partners lie below it, and a block boundary and chunk
+    /// cuts anywhere. The kernel's bits equal the masked kernel's over the
+    /// materialised `(min, max)` list.
+    #[test]
+    fn runs_across_a_page_keep_every_bit() {
+        const PAGE: u32 = 1 << 16;
+        rng::check(8, |rng| {
+            let n = PAGE as usize + 300;
+            let atoms: Vec<Atom> = (0..n)
+                .map(|k| Atom {
+                    mass: 12.0,
+                    charge: [0.4, -0.3, 0.1][k % 3],
+                    lj_epsilon: 0.1 + 0.01 * (k % 2) as f64,
+                    lj_sigma: 3.2,
+                })
+                .collect();
+            // Everything far apart, but the 600 atoms around the boundary
+            // and the first 300: a cloud 8 Å across under a 6 Å cutoff.
+            let mut positions: Vec<Vec3> =
+                (0..n).map(|k| Vec3::new(20.0 * k as f64, 1e4, 0.0)).collect();
+            let cloud = (0..300).chain(PAGE as usize - 300..n);
+            for k in cloud {
+                positions[k] = Vec3::new(rng.f64(), rng.f64(), rng.f64()) * 8.0;
+            }
+            let home = (PAGE - 6) as usize;
+            positions[home + 10] = positions[home] + Vec3::new(3.1, 0.2, -0.4);
+            let near = |rng: &mut Rng| {
+                let k = rng.below(900) as u32;
+                if k < 300 {
+                    k
+                } else {
+                    PAGE - 600 + k
+                }
+            };
+            let mut hand = vec![(PAGE - 6, PAGE + 4), (PAGE - 6, PAGE - 1), (PAGE - 6, PAGE + 5)];
+            hand.extend((0..150).map(|k| (PAGE + 7, k)));
+            hand.extend((0..200).map(|_| (PAGE - 2, near(rng))).filter(|&(h, p)| h != p));
+            hand.extend((0..400).map(|_| (near(rng), near(rng))).filter(|&(h, p)| h != p));
+            let mut list = PairList::default();
+            {
+                let mut push = list.appender();
+                hand.iter().for_each(|&(home, partner)| push(home, partner));
+            }
+            let pages = |r: usize| (list.runs[r].home, list.runs[r].page);
+            assert_eq!(
+                [pages(0), pages(1), pages(2)],
+                [(PAGE - 6, PAGE), (PAGE - 6, 0), (PAGE - 6, PAGE)]
+            );
+            assert_eq!(list.iter().take(3).collect::<Vec<_>>(), hand[..3]);
+            assert!(list.runs.len() > 100, "{} runs", list.runs.len());
+            let got = assert_eval_is_masked(&atoms, &positions, &list, rng);
+            assert!(got[home].norm() > 0.0, "({home}, {}) is in range", home + 10);
         });
     }
 }

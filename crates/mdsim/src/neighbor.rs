@@ -15,10 +15,14 @@
 //!   [`crate::forcefield::EvalContext`] holds.
 //!
 //! The Verlet list is a [`PairList`]: the pairs grouped by home atom, one
-//! `u32` per pair and one `(home, start)` per run of a home atom — half the
-//! bytes of a flat `(u32, u32)` list (237 289 pairs at 2881 solvated atoms:
-//! 0.95 MB where the flat list took 1.90). The cell search emits pairs home
-//! atom outermost, so the runs are long (≈ 82 partners each).
+//! `u16` per pair — the partner's index within its 65 536-atom page — and
+//! one `(home, page, start)` per run of a home atom on one page. A quarter
+//! of the bytes of a flat `(u32, u32)` list (237 289 pairs at 2881 solvated
+//! atoms: 0.48 MB where the flat list took 1.90). The cell search emits pairs
+//! home atom outermost, so the runs are long (≈ 82 partners each); both of
+//! the paper's systems (2 881 and 64 366 atoms) are one page, and a larger
+//! one splits a home's stretch into a run per page change — more runs, the
+//! same pairs in the same order.
 //!
 //! The nonbonded kernel re-checks `r² < rc²` on whatever list it is given.
 
@@ -265,18 +269,35 @@ impl CellList {
     }
 }
 
-/// A pair list stored by home atom: run `r` pairs home atom `runs[r].0` with
-/// each of `partners[runs[r].1..runs[r + 1].1]` (the last run ends at
-/// `partners.len()`). A pair is `(home, partner)` with the partner's index
-/// above or below the home's; [`PairList::iter`] and the kernel read it as
-/// `(min, max)`. Pairs are numbered by their place in `partners`, so a range
-/// of pair indices is a range of `partners` and may start or end inside a
-/// run.
+/// Atoms per page of a [`PairList`]: a partner is stored as its index's
+/// low 16 bits, its run carrying the rest.
+const PAGE_BITS: u32 = 16;
+
+/// One run of a [`PairList`]: home atom `home` paired with each partner
+/// `page | lo` for the `lo` of `partners[start..]`, up to the next run's
+/// `start`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) home: u32,
+    /// The partners' page: their index with the low 16 bits cleared.
+    pub(crate) page: u32,
+    pub(crate) start: u32,
+}
+
+/// A pair list stored by home atom, in 16-bit pages: run `r` pairs atom
+/// `runs[r].home` with each `runs[r].page | lo` for the `lo` of
+/// `partners[runs[r].start..runs[r + 1].start]` (the last run ends at
+/// `partners.len()`). A home's stretch of pairs is one run per page it
+/// visits, split wherever the page changes. A pair is `(home, partner)` with
+/// the partner's index above or below the home's; [`PairList::iter`] and the
+/// kernel read it as `(min, max)`. Pairs are numbered by their place in
+/// `partners`, so a range of pair indices is a range of `partners` and may
+/// start or end inside a run.
 #[derive(Debug, Clone, Default)]
 pub struct PairList {
-    /// `(home, start)` per run, `start` ascending; no run is empty.
-    pub(crate) runs: Vec<(u32, u32)>,
-    pub(crate) partners: Vec<u32>,
+    /// `start` ascending; no run is empty.
+    pub(crate) runs: Vec<Run>,
+    pub(crate) partners: Vec<u16>,
 }
 
 impl PairList {
@@ -292,76 +313,86 @@ impl PairList {
     /// Every pair as `(min, max)`, in list order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.runs.len()).flat_map(move |r| {
-            let home = self.runs[r].0;
-            self.partners[self.runs[r].1 as usize..self.run_end(r)]
-                .iter()
-                .map(move |&p| (home.min(p), home.max(p)))
+            let Run { home, page, start } = self.runs[r];
+            self.partners[start as usize..self.run_end(r)].iter().map(move |&lo| {
+                let partner = page | u32::from(lo);
+                (home.min(partner), home.max(partner))
+            })
         })
     }
 
     /// The run that holds pair `pair`, by bisection.
     pub(crate) fn run_of(&self, pair: usize) -> usize {
-        self.runs.partition_point(|&(_, start)| start as usize <= pair).saturating_sub(1)
+        self.runs.partition_point(|run| run.start as usize <= pair).saturating_sub(1)
     }
 
     /// One past the last pair of run `r`.
     #[inline]
     pub(crate) fn run_end(&self, r: usize) -> usize {
-        self.runs.get(r + 1).map_or(self.partners.len(), |&(_, start)| start as usize)
+        self.runs.get(r + 1).map_or(self.partners.len(), |run| run.start as usize)
     }
 
     /// An appender of pairs `(home, partner)`: it opens a run when the home
-    /// changes, keeping the current home in a register rather than reading
-    /// it back from `runs` per pair.
+    /// or the partner's page changes, keeping the current run's home and page
+    /// in registers rather than reading them back from `runs` per pair.
     pub(crate) fn appender(&mut self) -> impl FnMut(u32, u32) + '_ {
         // No atom has index `u32::MAX`: the first pair opens a run.
-        let mut current = self.runs.last().map_or(u32::MAX, |&(home, _)| home);
+        let (mut home_now, mut page_now) =
+            self.runs.last().map_or((u32::MAX, 0), |run| (run.home, run.page));
         move |home, partner| {
-            if home != current {
-                self.runs.push((home, self.partners.len() as u32));
-                current = home;
+            let page = partner >> PAGE_BITS << PAGE_BITS;
+            if home != home_now || page != page_now {
+                let start = self.partners.len() as u32;
+                self.runs.push(Run { home, page, start });
+                (home_now, page_now) = (home, page);
             }
-            self.partners.push(partner);
+            self.partners.push(partner as u16);
         }
     }
 
     /// Rebuild an aliased grid's list: every pair once, sorted as `(min,
     /// max)`, with home = `min` — what [`CellList::pairs`] gives, filtered.
     /// The search may visit a pair more than once and from either end, so
-    /// one pass counts the visits per smaller atom (in `runs`, which holds
-    /// `n_atoms` entries), one places the larger atoms into `partners` by
-    /// bucket, and each bucket is sorted, deduplicated and moved down in
-    /// place. Both buffers, emptied by the caller, are sized before they are
+    /// one pass counts the visits per bucket — a smaller atom and the larger
+    /// one's page, `n_atoms × pages` of them, held in `runs` — one places the
+    /// larger atoms' low bits into `partners` by bucket, and each bucket is
+    /// sorted, deduplicated and moved down in place: within a bucket the low
+    /// bits order the full indices, and the buckets follow `(min, max)`
+    /// order. Both buffers, emptied by the caller, are sized before they are
     /// filled, `runs` first.
     fn collect_sorted(&mut self, n_atoms: usize, search: impl Fn(&mut dyn FnMut(u32, u32))) {
         let PairList { runs, partners } = self;
-        runs.resize(n_atoms, (0, 0));
-        search(&mut |a, b| runs[a.min(b) as usize].1 += 1);
+        let pages = n_atoms.div_ceil(1 << PAGE_BITS).max(1);
+        let bucket =
+            move |a: u32, b: u32| a.min(b) as usize * pages + (a.max(b) >> PAGE_BITS) as usize;
+        runs.resize(n_atoms * pages, Run::default());
+        search(&mut |a, b| runs[bucket(a, b)].start += 1);
         let mut visits = 0;
-        for (_, slot) in runs.iter_mut() {
-            (*slot, visits) = (visits, visits + *slot);
+        for run in runs.iter_mut() {
+            (run.start, visits) = (visits, visits + run.start);
         }
         partners.resize(visits as usize, 0);
         // Each bucket's cursor moves from its first slot to the next bucket's.
         search(&mut |a, b| {
-            let slot = &mut runs[a.min(b) as usize].1;
-            partners[*slot as usize] = a.max(b);
+            let slot = &mut runs[bucket(a, b)].start;
+            partners[*slot as usize] = a.max(b) as u16;
             *slot += 1;
         });
         let (mut kept, mut n_runs, mut from) = (0, 0, 0);
-        for home in 0..n_atoms {
-            let to = runs[home].1 as usize;
+        for k in 0..runs.len() {
+            let to = runs[k].start as usize;
             partners[from..to].sort_unstable();
             let start = kept;
-            for k in from..to {
-                if kept == start || partners[k] != partners[kept - 1] {
-                    partners[kept] = partners[k];
+            for p in from..to {
+                if kept == start || partners[p] != partners[kept - 1] {
+                    partners[kept] = partners[p];
                     kept += 1;
                 }
             }
-            // `n_runs <= home`: the entries still to be read are not overwritten.
+            // `n_runs <= k`: the entries still to be read are not overwritten.
             if kept > start {
-                runs[n_runs] = (home as u32, start as u32);
+                let (home, page) = ((k / pages) as u32, ((k % pages) as u32) << PAGE_BITS);
+                runs[n_runs] = Run { home, page, start: start as u32 };
                 n_runs += 1;
             }
             from = to;
@@ -388,7 +419,8 @@ impl PairList {
 /// A cache must not be shared between different systems: it keys its
 /// validity on atom count, box and displacement only (the topology is
 /// assumed immutable for the cache's lifetime, which holds for any one
-/// [`System`]).
+/// [`System`]). [`crate::forcefield::EvalContext`] invalidates its cache when it is handed
+/// another topology.
 #[derive(Debug, Clone)]
 pub struct NeighborCache {
     skin: f64,
@@ -500,11 +532,15 @@ impl NeighborCache {
         let n = system.n_atoms();
         let pos = &system.state.positions;
         let top: &Topology = &system.topology;
-        // The list last, its runs (one per atom at most) before its partners:
-        // nothing a cache allocates lies above a live list (DESIGN.md §10).
-        self.ref_positions.clear();
-        self.ref_positions.extend_from_slice(pos);
+        // The list last, its runs (one per atom and page visited: at most
+        // one per atom in one page) before its partners: nothing a cache
+        // allocates lies above a live list (DESIGN.md §10).
         self.all_pairs_list = n < CELL_LIST_THRESHOLD;
+        // An all-pairs list never looks at displacements.
+        self.ref_positions.clear();
+        if !self.all_pairs_list {
+            self.ref_positions.extend_from_slice(pos);
+        }
         let list = &mut self.pairs;
         list.runs.clear();
         list.runs.reserve(n);

@@ -6,8 +6,8 @@
 use mdsim::forcefield::EvalContext;
 use mdsim::models::{dipeptide_forcefield, lj_fluid, lj_forcefield, solvated_alanine_dipeptide};
 use mdsim::neighbor::{CellList, NeighborCache, CELL_LIST_THRESHOLD};
-use mdsim::topology::Bond;
-use mdsim::{System, Vec3};
+use mdsim::topology::{Atom, Bond, Topology};
+use mdsim::{PbcBox, State, System, Vec3};
 use rng::Rng;
 
 /// Move every coordinate by up to half of `amplitude` either way.
@@ -63,6 +63,36 @@ fn streamed_list_equals_materialised_then_filtered() {
             // Past skin/2 for most atoms: the next `ensure` rebuilds.
             shake(&mut sys, 2.5, &mut rng);
         }
+    }
+}
+
+/// Over more than 65 536 atoms a partner's index needs its run's page: a
+/// sparse gas in a flat orthorhombic box, searched with three cells or more
+/// along every axis (the image-shift path, whose home stretches cross the
+/// page boundary back and forth) and with two along the short one (the
+/// aliased path, sorted and deduplicated by full index). Both lists equal
+/// the materialised search, filtered.
+#[test]
+fn searches_over_more_than_a_page_equal_the_materialised_list() {
+    const N: usize = 70_000;
+    let (cutoff, skin) = (4.0, 1.5);
+    let mut rng = Rng::seed(65_536);
+    for (what, edges) in
+        [("image shift", Vec3::new(400.0, 400.0, 60.0)), ("aliased", Vec3::new(800.0, 800.0, 12.0))]
+    {
+        let top = Topology { atoms: vec![Atom::lj(18.0, 0.15, 3.15); N], ..Default::default() };
+        let mut state = State::zeros(N);
+        for p in &mut state.positions {
+            *p = Vec3::new(rng.f64() * edges.x, rng.f64() * edges.y, rng.f64() * edges.z);
+        }
+        let sys = with_bonds(System::new(top, PbcBox::new(Some(edges)), state).unwrap());
+        let mut cache = NeighborCache::new(skin);
+        cache.ensure(&sys, cutoff);
+        let expect = oracle(&sys, cutoff, skin);
+        let across = expect.iter().filter(|&&(i, j)| i < 1 << 16 && j >= 1 << 16).count();
+        assert!(across > 1000, "{what}: {across} pairs across the page boundary");
+        assert_eq!(cache.pairs().len(), expect.len(), "{what}");
+        assert!(cache.pairs().iter().eq(expect), "{what}");
     }
 }
 
