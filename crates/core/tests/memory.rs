@@ -133,10 +133,10 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
     /// before units shared their slot's parameters and stopped carrying an
     /// executable string and two staging lists), plus a tenth. 46.5 since
     /// the pair list is two blocks, its runs reserved once, one per atom;
-    /// 47.5 since a context keeps the kernel's block buffers (one block, no
-    /// longer cleared on the stack per call) and the integrator its per-atom
-    /// constants (one), while the all-pairs list stopped copying reference
-    /// positions it never reads (one fewer).
+    /// 45.5 since a context keeps the kernel's block buffers (one block, no
+    /// longer cleared on the stack per call) while the all-pairs list
+    /// stopped copying reference positions it never reads and the LJ table
+    /// stopped hashing its types (one fewer each).
     const BUDGET_PER_SEGMENT: f64 = 50.0;
     let _turn = TURN.lock().unwrap();
     let mut ctx = build_ctx(wide_cfg(N)).unwrap();

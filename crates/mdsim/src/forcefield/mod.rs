@@ -21,10 +21,10 @@
 //! All hot paths take an [`EvalContext`], which owns the persistent state
 //! that makes repeated evaluations cheap: the Verlet neighbor list (reused
 //! across MD steps until an atom moves more than half the skin), the
-//! precomputed Lennard-Jones mixing table, the pH-adjusted charge buffer,
-//! the kernel's scalars, packed per-atom quads and block buffers, and the
-//! pooled per-chunk force buffers — each rebuilt only when its inputs
-//! change. [`ForceField::energy_forces`] and [`ForceField::energy`] build
+//! precomputed Lennard-Jones mixing table (rebuilt only for a new
+//! topology), the pH-adjusted charge buffer, the kernel's packed per-atom
+//! quads and block buffers, and the pooled per-chunk force buffers.
+//! [`ForceField::energy_forces`] and [`ForceField::energy`] build
 //! a throwaway context for one-shot calls and tests.
 //!
 //! The oracle for the SoA kernel is the straight-line
@@ -88,30 +88,28 @@ impl EnergyBreakdown {
 ///
 /// Owns everything the force loop would otherwise rebuild or reallocate per
 /// call: the Verlet neighbor list, the LJ mixing table, the effective-charge
-/// buffer, the kernel's scalars, its block buffers and the pooled force
-/// buffers of a multi-thread evaluation. A context belongs to one [`System`]
-/// at a time; it detects a new topology (by its `Arc`, which it keeps alive so
-/// the address cannot be reused), coordinate, box, atom count, cutoff, pH and
-/// parameter changes and rebuilds what is stale, so sharing one across the
-/// single-point evaluations of an exchange batch (same coordinates, different
+/// buffer, the kernel's block buffers and the pooled force buffers of a
+/// multi-thread evaluation. A context belongs to one [`System`] at a time; it
+/// detects a new topology (by its `Arc`, which it keeps alive so the address
+/// cannot be reused), coordinate, box, atom count and cutoff changes and
+/// rebuilds what is stale, so sharing one across the single-point
+/// evaluations of an exchange batch (same coordinates, different
 /// [`NonbondedParams`]) reuses the pair list for all of them.
 #[derive(Debug, Clone, Default)]
 pub struct EvalContext {
     /// The Verlet list (public so callers can inspect rebuild statistics).
     pub neighbors: NeighborCache,
-    /// The topology the table, the charges and the list were made for.
+    /// The topology the table and the list were made for.
     topology: Option<Arc<Topology>>,
     lj: Option<LjTable>,
     /// Effective per-atom charges (base charge plus pH shift on titratable
-    /// sites) for the topology above at pH `charges_ph`.
+    /// sites), refreshed every evaluation without allocating.
     charges: Vec<f64>,
-    charges_ph: Option<f64>,
-    /// The kernel's scalars and the parameters they were made from.
-    scalars: Option<(NonbondedParams, NbScalars)>,
     /// Pooled force buffers of chunks `1..` of a multi-thread evaluation
     /// (chunk 0 scatters straight into the caller's buffer).
     chunk_forces: Vec<Vec<Vec3>>,
-    /// The kernel's block buffers, one per chunk.
+    /// The kernel's block buffers, one per chunk: chunk 0's is made before
+    /// the pair list, those of chunks `1..` with their force buffers.
     blocks: Vec<Block>,
     /// The kernel's packed per-atom view, refreshed every evaluation.
     soa: SoaNonbonded,
@@ -135,14 +133,11 @@ impl EvalContext {
         self.neighbors.invalidate();
         self.topology = None;
         self.lj = None;
-        self.charges_ph = None;
     }
 
-    /// Refresh every cached component for `system` under `ff`'s parameters,
-    /// each only when what it depends on changed; the pair list last. Returns
-    /// the kernel's scalars.
-    fn prepare(&mut self, ff: &ForceField, system: &System) -> NbScalars {
-        let params = ff.nonbonded;
+    /// Refresh every cached component for `system` under `ff`'s parameters;
+    /// the pair list last.
+    fn prepare(&mut self, ff: &ForceField, system: &System) {
         if !self.topology.as_ref().is_some_and(|t| Arc::ptr_eq(t, &system.topology)) {
             self.invalidate();
             self.topology = Some(Arc::clone(&system.topology));
@@ -151,28 +146,16 @@ impl EvalContext {
         if self.lj.is_none() {
             self.lj = Some(LjTable::build(&top.atoms));
         }
-        if self.charges_ph.map(f64::to_bits) != Some(params.ph.to_bits()) {
-            self.charges.clear();
-            self.charges.extend(top.atoms.iter().map(|a| a.charge));
-            for site in &top.titratable {
-                self.charges[site.atom as usize] += site.charge_shift(params.ph);
-            }
-            self.charges_ph = Some(params.ph);
+        self.charges.clear();
+        self.charges.extend(top.atoms.iter().map(|a| a.charge));
+        for site in &top.titratable {
+            self.charges[site.atom as usize] += site.charge_shift(ff.nonbonded.ph);
         }
-        let sc = match self.scalars {
-            Some((made_from, sc)) if made_from == params => sc,
-            _ => {
-                let sc = NbScalars::new(&params);
-                self.scalars = Some((params, sc));
-                sc
-            }
-        };
         if self.blocks.is_empty() {
             self.blocks.push(Block::default());
         }
         self.soa.sync_atoms(&system.state.positions, &self.charges, &system.pbc);
-        self.neighbors.ensure(system, params.cutoff);
-        sc
+        self.neighbors.ensure(system, ff.nonbonded.cutoff);
     }
 
     /// The nonbonded `(lj, coulomb)` sums over the prepared pair list on
@@ -189,14 +172,16 @@ impl EvalContext {
         let lj = lj.as_ref().expect("prepared");
         let n_pairs = pairs.len();
         let n_chunks = threads.min(n_pairs / MIN_CHUNK_PAIRS).max(1);
+        if n_chunks == 1 {
+            return soa.eval(sc, lj, pairs, 0..n_pairs, forces, &mut blocks[0]);
+        }
+        // One pooled force buffer and block buffer per spawned chunk: no
+        // per-call O(N) allocation and no atomics in the pair loop. The first
+        // multi-chunk evaluation allocates them above the live pair list
+        // (DESIGN.md §10).
+        chunk_forces.resize_with(n_chunks - 1, Vec::new);
         blocks.resize_with(n_chunks.max(blocks.len()), Block::default);
         let (head_block, blocks) = blocks.split_first_mut().expect("one block at least");
-        if n_chunks == 1 {
-            return soa.eval(sc, lj, pairs, 0..n_pairs, forces, head_block);
-        }
-        // One pooled buffer per spawned chunk: no per-call O(N) allocation
-        // and no atomics in the pair loop.
-        chunk_forces.resize_with(n_chunks - 1, Vec::new);
         if let Some(f) = forces.as_deref() {
             for buf in chunk_forces.iter_mut() {
                 buf.clear();
@@ -295,8 +280,8 @@ impl ForceField {
                 e.restraint += r.energy(d.atoms, pos, pbc, forces.as_deref_mut());
             }
         }
-        let sc = ctx.prepare(self, system);
-        (e.lj, e.coulomb) = ctx.nonbonded(&sc, forces, threads);
+        ctx.prepare(self, system);
+        (e.lj, e.coulomb) = ctx.nonbonded(&NbScalars::new(&self.nonbonded), forces, threads);
         e
     }
 

@@ -637,23 +637,27 @@ mod tests {
 
             // A non-finite coordinate is screened out like a far pair (the
             // mask used to turn it into NaN forces): nothing here panics or
-            // spreads it, and the segment fails on the coordinate itself
+            // spreads it, in the unscreened kernel or the screened one, and
+            // the segment fails on the coordinate itself
             // (`sander::tests::a_nan_coordinate_fails_the_segment`).
             positions[70].y = f64::NAN;
             let charges: Vec<f64> = atoms.iter().map(|a| a.charge).collect();
             let mut soa = SoaNonbonded::default();
             soa.sync_atoms(&positions, &charges, &PbcBox::VACUUM);
-            let sc = NbScalars::new(&NonbondedParams {
-                cutoff: 6.0,
-                dielectric: 4.0,
-                salt_molar: 0.5,
-                ph: 7.0,
-            });
             let lj = LjTable::build(&atoms);
-            got.fill(Vec3::ZERO);
-            let (e_lj, e_c) =
-                soa.eval(&sc, &lj, &list, 0..list.len(), Some(&mut got), &mut Block::default());
-            assert!(e_lj.is_finite() && e_c.is_finite() && got.iter().all(|f| f.is_finite()));
+            for salt_molar in [0.0, 0.5] {
+                let sc = NbScalars::new(&NonbondedParams {
+                    cutoff: 6.0,
+                    dielectric: 4.0,
+                    salt_molar,
+                    ph: 7.0,
+                });
+                got.fill(Vec3::ZERO);
+                let (e_lj, e_c) =
+                    soa.eval(&sc, &lj, &list, 0..list.len(), Some(&mut got), &mut Block::default());
+                assert!(e_lj.is_finite() && e_c.is_finite(), "salt {salt_molar}");
+                assert!(got.iter().all(|f| f.is_finite()), "salt {salt_molar}");
+            }
         });
     }
 

@@ -9,16 +9,12 @@
 
 use crate::forcefield::{EnergyBreakdown, EvalContext, ForceField};
 use crate::system::{State, System};
-use crate::topology::Topology;
 use crate::units::{kbt, AKMA_PER_PS};
 use crate::vec3::Vec3;
 use rng::Rng;
-use std::sync::Arc;
 
-/// BAOAB Langevin integrator. It owns its scratch force buffer, a persistent
-/// [`EvalContext`] (Verlet neighbor list + evaluation scratch) and the step's
-/// constants — the friction factor and, per atom, the kick and noise scales,
-/// computed once for a bath and a topology rather than once a step — so
+/// BAOAB Langevin integrator. It owns its scratch force buffer and a
+/// persistent [`EvalContext`] (Verlet neighbor list + evaluation scratch), so
 /// steady stepping neither allocates nor rebuilds the pair list.
 pub struct LangevinBaoab {
     dt_ps: f64,
@@ -29,47 +25,8 @@ pub struct LangevinBaoab {
     pub gamma_ps: f64,
     forces: Vec<Vec3>,
     forces_valid: bool,
-    /// The step's constants and what they were computed for.
-    constants: Option<Constants>,
     /// Persistent evaluation state (Verlet list, scratch buffers).
     ctx: EvalContext,
-}
-
-/// What a step multiplies by, computed from the bath, the time step and the
-/// masses with the expressions a step used to evaluate each time.
-struct Constants {
-    temperature: f64,
-    gamma_ps: f64,
-    topology: Arc<Topology>,
-    /// `exp(-γ dt)`.
-    c1: f64,
-    /// Per atom: the half kick `dt / 2 · 1/m`, and the noise scale `c2 ·
-    /// sqrt(kT / m)` with `c2 = sqrt(1 - c1²)`.
-    per_atom: Vec<[f64; 2]>,
-}
-
-impl Constants {
-    fn new(dt: f64, temperature: f64, gamma_ps: f64, topology: &Arc<Topology>) -> Self {
-        let gamma = gamma_ps / AKMA_PER_PS; // per AKMA time unit
-        let c1 = (-gamma * dt).exp();
-        let c2 = (1.0 - c1 * c1).sqrt();
-        let kt = kbt(temperature);
-        let per_atom = topology
-            .atoms
-            .iter()
-            .map(|a| {
-                let sigma = (kt / a.mass).sqrt();
-                [0.5 * dt * (1.0 / a.mass), c2 * sigma]
-            })
-            .collect();
-        Constants { temperature, gamma_ps, topology: Arc::clone(topology), c1, per_atom }
-    }
-
-    fn made_for(&self, temperature: f64, gamma_ps: f64, topology: &Arc<Topology>) -> bool {
-        self.temperature.to_bits() == temperature.to_bits()
-            && self.gamma_ps.to_bits() == gamma_ps.to_bits()
-            && Arc::ptr_eq(&self.topology, topology)
-    }
 }
 
 impl LangevinBaoab {
@@ -82,7 +39,6 @@ impl LangevinBaoab {
             gamma_ps,
             forces: Vec::new(),
             forces_valid: false,
-            constants: None,
             ctx: EvalContext::new(),
         }
     }
@@ -108,24 +64,19 @@ impl LangevinBaoab {
             self.forces = vec![Vec3::ZERO; n];
             self.forces_valid = false;
         }
-        // Before the first evaluation: nothing lies above its pair list.
-        if !self
-            .constants
-            .as_ref()
-            .is_some_and(|c| c.made_for(self.temperature, self.gamma_ps, &system.topology))
-        {
-            let c = Constants::new(self.dt, self.temperature, self.gamma_ps, &system.topology);
-            self.constants = Some(c);
-        }
         if !self.forces_valid {
             ff.evaluate(system, &mut self.ctx, Some(&mut self.forces), threads);
         }
         let dt = self.dt;
-        let Constants { c1, per_atom, .. } = self.constants.as_ref().expect("just made");
-        let c1 = *c1;
+        let gamma = self.gamma_ps / AKMA_PER_PS; // per AKMA time unit
+        let c1 = (-gamma * dt).exp();
+        let c2 = (1.0 - c1 * c1).sqrt();
+        let kt = kbt(self.temperature);
+        // Borrowed once: through the `Arc` the pointer is re-loaded per atom.
+        let atoms = &system.topology.atoms[..];
         let kick = |velocities: &mut [Vec3], forces: &[Vec3]| {
-            for ((v, f), k) in velocities.iter_mut().zip(forces).zip(per_atom) {
-                *v += *f * k[0];
+            for ((v, f), a) in velocities.iter_mut().zip(forces).zip(atoms) {
+                *v += *f * (0.5 * dt * (1.0 / a.mass));
             }
         };
         let drift = |state: &mut State| {
@@ -139,9 +90,10 @@ impl LangevinBaoab {
         // A: half drift.
         drift(&mut system.state);
         // O: Ornstein-Uhlenbeck velocity refresh.
-        for (v, k) in system.state.velocities.iter_mut().zip(per_atom) {
+        for (v, a) in system.state.velocities.iter_mut().zip(atoms) {
+            let sigma = (kt / a.mass).sqrt();
             let xi = Vec3::new(rng.normal(), rng.normal(), rng.normal());
-            *v = *v * c1 + xi * k[1];
+            *v = *v * c1 + xi * (c2 * sigma);
         }
         // A: half drift.
         drift(&mut system.state);
