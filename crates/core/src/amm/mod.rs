@@ -8,8 +8,8 @@
 //! restart file is called, and the engine to run. Everything a segment does
 //! with them is [`prepare_md`], once for every engine: stage the inputs,
 //! describe the unit under the name its caller gives it, and build the
-//! payload that re-reads the staged files, runs the engine and stages
-//! restart + `.mdinfo` back.
+//! payload that re-reads the staged files, runs the engine on the scratch
+//! of the pilot slot it lands on, and stages restart + `.mdinfo` back.
 
 pub mod amber;
 pub mod gromacs;
@@ -22,7 +22,7 @@ pub use namd::NamdAmm;
 use crate::replica::{lock_system, SlotParams};
 use crate::task::{MdTaskReport, TaskResult};
 use hpc::perfmodel::EngineKind;
-use mdsim::engine::{MdEngine, MdJob};
+use mdsim::engine::{EngineScratch, MdEngine, MdJob};
 use mdsim::io::mdinfo::MdInfo;
 use mdsim::io::restart::write_restart;
 use mdsim::System;
@@ -129,7 +129,11 @@ pub fn prepare_md(
             ..amm.parse(&staging, &control, &system)?
         };
         let mut sys = lock_system(&system);
-        let out = engine.run(&mut sys, &job).map_err(|e| e.to_string())?;
+        // On the buffers the slot running this unit keeps between segments.
+        let out = pilot::with_scratch(|scratch: &mut EngineScratch| {
+            engine.run_in(&mut sys, &job, scratch)
+        })
+        .map_err(|e| e.to_string())?;
         // The exchange reads the `.mdinfo`: text now. No unit opens the
         // restart (the next segment continues from the live `System`): it is
         // staged as the state it says and rendered for whoever reads it.

@@ -1,6 +1,6 @@
 //! What a campaign costs per replica, in bytes held and in allocations made,
-//! that what its replicas share is one allocation, and that what a segment
-//! leaves behind is allocated after what it gives back. Campaign state must
+//! that what its replicas share is one allocation, and that a pilot slot
+//! builds a segment's buffers once and frees them with the pilot. Campaign state must
 //! stay O(replicas): a quadratic structure (the n × n visit matrix
 //! `RoundTripTracker` used to carry cost 16 kB per replica at this size,
 //! 56 kB at the paper's 7000) shows up here as bytes per replica; a private
@@ -8,7 +8,7 @@
 //! Its own test binary, so nothing else allocates while it counts; the
 //! tests take turns for the same reason.
 
-use mdsim::engine::{MdEngine, MdJob, SanderEngine};
+use mdsim::engine::{EngineScratch, MdEngine, MdJob, SanderEngine};
 use mdsim::models::{dipeptide_forcefield, solvated_alanine_dipeptide};
 use mdsim::neighbor::{neighbor_cache_rebuilds, NeighborCache};
 use repex::checkpoint::CampaignCheckpoint;
@@ -19,7 +19,6 @@ use repex::replica::lock_system;
 use repex::simulation::build_ctx;
 use rng::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::Path;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,14 +27,9 @@ use std::sync::{Arc, Mutex};
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 /// Allocations the process has made.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-/// What the calling thread's own count of allocations (`MINE`) read when it
-/// last made, and when it last released, a block of `LARGE` bytes or more.
-static LARGE_MADE_AT: AtomicUsize = AtomicUsize::new(0);
-static LARGE_RELEASED_AT: AtomicUsize = AtomicUsize::new(0);
+/// Blocks of `LARGE` bytes or more the process has allocated.
+static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 const LARGE: usize = 128 << 10;
-thread_local! {
-    static MINE: Cell<usize> = const { Cell::new(0) };
-}
 /// One counting test at a time: the counters are the process's.
 static TURN: Mutex<()> = Mutex::new(());
 
@@ -47,9 +41,8 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let mine = MINE.with(|n| n.replace(n.get() + 1) + 1);
         if layout.size() >= LARGE {
-            LARGE_MADE_AT.store(mine, Ordering::Relaxed);
+            LARGE_BLOCKS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
@@ -57,9 +50,6 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        if layout.size() >= LARGE {
-            LARGE_RELEASED_AT.store(MINE.with(Cell::get), Ordering::Relaxed);
-        }
         // SAFETY: `ptr` came from `alloc` above, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -100,6 +90,9 @@ fn a_2000_replica_context_fits_a_per_replica_byte_budget() {
 /// its own state.
 #[test]
 fn the_replicas_of_a_campaign_share_one_topology() {
+    // It counts nothing, but what it allocates would land in another
+    // test's counts.
+    let _turn = TURN.lock().unwrap();
     let shared = |ctx: &DriverCtx, row: &str| {
         let topology = |r: usize| Arc::clone(&lock_system(&ctx.replicas[r].system).topology);
         let (first, last) = (topology(0), topology(ctx.n_replicas() - 1));
@@ -136,8 +129,11 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
     /// 45.5 since a context keeps the kernel's block buffers (one block, no
     /// longer cleared on the stack per call) while the all-pairs list
     /// stopped copying reference positions it never reads and the LJ table
-    /// stopped hashing its types (one fewer each).
-    const BUDGET_PER_SEGMENT: f64 = 50.0;
+    /// stopped hashing its types (one fewer each). 37.5 since a pilot slot
+    /// keeps the integrator's force buffer and evaluation context (the LJ
+    /// table, the charges, the kernel's block and packed atoms, the list's
+    /// runs and partners) from one segment to the next, plus a tenth.
+    const BUDGET_PER_SEGMENT: f64 = 41.3;
     let _turn = TURN.lock().unwrap();
     let mut ctx = build_ctx(wide_cfg(N)).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -154,38 +150,60 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
     );
 }
 
-/// Nothing lies above a live pair list (DESIGN.md §10): a context reserves
-/// its list last — the runs, then the partners, the one block of `LARGE`
-/// bytes or more (≈ 200 kB at 1100 atoms, two bytes a pair; `LARGE` was
-/// 256 kB while a partner took four) — a segment allocates nothing
-/// while it holds one — not in a mid-run rebuild either — and the state
-/// `run` copies out, which outlives the call as the staged restart, is
-/// copied after the list is released. Otherwise whatever small block was cut
-/// above the list, freed into the thread's cache or still alive, is what the
-/// same worker's next 0.5 MB list (at 2881 atoms) has to fit under; when it did
-/// not, the list went to the top of the malloc arena and `peak_rss_mib` on
-/// `md-solvated` read 1.6 MiB more in some runs.
+/// A pilot slot builds a solvated segment's pair list once: the list (its
+/// partners, ≈ 200 kB at 1100 atoms, are a `LARGE` block), the grid and the
+/// force buffer stay in the slot's `EngineScratch`, so its second segment
+/// allocates no `LARGE` block — though it rebuilds the list, as every
+/// segment does, and again mid-run. A segment that made its own buffers
+/// malloc'ed a list per segment.
 #[test]
-fn a_segment_allocates_nothing_above_its_pair_list() {
+fn a_slots_second_solvated_segment_allocates_no_large_block() {
     const ATOMS: usize = 1100;
     let _turn = TURN.lock().unwrap();
     let engine = SanderEngine::new(dipeptide_forcefield().nonbonded);
     let mut sys = solvated_alanine_dipeptide(ATOMS, 3);
     sys.assign_maxwell_boltzmann(300.0, &mut Rng::seed(5));
     let job = MdJob { steps: 60, ..Default::default() };
+    let mut agent = pilot::Agent::new();
+    let mut segment = || {
+        let run = |scratch: &mut EngineScratch| engine.run_in(&mut sys, &job, scratch).unwrap();
+        agent.run_here(|| pilot::with_scratch(run));
+    };
+    LARGE_BLOCKS.store(0, Ordering::Relaxed);
+    segment();
+    assert!(LARGE_BLOCKS.load(Ordering::Relaxed) > 0, "the list of {ATOMS} atoms is a large block");
     let rebuilds = neighbor_cache_rebuilds();
-    LARGE_MADE_AT.store(0, Ordering::Relaxed);
-    engine.run(&mut sys, &job).unwrap();
+    LARGE_BLOCKS.store(0, Ordering::Relaxed);
+    segment();
     let rebuilds = neighbor_cache_rebuilds() - rebuilds;
-    let reserved = LARGE_MADE_AT.load(Ordering::Relaxed);
-    let released = LARGE_RELEASED_AT.load(Ordering::Relaxed);
     assert!(rebuilds >= 2, "{rebuilds} list build(s): the segment is too short to rebuild mid-run");
-    assert!(reserved > 0, "the pair list of {ATOMS} solvated atoms is a large block");
     assert_eq!(
-        released - reserved,
+        LARGE_BLOCKS.load(Ordering::Relaxed),
         0,
-        "allocations made while the pair list (allocation {reserved}) was live"
+        "the second segment allocated a large block"
     );
+}
+
+/// The pilot frees its slots' scratch with itself: once a campaign's
+/// context is dropped, the topology `Arc` the slots' evaluation contexts
+/// were keyed on has one holder left, and the heap is back where it was.
+#[test]
+fn a_dropped_pilot_holds_no_engine_scratch_or_topology() {
+    let _turn = TURN.lock().unwrap();
+    let mut cfg = wide_cfg(4);
+    cfg.workload = Some(Workload::DipeptideSolvated { atoms: 900 });
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut ctx = build_ctx(cfg).unwrap();
+    run_sync(&mut ctx).unwrap();
+    let topology = Arc::clone(&lock_system(&ctx.replicas[0].system).topology);
+    let replicas = ctx.n_replicas();
+    assert!(Arc::strong_count(&topology) > 1 + replicas, "a slot's context keeps the topology");
+    drop(ctx);
+    assert_eq!(Arc::strong_count(&topology), 1, "a handle outlived the pilot");
+    drop(topology);
+    let left = LIVE.load(Ordering::Relaxed) - before;
+    println!("after the campaign: {left} B still live");
+    assert!(left < 4096, "{left} B outlived the campaign");
 }
 
 /// The Verlet list of the benchmark's system costs two bytes per pair — a

@@ -29,6 +29,7 @@ pub use sander::SanderEngine;
 use crate::forcefield::{
     DihedralRestraint, EnergyBreakdown, EvalContext, ForceField, NonbondedParams,
 };
+pub use crate::integrator::EngineScratch;
 use crate::integrator::LangevinBaoab;
 use crate::io::mdinfo::MdInfo;
 use crate::system::{State, System};
@@ -148,9 +149,20 @@ pub trait MdEngine: Send + Sync {
         1
     }
 
-    /// Propagate `system` in place according to `job`.
+    /// Propagate `system` in place according to `job`, on fresh buffers.
     fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        run_langevin(system, job, self.base(), self.threads(), |_| Rng::seed(job.seed))
+        self.run_in(system, job, &mut EngineScratch::default())
+    }
+
+    /// [`MdEngine::run`] on buffers kept from earlier segments (a pilot
+    /// slot's): the same bits, without rebuilding what they hold.
+    fn run_in(
+        &self,
+        system: &mut System,
+        job: &MdJob,
+        scratch: &mut EngineScratch,
+    ) -> Result<MdOutput, EngineError> {
+        run_langevin(system, job, self.base(), self.threads(), scratch, |_| Rng::seed(job.seed))
     }
 
     /// Single-point energy under given salt/pH/restraint parameters,
@@ -210,8 +222,8 @@ fn single_point(
 }
 
 /// The one MD segment loop: Langevin (BAOAB) dynamics for `job.steps` steps
-/// under `base` + the job's exchange parameters, sampling (phi, psi) and
-/// checking for blow-up as it goes.
+/// under `base` + the job's exchange parameters, on `scratch`'s buffers,
+/// sampling (phi, psi) and checking for blow-up as it goes.
 ///
 /// `prelude` seeds the segment's noise stream and does whatever the engine
 /// does to a system before its first step (NAMD draws velocities for a cold
@@ -222,18 +234,52 @@ pub(crate) fn run_langevin(
     job: &MdJob,
     base: &NonbondedParams,
     threads: usize,
+    scratch: &mut EngineScratch,
     prelude: impl FnOnce(&mut System) -> Rng,
 ) -> Result<MdOutput, EngineError> {
-    /// Look for non-finite coordinates every this many steps.
-    const BLOWUP_CHECK_STRIDE: u64 = 200;
     validate_restraints(system, &job.restraints)?;
     let ff = job_forcefield(base, job.salt_molar, job.ph, &job.restraints);
     let mut rng = prelude(system);
-    let mut integ = LangevinBaoab::new(job.dt_ps, job.temperature, job.gamma_ps);
+    let mut integ = LangevinBaoab::with_scratch(
+        job.dt_ps,
+        job.temperature,
+        job.gamma_ps,
+        std::mem::take(scratch),
+    );
     let mut trace = Vec::new();
+    let stepped = integrate(system, job, &ff, threads, &mut integ, &mut rng, &mut trace);
+    *scratch = integ.into_scratch();
+    let last = stepped?;
+    // The last step's breakdown is the energy at the final positions; only
+    // a segment of no steps has to evaluate one.
+    let last = last.unwrap_or_else(|| ff.energy(system));
+    let mdinfo = MdInfo::from_breakdown(
+        system.state.step,
+        system.state.time_ps,
+        system.instantaneous_temperature(),
+        system.kinetic_energy(),
+        &last,
+    );
+    let final_state = scratch.copy_out(&system.state);
+    Ok(MdOutput { final_state, mdinfo, dihedral_trace: trace })
+}
+
+/// `job.steps` steps of `integ`, sampling (phi, psi) into `trace`: the last
+/// step's breakdown (none for no steps).
+fn integrate(
+    system: &mut System,
+    job: &MdJob,
+    ff: &ForceField,
+    threads: usize,
+    integ: &mut LangevinBaoab,
+    rng: &mut Rng,
+    trace: &mut Vec<(f64, f64)>,
+) -> Result<Option<EnergyBreakdown>, EngineError> {
+    /// Look for non-finite coordinates every this many steps.
+    const BLOWUP_CHECK_STRIDE: u64 = 200;
     let mut last = None;
     for step in 1..=job.steps {
-        last = Some(integ.step(system, &ff, threads, &mut rng));
+        last = Some(integ.step(system, ff, threads, rng));
         if job.sample_stride > 0 && step > job.sample_warmup && step % job.sample_stride == 0 {
             if let (Some(phi), Some(psi)) =
                 (system.named_dihedral_angle("phi"), system.named_dihedral_angle("psi"))
@@ -248,20 +294,7 @@ pub(crate) fn run_langevin(
     if !system.state.is_finite() {
         return Err(EngineError::NumericalBlowup { step: job.steps });
     }
-    // The last step's breakdown is the energy at the final positions; only
-    // a segment of no steps has to evaluate one.
-    let last = last.unwrap_or_else(|| ff.energy(system));
-    let mdinfo = MdInfo::from_breakdown(
-        system.state.step,
-        system.state.time_ps,
-        system.instantaneous_temperature(),
-        system.kinetic_energy(),
-        &last,
-    );
-    // The pair list goes back before the state is copied: the copy outlives this
-    // call, and nothing that does may lie above a live list (DESIGN.md §10).
-    drop(integ);
-    Ok(MdOutput { final_state: system.state.clone(), mdinfo, dihedral_trace: trace })
+    Ok(last)
 }
 
 /// Shared helper: build the per-job force field from an engine's base

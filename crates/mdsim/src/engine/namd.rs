@@ -11,7 +11,7 @@
 //! * restraints are configured colvars-style (name, center, k) instead of a
 //!   DISANG file.
 
-use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
+use super::{run_langevin, EngineError, EngineScratch, MdEngine, MdJob, MdOutput};
 use crate::forcefield::{DihedralRestraint, NonbondedParams};
 use crate::io::namdconf::NamdConfig;
 use crate::system::System;
@@ -51,8 +51,13 @@ impl MdEngine for NamdEngine {
         &self.base
     }
 
-    fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
-        run_langevin(system, job, &self.base, 1, |system| {
+    fn run_in(
+        &self,
+        system: &mut System,
+        job: &MdJob,
+        scratch: &mut EngineScratch,
+    ) -> Result<MdOutput, EngineError> {
+        run_langevin(system, job, &self.base, 1, scratch, |system| {
             // Its own noise stream, not the Amber family's under the same
             // seed: salted with "NAMD".
             let mut rng = Rng::seed(job.seed ^ 0x4e41_4d44);

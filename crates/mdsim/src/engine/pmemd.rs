@@ -8,7 +8,7 @@
 //! and `pmemd.MPI` based on the cores-per-replica setting, and our AMM does
 //! the same.
 
-use super::{run_langevin, EngineError, MdEngine, MdJob, MdOutput};
+use super::{run_langevin, EngineError, EngineScratch, MdEngine, MdJob, MdOutput};
 use crate::forcefield::NonbondedParams;
 use crate::system::System;
 use rng::Rng;
@@ -39,7 +39,12 @@ impl MdEngine for PmemdEngine {
         self.cores
     }
 
-    fn run(&self, system: &mut System, job: &MdJob) -> Result<MdOutput, EngineError> {
+    fn run_in(
+        &self,
+        system: &mut System,
+        job: &MdJob,
+        scratch: &mut EngineScratch,
+    ) -> Result<MdOutput, EngineError> {
         if self.cores < MIN_CORES {
             return Err(EngineError::BadCoreCount {
                 engine: "pmemd.MPI",
@@ -47,7 +52,7 @@ impl MdEngine for PmemdEngine {
                 minimum: MIN_CORES,
             });
         }
-        run_langevin(system, job, &self.base, self.cores, |_| Rng::seed(job.seed))
+        run_langevin(system, job, &self.base, self.cores, scratch, |_| Rng::seed(job.seed))
     }
 }
 

@@ -135,8 +135,7 @@ impl EvalContext {
         self.lj = None;
     }
 
-    /// Refresh every cached component for `system` under `ff`'s parameters;
-    /// the pair list last.
+    /// Refresh every cached component for `system` under `ff`'s parameters.
     fn prepare(&mut self, ff: &ForceField, system: &System) {
         if !self.topology.as_ref().is_some_and(|t| Arc::ptr_eq(t, &system.topology)) {
             self.invalidate();
@@ -177,8 +176,7 @@ impl EvalContext {
         }
         // One pooled force buffer and block buffer per spawned chunk: no
         // per-call O(N) allocation and no atomics in the pair loop. The first
-        // multi-chunk evaluation allocates them above the live pair list
-        // (DESIGN.md §10).
+        // multi-chunk evaluation allocates them.
         chunk_forces.resize_with(n_chunks - 1, Vec::new);
         blocks.resize_with(n_chunks.max(blocks.len()), Block::default);
         let (head_block, blocks) = blocks.split_first_mut().expect("one block at least");

@@ -13,9 +13,48 @@ use crate::units::{kbt, AKMA_PER_PS};
 use crate::vec3::Vec3;
 use rng::Rng;
 
-/// BAOAB Langevin integrator. It owns its scratch force buffer and a
-/// persistent [`EvalContext`] (Verlet neighbor list + evaluation scratch), so
-/// steady stepping neither allocates nor rebuilds the pair list.
+/// The buffers a segment integrates with, which a pilot slot keeps from one
+/// segment to the next: the force buffer and the [`EvalContext`] (the LJ
+/// table keyed by the topology `Arc`, the list and grid capacity, the
+/// kernel's blocks). An integrator made from it starts from an invalidated
+/// list, so a kept scratch changes no bit and no exact counter.
+#[derive(Debug, Default)]
+pub struct EngineScratch {
+    forces: Vec<Vec3>,
+    ctx: EvalContext,
+}
+
+impl EngineScratch {
+    /// A copy of `state` made in two of the scratch's per-atom buffers, the
+    /// force buffer and the pair list's reference positions, which leave
+    /// with it; the next integrator makes both anew. The copy that outlives
+    /// a segment (the staged restart) then takes what the segment gives up,
+    /// and a slot holds at a wave's end what a segment that freed its
+    /// buffers left.
+    pub(crate) fn copy_out(&mut self, state: &State) -> State {
+        // A buffer sized for another system would outlive the copy at its
+        // size: only one of exactly the atom count is reused.
+        let refill = |mut buf: Vec<Vec3>, from: &[Vec3]| {
+            if buf.capacity() != from.len() {
+                return from.to_vec();
+            }
+            buf.clear();
+            buf.extend_from_slice(from);
+            buf
+        };
+        let reference = self.ctx.neighbors.take_reference_positions();
+        State {
+            positions: refill(std::mem::take(&mut self.forces), &state.positions),
+            velocities: refill(reference, &state.velocities),
+            time_ps: state.time_ps,
+            step: state.step,
+        }
+    }
+}
+
+/// BAOAB Langevin integrator. It holds an [`EngineScratch`] (the force
+/// buffer and a persistent [`EvalContext`]), so steady stepping neither
+/// allocates nor rebuilds the pair list.
 pub struct LangevinBaoab {
     dt_ps: f64,
     dt: f64,
@@ -23,24 +62,38 @@ pub struct LangevinBaoab {
     pub temperature: f64,
     /// Friction γ in ps⁻¹.
     pub gamma_ps: f64,
-    forces: Vec<Vec3>,
     forces_valid: bool,
-    /// Persistent evaluation state (Verlet list, scratch buffers).
-    ctx: EvalContext,
+    scratch: EngineScratch,
 }
 
 impl LangevinBaoab {
     pub fn new(dt_ps: f64, temperature: f64, gamma_ps: f64) -> Self {
+        Self::with_scratch(dt_ps, temperature, gamma_ps, EngineScratch::default())
+    }
+
+    /// An integrator on buffers kept from an earlier one
+    /// ([`LangevinBaoab::into_scratch`]), with its pair list invalidated.
+    pub fn with_scratch(
+        dt_ps: f64,
+        temperature: f64,
+        gamma_ps: f64,
+        mut scratch: EngineScratch,
+    ) -> Self {
         assert!(dt_ps > 0.0 && temperature > 0.0 && gamma_ps >= 0.0);
+        scratch.ctx.neighbors.invalidate();
         LangevinBaoab {
             dt_ps,
             dt: dt_ps * AKMA_PER_PS,
             temperature,
             gamma_ps,
-            forces: Vec::new(),
             forces_valid: false,
-            ctx: EvalContext::new(),
+            scratch,
         }
+    }
+
+    /// The buffers, for the next integrator.
+    pub fn into_scratch(self) -> EngineScratch {
+        self.scratch
     }
 
     /// Change the target temperature (used when a T-exchange is accepted and
@@ -60,12 +113,13 @@ impl LangevinBaoab {
         rng: &mut Rng,
     ) -> EnergyBreakdown {
         let n = system.n_atoms();
-        if self.forces.len() != n {
-            self.forces = vec![Vec3::ZERO; n];
+        let EngineScratch { forces, ctx } = &mut self.scratch;
+        if forces.len() != n {
+            *forces = vec![Vec3::ZERO; n];
             self.forces_valid = false;
         }
         if !self.forces_valid {
-            ff.evaluate(system, &mut self.ctx, Some(&mut self.forces), threads);
+            ff.evaluate(system, ctx, Some(forces), threads);
         }
         let dt = self.dt;
         let gamma = self.gamma_ps / AKMA_PER_PS; // per AKMA time unit
@@ -86,7 +140,7 @@ impl LangevinBaoab {
         };
 
         // B: half kick.
-        kick(&mut system.state.velocities, &self.forces);
+        kick(&mut system.state.velocities, forces);
         // A: half drift.
         drift(&mut system.state);
         // O: Ornstein-Uhlenbeck velocity refresh.
@@ -98,8 +152,8 @@ impl LangevinBaoab {
         // A: half drift.
         drift(&mut system.state);
         // B: half kick with new forces.
-        let breakdown = ff.evaluate(system, &mut self.ctx, Some(&mut self.forces), threads);
-        kick(&mut system.state.velocities, &self.forces);
+        let breakdown = ff.evaluate(system, ctx, Some(forces), threads);
+        kick(&mut system.state.velocities, forces);
         self.forces_valid = true;
         system.state.step += 1;
         system.state.time_ps += self.dt_ps;
@@ -111,7 +165,7 @@ impl LangevinBaoab {
     /// configurations).
     pub fn invalidate(&mut self) {
         self.forces_valid = false;
-        self.ctx.invalidate();
+        self.scratch.ctx.invalidate();
     }
 }
 

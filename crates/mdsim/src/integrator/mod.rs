@@ -6,7 +6,7 @@
 
 mod langevin;
 
-pub use langevin::LangevinBaoab;
+pub use langevin::{EngineScratch, LangevinBaoab};
 
 #[cfg(test)]
 pub(crate) mod testutil {

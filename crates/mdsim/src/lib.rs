@@ -41,7 +41,7 @@ pub mod topology;
 pub mod units;
 pub mod vec3;
 
-pub use engine::{MdEngine, MdJob, MdOutput, SinglePointRequest};
+pub use engine::{EngineScratch, MdEngine, MdJob, MdOutput, SinglePointRequest};
 pub use forcefield::{
     DihedralRestraint, EnergyBreakdown, EvalContext, ForceField, NonbondedParams,
 };

@@ -27,7 +27,6 @@
 //! The nonbonded kernel re-checks `r² < rc²` on whatever list it is given.
 
 use crate::system::{PbcBox, System};
-use crate::topology::Topology;
 use crate::vec3::Vec3;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -402,6 +401,57 @@ impl PairList {
     }
 }
 
+/// The topology's exclusions by atom, for the list build's per-pair test:
+/// atom `i`'s excluded partners above it are `above[first[i]..first[i + 1]]`
+/// (usually none, at most a handful), over the atoms up to the last that
+/// has one (a solute's, ahead of its solvent). [`crate::Topology::is_excluded`]
+/// bisects the whole list per call; a candidate pair here reads two offsets,
+/// or none. Rebuilt from `Topology::exclusions` with every list, so it
+/// cannot go stale when a caller rewrites that field.
+#[derive(Debug, Clone, Default)]
+struct ExclusionIndex {
+    first: Vec<u32>,
+    above: Vec<u32>,
+}
+
+impl ExclusionIndex {
+    /// Index `exclusions` over `n` atoms (a counting sort by the lower atom;
+    /// a pair naming an atom past `n` excludes no pair of the system).
+    fn build(&mut self, n: usize, exclusions: &[(u32, u32)]) {
+        let in_range = exclusions.iter().map(|&(a, b)| (a.min(b) as usize, a.max(b)));
+        let in_range = in_range.filter(|&(_, j)| (j as usize) < n);
+        let indexed = in_range.clone().map(|(i, _)| i + 1).max().unwrap_or(0);
+        self.first.clear();
+        self.first.resize(indexed + 1, 0);
+        for (i, _) in in_range.clone() {
+            self.first[i + 1] += 1;
+        }
+        for k in 1..=indexed {
+            self.first[k] += self.first[k - 1];
+        }
+        self.above.clear();
+        self.above.resize(self.first[indexed] as usize, 0);
+        // Fill each atom's slots from its end: `first[i + 1]` ends at atom
+        // i's start, and `first[0]` stays 0.
+        for (i, j) in in_range {
+            self.first[i + 1] -= 1;
+            self.above[self.first[i + 1] as usize] = j;
+        }
+        self.first.rotate_left(1);
+        self.first[indexed] = self.above.len() as u32;
+    }
+
+    /// Whether the pair `(a, b)`, in either order, is excluded.
+    #[inline]
+    fn contains(&self, a: u32, b: u32) -> bool {
+        let (i, j) = (a.min(b) as usize, a.max(b));
+        match self.first.get(i..i + 2) {
+            Some(&[start, end]) => self.above[start as usize..end as usize].contains(&j),
+            _ => false,
+        }
+    }
+}
+
 /// A persistent Verlet neighbor list with a skin margin.
 ///
 /// The list is built from the [`CellList`] with reach `cutoff + skin`,
@@ -433,6 +483,8 @@ pub struct NeighborCache {
     ref_positions: Vec<Vec3>,
     /// The cell grid the list was searched on, kept for its buffers.
     grid: CellList,
+    /// The exclusions the list was built without.
+    excluded: ExclusionIndex,
     /// Whether `pairs` is a position-independent all-pairs list.
     all_pairs_list: bool,
     valid: bool,
@@ -462,6 +514,7 @@ impl NeighborCache {
             pairs: PairList::default(),
             ref_positions: Vec::new(),
             grid: CellList::default(),
+            excluded: ExclusionIndex::default(),
             all_pairs_list: false,
             valid: false,
             rebuilds: 0,
@@ -504,6 +557,13 @@ impl NeighborCache {
         self.valid = false;
     }
 
+    /// Hand over the reference positions' buffer; the next rebuild makes
+    /// one anew (the list is invalid until then).
+    pub(crate) fn take_reference_positions(&mut self) -> Vec<Vec3> {
+        self.valid = false;
+        std::mem::take(&mut self.ref_positions)
+    }
+
     /// Rebuilds performed over this cache's lifetime.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
@@ -531,10 +591,8 @@ impl NeighborCache {
     fn rebuild(&mut self, system: &System, cutoff: f64) {
         let n = system.n_atoms();
         let pos = &system.state.positions;
-        let top: &Topology = &system.topology;
-        // The list last, its runs (one per atom and page visited: at most
-        // one per atom in one page) before its partners: nothing a cache
-        // allocates lies above a live list (DESIGN.md §10).
+        self.excluded.build(n, &system.topology.exclusions);
+        let excluded = &self.excluded;
         self.all_pairs_list = n < CELL_LIST_THRESHOLD;
         // An all-pairs list never looks at displacements.
         self.ref_positions.clear();
@@ -549,7 +607,7 @@ impl NeighborCache {
             list.partners.reserve(n * n.saturating_sub(1) / 2);
             let mut push = list.appender();
             for (i, j) in all_pairs(n) {
-                if !top.is_excluded(i, j) {
+                if !excluded.contains(i, j) {
                     push(i, j);
                 }
             }
@@ -559,7 +617,7 @@ impl NeighborCache {
             if grid.aliased {
                 list.collect_sorted(n, |visit| {
                     grid.for_each_pair(|a, b| {
-                        if !top.is_excluded(a, b) {
+                        if !excluded.contains(a, b) {
                             visit(a, b);
                         }
                     });
@@ -568,7 +626,7 @@ impl NeighborCache {
                 list.partners.reserve(grid.expected_pairs());
                 let mut push = list.appender();
                 grid.for_each_pair(|home, partner| {
-                    if !top.is_excluded(home, partner) {
+                    if !excluded.contains(home, partner) {
                         push(home, partner);
                     }
                 });
@@ -602,9 +660,69 @@ const HALF_SHELL: [[isize; 3]; 13] = [
 mod tests {
     use super::*;
     use crate::system::State;
-    use crate::topology::{Atom, Topology};
+    use crate::topology::{Angle, Atom, Bond, Topology};
     use rng::Rng;
     use std::collections::BTreeSet;
+
+    /// The index answers what `Topology::is_excluded` answers, for every
+    /// pair of `top`'s atoms, both ways round.
+    fn index_agrees_with_bisection(top: &Topology, what: &str) {
+        let n = top.n_atoms() as u32;
+        let mut index = ExclusionIndex::default();
+        index.build(n as usize, &top.exclusions);
+        let mut excluded = 0;
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(index.contains(i, j), top.is_excluded(i, j), "{what}: ({i}, {j})");
+                excluded += usize::from(i < j && index.contains(i, j));
+            }
+        }
+        assert_eq!(excluded, top.exclusions.len(), "{what}");
+    }
+
+    #[test]
+    fn the_exclusion_index_agrees_with_the_bisection() {
+        use crate::models::{alanine_dipeptide, solvated_alanine_dipeptide};
+        index_agrees_with_bisection(&alanine_dipeptide().topology, "dipeptide");
+        index_agrees_with_bisection(&solvated_alanine_dipeptide(600, 3).topology, "solvated");
+        // Random bonded chains: a backbone plus random cross-links, each
+        // angle over two bonds that share an atom.
+        rng::check(40, |r| {
+            let n = r.range(2..60u32);
+            let mut top = Topology {
+                atoms: vec![Atom::lj(12.0, 0.1, 3.4); n as usize],
+                ..Default::default()
+            };
+            let mut bonds: Vec<(u32, u32)> = (1..n).map(|i| (i - 1, i)).collect();
+            for _ in 0..r.below(u64::from(n)) {
+                bonds.push((r.range(0..n), r.range(0..n)));
+            }
+            bonds.retain(|&(i, j)| i != j);
+            top.bonds = bonds.iter().map(|&(i, j)| Bond { i, j, k: 300.0, r0: 1.5 }).collect();
+            for (a, &(i, j)) in bonds.iter().enumerate() {
+                for &(k, l) in &bonds[a + 1..] {
+                    let (ends, shared) = if j == k {
+                        ((i, l), j)
+                    } else if i == l {
+                        ((k, j), i)
+                    } else {
+                        continue;
+                    };
+                    if ends.0 != ends.1 {
+                        top.angles.push(Angle {
+                            i: ends.0,
+                            j: shared,
+                            k_atom: ends.1,
+                            k: 50.0,
+                            theta0: 1.9,
+                        });
+                    }
+                }
+            }
+            top.build_exclusions();
+            index_agrees_with_bisection(&top, "chain");
+        });
+    }
 
     fn within_cutoff_pairs(
         positions: &[Vec3],

@@ -7,6 +7,12 @@
 //! integrator factors: those are storage and scheduling changes, and none of
 //! them may move a bit.
 //!
+//! Each engine runs its cases on one `EngineScratch`, kept from segment to
+//! segment and case to case as a pilot slot keeps it, so the golden values
+//! also say that a kept scratch moves no bit;
+//! `trajectory_bits_on_one_kept_scratch` carries one across systems of
+//! different and of equal sizes.
+//!
 //! Cases: `SanderEngine` and 4-thread `PmemdEngine` on the 7-atom dipeptide
 //! (the all-pairs list) with and without phi/psi restraints at salt 0 and 0.5,
 //! on an aliased grid (600 solvated atoms, two cells per axis) and on an
@@ -16,7 +22,9 @@
 //! The values assume IEEE `f64` and the platform's `exp`, `sin`, `cos`,
 //! `atan2` and `acos`; they were taken on x86-64 Linux (glibc).
 
-use mdsim::engine::{MdEngine, MdJob, PmemdEngine, SanderEngine, SinglePointRequest};
+use mdsim::engine::{
+    EngineScratch, MdEngine, MdJob, MdOutput, PmemdEngine, SanderEngine, SinglePointRequest,
+};
 use mdsim::models::{alanine_dipeptide, dipeptide_forcefield, solvated_alanine_dipeptide};
 use mdsim::{DihedralRestraint, EnergyBreakdown, System, Vec3};
 use rng::Rng;
@@ -50,6 +58,24 @@ impl Fnv {
     fn breakdown(&mut self, e: &EnergyBreakdown) {
         for x in [e.bond, e.angle, e.torsion, e.lj, e.coulomb, e.restraint] {
             self.f64(x);
+        }
+    }
+
+    /// A segment's final state, mdinfo energies and dihedral trace.
+    fn segment(&mut self, out: &MdOutput) {
+        self.vecs(&out.final_state.positions);
+        self.vecs(&out.final_state.velocities);
+        let m = &out.mdinfo;
+        for x in [m.time_ps, m.temperature, m.etot, m.ektot, m.eptot, m.bond, m.angle] {
+            self.f64(x);
+        }
+        for x in [m.dihed, m.vdwaals, m.eel, m.restraint] {
+            self.f64(x);
+        }
+        self.word(m.nstep);
+        for (phi, psi) in &out.dihedral_trace {
+            self.f64(*phi);
+            self.f64(*psi);
         }
     }
 }
@@ -97,8 +123,9 @@ const CASES: [Case; 6] = [
     },
 ];
 
-/// The hash of one case's three segments and closing single points.
-fn run(engine: &dyn MdEngine, case: &Case) -> u64 {
+/// The hash of one case's three segments, on `scratch`, and closing single
+/// points.
+fn run(engine: &dyn MdEngine, case: &Case, scratch: &mut EngineScratch) -> u64 {
     let mut sys = (case.system)();
     sys.assign_maxwell_boltzmann(300.0, &mut Rng::seed(17));
     let restraints = if case.restrained {
@@ -117,21 +144,7 @@ fn run(engine: &dyn MdEngine, case: &Case) -> u64 {
             sample_stride: case.stride,
             ..Default::default()
         };
-        let out = engine.run(&mut sys, &job).expect("a stable segment");
-        h.vecs(&out.final_state.positions);
-        h.vecs(&out.final_state.velocities);
-        let m = out.mdinfo;
-        for x in [m.time_ps, m.temperature, m.etot, m.ektot, m.eptot, m.bond, m.angle] {
-            h.f64(x);
-        }
-        for x in [m.dihed, m.vdwaals, m.eel, m.restraint] {
-            h.f64(x);
-        }
-        h.word(m.nstep);
-        for (phi, psi) in &out.dihedral_trace {
-            h.f64(*phi);
-            h.f64(*psi);
-        }
+        h.segment(&engine.run_in(&mut sys, &job, scratch).expect("a stable segment"));
     }
     // One context for the batch: the run's own parameters, then another salt
     // and pH (the charges and scalars must follow), then the first again.
@@ -164,10 +177,11 @@ fn check(cases: std::ops::Range<usize>, engines: std::ops::Range<usize>) {
     let sander = SanderEngine::new(base);
     let pmemd = PmemdEngine::new(base, 4);
     let by_index: [&dyn MdEngine; 2] = [&sander, &pmemd];
+    let mut scratch = [EngineScratch::default(), EngineScratch::default()];
     let mut moved = String::new();
     for c in cases {
         for e in engines.clone() {
-            let got = run(by_index[e], &CASES[c]);
+            let got = run(by_index[e], &CASES[c], &mut scratch[e]);
             if got != GOLDEN[c][e] {
                 let Case { name, salt, restrained, .. } = CASES[c];
                 moved += &format!(
@@ -202,4 +216,41 @@ fn trajectory_bits_image_shift_sander() {
 #[test]
 fn trajectory_bits_image_shift_pmemd() {
     check(5..6, 1..2);
+}
+
+/// One slot's scratch across systems: a 7-atom, a 2 881-atom and another
+/// 7-atom segment back to back, then two more 7-atom topologies, each
+/// with other LJ parameters than the one before. Every segment hashes as it
+/// does on a fresh scratch.
+#[test]
+fn trajectory_bits_on_one_kept_scratch() {
+    fn stiffer() -> System {
+        let mut sys = alanine_dipeptide();
+        let top = std::sync::Arc::make_mut(&mut sys.topology);
+        top.atoms.iter_mut().for_each(|a| a.lj_epsilon *= 1.5);
+        sys
+    }
+    fn solvated() -> System {
+        solvated_alanine_dipeptide(2881, 7)
+    }
+    let systems: [fn() -> System; 5] = [dipeptide, solvated, dipeptide, stiffer, dipeptide];
+    let engine = SanderEngine::new(dipeptide_forcefield().nonbonded);
+    let mut kept = EngineScratch::default();
+    for (k, system) in systems.into_iter().enumerate() {
+        let hash = |out: MdOutput| {
+            let mut h = Fnv::new();
+            h.segment(&out);
+            h.0
+        };
+        let mut sys = system();
+        sys.assign_maxwell_boltzmann(300.0, &mut Rng::seed(17));
+        // Two steps of the solvated system (a debug build is slow), forty
+        // of the others.
+        let steps = if sys.n_atoms() > 7 { 2 } else { 40 };
+        let job = MdJob { steps, seed: 7 + k as u64, sample_stride: 1, ..Default::default() };
+        let mut twin = sys.clone();
+        let fresh = hash(engine.run(&mut twin, &job).expect("a stable segment"));
+        let on_kept = hash(engine.run_in(&mut sys, &job, &mut kept).expect("a stable segment"));
+        assert_eq!(on_kept, fresh, "segment {k} ({} atoms) on the kept scratch", sys.n_atoms());
+    }
 }

@@ -57,6 +57,16 @@ impl UnitDescription {
         self
     }
 
+    /// [`UnitDescription::validate`], and no wider than a pilot of `cores`.
+    pub fn check_fits(&self, cores: usize) -> Result<(), String> {
+        self.validate()?;
+        if self.cores > cores {
+            let (name, wanted) = (&self.name, self.cores);
+            return Err(format!("unit {name} needs {wanted} cores but the pilot has {cores}"));
+        }
+        Ok(())
+    }
+
     /// Basic validity: nonzero cores, nonempty name.
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {

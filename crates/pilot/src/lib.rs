@@ -9,10 +9,12 @@
 //! * [`staging::StagingArea`] — the shared area tasks stage files through;
 //! * [`executor::Executor`] — where units run, with two backends:
 //!   [`sim::SimExecutor`] (virtual time on the DES cluster; payloads still
-//!   execute, so exchange math is real) and [`local::LocalExecutor`] (real
-//!   threads, measured durations);
+//!   execute, so exchange math is real) and [`local::LocalExecutor`]
+//!   (measured durations);
+//! * [`agent::Agent`] — the host threads both backends run payloads on;
 //! * [`manager::PilotManager`] — queue wait + activation.
 
+pub mod agent;
 pub mod description;
 pub mod executor;
 pub mod local;
@@ -21,9 +23,10 @@ pub mod sim;
 pub mod staging;
 pub mod states;
 
+pub use agent::{with_scratch, Agent, Permits};
 pub use description::{DurationSpec, PilotDescription, UnitDescription};
 pub use executor::{drain, CompletedUnit, Executor, TaskWork, UnitId};
-pub use local::{LocalExecutor, Permits};
+pub use local::LocalExecutor;
 pub use manager::{Backend, Pilot, PilotManager};
 pub use sim::SimExecutor;
 pub use staging::StagingArea;

@@ -1,69 +1,28 @@
-//! Real-thread executor: payloads run concurrently on actual cores and are
-//! charged their measured wall time. Built on `std` alone: one OS thread per
-//! unit, a `std::sync::mpsc` channel for completions, and a mutex + condvar
-//! permit count ([`Permits`]) for the core budget.
+//! Real-thread executor: payloads run on the pilot's [`Agent`] and are
+//! charged their measured wall time. A unit of `k` cores holds `k` of the
+//! pool's [`Permits`] while it runs; the thread that takes completions works
+//! the agent's queue while it waits for them.
 
+use crate::agent::{Agent, Fifo, Job, Permits, Scratch};
 use crate::description::UnitDescription;
 use crate::executor::{CompletedUnit, Executor, TaskWork, UnitId};
 use hpc::SimTime;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, PoisonError};
+use std::panic::resume_unwind;
+use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 
-#[cfg(loom)]
-use loom::sync;
-#[cfg(not(loom))]
-use std::sync;
+/// A unit back from its slot, or the panic of its payload.
+type Ran<R> = thread::Result<CompletedUnit<R>>;
 
-/// Core-permit accounting shared with worker threads. A unit requesting
-/// `k` cores holds `k` permits for its whole run.
-///
-/// One body over `sync`: `std::sync` in production, loom's modeled
-/// primitives under `--cfg loom`, where `tests/loom_permits.rs`
-/// exhaustively checks the acquire/release protocol for over-subscription
-/// and lost wakeups. Every update leaves the count valid, so a poisoned
-/// lock is recovered rather than propagated.
-pub struct Permits {
-    available: sync::Mutex<usize>,
-    cv: sync::Condvar,
-}
-
-impl Permits {
-    pub fn new(cores: usize) -> Self {
-        Permits { available: sync::Mutex::new(cores), cv: sync::Condvar::new() }
-    }
-
-    /// Block until `n` permits are free, then take them.
-    pub fn acquire(&self, n: usize) {
-        let mut avail = self.available.lock().unwrap_or_else(PoisonError::into_inner);
-        while *avail < n {
-            avail = self.cv.wait(avail).unwrap_or_else(PoisonError::into_inner);
-        }
-        *avail -= n;
-    }
-
-    /// Return `n` permits and wake every waiter: waiters need different
-    /// permit counts, so a single `notify_one` could wake a waiter whose
-    /// demand still isn't met while a satisfiable one keeps sleeping.
-    pub fn release(&self, n: usize) {
-        *self.available.lock().unwrap_or_else(PoisonError::into_inner) += n;
-        self.cv.notify_all();
-    }
-
-    /// Currently free permits (a racy snapshot, for observability only).
-    pub fn available(&self) -> usize {
-        *self.available.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Executes units on real threads, limiting concurrency to a core budget.
-/// A unit requesting `k` cores holds `k` permits for its whole run.
+/// Executes units on the agent's slots, limiting concurrency to a core
+/// budget.
 pub struct LocalExecutor<R> {
     cores: usize,
     permits: Arc<Permits>,
+    agent: Agent,
     epoch: Instant,
-    tx: Sender<CompletedUnit<R>>,
-    rx: Receiver<CompletedUnit<R>>,
+    done: Arc<Fifo<Ran<R>>>,
     outstanding: usize,
     next_id: u64,
     overhead: f64,
@@ -73,13 +32,12 @@ pub struct LocalExecutor<R> {
 impl<R: Send + 'static> LocalExecutor<R> {
     pub fn new(cores: usize) -> Self {
         assert!(cores > 0);
-        let (tx, rx) = channel();
         LocalExecutor {
             cores,
             permits: Arc::new(Permits::new(cores)),
+            agent: Agent::new(),
             epoch: Instant::now(),
-            tx,
-            rx,
+            done: Arc::default(),
             outstanding: 0,
             next_id: 0,
             overhead: 0.0,
@@ -90,35 +48,31 @@ impl<R: Send + 'static> LocalExecutor<R> {
 
 impl<R: Send + 'static> Executor<R> for LocalExecutor<R> {
     fn submit(&mut self, desc: UnitDescription, work: TaskWork<R>) -> Result<UnitId, String> {
-        desc.validate()?;
-        if desc.cores > self.cores {
-            return Err(format!(
-                "unit {} needs {} cores but the pool has {}",
-                desc.name, desc.cores, self.cores
-            ));
-        }
+        desc.check_fits(self.cores)?;
         let id = UnitId(self.next_id);
         self.next_id += 1;
         self.outstanding += 1;
         self.recorder.count("pilot.units_submitted", 1);
-        let permits = Arc::clone(&self.permits);
-        let tx = self.tx.clone();
-        let epoch = self.epoch;
-        let cores = desc.cores;
-        let name = desc.name;
-        std::thread::spawn(move || {
+        let (permits, done, epoch) =
+            (Arc::clone(&self.permits), Arc::clone(&self.done), self.epoch);
+        let UnitDescription { name, cores, .. } = desc;
+        let job: Job = Box::new(move |scratch: &mut Scratch| {
+            let now = || SimTime::seconds(epoch.elapsed().as_secs_f64());
             permits.acquire(cores);
-            let start = SimTime::seconds(epoch.elapsed().as_secs_f64());
-            // Payload panics become failures rather than poisoning the pool.
-            let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
-                Ok(r) => r,
-                Err(_) => Err("task panicked".to_string()),
-            };
-            let end = SimTime::seconds(epoch.elapsed().as_secs_f64());
+            let start = now();
+            let outcome = scratch.lend(work);
+            let end = now();
             permits.release(cores);
-            // Receiver may be gone if the executor was dropped; ignore.
-            let _ = tx.send(CompletedUnit { id, name, cores, start, end, outcome });
+            done.push([outcome.map(|outcome| CompletedUnit {
+                id,
+                name,
+                cores,
+                start,
+                end,
+                outcome,
+            })]);
         });
+        self.agent.queue([job]);
         Ok(id)
     }
 
@@ -126,9 +80,10 @@ impl<R: Send + 'static> Executor<R> for LocalExecutor<R> {
         if self.outstanding == 0 {
             return None;
         }
-        let unit = self.rx.recv().expect("worker sender alive while outstanding > 0");
+        let ran = self.agent.wait(&self.done);
         self.outstanding -= 1;
         self.recorder.count("pilot.units_completed", 1);
+        let unit = ran.unwrap_or_else(|panic| resume_unwind(panic));
         if unit.is_failed() {
             self.recorder.count("pilot.units_failed", 1);
         }
@@ -244,14 +199,28 @@ mod tests {
         assert!(!overlap.load(Ordering::SeqCst), "narrow ran while 2-core task held the pool");
     }
 
+    /// The one panic policy, on this backend: the panic is re-raised on the
+    /// thread that takes the unit's result, and the slot that ran it keeps
+    /// running units.
     #[test]
     fn panicking_payload_is_contained() {
         let mut ex: LocalExecutor<()> = LocalExecutor::new(1);
         ex.submit(unit("boom", 1), Box::new(|| panic!("kaboom"))).unwrap();
         ex.submit(unit("ok", 1), Box::new(|| Ok(()))).unwrap();
-        let done = drain(&mut ex);
-        assert_eq!(done.len(), 2);
-        assert_eq!(done.iter().filter(|c| c.is_failed()).count(), 1);
+        let (mut panics, mut done) = (0, 0);
+        loop {
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ex.next_completion())) {
+                Ok(Some(c)) => done += usize::from(c.outcome.is_ok()),
+                Ok(None) => break,
+                Err(panic) => {
+                    assert_eq!(*panic.downcast::<&str>().unwrap(), "kaboom");
+                    panics += 1;
+                }
+            }
+        }
+        assert_eq!((panics, done), (1, 1));
+        ex.submit(unit("after", 1), Box::new(|| Ok(()))).unwrap();
+        assert!(drain(&mut ex)[0].outcome.is_ok());
     }
 
     #[test]

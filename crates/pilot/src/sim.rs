@@ -1,5 +1,6 @@
 //! Virtual-time executor backed by the DES cluster.
 
+use crate::agent::Agent;
 use crate::description::{DurationSpec, UnitDescription};
 use crate::executor::{CompletedUnit, Executor, TaskWork, UnitId};
 use hpc::fault::{FaultModel, HazardModel};
@@ -19,8 +20,8 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
-/// Executes payloads eagerly but charges modeled durations on a virtual
-/// core timeline. Deterministic given the seed.
+/// Executes payloads eagerly, on its [`Agent`], but charges modeled
+/// durations on a virtual core timeline. Deterministic given the seed.
 ///
 /// All stochastic charges for a unit (straggler noise, scenario slowdowns,
 /// injected failures) are drawn from an RNG keyed by `seed ^ hash(name)`,
@@ -44,6 +45,8 @@ pub struct SimExecutor<R> {
     seed: u64,
     overhead: f64,
     recorder: obs::Recorder,
+    /// Where the payloads run.
+    agent: Agent,
 }
 
 impl<R> SimExecutor<R> {
@@ -59,6 +62,7 @@ impl<R> SimExecutor<R> {
             seed,
             overhead: 0.0,
             recorder: obs::Recorder::default(),
+            agent: Agent::new(),
         }
     }
 
@@ -88,19 +92,6 @@ impl<R> SimExecutor<R> {
     /// Time when every core is idle.
     pub fn all_idle_at(&self) -> SimTime {
         self.timeline.all_idle_at()
-    }
-
-    fn check(&self, desc: &UnitDescription) -> Result<(), String> {
-        desc.validate()?;
-        if desc.cores > self.timeline.n_cores() {
-            return Err(format!(
-                "unit {} needs {} cores but the pilot has {}",
-                desc.name,
-                desc.cores,
-                self.timeline.n_cores()
-            ));
-        }
-        Ok(())
     }
 
     /// Charge a unit whose payload has run; its result becomes visible at
@@ -155,51 +146,22 @@ impl<R> SimExecutor<R> {
     }
 }
 
-/// Run a wave's payloads on the host's cores and return their results in
-/// submission order. Workers pull the next payload off one shared iterator,
-/// so a slow payload does not hold the others' share up. A payload panic
-/// propagates to the caller.
-fn run_payloads<R: Send>(works: Vec<TaskWork<R>>) -> Vec<Result<R, String>> {
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get()).min(works.len());
-    if threads <= 1 {
-        return works.into_iter().map(|work| work()).collect();
-    }
-    let queue = std::sync::Mutex::new(works.into_iter().enumerate());
-    let worker = || {
-        let mut done = Vec::new();
-        loop {
-            // Held only to advance the iterator, never while a payload
-            // runs, so a panicking payload cannot poison it.
-            let next = queue.lock().expect("no payload runs under this lock").next();
-            let Some((i, work)) = next else { break done };
-            done.push((i, work()));
-        }
-    };
-    let mut done: Vec<(usize, Result<R, String>)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-        let joined = workers.into_iter().flat_map(|w| match w.join() {
-            Ok(done) => done,
-            Err(panic) => std::panic::resume_unwind(panic),
-        });
-        joined.collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
-}
-
-impl<R: Send> Executor<R> for SimExecutor<R> {
+impl<R: Send + 'static> Executor<R> for SimExecutor<R> {
     fn submit(&mut self, desc: UnitDescription, work: TaskWork<R>) -> Result<UnitId, String> {
-        self.check(&desc)?;
-        // Run the payload now; the result becomes visible at completion time.
-        let result = work();
+        desc.check_fits(self.timeline.n_cores())?;
+        // Run the payload now, on the submitting slot; the result becomes
+        // visible at completion time.
+        let result = self.agent.run_here(work);
         Ok(self.account(desc, result))
     }
 
-    /// Nothing is submitted (no payload runs) unless every unit is valid.
+    /// The payloads run on the agent's slots; the accounting follows on this
+    /// thread, in submission order. Nothing is submitted (no payload runs)
+    /// unless every unit is valid.
     fn submit_batch(&mut self, units: Vec<(UnitDescription, TaskWork<R>)>) -> Result<(), String> {
-        units.iter().try_for_each(|(desc, _)| self.check(desc))?;
+        units.iter().try_for_each(|(desc, _)| desc.check_fits(self.timeline.n_cores()))?;
         let (descs, works): (Vec<_>, Vec<_>) = units.into_iter().unzip();
-        for (desc, result) in descs.into_iter().zip(run_payloads(works)) {
+        for (desc, result) in descs.into_iter().zip(self.agent.run_wave(works)) {
             self.account(desc, result);
         }
         Ok(())

@@ -13,14 +13,15 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::{Arc, LazyLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-type Writer = Box<dyn FnOnce() -> Arc<Vec<u8>> + Send>;
+type Writer = Box<dyn FnOnce() -> Arc<[u8]> + Send>;
 
 /// A staged file: its bytes, or the writer that owns what they will say.
-/// An enum so that an eager file carries nothing for the deferred kind.
+/// An enum so that an eager file carries nothing for the deferred kind. The
+/// bytes are one block of their exact size, the count beside them.
 #[derive(Debug, Clone)]
 enum Blob {
-    Bytes(Arc<Vec<u8>>),
-    Deferred(Arc<LazyLock<Arc<Vec<u8>>, Writer>>),
+    Bytes(Arc<[u8]>),
+    Deferred(Arc<LazyLock<Arc<[u8]>, Writer>>),
 }
 
 type Files = BTreeMap<String, Blob>;
@@ -48,7 +49,8 @@ impl StagingArea {
 
     /// Store a file, replacing any existing content.
     pub fn put(&self, name: impl Into<String>, data: impl Into<Vec<u8>>) {
-        self.write().insert(name.into(), Blob::Bytes(Arc::new(data.into())));
+        let blob = Blob::Bytes(Arc::from(data.into()));
+        self.write().insert(name.into(), blob);
     }
 
     /// Store UTF-8 text.
@@ -65,12 +67,12 @@ impl StagingArea {
         name: impl Into<String>,
         render: impl FnOnce() -> String + Send + 'static,
     ) {
-        let writer: Writer = Box::new(move || Arc::new(render().into_bytes()));
+        let writer: Writer = Box::new(move || Arc::from(render().into_bytes()));
         self.write().insert(name.into(), Blob::Deferred(Arc::new(LazyLock::new(writer))));
     }
 
     /// Fetch a file's bytes.
-    pub fn get(&self, name: &str) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&self, name: &str) -> Option<Arc<[u8]>> {
         // The guard is gone before a deferred file renders: concurrent first
         // readers wait on the file, not on the map.
         let blob = self.read().get(name).cloned()?;
@@ -271,7 +273,7 @@ mod tests {
         assert_eq!(read.load(Ordering::SeqCst), 0);
         assert_eq!(s.read_text("r3.rst7", str::len), Ok(11));
         assert_eq!(s.get_text("r3.rst7").unwrap(), "coordinates");
-        assert_eq!(s.get("r3.rst7").unwrap().as_slice(), b"coordinates");
+        assert_eq!(&*s.get("r3.rst7").unwrap(), b"coordinates");
         assert_eq!(read.load(Ordering::SeqCst), 1);
         assert_eq!(s.get_text("r1.rst7").unwrap(), "eager now");
 

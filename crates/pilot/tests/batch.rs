@@ -136,10 +136,10 @@ fn invalid_unit_in_a_batch_submits_nothing() {
     assert_eq!(ex.busy_core_seconds(), 0.0);
 }
 
-/// With two or more host threads available a wave's payloads overlap: each
-/// of two payloads waits for the other at a barrier, which one thread
-/// running them in turn could never pass. (Under `taskset -c 0` the inline
-/// path runs instead and this has nothing to check.)
+/// With two or more host slots a wave's payloads overlap: each of two
+/// payloads waits for the other at a barrier, which one thread running them
+/// in turn could never pass. (Under `taskset -c 0` the agent has one slot,
+/// the waiting thread runs every unit, and this has nothing to check.)
 #[test]
 fn payloads_of_a_wave_run_concurrently_when_the_host_has_cores() {
     let host = std::thread::available_parallelism().map_or(1, |p| p.get());

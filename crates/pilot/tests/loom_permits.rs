@@ -1,9 +1,9 @@
 #![cfg(loom)]
-//! Loom model of the core-permit protocol behind
-//! [`pilot::LocalExecutor`].
+//! Loom model of the core-permit protocol the pilot agent's slots use for
+//! [`pilot::LocalExecutor`]'s units (`pilot::agent::Permits`).
 //!
-//! Workers acquire `cores` permits before running a payload and release
-//! them after; the invariants are (a) the pool never oversubscribes and
+//! A slot acquires a unit's `cores` permits before running its payload and
+//! releases them after; the invariants are (a) the pool never oversubscribes and
 //! (b) a release never strands a satisfiable waiter (lost wakeup — which
 //! loom reports as a deadlock when a spawned thread can't finish).
 //!
