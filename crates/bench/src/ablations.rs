@@ -1,7 +1,7 @@
 //! Ablations and extension experiments beyond the paper's figures: the
 //! design arguments of Sections 2 and 5 (execution modes, patterns under
-//! noise, pairing, GPUs, federation, ladder feedback) put to the same
-//! simulated clusters.
+//! noise, pairing, GPUs, ladder feedback) put to the same simulated
+//! clusters.
 
 use crate::experiments::{one_d_config, run, OneDKind};
 use crate::figures::span;
@@ -11,7 +11,6 @@ use analysis::timeseries::{mean, round_trip_times};
 use exchange::ladder_opt::{respace_temperature_ladder, PairAcceptance};
 use exchange::pairing::PairingStrategy;
 use repex::config::{DimensionConfig, Pattern, SimulationConfig};
-use repex::emm::federation::{run_federated, ClusterShare, WanModel};
 use repex::simulation::build_ctx;
 
 /// Ablation — barrier cost under straggler noise: how the synchronous
@@ -247,64 +246,6 @@ pub fn ablate_gpu() -> Figure {
         ),
         rest_lo > 0.0 && rest_hi - rest_lo < 0.01 * rest_hi,
     );
-    fig
-}
-
-/// Extension experiment — multi-resource (federated) execution.
-///
-/// The paper's final proposed extension: "RepEx can be extended to use
-/// multiple HPC resources simultaneously for a single REMD simulation."
-/// We run the same 128-replica T-REMD on one 128-core cluster and federated
-/// across two 64-core clusters, quantifying the WAN + global-barrier price.
-pub fn ablate_multicluster() -> Figure {
-    let n = 128;
-    let cycles = 3;
-    let mut base = SimulationConfig::t_remd(n, 6000, cycles);
-    base.surrogate_steps = 5;
-
-    let mut fig = Figure::new("ablate_multicluster");
-    fig.line(format!("Extension — federated execution ({n}-replica T-REMD, {cycles} cycles)"));
-    fig.line("One 128-core cluster vs two 64-core clusters over a 1 GbE WAN.\n");
-
-    let shares = vec![
-        ClusterShare { cluster: "supermic".into(), cores: 64 },
-        ClusterShare { cluster: "stampede".into(), cores: 64 },
-    ];
-    let mut single = base.clone();
-    single.resource.cores = Some(n);
-    let single = run(single);
-    let fed = run_federated(&base, &shares, WanModel::default()).unwrap();
-
-    let mut table = TextTable::new(vec!["Setup", "Avg Tc (s)", "WAN (s)", "Cross-cluster swaps"]);
-    table.add_row(vec![
-        "single cluster (128 cores)".to_string(),
-        f1(single.average_tc()),
-        "0.0".to_string(),
-        "-".to_string(),
-    ]);
-    table.add_row(vec![
-        "federated (64 + 64 cores)".to_string(),
-        f1(fed.average_tc()),
-        f1(fed.wan_seconds),
-        format!("{}", fed.cross_cluster_swaps),
-    ]);
-    fig.table(&table);
-
-    let premium = (fed.average_tc() - single.average_tc()) / single.average_tc() * 100.0;
-    fig.check(
-        format!("federation completes the same workload (premium {premium:.1}%)"),
-        fed.cycles.len() == cycles as usize,
-    );
-    fig.check(format!("the premium stays modest (<15%): {premium:.1}%"), premium < 15.0);
-    fig.check(
-        format!("WAN traffic is accounted ({:.1}s total)", fed.wan_seconds),
-        fed.wan_seconds > 0.0,
-    );
-    fig.line(format!(
-        "\nFederation lets a user assemble {n} concurrent replicas from two half-size\n\
-         allocations — the Execution-Mode flexibility argument extended across\n\
-         machines, at the cost of WAN staging and a slowest-cluster barrier."
-    ));
     fig
 }
 

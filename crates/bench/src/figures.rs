@@ -10,7 +10,6 @@ use crate::output::Figure;
 use analysis::fes::{render_ascii, wham_fes_min_count, BiasedWindow};
 use analysis::tables::{f1, f2, TextTable};
 use analysis::timeseries::mean;
-use baselines::no_exchange_config;
 use repex::capabilities::{paper_repex_row, render_table1_markdown, repex_capabilities, table1};
 use repex::config::{DimensionConfig, Pattern, SimulationConfig, Workload};
 use repex::timing::{strong_efficiency, weak_efficiency, CycleTiming};
@@ -342,7 +341,10 @@ pub fn one_d_scaling(cycles: u64) -> Vec<Figure> {
     let sweep = |kind: Option<OneDKind>| -> Vec<CycleTiming> {
         let config = |n| match kind {
             Some(kind) => one_d_config(kind, n, cycles),
-            None => no_exchange_config(one_d_config(OneDKind::Temperature, n, cycles)),
+            None => SimulationConfig {
+                no_exchange: true,
+                ..one_d_config(OneDKind::Temperature, n, cycles)
+            },
         };
         ONE_D_SWEEP.iter().map(|&n| run(config(n)).average_timing()).collect()
     };

@@ -25,7 +25,7 @@ pub struct Experiment {
 /// The paper's evaluation (DESIGN.md §4), in the order it is regenerated.
 /// Where a function takes a size, this is the recorded one; `tests/paper.rs`
 /// is its other caller, with a size a debug build affords.
-pub const REGISTRY: [Experiment; 14] = [
+pub const REGISTRY: [Experiment; 13] = [
     Experiment { figures: &["table1_comparison"], run: || vec![figures::table1_comparison()] },
     Experiment {
         figures: &["fig04_validation"],
@@ -53,9 +53,5 @@ pub const REGISTRY: [Experiment; 14] = [
     },
     Experiment { figures: &["ablate_pairing"], run: || vec![ablations::ablate_pairing()] },
     Experiment { figures: &["ablate_gpu"], run: || vec![ablations::ablate_gpu()] },
-    Experiment {
-        figures: &["ablate_multicluster"],
-        run: || vec![ablations::ablate_multicluster()],
-    },
     Experiment { figures: &["ablate_ladder_opt"], run: || vec![ablations::ablate_ladder_opt()] },
 ];

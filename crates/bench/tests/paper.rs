@@ -116,11 +116,6 @@ fn ablate_gpu() {
 }
 
 #[test]
-fn ablate_multicluster() {
-    run_and_gate("ablate_multicluster");
-}
-
-#[test]
 fn ablate_ladder_opt() {
     run_and_gate("ablate_ladder_opt");
 }

@@ -14,17 +14,17 @@
 use analysis::tables::{f1, TextTable};
 use lint::report::Report;
 use lint::Diagnostic;
-use obs::json::{self, Encode, Value};
-use obs::{obj, Event, OverheadScope};
+use obs::json::{Encode, Value};
+use obs::{obj, Event};
 use std::collections::BTreeSet;
 
 pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
     let path = args.first().ok_or("analyze needs a trace file path")?;
     let json_out = crate::flag_value(args, "--json")?;
-    let z = num_flag(args, "--straggler-z")?.unwrap_or(2.0);
-    let ratio = num_flag(args, "--straggler-ratio")?.unwrap_or(1.5);
+    let z = crate::float_flag(args, "--straggler-z")?.unwrap_or(2.0);
+    let ratio = crate::float_flag(args, "--straggler-ratio")?.unwrap_or(1.5);
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let events = match parse_trace(&text) {
+    let events = match obs::parse_chrome_trace(&text) {
         Ok(events) => events,
         Err(e) => {
             // Same boundary as check/plan: unparseable input exits 2, but a
@@ -192,114 +192,6 @@ fn derive_diagnostics(events: &[Event], doc: &Value) -> Vec<Diagnostic> {
         );
     }
     out
-}
-
-/// Fetch a numeric `--flag <value>` argument.
-fn num_flag(args: &[String], flag: &str) -> Result<Option<f64>, String> {
-    crate::flag_value(args, flag)?
-        .map(|v| v.parse::<f64>().map_err(|_| format!("{flag} needs a number, got {v:?}")))
-        .transpose()
-}
-
-// ---------------------------------------------------------------------------
-// Trace parsing: Chrome Trace Event Format back to typed obs::Events.
-// ---------------------------------------------------------------------------
-
-fn secs(v: &Value, key: &str) -> f64 {
-    v[key].as_f64().unwrap_or(0.0) / 1e6
-}
-
-fn arg_u(v: &Value, key: &str) -> usize {
-    v["args"][key].as_u64().unwrap_or(0) as usize
-}
-
-/// Parse a `repex run --trace` document back into the event stream.
-///
-/// Unknown categories are skipped (forward compatibility); `ph:"M"`
-/// metadata records carry no events.
-pub fn parse_trace(text: &str) -> Result<Vec<Event>, json::Error> {
-    let doc = json::parse(text)?;
-    let records = doc["traceEvents"].as_array().ok_or_else(|| {
-        json::Error::shape("no traceEvents array (not a repex chrome trace?)").under("traceEvents")
-    })?;
-    let mut events = Vec::with_capacity(records.len());
-    for r in records {
-        let ph = r["ph"].as_str().unwrap_or("");
-        let cat = r["cat"].as_str().unwrap_or("");
-        let start = secs(r, "ts");
-        let end = start + secs(r, "dur");
-        match (ph, cat) {
-            ("X", "md") => events.push(Event::MdSegment {
-                replica: arg_u(r, "replica"),
-                slot: arg_u(r, "slot"),
-                cycle: arg_u(r, "cycle") as u64,
-                dim: arg_u(r, "dim"),
-                attempt: arg_u(r, "attempt") as u32,
-                cores: arg_u(r, "cores"),
-                start,
-                end,
-                ok: r["args"]["ok"].as_bool().unwrap_or(true),
-            }),
-            ("X", "phase") => events.push(Event::MdPhase {
-                cycle: arg_u(r, "cycle") as u64,
-                dim: arg_u(r, "dim"),
-                start,
-                end,
-            }),
-            ("X", "exchange") => events.push(Event::ExchangeWindow {
-                kind: kind_of(r),
-                dim: r["tid"].as_u64().unwrap_or(0) as usize,
-                cycle: arg_u(r, "cycle") as u64,
-                participants: arg_u(r, "participants"),
-                start,
-                end,
-            }),
-            ("X", "data") => events.push(Event::DataStage {
-                kind: kind_of(r),
-                dim: arg_u(r, "dim"),
-                cycle: arg_u(r, "cycle") as u64,
-                start,
-                end,
-            }),
-            ("X", "overhead") => {
-                let name = r["name"].as_str().unwrap_or("");
-                let scope = if name.starts_with("RP_OVER") {
-                    OverheadScope::Rp
-                } else {
-                    OverheadScope::Repex
-                };
-                events.push(Event::Overhead { scope, cycle: arg_u(r, "cycle") as u64, start, end });
-            }
-            ("i", "exchange_outcome") => events.push(Event::ExchangeOutcome {
-                dim: arg_u(r, "dim"),
-                cycle: arg_u(r, "cycle") as u64,
-                slot_lo: arg_u(r, "slot_lo"),
-                slot_hi: arg_u(r, "slot_hi"),
-                accepted: r["args"]["accepted"].as_bool().unwrap_or(false),
-                at: start,
-            }),
-            ("i", "fault") => {
-                let name = r["name"].as_str().unwrap_or("");
-                events.push(Event::TaskRelaunch {
-                    name: name.strip_prefix("RELAUNCH ").unwrap_or(name).to_string(),
-                    slot: arg_u(r, "slot"),
-                    attempt: arg_u(r, "attempt") as u32,
-                    at: start,
-                });
-            }
-            ("i", "cache") => events.push(Event::CacheRebuild {
-                cycle: arg_u(r, "cycle") as u64,
-                rebuilds: arg_u(r, "rebuilds") as u64,
-                at: start,
-            }),
-            _ => {}
-        }
-    }
-    Ok(events)
-}
-
-fn kind_of(r: &Value) -> char {
-    r["args"]["kind"].as_str().and_then(|s| s.chars().next()).unwrap_or('?')
 }
 
 // ---------------------------------------------------------------------------
@@ -486,6 +378,7 @@ fn print_human(doc: &Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::OverheadScope;
 
     fn sync_cycle(cycle: u64, t0: f64) -> Vec<Event> {
         vec![
@@ -533,23 +426,6 @@ mod tests {
             Event::TaskRelaunch { name: "md-x".into(), slot: 1, attempt: 1, at: t0 + 1.0 },
             Event::CacheRebuild { cycle, rebuilds: 3, at: t0 + 2.0 },
         ]
-    }
-
-    #[test]
-    fn chrome_trace_round_trips_through_the_parser() {
-        // Timestamps are multiples of 1/2^k seconds, exact at the trace's
-        // 1e-9 s precision, so the round trip reproduces every event.
-        let mut events = sync_cycle(0, 0.0);
-        events.extend(sync_cycle(1, 12.0));
-        let json = obs::chrome_trace_json(&events);
-        let parsed = parse_trace(&json).unwrap();
-        assert_eq!(parsed.len(), events.len());
-        let sort_key = |e: &Event| format!("{e:?}");
-        let mut a: Vec<String> = events.iter().map(sort_key).collect();
-        let mut b: Vec<String> = parsed.iter().map(sort_key).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -737,12 +613,5 @@ mod tests {
         let doc = analyze(&events, obs::StragglerPolicy::default());
         let diags = derive_diagnostics(&events, &doc);
         assert!(diag_codes(&diags).contains(&"A106"), "{diags:?}");
-    }
-
-    #[test]
-    fn malformed_trace_is_a_clean_error() {
-        assert!(parse_trace("not json").is_err());
-        assert!(parse_trace("{\"displayTimeUnit\":\"ms\"}").is_err());
-        assert!(parse_trace("{\"traceEvents\":[]}").unwrap().is_empty());
     }
 }

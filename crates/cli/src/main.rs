@@ -180,11 +180,11 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Fetch the file-path argument following `--flag`, if the flag is present.
+/// Fetch the argument following `--flag`, if the flag is present.
 pub(crate) fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     args.iter()
         .position(|a| a == flag)
-        .map(|i| args.get(i + 1).cloned().ok_or_else(|| format!("{flag} needs a file path")))
+        .map(|i| args.get(i + 1).cloned().ok_or_else(|| format!("{flag} needs a value")))
         .transpose()
 }
 
@@ -604,6 +604,7 @@ mod tests {
         assert_eq!(last["completed"], 2);
         let prom = std::fs::read_to_string(&prom_path).unwrap();
         assert!(prom.contains("# TYPE repex_completed_units gauge"), "{prom}");
+        assert!(prom.contains("# TYPE repex_exchange_acceptance_ratio gauge"), "{prom}");
         assert!(prom.contains("campaign=\"cli-smoke\""), "{prom}");
     }
 

@@ -15,7 +15,7 @@
 //! the repo's exit-code convention: 0 = accepted/clean, 1 = the service
 //! rejected the request (diagnostics printed), 2 = usage/IO error.
 
-use crate::{flag_value, uint_flag};
+use crate::{flag_value, float_flag, uint_flag};
 use obs::json::{self, Value};
 use obs::obj;
 
@@ -26,8 +26,9 @@ fn server_addr(args: &[String]) -> Result<String, String> {
     Ok(flag_value(args, "--server")?.unwrap_or_else(|| DEFAULT_ADDR.to_string()))
 }
 
-/// First positional (non-flag) argument after the verb.
-fn positional(args: &[String]) -> Option<&String> {
+/// First positional (non-flag) argument after the verb. Every flag takes a
+/// value except the verb's `booleans`.
+fn positional<'a>(args: &'a [String], booleans: &[&str]) -> Option<&'a String> {
     let mut skip = false;
     for a in args {
         if skip {
@@ -35,8 +36,7 @@ fn positional(args: &[String]) -> Option<&String> {
             continue;
         }
         if a.starts_with("--") {
-            // All our flags take a value except the boolean --json.
-            skip = a != "--json";
+            skip = !booleans.contains(&a.as_str());
             continue;
         }
         return Some(a);
@@ -57,7 +57,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<u8, String> {
     if let Some(n) = uint_flag(args, "--slice")? {
         cfg.slice_cycles = n;
     }
-    if let Some(h) = crate::float_flag(args, "--budget-core-hours")? {
+    if let Some(h) = float_flag(args, "--budget-core-hours")? {
         cfg.budget_core_seconds = h * 3600.0;
     }
     let service = svc::CampaignService::start(cfg)?;
@@ -92,15 +92,12 @@ fn print_rejection(status: u16, doc: &Value) {
 }
 
 pub(crate) fn cmd_submit(args: &[String]) -> Result<u8, String> {
-    let path = positional(args).ok_or("submit needs a config file path")?;
+    let path = positional(args, &[]).ok_or("submit needs a config file path")?;
     let campaign = flag_value(args, "--campaign")?
         .ok_or("submit needs --campaign <id> (the spool directory and metrics label)")?;
     let server = server_addr(args)?;
     let tenant = flag_value(args, "--tenant")?.unwrap_or_else(|| "default".to_string());
-    let weight: f64 = match flag_value(args, "--weight")? {
-        Some(w) => w.parse().map_err(|_| format!("--weight needs a number, got {w:?}"))?,
-        None => 1.0,
-    };
+    let weight = float_flag(args, "--weight")?.unwrap_or(1.0);
     let priority = uint_flag(args, "--priority")?.unwrap_or(0);
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let config = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -161,7 +158,7 @@ fn status_line(doc: &Value) -> String {
 pub(crate) fn cmd_status(args: &[String]) -> Result<u8, String> {
     let server = server_addr(args)?;
     let json = args.iter().any(|a| a == "--json");
-    let path = match positional(args) {
+    let path = match positional(args, &["--json"]) {
         Some(id) => format!("/campaigns/{id}"),
         None => "/campaigns".to_string(),
     };
@@ -191,7 +188,7 @@ pub(crate) fn cmd_status(args: &[String]) -> Result<u8, String> {
 }
 
 pub(crate) fn cmd_cancel(args: &[String]) -> Result<u8, String> {
-    let id = positional(args).ok_or("cancel needs a campaign id")?;
+    let id = positional(args, &[]).ok_or("cancel needs a campaign id")?;
     let server = server_addr(args)?;
     let (status, resp) = svc::http::request(&server, "DELETE", &format!("/campaigns/{id}"), None)?;
     let doc = parse_body(&resp);
@@ -205,7 +202,7 @@ pub(crate) fn cmd_cancel(args: &[String]) -> Result<u8, String> {
 }
 
 pub(crate) fn cmd_results(args: &[String]) -> Result<u8, String> {
-    let id = positional(args).ok_or("results needs a campaign id")?;
+    let id = positional(args, &[]).ok_or("results needs a campaign id")?;
     let server = server_addr(args)?;
     let json_out = flag_value(args, "--json")?;
     let (status, resp) =
@@ -243,11 +240,14 @@ mod tests {
 
     #[test]
     fn positional_skips_flags_and_their_values() {
-        let args: Vec<String> =
-            ["--server", "127.0.0.1:1", "camp-a", "--json"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(positional(&args), Some(&"camp-a".to_string()));
-        let args: Vec<String> = ["--json", "--server", "x"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(positional(&args), None);
+        let args = |a: &[&str]| -> Vec<String> { a.iter().map(|s| s.to_string()).collect() };
+        let status = &["--json"];
+        let id = Some(&"camp-a".to_string());
+        assert_eq!(positional(&args(&["--server", "127.0.0.1:1", "camp-a", "--json"]), status), id);
+        assert_eq!(positional(&args(&["--json", "--server", "x"]), status), None);
+        assert_eq!(positional(&args(&["--json", "camp-a"]), status), id);
+        // `results` takes `--json <out.json>`: the path is not the id.
+        assert_eq!(positional(&args(&["--json", "out.json", "camp-a"]), &[]), id);
     }
 
     #[test]

@@ -455,7 +455,7 @@ mod tests {
 
         let doc = watch_doc(&stream_path.to_string_lossy()).unwrap();
         let events =
-            crate::analyze::parse_trace(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+            obs::parse_chrome_trace(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
         let replay = crate::analyze::analyze(&events, obs::StragglerPolicy::default());
         let replayed = replay["exchange_health"].as_array().unwrap();
         let live = doc["acceptance"].as_array().unwrap();

@@ -1,11 +1,12 @@
 //! End-to-end exit-code matrix for the analysis-family subcommands.
 //!
 //! `check`, `plan` and `analyze` share one contract (documented in the
-//! `repex` usage text): 0 = clean, 1 = error-level findings, 2 = the input
-//! itself could not be read or parsed. On a parse failure every one of
-//! them still honors `--json` by writing an artifact with a single typed
-//! `C000` error record, so downstream tooling never has to distinguish
-//! "no artifact" from "bad input".
+//! `repex` usage text), and `run` honors it before it starts: 0 = clean,
+//! 1 = error-level findings, 2 = the input itself could not be read or
+//! parsed. On a parse failure every one of the three still honors `--json`
+//! by writing an artifact with a single typed `C000` error record, so
+//! downstream tooling never has to distinguish "no artifact" from "bad
+//! input".
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -47,7 +48,7 @@ fn error_level_findings_exit_one() {
     assert_ne!(text, broken, "the example config shape moved under this test");
     let path = scratch("steps-zero.json");
     std::fs::write(&path, broken).expect("write broken config");
-    for sub in ["check", "plan"] {
+    for sub in ["check", "plan", "run"] {
         let out = run(&[sub, path.to_str().expect("utf-8 temp path")]);
         assert_eq!(code(&out), 1, "{sub} must report findings, not a parse error");
     }

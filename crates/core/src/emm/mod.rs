@@ -11,7 +11,6 @@
 
 pub mod asynchronous;
 mod driver;
-pub mod federation;
 pub mod sync;
 
 use crate::amm::{Amm, MdSpec};

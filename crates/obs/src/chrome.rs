@@ -1,13 +1,15 @@
-//! Chrome Trace Event Format export.
+//! Chrome Trace Event Format: the export and its reader.
 //!
 //! The output loads in `chrome://tracing` or <https://ui.perfetto.dev>:
 //! process 0 ("replicas") has one row (tid) per replica showing its MD
 //! segments; process 1 ("framework") shows exchange/data/overhead windows
 //! per dimension plus instant marks for relaunches and cache rebuilds.
 //! Timestamps are microseconds, converted from sim-clock seconds.
+//! [`parse_chrome_trace`] reads such a file back into the event stream, so
+//! the categories and `args` keys are known to this module alone.
 
 use crate::event::{Event, OverheadScope};
-use crate::json::{escape, num};
+use crate::json::{self, escape, num, Value};
 
 const PID_REPLICAS: u32 = 0;
 const PID_FRAMEWORK: u32 = 1;
@@ -243,6 +245,103 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}", parts.join(",\n"))
 }
 
+fn secs(v: &Value, key: &str) -> f64 {
+    v[key].as_f64().unwrap_or(0.0) / 1e6
+}
+
+fn arg_u(v: &Value, key: &str) -> usize {
+    v["args"][key].as_u64().unwrap_or(0) as usize
+}
+
+fn kind_of(r: &Value) -> char {
+    r["args"]["kind"].as_str().and_then(|s| s.chars().next()).unwrap_or('?')
+}
+
+/// Parse a [`chrome_trace_json`] document back into the event stream.
+///
+/// Unknown categories are skipped (forward compatibility); `ph:"M"`
+/// metadata records carry no events.
+pub fn parse_chrome_trace(text: &str) -> Result<Vec<Event>, json::Error> {
+    let doc = json::parse(text)?;
+    let records = doc["traceEvents"].as_array().ok_or_else(|| {
+        json::Error::shape("no traceEvents array (not a repex chrome trace?)").under("traceEvents")
+    })?;
+    let mut events = Vec::with_capacity(records.len());
+    for r in records {
+        let ph = r["ph"].as_str().unwrap_or("");
+        let cat = r["cat"].as_str().unwrap_or("");
+        let start = secs(r, "ts");
+        let end = start + secs(r, "dur");
+        match (ph, cat) {
+            ("X", "md") => events.push(Event::MdSegment {
+                replica: arg_u(r, "replica"),
+                slot: arg_u(r, "slot"),
+                cycle: arg_u(r, "cycle") as u64,
+                dim: arg_u(r, "dim"),
+                attempt: arg_u(r, "attempt") as u32,
+                cores: arg_u(r, "cores"),
+                start,
+                end,
+                ok: r["args"]["ok"].as_bool().unwrap_or(true),
+            }),
+            ("X", "phase") => events.push(Event::MdPhase {
+                cycle: arg_u(r, "cycle") as u64,
+                dim: arg_u(r, "dim"),
+                start,
+                end,
+            }),
+            ("X", "exchange") => events.push(Event::ExchangeWindow {
+                kind: kind_of(r),
+                dim: r["tid"].as_u64().unwrap_or(0) as usize,
+                cycle: arg_u(r, "cycle") as u64,
+                participants: arg_u(r, "participants"),
+                start,
+                end,
+            }),
+            ("X", "data") => events.push(Event::DataStage {
+                kind: kind_of(r),
+                dim: arg_u(r, "dim"),
+                cycle: arg_u(r, "cycle") as u64,
+                start,
+                end,
+            }),
+            ("X", "overhead") => {
+                let name = r["name"].as_str().unwrap_or("");
+                let scope = if name.starts_with("RP_OVER") {
+                    OverheadScope::Rp
+                } else {
+                    OverheadScope::Repex
+                };
+                events.push(Event::Overhead { scope, cycle: arg_u(r, "cycle") as u64, start, end });
+            }
+            ("i", "exchange_outcome") => events.push(Event::ExchangeOutcome {
+                dim: arg_u(r, "dim"),
+                cycle: arg_u(r, "cycle") as u64,
+                slot_lo: arg_u(r, "slot_lo"),
+                slot_hi: arg_u(r, "slot_hi"),
+                accepted: r["args"]["accepted"].as_bool().unwrap_or(false),
+                at: start,
+            }),
+            ("i", "fault") => {
+                let name = r["name"].as_str().unwrap_or("");
+                events.push(Event::TaskRelaunch {
+                    name: name.strip_prefix("RELAUNCH ").unwrap_or(name).to_string(),
+                    slot: arg_u(r, "slot"),
+                    attempt: arg_u(r, "attempt") as u32,
+                    at: start,
+                });
+            }
+            ("i", "cache") => events.push(Event::CacheRebuild {
+                cycle: arg_u(r, "cycle") as u64,
+                rebuilds: arg_u(r, "rebuilds") as u64,
+                at: start,
+            }),
+            _ => {}
+        }
+    }
+    Ok(events)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,5 +437,70 @@ mod tests {
         let json = chrome_trace_json(&events);
         assert!(json.contains("\"kind\":\"T\""), "{json}");
         assert!(json.contains("\"dim\":2"), "{json}");
+    }
+
+    #[test]
+    fn chrome_trace_round_trips_through_the_parser() {
+        // Timestamps are multiples of 1/2^k seconds, exact at the trace's
+        // 1e-9 s precision, so the round trip reproduces every event.
+        let mut events = Vec::new();
+        for (cycle, t0) in [(0u64, 0.0), (1, 12.0)] {
+            let md = |replica: usize, end: f64, ok: bool| Event::MdSegment {
+                replica,
+                slot: replica,
+                cycle,
+                dim: 0,
+                attempt: replica as u32,
+                cores: 2,
+                start: t0 + 0.5,
+                end: t0 + end,
+                ok,
+            };
+            events.extend([
+                Event::Overhead { scope: OverheadScope::Repex, cycle, start: t0, end: t0 + 0.5 },
+                md(0, 8.0, true),
+                md(1, 10.5, false),
+                Event::MdPhase { cycle, dim: 0, start: t0 + 0.5, end: t0 + 10.5 },
+                Event::DataStage { kind: 'T', dim: 0, cycle, start: t0 + 10.5, end: t0 + 11.0 },
+                Event::ExchangeOutcome {
+                    dim: 0,
+                    cycle,
+                    slot_lo: 0,
+                    slot_hi: 1,
+                    accepted: cycle == 0,
+                    at: t0 + 12.0,
+                },
+                Event::ExchangeWindow {
+                    kind: 'T',
+                    dim: 0,
+                    cycle,
+                    participants: 2,
+                    start: t0 + 11.0,
+                    end: t0 + 12.0,
+                },
+                Event::Overhead {
+                    scope: OverheadScope::Rp,
+                    cycle,
+                    start: t0 + 12.0,
+                    end: t0 + 12.5,
+                },
+                Event::TaskRelaunch { name: "md-x".into(), slot: 1, attempt: 1, at: t0 + 1.0 },
+                Event::CacheRebuild { cycle, rebuilds: 3, at: t0 + 2.0 },
+            ]);
+        }
+        let parsed = parse_chrome_trace(&chrome_trace_json(&events)).unwrap();
+        let sorted = |events: &[Event]| {
+            let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
+            keys.sort();
+            keys
+        };
+        assert_eq!(sorted(&parsed), sorted(&events));
+    }
+
+    #[test]
+    fn malformed_trace_is_a_clean_error() {
+        assert!(parse_chrome_trace("not json").is_err());
+        assert!(parse_chrome_trace("{\"displayTimeUnit\":\"ms\"}").is_err());
+        assert!(parse_chrome_trace("{\"traceEvents\":[]}").unwrap().is_empty());
     }
 }

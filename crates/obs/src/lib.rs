@@ -6,7 +6,8 @@
 //! of truth both are derived from: drivers emit typed [`Event`]s into a
 //! [`Recorder`], and consumers either aggregate them into per-cycle
 //! breakdowns ([`cycle_breakdowns`]) or export them as a Chrome-trace
-//! timeline ([`chrome_trace_json`]) and a flat metrics JSON.
+//! timeline ([`chrome_trace_json`], read back by [`parse_chrome_trace`])
+//! and a flat metrics JSON.
 //!
 //! The recorder is zero-cost when disabled: [`Recorder::disabled`] carries
 //! no allocation and every call on it is a no-op, so instrumented hot paths
@@ -29,7 +30,7 @@ pub mod timeline_stats;
 pub use aggregate::{
     average_breakdown, cycle_breakdowns, md_busy_core_seconds, replica_spans, CycleBreakdown,
 };
-pub use chrome::chrome_trace_json;
+pub use chrome::{chrome_trace_json, parse_chrome_trace};
 pub use critical_path::{critical_path, cycle_critical_paths, CriticalPath, CycleCriticalPath};
 pub use event::{Event, OverheadScope};
 pub use health::{exchange_health, implied_slot_count, replay_slot_walk, DimExchangeHealth};

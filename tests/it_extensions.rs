@@ -1,9 +1,9 @@
-//! Integration tests for the paper's Section 5 extensions, all implemented:
-//! pH exchange, the GROMACS engine, GPU replicas and federated execution.
+//! Integration tests for the paper's Section 5 extensions that are built:
+//! pH exchange, the GROMACS engine and GPU replicas. The fourth,
+//! multi-resource execution, is not built (DESIGN.md §6).
 
 use integration::quick_tremd;
 use repex::config::{DimensionConfig, EngineChoice, SimulationConfig};
-use repex::emm::federation::{run_federated, ClusterShare, WanModel};
 use repex::simulation::RemdSimulation;
 
 #[test]
@@ -89,19 +89,6 @@ fn gpu_config_constraints() {
     cfg.resource.use_gpu = true;
     cfg.engine = EngineChoice::Namd;
     assert!(cfg.validate().is_err(), "GPU currently Amber-only");
-}
-
-#[test]
-fn federated_execution_across_two_clusters() {
-    let shares = vec![
-        ClusterShare { cluster: "supermic".into(), cores: 12 },
-        ClusterShare { cluster: "stampede".into(), cores: 12 },
-    ];
-    let report = run_federated(&quick_tremd(24, 3), &shares, WanModel::default()).unwrap();
-    assert_eq!(report.cycles.len(), 3);
-    assert_eq!(report.replicas_per_pilot.iter().sum::<usize>(), 24);
-    assert!(report.wan_seconds > 0.0);
-    assert!(report.makespan > 0.0);
 }
 
 #[test]

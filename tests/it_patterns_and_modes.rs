@@ -25,6 +25,11 @@ fn mode_ii_slows_cycles_but_preserves_physics() {
     // Physics unchanged: exchanges still happen in both.
     assert!(mode1.acceptance[0].1.attempts > 0);
     assert!(mode2.acceptance[0].1.attempts > 0);
+    // Mode II at scale: 512 replicas on 64 cores, by the core count alone.
+    let mut cfg = quick_tremd(512, 1);
+    cfg.resource.cores = Some(64);
+    let report = RemdSimulation::new(cfg).unwrap().run().unwrap();
+    assert_eq!(report.execution_mode, 2, "512 replicas on 64 cores");
 }
 
 #[test]
