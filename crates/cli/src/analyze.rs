@@ -7,15 +7,14 @@
 //! and exchange health (acceptance per dimension, ladder round trips) —
 //! all from the trace alone, no access to the original process.
 //!
-//! Health findings are emitted as A1xx diagnostics in the same JSON schema
-//! and with the same exit-code convention as `repex check`: 0 clean,
-//! 1 error-level findings, 2 usage/parse error.
+//! Health findings are the A1xx rules of `obs::health`, emitted in the
+//! same JSON schema and with the same exit-code convention as `repex
+//! check`: 0 clean, 1 error-level findings, 2 usage/parse error.
 
 use analysis::tables::{f1, TextTable};
 use lint::report::Report;
-use lint::Diagnostic;
 use obs::json::{Encode, Value};
-use obs::{obj, Event};
+use obs::{obj, Diagnostic, Event};
 use std::collections::BTreeSet;
 
 pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
@@ -34,8 +33,8 @@ pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
         }
     };
     let policy = obs::StragglerPolicy { z_threshold: z, ratio_threshold: ratio };
-    let doc = analyze(&events, policy);
-    let report = Report::new(derive_diagnostics(&events, &doc), None);
+    let (doc, diagnostics) = analyze(&events, policy);
+    let report = Report::new(diagnostics, None);
     print_human(&doc);
     if !report.is_empty() {
         eprint!("{}", report.render_human(path));
@@ -47,151 +46,6 @@ pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
         eprintln!("[analysis written: {out}]");
     }
     Ok(u8::from(has_errors))
-}
-
-/// Run-health diagnostics derived from the trace. A101 = a dimension that
-/// attempted exchanges and accepted none (starved ladder); A102 = exchange
-/// windows opened but no outcome was ever recorded (the exchange step
-/// produced no decisions); A103 = straggler replicas stretched their
-/// batches; A104 = failures cluster in a burst (storm or bad node, not
-/// independent faults); A105 = per-replica MD speeds are heterogeneous;
-/// A106 = data staging dominates an outsized share of the critical path.
-fn derive_diagnostics(events: &[Event], doc: &Value) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let windows = events
-        .iter()
-        .any(|e| matches!(e, Event::ExchangeWindow { participants, .. } if *participants > 0));
-    let outcomes = events.iter().any(|e| matches!(e, Event::ExchangeOutcome { .. }));
-    if windows && !outcomes {
-        out.push(Diagnostic::error(
-            "A102",
-            "exchange windows ran with participants but no exchange outcome was recorded: \
-             the exchange step produced no decisions",
-        ));
-    }
-    if let Some(health) = doc["exchange_health"].as_array() {
-        for h in health {
-            let attempts = h["attempts"].as_u64().unwrap_or(0);
-            if attempts > 0 && h["accepted"].as_u64().unwrap_or(0) == 0 {
-                out.push(
-                    Diagnostic::warning(
-                        "A101",
-                        format!(
-                            "dimension {} ({}) accepted 0 of {attempts} exchange attempts: \
-                             the ladder is starved",
-                            h["dim"],
-                            h["kind"].as_str().unwrap_or("?"),
-                        ),
-                    )
-                    .with_hint("tighten rung spacing (repex check predicts acceptance pre-run)"),
-                );
-            }
-        }
-    }
-    let stragglers = doc["timeline"]["straggler_count"].as_u64().unwrap_or(0);
-    if stragglers > 0 {
-        out.push(Diagnostic::warning(
-            "A103",
-            format!(
-                "{stragglers} straggler replica(s) stretched their MD batches: {}",
-                doc["timeline"]["stragglers"],
-            ),
-        ));
-    }
-
-    // A104: failure burst. Independent faults spread failures over the run;
-    // a strict majority landing inside a narrow window means a storm or a
-    // bad node. Needs enough failures for "cluster" to be meaningful.
-    let span = doc["timeline"]["span"].as_f64().unwrap_or(0.0);
-    let mut fail_times: Vec<f64> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::MdSegment { ok: false, end, .. } => Some(*end),
-            _ => None,
-        })
-        .collect();
-    fail_times.sort_by(f64::total_cmp);
-    if fail_times.len() >= 4 && span > 0.0 {
-        let need = fail_times.len() / 2 + 1;
-        let burst =
-            fail_times.windows(need).map(|w| w[need - 1] - w[0]).fold(f64::INFINITY, f64::min);
-        if burst < 0.2 * span {
-            out.push(
-                Diagnostic::warning(
-                    "A104",
-                    format!(
-                        "failure burst: {need} of {} task failures landed within {:.1} s \
-                         ({:.0}% of the {:.1} s span) — consistent with a failure storm or a \
-                         flaky node, not independent faults",
-                        fail_times.len(),
-                        burst,
-                        burst / span * 100.0,
-                        span,
-                    ),
-                )
-                .with_hint("size the relaunch retry budget for the storm rate, not the average"),
-            );
-        }
-    }
-
-    // A105: heterogeneous replica speeds. Compare each replica's mean
-    // successful-MD duration against the fleet median.
-    let mut per_replica: std::collections::BTreeMap<usize, (f64, u32)> = Default::default();
-    for e in events {
-        if let Event::MdSegment { replica, start, end, ok: true, .. } = e {
-            let slot = per_replica.entry(*replica).or_insert((0.0, 0));
-            slot.0 += end - start;
-            slot.1 += 1;
-        }
-    }
-    let mut means: Vec<(usize, f64)> = per_replica
-        .iter()
-        .filter(|(_, (_, n))| *n > 0)
-        .map(|(r, (sum, n))| (*r, sum / f64::from(*n)))
-        .collect();
-    if means.len() >= 4 {
-        means.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let median = means[means.len() / 2].1;
-        let &(slowest, max) = means.last().unwrap_or(&(0, 0.0));
-        if median > 0.0 && max >= 1.5 * median {
-            out.push(
-                Diagnostic::warning(
-                    "A105",
-                    format!(
-                        "heterogeneous replica speeds: replica {slowest} averages {:.1} s per \
-                         MD segment vs a fleet median of {:.1} s ({:.1}x) — slow or \
-                         oversubscribed nodes hold every synchronous barrier",
-                        max,
-                        median,
-                        max / median,
-                    ),
-                )
-                .with_hint(
-                    "prefer the asynchronous pattern, which never waits for the slowest node",
-                ),
-            );
-        }
-    }
-
-    // A106: data staging as an outsized share of the critical path — the
-    // filesystem, not the physics, is pacing the campaign.
-    let cp_total = doc["critical_path"]["total"].as_f64().unwrap_or(0.0);
-    let cp_data = doc["critical_path"]["by_category"]["data"].as_f64().unwrap_or(0.0);
-    if cp_total > 0.0 && cp_data > 0.25 * cp_total {
-        out.push(
-            Diagnostic::warning(
-                "A106",
-                format!(
-                    "data staging accounts for {:.0}% of the {:.1} s critical path — the \
-                     filesystem is pacing the run",
-                    cp_data / cp_total * 100.0,
-                    cp_total,
-                ),
-            )
-            .with_hint("batch stage-ins, widen striping, or run fewer concurrent replicas"),
-        );
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -221,10 +75,11 @@ fn round_trips_from_trace(events: &[Event]) -> Option<u64> {
     Some(rt.total_round_trips())
 }
 
-/// Build the analysis document. All numbers derive from the event stream;
-/// the per-cycle critical-path totals are cross-checked against the Eq. 1
-/// aggregator (`max_path_vs_eq1_drift` reports the largest deviation).
-pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> Value {
+/// Build the analysis document and the A1xx findings on the values it is
+/// built from. All numbers derive from the event stream; the per-cycle
+/// critical-path totals are cross-checked against the Eq. 1 aggregator
+/// (`max_path_vs_eq1_drift` reports the largest deviation).
+pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> (Value, Vec<Diagnostic>) {
     let breakdowns = obs::cycle_breakdowns(events);
     let mut tc = obs::LogHistogram::new();
     for b in &breakdowns {
@@ -248,9 +103,10 @@ pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> Value {
     let health = obs::exchange_health(events);
     let max_imbalance = tl.phases.iter().map(|p| p.imbalance).fold(0.0f64, f64::max);
 
+    let findings = obs::trace_findings(events, &tl, &global_path, &health);
     let by_category = global_path.by_category.iter().map(|(c, t)| (c.to_string(), t.encode()));
     let bound_by = bound_by.iter().map(|(phase, n)| (phase.to_string(), n.encode()));
-    obj! {
+    let doc = obj! {
         "events" => events.len(),
         "cycles" => obj! {
             "count" => breakdowns.len(),
@@ -284,18 +140,10 @@ pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> Value {
             "cycles_bound_by" => Value::Obj(bound_by.collect()),
             "max_path_vs_eq1_drift" => max_drift,
         },
-        "exchange_health" => health
-            .iter()
-            .map(|h| obj! {
-                "dim" => h.dim,
-                "kind" => h.kind,
-                "attempts" => h.attempts,
-                "accepted" => h.accepted,
-                "ratio" => h.ratio(),
-            })
-            .collect::<Vec<_>>(),
+        "exchange_health" => health,
         "round_trips" => round_trips_from_trace(events),
-    }
+    };
+    (doc, findings)
 }
 
 fn print_human(doc: &Value) {
@@ -432,7 +280,7 @@ mod tests {
     fn analysis_cross_checks_path_against_eq1() {
         let mut events = sync_cycle(0, 0.0);
         events.extend(sync_cycle(1, 12.0));
-        let doc = analyze(&events, obs::StragglerPolicy::default());
+        let (doc, _) = analyze(&events, obs::StragglerPolicy::default());
         assert_eq!(doc["cycles"]["count"], 2);
         let drift = doc["critical_path"]["max_path_vs_eq1_drift"].as_f64().unwrap();
         assert!(drift < 1e-9, "drift {drift}");
@@ -454,28 +302,44 @@ mod tests {
     fn healthy_trace_yields_no_diagnostics() {
         let mut events = sync_cycle(0, 0.0);
         events.extend(sync_cycle(1, 12.0));
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        assert!(derive_diagnostics(&events, &doc).is_empty());
+        assert!(analyze(&events, obs::StragglerPolicy::default()).1.is_empty());
     }
 
     #[test]
     fn starved_ladder_warns_a101() {
         // Cycle 1 alone: its only outcome is a rejection.
         let events = sync_cycle(1, 0.0);
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(diag_codes(&diags).contains(&"A101"), "{diags:?}");
-        assert!(!diags.iter().any(|d| d.severity == lint::Severity::Error));
+        assert!(!diags.iter().any(|d| d.severity == obs::Severity::Error));
     }
 
     #[test]
     fn windows_without_outcomes_is_an_error_a102() {
         let mut events = sync_cycle(0, 0.0);
         events.retain(|e| !matches!(e, Event::ExchangeOutcome { .. }));
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         let a102 = diags.iter().find(|d| d.code == "A102");
-        assert!(a102.is_some_and(|d| d.severity == lint::Severity::Error), "{diags:?}");
+        assert!(a102.is_some_and(|d| d.severity == obs::Severity::Error), "{diags:?}");
+    }
+
+    #[test]
+    fn partial_windows_without_outcomes_warn_a102() {
+        // An asynchronous window whose ready replicas (slots 0 and 2 of 4)
+        // cannot pair makes no attempt: a warning, not an error.
+        let mut events: Vec<Event> = (0..4).map(|r| md(r, 0.0, 1.0, true)).collect();
+        events.push(Event::ExchangeWindow {
+            kind: 'T',
+            dim: 0,
+            cycle: 0,
+            participants: 2,
+            start: 1.0,
+            end: 1.1,
+        });
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
+        let a102 = diags.iter().find(|d| d.code == "A102");
+        assert!(a102.is_some_and(|d| d.severity == obs::Severity::Warning), "{diags:?}");
+        assert!(a102.is_some_and(|d| d.message.contains("adjacent")), "{diags:?}");
     }
 
     /// A bare MD segment for synthetic health-finding streams.
@@ -502,8 +366,7 @@ mod tests {
         events.push(md(2, 39.4, 40.4, false));
         events.push(md(3, 39.6, 40.6, false));
         events.push(md(0, 89.0, 90.0, false));
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(diag_codes(&diags).contains(&"A104"), "{diags:?}");
     }
 
@@ -515,8 +378,7 @@ mod tests {
         for (i, t) in [10.0, 30.0, 50.0, 70.0, 90.0].iter().enumerate() {
             events.push(md(i % 4, t - 1.0, *t, false));
         }
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(!diag_codes(&diags).contains(&"A104"), "{diags:?}");
     }
 
@@ -527,8 +389,7 @@ mod tests {
             .map(|r| md(r, 0.0, 10.0, true))
             .chain(std::iter::once(md(5, 0.0, 20.0, true)))
             .collect();
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         let a105 = diags.iter().find(|d| d.code == "A105");
         assert!(a105.is_some(), "{diags:?}");
         assert!(a105.is_some_and(|d| d.message.contains("replica 5")), "{diags:?}");
@@ -537,8 +398,7 @@ mod tests {
     #[test]
     fn uniform_speeds_stay_quiet_a105() {
         let events: Vec<Event> = (0..6).map(|r| md(r, 0.0, 10.0, true)).collect();
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(!diag_codes(&diags).contains(&"A105"), "{diags:?}");
     }
 
@@ -549,19 +409,25 @@ mod tests {
             md(0, 0.0, 1.0, true),
             Event::DataStage { kind: 'T', dim: 0, cycle: 0, start: 1.0, end: 5.0 },
         ];
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(diag_codes(&diags).contains(&"A106"), "{diags:?}");
     }
 
     #[test]
     fn stragglers_warn_a103() {
-        let doc = obj! {
-            "timeline" => obj! { "straggler_count" => 2, "stragglers" => vec![0, 3] },
-            "exchange_health" => Vec::<Value>::new(),
+        let lane = |lane, straggler| obs::timeline_stats::LaneStats {
+            lane,
+            straggler,
+            ..Default::default()
         };
-        let diags = derive_diagnostics(&[], &doc);
-        assert!(diag_codes(&diags).contains(&"A103"), "{diags:?}");
+        let timeline = obs::TimelineStats {
+            replicas: vec![lane(0, true), lane(1, false), lane(3, true)],
+            straggler_count: 2,
+            ..Default::default()
+        };
+        let diags = obs::trace_findings(&[], &timeline, &Default::default(), &[]);
+        assert_eq!(diag_codes(&diags), vec!["A103"]);
+        assert!(diags[0].message.ends_with(": [0,3]"), "{diags:?}");
     }
 
     /// A fast simulated campaign under a stress scenario, traced.
@@ -590,8 +456,7 @@ mod tests {
         };
         let (failed, events) = run_scenario(16, 4, sc);
         assert!(failed >= 4, "burst detection needs failures, got {failed}");
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(diag_codes(&diags).contains(&"A104"), "{diags:?}");
     }
 
@@ -600,8 +465,7 @@ mod tests {
         let sc = hpc::Scenario::HeterogeneousNodes { slow_fraction: 0.25, slowdown: 3.0 };
         let (failed, events) = run_scenario(16, 3, sc);
         assert_eq!(failed, 0, "slow nodes are slow, not dead");
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(diag_codes(&diags).contains(&"A105"), "{diags:?}");
     }
 
@@ -610,8 +474,7 @@ mod tests {
         let sc = hpc::Scenario::SlowFilesystem { latency_factor: 50.0, bandwidth_factor: 0.02 };
         let (failed, events) = run_scenario(8, 3, sc);
         assert_eq!(failed, 0);
-        let doc = analyze(&events, obs::StragglerPolicy::default());
-        let diags = derive_diagnostics(&events, &doc);
+        let (_, diags) = analyze(&events, obs::StragglerPolicy::default());
         assert!(diag_codes(&diags).contains(&"A106"), "{diags:?}");
     }
 }

@@ -233,7 +233,7 @@ pub(crate) fn float_flag(args: &[String], flag: &str) -> Result<Option<f64>, Str
 /// or the pointer, line and column of the value that has the wrong shape.
 pub(crate) fn write_parse_failure_report(json_out: Option<&str>, e: &json::Error) {
     if let Some(out) = json_out {
-        let mut diagnostic = lint::Diagnostic::error("C000", e.to_string());
+        let mut diagnostic = obs::Diagnostic::error("C000", e.to_string());
         diagnostic.path = Some(e.pointer.clone()).filter(|pointer| !pointer.is_empty());
         let mut report = Report::new(vec![diagnostic], None);
         report.diagnostics[0].line = e.position.map(|(line, _)| line);

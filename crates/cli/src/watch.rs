@@ -15,9 +15,11 @@
 //!
 //! Because a `--resume`d campaign re-emits from its checkpointed snapshot
 //! cursor, a stream that spans a crash can contain duplicate sequence
-//! numbers; the reader keeps the last record per `seq` (the resumed run's
-//! version), exactly like `obs::merge_snapshots`.
+//! numbers; the reader decodes every line as a `TelemetrySnapshot` and
+//! keeps the last record per `seq` (the resumed run's version) through
+//! `obs::merge_snapshots`.
 //!
+//! A line that is not JSON, or is JSON but not a snapshot, is malformed.
 //! Follow mode is torn-write tolerant: a malformed line at the current end
 //! of the stream is treated as a write in progress (the cursor rewinds and
 //! the next poll re-reads it whole), while a malformed line that already
@@ -28,8 +30,8 @@
 //! Exit codes: 0 = clean, 1 = an error-severity finding is active in the
 //! latest snapshot, 2 = usage/IO/parse error (via `Err`).
 
-use obs::json::{self, Value};
-use obs::obj;
+use obs::json::{self, Encode, Value};
+use obs::{obj, DimSnapshot, TelemetrySnapshot};
 use std::io::{Read, Seek, SeekFrom};
 
 /// Poll interval while following a live stream.
@@ -43,13 +45,25 @@ pub fn cmd_watch(args: &[String]) -> Result<u8, String> {
     let once = args.iter().any(|a| a == "--once");
     let json = args.iter().any(|a| a == "--json");
     if once {
-        let doc = watch_doc(path)?;
+        let merged = read_merged(path)?;
+        let latest = merged.last().expect("read_merged returns at least one snapshot");
         if json {
-            println!("{}", doc.pretty());
+            println!("{}", watch_doc(path, &merged).pretty());
         } else {
-            print_summary(&doc);
+            println!(
+                "stream: {path} ({} snapshot(s), campaign {:?})",
+                merged.len(),
+                latest.campaign
+            );
+            println!("{}", health_line(latest));
+            if latest.findings.is_empty() {
+                println!("no live findings");
+            }
+            for f in &latest.findings {
+                println!("{f}");
+            }
         }
-        return Ok(exit_code(&doc));
+        return Ok(exit_code(latest));
     }
     follow(path, json)
 }
@@ -61,107 +75,73 @@ fn follow(path: &str, json: bool) -> Result<u8, String> {
     std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut offset = 0u64;
     let mut warned = false;
-    let mut latest: Option<Value> = None;
+    let mut latest: Option<TelemetrySnapshot> = None;
     loop {
         let lines = read_complete_lines(path, &mut offset)?;
         for snap in parse_follow_batch(lines, &mut offset, &mut warned, path) {
             if json {
-                println!("{snap}");
+                println!("{}", snap.encode().compact());
             } else {
                 println!("{}", health_line(&snap));
-                for f in snap["findings"].as_array().into_iter().flatten() {
-                    println!(
-                        "  {} {}: {}",
-                        f["code"].as_str().unwrap_or("?"),
-                        f["severity"].as_str().unwrap_or("?"),
-                        f["message"].as_str().unwrap_or(""),
-                    );
+                for f in &snap.findings {
+                    println!("  {f}");
                 }
             }
             latest = Some(snap);
         }
-        if latest.as_ref().is_some_and(|s| s["done"].as_bool() == Some(true)) {
-            let has_error = latest.as_ref().is_some_and(|s| {
-                s["findings"]
-                    .as_array()
-                    .is_some_and(|fs| fs.iter().any(|f| f["severity"] == "error"))
-            });
-            return Ok(u8::from(has_error));
+        if let Some(done) = latest.as_ref().filter(|s| s.done) {
+            return Ok(exit_code(done));
         }
         std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
     }
 }
 
-/// Read the stream once and build the `--once` report document.
-///
-/// `acceptance` mirrors `repex analyze`'s `exchange_health` array — same
-/// fields, and the ratio recomputed from the cumulative integer counters
-/// with the same expression — so a mid-run `watch --once --json` agrees
-/// with a post-hoc trace replay over the same event prefix.
-pub(crate) fn watch_doc(path: &str) -> Result<Value, String> {
+/// Read the stream once: one snapshot per `seq` (the last record of each,
+/// as `obs::merge_snapshots` keeps it), ascending, and at least one.
+fn read_merged(path: &str) -> Result<Vec<TelemetrySnapshot>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let snaps = parse_stream(path, &text)?;
-    let merged = merge_by_seq(snaps);
-    let latest = merged.last().cloned().ok_or(format!("{path} holds no snapshots yet"))?;
-    let acceptance: Vec<Value> = latest["dims"]
-        .as_array()
-        .into_iter()
-        .flatten()
-        .map(|d| {
-            let attempts = d["attempts"].as_u64().unwrap_or(0);
-            let accepted = d["accepted"].as_u64().unwrap_or(0);
-            let ratio = if attempts == 0 { 0.0 } else { accepted as f64 / attempts as f64 };
-            obj! {
-                "dim" => d["dim"],
-                "kind" => d["kind"],
-                "attempts" => attempts,
-                "accepted" => accepted,
-                "ratio" => ratio,
-            }
-        })
-        .collect();
-    Ok(obj! {
+    let merged = obs::merge_snapshots(parse_stream(path, &text)?);
+    if merged.is_empty() {
+        return Err(format!("{path} holds no snapshots yet"));
+    }
+    Ok(merged)
+}
+
+/// The `--once --json` report on a merged stream. `acceptance` holds the
+/// rows `repex analyze` writes as `exchange_health`, from the same encoder,
+/// so a mid-run `watch --once --json` agrees with a post-hoc trace replay
+/// over the same event prefix.
+pub(crate) fn watch_doc(path: &str, merged: &[TelemetrySnapshot]) -> Value {
+    let latest = &merged[merged.len() - 1];
+    obj! {
         "stream" => path,
         "snapshots" => merged.len(),
         "latest" => latest,
-        "acceptance" => acceptance,
-        "active_findings" => latest["findings"],
-        "done" => latest["done"],
-    })
+        "acceptance" => latest.dims.iter().map(DimSnapshot::health).collect::<Vec<_>>(),
+        "active_findings" => latest.findings,
+        "done" => latest.done,
+    }
 }
 
-fn exit_code(doc: &Value) -> u8 {
-    let has_error = doc["active_findings"]
-        .as_array()
-        .is_some_and(|fs| fs.iter().any(|f| f["severity"] == "error"));
-    u8::from(has_error)
+/// 1 while an error-severity finding is active in the snapshot.
+fn exit_code(snap: &TelemetrySnapshot) -> u8 {
+    u8::from(obs::diag::has_errors(&snap.findings))
 }
 
-/// Parse the JSONL text. A torn *final* line (no trailing newline, not yet
-/// valid JSON) is the writer mid-append and is ignored; a malformed line
-/// anywhere else is corruption and errors.
-fn parse_stream(path: &str, text: &str) -> Result<Vec<Value>, String> {
+/// Decode the JSONL text. A torn *final* line (no trailing newline, not yet
+/// a whole snapshot) is the writer mid-append and is ignored; a malformed
+/// line anywhere else is corruption and errors.
+fn parse_stream(path: &str, text: &str) -> Result<Vec<TelemetrySnapshot>, String> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let mut out = Vec::with_capacity(lines.len());
     for (i, line) in lines.iter().enumerate() {
-        match json::parse(line) {
-            Ok(v) => out.push(v),
+        match json::from_str(line) {
+            Ok(s) => out.push(s),
             Err(_) if i + 1 == lines.len() && !text.ends_with('\n') => {}
             Err(e) => return Err(format!("{path}:{}: malformed snapshot line: {e}", i + 1)),
         }
     }
     Ok(out)
-}
-
-/// Keep the last record per sequence number, ordered by `seq` — the reader
-/// half of `obs::merge_snapshots`, over raw JSON values.
-fn merge_by_seq(snaps: Vec<Value>) -> Vec<Value> {
-    let mut by_seq = std::collections::BTreeMap::new();
-    for s in snaps {
-        let seq = s["seq"].as_u64().unwrap_or(0);
-        by_seq.insert(seq, s);
-    }
-    by_seq.into_values().collect()
 }
 
 /// New complete lines appended since `offset`, each with the byte offset it
@@ -200,12 +180,12 @@ fn parse_follow_batch(
     offset: &mut u64,
     warned: &mut bool,
     path: &str,
-) -> Vec<Value> {
+) -> Vec<TelemetrySnapshot> {
     let mut out = Vec::with_capacity(lines.len());
     let last = lines.len().saturating_sub(1);
     for (i, (start, line)) in lines.into_iter().enumerate() {
-        match json::parse(&line) {
-            Ok(v) => out.push(v),
+        match json::from_str(&line) {
+            Ok(s) => out.push(s),
             Err(_) if i == last => {
                 *offset = start;
                 break;
@@ -223,72 +203,47 @@ fn parse_follow_batch(
 
 /// One human line per snapshot: progress, clock, ETA, Tc percentiles,
 /// per-dimension acceptance, fault counters.
-fn health_line(s: &Value) -> String {
+fn health_line(s: &TelemetrySnapshot) -> String {
     let mut line = format!(
         "[watch] #{} {}/{} units  t {:.1}s  eta {:.1}s  Tc p50 {:.2}s p99 {:.2}s",
-        s["seq"],
-        s["completed"],
-        s["total"],
-        s["time"].as_f64().unwrap_or(0.0),
-        s["eta_seconds"].as_f64().unwrap_or(0.0),
-        s["tc"]["p50"].as_f64().unwrap_or(0.0),
-        s["tc"]["p99"].as_f64().unwrap_or(0.0),
+        s.seq, s.completed, s.total, s.time, s.eta_seconds, s.tc.p50, s.tc.p99,
     );
-    for d in s["dims"].as_array().into_iter().flatten() {
-        line.push_str(&format!(
-            "  acc[{}] {:.2}",
-            d["kind"].as_str().unwrap_or("?"),
-            d["ratio"].as_f64().unwrap_or(0.0),
-        ));
+    for d in &s.dims {
+        line.push_str(&format!("  acc[{}] {:.2}", d.kind, d.ratio()));
     }
-    line.push_str(&format!("  failed {} stragglers {}", s["failed_tasks"], s["stragglers"],));
-    if s["done"].as_bool() == Some(true) {
+    line.push_str(&format!("  failed {} stragglers {}", s.failed_tasks, s.stragglers));
+    if s.done {
         line.push_str("  [done]");
     }
     line
-}
-
-fn print_summary(doc: &Value) {
-    let latest = &doc["latest"];
-    println!(
-        "stream: {} ({} snapshot(s), campaign {:?})",
-        doc["stream"].as_str().unwrap_or("?"),
-        doc["snapshots"],
-        latest["campaign"].as_str().unwrap_or("?"),
-    );
-    println!("{}", health_line(latest));
-    let findings = doc["active_findings"].as_array().unwrap_or_default();
-    if findings.is_empty() {
-        println!("no live findings");
-    } else {
-        for f in findings {
-            println!(
-                "{} {}: {}",
-                f["code"].as_str().unwrap_or("?"),
-                f["severity"].as_str().unwrap_or("?"),
-                f["message"].as_str().unwrap_or(""),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snap_line(seq: u64, done: bool, attempts: u64, accepted: u64) -> String {
-        let dim = obj! {
-            "dim" => 0, "kind" => "T", "attempts" => attempts, "accepted" => accepted, "ratio" => 0.5,
-        };
-        obj! {
-            "seq" => seq, "campaign" => "watch-test", "time" => seq as f64 * 10.0,
-            "completed" => seq, "total" => 4, "eta_seconds" => 1.0, "done" => done,
-            "failed_tasks" => 0, "stragglers" => 0,
-            "tc" => obj! { "p50" => 1.0, "p99" => 2.0 },
-            "dims" => vec![dim],
-            "findings" => Vec::<Value>::new(),
+    fn snap(seq: u64, done: bool, attempts: u64, accepted: u64) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            seq,
+            campaign: "watch-test".into(),
+            time: seq as f64 * 10.0,
+            completed: seq,
+            total: 4,
+            eta_seconds: 1.0,
+            done,
+            dims: vec![DimSnapshot { kind: 'T', attempts, accepted, ..Default::default() }],
+            tc: obs::HistSummary { p50: 1.0, p99: 2.0, ..Default::default() },
+            ..Default::default()
         }
-        .compact()
+    }
+
+    fn snap_line(seq: u64, done: bool, attempts: u64, accepted: u64) -> String {
+        snap(seq, done, attempts, accepted).encode().compact()
+    }
+
+    fn doc(path: &std::path::Path) -> Result<Value, String> {
+        let path = path.to_string_lossy();
+        read_merged(&path).map(|merged| watch_doc(&path, &merged))
     }
 
     /// `cmd_watch` following a stream, refused if it is still tailing after
@@ -322,28 +277,35 @@ mod tests {
             snap_line(3, true, 6, 3),
         );
         let path = temp_stream("dup.jsonl", &body);
-        let doc = watch_doc(&path.to_string_lossy()).unwrap();
+        let doc = doc(&path).unwrap();
         assert_eq!(doc["snapshots"], 3, "4 lines, one duplicate seq");
         assert_eq!(doc["latest"]["seq"], 3);
         assert_eq!(doc["done"], true);
         assert_eq!(doc["acceptance"][0]["attempts"], 6);
         assert!((doc["acceptance"][0]["ratio"].as_f64().unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(doc["latest"], snap(3, true, 6, 3).encode(), "the latest record, whole");
     }
 
     #[test]
     fn torn_final_line_is_ignored() {
-        let body = format!("{}\n{{\"seq\": 2, \"camp", snap_line(1, false, 2, 1));
-        let path = temp_stream("torn.jsonl", &body);
-        let doc = watch_doc(&path.to_string_lossy()).unwrap();
-        assert_eq!(doc["snapshots"], 1, "the torn tail is not a record yet");
-        assert_eq!(doc["latest"]["seq"], 1);
+        for tail in ["{\"seq\": 2, \"camp", "{\"seq\": 2}"] {
+            let body = format!("{}\n{tail}", snap_line(1, false, 2, 1));
+            let path = temp_stream("torn.jsonl", &body);
+            let doc = doc(&path).unwrap();
+            assert_eq!(doc["snapshots"], 1, "the torn tail is not a record yet: {tail}");
+            assert_eq!(doc["latest"]["seq"], 1);
+        }
     }
 
     #[test]
     fn corrupt_interior_line_is_an_error() {
-        let body = format!("not json\n{}\n", snap_line(1, false, 2, 1));
-        let path = temp_stream("corrupt.jsonl", &body);
-        assert!(watch_doc(&path.to_string_lossy()).is_err());
+        // Not JSON, and JSON that is not a snapshot: both are corruption.
+        for bad in ["not json", "{\"seq\": 1}"] {
+            let body = format!("{bad}\n{}\n", snap_line(1, false, 2, 1));
+            let path = temp_stream("corrupt.jsonl", &body);
+            let e = doc(&path).unwrap_err();
+            assert!(e.contains(":1: malformed snapshot line"), "{bad}: {e}");
+        }
     }
 
     #[test]
@@ -351,7 +313,7 @@ mod tests {
         assert!(cmd_watch(&["/no/such/stream.jsonl".into(), "--once".into()]).is_err());
         assert!(cmd_watch(&["--once".into()]).is_err(), "flag without a path");
         let path = temp_stream("empty.jsonl", "");
-        assert!(watch_doc(&path.to_string_lossy()).is_err(), "no snapshots yet");
+        assert!(doc(&path).is_err(), "no snapshots yet");
     }
 
     #[test]
@@ -379,7 +341,7 @@ mod tests {
         let lines = vec![(50u64, "{\"seq\":2,\"tr".to_string()), (80u64, snap_line(3, true, 6, 3))];
         let snaps = parse_follow_batch(lines, &mut offset, &mut warned, "s");
         assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0]["seq"], 3);
+        assert_eq!(snaps[0].seq, 3);
         assert_eq!(offset, 200, "interior corruption does not rewind");
         assert!(warned);
     }
@@ -413,9 +375,9 @@ mod tests {
 
     #[test]
     fn error_findings_set_the_exit_code() {
-        let finding = obj! { "code" => "W999", "severity" => "error", "message" => "synthetic" };
-        let snap = json::parse(&snap_line(1, true, 2, 1)).unwrap().with("findings", vec![finding]);
-        let path = temp_stream("errors.jsonl", &format!("{snap}\n"));
+        let mut snap = snap(1, true, 2, 1);
+        snap.findings.push(obs::Diagnostic::error("W999", "synthetic"));
+        let path = temp_stream("errors.jsonl", &format!("{}\n", snap.encode().compact()));
         let code = cmd_watch(&[path.to_string_lossy().into_owned(), "--once".into()]).unwrap();
         assert_eq!(code, 1, "error-severity finding exits 1");
         assert_eq!(follow_to_the_end(&path, &[]), 1, "follow mode honors the same convention");
@@ -453,10 +415,10 @@ mod tests {
         .unwrap();
         assert_eq!(code, 0);
 
-        let doc = watch_doc(&stream_path.to_string_lossy()).unwrap();
+        let doc = doc(&stream_path).unwrap();
         let events =
             obs::parse_chrome_trace(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
-        let replay = crate::analyze::analyze(&events, obs::StragglerPolicy::default());
+        let (replay, _) = crate::analyze::analyze(&events, obs::StragglerPolicy::default());
         let replayed = replay["exchange_health"].as_array().unwrap();
         let live = doc["acceptance"].as_array().unwrap();
         assert!(!replayed.is_empty(), "the prefix attempted exchanges");
@@ -471,5 +433,6 @@ mod tests {
             let drift = (l["ratio"].as_f64().unwrap() - h["ratio"].as_f64().unwrap()).abs();
             assert!(drift < 1e-9, "dim {dim} acceptance drift {drift}");
         }
+        assert_eq!(live, replayed, "one encoder writes both rows");
     }
 }

@@ -90,11 +90,8 @@ fn a_traced_run_and_its_analysis_agree() {
             "--metrics",
             s(&metrics),
         ]);
-        // The async run's one exchange window holds slots {0, 2}, which
-        // cannot pair: 0 attempts. `analyze` reads that as A102 (an
-        // exchange step that decides nothing) and exits 1, a known false
-        // positive listed in ROADMAP.md. Only the sync run must be clean.
         let analyzed = repex(&["analyze", s(&trace), "--json", s(&analysis)]);
+        assert_eq!(code(&analyzed), 0, "{tag}: {}", String::from_utf8_lossy(&analyzed.stderr));
         let (report, metrics, a) = (read_json(&report), read_json(&metrics), read_json(&analysis));
 
         for key in ["events", "cycles", "breakdown_avg", "timeline", "critical_path"] {
@@ -105,8 +102,14 @@ fn a_traced_run_and_its_analysis_agree() {
         let health = &a["exchange_health"][0];
         assert_eq!(health["attempts"].as_u64(), metrics["exchange.T.attempts"].as_u64(), "{tag}");
         assert_eq!(health["accepted"].as_u64(), metrics["exchange.T.accepted"].as_u64(), "{tag}");
+        if tag == "async" {
+            // Its one exchange window holds slots {0, 2}, which cannot pair:
+            // no outcome, and a warning that the ready replicas may not
+            // have been adjacent, not an error.
+            let a102 = a["diagnostics"].as_array().unwrap().iter().find(|d| d["code"] == "A102");
+            assert!(a102.is_some_and(|d| d["severity"] == "warning"), "{}", a["diagnostics"]);
+        }
         if tag == "sync" {
-            assert_eq!(code(&analyzed), 0, "{}", String::from_utf8_lossy(&analyzed.stderr));
             assert!(metrics["exchange.T.attempts"].as_u64().is_some_and(|n| n > 0), "{metrics}");
             let cycles = report["cycles"].as_array().map(<[Value]>::len);
             assert_eq!(a["cycles"]["count"].as_u64().map(|n| n as usize), cycles);

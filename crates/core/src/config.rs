@@ -7,7 +7,6 @@
 //! (cluster, cores, backend) — the two halves the framework deliberately
 //! decouples.
 
-use crate::diag::{Diagnostic, Severity};
 use exchange::multidim::ParamGrid;
 use exchange::pairing::PairingStrategy;
 use exchange::param::Dimension;
@@ -15,6 +14,7 @@ use hpc::perfmodel::{EngineKind, PerfModel};
 use hpc::ClusterSpec;
 use obs::json::{self, Encode};
 use obs::{json_enum, json_struct};
+use obs::{Diagnostic, Severity};
 
 /// Which MD engine family (and executable) runs the simulation phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -532,7 +532,7 @@ impl SimulationConfig {
         // The grid (and anything needing the replica count) only exists once
         // the per-dimension structure is sound.
         let mut grid = None;
-        if !crate::diag::has_errors(&out) {
+        if !obs::diag::has_errors(&out) {
             match self.build_grid() {
                 Ok(g) => grid = Some(g),
                 // Sound dimensions can still fail grid assembly (>3 dims).

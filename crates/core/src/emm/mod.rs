@@ -22,6 +22,7 @@ use exchange::multidim::ParamGrid;
 use exchange::stats::{AcceptanceStats, RoundTripTracker};
 use hpc::perfmodel::{ExchangeKind, PerfModel};
 use hpc::ClusterSpec;
+use obs::json::Encode as _;
 use pilot::description::{DurationSpec, UnitDescription};
 use pilot::executor::TaskWork;
 use pilot::Pilot;
@@ -535,14 +536,14 @@ pub(crate) fn emit_live(
     if let Some(sinks) = &mut ctx.live_sinks {
         if let Some(file) = &mut sinks.stream {
             // One write per record: a tailer sees whole lines or nothing.
-            let line = format!("{}\n", snap.to_jsonl());
+            let line = format!("{}\n", snap.encode().compact());
             file.write_all(line.as_bytes())
                 .and_then(|()| file.flush())
                 .map_err(|e| format!("metrics-stream: write failed: {e}"))?;
         }
         if let Some(prom) = &sinks.prom {
             let tmp = prom.with_extension("tmp");
-            std::fs::write(&tmp, obs::prometheus_text(&snap))
+            std::fs::write(&tmp, obs::prometheus_text(std::slice::from_ref(&snap)))
                 .and_then(|()| std::fs::rename(&tmp, prom))
                 .map_err(|e| format!("prom: cannot write {}: {e}", prom.display()))?;
         }

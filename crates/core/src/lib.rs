@@ -31,7 +31,6 @@ pub mod amm;
 pub mod capabilities;
 pub mod checkpoint;
 pub mod config;
-pub mod diag;
 pub mod emm;
 pub mod ram;
 pub mod replica;
@@ -44,7 +43,6 @@ pub use config::{
     cluster_preset, DimensionConfig, EngineChoice, FaultPolicy, Pattern, ResourceConfig,
     SimulationConfig, Workload,
 };
-pub use diag::{Diagnostic, Severity};
 pub use report::{CycleReport, SimulationReport};
 pub use simulation::RemdSimulation;
 pub use timing::{

@@ -13,6 +13,7 @@ use exchange::stats::{AcceptanceStats, RoundTripTracker};
 use hpc::perfmodel::ExchangeKind;
 use hpc::Scenario;
 use obs::json::{self, Decode, Encode};
+use obs::{Diagnostic, Severity};
 use repex::checkpoint::{
     AsyncSchedulerState, CampaignCheckpoint, ReplicaCheckpoint, SchedulerState, CHECKPOINT_FILE,
 };
@@ -22,7 +23,6 @@ use repex::config::{
 use repex::report::CycleReport;
 use repex::simulation::build_ctx;
 use repex::timing::CycleTiming;
-use repex::{Diagnostic, Severity};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 

@@ -29,9 +29,9 @@ pub mod rules;
 
 use hpc::perfmodel::PerfModel;
 use hpc::ClusterSpec;
+use obs::diag::{has_errors, sort_by_severity};
+use obs::Diagnostic;
 use repex::config::SimulationConfig;
-use repex::diag::{has_errors, sort_by_severity};
-pub use repex::{Diagnostic, Severity};
 
 /// Tunable thresholds for the plan-level rules. The defaults encode the
 /// paper's rules of thumb (≥ 5 % pairwise acceptance, Fig. 10's Mode II
@@ -65,8 +65,8 @@ pub struct LintOptions {
 impl Default for LintOptions {
     fn default() -> Self {
         LintOptions {
-            min_acceptance: 0.05,
-            max_acceptance: 0.99,
+            min_acceptance: *obs::ACCEPTANCE_BAND.start(),
+            max_acceptance: *obs::ACCEPTANCE_BAND.end(),
             bins: 40,
             samples_per_rung: 512,
             imbalance_threshold: 0.5,
@@ -146,6 +146,7 @@ pub fn lint_config(cfg: &SimulationConfig, opts: &LintOptions) -> Vec<Diagnostic
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Severity;
 
     pub(crate) fn codes(diags: &[Diagnostic]) -> Vec<&str> {
         diags.iter().map(|d| d.code.as_str()).collect()

@@ -40,16 +40,17 @@
 //! enforced there.
 
 use crate::rules::acceptance;
-use crate::{Diagnostic, LintOptions};
+use crate::LintOptions;
 use exchange::multidim::ParamGrid;
 use exchange::pairing::PairingStrategy;
 use hpc::fault::{FaultModel, HazardModel};
 use hpc::perfmodel::{ExchangeKind, PerfModel};
 use hpc::{ClusterSpec, Scenario};
+use obs::diag::{has_errors, sort_by_severity};
 use obs::json::{Encode, Value};
 use obs::json_fields;
+use obs::Diagnostic;
 use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig, Workload};
-use repex::diag::{has_errors, sort_by_severity};
 
 /// Tunables for [`plan_config`].
 #[derive(Debug, Clone)]
@@ -976,7 +977,7 @@ mod tests {
             "expected P001: {:?}",
             out.diagnostics
         );
-        assert!(repex::diag::has_errors(&out.diagnostics));
+        assert!(obs::diag::has_errors(&out.diagnostics));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! }
 //! ```
 
+use obs::diag::{severity_counts, Diagnostic};
 use obs::json::{self, Encode, Value};
 use obs::json_fields;
-use repex::diag::{severity_counts, Diagnostic};
 
 /// One diagnostic plus its resolved source span (when the config source
 /// text contains the flagged path).
@@ -115,7 +115,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repex::Diagnostic;
+    use obs::Diagnostic;
 
     fn sample() -> Vec<Diagnostic> {
         vec![

@@ -9,7 +9,8 @@
 //! Width shrinks like `1/sqrt(atoms)` relative to the mean, which is why
 //! ladders that work for a vacuum dipeptide starve for a solvated system.
 
-use crate::{Diagnostic, LintOptions, PlanCtx};
+use crate::{LintOptions, PlanCtx};
+use obs::Diagnostic;
 use repex::config::Workload;
 
 /// Boltzmann constant in kcal/(mol·K) (matches `mdsim::units`).

@@ -8,8 +8,9 @@
 //! pure function of the pairing strategy and the cycle count, so the
 //! coverage graph is computable without simulating.
 
-use crate::{Diagnostic, LintOptions, PlanCtx};
+use crate::{LintOptions, PlanCtx};
 use exchange::pairing::PairingStrategy;
+use obs::Diagnostic;
 use repex::config::Pattern;
 
 /// Connected components of `len` ladder positions under the bonds the

@@ -7,7 +7,8 @@
 //! schedule the task; a pilot merely *small* pays the Fig. 10 Mode II
 //! blow-up. Both are pure functions of the config.
 
-use crate::{Diagnostic, LintOptions, PlanCtx};
+use crate::{LintOptions, PlanCtx};
+use obs::Diagnostic;
 
 /// Cores one single-point task needs: the whole sub-ladder in M-REMD,
 /// just the candidate pair on a 1-D ladder. Mirrors
@@ -89,7 +90,8 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions, Severity};
+    use crate::{lint_config, LintOptions};
+    use obs::Severity;
     use repex::config::{DimensionConfig, SimulationConfig};
 
     fn with_dims(dims: Vec<DimensionConfig>) -> SimulationConfig {

@@ -9,8 +9,9 @@
 //! judged at its *worst case* — the policy has to survive the storm
 //! windows, not the calm between them.
 
-use crate::{Diagnostic, LintOptions, PlanCtx};
+use crate::{LintOptions, PlanCtx};
 use hpc::fault::FaultModel;
+use obs::Diagnostic;
 use repex::config::FaultPolicy;
 
 pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
@@ -126,7 +127,8 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions, Severity};
+    use crate::{lint_config, LintOptions};
+    use obs::Severity;
     use repex::config::{FaultPolicy, SimulationConfig};
 
     /// 6000-step sander segments model at 139.6 s each.

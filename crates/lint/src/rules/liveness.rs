@@ -8,7 +8,8 @@
 //! replica count. Those plans run to completion but sample like
 //! `no-exchange`, which is starvation the linter can prove up front.
 
-use crate::{Diagnostic, LintOptions, PlanCtx};
+use crate::{LintOptions, PlanCtx};
+use obs::Diagnostic;
 use repex::config::Pattern;
 
 pub fn check(ctx: &PlanCtx, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
@@ -81,7 +82,8 @@ pub fn check(ctx: &PlanCtx, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions, Severity};
+    use crate::{lint_config, LintOptions};
+    use obs::Severity;
     use repex::config::{Pattern, SimulationConfig};
 
     fn async_cfg(tick_fraction: f64, cycles: u64) -> SimulationConfig {

@@ -6,7 +6,8 @@
 //! cycle-time blow-up and any wave imbalance can be predicted before
 //! spending an allocation.
 
-use crate::{Diagnostic, LintOptions, PlanCtx};
+use crate::{LintOptions, PlanCtx};
+use obs::Diagnostic;
 
 pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let cpr = ctx.cfg.resource.cores_per_replica;

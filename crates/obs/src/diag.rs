@@ -1,16 +1,17 @@
-//! Structured diagnostics shared by configuration validation and the
-//! `lint` static analyzer.
+//! Structured diagnostics: the one finding type of configuration
+//! validation, the `lint` static analyzer and the run-health rules.
 //!
-//! A [`Diagnostic`] is a typed finding about a simulation plan: a stable
-//! code (`C0xx` for config validity, `L1xx`–`L6xx` for lint rules, `A1xx`
-//! for trace analysis), a severity, a human message, an optional
+//! A [`Diagnostic`] is a typed finding: a stable code (`C0xx` for config
+//! validity, `L1xx`–`L6xx` for lint rules, `A1xx` for trace analysis, `W2xx`
+//! for the live rules), a severity, a human message, an optional
 //! JSON-pointer-style path into the config document (kebab-case keys, e.g.
 //! `/resource/cores`) and an optional fix-it hint. The CLI renders these
-//! uniformly (`repex check`, `repex analyze`) and maps them onto one exit
-//! code convention: 0 = clean, 1 = Error-level findings, 2 = usage error.
+//! uniformly (`repex check`, `repex analyze`, `repex watch`) and maps them
+//! onto one exit code convention: 0 = clean, 1 = Error-level findings,
+//! 2 = usage error.
 
-use obs::json::{self, Decode, Encode, Value};
-use obs::obj;
+use crate::json::{self, Decode, Encode, Value};
+use crate::obj;
 use std::fmt;
 
 /// How bad a finding is. Ordered: `Info < Warning < Error`.
@@ -25,9 +26,9 @@ pub enum Severity {
     Error,
 }
 
-obs::json_enum!(Severity { Info: "info", Warning: "warning", Error: "error" });
+crate::json_enum!(Severity { Info: "info", Warning: "warning", Error: "error" });
 
-/// One typed finding about a simulation plan.
+/// One typed finding about a simulation plan or a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Stable rule code, e.g. `C020` or `L401`.

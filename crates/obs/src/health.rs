@@ -1,4 +1,6 @@
-//! Exchange health derived from the trace alone.
+//! Run health: exchange health derived from the trace alone, and the whole
+//! run-health rule catalog — the post-hoc A1xx rules `repex analyze`
+//! reports and the live W2xx rules every telemetry snapshot carries.
 //!
 //! Nadler & Hansmann (arXiv:0708.3627) make acceptance ratios and ladder
 //! round trips *the* quantities that determine REMD sampling efficiency.
@@ -8,8 +10,20 @@
 //! to the in-process `exchange::stats` state required. The integration
 //! tests assert both derivations match the in-process numbers exactly.
 
+use crate::critical_path::CriticalPath;
+use crate::diag::Diagnostic;
 use crate::event::Event;
+use crate::json::{Encode, Value};
+use crate::json_fields;
+use crate::live::TelemetrySnapshot;
+use crate::timeline_stats::TimelineStats;
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
+
+/// The pairwise acceptance a healthy ladder stays inside: the plan linter
+/// predicts against it (L401 below, L402 above) and the live W203 rule
+/// judges the measured ratio by it.
+pub const ACCEPTANCE_BAND: RangeInclusive<f64> = 0.05..=0.99;
 
 /// Acceptance statistics for one dimension, recomputed from outcome events.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -30,6 +44,14 @@ impl DimExchangeHealth {
         } else {
             self.accepted as f64 / self.attempts as f64
         }
+    }
+}
+
+/// One acceptance row, as `repex analyze` (`exchange_health`) and
+/// `repex watch --once --json` (`acceptance`) both write it.
+impl Encode for DimExchangeHealth {
+    fn encode(&self) -> Value {
+        json_fields!(self; dim, kind, attempts, accepted).with("ratio", self.ratio())
     }
 }
 
@@ -122,6 +144,227 @@ pub fn replay_slot_walk(events: &[Event], n_slots: usize) -> SlotReplay {
         }
     }
     SlotReplay { n_slots, records, slot_of }
+}
+
+/// The post-hoc rules over a recorded trace and what was derived from it.
+///
+/// | code | fires when |
+/// |------|-----------|
+/// | A101 | a dimension attempted exchanges and accepted none (starved ladder) |
+/// | A102 | exchange windows opened but no outcome was recorded: an error when a window held every replica, a warning otherwise (the ready replicas of an asynchronous window may not have been adjacent) |
+/// | A103 | straggler replicas stretched their batches |
+/// | A104 | a strict majority of ≥ 4 failures lands within 20 % of the span (a storm or a bad node, not independent faults) |
+/// | A105 | the slowest replica's mean MD segment is ≥ 1.5× the fleet median |
+/// | A106 | data staging is more than 25 % of the critical path |
+pub fn trace_findings(
+    events: &[Event],
+    timeline: &TimelineStats,
+    path: &CriticalPath,
+    health: &[DimExchangeHealth],
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let n_slots = implied_slot_count(events);
+    let (mut windows, mut full_window) = (false, false);
+    for e in events {
+        if let Event::ExchangeWindow { participants, .. } = *e {
+            windows |= participants > 0;
+            full_window |= n_slots >= 2 && participants == n_slots;
+        }
+    }
+    let outcomes = events.iter().any(|e| matches!(e, Event::ExchangeOutcome { .. }));
+    if windows && !outcomes && full_window {
+        out.push(Diagnostic::error(
+            "A102",
+            "exchange windows ran with every replica but no exchange outcome was recorded: \
+             the exchange step produced no decisions",
+        ));
+    } else if windows && !outcomes {
+        out.push(Diagnostic::warning(
+            "A102",
+            "exchange windows ran with participants but no exchange outcome was recorded: \
+             the ready replicas may not have been adjacent",
+        ));
+    }
+    for h in health.iter().filter(|h| h.attempts > 0 && h.accepted == 0) {
+        out.push(
+            Diagnostic::warning(
+                "A101",
+                format!(
+                    "dimension {} ({}) accepted 0 of {} exchange attempts: the ladder is starved",
+                    h.dim, h.kind, h.attempts,
+                ),
+            )
+            .with_hint("tighten rung spacing (repex check predicts acceptance pre-run)"),
+        );
+    }
+    if timeline.straggler_count > 0 {
+        out.push(Diagnostic::warning(
+            "A103",
+            format!(
+                "{} straggler replica(s) stretched their MD batches: {}",
+                timeline.straggler_count,
+                timeline.stragglers().encode(),
+            ),
+        ));
+    }
+
+    // A104: failure burst. Independent faults spread failures over the run;
+    // a strict majority landing inside a narrow window means a storm or a
+    // bad node. Needs enough failures for "cluster" to be meaningful.
+    let span = timeline.span;
+    let mut fail_times: Vec<f64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::MdSegment { ok: false, end, .. } => Some(*end),
+            _ => None,
+        })
+        .collect();
+    fail_times.sort_by(f64::total_cmp);
+    if fail_times.len() >= 4 && span > 0.0 {
+        let need = fail_times.len() / 2 + 1;
+        let burst =
+            fail_times.windows(need).map(|w| w[need - 1] - w[0]).fold(f64::INFINITY, f64::min);
+        if burst < 0.2 * span {
+            out.push(
+                Diagnostic::warning(
+                    "A104",
+                    format!(
+                        "failure burst: {need} of {} task failures landed within {:.1} s \
+                         ({:.0}% of the {:.1} s span) — consistent with a failure storm or a \
+                         flaky node, not independent faults",
+                        fail_times.len(),
+                        burst,
+                        burst / span * 100.0,
+                        span,
+                    ),
+                )
+                .with_hint("size the relaunch retry budget for the storm rate, not the average"),
+            );
+        }
+    }
+
+    // A105: heterogeneous replica speeds. Compare each replica's mean
+    // successful-MD duration against the fleet median.
+    let mut per_replica: BTreeMap<usize, (f64, u32)> = BTreeMap::new();
+    for e in events {
+        if let Event::MdSegment { replica, start, end, ok: true, .. } = e {
+            let slot = per_replica.entry(*replica).or_insert((0.0, 0));
+            slot.0 += end - start;
+            slot.1 += 1;
+        }
+    }
+    let mut means: Vec<(usize, f64)> =
+        per_replica.iter().map(|(r, (sum, n))| (*r, sum / f64::from(*n))).collect();
+    if means.len() >= 4 {
+        means.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let median = means[means.len() / 2].1;
+        let (slowest, max) = means[means.len() - 1];
+        if median > 0.0 && max >= 1.5 * median {
+            out.push(
+                Diagnostic::warning(
+                    "A105",
+                    format!(
+                        "heterogeneous replica speeds: replica {slowest} averages {:.1} s per \
+                         MD segment vs a fleet median of {:.1} s ({:.1}x) — slow or \
+                         oversubscribed nodes hold every synchronous barrier",
+                        max,
+                        median,
+                        max / median,
+                    ),
+                )
+                .with_hint(
+                    "prefer the asynchronous pattern, which never waits for the slowest node",
+                ),
+            );
+        }
+    }
+
+    // A106: data staging as an outsized share of the critical path — the
+    // filesystem, not the physics, is pacing the campaign.
+    let data = path.by_category.iter().find(|(c, _)| *c == "data").map_or(0.0, |(_, t)| *t);
+    if path.total > 0.0 && data > 0.25 * path.total {
+        out.push(
+            Diagnostic::warning(
+                "A106",
+                format!(
+                    "data staging accounts for {:.0}% of the {:.1} s critical path — the \
+                     filesystem is pacing the run",
+                    data / path.total * 100.0,
+                    path.total,
+                ),
+            )
+            .with_hint("batch stage-ins, widen striping, or run fewer concurrent replicas"),
+        );
+    }
+    out
+}
+
+/// Minimum cumulative attempts before W201 (starved ladder) can fire.
+const W201_MIN_ATTEMPTS: u64 = 12;
+/// Window failure count that constitutes a live failure burst (W202).
+const W202_BURST: u64 = 3;
+/// Minimum attempts before the W203 band is judged.
+const W203_MIN_ATTEMPTS: u64 = 20;
+/// Consecutive windows with no completed segments before W205 (stall).
+const W205_IDLE_WINDOWS: u32 = 3;
+
+/// The live rules, evaluated on every telemetry snapshot.
+///
+/// | code | fires when | post-hoc twin |
+/// |------|-----------|---------------|
+/// | W201 | a dimension has ≥ 12 attempts and 0 acceptances | A101 |
+/// | W202 | ≥ 3 task failures inside one window | A104 |
+/// | W203 | cumulative acceptance outside [`ACCEPTANCE_BAND`] after ≥ 20 attempts | L401 |
+/// | W204 | straggler flags inside the window | A103 |
+/// | W205 | 3 consecutive windows without a completed segment | — |
+pub fn live_findings(s: &TelemetrySnapshot, idle_windows: u32) -> Vec<Diagnostic> {
+    let mut findings = Vec::new();
+    for d in &s.dims {
+        if d.attempts >= W201_MIN_ATTEMPTS && d.accepted == 0 {
+            findings.push(Diagnostic::warning(
+                "W201",
+                format!(
+                    "{}-exchange ladder is starved: 0/{} attempts accepted so far",
+                    d.kind, d.attempts
+                ),
+            ));
+        } else if d.attempts >= W203_MIN_ATTEMPTS && !ACCEPTANCE_BAND.contains(&d.ratio()) {
+            findings.push(Diagnostic::warning(
+                "W203",
+                format!(
+                    "{}-exchange acceptance {:.3} is outside the predicted band [{}, {}]",
+                    d.kind,
+                    d.ratio(),
+                    ACCEPTANCE_BAND.start(),
+                    ACCEPTANCE_BAND.end()
+                ),
+            ));
+        }
+    }
+    if s.window_failed >= W202_BURST {
+        findings.push(Diagnostic::warning(
+            "W202",
+            format!(
+                "failure burst: {} task failures in window {} ({} total)",
+                s.window_failed, s.seq, s.failed_tasks
+            ),
+        ));
+    }
+    if s.window_stragglers > 0 {
+        findings.push(Diagnostic::warning(
+            "W204",
+            format!("{} straggler task(s) flagged in window {}", s.window_stragglers, s.seq),
+        ));
+    }
+    if idle_windows >= W205_IDLE_WINDOWS {
+        findings.push(Diagnostic::warning(
+            "W205",
+            format!(
+                "campaign stalled: no completed MD segments for {idle_windows} consecutive windows"
+            ),
+        ));
+    }
+    findings
 }
 
 #[cfg(test)]

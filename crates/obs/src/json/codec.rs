@@ -309,6 +309,16 @@ impl Encode for char {
     }
 }
 
+impl Decode for char {
+    fn decode(v: &Value) -> Result<Self, Error> {
+        let mut chars = v.as_str().map(str::chars);
+        match chars.as_mut().map(|c| (c.next(), c.next())) {
+            Some((Some(c), None)) => Ok(c),
+            _ => Err(expected("a one-character string", v)),
+        }
+    }
+}
+
 impl Encode for Value {
     fn encode(&self) -> Value {
         self.clone()

@@ -19,6 +19,7 @@
 pub mod aggregate;
 pub mod chrome;
 pub mod critical_path;
+pub mod diag;
 pub mod event;
 pub mod health;
 pub mod json;
@@ -32,12 +33,17 @@ pub use aggregate::{
 };
 pub use chrome::{chrome_trace_json, parse_chrome_trace};
 pub use critical_path::{critical_path, cycle_critical_paths, CriticalPath, CycleCriticalPath};
+pub use diag::{Diagnostic, Severity};
 pub use event::{Event, OverheadScope};
-pub use health::{exchange_health, implied_slot_count, replay_slot_walk, DimExchangeHealth};
+pub use health::{
+    exchange_health, implied_slot_count, live_findings, replay_slot_walk, trace_findings,
+    DimExchangeHealth, ACCEPTANCE_BAND,
+};
 pub use live::{
-    campaign_label, evaluate_rules, merge_snapshots, prometheus_text, render_progress_line,
-    sanitize_metric_name, validate_campaign_id, CampaignIdError, DimSnapshot, EmitStats, Finding,
-    HistSummary, LiveBaseline, LiveConfig, LiveState, TelemetrySnapshot, CAMPAIGN_ID_MAX_LEN,
+    campaign_label, merge_snapshots, prometheus_gauge, prometheus_labels, prometheus_text,
+    render_progress_line, sanitize_metric_name, validate_campaign_id, CampaignIdError, DimSnapshot,
+    EmitStats, HistSummary, LiveBaseline, LiveConfig, LiveState, TelemetrySnapshot,
+    CAMPAIGN_ID_MAX_LEN,
 };
 pub use recorder::Recorder;
 pub use stats::LogHistogram;

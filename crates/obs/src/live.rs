@@ -7,11 +7,13 @@
 //! [`LiveState`] — cumulative and windowed counters, windowed
 //! [`LogHistogram`] percentiles, per-dimension acceptance, a round-trip
 //! counter replayed from exchange outcomes — and periodically emits a
-//! campaign-labeled [`TelemetrySnapshot`]. Snapshots serialize to one JSONL
-//! line each (a tailer — `repex watch` — never sees a torn record because
-//! the sink appends each line with a single write) and to Prometheus text
-//! exposition, and an online rule engine evaluates SLO-style thresholds on
-//! every snapshot, emitting W2xx findings that mirror the post-hoc rule
+//! campaign-labeled [`TelemetrySnapshot`]. A snapshot goes through
+//! [`crate::json`] both ways — one compact JSONL line each (a tailer —
+//! `repex watch` — never sees a torn record because the sink appends each
+//! line with a single write) that decodes back into the same value — and
+//! renders as Prometheus text exposition, alone or beside other campaigns'.
+//! Every snapshot carries the W2xx findings of
+//! [`crate::health::live_findings`], the live half of the run-health
 //! catalog (W201 ↔ A101, W202 ↔ A104, W203 ↔ L401).
 //!
 //! Consistency contract: the fold uses the *same* accumulation semantics as
@@ -31,10 +33,13 @@
 //! resume through the checkpoint's telemetry cursor; a tailer merging a
 //! stream that spans a kill keeps the *last* record per `seq`.
 
+use crate::diag::Diagnostic;
 use crate::event::Event;
+use crate::health::{live_findings, DimExchangeHealth};
+use crate::json::{self, Decode, Encode, Value};
 use crate::stats::LogHistogram;
 use crate::timeline_stats::{timeline_stats, StragglerPolicy};
-use crate::CycleBreakdown;
+use crate::{json_fields, json_struct, CycleBreakdown};
 use std::collections::BTreeMap;
 
 /// How the live fold is configured when the plane is enabled.
@@ -123,22 +128,18 @@ impl HistSummary {
             p99: h.p99(),
         }
     }
-
-    fn json(&self) -> String {
-        use crate::json::num_exact as n;
-        format!(
-            "{{\"count\":{},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-            self.count,
-            n(self.sum),
-            n(self.mean),
-            n(self.min),
-            n(self.max),
-            n(self.p50),
-            n(self.p90),
-            n(self.p99)
-        )
-    }
 }
+
+json_struct!(HistSummary {
+    count: "count",
+    sum: "sum",
+    mean: "mean",
+    min: "min",
+    max: "max",
+    p50: "p50",
+    p90: "p90",
+    p99: "p99",
+});
 
 /// Per-dimension exchange acceptance, cumulative and windowed.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -152,29 +153,44 @@ pub struct DimSnapshot {
 }
 
 impl DimSnapshot {
+    /// The cumulative counters as the acceptance row `repex analyze`
+    /// derives from a trace.
+    pub fn health(&self) -> DimExchangeHealth {
+        let (dim, kind, attempts, accepted) = (self.dim, self.kind, self.attempts, self.accepted);
+        DimExchangeHealth { dim, kind, attempts, accepted }
+    }
+
     /// Cumulative acceptance ratio (0 when no attempts — never NaN).
     pub fn ratio(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.attempts as f64
-        }
+        self.health().ratio()
     }
 }
 
-/// One W2xx finding from the online rule engine. Uses the shared
-/// diagnostics vocabulary (code / severity / message); the CLI converts it
-/// into a `repex::Diagnostic` for rendering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    pub code: &'static str,
-    pub severity: &'static str,
-    pub message: String,
+/// The derived `ratio` is written after the counters and ignored on read.
+impl Encode for DimSnapshot {
+    fn encode(&self) -> Value {
+        json_fields!(self; dim, kind, attempts, accepted, window_attempts, window_accepted)
+            .with("ratio", self.ratio())
+    }
+}
+
+impl Decode for DimSnapshot {
+    fn decode(v: &Value) -> Result<Self, json::Error> {
+        Ok(DimSnapshot {
+            dim: v.field("dim", None)?,
+            kind: v.field("kind", None)?,
+            attempts: v.field("attempts", None)?,
+            accepted: v.field("accepted", None)?,
+            window_attempts: v.field("window_attempts", None)?,
+            window_accepted: v.field("window_accepted", None)?,
+        })
+    }
 }
 
 /// One emission of the snapshot bus: everything a tailer needs to render a
 /// health line, plus the cumulative truth the consistency proof folds over.
-#[derive(Debug, Clone, Default)]
+/// Its JSON object, written compact, is one line of a `--metrics-stream`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Monotonic emission counter; survives resume (checkpoint cursor).
     pub seq: u64,
@@ -209,82 +225,35 @@ pub struct TelemetrySnapshot {
     pub window_tc: HistSummary,
     /// MD segment durations in this window (ok and failed attempts).
     pub window_seg: HistSummary,
-    pub findings: Vec<Finding>,
+    pub findings: Vec<Diagnostic>,
 }
 
-impl TelemetrySnapshot {
-    /// One JSONL record (no trailing newline). Numbers use the exact
-    /// round-trip encoding so a parsed stream folds to the same floats.
-    pub fn to_jsonl(&self) -> String {
-        use crate::json::{escape, num_exact as n};
-        let mut out = String::with_capacity(640);
-        out.push_str(&format!(
-            "{{\"seq\":{},\"campaign\":\"{}\",\"time\":{},\"completed\":{},\"total\":{},\
-             \"eta_seconds\":{},\"done\":{},\"units_submitted\":{},\"units_completed\":{},\
-             \"failed_tasks\":{},\"window_failed\":{},\"relaunched_tasks\":{},\
-             \"window_relaunched\":{},\"md_segments\":{},\"window_md_segments\":{},\
-             \"round_trips\":{},\"window_round_trips\":{},\"stragglers\":{},\
-             \"window_stragglers\":{}",
-            self.seq,
-            escape(&self.campaign),
-            n(self.time),
-            self.completed,
-            self.total,
-            n(self.eta_seconds),
-            self.done,
-            self.units_submitted,
-            self.units_completed,
-            self.failed_tasks,
-            self.window_failed,
-            self.relaunched_tasks,
-            self.window_relaunched,
-            self.md_segments,
-            self.window_md_segments,
-            self.round_trips,
-            self.window_round_trips,
-            self.stragglers,
-            self.window_stragglers,
-        ));
-        out.push_str(",\"dims\":[");
-        for (i, d) in self.dims.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"dim\":{},\"kind\":\"{}\",\"attempts\":{},\"accepted\":{},\
-                 \"window_attempts\":{},\"window_accepted\":{},\"ratio\":{}}}",
-                d.dim,
-                d.kind,
-                d.attempts,
-                d.accepted,
-                d.window_attempts,
-                d.window_accepted,
-                n(d.ratio())
-            ));
-        }
-        out.push(']');
-        out.push_str(&format!(
-            ",\"tc\":{},\"window_tc\":{},\"window_seg\":{}",
-            self.tc.json(),
-            self.window_tc.json(),
-            self.window_seg.json()
-        ));
-        out.push_str(",\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
-                f.code,
-                f.severity,
-                escape(&f.message)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
+json_struct!(TelemetrySnapshot {
+    seq: "seq",
+    campaign: "campaign",
+    time: "time",
+    completed: "completed",
+    total: "total",
+    eta_seconds: "eta_seconds",
+    done: "done",
+    units_submitted: "units_submitted",
+    units_completed: "units_completed",
+    failed_tasks: "failed_tasks",
+    window_failed: "window_failed",
+    relaunched_tasks: "relaunched_tasks",
+    window_relaunched: "window_relaunched",
+    md_segments: "md_segments",
+    window_md_segments: "window_md_segments",
+    round_trips: "round_trips",
+    window_round_trips: "window_round_trips",
+    stragglers: "stragglers",
+    window_stragglers: "window_stragglers",
+    dims: "dims",
+    tc: "tc",
+    window_tc: "window_tc",
+    window_seg: "window_seg",
+    findings: "findings",
+});
 
 /// Render the snapshot as the classic `--progress` run-health line. The
 /// format (and every number in it) matches the line the sync driver used to
@@ -396,86 +365,106 @@ pub fn campaign_label(value: &str) -> String {
     out
 }
 
-/// Render one snapshot as Prometheus text exposition. Every sample carries
-/// the `campaign` label; metric names are sanitized through
-/// [`sanitize_metric_name`].
-pub fn prometheus_text(s: &TelemetrySnapshot) -> String {
+/// `{key="value",..}` with every value escaped through [`campaign_label`];
+/// empty for no labels.
+pub fn prometheus_labels(pairs: &[(&str, &str)]) -> String {
+    if pairs.is_empty() {
+        return String::new();
+    }
+    let inner: Vec<String> =
+        pairs.iter().map(|(k, v)| format!("{k}=\"{}\"", campaign_label(v))).collect();
+    format!("{{{}}}", inner.join(","))
+}
+
+/// Append one gauge: its `# HELP`/`# TYPE` header once, then one sample per
+/// `(labels, value)` pair; nothing at all without samples. The name goes
+/// through [`sanitize_metric_name`].
+pub fn prometheus_gauge(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, String)>,
+) {
+    let name = sanitize_metric_name(name);
+    let mut samples = samples.into_iter().peekable();
+    if samples.peek().is_some() {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
+    }
+    for (labels, value) in samples {
+        out.push_str(&format!("{name}{labels} {value}\n"));
+    }
+}
+
+/// Render snapshots of distinct campaigns as one Prometheus text
+/// exposition: each metric's header once, then one sample per snapshot
+/// (per dimension, per firing rule). Every sample carries the `campaign`
+/// label; a dimension's samples add its index (`dim`) and kind letter
+/// (`kind`), so the two U dimensions of a T×U×U campaign stay two series.
+pub fn prometheus_text(snaps: &[TelemetrySnapshot]) -> String {
     use crate::json::num_exact as n;
-    let campaign = campaign_label(&s.campaign);
-    let mut out = String::with_capacity(1024);
-    let mut gauge = |name: &str, help: &str, value: String| {
-        let name = sanitize_metric_name(name);
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} gauge\n{name}{{campaign=\"{campaign}\"}} {value}\n"
-        ));
-    };
-    gauge("repex_snapshot_seq", "monotonic telemetry snapshot counter", s.seq.to_string());
-    gauge("repex_sim_time_seconds", "virtual clock at snapshot time", n(s.time));
-    gauge(
-        "repex_completed_units",
-        "work units completed (cycles or segments)",
-        s.completed.to_string(),
-    );
-    gauge("repex_total_units", "work units in the whole campaign", s.total.to_string());
-    gauge("repex_eta_seconds", "projected seconds to makespan", n(s.eta_seconds));
-    gauge("repex_done", "1 when the campaign has finished", u64::from(s.done).to_string());
-    gauge(
-        "repex_units_submitted_total",
-        "pilot compute units submitted",
-        s.units_submitted.to_string(),
-    );
-    gauge(
-        "repex_units_completed_total",
-        "pilot compute units completed",
-        s.units_completed.to_string(),
-    );
-    gauge("repex_failed_tasks_total", "task failures observed", s.failed_tasks.to_string());
-    gauge(
-        "repex_relaunched_tasks_total",
-        "task relaunches performed",
-        s.relaunched_tasks.to_string(),
-    );
-    gauge("repex_md_segments_total", "successful MD segments", s.md_segments.to_string());
-    gauge("repex_round_trips_total", "completed ladder round trips", s.round_trips.to_string());
-    gauge("repex_stragglers_total", "straggler flags this leg", s.stragglers.to_string());
-    gauge("repex_cycle_seconds_p50", "median per-cycle Tc this leg", n(s.tc.p50));
-    gauge("repex_cycle_seconds_p99", "p99 per-cycle Tc this leg", n(s.tc.p99));
-    for prefix in [
-        "repex_exchange_attempts_total",
-        "repex_exchange_accepted_total",
-        "repex_exchange_acceptance_ratio",
-    ] {
-        let name = sanitize_metric_name(prefix);
-        let (help, kind) = match prefix {
-            "repex_exchange_attempts_total" => ("exchange attempts per dimension", "gauge"),
-            "repex_exchange_accepted_total" => ("accepted exchanges per dimension", "gauge"),
-            _ => ("cumulative acceptance ratio per dimension", "gauge"),
-        };
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for d in &s.dims {
-            let value = match prefix {
-                "repex_exchange_attempts_total" => d.attempts.to_string(),
-                "repex_exchange_accepted_total" => d.accepted.to_string(),
-                _ => n(d.ratio()),
-            };
-            out.push_str(&format!(
-                "{name}{{campaign=\"{campaign}\",dim=\"{}\"}} {value}\n",
-                campaign_label(&d.kind.to_string())
-            ));
-        }
+    type Scalar = fn(&TelemetrySnapshot) -> String;
+    let scalars: [(&str, &str, Scalar); 15] = [
+        ("repex_snapshot_seq", "monotonic telemetry snapshot counter", |s| s.seq.to_string()),
+        ("repex_sim_time_seconds", "virtual clock at snapshot time", |s| n(s.time)),
+        ("repex_completed_units", "work units completed (cycles or segments)", |s| {
+            s.completed.to_string()
+        }),
+        ("repex_total_units", "work units in the whole campaign", |s| s.total.to_string()),
+        ("repex_eta_seconds", "projected seconds to makespan", |s| n(s.eta_seconds)),
+        ("repex_done", "1 when the campaign has finished", |s| u64::from(s.done).to_string()),
+        ("repex_units_submitted_total", "pilot compute units submitted", |s| {
+            s.units_submitted.to_string()
+        }),
+        ("repex_units_completed_total", "pilot compute units completed", |s| {
+            s.units_completed.to_string()
+        }),
+        ("repex_failed_tasks_total", "task failures observed", |s| s.failed_tasks.to_string()),
+        ("repex_relaunched_tasks_total", "task relaunches performed", |s| {
+            s.relaunched_tasks.to_string()
+        }),
+        ("repex_md_segments_total", "successful MD segments", |s| s.md_segments.to_string()),
+        ("repex_round_trips_total", "completed ladder round trips", |s| s.round_trips.to_string()),
+        ("repex_stragglers_total", "straggler flags this leg", |s| s.stragglers.to_string()),
+        ("repex_cycle_seconds_p50", "median per-cycle Tc this leg", |s| n(s.tc.p50)),
+        ("repex_cycle_seconds_p99", "p99 per-cycle Tc this leg", |s| n(s.tc.p99)),
+    ];
+    type PerDim = fn(&DimSnapshot) -> String;
+    let per_dim: [(&str, &str, PerDim); 3] = [
+        ("repex_exchange_attempts_total", "exchange attempts per dimension", |d| {
+            d.attempts.to_string()
+        }),
+        ("repex_exchange_accepted_total", "accepted exchanges per dimension", |d| {
+            d.accepted.to_string()
+        }),
+        ("repex_exchange_acceptance_ratio", "cumulative acceptance ratio per dimension", |d| {
+            n(d.ratio())
+        }),
+    ];
+    let mut out = String::with_capacity(1024 * snaps.len());
+    for (name, help, value) in scalars {
+        let samples =
+            snaps.iter().map(|s| (prometheus_labels(&[("campaign", &s.campaign)]), value(s)));
+        prometheus_gauge(&mut out, name, help, samples);
     }
-    if !s.findings.is_empty() {
-        let name = "repex_finding_active";
-        out.push_str(&format!(
-            "# HELP {name} 1 while the W2xx rule is firing\n# TYPE {name} gauge\n"
-        ));
-        for f in &s.findings {
-            out.push_str(&format!(
-                "{name}{{campaign=\"{campaign}\",code=\"{}\"}} 1\n",
-                campaign_label(f.code)
-            ));
-        }
+    for (name, help, value) in per_dim {
+        let samples = snaps.iter().flat_map(|s| {
+            s.dims.iter().map(move |d| {
+                let (dim, kind) = (d.dim.to_string(), d.kind.to_string());
+                let labels = [("campaign", s.campaign.as_str()), ("dim", &dim), ("kind", &kind)];
+                (prometheus_labels(&labels), value(d))
+            })
+        });
+        prometheus_gauge(&mut out, name, help, samples);
     }
+    // A rule firing for two dimensions is still one series.
+    let active = snaps.iter().flat_map(|s| {
+        let mut seen = std::collections::BTreeSet::new();
+        let codes = s.findings.iter().map(|f| f.code.as_str()).filter(move |c| seen.insert(*c));
+        codes.map(|code| {
+            (prometheus_labels(&[("campaign", &s.campaign), ("code", code)]), "1".into())
+        })
+    });
+    prometheus_gauge(&mut out, "repex_finding_active", "1 while the W2xx rule is firing", active);
     out
 }
 
@@ -762,7 +751,7 @@ impl LiveState {
             window_seg: HistSummary::of(&self.win_seg),
             findings: Vec::new(),
         };
-        snap.findings = evaluate_rules(&snap, self.idle_windows);
+        snap.findings = live_findings(&snap, self.idle_windows);
         // Reset the window.
         self.win_md_ok = 0;
         self.win_tc = LogHistogram::new();
@@ -778,86 +767,6 @@ impl LiveState {
         self.done_emitted |= stats.done;
         snap
     }
-}
-
-/// Minimum cumulative attempts before W201 (starved ladder) can fire.
-const W201_MIN_ATTEMPTS: u64 = 12;
-/// Window failure count that constitutes a live failure burst (W202).
-const W202_BURST: u64 = 3;
-/// Predicted-acceptance band (W203) — the same thresholds the plan linter's
-/// L401 uses (`lint::LintOptions::default()`).
-const W203_MIN_RATIO: f64 = 0.05;
-const W203_MAX_RATIO: f64 = 0.99;
-/// Minimum attempts before the W203 band is judged.
-const W203_MIN_ATTEMPTS: u64 = 20;
-/// Consecutive windows with no completed segments before W205 (stall).
-const W205_IDLE_WINDOWS: u32 = 3;
-
-/// The online rule engine: SLO thresholds evaluated per snapshot.
-///
-/// | code | fires when | post-hoc twin |
-/// |------|-----------|---------------|
-/// | W201 | a dimension has ≥ 12 attempts and 0 acceptances | A101 |
-/// | W202 | ≥ 3 task failures inside one window | A104 |
-/// | W203 | cumulative acceptance outside [0.05, 0.99] after ≥ 20 attempts | L401 |
-/// | W204 | straggler flags inside the window | A102/timeline |
-/// | W205 | 3 consecutive windows without a completed segment | — |
-pub fn evaluate_rules(s: &TelemetrySnapshot, idle_windows: u32) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for d in &s.dims {
-        if d.attempts >= W201_MIN_ATTEMPTS && d.accepted == 0 {
-            findings.push(Finding {
-                code: "W201",
-                severity: "warning",
-                message: format!(
-                    "{}-exchange ladder is starved: 0/{} attempts accepted so far",
-                    d.kind, d.attempts
-                ),
-            });
-        } else if d.attempts >= W203_MIN_ATTEMPTS {
-            let r = d.ratio();
-            if !(W203_MIN_RATIO..=W203_MAX_RATIO).contains(&r) {
-                findings.push(Finding {
-                    code: "W203",
-                    severity: "warning",
-                    message: format!(
-                        "{}-exchange acceptance {:.3} is outside the predicted band [{}, {}]",
-                        d.kind, r, W203_MIN_RATIO, W203_MAX_RATIO
-                    ),
-                });
-            }
-        }
-    }
-    if s.window_failed >= W202_BURST {
-        findings.push(Finding {
-            code: "W202",
-            severity: "warning",
-            message: format!(
-                "failure burst: {} task failures in window {} ({} total)",
-                s.window_failed, s.seq, s.failed_tasks
-            ),
-        });
-    }
-    if s.window_stragglers > 0 {
-        findings.push(Finding {
-            code: "W204",
-            severity: "warning",
-            message: format!(
-                "{} straggler task(s) flagged in window {}",
-                s.window_stragglers, s.seq
-            ),
-        });
-    }
-    if idle_windows >= W205_IDLE_WINDOWS {
-        findings.push(Finding {
-            code: "W205",
-            severity: "warning",
-            message: format!(
-                "campaign stalled: no completed MD segments for {idle_windows} consecutive windows"
-            ),
-        });
-    }
-    findings
 }
 
 #[cfg(test)]
@@ -1021,36 +930,137 @@ mod tests {
             window_stragglers: 1,
             ..Default::default()
         };
-        let codes: Vec<_> = evaluate_rules(&s, 3).iter().map(|f| f.code).collect();
-        assert_eq!(codes, vec!["W201", "W202", "W204", "W205"]);
+        let codes = |s: &TelemetrySnapshot, idle| -> Vec<String> {
+            live_findings(s, idle).into_iter().map(|f| f.code).collect()
+        };
+        assert_eq!(codes(&s, 3), vec!["W201", "W202", "W204", "W205"]);
         // Band rule replaces starvation once acceptances exist.
         s.dims[0].accepted = 12;
         s.dims[0].attempts = 12;
-        assert!(evaluate_rules(&s, 0).iter().all(|f| f.code != "W203"), "needs 20 attempts");
+        assert!(!codes(&s, 0).contains(&"W203".into()), "needs 20 attempts");
         s.dims[0].attempts = 20;
         s.dims[0].accepted = 20;
-        let codes: Vec<_> = evaluate_rules(&s, 0).iter().map(|f| f.code).collect();
-        assert!(codes.contains(&"W203"), "ratio 1.0 is outside the band: {codes:?}");
+        assert!(codes(&s, 0).contains(&"W203".into()), "ratio 1.0 is outside the band");
         s.dims[0].accepted = 10;
-        assert!(evaluate_rules(&s, 0).iter().all(|f| f.code != "W203"), "0.5 is in band");
-        assert!(evaluate_rules(&s, 0).iter().all(|f| f.severity == "warning"));
+        assert!(!codes(&s, 0).contains(&"W203".into()), "0.5 is in band");
+        assert!(live_findings(&s, 3).iter().all(|f| f.severity == crate::Severity::Warning));
     }
 
     #[test]
-    fn jsonl_line_is_single_line_and_balanced() {
-        let mut st = state(4);
+    fn snapshot_round_trips_through_the_codec() {
+        let mut st = LiveState::new(LiveConfig {
+            campaign: "storm".into(),
+            n_slots: 4,
+            ladder_len: 4,
+            dim_kinds: vec!['T', 'S', 'U'],
+            baseline: LiveBaseline::default(),
+        });
         st.fold(&seg(0, 0, 0.0, 1.5, true));
+        st.fold(&seg(0, 1, 0.0, 1.7, false));
         st.fold(&outcome(0, 1, true));
         st.fold(&window(0, 4, 1.5, 1.6));
-        let mut snap = st.emit(&stats(1, 4, 1.6), 5, 4);
+        let mut snap = st.emit(&stats(1, 4, 0.1 + 0.2), 5, 4);
         snap.campaign = "storm \"A\"\nrun".into();
-        snap.findings.push(Finding { code: "W202", severity: "warning", message: "x".into() });
-        let line = snap.to_jsonl();
+        snap.findings.push(Diagnostic::warning("W202", "x").with_hint("size the retry budget"));
+        assert_eq!(snap.dims.len(), 3);
+        let line = snap.encode().compact();
         assert!(!line.contains('\n'), "one record per line: {line}");
         assert_eq!(line.matches('{').count(), line.matches('}').count());
         assert!(line.contains("\"campaign\":\"storm \\\"A\\\"\\nrun\""), "{line}");
         assert!(line.contains("\"units_submitted\":5"));
         assert!(line.contains("\"findings\":[{\"code\":\"W202\""));
+        assert!(line.contains("\"window_accepted\":1,\"ratio\":1.0}"), "{line}");
+        let back: TelemetrySnapshot = json::from_str(&line).unwrap();
+        assert_eq!(back, snap);
+        // Equal text as well as equal values: every float kept its bits.
+        assert_eq!(back.encode().compact(), line);
+        let doc = json::parse(&line).unwrap();
+        let keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys.join(" "),
+            "seq campaign time completed total eta_seconds done units_submitted \
+             units_completed failed_tasks window_failed relaunched_tasks window_relaunched \
+             md_segments window_md_segments round_trips window_round_trips stragglers \
+             window_stragglers dims tc window_tc window_seg findings"
+        );
+        let torn = line.replace("\"kind\":\"S\"", "\"kind\":\"SU\"");
+        let e = json::from_str::<TelemetrySnapshot>(&torn).unwrap_err();
+        assert_eq!(e.pointer, "/dims/1/kind", "{e}");
+    }
+
+    /// Every sample's (name, labels) once, and one `# TYPE` per name.
+    fn assert_valid_exposition(text: &str) {
+        let (mut series, mut names, mut types) = (Vec::new(), Vec::new(), Vec::new());
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                types.push(rest.split(' ').next().unwrap());
+            } else if !line.starts_with('#') {
+                let (id, _) = line.rsplit_once(' ').unwrap();
+                assert!(!series.contains(&id), "repeated series {id}:\n{text}");
+                series.push(id);
+                names.push(id.split('{').next().unwrap());
+            }
+        }
+        names.dedup();
+        for name in names {
+            let n = types.iter().filter(|t| **t == name).count();
+            assert_eq!(n, 1, "{name} has {n} # TYPE lines:\n{text}");
+        }
+    }
+
+    #[test]
+    fn a_t_u_u_exposition_repeats_no_series() {
+        let dim = |dim, kind| DimSnapshot { dim, kind, attempts: 12, ..Default::default() };
+        let mut snap = TelemetrySnapshot {
+            campaign: "tuu".into(),
+            dims: vec![dim(0, 'T'), dim(1, 'U'), dim(2, 'U')],
+            ..Default::default()
+        };
+        snap.findings = live_findings(&snap, 0);
+        assert_eq!(snap.findings.len(), 3, "W201 for each starved dimension");
+        let text = prometheus_text(&[snap]);
+        assert_valid_exposition(&text);
+        assert!(text
+            .contains("repex_exchange_attempts_total{campaign=\"tuu\",dim=\"2\",kind=\"U\"} 12\n"));
+        assert_eq!(text.matches("repex_finding_active{").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn campaigns_share_one_header_per_metric() {
+        let snap = |campaign: &str, completed| TelemetrySnapshot {
+            campaign: campaign.into(),
+            completed,
+            dims: vec![DimSnapshot { kind: 'T', attempts: 4, accepted: 2, ..Default::default() }],
+            ..Default::default()
+        };
+        let snaps = [snap("a", 1), snap("b", 2)];
+        let text = prometheus_text(&snaps);
+        assert_eq!(text, prometheus_text(&snaps), "deterministic");
+        assert_valid_exposition(&text);
+        assert_eq!(text.matches("# HELP repex_completed_units ").count(), 1);
+        // Samples sit under their one header, in snapshot order; metrics
+        // keep their order.
+        assert!(text.contains(
+            "# TYPE repex_completed_units gauge\nrepex_completed_units{campaign=\"a\"} 1\n\
+             repex_completed_units{campaign=\"b\"} 2\n"
+        ));
+        let at = |needle: &str| text.find(needle).unwrap();
+        assert!(at("# HELP repex_snapshot_seq") < at("# HELP repex_completed_units"));
+        assert!(!text.contains("repex_finding_active"), "no rule fires, no header");
+        // The service's own gauges go through the same writer.
+        let mut out = String::new();
+        let one = [(String::new(), "4".to_string())];
+        prometheus_gauge(&mut out, "repex_svc_queue_depth", "queued jobs", one);
+        let states = ["done", "queued"].map(|s| (prometheus_labels(&[("state", s)]), "2".into()));
+        prometheus_gauge(&mut out, "repex.svc-jobs", "jobs by state", states);
+        prometheus_gauge(&mut out, "repex_none", "no samples", std::iter::empty());
+        assert_eq!(
+            out,
+            "# HELP repex_svc_queue_depth queued jobs\n# TYPE repex_svc_queue_depth gauge\n\
+             repex_svc_queue_depth 4\n# HELP repex_svc_jobs jobs by state\n\
+             # TYPE repex_svc_jobs gauge\nrepex_svc_jobs{state=\"done\"} 2\n\
+             repex_svc_jobs{state=\"queued\"} 2\n"
+        );
     }
 
     #[test]
@@ -1063,8 +1073,8 @@ mod tests {
         st.fold(&window(0, 4, 0.0, 0.1));
         let mut snap = st.emit(&stats(1, 4, 1.0), 0, 0);
         snap.campaign = "multi \"tenant\"".into();
-        snap.findings.push(Finding { code: "W202", severity: "warning", message: "x".into() });
-        let text = prometheus_text(&snap);
+        snap.findings.push(Diagnostic::warning("W202", "x"));
+        let text = prometheus_text(&[snap]);
         for line in text.lines() {
             if line.starts_with('#') || line.is_empty() {
                 continue;
@@ -1080,7 +1090,7 @@ mod tests {
             assert!(line.contains("campaign=\"multi \\\"tenant\\\"\""), "{line}");
         }
         assert!(text.contains(
-            "repex_exchange_attempts_total{campaign=\"multi \\\"tenant\\\"\",dim=\"T\"} 1"
+            "repex_exchange_attempts_total{campaign=\"multi \\\"tenant\\\"\",dim=\"0\",kind=\"T\"} 1"
         ));
         assert!(text.contains("repex_finding_active"));
     }

@@ -28,7 +28,6 @@
 //! execution (proven end to end in `tests/it_service.rs`).
 
 pub mod http;
-pub mod metrics;
 pub mod queue;
 pub mod sched;
 pub mod service;

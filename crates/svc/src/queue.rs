@@ -1,6 +1,6 @@
 //! The durable campaign spool: one directory per campaign under the spool
 //! root, holding the job's control record, checkpoint directory, live
-//! telemetry stream, Prometheus file and final artifacts. Control records
+//! telemetry stream and final artifacts. Control records
 //! are written with the same atomic tmp+rename discipline as
 //! `repex::checkpoint`, so a crash never leaves a half-written record and
 //! a restarted service reconstructs its queue by scanning the spool.
@@ -10,8 +10,8 @@
 //!   <campaign-id>/
 //!     job.json        control record (atomic rewrite on every transition)
 //!     checkpoint/     repex::checkpoint directory (slices + cancellation)
-//!     snap.jsonl      live telemetry stream (repex watch tails this)
-//!     metrics.prom    per-campaign Prometheus text (merged into /metrics)
+//!     snap.jsonl      live telemetry stream (repex watch tails it; its
+//!                     last snapshot is the campaign's part of /metrics)
 //!     trace.json      Chrome trace of the whole campaign (written at end)
 //!     report.json     canonical report document (written when done)
 //! ```
@@ -118,10 +118,6 @@ impl JobDirs {
 
     pub fn stream(&self) -> PathBuf {
         self.dir.join("snap.jsonl")
-    }
-
-    pub fn prom(&self) -> PathBuf {
-        self.dir.join("metrics.prom")
     }
 
     pub fn trace(&self) -> PathBuf {

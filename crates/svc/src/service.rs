@@ -31,16 +31,15 @@
 //! list in the body (same JSON schema as `repex check --json` findings).
 
 use crate::http::{Handler, HttpServer, Request, Response};
-use crate::metrics::{merge_prometheus, service_gauge};
 use crate::queue::{save_record, scan_spool, JobDirs, JobRecord, JobState};
 use crate::sched::{Candidate, FairShare};
 use obs::json::{self, Decode, Value};
-use obs::{json_struct, obj};
+use obs::{json_struct, obj, Diagnostic, TelemetrySnapshot};
 use repex::config::SimulationConfig;
-use repex::diag::Diagnostic;
 use repex::emm::LiveTelemetry;
 use repex::simulation::RemdSimulation;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::io::{Read, Seek, SeekFrom};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -406,7 +405,7 @@ fn run_leg(
         .with_recorder(recorder.clone())
         .with_live_telemetry(LiveTelemetry {
             stream: Some(dirs.stream()),
-            prom: Some(dirs.prom()),
+            prom: None,
             campaign: Some(
                 dirs.dir
                     .file_name()
@@ -537,7 +536,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
     }
     // The same lint pass that gates `repex run`: error findings reject.
     let diags = lint::lint_config(&config, &lint::LintOptions::default());
-    if repex::diag::has_errors(&diags) {
+    if obs::diag::has_errors(&diags) {
         return reject(422, diags);
     }
 
@@ -641,10 +640,27 @@ fn list(inner: &Arc<Inner>) -> Response {
     Response::json(200, &doc)
 }
 
-/// Latest complete parseable snapshot line from a campaign's JSONL stream.
-fn latest_snapshot(path: &std::path::Path) -> Option<Value> {
-    let text = std::fs::read_to_string(path).ok()?;
-    text.lines().rev().find_map(|l| json::parse(l).ok())
+/// The last line of a campaign's JSONL stream that decodes as a snapshot
+/// (a torn tail is skipped). Reads the file backwards from its end, a
+/// window at a time, so a scrape does not grow with the campaign's length.
+fn latest_snapshot(path: &std::path::Path) -> Option<TelemetrySnapshot> {
+    let mut file = std::fs::File::open(path).ok()?;
+    let len = file.metadata().ok()?.len();
+    let mut window = 16 * 1024;
+    loop {
+        let start = len.saturating_sub(window);
+        let mut tail = Vec::new();
+        file.seek(SeekFrom::Start(start)).and_then(|_| file.read_to_end(&mut tail)).ok()?;
+        let tail = String::from_utf8_lossy(&tail);
+        // Unless the window reaches the start, its first line may be cut.
+        let whole =
+            if start > 0 { tail.split_once('\n').map_or("", |(_, rest)| rest) } else { &tail };
+        let found = whole.lines().rev().find_map(|l| json::from_str(l).ok());
+        if found.is_some() || start == 0 {
+            return found;
+        }
+        window *= 4;
+    }
 }
 
 fn status(inner: &Arc<Inner>, id: &str) -> Response {
@@ -741,7 +757,6 @@ fn results(inner: &Arc<Inner>, id: &str) -> Response {
                 "report" => path(job.dirs.report()),
                 "trace" => path(job.dirs.trace()),
                 "stream" => path(job.dirs.stream()),
-                "prometheus" => path(job.dirs.prom()),
                 "checkpoint" => path(job.dirs.checkpoint()),
             },
         },
@@ -749,60 +764,47 @@ fn results(inner: &Arc<Inner>, id: &str) -> Response {
     Response::json(200, &doc)
 }
 
+/// `GET /metrics`: the service's gauges, then every campaign's latest
+/// snapshot rendered as one exposition (one `campaign` label each,
+/// validated and deduplicated at admission, so series stay disjoint).
 fn metrics(inner: &Arc<Inner>) -> Response {
     let st = inner.lock();
-    let mut parts = Vec::new();
-    let mut by_state: HashMap<&'static str, usize> = HashMap::new();
+    let mut out = String::new();
+    let one = |value: usize| [(String::new(), value.to_string())];
+    let queued = st.jobs.values().filter(|j| j.record.state == JobState::Queued).count();
+    let pool = [
+        ("repex_svc_pool_cores", "cores in the shared virtual cluster", st.fair.pool().total()),
+        ("repex_svc_free_cores", "cores not currently leased to a campaign", st.fair.free_cores()),
+        (
+            "repex_svc_peak_leased_cores",
+            "high-water mark of simultaneously leased cores",
+            st.fair.peak_leased(),
+        ),
+        ("repex_svc_queue_depth", "campaigns waiting for cores", queued),
+    ];
+    for (name, help, value) in pool {
+        obs::prometheus_gauge(&mut out, name, help, one(value));
+    }
+    let mut by_state: BTreeMap<&str, usize> = BTreeMap::new();
     for job in st.jobs.values() {
         *by_state.entry(job.record.state.name()).or_default() += 1;
     }
-    parts.push(service_gauge(
-        "repex_svc_pool_cores",
-        "cores in the shared virtual cluster",
-        &[],
-        st.fair.pool().total(),
-    ));
-    parts.push(service_gauge(
-        "repex_svc_free_cores",
-        "cores not currently leased to a campaign",
-        &[],
-        st.fair.free_cores(),
-    ));
-    parts.push(service_gauge(
-        "repex_svc_peak_leased_cores",
-        "high-water mark of simultaneously leased cores",
-        &[],
-        st.fair.peak_leased(),
-    ));
-    parts.push(service_gauge(
-        "repex_svc_queue_depth",
-        "campaigns waiting for cores",
-        &[],
-        st.jobs.values().filter(|j| j.record.state == JobState::Queued).count(),
-    ));
-    for (state, count) in by_state {
-        parts.push(service_gauge(
-            "repex_svc_jobs",
-            "campaigns by lifecycle state",
-            &[("state", state)],
-            count,
-        ));
-    }
-    // Per-campaign exporter files, one unique `campaign` label each
-    // (validated and deduplicated at admission, so series stay disjoint).
+    let by_state = by_state
+        .into_iter()
+        .map(|(state, n)| (obs::prometheus_labels(&[("state", state)]), n.to_string()));
+    obs::prometheus_gauge(&mut out, "repex_svc_jobs", "campaigns by lifecycle state", by_state);
     let mut jobs: Vec<&Job> = st.jobs.values().collect();
     jobs.sort_by_key(|j| j.record.seq);
-    for job in jobs {
-        if let Ok(text) = std::fs::read_to_string(job.dirs.prom()) {
-            parts.push(text);
-        }
-    }
-    Response::text(200, merge_prometheus(&parts))
+    let snaps: Vec<TelemetrySnapshot> =
+        jobs.iter().filter_map(|j| latest_snapshot(&j.dirs.stream())).collect();
+    out.push_str(&obs::prometheus_text(&snaps));
+    Response::text(200, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json::Encode;
 
     /// `reject` bodies carry machine-readable codes in a stable schema.
     #[test]
@@ -835,9 +837,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("repex-svc-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.jsonl");
-        std::fs::write(&path, "{\"seq\":1}\n{\"seq\":2}\n{\"seq\":3,\"tr").unwrap();
-        let snap = latest_snapshot(&path).unwrap();
-        assert_eq!(snap["seq"], 2, "torn trailing line is skipped");
+        let line = |seq| TelemetrySnapshot { seq, ..Default::default() }.encode().compact();
+        let body = format!("{}\n{}\n{{\"seq\":3,\"tr", line(1), line(2));
+        std::fs::write(&path, &body).unwrap();
+        assert_eq!(latest_snapshot(&path).map(|s| s.seq), Some(2), "torn trailing line is skipped");
+        // A tail longer than the first window: the reader widens it.
+        std::fs::write(&path, body + &"x".repeat(40_000)).unwrap();
+        assert_eq!(latest_snapshot(&path).map(|s| s.seq), Some(2));
+        std::fs::write(&path, "{\"seq\":1}\n").unwrap();
+        assert_eq!(latest_snapshot(&path), None, "a line that is not a snapshot is not one");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

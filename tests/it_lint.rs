@@ -5,11 +5,12 @@
 //! round-trip-coverage rule (L501/L502) agrees with what a simulated run
 //! actually measures via `exchange::stats`.
 
-use lint::{lint_config, LintOptions, Severity};
+use lint::{lint_config, LintOptions};
+use obs::Severity;
 use repex::config::{DimensionConfig, SimulationConfig};
 use repex::simulation::RemdSimulation;
 
-fn codes(diags: &[lint::Diagnostic]) -> Vec<&str> {
+fn codes(diags: &[obs::Diagnostic]) -> Vec<&str> {
     diags.iter().map(|d| d.code.as_str()).collect()
 }
 
@@ -26,7 +27,7 @@ fn example_configs_lint_clean() {
         let cfg = SimulationConfig::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         cfg.validate().unwrap_or_else(|e| panic!("{path:?}: {e}"));
         let diags = lint_config(&cfg, &LintOptions::default());
-        assert!(!repex::diag::has_errors(&diags), "{path:?} has error findings: {diags:?}");
+        assert!(!obs::diag::has_errors(&diags), "{path:?} has error findings: {diags:?}");
         checked += 1;
     }
     assert!(checked >= 5, "expected the shipped example configs, found {checked}");
@@ -45,7 +46,7 @@ fn info_level_mode_ii_plan() {
     cfg.resource.cores = Some(8);
     let diags = lint_config(&cfg, &LintOptions::default());
     assert!(codes(&diags).contains(&"L001"), "{diags:?}");
-    assert_eq!(repex::diag::max_severity(&diags), Some(Severity::Info), "{diags:?}");
+    assert_eq!(obs::diag::max_severity(&diags), Some(Severity::Info), "{diags:?}");
 }
 
 /// Warning level: the plan runs but won't do what the user wants.
@@ -53,7 +54,7 @@ fn info_level_mode_ii_plan() {
 fn warning_level_single_cycle_plan() {
     let diags = lint_config(&SimulationConfig::t_remd(8, 6000, 1), &LintOptions::default());
     assert!(codes(&diags).contains(&"L501"), "{diags:?}");
-    assert_eq!(repex::diag::max_severity(&diags), Some(Severity::Warning), "{diags:?}");
+    assert_eq!(obs::diag::max_severity(&diags), Some(Severity::Warning), "{diags:?}");
 }
 
 /// Error level: the plan cannot work as configured.
@@ -67,7 +68,7 @@ fn error_level_underprovisioned_salt_plan() {
     cfg.resource.cores = Some(2);
     let diags = lint_config(&cfg, &LintOptions::default());
     assert!(codes(&diags).contains(&"L201"), "{diags:?}");
-    assert_eq!(repex::diag::max_severity(&diags), Some(Severity::Error), "{diags:?}");
+    assert_eq!(obs::diag::max_severity(&diags), Some(Severity::Error), "{diags:?}");
 }
 
 /// A 1-rung ladder: the linter warns it can never exchange (L502), and a

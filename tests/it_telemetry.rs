@@ -5,7 +5,8 @@
 //! single source of truth if every window telescopes exactly.
 
 use integration::quick_tremd;
-use obs::Recorder;
+use obs::json;
+use obs::{merge_snapshots, Recorder, TelemetrySnapshot};
 use repex::config::{FaultPolicy, Pattern};
 use repex::emm::LiveTelemetry;
 use repex::simulation::RemdSimulation;
@@ -18,27 +19,18 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn parse_stream(path: &PathBuf) -> Vec<obs::json::Value> {
+/// Every streamed line decodes as a whole snapshot.
+fn read_stream(path: &PathBuf) -> Vec<TelemetrySnapshot> {
     std::fs::read_to_string(path)
         .unwrap()
         .lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| obs::json::parse(l).expect("every streamed line is a complete JSON record"))
+        .map(|l| json::from_str(l).expect("every streamed line is a complete snapshot"))
         .collect()
 }
 
-/// The reader-side merge: last record per `seq`, ordered by `seq`
-/// (mirrors `obs::merge_snapshots` over raw JSON values).
-fn merge(snaps: Vec<obs::json::Value>) -> Vec<obs::json::Value> {
-    let mut by_seq = std::collections::BTreeMap::new();
-    for s in snaps {
-        by_seq.insert(s["seq"].as_u64().unwrap(), s);
-    }
-    by_seq.into_values().collect()
-}
-
-fn window_sum(snaps: &[obs::json::Value], key: &str) -> u64 {
-    snaps.iter().map(|s| s[key].as_u64().unwrap()).sum()
+fn window_sum(snaps: &[TelemetrySnapshot], window: fn(&TelemetrySnapshot) -> u64) -> u64 {
+    snaps.iter().map(window).sum()
 }
 
 /// Storm campaign, streamed: the merged stream must reproduce the final
@@ -70,60 +62,55 @@ fn streamed_windows_fold_to_end_of_run_truth_under_faults() {
         .unwrap();
     assert!(report.failed_tasks >= 4, "the storm must kill tasks");
 
-    let snaps = merge(parse_stream(&stream));
+    let snaps = merge_snapshots(read_stream(&stream));
     assert_eq!(snaps.len(), 4, "one snapshot per cycle barrier");
     let last = snaps.last().unwrap();
-    assert_eq!(last["campaign"], "storm");
-    assert_eq!(last["done"], true);
-    assert_eq!(last["completed"].as_u64().unwrap(), 4);
-    assert_eq!(last["failed_tasks"].as_u64().unwrap(), report.failed_tasks);
-    assert_eq!(last["relaunched_tasks"].as_u64().unwrap(), report.relaunched_tasks);
-    assert_eq!(last["round_trips"].as_u64().unwrap(), report.round_trips);
+    assert_eq!(last.campaign, "storm");
+    assert!(last.done);
+    assert_eq!(last.completed, 4);
+    assert_eq!(last.failed_tasks, report.failed_tasks);
+    assert_eq!(last.relaunched_tasks, report.relaunched_tasks);
+    assert_eq!(last.round_trips, report.round_trips);
 
     // Cumulative per-dim acceptance equals the report *and* a post-hoc
     // exchange_health replay of the recorded events, to 1e-9.
     let health = obs::exchange_health(&recorder.events());
     for (i, (letter, acc)) in report.acceptance.iter().enumerate() {
-        let d = &last["dims"][i];
-        assert_eq!(d["kind"].as_str().unwrap(), letter.to_string());
-        assert_eq!(d["attempts"].as_u64().unwrap(), acc.attempts, "dim {i} attempts");
-        assert_eq!(d["accepted"].as_u64().unwrap(), acc.accepted, "dim {i} accepted");
+        let d = &last.dims[i];
+        assert_eq!(d.kind, *letter);
+        assert_eq!(d.attempts, acc.attempts, "dim {i} attempts");
+        assert_eq!(d.accepted, acc.accepted, "dim {i} accepted");
         let h = health.iter().find(|h| h.dim == i).expect("replay covers every active dim");
         assert_eq!(h.attempts, acc.attempts);
         assert_eq!(h.accepted, acc.accepted);
-        let drift = (d["ratio"].as_f64().unwrap() - h.ratio()).abs();
+        let drift = (d.ratio() - h.ratio()).abs();
         assert!(drift < 1e-9, "dim {i} acceptance drift {drift}");
     }
 
     // Windows telescope: per-window deltas sum to the cumulative counters.
-    assert_eq!(window_sum(&snaps, "window_failed"), report.failed_tasks);
-    assert_eq!(window_sum(&snaps, "window_relaunched"), report.relaunched_tasks);
-    assert_eq!(window_sum(&snaps, "window_round_trips"), report.round_trips);
+    assert_eq!(window_sum(&snaps, |s| s.window_failed), report.failed_tasks);
+    assert_eq!(window_sum(&snaps, |s| s.window_relaunched), report.relaunched_tasks);
+    assert_eq!(window_sum(&snaps, |s| s.window_round_trips), report.round_trips);
     assert_eq!(
-        window_sum(&snaps, "window_stragglers"),
-        last["stragglers"].as_u64().unwrap(),
+        window_sum(&snaps, |s| s.window_stragglers),
+        last.stragglers,
         "straggler flags accumulate window by window"
     );
-    let dim_window_sum: u64 =
-        snaps.iter().map(|s| s["dims"][0]["window_attempts"].as_u64().unwrap()).sum();
-    assert_eq!(dim_window_sum, last["dims"][0]["attempts"].as_u64().unwrap());
+    assert_eq!(window_sum(&snaps, |s| s.dims[0].window_attempts), last.dims[0].attempts);
 
     // The windowed Tc histograms partition the per-cycle totals: counts sum
     // to the cycle count and durations sum to the report's, to 1e-9.
-    let tc_count: u64 = snaps.iter().map(|s| s["window_tc"]["count"].as_u64().unwrap()).sum();
+    let tc_count = window_sum(&snaps, |s| s.window_tc.count);
     assert_eq!(tc_count, 4);
-    let tc_sum: f64 = snaps.iter().map(|s| s["window_tc"]["sum"].as_f64().unwrap()).sum();
+    let tc_sum: f64 = snaps.iter().map(|s| s.window_tc.sum).sum();
     let report_sum: f64 = report.cycles.iter().map(|c| c.timing.total()).sum();
     assert!((tc_sum - report_sum).abs() < 1e-9, "{tc_sum} vs {report_sum}");
-    assert_eq!(last["tc"]["count"].as_u64().unwrap(), 4);
+    assert_eq!(last.tc.count, 4);
 
     // A104's live twin: the storm's failure burst lands inside one window,
     // so W202 fires on the stream while the run is still going.
-    let fired: Vec<&str> = snaps
-        .iter()
-        .flat_map(|s| s["findings"].as_array().unwrap())
-        .map(|f| f["code"].as_str().unwrap())
-        .collect();
+    let fired: Vec<&str> =
+        snaps.iter().flat_map(|s| &s.findings).map(|f| f.code.as_str()).collect();
     assert!(fired.contains(&"W202"), "live failure-burst rule fires, saw {fired:?}");
 
     // The Prometheus sink holds the final scrape.
@@ -151,38 +138,36 @@ fn snapshot_stream_survives_checkpoint_and_resume() {
         .run()
         .unwrap();
     assert_eq!(first.cycles.len(), 2, "stopped mid-campaign");
-    let leg1 = parse_stream(&stream);
+    let leg1 = read_stream(&stream);
     assert_eq!(leg1.len(), 2);
-    assert_eq!(leg1.last().unwrap()["done"], false, "an interrupted leg is not done");
+    assert!(!leg1.last().unwrap().done, "an interrupted leg is not done");
 
     let resumed = RemdSimulation::resume(&ckpt).unwrap().with_live_telemetry(live()).run().unwrap();
     assert_eq!(resumed.cycles.len(), 4, "resume finishes the campaign");
 
-    let raw = parse_stream(&stream);
+    let raw = read_stream(&stream);
     for w in raw.windows(2) {
         assert!(
-            w[1]["seq"].as_u64().unwrap() > w[0]["seq"].as_u64().unwrap(),
+            w[1].seq > w[0].seq,
             "the checkpointed cursor keeps seqs strictly increasing across the resume"
         );
     }
-    let snaps = merge(raw);
+    let snaps = merge_snapshots(raw);
     assert_eq!(snaps.len(), 4);
     let last = snaps.last().unwrap();
-    assert_eq!(last["done"], true);
-    assert_eq!(last["completed"].as_u64().unwrap(), 4);
-    assert_eq!(last["failed_tasks"].as_u64().unwrap(), resumed.failed_tasks);
-    assert_eq!(last["round_trips"].as_u64().unwrap(), resumed.round_trips);
+    assert!(last.done);
+    assert_eq!(last.completed, 4);
+    assert_eq!(last.failed_tasks, resumed.failed_tasks);
+    assert_eq!(last.round_trips, resumed.round_trips);
     for (i, (_, acc)) in resumed.acceptance.iter().enumerate() {
-        let d = &last["dims"][i];
-        assert_eq!(d["attempts"].as_u64().unwrap(), acc.attempts, "dim {i}");
-        assert_eq!(d["accepted"].as_u64().unwrap(), acc.accepted, "dim {i}");
+        let d = &last.dims[i];
+        assert_eq!(d.attempts, acc.attempts, "dim {i}");
+        assert_eq!(d.accepted, acc.accepted, "dim {i}");
     }
     // Telescoping holds across the boundary: leg 2's baseline picks up
     // exactly where leg 1's cumulative counters left off.
-    let dim_window_sum: u64 =
-        snaps.iter().map(|s| s["dims"][0]["window_attempts"].as_u64().unwrap()).sum();
-    assert_eq!(dim_window_sum, last["dims"][0]["attempts"].as_u64().unwrap());
-    let tc_count: u64 = snaps.iter().map(|s| s["window_tc"]["count"].as_u64().unwrap()).sum();
+    assert_eq!(window_sum(&snaps, |s| s.dims[0].window_attempts), last.dims[0].attempts);
+    let tc_count = window_sum(&snaps, |s| s.window_tc.count);
     assert_eq!(tc_count, 4, "every cycle's Tc lands in exactly one window");
 }
 
@@ -203,24 +188,20 @@ fn async_terminal_snapshot_matches_the_report() {
         })
         .run()
         .unwrap();
-    let snaps = merge(parse_stream(&stream));
+    let snaps = merge_snapshots(read_stream(&stream));
     assert!(!snaps.is_empty());
     let last = snaps.last().unwrap();
-    assert_eq!(last["done"], true);
-    assert_eq!(last["total"].as_u64().unwrap(), 8 * 3, "segments, not cycles, for async");
+    assert!(last.done);
+    assert_eq!(last.total, 8 * 3, "segments, not cycles, for async");
+    assert_eq!(last.completed, 8 * 3, "the terminal snapshot covers the full drain");
+    assert_eq!(last.failed_tasks, report.failed_tasks);
+    assert_eq!(last.relaunched_tasks, report.relaunched_tasks);
     assert_eq!(
-        last["completed"].as_u64().unwrap(),
-        8 * 3,
-        "the terminal snapshot covers the full drain"
-    );
-    assert_eq!(last["failed_tasks"].as_u64().unwrap(), report.failed_tasks);
-    assert_eq!(last["relaunched_tasks"].as_u64().unwrap(), report.relaunched_tasks);
-    assert_eq!(
-        window_sum(&snaps, "window_md_segments"),
-        last["md_segments"].as_u64().unwrap(),
+        window_sum(&snaps, |s| s.window_md_segments),
+        last.md_segments,
         "segment windows telescope"
     );
-    assert_eq!(last["tc"]["count"].as_u64().unwrap(), 0, "Tc is a sync-barrier concept");
+    assert_eq!(last.tc.count, 0, "Tc is a sync-barrier concept");
 }
 
 /// `--progress` equivalence: the line rendered off the snapshot bus must be
