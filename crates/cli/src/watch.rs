@@ -111,7 +111,7 @@ fn read_merged(path: &str) -> Result<Vec<TelemetrySnapshot>, String> {
 /// rows `repex analyze` writes as `exchange_health`, from the same encoder,
 /// so a mid-run `watch --once --json` agrees with a post-hoc trace replay
 /// over the same event prefix.
-pub(crate) fn watch_doc(path: &str, merged: &[TelemetrySnapshot]) -> Value {
+fn watch_doc(path: &str, merged: &[TelemetrySnapshot]) -> Value {
     let latest = &merged[merged.len() - 1];
     obj! {
         "stream" => path,

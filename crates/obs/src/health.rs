@@ -172,18 +172,20 @@ pub fn trace_findings(
         }
     }
     let outcomes = events.iter().any(|e| matches!(e, Event::ExchangeOutcome { .. }));
-    if windows && !outcomes && full_window {
-        out.push(Diagnostic::error(
-            "A102",
-            "exchange windows ran with every replica but no exchange outcome was recorded: \
-             the exchange step produced no decisions",
-        ));
-    } else if windows && !outcomes {
-        out.push(Diagnostic::warning(
-            "A102",
-            "exchange windows ran with participants but no exchange outcome was recorded: \
-             the ready replicas may not have been adjacent",
-        ));
+    if windows && !outcomes {
+        out.push(if full_window {
+            Diagnostic::error(
+                "A102",
+                "exchange windows ran with every replica but no exchange outcome was recorded: \
+                 the exchange step produced no decisions",
+            )
+        } else {
+            Diagnostic::warning(
+                "A102",
+                "exchange windows ran with participants but no exchange outcome was recorded: \
+                 the ready replicas may not have been adjacent",
+            )
+        });
     }
     for h in health.iter().filter(|h| h.attempts > 0 && h.accepted == 0) {
         out.push(
