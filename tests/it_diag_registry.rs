@@ -3,8 +3,8 @@
 //!
 //! This test walks `crates/*/src` for *emitted* codes (both the
 //! `Diagnostic::error("X123", …)` constructor family — which rustfmt may
-//! split across lines — and the `code: "X123"` struct-literal form the
-//! telemetry rules use) and then enforces:
+//! split across lines — and the `code: "X123"` struct-literal form) and
+//! then enforces:
 //!
 //! 1. every emitted code appears in the DESIGN.md catalog (en-dash ranges
 //!    like `C030–C038` count as enumerations),
