@@ -24,6 +24,7 @@ pub mod event;
 pub mod health;
 pub mod json;
 pub mod live;
+pub mod metrics;
 pub mod recorder;
 pub mod stats;
 pub mod timeline_stats;
@@ -40,10 +41,12 @@ pub use health::{
     DimExchangeHealth, ACCEPTANCE_BAND,
 };
 pub use live::{
-    campaign_label, merge_snapshots, prometheus_gauge, prometheus_labels, prometheus_text,
-    render_progress_line, sanitize_metric_name, validate_campaign_id, CampaignIdError, DimSnapshot,
+    merge_snapshots, render_progress_line, validate_campaign_id, CampaignIdError, DimSnapshot,
     EmitStats, HistSummary, LiveBaseline, LiveConfig, LiveState, TelemetrySnapshot,
     CAMPAIGN_ID_MAX_LEN,
+};
+pub use metrics::{
+    campaign_label, prometheus_gauge, prometheus_labels, prometheus_text, sanitize_metric_name,
 };
 pub use recorder::Recorder;
 pub use stats::LogHistogram;
