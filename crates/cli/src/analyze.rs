@@ -17,18 +17,18 @@ use obs::json::{Encode, Value};
 use obs::{obj, Diagnostic, Event};
 use std::collections::BTreeSet;
 
-pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
-    let path = args.first().ok_or("analyze needs a trace file path")?;
-    let json_out = crate::flag_value(args, "--json")?;
-    let z = crate::float_flag(args, "--straggler-z")?.unwrap_or(2.0);
-    let ratio = crate::float_flag(args, "--straggler-ratio")?.unwrap_or(1.5);
+pub(crate) fn cmd_analyze(args: &crate::Args) -> Result<u8, String> {
+    let path = args.path();
+    let json_out = args.text("--json");
+    let z = args.number("--straggler-z").unwrap_or(2.0);
+    let ratio = args.number("--straggler-ratio").unwrap_or(1.5);
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let events = match obs::parse_chrome_trace(&text) {
         Ok(events) => events,
         Err(e) => {
             // Same boundary as check/plan: unparseable input exits 2, but a
             // requested --json artifact still records a typed C000 error.
-            crate::write_parse_failure_report(json_out.as_deref(), &e);
+            crate::write_parse_failure_report(json_out, &e);
             return Err(format!("{path}: {e}"));
         }
     };
@@ -42,8 +42,7 @@ pub fn cmd_analyze(args: &[String]) -> Result<u8, String> {
     let has_errors = report.has_errors();
     if let Some(out) = json_out {
         let doc = doc.with("diagnostics", &report.diagnostics).with("summary", report.summary);
-        std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("[analysis written: {out}]");
+        crate::write_out(out, &doc.pretty(), "analysis")?;
     }
     Ok(u8::from(has_errors))
 }
@@ -146,18 +145,18 @@ pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> (Value, Vec<Di
     (doc, findings)
 }
 
+/// A time in the document, to one decimal (0 when absent).
+fn seconds(v: &Value) -> String {
+    f1(v.as_f64().unwrap_or(0.0))
+}
+
 fn print_human(doc: &Value) {
     let cycles = &doc["cycles"];
     let tc = &cycles["tc"];
     println!("trace: {} events, {} cycles", doc["events"], cycles["count"]);
     if cycles["count"].as_u64().unwrap_or(0) > 0 {
-        println!(
-            "Tc: p50 {}s  p90 {}s  p99 {}s  mean {}s",
-            f1(tc["p50"].as_f64().unwrap_or(0.0)),
-            f1(tc["p90"].as_f64().unwrap_or(0.0)),
-            f1(tc["p99"].as_f64().unwrap_or(0.0)),
-            f1(tc["mean"].as_f64().unwrap_or(0.0)),
-        );
+        let [p50, p90, p99, mean] = ["p50", "p90", "p99", "mean"].map(|k| seconds(&tc[k]));
+        println!("Tc: p50 {p50}s  p90 {p90}s  p99 {p99}s  mean {mean}s");
         let b = &doc["breakdown_avg"];
         let mut table = TextTable::new(vec![
             "avg MD (s)",
@@ -166,36 +165,27 @@ fn print_human(doc: &Value) {
             "avg RepEx (s)",
             "avg RP (s)",
         ]);
-        table.add_row(vec![
-            f1(b["t_md"].as_f64().unwrap_or(0.0)),
-            f1(b["t_ex"].as_f64().unwrap_or(0.0)),
-            f1(b["t_data"].as_f64().unwrap_or(0.0)),
-            f1(b["t_repex_over"].as_f64().unwrap_or(0.0)),
-            f1(b["t_rp_over"].as_f64().unwrap_or(0.0)),
-        ]);
+        let row = ["t_md", "t_ex", "t_data", "t_repex_over", "t_rp_over"].map(|k| seconds(&b[k]));
+        table.add_row(row.to_vec());
         println!("\n{}", table.render());
     }
 
     let tl = &doc["timeline"];
     println!(
         "timeline: span {}s, {} replicas, stragglers {} {}, MD batch stretch mean {:.2} max {:.2} (imbalance up to {}s)",
-        f1(tl["span"].as_f64().unwrap_or(0.0)),
+        seconds(&tl["span"]),
         tl["replicas"],
         tl["straggler_count"],
         tl["stragglers"],
         tl["mean_stretch"].as_f64().unwrap_or(1.0),
         tl["max_stretch"].as_f64().unwrap_or(1.0),
-        f1(tl["max_batch_imbalance"].as_f64().unwrap_or(0.0)),
+        seconds(&tl["max_batch_imbalance"]),
     );
 
     let cp = &doc["critical_path"];
-    println!(
-        "critical path: {}s over a {}s span (slack {}s), bound by {}",
-        f1(cp["total"].as_f64().unwrap_or(0.0)),
-        f1(cp["span"].as_f64().unwrap_or(0.0)),
-        f1(cp["slack"].as_f64().unwrap_or(0.0)),
-        cp["dominant"].as_str().unwrap_or("?"),
-    );
+    let [total, span, slack] = ["total", "span", "slack"].map(|k| seconds(&cp[k]));
+    let dominant = cp["dominant"].as_str().unwrap_or("?");
+    println!("critical path: {total}s over a {span}s span (slack {slack}s), bound by {dominant}");
     if let Some(bound) = cp["cycles_bound_by"].as_object() {
         if !bound.is_empty() {
             let parts: Vec<String> = bound.iter().map(|(k, v)| format!("{k}: {v}")).collect();

@@ -8,35 +8,18 @@
 //! codes: 0 clean, 1 error-level findings (P0xx or structural C0xx),
 //! 2 usage/parse error.
 
+use crate::Args;
 use lint::plan::{plan_config, PlanOptions};
 use lint::report::Report;
-use repex::config::SimulationConfig;
 
-pub fn cmd_plan(args: &[String]) -> Result<u8, String> {
-    let path = args.first().ok_or("plan needs a config file path")?;
-    if path.starts_with("--") && path != "--help" {
-        return Err(format!("plan needs a config file path before the flags, got {path:?}"));
-    }
-    let json_out = crate::flag_value(args, "--json")?;
-    let target_round_trip = crate::float_flag(args, "--target-round-trip")?;
-    let budget_core_hours = crate::float_flag(args, "--budget-core-hours")?;
-    let no_search = args.iter().any(|a| a == "--no-search");
-
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let cfg = match SimulationConfig::from_json(&text) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            // Shared check/analyze/plan convention: a config that does not
-            // parse is a usage error (exit 2), but a requested --json
-            // artifact still gets a typed C000 record.
-            crate::write_parse_failure_report(json_out.as_deref(), &e);
-            return Err(crate::config_error(e));
-        }
-    };
+pub(crate) fn cmd_plan(args: &Args) -> Result<u8, String> {
+    let path = args.path();
+    let json_out = args.text("--json");
+    let (text, cfg) = crate::read_config(path, json_out)?;
     let opts = PlanOptions {
-        target_round_trip,
-        budget_core_seconds: budget_core_hours.map(|h| h * 3600.0),
-        search: !no_search,
+        target_round_trip: args.number("--target-round-trip"),
+        budget_core_seconds: args.number("--budget-core-hours").map(|h| h * 3600.0),
+        search: !args.switch("--no-search"),
         ..PlanOptions::default()
     };
     let outcome = plan_config(&cfg, &opts);
@@ -53,8 +36,7 @@ pub fn cmd_plan(args: &[String]) -> Result<u8, String> {
             "diagnostics" => report.diagnostics,
             "summary" => report.summary,
         };
-        std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("[plan written: {out}]");
+        crate::write_out(out, &doc.pretty(), "plan")?;
     }
     Ok(u8::from(report.has_errors()))
 }

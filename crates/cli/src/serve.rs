@@ -1,65 +1,26 @@
-//! `repex serve` and the service client verbs.
-//!
-//! ```text
-//! repex serve --spool <dir> [--cluster <preset>] [--addr <host:port>]
-//!             [--max-queue <n>] [--slice <cycles>] [--budget-core-hours <h>]
-//! repex submit <config.json> --campaign <id> [--server <host:port>]
-//!              [--tenant <name>] [--weight <w>] [--priority <p>]
-//! repex status [<id>] [--server <host:port>] [--json]
-//! repex cancel <id> [--server <host:port>]
-//! repex results <id> [--server <host:port>] [--json <out.json>]
-//! repex metrics [--server <host:port>]
-//! ```
+//! `repex serve` and the service client verbs (usage: `repex --help`).
 //!
 //! The client verbs speak the service's JSON API (DESIGN.md §13) and keep
 //! the repo's exit-code convention: 0 = accepted/clean, 1 = the service
 //! rejected the request (diagnostics printed), 2 = usage/IO error.
 
-use crate::{flag_value, float_flag, uint_flag};
+use crate::Args;
 use obs::json::{self, Value};
 use obs::obj;
 
 /// Default control-plane address, shared by `serve` and the client verbs.
 const DEFAULT_ADDR: &str = "127.0.0.1:8642";
 
-fn server_addr(args: &[String]) -> Result<String, String> {
-    Ok(flag_value(args, "--server")?.unwrap_or_else(|| DEFAULT_ADDR.to_string()))
-}
-
-/// First positional (non-flag) argument after the verb. Every flag takes a
-/// value except the verb's `booleans`.
-fn positional<'a>(args: &'a [String], booleans: &[&str]) -> Option<&'a String> {
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = !booleans.contains(&a.as_str());
-            continue;
-        }
-        return Some(a);
-    }
-    None
-}
-
-pub(crate) fn cmd_serve(args: &[String]) -> Result<u8, String> {
-    let spool = flag_value(args, "--spool")?.ok_or("serve needs --spool <dir>")?;
+pub(crate) fn cmd_serve(args: &Args) -> Result<u8, String> {
+    let spool =
+        args.text("--spool").ok_or_else(|| args.verb.usage_error("serve needs --spool <dir>"))?;
     let mut cfg = svc::ServiceConfig::new(spool);
-    if let Some(cluster) = flag_value(args, "--cluster")? {
-        cfg.cluster = cluster;
-    }
-    cfg.addr = flag_value(args, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string());
-    if let Some(n) = uint_flag(args, "--max-queue")? {
-        cfg.max_queue = n as usize;
-    }
-    if let Some(n) = uint_flag(args, "--slice")? {
-        cfg.slice_cycles = n;
-    }
-    if let Some(h) = float_flag(args, "--budget-core-hours")? {
-        cfg.budget_core_seconds = h * 3600.0;
-    }
+    cfg.cluster = args.text("--cluster").unwrap_or(&cfg.cluster).to_string();
+    cfg.addr = args.text("--addr").unwrap_or(DEFAULT_ADDR).to_string();
+    cfg.max_queue = args.count("--max-queue").map_or(cfg.max_queue, |n| n as usize);
+    cfg.slice_cycles = args.count("--slice").unwrap_or(cfg.slice_cycles);
+    cfg.budget_core_seconds =
+        args.number("--budget-core-hours").map_or(cfg.budget_core_seconds, |h| h * 3600.0);
     let service = svc::CampaignService::start(cfg)?;
     println!("repex service listening on http://{}", service.addr());
     // Serve until killed. Jobs interrupted by a hard kill re-queue from
@@ -91,14 +52,28 @@ fn print_rejection(status: u16, doc: &Value) {
     }
 }
 
-pub(crate) fn cmd_submit(args: &[String]) -> Result<u8, String> {
-    let path = positional(args, &[]).ok_or("submit needs a config file path")?;
-    let campaign = flag_value(args, "--campaign")?
-        .ok_or("submit needs --campaign <id> (the spool directory and metrics label)")?;
-    let server = server_addr(args)?;
-    let tenant = flag_value(args, "--tenant")?.unwrap_or_else(|| "default".to_string());
-    let weight = float_flag(args, "--weight")?.unwrap_or(1.0);
-    let priority = uint_flag(args, "--priority")?.unwrap_or(0);
+/// A reply's body, or `None` for a rejection already printed.
+type Reply = Result<Option<Vec<u8>>, String>;
+
+/// One request to `--server`. A reply whose status is not in `ok` is printed
+/// as a rejection and comes back as `None`: the verb exits 1.
+fn call(args: &Args, method: &str, path: &str, body: Option<&[u8]>, ok: &[u16]) -> Reply {
+    let server = args.text("--server").unwrap_or(DEFAULT_ADDR);
+    let (status, resp) = svc::http::request(server, method, path, body)?;
+    if ok.contains(&status) {
+        return Ok(Some(resp));
+    }
+    print_rejection(status, &parse_body(&resp));
+    Ok(None)
+}
+
+pub(crate) fn cmd_submit(args: &Args) -> Result<u8, String> {
+    let path = args.path();
+    let campaign =
+        args.text("--campaign").ok_or_else(|| args.verb.usage_error("submit needs --campaign"))?;
+    let tenant = args.text("--tenant").unwrap_or("default");
+    let weight = args.number("--weight").unwrap_or(1.0);
+    let priority = args.count("--priority").unwrap_or(0);
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let config = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let body = obj! {
@@ -107,27 +82,24 @@ pub(crate) fn cmd_submit(args: &[String]) -> Result<u8, String> {
         "weight" => weight,
         "priority" => priority,
         "config" => config,
-    };
-    let (status, resp) =
-        svc::http::request(&server, "POST", "/campaigns", Some(body.compact().as_bytes()))?;
-    let doc = parse_body(&resp);
-    if status == 201 {
-        println!(
-            "accepted campaign {campaign} (tenant {tenant}, {} cores, seq {})",
-            doc["cores"], doc["seq"]
-        );
-        for w in doc["warnings"].as_array().into_iter().flatten() {
-            eprintln!(
-                "  {} warning: {}",
-                w["code"].as_str().unwrap_or("?"),
-                w["message"].as_str().unwrap_or(""),
-            );
-        }
-        Ok(0)
-    } else {
-        print_rejection(status, &doc);
-        Ok(1)
     }
+    .compact();
+    let Some(resp) = call(args, "POST", "/campaigns", Some(body.as_bytes()), &[201])? else {
+        return Ok(1);
+    };
+    let doc = parse_body(&resp);
+    println!(
+        "accepted campaign {campaign} (tenant {tenant}, {} cores, seq {})",
+        doc["cores"], doc["seq"]
+    );
+    for w in doc["warnings"].as_array().into_iter().flatten() {
+        eprintln!(
+            "  {} warning: {}",
+            w["code"].as_str().unwrap_or("?"),
+            w["message"].as_str().unwrap_or(""),
+        );
+    }
+    Ok(0)
 }
 
 /// Render one campaign's status document as a human line.
@@ -155,20 +127,12 @@ fn status_line(doc: &Value) -> String {
     line
 }
 
-pub(crate) fn cmd_status(args: &[String]) -> Result<u8, String> {
-    let server = server_addr(args)?;
-    let json = args.iter().any(|a| a == "--json");
-    let path = match positional(args, &["--json"]) {
-        Some(id) => format!("/campaigns/{id}"),
-        None => "/campaigns".to_string(),
-    };
-    let (status, resp) = svc::http::request(&server, "GET", &path, None)?;
+pub(crate) fn cmd_status(args: &Args) -> Result<u8, String> {
+    let path =
+        args.operand.as_deref().map_or("/campaigns".to_string(), |id| format!("/campaigns/{id}"));
+    let Some(resp) = call(args, "GET", &path, None, &[200])? else { return Ok(1) };
     let doc = parse_body(&resp);
-    if status != 200 {
-        print_rejection(status, &doc);
-        return Ok(1);
-    }
-    if json {
+    if args.switch("--json") {
         println!("{}", doc.pretty());
     } else if let Some(campaigns) = doc["campaigns"].as_array() {
         println!(
@@ -187,49 +151,28 @@ pub(crate) fn cmd_status(args: &[String]) -> Result<u8, String> {
     Ok(0)
 }
 
-pub(crate) fn cmd_cancel(args: &[String]) -> Result<u8, String> {
-    let id = positional(args, &[]).ok_or("cancel needs a campaign id")?;
-    let server = server_addr(args)?;
-    let (status, resp) = svc::http::request(&server, "DELETE", &format!("/campaigns/{id}"), None)?;
-    let doc = parse_body(&resp);
-    if status == 200 || status == 202 {
-        println!("campaign {id}: {}", doc["state"].as_str().unwrap_or("?"));
-        Ok(0)
-    } else {
-        print_rejection(status, &doc);
-        Ok(1)
-    }
+pub(crate) fn cmd_cancel(args: &Args) -> Result<u8, String> {
+    let id = args.path();
+    let Some(resp) = call(args, "DELETE", &format!("/campaigns/{id}"), None, &[200, 202])? else {
+        return Ok(1);
+    };
+    println!("campaign {id}: {}", parse_body(&resp)["state"].as_str().unwrap_or("?"));
+    Ok(0)
 }
 
-pub(crate) fn cmd_results(args: &[String]) -> Result<u8, String> {
-    let id = positional(args, &[]).ok_or("results needs a campaign id")?;
-    let server = server_addr(args)?;
-    let json_out = flag_value(args, "--json")?;
-    let (status, resp) =
-        svc::http::request(&server, "GET", &format!("/campaigns/{id}/results"), None)?;
-    let doc = parse_body(&resp);
-    if status != 200 {
-        print_rejection(status, &doc);
-        return Ok(1);
-    }
-    let pretty = doc.pretty();
-    match json_out {
-        Some(out) => {
-            std::fs::write(&out, &pretty).map_err(|e| format!("cannot write {out}: {e}"))?;
-            eprintln!("[results written: {out}]");
-        }
+pub(crate) fn cmd_results(args: &Args) -> Result<u8, String> {
+    let path = format!("/campaigns/{}/results", args.path());
+    let Some(resp) = call(args, "GET", &path, None, &[200])? else { return Ok(1) };
+    let pretty = parse_body(&resp).pretty();
+    match args.text("--json") {
+        Some(out) => crate::write_out(out, &pretty, "results")?,
         None => println!("{pretty}"),
     }
     Ok(0)
 }
 
-pub(crate) fn cmd_metrics(args: &[String]) -> Result<u8, String> {
-    let server = server_addr(args)?;
-    let (status, resp) = svc::http::request(&server, "GET", "/metrics", None)?;
-    if status != 200 {
-        print_rejection(status, &parse_body(&resp));
-        return Ok(1);
-    }
+pub(crate) fn cmd_metrics(args: &Args) -> Result<u8, String> {
+    let Some(resp) = call(args, "GET", "/metrics", None, &[200])? else { return Ok(1) };
     print!("{}", String::from_utf8_lossy(&resp));
     Ok(0)
 }
@@ -237,29 +180,18 @@ pub(crate) fn cmd_metrics(args: &[String]) -> Result<u8, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn positional_skips_flags_and_their_values() {
-        let args = |a: &[&str]| -> Vec<String> { a.iter().map(|s| s.to_string()).collect() };
-        let status = &["--json"];
-        let id = Some(&"camp-a".to_string());
-        assert_eq!(positional(&args(&["--server", "127.0.0.1:1", "camp-a", "--json"]), status), id);
-        assert_eq!(positional(&args(&["--json", "--server", "x"]), status), None);
-        assert_eq!(positional(&args(&["--json", "camp-a"]), status), id);
-        // `results` takes `--json <out.json>`: the path is not the id.
-        assert_eq!(positional(&args(&["--json", "out.json", "camp-a"]), &[]), id);
-    }
+    use crate::tests::repex;
 
     #[test]
     fn missing_arguments_are_usage_errors() {
-        assert!(cmd_serve(&[]).is_err(), "serve needs --spool");
-        assert!(cmd_submit(&[]).is_err(), "submit needs a config path");
+        assert!(repex("serve", &[]).is_err(), "serve needs --spool");
+        assert!(repex("submit", &[]).is_err(), "submit needs a config path");
         assert!(
-            cmd_submit(&["cfg.json".to_string()]).is_err(),
+            repex("submit", &["cfg.json".to_string()]).is_err(),
             "submit needs an explicit --campaign"
         );
-        assert!(cmd_cancel(&[]).is_err());
-        assert!(cmd_results(&[]).is_err());
+        assert!(repex("cancel", &[]).is_err());
+        assert!(repex("results", &[]).is_err());
     }
 
     /// End-to-end through the verbs against an in-process service.
@@ -283,7 +215,7 @@ mod tests {
             let mut args: Vec<String> =
                 vec![cfg_path.to_string_lossy().into_owned(), "--server".into(), server.clone()];
             args.extend(extra.iter().map(|s| s.to_string()));
-            cmd_submit(&args).unwrap()
+            repex("submit", &args).unwrap()
         };
         assert_eq!(submit(&["--campaign", "verbs-a"]), 0);
         assert_eq!(submit(&["--campaign", "verbs-a"]), 1, "duplicate id is rejected");
@@ -305,30 +237,33 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "verbs-a not done after 60 s: {doc}");
             std::thread::sleep(std::time::Duration::from_millis(100));
         }
-        assert_eq!(cmd_status(&id_args).unwrap(), 0);
-        assert_eq!(cmd_status(&["--server".into(), server.clone()]).unwrap(), 0, "list form");
+        assert_eq!(repex("status", &id_args).unwrap(), 0);
+        assert_eq!(repex("status", &["--server".into(), server.clone()]).unwrap(), 0, "list form");
 
         let out = dir.join("results.json");
-        let code = cmd_results(&[
-            "verbs-a".into(),
-            "--server".into(),
-            server.clone(),
-            "--json".into(),
-            out.to_string_lossy().into_owned(),
-        ])
+        let code = repex(
+            "results",
+            &[
+                "verbs-a".into(),
+                "--server".into(),
+                server.clone(),
+                "--json".into(),
+                out.to_string_lossy().into_owned(),
+            ],
+        )
         .unwrap();
         assert_eq!(code, 0);
         let doc = json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(doc["report"]["n_replicas"], 4);
 
-        assert_eq!(cmd_metrics(&["--server".into(), server.clone()]).unwrap(), 0);
+        assert_eq!(repex("metrics", &["--server".into(), server.clone()]).unwrap(), 0);
         assert_eq!(
-            cmd_cancel(&["verbs-a".into(), "--server".into(), server.clone()]).unwrap(),
+            repex("cancel", &["verbs-a".into(), "--server".into(), server.clone()]).unwrap(),
             1,
             "cancelling a done campaign is a conflict"
         );
         assert_eq!(
-            cmd_results(&["verbs-none".into(), "--server".into(), server]).unwrap(),
+            repex("results", &["verbs-none".into(), "--server".into(), server]).unwrap(),
             1,
             "unknown campaign"
         );

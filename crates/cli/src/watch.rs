@@ -4,14 +4,9 @@
 //! exchange window as a single JSON line (each line is written with one
 //! `write` call, so a tailer never sees a torn record except for a final
 //! partial line, which is simply re-read on the next poll). This subcommand
-//! consumes that stream from the outside:
-//!
-//! ```text
-//! repex watch <stream.jsonl>            follow the stream, one health line
-//!                                       per snapshot, until done
-//! repex watch <stream.jsonl> --once     report the latest snapshot and exit
-//! repex watch <stream.jsonl> --json     machine-readable output
-//! ```
+//! consumes that stream from the outside: it follows the stream, one health
+//! line per snapshot, until done, or with `--once` reports the latest
+//! snapshot and exits (usage: `repex --help`).
 //!
 //! Because a `--resume`d campaign re-emits from its checkpointed snapshot
 //! cursor, a stream that spans a crash can contain duplicate sequence
@@ -37,14 +32,9 @@ use std::io::{Read, Seek, SeekFrom};
 /// Poll interval while following a live stream.
 const POLL_MS: u64 = 150;
 
-pub fn cmd_watch(args: &[String]) -> Result<u8, String> {
-    let path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("watch needs a snapshot stream path (from repex run --metrics-stream)")?;
-    let once = args.iter().any(|a| a == "--once");
-    let json = args.iter().any(|a| a == "--json");
-    if once {
+pub(crate) fn cmd_watch(args: &crate::Args) -> Result<u8, String> {
+    let (path, json) = (args.path(), args.switch("--json"));
+    if args.switch("--once") {
         let merged = read_merged(path)?;
         let latest = merged.last().expect("read_merged returns at least one snapshot");
         if json {
@@ -249,10 +239,10 @@ mod tests {
     /// `cmd_watch` following a stream, refused if it is still tailing after
     /// 30 s: follow mode only returns on a `done` snapshot it can read.
     fn follow_to_the_end(path: &std::path::Path, extra: &[&str]) -> u8 {
-        let mut args = vec![path.to_string_lossy().into_owned()];
+        let mut args = vec!["watch".to_string(), path.to_string_lossy().into_owned()];
         args.extend(extra.iter().map(|a| a.to_string()));
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(cmd_watch(&args)));
+        std::thread::spawn(move || tx.send(crate::dispatch(&args)));
         rx.recv_timeout(std::time::Duration::from_secs(30))
             .expect("watch is still following a finished stream after 30 s")
             .unwrap()
@@ -310,8 +300,11 @@ mod tests {
 
     #[test]
     fn missing_or_empty_streams_are_clean_errors() {
-        assert!(cmd_watch(&["/no/such/stream.jsonl".into(), "--once".into()]).is_err());
-        assert!(cmd_watch(&["--once".into()]).is_err(), "flag without a path");
+        let watch = |args: &[&str]| {
+            crate::tests::repex("watch", &args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        assert!(watch(&["/no/such/stream.jsonl", "--once"]).is_err());
+        assert!(watch(&["--once"]).is_err(), "flag without a path");
         let path = temp_stream("empty.jsonl", "");
         assert!(doc(&path).is_err(), "no snapshots yet");
     }
@@ -378,7 +371,9 @@ mod tests {
         let mut snap = snap(1, true, 2, 1);
         snap.findings.push(obs::Diagnostic::error("W999", "synthetic"));
         let path = temp_stream("errors.jsonl", &format!("{}\n", snap.encode().compact()));
-        let code = cmd_watch(&[path.to_string_lossy().into_owned(), "--once".into()]).unwrap();
+        let code =
+            crate::tests::repex("watch", &[path.to_string_lossy().into_owned(), "--once".into()])
+                .unwrap();
         assert_eq!(code, 1, "error-severity finding exits 1");
         assert_eq!(follow_to_the_end(&path, &[]), 1, "follow mode honors the same convention");
     }
@@ -401,17 +396,20 @@ mod tests {
 
         // Stop mid-campaign: the stream and the trace both cover exactly
         // the first two cycles.
-        let code = crate::cmd_run(&[
-            cfg_path.to_string_lossy().into_owned(),
-            "--trace".into(),
-            trace_path.to_string_lossy().into_owned(),
-            "--metrics-stream".into(),
-            stream_path.to_string_lossy().into_owned(),
-            "--checkpoint".into(),
-            ckpt_dir.to_string_lossy().into_owned(),
-            "--stop-after".into(),
-            "2".into(),
-        ])
+        let code = crate::tests::repex(
+            "run",
+            &[
+                cfg_path.to_string_lossy().into_owned(),
+                "--trace".into(),
+                trace_path.to_string_lossy().into_owned(),
+                "--metrics-stream".into(),
+                stream_path.to_string_lossy().into_owned(),
+                "--checkpoint".into(),
+                ckpt_dir.to_string_lossy().into_owned(),
+                "--stop-after".into(),
+                "2".into(),
+            ],
+        )
         .unwrap();
         assert_eq!(code, 0);
 

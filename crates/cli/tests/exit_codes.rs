@@ -6,7 +6,8 @@
 //! parsed. On a parse failure every one of the three still honors `--json`
 //! by writing an artifact with a single typed `C000` error record, so
 //! downstream tooling never has to distinguish "no artifact" from "bad
-//! input".
+//! input". A malformed command line is a usage error too: it exits 2 with
+//! the verb's synopsis before anything is read or written.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -134,4 +135,75 @@ fn malformed_trace_exits_two_and_writes_a_c000_artifact() {
     let written =
         std::fs::read_to_string(&artifact).expect("analyze must still write the artifact");
     assert!(written.contains(&format!("\"{PARSE_FAILURE_CODE}\"")), "analyze artifact: {written}");
+}
+
+/// A fresh, empty working directory for one invocation.
+fn empty_dir(name: &str) -> PathBuf {
+    let dir = scratch(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp scratch dir");
+    dir
+}
+
+/// `args` run from the empty directory `dir`, where relative outputs land.
+fn run_in(dir: &std::path::Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repex"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("repex binary must spawn")
+}
+
+/// Malformed command lines. Each exits 2 before reading or writing
+/// anything, and prints the verb's synopsis line: the one `repex --help`
+/// prints for it.
+#[test]
+fn malformed_command_lines_exit_two_with_the_synopsis_and_write_nothing() {
+    let help = String::from_utf8(run(&["--help"]).stdout).expect("utf-8 usage");
+    // A real checkpoint, so `run <config> --resume <dir>` could resume it.
+    let ckpt = empty_dir("usage-ckpt");
+    let ckpt = ckpt.to_str().expect("utf-8 temp path");
+    assert_eq!(code(&run(&["run", tremd(), "--checkpoint", ckpt, "--stop-after", "1"])), 0);
+    let cases: [&[&str]; 7] = [
+        // An unknown flag.
+        &["check", tremd(), "--jsno", "d.json"],
+        // A valued flag followed by a flag instead of its value.
+        &["check", tremd(), "--json", "--force"],
+        // --help is top-level only.
+        &["plan", "--help"],
+        // A number that is not finite.
+        &["plan", tremd(), "--budget-core-hours", "nan", "--json", "plan.json"],
+        // A repeated flag.
+        &["check", tremd(), "--json", "a.json", "--json", "b.json"],
+        // A second operand.
+        &["check", tremd(), tremd(), "--json", "d.json"],
+        // A config and a checkpoint to resume.
+        &["run", tremd(), "--resume", ckpt, "--json", "report.json"],
+    ];
+    for (i, args) in cases.into_iter().enumerate() {
+        let dir = empty_dir(&format!("usage-{i}"));
+        let out = run_in(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{args:?}: {stderr}");
+        let synopsis = help
+            .lines()
+            .map(str::trim)
+            .find(|l| l.starts_with(&format!("repex {} ", args[0])))
+            .expect("the verb's synopsis in --help");
+        assert!(stderr.contains(synopsis), "{args:?} must print {synopsis:?}: {stderr}");
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("scratch").collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}
+
+/// The operand may follow the flags: `check --json d.json <config>` checks
+/// the config and writes what `check <config> --json d.json` writes.
+#[test]
+fn the_operand_may_follow_the_flags() {
+    let dir = empty_dir("operand-last");
+    let out = run_in(&dir, &["check", "--json", "d.json", tremd()]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(code(&run_in(&dir, &["check", tremd(), "--json", "first.json"])), 0);
+    let written = std::fs::read_to_string(dir.join("d.json")).expect("d.json written");
+    assert_eq!(written, std::fs::read_to_string(dir.join("first.json")).expect("first.json"));
 }
