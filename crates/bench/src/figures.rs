@@ -819,7 +819,8 @@ pub fn fig13_async_utilization() -> Figure {
         let busy = obs::md_busy_core_seconds(&events);
         let derived = (busy / (report.pilot_cores as f64 * report.makespan) * 100.0).min(100.0);
         max_drift = max_drift.max((derived - report.utilization_percent).abs());
-        let health = obs::exchange_health(&events);
+        let ledger = obs::ExchangeLedger::from_trace(&events);
+        let health = ledger.dims();
         health_exact &= health.len() == report.acceptance.len()
             && health.iter().zip(&report.acceptance).all(|(h, (letter, s))| {
                 h.kind == *letter && h.attempts == s.attempts && h.accepted == s.accepted

@@ -13,9 +13,9 @@
 
 use analysis::tables::{f1, TextTable};
 use lint::report::Report;
+use obs::health::RoundTripTracker;
 use obs::json::{Encode, Value};
 use obs::{obj, Diagnostic, Event};
-use std::collections::BTreeSet;
 
 pub(crate) fn cmd_analyze(args: &crate::Args) -> Result<u8, String> {
     let path = args.path();
@@ -51,29 +51,6 @@ pub(crate) fn cmd_analyze(args: &crate::Args) -> Result<u8, String> {
 // Analysis
 // ---------------------------------------------------------------------------
 
-/// Ladder round trips replayed from the trace: 1-D runs only (rung == slot).
-fn round_trips_from_trace(events: &[Event]) -> Option<u64> {
-    let dims: BTreeSet<usize> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::ExchangeWindow { dim, .. } | Event::ExchangeOutcome { dim, .. } => Some(*dim),
-            _ => None,
-        })
-        .collect();
-    let n = obs::implied_slot_count(events);
-    if n < 2 || dims.len() != 1 {
-        return None;
-    }
-    let replay = obs::replay_slot_walk(events, n);
-    let mut rt = exchange::stats::RoundTripTracker::new(n, n);
-    for record in &replay.records {
-        for (replica, rung) in record.iter().enumerate() {
-            rt.record(replica, *rung);
-        }
-    }
-    Some(rt.total_round_trips())
-}
-
 /// Build the analysis document and the A1xx findings on the values it is
 /// built from. All numbers derive from the event stream; the per-cycle
 /// critical-path totals are cross-checked against the Eq. 1 aggregator
@@ -99,10 +76,11 @@ pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> (Value, Vec<Di
         *bound_by.entry(cp.path.dominant).or_insert(0) += 1;
     }
 
-    let health = obs::exchange_health(events);
+    // Acceptance per dimension and, on a 1-D ladder, round trips.
+    let ledger = obs::ExchangeLedger::from_trace(events);
     let max_imbalance = tl.phases.iter().map(|p| p.imbalance).fold(0.0f64, f64::max);
 
-    let findings = obs::trace_findings(events, &tl, &global_path, &health);
+    let findings = obs::trace_findings(events, &tl, &global_path, ledger.dims());
     let by_category = global_path.by_category.iter().map(|(c, t)| (c.to_string(), t.encode()));
     let bound_by = bound_by.iter().map(|(phase, n)| (phase.to_string(), n.encode()));
     let doc = obj! {
@@ -139,8 +117,8 @@ pub fn analyze(events: &[Event], policy: obs::StragglerPolicy) -> (Value, Vec<Di
             "cycles_bound_by" => Value::Obj(bound_by.collect()),
             "max_path_vs_eq1_drift" => max_drift,
         },
-        "exchange_health" => health,
-        "round_trips" => round_trips_from_trace(events),
+        "exchange_health" => ledger.dims().to_vec(),
+        "round_trips" => ledger.round_trips().map(RoundTripTracker::total_round_trips),
     };
     (doc, findings)
 }
@@ -217,6 +195,7 @@ fn print_human(doc: &Value) {
 mod tests {
     use super::*;
     use obs::OverheadScope;
+    use repex::config::{DimensionConfig, Pattern, SimulationConfig};
 
     fn sync_cycle(cycle: u64, t0: f64) -> Vec<Event> {
         vec![
@@ -433,6 +412,63 @@ mod tests {
             .run()
             .unwrap();
         (report.failed_tasks, recorder.events())
+    }
+
+    /// A fast traced campaign: its report and its events.
+    fn traced(mut cfg: SimulationConfig) -> (repex::SimulationReport, Vec<Event>) {
+        cfg.surrogate_steps = 5;
+        let recorder = obs::Recorder::enabled();
+        let report = repex::simulation::RemdSimulation::new(cfg)
+            .unwrap()
+            .with_recorder(recorder.clone())
+            .run()
+            .unwrap();
+        (report, recorder.events())
+    }
+
+    /// The acceptance rows of `doc` as the report's (letter, attempts,
+    /// accepted) triples.
+    fn rows(doc: &Value) -> Vec<(String, u64, u64)> {
+        let rows = doc["exchange_health"].as_array().unwrap().iter();
+        let row = |h: &Value| {
+            let kind = h["kind"].as_str().unwrap().to_string();
+            (kind, h["attempts"].as_u64().unwrap(), h["accepted"].as_u64().unwrap())
+        };
+        rows.map(row).collect()
+    }
+
+    fn report_rows(report: &repex::SimulationReport) -> Vec<(String, u64, u64)> {
+        let row = |(letter, s): &(char, exchange::AcceptanceStats)| {
+            (letter.to_string(), s.attempts, s.accepted)
+        };
+        report.acceptance.iter().map(row).collect()
+    }
+
+    #[test]
+    fn a_row_per_dimension_and_round_trips_only_on_a_1d_ladder() {
+        // T × U × U: three dimensions, so no ladder to count round trips on.
+        let mut cfg = SimulationConfig::t_remd(0, 600, 2);
+        cfg.dimensions = vec![
+            DimensionConfig::Temperature { min_k: 273.0, max_k: 373.0, count: 2 },
+            DimensionConfig::Umbrella { dihedral: "phi".into(), count: 2, k_deg: 0.02 },
+            DimensionConfig::Umbrella { dihedral: "psi".into(), count: 2, k_deg: 0.02 },
+        ];
+        let (report, events) = traced(cfg);
+        let (doc, _) = analyze(&events, obs::StragglerPolicy::default());
+        assert_eq!(rows(&doc).len(), 3);
+        assert_eq!(rows(&doc), report_rows(&report));
+        assert!(doc["round_trips"].is_null(), "{}", doc["round_trips"]);
+
+        // Asynchronous 1-D (two rungs, so a few swaps make a round trip):
+        // the report's acceptance and round trips.
+        let mut cfg = SimulationConfig::t_remd(2, 600, 12);
+        cfg.pattern = Pattern::Asynchronous { tick_fraction: 0.25 };
+        let (report, events) = traced(cfg);
+        let (doc, _) = analyze(&events, obs::StragglerPolicy::default());
+        assert_eq!(rows(&doc), report_rows(&report));
+        assert!(report.acceptance[0].1.accepted > 0);
+        assert!(report.round_trips > 0, "a ladder walked end to end and back");
+        assert_eq!(doc["round_trips"].as_u64(), Some(report.round_trips));
     }
 
     #[test]

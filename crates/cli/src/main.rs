@@ -309,7 +309,7 @@ fn cmd_check(args: &Args) -> Result<u8, String> {
     let path = args.path();
     let json_out = args.text("--json");
     let (text, cfg) = read_config(path, json_out)?;
-    let diags = lint::lint_config(&cfg, &lint::LintOptions::default());
+    let diags = lint::lint_config(&cfg);
     let report = Report::new(diags, Some(&text));
     print!("{}", report.render_human(path));
     if let Some(out) = json_out {
@@ -348,26 +348,33 @@ fn cmd_run(args: &Args) -> Result<u8, String> {
     let trace_out = args.text("--trace");
     let metrics_out = args.text("--metrics");
     let resume_dir = args.text("--resume");
+    if args.operand.is_some() == resume_dir.is_some() {
+        return Err(args.verb.usage_error("run takes either <config.json> or --resume <dir>"));
+    }
+    // The sinks are written after the campaign: a path that cannot take a
+    // file is refused before any work starts.
+    let refused: Vec<String> =
+        [json_out, trace_out, metrics_out].into_iter().flatten().filter_map(unwritable).collect();
+    if !refused.is_empty() {
+        return Err(refused.join("\nerror: "));
+    }
 
-    let mut sim = match (args.operand.as_deref(), resume_dir) {
-        (Some(_), Some(_)) | (None, None) => {
-            return Err(args.verb.usage_error("run takes either <config.json> or --resume <dir>"))
-        }
-        (None, Some(dir)) => {
+    let mut sim = match resume_dir {
+        Some(dir) => {
             // The plan was linted (and possibly --force'd) when the campaign
             // first started; a resume trusts the checkpointed config.
             let sim = RemdSimulation::resume(std::path::Path::new(dir))?;
             eprintln!("resuming {} from {dir} ...", sim.config().title);
             sim
         }
-        (Some(path), None) => {
+        None => {
+            let path = args.path();
             // `run --json` is the report, never a C000 artifact.
             let (text, cfg) = read_config(path, None)?;
 
             // Pre-flight: the same pass as `repex check`; error-level findings
             // refuse to run unless --force.
-            let preflight =
-                Report::new(lint::lint_config(&cfg, &lint::LintOptions::default()), Some(&text));
+            let preflight = Report::new(lint::lint_config(&cfg), Some(&text));
             if !preflight.is_empty() {
                 eprint!("{}", preflight.render_human(path));
             }
@@ -416,23 +423,23 @@ fn cmd_run(args: &Args) -> Result<u8, String> {
     // Run, but flush the trace/metrics sinks whatever the outcome: a failed
     // or --stop-after'd campaign is exactly when the recorded tail matters.
     let run_result = sim.run();
-    let mut flush_err = None;
+    let mut flush_errs = Vec::new();
     if let Some(out) = trace_out {
         match std::fs::write(out, recorder.chrome_trace_json()) {
             Ok(()) => eprintln!("[trace written: {out} — open in chrome://tracing or Perfetto]"),
-            Err(e) => flush_err = Some(format!("cannot write {out}: {e}")),
+            Err(e) => flush_errs.push(format!("cannot write {out}: {e}")),
         }
     }
     if let Some(out) = metrics_out {
         match std::fs::write(out, recorder.metrics_json()) {
             Ok(()) => eprintln!("[metrics written: {out}]"),
-            Err(e) => flush_err = Some(format!("cannot write {out}: {e}")),
+            Err(e) => flush_errs.push(format!("cannot write {out}: {e}")),
         }
     }
-    // A run error outranks a flush error; report whichever happened first.
+    // A run error outranks the flush errors, which are all reported.
     let report = run_result?;
-    if let Some(e) = flush_err {
-        return Err(e);
+    if !flush_errs.is_empty() {
+        return Err(flush_errs.join("\nerror: "));
     }
 
     println!("{}", report.summary());
@@ -476,6 +483,21 @@ fn cmd_run(args: &Args) -> Result<u8, String> {
         write_out(out, &report.to_json_doc().pretty(), "report")?;
     }
     Ok(0)
+}
+
+/// Why `out` cannot take a file — its parent is not an existing directory,
+/// or it is a directory itself — or `None` when it can.
+fn unwritable(out: &str) -> Option<String> {
+    let path = std::path::Path::new(out);
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    let parent = parent.unwrap_or(std::path::Path::new("."));
+    if !parent.is_dir() {
+        Some(format!("cannot write {out}: {} is not a directory", parent.display()))
+    } else if path.is_dir() {
+        Some(format!("cannot write {out}: it is a directory"))
+    } else {
+        None
+    }
 }
 
 fn cmd_capabilities(_: &Args) -> Result<u8, String> {

@@ -20,7 +20,6 @@ pub(crate) fn cmd_plan(args: &Args) -> Result<u8, String> {
         target_round_trip: args.number("--target-round-trip"),
         budget_core_seconds: args.number("--budget-core-hours").map(|h| h * 3600.0),
         search: !args.switch("--no-search"),
-        ..PlanOptions::default()
     };
     let outcome = plan_config(&cfg, &opts);
     let report = Report::new(outcome.diagnostics, Some(&text));

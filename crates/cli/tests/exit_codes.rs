@@ -207,3 +207,35 @@ fn the_operand_may_follow_the_flags() {
     let written = std::fs::read_to_string(dir.join("d.json")).expect("d.json written");
     assert_eq!(written, std::fs::read_to_string(dir.join("first.json")).expect("first.json"));
 }
+
+/// `run` writes `--json`, `--trace` and `--metrics` after the campaign, so
+/// a path that cannot take a file is refused before the campaign starts:
+/// exit 2, and no checkpoint is written.
+#[test]
+fn an_unwritable_sink_is_refused_before_the_campaign_starts() {
+    let ckpt = empty_dir("sink-preflight").join("ck");
+    let out = run(&[
+        "run",
+        tremd(),
+        "--checkpoint",
+        ckpt.to_str().expect("utf-8 temp path"),
+        "--json",
+        "/no/dir/r.json",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "{stderr}");
+    assert!(stderr.contains("cannot write /no/dir/r.json: "), "{stderr}");
+    assert!(!ckpt.exists(), "the campaign ran: {} exists", ckpt.display());
+}
+
+/// Every sink that cannot be written is named, in flag order, not only
+/// the last one.
+#[test]
+fn every_unwritable_sink_is_named() {
+    let out = run(&["run", tremd(), "--trace", "/no/dir/t.json", "--metrics", "/no/dir/m.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "{stderr}");
+    let trace = stderr.find("cannot write /no/dir/t.json").expect("the trace sink named");
+    let metrics = stderr.find("cannot write /no/dir/m.json").expect("the metrics sink named");
+    assert!(trace < metrics, "{stderr}");
+}

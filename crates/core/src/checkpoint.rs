@@ -28,8 +28,9 @@ use crate::config::{Pattern, SimulationConfig};
 use crate::emm::DriverCtx;
 use crate::replica::lock_system;
 use crate::report::CycleReport;
-use exchange::stats::{AcceptanceStats, RoundTripTracker};
+use exchange::stats::AcceptanceStats;
 use mdsim::io::restart::write_restart_with_cycle;
+use obs::health::RoundTripTracker;
 use obs::json::{self, Decode, Encode, Value, Variant};
 use obs::{json_struct, obj};
 use std::collections::HashMap;

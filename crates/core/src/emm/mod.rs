@@ -19,9 +19,10 @@ use crate::ram::{ExchangeInput, GroupInput, SlotInput};
 use crate::replica::{lock_system, Replica, SlotParams};
 use crate::task::TaskResult;
 use exchange::multidim::ParamGrid;
-use exchange::stats::{AcceptanceStats, RoundTripTracker};
+use exchange::stats::AcceptanceStats;
 use hpc::perfmodel::{ExchangeKind, PerfModel};
 use hpc::ClusterSpec;
+use obs::health::RoundTripTracker;
 use obs::json::Encode as _;
 use pilot::description::{DurationSpec, UnitDescription};
 use pilot::executor::TaskWork;
@@ -167,13 +168,8 @@ impl DriverCtx {
 
     /// Exchange kind of a dimension.
     pub fn dim_kind(&self, dim: usize) -> ExchangeKind {
-        match self.grid.dims[dim].kind_letter() {
-            'T' => ExchangeKind::Temperature,
-            'U' => ExchangeKind::Umbrella,
-            'S' => ExchangeKind::Salt,
-            'P' => ExchangeKind::Ph,
-            other => unreachable!("unknown dimension letter {other}"),
-        }
+        ExchangeKind::from_letter(self.grid.dims[dim].kind_letter())
+            .expect("a grid dimension's letter is T, U, S or P")
     }
 
     /// Per-replica-and-cycle deterministic seed.
@@ -475,8 +471,6 @@ pub(crate) fn start_live(ctx: &mut DriverCtx) -> Result<(), String> {
     for r in &ctx.replicas {
         slot_of[r.id] = r.slot;
     }
-    let (rt_last_end, rt_half_trips) =
-        ctx.round_trips.as_ref().map(|rt| rt.endpoint_state()).unwrap_or_default();
     ctx.recorder.enable_live(obs::LiveConfig {
         campaign,
         n_slots: n,
@@ -491,8 +485,7 @@ pub(crate) fn start_live(ctx: &mut DriverCtx) -> Result<(), String> {
             relaunched_tasks: ctx.relaunched_tasks,
             md_segments: ctx.replicas.iter().map(|r| r.segments_done).sum(),
             slot_of,
-            rt_last_end,
-            rt_half_trips,
+            round_trips: ctx.round_trips.clone(),
         },
     });
     if let Some(req) = &ctx.live_request {

@@ -46,6 +46,5 @@ pub use config::{
 pub use report::{CycleReport, SimulationReport};
 pub use simulation::RemdSimulation;
 pub use timing::{
-    average_cycles, kind_from_letter, strong_efficiency, utilization_percent, weak_efficiency,
-    CycleTiming,
+    average_cycles, strong_efficiency, utilization_percent, weak_efficiency, CycleTiming,
 };

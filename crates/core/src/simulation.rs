@@ -8,12 +8,13 @@ use crate::emm::DriverCtx;
 use crate::replica::{Replica, SlotParams};
 use crate::report::{CycleReport, SimulationReport};
 use crate::task::TaskResult;
-use exchange::stats::{AcceptanceStats, RoundTripTracker};
+use exchange::stats::AcceptanceStats;
 use hpc::fault::FaultModel;
 use hpc::perfmodel::PerfModel;
 use mdsim::models::{
     alanine_dipeptide_on, dipeptide_forcefield, dipeptide_topology, solvated_alanine_dipeptide_on,
 };
+use obs::health::RoundTripTracker;
 use pilot::{Backend, Pilot, PilotDescription, PilotManager};
 use rng::Rng;
 use std::sync::Arc;

@@ -88,18 +88,6 @@ pub fn utilization_percent(pattern: f64, ideal: f64) -> Option<f64> {
     }
 }
 
-/// The `ExchangeKind` for a single-letter trace code (the inverse of
-/// [`ExchangeKind::letter`]).
-pub fn kind_from_letter(letter: char) -> Option<ExchangeKind> {
-    match letter {
-        'T' => Some(ExchangeKind::Temperature),
-        'U' => Some(ExchangeKind::Umbrella),
-        'S' => Some(ExchangeKind::Salt),
-        'P' => Some(ExchangeKind::Ph),
-        _ => None,
-    }
-}
-
 /// Convert an event-derived [`obs::CycleBreakdown`] into a [`CycleTiming`].
 ///
 /// The drivers accumulate Eq. 1 through trace events and derive their
@@ -112,7 +100,7 @@ pub fn timing_from_breakdown(b: &obs::CycleBreakdown) -> CycleTiming {
             .t_ex
             .iter()
             .map(|(letter, t)| {
-                (kind_from_letter(*letter).expect("driver-emitted exchange letter"), *t)
+                (ExchangeKind::from_letter(*letter).expect("driver-emitted exchange letter"), *t)
             })
             .collect(),
         t_data: b.t_data,
@@ -220,19 +208,6 @@ mod tests {
         assert_eq!(utilization_percent(0.5, 0.0), None);
         assert_eq!(utilization_percent(0.5, -1.0), None);
         assert_eq!(utilization_percent(f64::NAN, 1.0), None);
-    }
-
-    #[test]
-    fn letters_round_trip_through_kind_from_letter() {
-        for kind in [
-            ExchangeKind::Temperature,
-            ExchangeKind::Umbrella,
-            ExchangeKind::Salt,
-            ExchangeKind::Ph,
-        ] {
-            assert_eq!(kind_from_letter(kind.letter()), Some(kind));
-        }
-        assert_eq!(kind_from_letter('X'), None);
     }
 
     #[test]

@@ -155,12 +155,16 @@ fn fault_policies_hold_for_both_patterns() {
                 assert_eq!(max_attempt > 0, relaunching || pattern == ASYNC, "{row}");
 
                 // Acceptance is derivable from the trace alone.
-                let health = obs::exchange_health(&events);
+                let ledger = obs::ExchangeLedger::from_trace(&events);
+                let health = ledger.dims();
                 assert_eq!(health.len(), 1, "{row}");
                 assert_eq!(health[0].kind, 'T');
                 assert!(health[0].attempts > 0, "{row}");
                 assert_eq!(health[0].attempts, ctx.acceptance[0].attempts, "{row}");
                 assert_eq!(health[0].accepted, ctx.acceptance[0].accepted, "{row}");
+                // So is the driver's whole round-trip tracker.
+                assert!(ctx.round_trips.is_some(), "{row}");
+                assert_eq!(ledger.round_trips(), ctx.round_trips.as_ref(), "{row}");
                 // Every outcome precedes its covering window in stream order.
                 let mut closed = HashSet::new();
                 let mut attempted = HashSet::new();

@@ -9,9 +9,10 @@
 //! what the *next* change to it answers to.
 
 use exchange::pairing::PairingStrategy;
-use exchange::stats::{AcceptanceStats, RoundTripTracker};
+use exchange::stats::AcceptanceStats;
 use hpc::perfmodel::ExchangeKind;
 use hpc::Scenario;
+use obs::health::RoundTripTracker;
 use obs::json::{self, Decode, Encode};
 use obs::{Diagnostic, Severity};
 use repex::checkpoint::{
@@ -313,10 +314,11 @@ fn the_committed_v1_checkpoints_keep_loading() {
     assert_eq!(v1.scheduler, SchedulerState::Sync { cycles_done: 2 });
     assert_eq!(v1.slot_owner, [0, 3, 1, 2]);
     assert_eq!(v1.acceptance, [AcceptanceStats { attempts: 3, accepted: 2 }]);
-    assert_eq!(
-        v1.round_trips.as_ref().map(RoundTripTracker::endpoint_state).unwrap().0,
-        [0, -1, 1, -1]
-    );
+    // Replica 0 last seen at the bottom, replica 2 at the top, no trips.
+    let mut tracker = RoundTripTracker::new(4, 4);
+    tracker.record(0, 0);
+    tracker.record(2, 3);
+    assert_eq!(v1.round_trips, Some(tracker));
     assert_eq!(v1.cycle_reports.len(), 2);
     assert_eq!(v1.cycle_reports[1].timing.t_ex[0].0, ExchangeKind::Temperature);
     assert_eq!((v1.replicas.len(), v1.window_samples.len(), v1.telemetry_seq), (4, 4, 0));

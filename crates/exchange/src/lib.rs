@@ -27,4 +27,4 @@ pub use metropolis::{
 pub use multidim::ParamGrid;
 pub use pairing::{select_pairs, validate_pairs, PairingStrategy};
 pub use param::{Dimension, ExchangeParam};
-pub use stats::{AcceptanceStats, RoundTripTracker};
+pub use stats::AcceptanceStats;

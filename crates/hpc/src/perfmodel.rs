@@ -68,6 +68,17 @@ impl ExchangeKind {
             ExchangeKind::Ph => 'P',
         }
     }
+
+    /// The kind a single-letter code names (the inverse of [`Self::letter`]).
+    pub fn from_letter(letter: char) -> Option<Self> {
+        match letter {
+            'T' => Some(ExchangeKind::Temperature),
+            'U' => Some(ExchangeKind::Umbrella),
+            'S' => Some(ExchangeKind::Salt),
+            'P' => Some(ExchangeKind::Ph),
+            _ => None,
+        }
+    }
 }
 
 // On the wire the variant names themselves: `t_ex: [["Temperature", 10.0]]`.
@@ -361,6 +372,19 @@ pub struct PerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn letters_round_trip_through_from_letter() {
+        for kind in [
+            ExchangeKind::Temperature,
+            ExchangeKind::Umbrella,
+            ExchangeKind::Salt,
+            ExchangeKind::Ph,
+        ] {
+            assert_eq!(ExchangeKind::from_letter(kind.letter()), Some(kind));
+        }
+        assert_eq!(ExchangeKind::from_letter('X'), None);
+    }
 
     #[test]
     fn sander_calibration_point() {

@@ -33,50 +33,26 @@ use obs::diag::{has_errors, sort_by_severity};
 use obs::Diagnostic;
 use repex::config::SimulationConfig;
 
-/// Tunable thresholds for the plan-level rules. The defaults encode the
-/// paper's rules of thumb (≥ 5 % pairwise acceptance, Fig. 10's Mode II
-/// S-exchange blow-up, ...).
-#[derive(Debug, Clone)]
-pub struct LintOptions {
-    /// L401 fires when the predicted acceptance of an adjacent
-    /// temperature pair falls below this.
-    pub min_acceptance: f64,
-    /// L402 fires when *every* adjacent pair overlaps above this
-    /// (ladder denser than it needs to be).
-    pub max_acceptance: f64,
-    /// Histogram bins for the overlap estimate.
-    pub bins: usize,
-    /// Deterministic quantile samples drawn per rung.
-    pub samples_per_rung: usize,
-    /// L101 fires when the last Mode II wave is emptier than this fraction.
-    pub imbalance_threshold: f64,
-    /// L202 fires when Mode II inflates S-exchange wall time by this factor
-    /// over the full-allocation cost.
-    pub salt_blowup_ratio: f64,
-    /// L601 warning / error thresholds on the per-segment failure
-    /// probability under the `continue` policy.
-    pub fail_prob_warn: f64,
-    pub fail_prob_error: f64,
-    /// L602 fires when a task exhausts its retry budget with probability
-    /// above this.
-    pub exhaust_prob_warn: f64,
-}
+// The plan-level rules' thresholds: the paper's rules of thumb. The
+// acceptance band L401 (below) and L402 (above) judge against is
+// `obs::ACCEPTANCE_BAND`, the one the live W203 rule uses.
 
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            min_acceptance: *obs::ACCEPTANCE_BAND.start(),
-            max_acceptance: *obs::ACCEPTANCE_BAND.end(),
-            bins: 40,
-            samples_per_rung: 512,
-            imbalance_threshold: 0.5,
-            salt_blowup_ratio: 3.0,
-            fail_prob_warn: 0.05,
-            fail_prob_error: 0.5,
-            exhaust_prob_warn: 0.01,
-        }
-    }
-}
+/// Histogram bins of the L4xx energy-overlap estimate.
+pub(crate) const OVERLAP_BINS: usize = 40;
+/// Deterministic quantile samples drawn per rung for the overlap estimate.
+pub(crate) const SAMPLES_PER_RUNG: usize = 512;
+/// L101 fires when the last Mode II wave is emptier than this fraction.
+pub(crate) const IMBALANCE_THRESHOLD: f64 = 0.5;
+/// L202 fires when Mode II inflates S-exchange wall time by this factor
+/// over the full-allocation cost (Fig. 10's blow-up).
+pub(crate) const SALT_BLOWUP_RATIO: f64 = 3.0;
+/// L601 warning and error thresholds on the per-segment failure
+/// probability under the `continue` policy.
+pub(crate) const FAIL_PROB_WARN: f64 = 0.05;
+pub(crate) const FAIL_PROB_ERROR: f64 = 0.5;
+/// L602 fires when a task exhausts its retry budget with probability
+/// above this.
+pub(crate) const EXHAUST_PROB_WARN: f64 = 0.01;
 
 /// Everything the plan-level rules need, derived once from a structurally
 /// valid configuration.
@@ -96,7 +72,7 @@ pub struct PlanCtx<'a> {
 /// Lint a configuration: structural diagnostics first, then — if the plan
 /// is structurally sound — the six plan-level rule families. The result is
 /// sorted most-severe first.
-pub fn lint_config(cfg: &SimulationConfig, opts: &LintOptions) -> Vec<Diagnostic> {
+pub fn lint_config(cfg: &SimulationConfig) -> Vec<Diagnostic> {
     let mut out = cfg.validate_diagnostics();
     if has_errors(&out) {
         // The plan-level context (grid, cluster, cores) may not even build;
@@ -123,9 +99,9 @@ pub fn lint_config(cfg: &SimulationConfig, opts: &LintOptions) -> Vec<Diagnostic
         pilot_cores,
         md_secs,
     };
-    rules::schedulability::check(&ctx, opts, &mut out);
-    rules::exchange_cores::check(&ctx, opts, &mut out);
-    rules::liveness::check(&ctx, opts, &mut out);
+    rules::schedulability::check(&ctx, &mut out);
+    rules::exchange_cores::check(&ctx, &mut out);
+    rules::liveness::check(&ctx, &mut out);
     if cfg.no_exchange {
         out.push(
             Diagnostic::info(
@@ -135,10 +111,10 @@ pub fn lint_config(cfg: &SimulationConfig, opts: &LintOptions) -> Vec<Diagnostic
             .with_path("/no-exchange"),
         );
     } else {
-        rules::acceptance::check(&ctx, opts, &mut out);
-        rules::coverage::check(&ctx, opts, &mut out);
+        rules::acceptance::check(&ctx, &mut out);
+        rules::coverage::check(&ctx, &mut out);
     }
-    rules::fault::check(&ctx, opts, &mut out);
+    rules::fault::check(&ctx, &mut out);
     sort_by_severity(&mut out);
     out
 }
@@ -155,7 +131,7 @@ mod tests {
     #[test]
     fn default_t_remd_has_no_errors() {
         let cfg = SimulationConfig::t_remd(8, 600, 3);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!has_errors(&diags), "clean plan flagged: {diags:?}");
     }
 
@@ -164,7 +140,7 @@ mod tests {
         let mut cfg = SimulationConfig::t_remd(8, 600, 3);
         cfg.steps_per_cycle = 0;
         cfg.resource.cores = Some(3); // would trigger L1xx if rules ran
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(codes(&diags).contains(&"C020"));
         assert!(
             !diags.iter().any(|d| d.code.starts_with('L')),
@@ -176,7 +152,7 @@ mod tests {
     fn no_exchange_skips_ladder_rules_with_info() {
         let mut cfg = SimulationConfig::t_remd(8, 600, 1);
         cfg.no_exchange = true;
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let found = codes(&diags);
         assert!(found.contains(&"L503"));
         // What the branch skips: the acceptance (L40x) and coverage (L501/L502) rules.
@@ -187,7 +163,7 @@ mod tests {
     fn report_is_sorted_most_severe_first() {
         let mut cfg = SimulationConfig::t_remd(8, 6000, 1); // L501 warning
         cfg.fault_mtbf_seconds = Some(50.0); // L601 error at 139.6 s segments
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let sevs: Vec<Severity> = diags.iter().map(|d| d.severity).collect();
         let mut sorted = sevs.clone();
         sorted.sort_by(|a, b| b.cmp(a));

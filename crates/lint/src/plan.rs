@@ -40,7 +40,6 @@
 //! enforced there.
 
 use crate::rules::acceptance;
-use crate::LintOptions;
 use exchange::multidim::ParamGrid;
 use exchange::pairing::PairingStrategy;
 use hpc::fault::{FaultModel, HazardModel};
@@ -49,8 +48,11 @@ use hpc::{ClusterSpec, Scenario};
 use obs::diag::{has_errors, sort_by_severity};
 use obs::json::{Encode, Value};
 use obs::json_fields;
-use obs::Diagnostic;
+use obs::{Diagnostic, ACCEPTANCE_BAND};
 use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig, Workload};
+
+/// P101 fires below this predicted utilization (percent).
+const MIN_UTILIZATION_PERCENT: f64 = 50.0;
 
 /// Tunables for [`plan_config`].
 #[derive(Debug, Clone)]
@@ -61,23 +63,13 @@ pub struct PlanOptions {
     /// Campaign budget in core·seconds; P010 fires when the predicted
     /// cost exceeds it.
     pub budget_core_seconds: Option<f64>,
-    /// P101 fires below this predicted utilization (percent).
-    pub min_utilization: f64,
     /// Run the deterministic candidate search.
     pub search: bool,
-    /// Thresholds shared with the L4xx acceptance rules.
-    pub lint: LintOptions,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions {
-            target_round_trip: None,
-            budget_core_seconds: None,
-            min_utilization: 50.0,
-            search: true,
-            lint: LintOptions::default(),
-        }
+        PlanOptions { target_round_trip: None, budget_core_seconds: None, search: true }
     }
 }
 
@@ -232,15 +224,6 @@ pub struct PlanOutcome {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-fn kind_of(letter: char) -> ExchangeKind {
-    match letter {
-        'U' => ExchangeKind::Umbrella,
-        'S' => ExchangeKind::Salt,
-        'P' => ExchangeKind::Ph,
-        _ => ExchangeKind::Temperature,
-    }
-}
-
 /// The mean-rate failure model the plan runs under (scenario storms are
 /// averaged over their duty cycle).
 fn mean_fault_model(cfg: &SimulationConfig) -> FaultModel {
@@ -323,8 +306,9 @@ pub fn predict_cost(
             }
             let mut t_data = 0.0;
             let mut t_exchange = 0.0;
+            // An empty dimension (letter '?') stages and exchanges nothing.
             for dim in &grid.dims {
-                let kind = kind_of(dim.kind_letter());
+                let Some(kind) = ExchangeKind::from_letter(dim.kind_letter()) else { continue };
                 t_data += perf.data.data_seconds(kind, n, cluster);
                 if !cfg.no_exchange {
                     t_exchange += match kind {
@@ -345,10 +329,10 @@ pub fn predict_cost(
             let tick = tick_fraction * md;
             let throughput_bound = n as f64 * md * cpr as f64 / pilot_cores as f64;
             let t_md = md.max(throughput_bound) * md_infl;
-            let t_exchange = if cfg.no_exchange || grid.dims.is_empty() {
-                0.0
-            } else {
-                perf.exchange.exchange_seconds(kind_of(grid.dims[0].kind_letter()), n)
+            let kind = grid.dims.first().and_then(|d| ExchangeKind::from_letter(d.kind_letter()));
+            let t_exchange = match kind {
+                Some(kind) if !cfg.no_exchange => perf.exchange.exchange_seconds(kind, n),
+                _ => 0.0,
             };
             CycleBreakdown {
                 t_md,
@@ -409,7 +393,6 @@ fn pairing_round_trip_factor(pairing: PairingStrategy, rungs: usize) -> f64 {
 pub fn predict_ladders(
     cfg: &SimulationConfig,
     grid: &ParamGrid,
-    opts: &LintOptions,
     cycle_seconds: f64,
 ) -> Vec<LadderPrediction> {
     let atoms = cfg.workload.clone().unwrap_or(Workload::DipeptideVacuum).real_atoms();
@@ -433,7 +416,7 @@ pub fn predict_ladders(
             }
             let temps: Vec<f64> =
                 dim.ladder.iter().map(exchange::param::ExchangeParam::scalar).collect();
-            let overlaps = acceptance::predicted_overlaps(&temps, atoms, opts);
+            let overlaps = acceptance::predicted_overlaps(&temps, atoms);
             let mean = overlaps.iter().sum::<f64>() / overlaps.len() as f64;
             let min = overlaps.iter().copied().fold(f64::INFINITY, f64::min);
             let (rt_cycles, rt_seconds) = if cfg.no_exchange || mean <= 0.0 {
@@ -562,7 +545,7 @@ fn evaluate_candidate(
     }
     let perf = PerfModel::default();
     let cost = predict_cost(&cand, &grid, &cluster, &perf, pilot_cores);
-    let ladders = predict_ladders(&cand, &grid, &opts.lint, cost.cycle_seconds);
+    let ladders = predict_ladders(&cand, &grid, cost.cycle_seconds);
     let mean_acceptance = ladders
         .iter()
         .filter_map(|l| l.mean_acceptance)
@@ -571,7 +554,7 @@ fn evaluate_candidate(
         .iter()
         .filter_map(|l| l.round_trip_seconds)
         .fold(None, |slowest: Option<f64>, r| Some(slowest.map_or(r, |s| s.max(r))));
-    let feasible = mean_acceptance.is_none_or(|a| a >= opts.lint.min_acceptance);
+    let feasible = mean_acceptance.is_none_or(|a| a >= *ACCEPTANCE_BAND.start());
     let score = match opts.target_round_trip {
         Some(t) => round_trip_seconds.map_or(f64::INFINITY, |r| (r - t).abs()),
         None => cost.makespan_seconds,
@@ -623,14 +606,14 @@ pub fn plan_config(cfg: &SimulationConfig, opts: &PlanOptions) -> PlanOutcome {
     };
     let perf = PerfModel::default();
     let cost = predict_cost(cfg, &grid, &cluster, &perf, pilot_cores);
-    let ladders = predict_ladders(cfg, &grid, &opts.lint, cost.cycle_seconds);
+    let ladders = predict_ladders(cfg, &grid, cost.cycle_seconds);
 
     for l in &ladders {
         if cfg.no_exchange {
             break;
         }
         if let Some(mean) = l.mean_acceptance {
-            if mean < opts.lint.min_acceptance {
+            if mean < *ACCEPTANCE_BAND.start() {
                 diags.push(
                     Diagnostic::error(
                         "P001",
@@ -638,7 +621,9 @@ pub fn plan_config(cfg: &SimulationConfig, opts: &PlanOptions) -> PlanOutcome {
                             "ladder starved: dimension {} ({} rungs) predicts mean acceptance \
                              ≈{mean:.3} < {}; the campaign would burn its allocation without \
                              exchanging",
-                            l.dim, l.rungs, opts.lint.min_acceptance,
+                            l.dim,
+                            l.rungs,
+                            *ACCEPTANCE_BAND.start(),
                         ),
                     )
                     .with_path(format!("/dimensions/{}", l.dim))
@@ -678,14 +663,14 @@ pub fn plan_config(cfg: &SimulationConfig, opts: &PlanOptions) -> PlanOutcome {
             );
         }
     }
-    if cost.utilization_percent < opts.min_utilization {
+    if cost.utilization_percent < MIN_UTILIZATION_PERCENT {
         diags.push(
             Diagnostic::warning(
                 "P101",
                 format!(
                     "predicted utilization ≈{:.1} % is below {:.0} %: overheads dominate the \
                      allocation",
-                    cost.utilization_percent, opts.min_utilization,
+                    cost.utilization_percent, MIN_UTILIZATION_PERCENT,
                 ),
             )
             .with_path("/resource"),
@@ -947,14 +932,13 @@ mod tests {
         assert_eq!(l.kind, 'T');
         assert_eq!(l.rungs, 8);
         assert_eq!(l.pair_acceptance.len(), 7);
-        let opts = LintOptions::default();
         let temps: Vec<f64> = cfg.build_grid().unwrap().dims[0]
             .ladder
             .iter()
             .map(exchange::param::ExchangeParam::scalar)
             .collect();
         let atoms = Workload::DipeptideVacuum.real_atoms();
-        let direct = acceptance::predicted_overlaps(&temps, atoms, &opts);
+        let direct = acceptance::predicted_overlaps(&temps, atoms);
         assert_eq!(direct.len(), l.pair_acceptance.len());
         for (a, b) in direct.iter().zip(&l.pair_acceptance) {
             assert!((a - b).abs() < 1e-12, "planner must reuse the L401 model: {a} vs {b}");
@@ -1123,7 +1107,7 @@ mod properties {
         cfg.workload = Some(Workload::DipeptideSolvated { atoms });
         cfg.dimensions = vec![DimensionConfig::Temperature { min_k, max_k, count }];
         let grid = cfg.build_grid().expect("grid");
-        let ladders = predict_ladders(&cfg, &grid, &LintOptions::default(), 1.0);
+        let ladders = predict_ladders(&cfg, &grid, 1.0);
         ladders[0].mean_acceptance.expect("T ladder")
     }
 

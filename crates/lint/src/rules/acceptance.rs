@@ -9,8 +9,9 @@
 //! Width shrinks like `1/sqrt(atoms)` relative to the mean, which is why
 //! ladders that work for a vacuum dipeptide starve for a solvated system.
 
-use crate::{LintOptions, PlanCtx};
-use obs::Diagnostic;
+use crate::plan::predict_ladders;
+use crate::{PlanCtx, OVERLAP_BINS, SAMPLES_PER_RUNG};
+use obs::{Diagnostic, ACCEPTANCE_BAND};
 use repex::config::Workload;
 
 /// Boltzmann constant in kcal/(mol·K) (matches `mdsim::units`).
@@ -72,43 +73,45 @@ pub fn energy_samples(t: f64, cv: f64, n: usize) -> Vec<f64> {
 }
 
 /// Predicted adjacent-pair acceptance proxies (energy-histogram overlaps)
-/// for an explicit temperature ladder over a workload of `atoms` atoms.
-/// Shared by the L401/L402 rules and the campaign planner so both predict
-/// from exactly the same equipartition model.
-pub fn predicted_overlaps(temps: &[f64], atoms: usize, opts: &LintOptions) -> Vec<f64> {
+/// for an explicit temperature ladder over a workload of `atoms` atoms:
+/// the model behind [`crate::plan::predict_ladders`], which the L401/L402
+/// rules and the campaign planner both read.
+pub fn predicted_overlaps(temps: &[f64], atoms: usize) -> Vec<f64> {
     let cv = 0.5 * (3 * atoms) as f64 * KB;
     let samples: Vec<Vec<f64>> =
-        temps.iter().map(|&t| energy_samples(t, cv, opts.samples_per_rung)).collect();
-    analysis::overlap::ladder_overlaps(&samples, opts.bins)
+        temps.iter().map(|&t| energy_samples(t, cv, SAMPLES_PER_RUNG)).collect();
+    analysis::overlap::ladder_overlaps(&samples, OVERLAP_BINS)
 }
 
-pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub fn check(ctx: &PlanCtx, out: &mut Vec<Diagnostic>) {
+    let (min, max) = (*ACCEPTANCE_BAND.start(), *ACCEPTANCE_BAND.end());
     // Physics atoms, NOT cost-atoms: the cost override only rescales the
     // performance model, while acceptance is set by the system actually
     // integrated.
     let atoms = ctx.cfg.workload.clone().unwrap_or(Workload::DipeptideVacuum).real_atoms();
-    for (d, dim) in ctx.grid.dims.iter().enumerate() {
-        if dim.kind_letter() != 'T' || dim.len() < 2 {
+    // The cycle time only scales the round-trip seconds, unused here.
+    for ladder in predict_ladders(ctx.cfg, ctx.grid, 0.0) {
+        let overlaps = &ladder.pair_acceptance;
+        if overlaps.is_empty() {
             continue;
         }
+        let d = ladder.dim;
         let temps: Vec<f64> =
-            dim.ladder.iter().map(exchange::param::ExchangeParam::scalar).collect();
-        let overlaps = predicted_overlaps(&temps, atoms, opts);
-        let mut all_dense = !overlaps.is_empty();
+            ctx.grid.dims[d].ladder.iter().map(exchange::param::ExchangeParam::scalar).collect();
+        let mut all_dense = true;
         for (i, &o) in overlaps.iter().enumerate() {
-            if o < opts.min_acceptance {
+            if o < min {
                 all_dense = false;
                 out.push(
                     Diagnostic::warning(
                         "L401",
                         format!(
                             "predicted acceptance between rungs {i} ({:.1} K) and {} ({:.1} K) \
-                             is ≈{o:.3} (< {}): the {atoms}-atom workload's energy \
+                             is ≈{o:.3} (< {min}): the {atoms}-atom workload's energy \
                              distributions barely overlap at that spacing",
                             temps[i],
                             i + 1,
                             temps[i + 1],
-                            opts.min_acceptance,
                         ),
                     )
                     .with_path(format!("/dimensions/{d}"))
@@ -118,7 +121,7 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                         temps[i + 1],
                     )),
                 );
-            } else if o <= opts.max_acceptance {
+            } else if o <= max {
                 all_dense = false;
             }
         }
@@ -127,10 +130,9 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                 Diagnostic::info(
                     "L402",
                     format!(
-                        "every adjacent pair of the {}-rung ladder overlaps above {}: fewer \
+                        "every adjacent pair of the {}-rung ladder overlaps above {max}: fewer \
                          rungs would reach the same round-trip rate with less compute",
                         temps.len(),
-                        opts.max_acceptance,
                     ),
                 )
                 .with_path(format!("/dimensions/{d}")),
@@ -142,8 +144,8 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint_config;
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions};
     use repex::config::{DimensionConfig, SimulationConfig, Workload};
 
     #[test]
@@ -170,7 +172,7 @@ mod tests {
         cfg.workload = Some(Workload::DipeptideSolvated { atoms: 30_000 });
         cfg.dimensions =
             vec![DimensionConfig::Temperature { min_k: 273.0, max_k: 373.0, count: 4 }];
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let n401 = diags.iter().filter(|d| d.code == "L401").count();
         assert_eq!(n401, 3, "all 3 adjacent pairs starve: {diags:?}");
     }
@@ -182,7 +184,7 @@ mod tests {
         // indistinguishable, so every pair exchanges near-certainly.
         cfg.dimensions =
             vec![DimensionConfig::Temperature { min_k: 300.0, max_k: 300.5, count: 8 }];
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!codes(&diags).contains(&"L401"), "{diags:?}");
         assert!(codes(&diags).contains(&"L402"), "{diags:?}");
     }
@@ -191,7 +193,7 @@ mod tests {
     fn cost_atoms_do_not_change_the_physics_prediction() {
         let mut cfg = SimulationConfig::t_remd(8, 600, 2);
         cfg.cost_atoms = Some(5_000_000); // perf-model override only
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!codes(&diags).contains(&"L401"), "{diags:?}");
     }
 }

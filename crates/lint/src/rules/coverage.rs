@@ -8,7 +8,7 @@
 //! pure function of the pairing strategy and the cycle count, so the
 //! coverage graph is computable without simulating.
 
-use crate::{LintOptions, PlanCtx};
+use crate::PlanCtx;
 use exchange::pairing::PairingStrategy;
 use obs::Diagnostic;
 use repex::config::Pattern;
@@ -30,7 +30,7 @@ pub fn reachable_components(len: usize, parities: &[usize]) -> Vec<Vec<usize>> {
     comps
 }
 
-pub fn check(ctx: &PlanCtx, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub fn check(ctx: &PlanCtx, out: &mut Vec<Diagnostic>) {
     for (d, dim) in ctx.grid.dims.iter().enumerate() {
         if dim.len() == 1 {
             out.push(
@@ -77,8 +77,8 @@ pub fn check(ctx: &PlanCtx, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint_config;
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions};
     use repex::config::{DimensionConfig, SimulationConfig};
 
     #[test]
@@ -97,21 +97,21 @@ mod tests {
     #[test]
     fn single_cycle_plan_cannot_round_trip() {
         let cfg = SimulationConfig::t_remd(8, 600, 1);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(codes(&diags).contains(&"L501"), "{diags:?}");
     }
 
     #[test]
     fn two_cycles_restore_coverage() {
         let cfg = SimulationConfig::t_remd(8, 600, 2);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!codes(&diags).contains(&"L501"), "{diags:?}");
     }
 
     #[test]
     fn two_rung_ladder_is_connected_even_with_one_cycle() {
         let cfg = SimulationConfig::t_remd(2, 600, 1);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!codes(&diags).contains(&"L501"), "{diags:?}");
     }
 
@@ -122,7 +122,7 @@ mod tests {
             DimensionConfig::Temperature { min_k: 273.0, max_k: 373.0, count: 4 },
             DimensionConfig::Salt { min_molar: 0.1, max_molar: 0.1, count: 1 },
         ];
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(codes(&diags).contains(&"L502"), "{diags:?}");
     }
 }

@@ -7,7 +7,7 @@
 //! schedule the task; a pilot merely *small* pays the Fig. 10 Mode II
 //! blow-up. Both are pure functions of the config.
 
-use crate::{LintOptions, PlanCtx};
+use crate::PlanCtx;
 use obs::Diagnostic;
 
 /// Cores one single-point task needs: the whole sub-ladder in M-REMD,
@@ -21,7 +21,7 @@ fn single_point_cores(group_len: usize, n_replicas: usize) -> usize {
     }
 }
 
-pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub fn check(ctx: &PlanCtx, out: &mut Vec<Diagnostic>) {
     for (d, dim) in ctx.grid.dims.iter().enumerate() {
         let letter = dim.kind_letter();
         if letter != 'S' && letter != 'P' {
@@ -49,7 +49,7 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
             let cpr = ctx.cfg.resource.cores_per_replica;
             let full = ctx.perf.exchange.salt_wall_seconds(ctx.n, ctx.n * cpr, dim.len());
             let actual = ctx.perf.exchange.salt_wall_seconds(ctx.n, ctx.pilot_cores, dim.len());
-            if full > 0.0 && actual / full >= opts.salt_blowup_ratio {
+            if full > 0.0 && actual / full >= crate::SALT_BLOWUP_RATIO {
                 out.push(
                     Diagnostic::warning(
                         "L202",
@@ -89,8 +89,8 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::lint_config;
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions};
     use obs::Severity;
     use repex::config::{DimensionConfig, SimulationConfig};
 
@@ -107,7 +107,7 @@ mod tests {
             DimensionConfig::Salt { min_molar: 0.0, max_molar: 1.0, count: 4 },
         ]);
         cfg.resource.cores = Some(2); // single-point tasks need 4 cores
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let l201 = diags.iter().find(|d| d.code == "L201").unwrap_or_else(|| {
             panic!("expected L201 in {diags:?}");
         });
@@ -122,7 +122,7 @@ mod tests {
             DimensionConfig::Salt { min_molar: 0.0, max_molar: 1.0, count: 8 },
         ]);
         cfg.resource.cores = Some(8); // 64 replicas on 8 cores
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(codes(&diags).contains(&"L202"), "{diags:?}");
     }
 
@@ -130,7 +130,7 @@ mod tests {
     fn tiny_pilot_ph_exchange_warns_not_errors() {
         let mut cfg = with_dims(vec![DimensionConfig::Ph { min_ph: 4.0, max_ph: 9.0, count: 4 }]);
         cfg.resource.cores = Some(1);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let l203 = diags.iter().find(|d| d.code == "L203");
         assert!(l203.is_some_and(|d| d.severity == Severity::Warning), "{diags:?}");
         assert!(!codes(&diags).contains(&"L201"));
@@ -142,7 +142,7 @@ mod tests {
             DimensionConfig::Temperature { min_k: 273.0, max_k: 373.0, count: 4 },
             DimensionConfig::Salt { min_molar: 0.0, max_molar: 1.0, count: 4 },
         ]);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!diags.iter().any(|d| d.code.starts_with("L2")), "{diags:?}");
     }
 }

@@ -9,12 +9,12 @@
 //! judged at its *worst case* — the policy has to survive the storm
 //! windows, not the calm between them.
 
-use crate::{LintOptions, PlanCtx};
+use crate::{PlanCtx, EXHAUST_PROB_WARN, FAIL_PROB_ERROR, FAIL_PROB_WARN};
 use hpc::fault::FaultModel;
 use obs::Diagnostic;
 use repex::config::FaultPolicy;
 
-pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub fn check(ctx: &PlanCtx, out: &mut Vec<Diagnostic>) {
     let base = match ctx.cfg.fault_mtbf_seconds {
         // Invalid values are C044's business; nothing sane to reason about.
         Some(mtbf) => match FaultModel::new(mtbf) {
@@ -40,7 +40,7 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let pct = p * 100.0;
     match ctx.cfg.fault_policy {
         FaultPolicy::Continue => {
-            if p >= opts.fail_prob_error {
+            if p >= FAIL_PROB_ERROR {
                 out.push(
                     Diagnostic::error(
                         "L601",
@@ -56,7 +56,7 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                         "switch to the relaunch policy with a retry budget, or shorten segments",
                     ),
                 );
-            } else if p >= opts.fail_prob_warn {
+            } else if p >= FAIL_PROB_WARN {
                 out.push(
                     Diagnostic::warning(
                         "L601",
@@ -84,9 +84,9 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                 return;
             }
             let p_exhaust = p.powi(max_retries as i32 + 1);
-            if p_exhaust > opts.exhaust_prob_warn && p > 0.0 && p < 1.0 {
+            if p_exhaust > EXHAUST_PROB_WARN && p > 0.0 && p < 1.0 {
                 // Attempts needed so p^attempts <= threshold.
-                let attempts = (opts.exhaust_prob_warn.ln() / p.ln()).ceil().max(2.0) as u32;
+                let attempts = (EXHAUST_PROB_WARN.ln() / p.ln()).ceil().max(2.0) as u32;
                 out.push(
                     Diagnostic::warning(
                         "L602",
@@ -100,7 +100,7 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                     .with_hint(format!(
                         "a budget of {} retries drops exhaustion below {:.0}%",
                         attempts - 1,
-                        opts.exhaust_prob_warn * 100.0,
+                        EXHAUST_PROB_WARN * 100.0,
                     )),
                 );
             }
@@ -126,8 +126,8 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::lint_config;
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions};
     use obs::Severity;
     use repex::config::{FaultPolicy, SimulationConfig};
 
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn continue_policy_at_catastrophic_rate_is_an_error() {
         // p = 1 - exp(-139.6/50) ≈ 0.94
-        let diags = lint_config(&faulty(50.0, FaultPolicy::Continue), &LintOptions::default());
+        let diags = lint_config(&faulty(50.0, FaultPolicy::Continue));
         let l601 = diags.iter().find(|d| d.code == "L601");
         assert!(l601.is_some_and(|d| d.severity == Severity::Error), "{diags:?}");
     }
@@ -150,27 +150,21 @@ mod tests {
     #[test]
     fn continue_policy_at_modest_rate_warns() {
         // p = 1 - exp(-139.6/2000) ≈ 0.067
-        let diags = lint_config(&faulty(2000.0, FaultPolicy::Continue), &LintOptions::default());
+        let diags = lint_config(&faulty(2000.0, FaultPolicy::Continue));
         let l601 = diags.iter().find(|d| d.code == "L601");
         assert!(l601.is_some_and(|d| d.severity == Severity::Warning), "{diags:?}");
     }
 
     #[test]
     fn zero_retry_relaunch_budget_warns() {
-        let diags = lint_config(
-            &faulty(2000.0, FaultPolicy::Relaunch { max_retries: 0 }),
-            &LintOptions::default(),
-        );
+        let diags = lint_config(&faulty(2000.0, FaultPolicy::Relaunch { max_retries: 0 }));
         assert!(codes(&diags).contains(&"L602"), "{diags:?}");
     }
 
     #[test]
     fn underprovisioned_retry_budget_warns_with_suggested_budget() {
         // p ≈ 0.94: even 1 retry exhausts with ~88 % probability.
-        let diags = lint_config(
-            &faulty(50.0, FaultPolicy::Relaunch { max_retries: 1 }),
-            &LintOptions::default(),
-        );
+        let diags = lint_config(&faulty(50.0, FaultPolicy::Relaunch { max_retries: 1 }));
         let c = codes(&diags);
         assert!(c.contains(&"L602"), "{diags:?}");
         assert!(c.contains(&"L603"), "{diags:?}");
@@ -179,17 +173,14 @@ mod tests {
     #[test]
     fn rare_failures_with_a_sane_budget_stay_quiet() {
         // p ≈ 0.0014: exhaustion at 3 retries ~ p^4 ≈ 4e-12.
-        let diags = lint_config(
-            &faulty(100_000.0, FaultPolicy::Relaunch { max_retries: 3 }),
-            &LintOptions::default(),
-        );
+        let diags = lint_config(&faulty(100_000.0, FaultPolicy::Relaunch { max_retries: 3 }));
         assert!(!diags.iter().any(|d| d.code.starts_with("L6")), "{diags:?}");
     }
 
     #[test]
     fn no_injection_no_findings() {
         let cfg = SimulationConfig::t_remd(8, 6000, 3);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!diags.iter().any(|d| d.code.starts_with("L6")), "{diags:?}");
     }
 
@@ -203,7 +194,7 @@ mod tests {
             period_seconds: 2000.0,
             storm_fraction: 0.25,
         });
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let l601 = diags.iter().find(|d| d.code == "L601");
         assert!(l601.is_some_and(|d| d.severity == Severity::Error), "{diags:?}");
         assert!(
@@ -222,7 +213,7 @@ mod tests {
             period_seconds: 2000.0,
             storm_fraction: 0.25,
         });
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(diags.iter().any(|d| d.code == "L601"), "{diags:?}");
     }
 }

@@ -8,11 +8,11 @@
 //! replica count. Those plans run to completion but sample like
 //! `no-exchange`, which is starvation the linter can prove up front.
 
-use crate::{LintOptions, PlanCtx};
+use crate::PlanCtx;
 use obs::Diagnostic;
 use repex::config::Pattern;
 
-pub fn check(ctx: &PlanCtx, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub fn check(ctx: &PlanCtx, out: &mut Vec<Diagnostic>) {
     let Pattern::Asynchronous { tick_fraction } = ctx.cfg.pattern else {
         return;
     };
@@ -81,8 +81,8 @@ pub fn check(ctx: &PlanCtx, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::lint_config;
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions};
     use obs::Severity;
     use repex::config::{Pattern, SimulationConfig};
 
@@ -94,14 +94,14 @@ mod tests {
 
     #[test]
     fn tick_longer_than_run_is_guaranteed_starvation() {
-        let diags = lint_config(&async_cfg(5.0, 2), &LintOptions::default());
+        let diags = lint_config(&async_cfg(5.0, 2));
         let l301 = diags.iter().find(|d| d.code == "L301");
         assert!(l301.is_some_and(|d| d.severity == Severity::Error), "{diags:?}");
     }
 
     #[test]
     fn marginal_round_count_warns() {
-        let diags = lint_config(&async_cfg(1.5, 2), &LintOptions::default());
+        let diags = lint_config(&async_cfg(1.5, 2));
         assert!(codes(&diags).contains(&"L302"), "{diags:?}");
         assert!(!codes(&diags).contains(&"L301"));
     }
@@ -110,7 +110,7 @@ mod tests {
     fn unsatisfiable_ready_window_is_an_error() {
         let mut cfg = async_cfg(0.25, 3);
         cfg.async_min_ready = Some(10); // only 8 replicas exist
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let l303 = diags.iter().find(|d| d.code == "L303");
         assert!(l303.is_some_and(|d| d.severity == Severity::Error), "{diags:?}");
     }
@@ -119,13 +119,13 @@ mod tests {
     fn barrier_sized_window_warns() {
         let mut cfg = async_cfg(0.25, 3);
         cfg.async_min_ready = Some(8);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(codes(&diags).contains(&"L304"), "{diags:?}");
     }
 
     #[test]
     fn healthy_async_plan_is_quiet() {
-        let diags = lint_config(&async_cfg(0.25, 3), &LintOptions::default());
+        let diags = lint_config(&async_cfg(0.25, 3));
         assert!(!diags.iter().any(|d| d.code.starts_with("L3")), "{diags:?}");
     }
 }

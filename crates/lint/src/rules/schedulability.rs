@@ -6,10 +6,10 @@
 //! cycle-time blow-up and any wave imbalance can be predicted before
 //! spending an allocation.
 
-use crate::{LintOptions, PlanCtx};
+use crate::PlanCtx;
 use obs::Diagnostic;
 
-pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub fn check(ctx: &PlanCtx, out: &mut Vec<Diagnostic>) {
     let cpr = ctx.cfg.resource.cores_per_replica;
     if ctx.pilot_cores >= ctx.n * cpr {
         return; // Execution Mode I: every replica runs concurrently.
@@ -32,7 +32,7 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
         .with_path("/resource/cores"),
     );
     let last = ctx.n - (waves - 1) * slots;
-    if waves > 1 && (last as f64) < opts.imbalance_threshold * slots as f64 {
+    if waves > 1 && (last as f64) < crate::IMBALANCE_THRESHOLD * slots as f64 {
         // The largest wave size that divides the replica count evenly.
         let even = (1..=slots).rev().find(|&s| ctx.n.is_multiple_of(s)).unwrap_or(1);
         out.push(
@@ -70,14 +70,14 @@ pub fn check(ctx: &PlanCtx, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::lint_config;
     use crate::tests::codes;
-    use crate::{lint_config, LintOptions};
     use repex::config::SimulationConfig;
 
     #[test]
     fn mode_i_stays_silent() {
         let cfg = SimulationConfig::t_remd(16, 600, 2);
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!diags.iter().any(|d| d.code.starts_with("L1")), "{diags:?}");
     }
 
@@ -85,7 +85,7 @@ mod tests {
     fn mode_ii_predicts_waves_and_flags_imbalance() {
         let mut cfg = SimulationConfig::t_remd(16, 600, 2);
         cfg.resource.cores = Some(5); // waves of 5,5,5,1 — last 20 % full
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let c = codes(&diags);
         assert!(c.contains(&"L001"), "{diags:?}");
         assert!(c.contains(&"L101"), "{diags:?}");
@@ -100,7 +100,7 @@ mod tests {
         let mut cfg = SimulationConfig::t_remd(16, 600, 2);
         cfg.resource.cores_per_replica = 2;
         cfg.resource.cores = Some(7); // 3 slots + 1 stranded core
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(codes(&diags).contains(&"L102"), "{diags:?}");
     }
 
@@ -108,7 +108,7 @@ mod tests {
     fn balanced_mode_ii_waves_get_info_only() {
         let mut cfg = SimulationConfig::t_remd(16, 600, 2);
         cfg.resource.cores = Some(8); // two full waves
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         let c = codes(&diags);
         assert!(c.contains(&"L001"), "{diags:?}");
         assert!(!c.contains(&"L101") && !c.contains(&"L102"), "{diags:?}");

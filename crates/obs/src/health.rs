@@ -1,22 +1,26 @@
-//! Run health: exchange health derived from the trace alone, and the whole
-//! run-health rule catalog — the post-hoc A1xx rules `repex analyze`
-//! reports and the live W2xx rules every telemetry snapshot carries.
+//! Run health: the exchange ledger — acceptance, the slot walk and round
+//! trips, folded one event at a time — and the whole run-health rule
+//! catalog: the post-hoc A1xx rules `repex analyze` reports and the live
+//! W2xx rules every telemetry snapshot carries.
 //!
 //! Nadler & Hansmann (arXiv:0708.3627) make acceptance ratios and ladder
 //! round trips *the* quantities that determine REMD sampling efficiency.
 //! The drivers emit one [`Event::ExchangeOutcome`] per Metropolis attempt,
-//! so a recorded trace carries everything needed to recompute per-dimension
-//! acceptance statistics and to replay the slot-occupancy walk — no access
-//! to the in-process `exchange::stats` state required. The integration
-//! tests assert both derivations match the in-process numbers exactly.
+//! so an event stream carries everything needed to count per-dimension
+//! acceptance and to replay the slot-occupancy walk. One
+//! [`ExchangeLedger`] does both: the live plane folds the running stream
+//! into it, `repex analyze` folds a recorded trace
+//! ([`ExchangeLedger::from_trace`]), and the drivers keep their own
+//! [`RoundTripTracker`], the type the ledger feeds. The integration tests
+//! assert the ledger matches the in-process numbers exactly.
 
 use crate::critical_path::CriticalPath;
 use crate::diag::Diagnostic;
 use crate::event::Event;
 use crate::json::{Encode, Value};
-use crate::json_fields;
 use crate::live::TelemetrySnapshot;
 use crate::timeline_stats::TimelineStats;
+use crate::{json_fields, json_struct};
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
@@ -25,7 +29,7 @@ use std::ops::RangeInclusive;
 /// judges the measured ratio by it.
 pub const ACCEPTANCE_BAND: RangeInclusive<f64> = 0.05..=0.99;
 
-/// Acceptance statistics for one dimension, recomputed from outcome events.
+/// Acceptance statistics for one dimension, counted from outcome events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DimExchangeHealth {
     pub dim: usize,
@@ -55,53 +59,169 @@ impl Encode for DimExchangeHealth {
     }
 }
 
-/// Per-dimension acceptance recomputed from [`Event::ExchangeOutcome`]s
-/// (window events contribute the kind letter), ascending by dimension.
-pub fn exchange_health(events: &[Event]) -> Vec<DimExchangeHealth> {
-    let mut dims: BTreeMap<usize, DimExchangeHealth> = BTreeMap::new();
-    for event in events {
-        match event {
-            Event::ExchangeOutcome { dim, accepted, .. } => {
-                let h = dims.entry(*dim).or_insert_with(|| DimExchangeHealth {
-                    dim: *dim,
-                    kind: '?',
-                    ..Default::default()
-                });
-                h.attempts += 1;
-                if *accepted {
-                    h.accepted += 1;
+/// Tracks each replica's walk along a 1-D ladder and counts round trips
+/// (bottom → top → bottom), the standard mixing diagnostic for REMD. State is
+/// O(replicas): which rungs a replica visited is the driver's `rung_history`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundTripTracker {
+    ladder_len: usize,
+    /// Last endpoint each replica visited: 0 = bottom, 1 = top, -1 = none.
+    last_end: Vec<i8>,
+    /// Completed half-trips per replica (2 half-trips = 1 round trip).
+    half_trips: Vec<u64>,
+}
+
+json_struct!(RoundTripTracker {
+    ladder_len: "ladder_len",
+    last_end: "last_end",
+    half_trips: "half_trips",
+});
+
+impl RoundTripTracker {
+    pub fn new(n_replicas: usize, ladder_len: usize) -> Self {
+        assert!(ladder_len >= 2, "round trips need a ladder of at least 2");
+        RoundTripTracker {
+            ladder_len,
+            last_end: vec![-1; n_replicas],
+            half_trips: vec![0; n_replicas],
+        }
+    }
+
+    /// Record that `replica` now occupies ladder `rung`.
+    pub fn record(&mut self, replica: usize, rung: usize) {
+        assert!(rung < self.ladder_len);
+        let end = if rung == 0 {
+            Some(0i8)
+        } else if rung == self.ladder_len - 1 {
+            Some(1)
+        } else {
+            None
+        };
+        if let Some(e) = end {
+            if self.last_end[replica] != -1 && self.last_end[replica] != e {
+                self.half_trips[replica] += 1;
+            }
+            self.last_end[replica] = e;
+        }
+    }
+
+    /// Completed round trips for one replica.
+    pub fn round_trips(&self, replica: usize) -> u64 {
+        self.half_trips[replica] / 2
+    }
+
+    /// Total round trips across replicas.
+    pub fn total_round_trips(&self) -> u64 {
+        self.half_trips.iter().map(|h| h / 2).sum()
+    }
+}
+
+/// A run's exchange bookkeeping, folded one event at a time: per-dimension
+/// attempts and acceptances, the slot-occupancy walk, and — on a 1-D ladder
+/// — the round-trip tracker.
+///
+/// Each accepted [`Event::ExchangeOutcome`] trades the two slots'
+/// occupants. Each [`Event::ExchangeWindow`] that held replicas
+/// (`participants > 0`; zero-participant windows are `no-exchange`
+/// placeholders) records every replica's slot into the tracker: the cadence
+/// at which the drivers feed theirs, so the counts agree. Re-recording an
+/// unchanged position never adds a half-trip, so a window whose exchange
+/// failed is a no-op here as it is in-process. Outcomes precede their
+/// window in the stream (the drivers emit them in that order).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ExchangeLedger {
+    /// One row per dimension configured or seen, ascending by `dim`.
+    dims: Vec<DimExchangeHealth>,
+    /// `owner[slot]` = replica.
+    owner: Vec<usize>,
+    /// `slot_of[replica]` = slot.
+    slot_of: Vec<usize>,
+    round_trips: Option<RoundTripTracker>,
+}
+
+impl ExchangeLedger {
+    /// A ledger that continues from `dims` (rows ascending by `dim`, with
+    /// any counts carried over), the walk `slot_of[replica]` = slot, and the
+    /// round-trip tracker (`None` counts no round trips).
+    pub fn new(
+        dims: Vec<DimExchangeHealth>,
+        slot_of: Vec<usize>,
+        round_trips: Option<RoundTripTracker>,
+    ) -> Self {
+        let mut owner = vec![0; slot_of.len()];
+        for (replica, &slot) in slot_of.iter().enumerate() {
+            owner[slot] = replica;
+        }
+        ExchangeLedger { dims, owner, slot_of, round_trips }
+    }
+
+    /// Fold a recorded trace. Replicas start at the identity assignment
+    /// (replica i in slot i, how the drivers initialize) over the slots the
+    /// trace implies; round trips are counted when the trace has exactly
+    /// one dimension and at least 2 slots (rung == slot).
+    pub fn from_trace(events: &[Event]) -> Self {
+        let n = implied_slot_count(events);
+        let tracker = (n >= 2).then(|| RoundTripTracker::new(n, n));
+        let mut ledger = ExchangeLedger::new(Vec::new(), (0..n).collect(), tracker);
+        for event in events {
+            ledger.fold(event);
+        }
+        // A row exists for every dimension with a window or an outcome.
+        if ledger.dims.len() != 1 {
+            ledger.round_trips = None;
+        }
+        ledger
+    }
+
+    /// Fold one event; only exchange outcomes and windows count.
+    pub fn fold(&mut self, event: &Event) {
+        match *event {
+            Event::ExchangeOutcome { dim, slot_lo, slot_hi, accepted, .. } => {
+                let row = self.row(dim);
+                row.attempts += 1;
+                if accepted {
+                    row.accepted += 1;
+                    if slot_hi < self.owner.len() {
+                        self.owner.swap(slot_lo, slot_hi);
+                        self.slot_of[self.owner[slot_lo]] = slot_lo;
+                        self.slot_of[self.owner[slot_hi]] = slot_hi;
+                    }
                 }
             }
-            Event::ExchangeWindow { kind, dim, .. } => {
-                let h = dims.entry(*dim).or_insert_with(|| DimExchangeHealth {
-                    dim: *dim,
-                    kind: '?',
-                    ..Default::default()
-                });
-                h.kind = *kind;
+            Event::ExchangeWindow { kind, dim, participants, .. } => {
+                self.row(dim).kind = kind;
+                if let Some(rt) = self.round_trips.as_mut().filter(|_| participants > 0) {
+                    for (replica, &slot) in self.slot_of.iter().enumerate() {
+                        rt.record(replica, slot);
+                    }
+                }
             }
             _ => {}
         }
     }
-    dims.into_values().collect()
-}
 
-/// The slot-occupancy walk replayed from accepted outcomes.
-///
-/// Replicas start at the identity assignment (replica i in slot i — how the
-/// drivers initialize) and trade slots on every accepted outcome. After
-/// each exchange window (`participants > 0`; zero-participant windows are
-/// `no-exchange` placeholders with no swap application) a snapshot of every
-/// replica's slot is taken — the same cadence at which the drivers feed
-/// their `RoundTripTracker`, so round-trip counts derived from these
-/// records match the in-process tracker.
-#[derive(Debug, Clone, Default)]
-pub struct SlotReplay {
-    pub n_slots: usize,
-    /// `records[k][replica]` = the replica's slot after the k-th window.
-    pub records: Vec<Vec<usize>>,
-    /// Final assignment: `slot_of[replica]`.
-    pub slot_of: Vec<usize>,
+    fn row(&mut self, dim: usize) -> &mut DimExchangeHealth {
+        let i = self.dims.binary_search_by_key(&dim, |d| d.dim).unwrap_or_else(|i| {
+            self.dims.insert(i, DimExchangeHealth { dim, kind: '?', ..Default::default() });
+            i
+        });
+        &mut self.dims[i]
+    }
+
+    /// Acceptance per dimension, ascending by `dim`.
+    pub fn dims(&self) -> &[DimExchangeHealth] {
+        &self.dims
+    }
+
+    /// The walk's current assignment: `slot_of()[replica]` = slot.
+    pub fn slot_of(&self) -> &[usize] {
+        &self.slot_of
+    }
+
+    /// The round-trip tracker, when round trips are counted.
+    pub fn round_trips(&self) -> Option<&RoundTripTracker> {
+        self.round_trips.as_ref()
+    }
 }
 
 /// Number of slots implied by the stream (max slot index + 1 over segments
@@ -119,31 +239,6 @@ pub fn implied_slot_count(events: &[Event]) -> usize {
         }
     }
     max_slot.map_or(0, |m| m + 1)
-}
-
-/// Replay the slot walk for a 1-D run. Outcomes must precede their window
-/// in the stream (the drivers emit them in that order).
-pub fn replay_slot_walk(events: &[Event], n_slots: usize) -> SlotReplay {
-    let mut slot_of: Vec<usize> = (0..n_slots).collect(); // replica -> slot
-    let mut owner: Vec<usize> = (0..n_slots).collect(); // slot -> replica
-    let mut records = Vec::new();
-    for event in events {
-        match event {
-            Event::ExchangeOutcome { slot_lo, slot_hi, accepted: true, .. }
-                if *slot_hi < n_slots =>
-            {
-                let (a, b) = (*slot_lo, *slot_hi);
-                owner.swap(a, b);
-                slot_of[owner[a]] = a;
-                slot_of[owner[b]] = b;
-            }
-            Event::ExchangeWindow { participants, .. } if *participants > 0 => {
-                records.push(slot_of.clone());
-            }
-            _ => {}
-        }
-    }
-    SlotReplay { n_slots, records, slot_of }
 }
 
 /// The post-hoc rules over a recorded trace and what was derived from it.
@@ -390,7 +485,8 @@ mod tests {
             outcome(1, 0, 2, false),
             window(1, 'U'),
         ];
-        let health = exchange_health(&events);
+        let ledger = ExchangeLedger::from_trace(&events);
+        let health = ledger.dims();
         assert_eq!(health.len(), 2);
         assert_eq!(health[0].dim, 0);
         assert_eq!(health[0].kind, 'T');
@@ -400,11 +496,13 @@ mod tests {
         assert_eq!(health[1].attempts, 1);
         assert_eq!(health[1].accepted, 0);
         assert_eq!(health[1].ratio(), 0.0);
+        assert_eq!(ledger.round_trips(), None, "two dimensions: no 1-D ladder to walk");
     }
 
     #[test]
     fn zero_attempt_dimension_has_zero_ratio_not_nan() {
-        let health = exchange_health(&[window(0, 'T')]);
+        let ledger = ExchangeLedger::from_trace(&[window(0, 'T')]);
+        let health = ledger.dims();
         assert_eq!(health[0].attempts, 0);
         assert_eq!(health[0].ratio(), 0.0);
         assert!(health[0].ratio().is_finite());
@@ -419,26 +517,62 @@ mod tests {
             outcome(0, 1, 2, true),
             window(0, 'T'),
         ];
-        let replay = replay_slot_walk(&events, 4);
-        assert_eq!(replay.records.len(), 2);
+        let mut ledger =
+            ExchangeLedger::new(Vec::new(), (0..4).collect(), Some(RoundTripTracker::new(4, 4)));
+        let mut records = Vec::new();
+        for e in &events {
+            ledger.fold(e);
+            if matches!(e, Event::ExchangeWindow { .. }) {
+                records.push(ledger.slot_of().to_vec());
+            }
+        }
         // After window 1: replicas 0 and 1 traded slots.
-        assert_eq!(replay.records[0], vec![1, 0, 2, 3]);
+        assert_eq!(records[0], vec![1, 0, 2, 3]);
         // After window 2: the occupant of slot 1 (replica 0) moved to 2.
-        assert_eq!(replay.records[1], vec![2, 0, 1, 3]);
-        assert_eq!(replay.slot_of, vec![2, 0, 1, 3]);
+        assert_eq!(records[1], vec![2, 0, 1, 3]);
+        // The tracker saw exactly those two assignments.
+        let mut expect = RoundTripTracker::new(4, 4);
+        for record in &records {
+            for (replica, &rung) in record.iter().enumerate() {
+                expect.record(replica, rung);
+            }
+        }
+        assert_eq!(ledger.round_trips(), Some(&expect));
+        assert_eq!(ExchangeLedger::from_trace(&events), ledger, "a trace folds the same way");
     }
 
     #[test]
     fn zero_participant_windows_take_no_snapshot() {
-        let events = vec![Event::ExchangeWindow {
+        let fresh = RoundTripTracker::new(4, 4);
+        let mut ledger = ExchangeLedger::new(Vec::new(), (0..4).collect(), Some(fresh.clone()));
+        ledger.fold(&Event::ExchangeWindow {
             kind: 'T',
             dim: 0,
             cycle: 0,
             participants: 0,
             start: 1.0,
             end: 1.0,
-        }];
-        assert!(replay_slot_walk(&events, 4).records.is_empty());
+        });
+        assert_eq!(ledger.round_trips(), Some(&fresh));
+        // A window that held replicas does record (the ends of the ladder).
+        ledger.fold(&window(0, 'T'));
+        assert_ne!(ledger.round_trips(), Some(&fresh));
+    }
+
+    #[test]
+    fn a_trace_counts_round_trips_on_one_dimension_of_two_slots_or_more() {
+        let swaps = vec![vec![outcome(0, 0, 1, true), window(0, 'T')]; 4].concat();
+        let trips = |events: &[Event]| {
+            ExchangeLedger::from_trace(events)
+                .round_trips()
+                .map(RoundTripTracker::total_round_trips)
+        };
+        // Four swaps of a 2-slot ladder: each replica goes end to end 3 times.
+        assert_eq!(trips(&swaps), Some(2));
+        let mut two_dims = swaps;
+        two_dims.push(window(1, 'U'));
+        assert_eq!(trips(&two_dims), None);
+        assert_eq!(trips(&[window(0, 'T')]), None, "no slot implied");
     }
 
     #[test]
@@ -457,5 +591,48 @@ mod tests {
             ok: true,
         };
         assert_eq!(implied_slot_count(&[seg]), 10);
+    }
+
+    #[test]
+    fn one_full_round_trip() {
+        let mut rt = RoundTripTracker::new(1, 4);
+        for rung in [0usize, 1, 2, 3, 2, 1, 0] {
+            rt.record(0, rung);
+        }
+        assert_eq!(rt.round_trips(0), 1);
+        assert_eq!(rt.total_round_trips(), 1);
+    }
+
+    #[test]
+    fn bouncing_at_one_end_is_not_a_trip() {
+        let mut rt = RoundTripTracker::new(1, 4);
+        for rung in [0usize, 1, 0, 1, 0] {
+            rt.record(0, rung);
+        }
+        assert_eq!(rt.round_trips(0), 0);
+    }
+
+    #[test]
+    fn half_trip_counts() {
+        let mut rt = RoundTripTracker::new(2, 3);
+        // Replica 0: bottom -> top (one half trip).
+        rt.record(0, 0);
+        rt.record(0, 2);
+        assert_eq!(rt.round_trips(0), 0);
+        // Replica 1: top -> bottom -> top -> bottom (3 half trips = 1 RT).
+        rt.record(1, 2);
+        rt.record(1, 0);
+        rt.record(1, 2);
+        rt.record(1, 0);
+        assert_eq!(rt.round_trips(1), 1);
+        assert_eq!(rt.total_round_trips(), 1);
+    }
+
+    #[test]
+    fn starting_in_the_middle_counts_nothing() {
+        let mut rt = RoundTripTracker::new(1, 5);
+        rt.record(0, 2);
+        rt.record(0, 3);
+        assert_eq!(rt.round_trips(0), 0);
     }
 }

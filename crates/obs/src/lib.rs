@@ -37,8 +37,8 @@ pub use critical_path::{critical_path, cycle_critical_paths, CriticalPath, Cycle
 pub use diag::{Diagnostic, Severity};
 pub use event::{Event, OverheadScope};
 pub use health::{
-    exchange_health, implied_slot_count, live_findings, replay_slot_walk, trace_findings,
-    DimExchangeHealth, ACCEPTANCE_BAND,
+    implied_slot_count, live_findings, trace_findings, DimExchangeHealth, ExchangeLedger,
+    ACCEPTANCE_BAND,
 };
 pub use live::{
     merge_snapshots, render_progress_line, validate_campaign_id, CampaignIdError, DimSnapshot,

@@ -5,8 +5,8 @@
 //! multi-day campaign needs the same health signals *while it runs*. This
 //! module folds the recorder's event stream incrementally into a
 //! [`LiveState`] — cumulative and windowed counters, windowed
-//! [`LogHistogram`] percentiles, per-dimension acceptance, a round-trip
-//! counter replayed from exchange outcomes — and periodically emits a
+//! [`LogHistogram`] percentiles, and an [`ExchangeLedger`] for acceptance
+//! and round trips — and periodically emits a
 //! campaign-labeled [`TelemetrySnapshot`]. A snapshot goes through
 //! [`crate::json`] both ways — one compact JSONL line each (a tailer —
 //! `repex watch` — never sees a torn record because the sink appends each
@@ -17,26 +17,26 @@
 //! [`crate::health::live_findings`], the live half of the run-health
 //! catalog (W201 ↔ A101, W202 ↔ A104, W203 ↔ L401).
 //!
-//! Consistency contract: the fold uses the *same* accumulation semantics as
-//! the post-hoc aggregators — per-cycle Tc via the
-//! [`CycleBreakdown`](crate::CycleBreakdown) match arms, acceptance via
-//! `ExchangeOutcome` counting exactly as [`crate::exchange_health`], the
-//! slot walk and round-trip endpoints exactly as
-//! [`crate::replay_slot_walk`] feeds the drivers' tracker — so the merged
-//! snapshot stream reproduces the end-of-run report (asserted to 1e-9, and
-//! exactly for integer counters, in `tests/it_telemetry.rs`).
+//! Consistency contract: the fold uses the *same* accumulation code as the
+//! post-hoc aggregators — per-cycle Tc via the
+//! [`CycleBreakdown`](crate::CycleBreakdown) match arms, acceptance, the
+//! slot walk and round trips via the [`ExchangeLedger`] that `repex
+//! analyze` folds a trace into, seeded with the drivers' own tracker — so
+//! the merged snapshot stream reproduces the end-of-run report (asserted to
+//! 1e-9, and exactly for integer counters, in `tests/it_telemetry.rs`).
 //!
 //! Window semantics: `window_*` fields cover events folded since the
 //! previous emitted snapshot; cumulative twins cover the whole campaign
 //! (seeded from a [`LiveBaseline`] on `--resume`, so windows telescope:
 //! summing every deduplicated snapshot's window equals the last snapshot's
-//! cumulative value). `seq` increments once per emission and survives
+//! cumulative value): a window count is the cumulative one less its value
+//! at the previous emission. `seq` increments once per emission and survives
 //! resume through the checkpoint's telemetry cursor; a tailer merging a
 //! stream that spans a kill keeps the *last* record per `seq`.
 
 use crate::diag::Diagnostic;
 use crate::event::Event;
-use crate::health::{live_findings, DimExchangeHealth};
+use crate::health::{live_findings, DimExchangeHealth, ExchangeLedger, RoundTripTracker};
 use crate::json::{self, Decode, Encode, Value};
 use crate::stats::LogHistogram;
 use crate::timeline_stats::{timeline_stats, StragglerPolicy};
@@ -80,10 +80,9 @@ pub struct LiveBaseline {
     pub md_segments: u64,
     /// replica id -> slot at resume (empty = identity).
     pub slot_of: Vec<usize>,
-    /// Round-trip endpoint state per replica (-1 none, 0 bottom, 1 top).
-    pub rt_last_end: Vec<i8>,
-    /// Completed half-trips per replica (2 half-trips = 1 round trip).
-    pub rt_half_trips: Vec<u64>,
+    /// The drivers' round-trip tracker at resume; `None` starts a fresh one
+    /// when the config describes a 1-D ladder.
+    pub round_trips: Option<RoundTripTracker>,
 }
 
 /// Driver-supplied facts at emission time (the counters the drivers own
@@ -346,16 +345,6 @@ pub fn merge_snapshots(snapshots: Vec<TelemetrySnapshot>) -> Vec<TelemetrySnapsh
     by_seq.into_values().collect()
 }
 
-/// Internal per-dimension fold counters.
-#[derive(Debug, Clone, Default)]
-struct DimAcc {
-    kind: char,
-    attempts: u64,
-    accepted: u64,
-    win_attempts: u64,
-    win_accepted: u64,
-}
-
 /// The fold: events stream in through [`LiveState::fold`], snapshots come
 /// out of [`LiveState::emit`]. Memory is bounded — the only event buffer is
 /// the current window (cleared at each emission), and the pending per-cycle
@@ -364,17 +353,13 @@ struct DimAcc {
 pub struct LiveState {
     cfg: LiveConfig,
     seq: u64,
-    dims: Vec<DimAcc>,
+    ledger: ExchangeLedger,
     md_ok: u64,
-    win_md_ok: u64,
-    // Slot walk mirroring `replay_slot_walk`: owner[slot] = replica,
-    // slot_of[replica] = slot.
-    owner: Vec<usize>,
-    slot_of: Vec<usize>,
-    rt_enabled: bool,
-    rt_last_end: Vec<i8>,
-    rt_half_trips: Vec<u64>,
-    rt_total_at_emit: u64,
+    // The cumulative counts at the previous emission: a window is the
+    // difference.
+    dims_at_emit: Vec<DimExchangeHealth>,
+    round_trips_at_emit: u64,
+    md_ok_at_emit: u64,
     // Per-cycle Tc accumulation (sync; async cycles never see an MdPhase
     // and are discarded at emit).
     pending: BTreeMap<u64, (CycleBreakdown, bool)>,
@@ -386,59 +371,36 @@ pub struct LiveState {
     idle_windows: u32,
     last_failed: u64,
     last_relaunched: u64,
-    done_emitted: bool,
 }
 
 impl LiveState {
     pub fn new(cfg: LiveConfig) -> Self {
-        let n = cfg.n_slots;
-        let rt_enabled = cfg.ladder_len >= 2 && n == cfg.ladder_len && n >= 2;
-        let slot_of: Vec<usize> = if cfg.baseline.slot_of.len() == n {
-            cfg.baseline.slot_of.clone()
-        } else {
-            (0..n).collect()
-        };
-        let mut owner = vec![0usize; n];
-        for (replica, &slot) in slot_of.iter().enumerate() {
-            if slot < n {
-                owner[slot] = replica;
-            }
-        }
-        let rt_last_end = if cfg.baseline.rt_last_end.len() == n {
-            cfg.baseline.rt_last_end.clone()
-        } else {
-            vec![-1; n]
-        };
-        let rt_half_trips = if cfg.baseline.rt_half_trips.len() == n {
-            cfg.baseline.rt_half_trips.clone()
-        } else {
-            vec![0; n]
-        };
-        let rt_total_at_emit = rt_half_trips.iter().map(|h| h / 2).sum();
-        let dims = cfg
+        let (n, base) = (cfg.n_slots, &cfg.baseline);
+        let dims: Vec<DimExchangeHealth> = cfg
             .dim_kinds
             .iter()
             .enumerate()
-            .map(|(i, &kind)| {
-                let (attempts, accepted) = cfg.baseline.dims.get(i).copied().unwrap_or((0, 0));
-                DimAcc { kind, attempts, accepted, ..Default::default() }
+            .map(|(dim, &kind)| {
+                let (attempts, accepted) = base.dims.get(dim).copied().unwrap_or((0, 0));
+                DimExchangeHealth { dim, kind, attempts, accepted }
             })
             .collect();
-        let (last_failed, last_relaunched) =
-            (cfg.baseline.failed_tasks, cfg.baseline.relaunched_tasks);
-        let (seq, md_ok) = (cfg.baseline.seq, cfg.baseline.md_segments);
+        let slot_of = if base.slot_of.len() == n { base.slot_of.clone() } else { (0..n).collect() };
+        let round_trips = base.round_trips.clone().or_else(|| {
+            (cfg.ladder_len >= 2 && n == cfg.ladder_len)
+                .then(|| RoundTripTracker::new(n, cfg.ladder_len))
+        });
+        let round_trips_at_emit =
+            round_trips.as_ref().map_or(0, RoundTripTracker::total_round_trips);
+        let (seq, md_ok) = (base.seq, base.md_segments);
+        let (last_failed, last_relaunched) = (base.failed_tasks, base.relaunched_tasks);
         LiveState {
-            cfg,
             seq,
-            dims,
+            ledger: ExchangeLedger::new(dims.clone(), slot_of, round_trips),
             md_ok,
-            win_md_ok: 0,
-            owner,
-            slot_of,
-            rt_enabled,
-            rt_last_end,
-            rt_half_trips,
-            rt_total_at_emit,
+            dims_at_emit: dims,
+            round_trips_at_emit,
+            md_ok_at_emit: md_ok,
             pending: BTreeMap::new(),
             leg_tc: LogHistogram::new(),
             win_tc: LogHistogram::new(),
@@ -448,40 +410,13 @@ impl LiveState {
             idle_windows: 0,
             last_failed,
             last_relaunched,
-            done_emitted: false,
+            cfg,
         }
     }
 
     /// The last emitted snapshot sequence number (the checkpoint cursor).
     pub fn seq(&self) -> u64 {
         self.seq
-    }
-
-    fn dim_mut(&mut self, dim: usize, kind: Option<char>) -> &mut DimAcc {
-        while self.dims.len() <= dim {
-            self.dims.push(DimAcc::default());
-        }
-        let d = &mut self.dims[dim];
-        if let Some(k) = kind {
-            d.kind = k;
-        }
-        d
-    }
-
-    /// Record one replica's current rung into the round-trip endpoint
-    /// counter — the exact semantics of `exchange::RoundTripTracker`.
-    fn rt_record(&mut self, replica: usize, rung: usize) {
-        let end = if rung == 0 {
-            0i8
-        } else if rung + 1 == self.cfg.ladder_len {
-            1
-        } else {
-            return;
-        };
-        if self.rt_last_end[replica] != -1 && self.rt_last_end[replica] != end {
-            self.rt_half_trips[replica] += 1;
-        }
-        self.rt_last_end[replica] = end;
     }
 
     /// Fold one event into the rolling window and cumulative state.
@@ -494,47 +429,10 @@ impl LiveState {
             entry.1 |= matches!(event, Event::MdPhase { .. });
             &mut entry.0
         });
-        match *event {
-            Event::ExchangeWindow { kind, dim, participants, .. } => {
-                self.dim_mut(dim, Some(kind));
-                // Snapshot the walk at every participating window — the
-                // cadence `replay_slot_walk` documents and the drivers'
-                // tracker follows (re-recording unchanged positions never
-                // adds a half-trip, so windows whose exchange failed are
-                // harmless no-ops here exactly as they are in-process).
-                if participants > 0 && self.rt_enabled {
-                    for replica in 0..self.slot_of.len() {
-                        self.rt_record(replica, self.slot_of[replica]);
-                    }
-                }
-            }
-            Event::MdSegment { start, end, ok, .. } => {
-                self.win_seg.record(end - start);
-                if ok {
-                    self.md_ok += 1;
-                    self.win_md_ok += 1;
-                }
-            }
-            Event::ExchangeOutcome { dim, slot_lo, slot_hi, accepted, .. } => {
-                let d = self.dim_mut(dim, None);
-                d.attempts += 1;
-                d.win_attempts += 1;
-                if accepted {
-                    d.accepted += 1;
-                    d.win_accepted += 1;
-                    // Identical guard to `replay_slot_walk`.
-                    if slot_hi < self.owner.len() {
-                        self.owner.swap(slot_lo, slot_hi);
-                        self.slot_of[self.owner[slot_lo]] = slot_lo;
-                        self.slot_of[self.owner[slot_hi]] = slot_hi;
-                    }
-                }
-            }
-            Event::MdPhase { .. }
-            | Event::DataStage { .. }
-            | Event::Overhead { .. }
-            | Event::TaskRelaunch { .. }
-            | Event::CacheRebuild { .. } => {}
+        self.ledger.fold(event);
+        if let Event::MdSegment { start, end, ok, .. } = *event {
+            self.win_seg.record(end - start);
+            self.md_ok += u64::from(ok);
         }
         self.window_events.push(event.clone());
     }
@@ -563,8 +461,7 @@ impl LiveState {
         let win_stragglers =
             timeline_stats(&self.window_events, StragglerPolicy::default()).straggler_count as u64;
         self.stragglers += win_stragglers;
-        let rt_total: u64 = self.rt_half_trips.iter().map(|h| h / 2).sum();
-        let window_round_trips = rt_total - self.rt_total_at_emit;
+        let round_trips = self.ledger.round_trips().map_or(0, RoundTripTracker::total_round_trips);
         let eta_seconds = {
             let base = &self.cfg.baseline;
             if stats.completed > base.completed && stats.total > stats.completed {
@@ -574,7 +471,7 @@ impl LiveState {
                 0.0
             }
         };
-        if self.win_md_ok == 0 && !stats.done {
+        if self.md_ok == self.md_ok_at_emit && !stats.done {
             self.idle_windows += 1;
         } else {
             self.idle_windows = 0;
@@ -594,22 +491,25 @@ impl LiveState {
             relaunched_tasks: stats.relaunched_tasks,
             window_relaunched: stats.relaunched_tasks.saturating_sub(self.last_relaunched),
             md_segments: self.md_ok,
-            window_md_segments: self.win_md_ok,
-            round_trips: rt_total,
-            window_round_trips,
+            window_md_segments: self.md_ok - self.md_ok_at_emit,
+            round_trips,
+            window_round_trips: round_trips - self.round_trips_at_emit,
             stragglers: self.stragglers,
             window_stragglers: win_stragglers,
             dims: self
-                .dims
+                .ledger
+                .dims()
                 .iter()
-                .enumerate()
-                .map(|(dim, d)| DimSnapshot {
-                    dim,
-                    kind: if d.kind == '\0' { '?' } else { d.kind },
-                    attempts: d.attempts,
-                    accepted: d.accepted,
-                    window_attempts: d.win_attempts,
-                    window_accepted: d.win_accepted,
+                .map(|d| {
+                    let prev = self.dims_at_emit.iter().find(|p| p.dim == d.dim);
+                    DimSnapshot {
+                        dim: d.dim,
+                        kind: d.kind,
+                        attempts: d.attempts,
+                        accepted: d.accepted,
+                        window_attempts: d.attempts - prev.map_or(0, |p| p.attempts),
+                        window_accepted: d.accepted - prev.map_or(0, |p| p.accepted),
+                    }
                 })
                 .collect(),
             tc: HistSummary::of(&self.leg_tc),
@@ -619,18 +519,14 @@ impl LiveState {
         };
         snap.findings = live_findings(&snap, self.idle_windows);
         // Reset the window.
-        self.win_md_ok = 0;
         self.win_tc = LogHistogram::new();
         self.win_seg = LogHistogram::new();
         self.window_events.clear();
-        self.rt_total_at_emit = rt_total;
+        self.dims_at_emit = self.ledger.dims().to_vec();
+        self.round_trips_at_emit = round_trips;
+        self.md_ok_at_emit = self.md_ok;
         self.last_failed = stats.failed_tasks;
         self.last_relaunched = stats.relaunched_tasks;
-        for d in &mut self.dims {
-            d.win_attempts = 0;
-            d.win_accepted = 0;
-        }
-        self.done_emitted |= stats.done;
         snap
     }
 }
@@ -694,9 +590,8 @@ mod tests {
         assert_eq!(snap.dims[0].attempts, 2);
         assert_eq!(snap.dims[0].accepted, 1);
         assert_eq!(snap.dims[0].window_attempts, 2);
-        let health = crate::exchange_health(&events);
-        assert_eq!(health[0].attempts, snap.dims[0].attempts);
-        assert_eq!(health[0].accepted, snap.dims[0].accepted);
+        let ledger = ExchangeLedger::from_trace(&events);
+        assert_eq!(ledger.dims()[0], snap.dims[0].health());
         assert_eq!(snap.md_segments, 2);
         assert_eq!(snap.seq, 1);
     }
@@ -724,19 +619,31 @@ mod tests {
         // whole ladder; swapping back and forth yields half-trips exactly as
         // the in-process tracker counts them.
         let mut st = state(2);
+        let mut events = Vec::new();
         for i in 0..4u64 {
-            st.fold(&outcome(0, 1, true));
-            st.fold(&window(i, 2, i as f64, i as f64 + 0.1));
+            events.push(outcome(0, 1, true));
+            events.push(window(i, 2, i as f64, i as f64 + 0.1));
+        }
+        for e in &events {
+            st.fold(e);
         }
         let snap = st.emit(&stats(4, 4, 4.0), 0, 0);
         // Walk: each swap alternates both replicas between rungs 0 and 1.
         // First window fixes last_end; three subsequent alternations = 3
         // half-trips each = 1 round trip each.
         assert_eq!(snap.round_trips, 2, "both replicas complete one round trip");
+        let replayed = ExchangeLedger::from_trace(&events);
+        assert_eq!(replayed.round_trips().map(RoundTripTracker::total_round_trips), Some(2));
     }
 
     #[test]
     fn baseline_seeds_cumulative_state() {
+        // Replica 0: three half-trips, last at the top; replica 1: two, last
+        // at the bottom.
+        let mut tracker = RoundTripTracker::new(2, 2);
+        for (replica, rung) in [(0, 0), (0, 1), (0, 0), (0, 1), (1, 0), (1, 1), (1, 0)] {
+            tracker.record(replica, rung);
+        }
         let mut st = LiveState::new(LiveConfig {
             campaign: "resumed".into(),
             n_slots: 2,
@@ -751,8 +658,7 @@ mod tests {
                 relaunched_tasks: 1,
                 md_segments: 6,
                 slot_of: vec![1, 0],
-                rt_last_end: vec![1, 0],
-                rt_half_trips: vec![3, 2],
+                round_trips: Some(tracker),
             },
         });
         st.fold(&outcome(0, 1, true));

@@ -535,7 +535,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
         );
     }
     // The same lint pass that gates `repex run`: error findings reject.
-    let diags = lint::lint_config(&config, &lint::LintOptions::default());
+    let diags = lint::lint_config(&config);
     if obs::diag::has_errors(&diags) {
         return reject(422, diags);
     }

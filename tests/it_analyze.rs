@@ -4,6 +4,7 @@
 //! critical path, exchange acceptance, and ladder round trips.
 
 use integration::quick_tremd;
+use obs::health::RoundTripTracker;
 use obs::{Event, Recorder, StragglerPolicy};
 use repex::simulation::RemdSimulation;
 
@@ -58,7 +59,8 @@ fn trace_acceptance_and_round_trips_match_in_process_stats() {
     let events = recorder.events();
 
     // Acceptance: trace-derived counts equal exchange::stats exactly.
-    let health = obs::exchange_health(&events);
+    let ledger = obs::ExchangeLedger::from_trace(&events);
+    let health = ledger.dims();
     assert_eq!(health.len(), report.acceptance.len());
     let (letter, stats) = &report.acceptance[0];
     assert_eq!(health[0].kind, *letter);
@@ -67,24 +69,31 @@ fn trace_acceptance_and_round_trips_match_in_process_stats() {
     assert!(stats.attempts > 0, "the run must attempt exchanges");
     assert_eq!(health[0].ratio(), stats.ratio());
 
-    // Round trips: replaying the slot walk from accepted outcomes and
-    // feeding the snapshots through RoundTripTracker reproduces the
-    // in-process count exactly.
-    let n = obs::implied_slot_count(&events);
-    assert_eq!(n, 8);
-    let replay = obs::replay_slot_walk(&events, n);
-    assert_eq!(replay.records.len(), 6, "one snapshot per cycle's exchange window");
-    let mut rt = exchange::stats::RoundTripTracker::new(n, n);
-    for record in &replay.records {
-        for (replica, rung) in record.iter().enumerate() {
-            rt.record(replica, *rung);
+    // Round trips: replaying the slot walk from accepted outcomes through
+    // the ledger's tracker reproduces the in-process count exactly — and
+    // the tracker equals one fed the in-process rung history cycle by cycle.
+    assert_eq!(obs::implied_slot_count(&events), 8);
+    let windows = events
+        .iter()
+        .filter(|e| matches!(e, Event::ExchangeWindow { participants, .. } if *participants > 0));
+    assert_eq!(windows.count(), 6, "one walk record per cycle's exchange window");
+    let rt = ledger.round_trips().expect("a 1-D trace counts round trips");
+    assert_eq!(rt.total_round_trips(), report.round_trips);
+    let mut from_history = RoundTripTracker::new(8, 8);
+    for cycle in 0..6 {
+        for (replica, rungs) in report.rung_history.iter().enumerate() {
+            from_history.record(replica, rungs[cycle]);
         }
     }
-    assert_eq!(rt.total_round_trips(), report.round_trips);
+    assert_eq!(*rt, from_history);
 
     // The replayed final assignment matches the in-process rung history.
     for (replica, rungs) in report.rung_history.iter().enumerate() {
-        assert_eq!(*rungs.last().unwrap(), replay.slot_of[replica], "replica {replica} final slot");
+        assert_eq!(
+            *rungs.last().unwrap(),
+            ledger.slot_of()[replica],
+            "replica {replica} final slot"
+        );
     }
 }
 
@@ -153,10 +162,12 @@ fn async_trace_supports_health_and_critical_path() {
     let report = RemdSimulation::new(cfg).unwrap().with_recorder(recorder.clone()).run().unwrap();
     let events = recorder.events();
 
-    let health = obs::exchange_health(&events);
+    let ledger = obs::ExchangeLedger::from_trace(&events);
     let (_, stats) = &report.acceptance[0];
-    assert_eq!(health[0].attempts, stats.attempts);
-    assert_eq!(health[0].accepted, stats.accepted);
+    assert_eq!(ledger.dims()[0].attempts, stats.attempts);
+    assert_eq!(ledger.dims()[0].accepted, stats.accepted);
+    let trips = ledger.round_trips().map(RoundTripTracker::total_round_trips);
+    assert_eq!(trips, Some(report.round_trips));
 
     // No phase events in an async stream: the critical path falls back to
     // chaining segments through exchange windows.

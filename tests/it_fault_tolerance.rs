@@ -122,11 +122,10 @@ fn interrupted_and_resumed_sync_campaign_matches_uninterrupted_exactly() {
     let full_events = strip(rec_full.events());
     assert_eq!(interrupted, full_events);
 
-    // The health/replay view (what `repex analyze` reports) agrees too.
-    assert_eq!(obs::exchange_health(&interrupted), obs::exchange_health(&full_events));
-    let n = obs::implied_slot_count(&full_events);
-    assert_eq!(
-        obs::replay_slot_walk(&interrupted, n).records,
-        obs::replay_slot_walk(&full_events, n).records
-    );
+    // The ledger (what `repex analyze` reports) agrees too: acceptance,
+    // the slot walk and the round-trip tracker, which counts the report's.
+    let ledger = obs::ExchangeLedger::from_trace(&full_events);
+    assert_eq!(obs::ExchangeLedger::from_trace(&interrupted), ledger);
+    let trips = ledger.round_trips().map(obs::health::RoundTripTracker::total_round_trips);
+    assert_eq!(trips, Some(full.round_trips));
 }

@@ -5,7 +5,7 @@
 //! round-trip-coverage rule (L501/L502) agrees with what a simulated run
 //! actually measures via `exchange::stats`.
 
-use lint::{lint_config, LintOptions};
+use lint::lint_config;
 use obs::Severity;
 use repex::config::{DimensionConfig, SimulationConfig};
 use repex::simulation::RemdSimulation;
@@ -26,7 +26,7 @@ fn example_configs_lint_clean() {
         let text = std::fs::read_to_string(&path).unwrap();
         let cfg = SimulationConfig::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         cfg.validate().unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        let diags = lint_config(&cfg, &LintOptions::default());
+        let diags = lint_config(&cfg);
         assert!(!obs::diag::has_errors(&diags), "{path:?} has error findings: {diags:?}");
         checked += 1;
     }
@@ -35,7 +35,7 @@ fn example_configs_lint_clean() {
 
 #[test]
 fn clean_plan_produces_no_findings() {
-    let diags = lint_config(&SimulationConfig::t_remd(8, 6000, 2), &LintOptions::default());
+    let diags = lint_config(&SimulationConfig::t_remd(8, 6000, 2));
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -44,7 +44,7 @@ fn clean_plan_produces_no_findings() {
 fn info_level_mode_ii_plan() {
     let mut cfg = SimulationConfig::t_remd(16, 6000, 4);
     cfg.resource.cores = Some(8);
-    let diags = lint_config(&cfg, &LintOptions::default());
+    let diags = lint_config(&cfg);
     assert!(codes(&diags).contains(&"L001"), "{diags:?}");
     assert_eq!(obs::diag::max_severity(&diags), Some(Severity::Info), "{diags:?}");
 }
@@ -52,7 +52,7 @@ fn info_level_mode_ii_plan() {
 /// Warning level: the plan runs but won't do what the user wants.
 #[test]
 fn warning_level_single_cycle_plan() {
-    let diags = lint_config(&SimulationConfig::t_remd(8, 6000, 1), &LintOptions::default());
+    let diags = lint_config(&SimulationConfig::t_remd(8, 6000, 1));
     assert!(codes(&diags).contains(&"L501"), "{diags:?}");
     assert_eq!(obs::diag::max_severity(&diags), Some(Severity::Warning), "{diags:?}");
 }
@@ -66,7 +66,7 @@ fn error_level_underprovisioned_salt_plan() {
         DimensionConfig::Salt { min_molar: 0.0, max_molar: 1.0, count: 4 },
     ];
     cfg.resource.cores = Some(2);
-    let diags = lint_config(&cfg, &LintOptions::default());
+    let diags = lint_config(&cfg);
     assert!(codes(&diags).contains(&"L201"), "{diags:?}");
     assert_eq!(obs::diag::max_severity(&diags), Some(Severity::Error), "{diags:?}");
 }
@@ -78,7 +78,7 @@ fn single_rung_ladder_lint_agrees_with_simulation() {
     let mut cfg = SimulationConfig::t_remd(1, 600, 2);
     cfg.dimensions = vec![DimensionConfig::TemperatureList { temps_k: vec![300.0] }];
     cfg.surrogate_steps = 5;
-    let diags = lint_config(&cfg, &LintOptions::default());
+    let diags = lint_config(&cfg);
     assert!(codes(&diags).contains(&"L502"), "{diags:?}");
 
     let report = RemdSimulation::new(cfg).unwrap().run().unwrap();
@@ -93,7 +93,7 @@ fn single_rung_ladder_lint_agrees_with_simulation() {
 fn single_cycle_odd_ladder_lint_agrees_with_simulation() {
     let mut cfg = SimulationConfig::t_remd(5, 600, 1);
     cfg.surrogate_steps = 5;
-    let diags = lint_config(&cfg, &LintOptions::default());
+    let diags = lint_config(&cfg);
     assert!(codes(&diags).contains(&"L501"), "{diags:?}");
 
     let report = RemdSimulation::new(cfg).unwrap().run().unwrap();
@@ -107,7 +107,7 @@ fn single_cycle_odd_ladder_lint_agrees_with_simulation() {
 fn multi_cycle_ladder_round_trips_where_lint_is_quiet() {
     let mut cfg = SimulationConfig::t_remd(3, 600, 100);
     cfg.surrogate_steps = 5;
-    let diags = lint_config(&cfg, &LintOptions::default());
+    let diags = lint_config(&cfg);
     assert!(!codes(&diags).contains(&"L501"), "{diags:?}");
     assert!(!codes(&diags).contains(&"L502"), "{diags:?}");
 

@@ -35,7 +35,7 @@ fn window_sum(snaps: &[TelemetrySnapshot], window: fn(&TelemetrySnapshot) -> u64
 
 /// Storm campaign, streamed: the merged stream must reproduce the final
 /// report exactly, every window must telescope to the cumulative truth,
-/// the acceptance must match an `obs::exchange_health` replay of the full
+/// the acceptance must match an `obs::ExchangeLedger` replay of the full
 /// event stream, and A104's live twin (W202) must fire mid-run.
 #[test]
 fn streamed_windows_fold_to_end_of_run_truth_under_faults() {
@@ -73,8 +73,9 @@ fn streamed_windows_fold_to_end_of_run_truth_under_faults() {
     assert_eq!(last.round_trips, report.round_trips);
 
     // Cumulative per-dim acceptance equals the report *and* a post-hoc
-    // exchange_health replay of the recorded events, to 1e-9.
-    let health = obs::exchange_health(&recorder.events());
+    // ledger replay of the recorded events, to 1e-9.
+    let ledger = obs::ExchangeLedger::from_trace(&recorder.events());
+    let health = ledger.dims();
     for (i, (letter, acc)) in report.acceptance.iter().enumerate() {
         let d = &last.dims[i];
         assert_eq!(d.kind, *letter);
