@@ -351,10 +351,11 @@ fn cmd_run(args: &Args) -> Result<u8, String> {
     if args.operand.is_some() == resume_dir.is_some() {
         return Err(args.verb.usage_error("run takes either <config.json> or --resume <dir>"));
     }
-    // The sinks are written after the campaign: a path that cannot take a
-    // file is refused before any work starts.
-    let refused: Vec<String> =
-        [json_out, trace_out, metrics_out].into_iter().flatten().filter_map(unwritable).collect();
+    // The sinks are written after the campaign (--prom after the first
+    // cycle): a path that cannot take a file is refused before any work
+    // starts.
+    let sinks = [json_out, trace_out, metrics_out, args.text("--prom")];
+    let refused: Vec<String> = sinks.into_iter().flatten().filter_map(unwritable).collect();
     if !refused.is_empty() {
         return Err(refused.join("\nerror: "));
     }

@@ -208,24 +208,23 @@ fn the_operand_may_follow_the_flags() {
     assert_eq!(written, std::fs::read_to_string(dir.join("first.json")).expect("first.json"));
 }
 
-/// `run` writes `--json`, `--trace` and `--metrics` after the campaign, so
-/// a path that cannot take a file is refused before the campaign starts:
-/// exit 2, and no checkpoint is written.
+/// `run` writes `--json`, `--trace` and `--metrics` after the campaign and
+/// `--prom` after the first cycle, so a path that cannot take a file is
+/// refused before the campaign starts: exit 2, no `running` banner and no
+/// checkpoint.
 #[test]
 fn an_unwritable_sink_is_refused_before_the_campaign_starts() {
-    let ckpt = empty_dir("sink-preflight").join("ck");
-    let out = run(&[
-        "run",
-        tremd(),
-        "--checkpoint",
-        ckpt.to_str().expect("utf-8 temp path"),
-        "--json",
-        "/no/dir/r.json",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(code(&out), 2, "{stderr}");
-    assert!(stderr.contains("cannot write /no/dir/r.json: "), "{stderr}");
-    assert!(!ckpt.exists(), "the campaign ran: {} exists", ckpt.display());
+    for (flag, sink) in [("--json", "/no/dir/r.json"), ("--prom", "/no/dir/m.prom")] {
+        let ckpt = empty_dir("sink-preflight").join("ck");
+        let out =
+            run(&["run", tremd(), "--checkpoint", ckpt.to_str().expect("utf-8 path"), flag, sink]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{flag}: {stderr}");
+        let refused = format!("cannot write {sink}: /no/dir is not a directory");
+        assert!(stderr.contains(&refused), "{flag}: {stderr}");
+        assert!(!stderr.contains("running "), "{flag}: the campaign started: {stderr}");
+        assert!(!ckpt.exists(), "{flag}: the campaign ran: {} exists", ckpt.display());
+    }
 }
 
 /// Every sink that cannot be written is named, in flag order, not only

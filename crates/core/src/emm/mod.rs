@@ -1,7 +1,7 @@
 //! Execution Management Modules (EMM).
 //!
 //! The EMM owns the pilot, translates the simulation into compute units,
-//! and runs them through one completion loop ([`driver`]) on which an RE
+//! and runs them through one completion loop (`driver`) on which an RE
 //! Pattern is a small policy deciding who exchanges when: the global
 //! barrier ([`sync`]) or the real-time tick over the ready subset
 //! ([`asynchronous`]). The two Execution Modes (Mode I: cores ≥ workload,

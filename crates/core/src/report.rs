@@ -45,8 +45,6 @@ pub struct SimulationReport {
     pub window_samples: Vec<WindowSamples>,
     pub failed_tasks: u64,
     pub relaunched_tasks: u64,
-    /// Batch-queue wait before the pilot became active.
-    pub queue_wait: f64,
 }
 
 impl SimulationReport {
@@ -150,7 +148,6 @@ mod tests {
             window_samples: vec![],
             failed_tasks: 0,
             relaunched_tasks: 0,
-            queue_wait: 0.0,
         }
     }
 

@@ -9,37 +9,39 @@ use crate::replica::{Replica, SlotParams};
 use crate::report::{CycleReport, SimulationReport};
 use crate::task::TaskResult;
 use exchange::stats::AcceptanceStats;
-use hpc::fault::FaultModel;
+use hpc::fault::{FaultModel, HazardModel};
 use hpc::perfmodel::PerfModel;
 use mdsim::models::{
     alanine_dipeptide_on, dipeptide_forcefield, dipeptide_topology, solvated_alanine_dipeptide_on,
 };
 use obs::health::RoundTripTracker;
-use pilot::{Backend, Pilot, PilotDescription, PilotManager};
+use pilot::{Executor, LocalExecutor, Pilot, SimExecutor, StagingArea};
 use rng::Rng;
 use std::sync::Arc;
 
-/// Create the pilot for a configuration (exposed for fault-injection tests).
+/// Create the pilot for a validated configuration (exposed for
+/// fault-injection tests).
 ///
 /// A configured stress [`hpc::Scenario`] layers onto the base fault model
 /// here: failure storms become a time-varying hazard, and duration-shaping
 /// scenarios (stragglers, heterogeneous nodes) ride along into the
 /// executor. Filesystem scenarios act through `cfg.cluster()` instead.
+/// Faults are injected on the simulated backend only; local payloads fail
+/// on their own.
 pub fn make_pilot(cfg: &SimulationConfig, fault: FaultModel) -> Result<Pilot<TaskResult>, String> {
-    let backend = match cfg.resource.backend.as_str() {
-        "simulated" => Backend::Simulated,
-        "local" => Backend::Local,
+    let cores = cfg.pilot_cores()?;
+    let hazard = match cfg.scenario {
+        Some(sc) => sc.hazard(fault).map_err(|e| format!("scenario: {e}"))?,
+        None => HazardModel::Constant(fault),
+    };
+    let executor: Box<dyn Executor<TaskResult>> = match cfg.resource.backend.as_str() {
+        "simulated" => Box::new(
+            SimExecutor::new(cores, cfg.seed).with_hazard(hazard).with_scenario(cfg.scenario),
+        ),
+        "local" => Box::new(LocalExecutor::new(cores)),
         other => return Err(format!("unknown backend {other:?}")),
     };
-    let mut desc = PilotDescription::new(cfg.cluster()?, cfg.pilot_cores()?);
-    desc.seed = cfg.seed;
-    let mgr = match cfg.scenario {
-        Some(sc) => PilotManager::new(backend)
-            .with_hazard(sc.hazard(fault).map_err(|e| format!("scenario: {e}"))?)
-            .with_scenario(Some(sc)),
-        None => PilotManager::new(backend).with_faults(fault),
-    };
-    mgr.submit(desc)
+    Ok(Pilot { executor, staging: StagingArea::new() })
 }
 
 /// Build the full driver context from a validated configuration.
@@ -276,7 +278,6 @@ impl RemdSimulation {
             window_samples: ctx.window_sample_report(),
             failed_tasks: ctx.failed_tasks,
             relaunched_tasks: ctx.relaunched_tasks,
-            queue_wait: ctx.pilot.queue_wait,
         })
     }
 }

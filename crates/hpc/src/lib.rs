@@ -2,8 +2,10 @@
 //!
 //! A discrete-event model of the HPC resources the paper ran on (Stampede,
 //! SuperMIC): core-occupancy timelines, a parallel-filesystem transfer
-//! model, batch-queue waits, failure injection, and task-duration models
-//! calibrated to the paper's measured timings.
+//! model, failure injection, stress scenarios, and task-duration models
+//! calibrated to the paper's measured timings. A pilot's batch-queue wait
+//! is not modelled: it is paid once, before the first cycle, and the
+//! paper's per-cycle decomposition (Eq. 1) has no term for it.
 //!
 //! Orchestration behaviour (who waits for whom at barriers, how Execution
 //! Mode II batches replicas onto scarce cores) is *computed exactly* by the
@@ -15,7 +17,6 @@ pub mod events;
 pub mod fault;
 pub mod perfmodel;
 pub mod pool;
-pub mod queue;
 pub mod scenario;
 pub mod time;
 pub mod timeline;

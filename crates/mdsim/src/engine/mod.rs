@@ -3,7 +3,7 @@
 //! An engine is the unit RepEx treats as a black box: it consumes a job
 //! description (steps, thermostat target, salt concentration, restraints),
 //! propagates a [`System`], and reports energies. The physics is shared —
-//! one Langevin segment loop ([`run_langevin`]) and one single-point path,
+//! one Langevin segment loop (`run_langevin`) and one single-point path,
 //! both provided by [`MdEngine`] over an engine's base parameters and its
 //! thread count — so an engine is what it adds to them:
 //!

@@ -21,7 +21,6 @@ use crate::json::{Encode, Value};
 use crate::live::TelemetrySnapshot;
 use crate::timeline_stats::TimelineStats;
 use crate::{json_fields, json_struct};
-use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
 /// The pairwise acceptance a healthy ladder stays inside: the plan linter
@@ -242,6 +241,8 @@ pub fn implied_slot_count(events: &[Event]) -> usize {
 }
 
 /// The post-hoc rules over a recorded trace and what was derived from it.
+/// `timeline` is [`crate::timeline_stats::timeline_stats`] of the same
+/// `events`: A103 and A105 read its replica lanes.
 ///
 /// | code | fires when |
 /// |------|-----------|
@@ -342,16 +343,12 @@ pub fn trace_findings(
 
     // A105: heterogeneous replica speeds. Compare each replica's mean
     // successful-MD duration against the fleet median.
-    let mut per_replica: BTreeMap<usize, (f64, u32)> = BTreeMap::new();
-    for e in events {
-        if let Event::MdSegment { replica, start, end, ok: true, .. } = e {
-            let slot = per_replica.entry(*replica).or_insert((0.0, 0));
-            slot.0 += end - start;
-            slot.1 += 1;
-        }
-    }
-    let mut means: Vec<(usize, f64)> =
-        per_replica.iter().map(|(r, (sum, n))| (*r, sum / f64::from(*n))).collect();
+    let mut means: Vec<(usize, f64)> = timeline
+        .replicas
+        .iter()
+        .filter(|r| r.segments > 0)
+        .map(|r| (r.lane, r.mean_segment))
+        .collect();
     if means.len() >= 4 {
         means.sort_by(|a, b| a.1.total_cmp(&b.1));
         let median = means[means.len() / 2].1;

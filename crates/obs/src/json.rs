@@ -1,6 +1,6 @@
 //! The workspace's one JSON layer (std only). Here: a [`Value`] tree, a
 //! strict parser, compact and pretty writers and [`locate`] for source
-//! positions. In [`codec`]: the [`Encode`]/[`Decode`] pair persisted types
+//! positions. In `codec`: the [`Encode`]/[`Decode`] pair persisted types
 //! implement beside their definitions. The wire rules those follow are
 //! written down in DESIGN.md §11.
 

@@ -18,12 +18,12 @@
 //! catalog (W201 ↔ A101, W202 ↔ A104, W203 ↔ L401).
 //!
 //! Consistency contract: the fold uses the *same* accumulation code as the
-//! post-hoc aggregators — per-cycle Tc via the
-//! [`CycleBreakdown`](crate::CycleBreakdown) match arms, acceptance, the
-//! slot walk and round trips via the [`ExchangeLedger`] that `repex
-//! analyze` folds a trace into, seeded with the drivers' own tracker — so
-//! the merged snapshot stream reproduces the end-of-run report (asserted to
-//! 1e-9, and exactly for integer counters, in `tests/it_telemetry.rs`).
+//! post-hoc aggregators — per-cycle Tc via the [`CycleBreakdown`] match
+//! arms, acceptance, the slot walk and round trips via the
+//! [`ExchangeLedger`] that `repex analyze` folds a trace into, seeded with
+//! the drivers' own tracker — so the merged snapshot stream reproduces the
+//! end-of-run report (asserted to 1e-9, and exactly for integer counters,
+//! in `tests/it_telemetry.rs`).
 //!
 //! Window semantics: `window_*` fields cover events folded since the
 //! previous emitted snapshot; cumulative twins cover the whole campaign

@@ -1,7 +1,4 @@
-//! Pilot and compute-unit descriptions — the declarative half of the API.
-
-use hpc::cluster::ClusterSpec;
-use hpc::queue::BatchQueue;
+//! Compute-unit descriptions — the declarative half of the API.
 
 /// How a unit's wall-clock duration is determined.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,47 +83,6 @@ impl UnitDescription {
     }
 }
 
-/// Declarative description of a pilot (RP's ComputePilotDescription).
-#[derive(Debug, Clone)]
-pub struct PilotDescription {
-    /// Target machine.
-    pub cluster: ClusterSpec,
-    /// Cores to allocate.
-    pub cores: usize,
-    /// Requested walltime in seconds.
-    pub walltime: f64,
-    /// Batch-queue model; `None` = pilot becomes active immediately
-    /// (useful in tests and when measuring only per-cycle timings, which
-    /// exclude queue wait, as in the paper).
-    pub queue: Option<BatchQueue>,
-    /// RNG seed for queue-wait / straggler / fault sampling.
-    pub seed: u64,
-}
-
-impl PilotDescription {
-    pub fn new(cluster: ClusterSpec, cores: usize) -> Self {
-        PilotDescription { cluster, cores, walltime: 15.0 * 3600.0, queue: None, seed: 0 }
-    }
-
-    pub fn validate(&self) -> Result<(), String> {
-        if self.cores == 0 {
-            return Err("pilot requests zero cores".into());
-        }
-        if self.cores > self.cluster.total_cores() {
-            return Err(format!(
-                "pilot requests {} cores but {} has only {}",
-                self.cores,
-                self.cluster.name,
-                self.cluster.total_cores()
-            ));
-        }
-        if self.walltime <= 0.0 {
-            return Err("non-positive walltime".into());
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,17 +100,5 @@ mod tests {
         let bad = UnitDescription::new("a", "x", 1)
             .with_duration(DurationSpec::Modeled { seconds: -1.0, sigma: 0.0 });
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn pilot_validation() {
-        let c = ClusterSpec::supermic();
-        assert!(PilotDescription::new(c.clone(), 128).validate().is_ok());
-        assert!(PilotDescription::new(c.clone(), 0).validate().is_err());
-        let too_big = PilotDescription::new(c.clone(), c.total_cores() + 1);
-        assert!(too_big.validate().is_err());
-        let mut bad_wt = PilotDescription::new(c, 10);
-        bad_wt.walltime = 0.0;
-        assert!(bad_wt.validate().is_err());
     }
 }

@@ -17,6 +17,7 @@
 //! asynchronous criterion on top of it.
 
 use crate::description::UnitDescription;
+use crate::staging::StagingArea;
 use hpc::SimTime;
 
 /// Unique unit handle.
@@ -110,4 +111,70 @@ pub fn drain<R, E: Executor<R> + ?Sized>(exec: &mut E) -> Vec<CompletedUnit<R>> 
         out.push(c);
     }
     out
+}
+
+/// An active pilot: the executor that holds its cores for the whole
+/// campaign, plus the staging area its units share files through.
+pub struct Pilot<R> {
+    pub executor: Box<dyn Executor<R>>,
+    pub staging: StagingArea,
+}
+
+impl<R> Pilot<R> {
+    pub fn cores(&self) -> usize {
+        self.executor.n_cores()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::description::DurationSpec;
+    use crate::local::LocalExecutor;
+    use crate::sim::SimExecutor;
+
+    fn pilot<R>(executor: impl Executor<R> + 'static) -> Pilot<R> {
+        Pilot { executor: Box::new(executor), staging: StagingArea::new() }
+    }
+
+    #[test]
+    fn simulated_pilot_end_to_end() {
+        let mut pilot = pilot(SimExecutor::<u32>::new(64, 0));
+        assert_eq!(pilot.cores(), 64);
+        for i in 0..64 {
+            let u = UnitDescription::new(format!("t{i}"), "sander", 1)
+                .with_duration(DurationSpec::Modeled { seconds: 139.6, sigma: 0.0 });
+            pilot.executor.submit(u, Box::new(move || Ok(i))).unwrap();
+        }
+        let done = drain(pilot.executor.as_mut());
+        assert_eq!(done.len(), 64);
+        // All concurrent: makespan is one task's duration.
+        assert!((pilot.executor.now().as_secs() - 139.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn local_pilot_end_to_end() {
+        let mut pilot = pilot(LocalExecutor::<u32>::new(4));
+        for i in 0..8 {
+            let u = UnitDescription::new(format!("t{i}"), "x", 1);
+            pilot.executor.submit(u, Box::new(move || Ok(i))).unwrap();
+        }
+        let done = drain(pilot.executor.as_mut());
+        assert_eq!(done.len(), 8);
+    }
+
+    #[test]
+    fn staging_area_shared_with_tasks() {
+        let mut pilot = pilot(SimExecutor::<String>::new(2, 0));
+        pilot.staging.put_text("input.mdin", "nstlim = 10");
+        let staging = pilot.staging.clone();
+        let u = UnitDescription::new("reader", "sander", 1)
+            .with_duration(DurationSpec::modeled(1.0, 0.0));
+        pilot
+            .executor
+            .submit(u, Box::new(move || staging.read_text("input.mdin", str::to_owned)))
+            .unwrap();
+        let done = drain(pilot.executor.as_mut());
+        assert_eq!(done[0].outcome.as_ref().unwrap(), "nstlim = 10");
+    }
 }
