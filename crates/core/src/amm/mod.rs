@@ -28,7 +28,7 @@ use mdsim::io::restart::write_restart;
 use mdsim::System;
 use pilot::description::{DurationSpec, UnitDescription};
 use pilot::executor::TaskWork;
-use pilot::staging::StagingArea;
+use pilot::staging::{Retired, StagingArea};
 use std::sync::{Arc, Mutex};
 
 /// Everything needed to prepare one replica's MD segment.
@@ -64,6 +64,15 @@ pub fn file_base(replica: usize, cycle: u64) -> String {
     format!("r{replica:05}_c{cycle:04}")
 }
 
+/// The file `<base>.<ext>` of [`file_base`], in one allocation; an empty
+/// `ext` gives the prefix every file of the segment starts with.
+pub fn file_name(replica: usize, cycle: u64, ext: &str) -> String {
+    use std::fmt::Write as _;
+    let mut name = String::with_capacity(17 + ext.len());
+    write!(name, "r{replica:05}_c{cycle:04}.{ext}").expect("writing to a String cannot fail");
+    name
+}
+
 /// One engine family's file dialect.
 pub trait Amm: Send + Sync {
     /// The engine that runs a segment on `cores` cores; `engine(1)` also
@@ -93,12 +102,15 @@ pub trait Amm: Send + Sync {
 /// Stage `spec`'s input files and return the unit description, under the
 /// caller's `name`, plus the payload that runs the engine — the whole MD
 /// task path, for any dialect. What makes a name unique (the attempt, the
-/// dimension pass) is the caller's bookkeeping.
+/// dimension pass) is the caller's bookkeeping. `retired` is files the
+/// caller took out of `staging`; the payload drops them first thing, on the
+/// slot that runs it.
 pub fn prepare_md(
     amm: &Arc<dyn Amm>,
     spec: MdSpec,
     name: String,
     staging: &StagingArea,
+    retired: Retired,
 ) -> Result<(UnitDescription, TaskWork<TaskResult>), String> {
     let base = file_base(spec.replica, spec.cycle);
     let inputs = amm.render(&spec, &base)?;
@@ -108,20 +120,21 @@ pub fn prepare_md(
     for (name, text) in inputs {
         staging.put_text(name, text);
     }
-    let (restart_ext, restart_tag) = amm.restart_format();
-    let restart = format!("{base}.{restart_ext}");
-    let mdinfo = format!("{base}.mdinfo");
     let desc = UnitDescription::new(name, spec.engine.executable(), spec.cores)
         .with_replica(spec.replica)
         .with_duration(spec.duration);
 
     // The payload re-reads and parses the staged input files — the same
-    // round trip the real RAM makes on the cluster.
+    // round trip the real RAM makes on the cluster. It holds what differs
+    // between units; the rest it asks the AMM for when it runs.
     let amm = Arc::clone(amm);
-    let engine = amm.engine(spec.cores);
     let staging = staging.clone();
-    let MdSpec { replica, slot, cycle, system, run_steps, sample_stride, sample_warmup, .. } = spec;
+    let MdSpec {
+        replica, slot, cycle, system, run_steps, sample_stride, sample_warmup, cores, ..
+    } = spec;
     let work: TaskWork<TaskResult> = Box::new(move || {
+        drop(retired);
+        let engine = amm.engine(cores);
         let job = MdJob {
             steps: run_steps,
             sample_stride,
@@ -137,9 +150,11 @@ pub fn prepare_md(
         // The exchange reads the `.mdinfo`: text now. No unit opens the
         // restart (the next segment continues from the live `System`): it is
         // staged as the state it says and rendered for whoever reads it.
+        let (restart_ext, restart_tag) = amm.restart_format();
         let title = format!("{restart_tag}replica {replica} cycle {cycle}");
+        let restart = file_name(replica, cycle, restart_ext);
         staging.put_text_with(restart, move || write_restart(&title, &out.final_state));
-        staging.put_text(mdinfo, out.mdinfo.render());
+        staging.put_text(file_name(replica, cycle, "mdinfo"), out.mdinfo.render());
         Ok(TaskResult::Md(MdTaskReport {
             replica,
             slot,
@@ -155,8 +170,12 @@ pub fn prepare_md(
 
 /// Parse the `.mdinfo` a segment staged back (the exchange phase reads its
 /// energies from here, whichever engine wrote it).
-pub fn read_staged_mdinfo(staging: &StagingArea, base: &str) -> Result<MdInfo, String> {
-    staging.read_text(&format!("{base}.mdinfo"), MdInfo::parse)?
+pub fn read_staged_mdinfo(
+    staging: &StagingArea,
+    replica: usize,
+    cycle: u64,
+) -> Result<MdInfo, String> {
+    staging.read_text(&file_name(replica, cycle, "mdinfo"), MdInfo::parse)?
 }
 
 /// Shared helper: 1-based atom indices of a named dihedral (Amber files use
@@ -201,5 +220,7 @@ mod tests {
     #[test]
     fn file_base_formatting() {
         assert_eq!(file_base(42, 3), "r00042_c0003");
+        assert_eq!(file_name(42, 3, "mdinfo"), format!("{}.mdinfo", file_base(42, 3)));
+        assert_eq!(file_name(123_456, 12_345, ""), "r123456_c12345.");
     }
 }

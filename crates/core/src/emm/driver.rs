@@ -17,13 +17,22 @@ use crate::report::CycleReport;
 use crate::task::TaskResult;
 use obs::Event;
 use pilot::description::UnitDescription;
-use pilot::executor::{CompletedUnit, TaskWork};
+use pilot::executor::{CompletedUnit, TaskWork, UnitId};
+use pilot::staging::Retired;
 use std::collections::HashMap;
 
-/// An in-flight unit, keyed by unit name. Everything is captured at
-/// *submission*: slot ownership can change while a segment is in flight (an
-/// exchange result may land first), so reading `slot_owner` at completion
-/// time would blame the wrong replica.
+/// How many MD units of a wave the driver prepares and submits at a time, so
+/// that at most one window of payload closures, descriptions and results
+/// exists, however wide the wave. No window advances the clock: accounting
+/// order, names, seeds and virtual times are those of the whole wave in one
+/// batch. 512 and 1 024 cost no wall time against one batch on a 7 000-replica
+/// wave; 256 read up to 17 % slower (DESIGN.md §15).
+pub const WINDOW: usize = 512;
+
+/// An in-flight unit, keyed by the id the executor gave it. Everything is
+/// captured at *submission*: slot ownership can change while a segment is
+/// in flight (an exchange result may land first), so reading `slot_owner`
+/// at completion time would blame the wrong replica.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Flight {
     Md {
@@ -39,6 +48,46 @@ pub(crate) enum Flight {
         cycle: u64,
         participants: usize,
     },
+}
+
+/// A [`Flight`] as the in-flight table holds it, one per unit in flight:
+/// the same fields in 24 bytes instead of 40 (`slot` is an exchange's
+/// `participants`).
+#[derive(Debug, Clone, Copy)]
+struct Packed {
+    cycle: u64,
+    slot: u32,
+    replica: u32,
+    attempt: u32,
+    dim: u16,
+    md: bool,
+}
+
+impl From<Flight> for Packed {
+    fn from(flight: Flight) -> Self {
+        let (md, slot, replica, attempt, cycle, dim) = match flight {
+            Flight::Md { slot, replica, attempt, cycle, dim } => {
+                (true, slot, replica, attempt, cycle, dim)
+            }
+            Flight::Exchange { dim, cycle, participants } => {
+                (false, participants, 0, 0, cycle, dim)
+            }
+        };
+        let narrow = |n: usize| u32::try_from(n).expect("fewer than 2^32 slots");
+        let dim = u16::try_from(dim).expect("fewer than 2^16 dimensions");
+        Packed { cycle, slot: narrow(slot), replica: narrow(replica), attempt, dim, md }
+    }
+}
+
+impl From<Packed> for Flight {
+    fn from(p: Packed) -> Self {
+        let (slot, dim, cycle) = (p.slot as usize, usize::from(p.dim), p.cycle);
+        if p.md {
+            Flight::Md { slot, replica: p.replica as usize, attempt: p.attempt, cycle, dim }
+        } else {
+            Flight::Exchange { dim, cycle, participants: slot }
+        }
+    }
 }
 
 /// A unit ready for the executor.
@@ -100,12 +149,14 @@ pub(crate) trait Policy {
 
 /// Loop state shared by every policy.
 pub(crate) struct Core {
-    /// Keyed by unit name, unique per attempt (see `attempt_task_name`).
-    flights: HashMap<String, Flight>,
+    /// What each unit in flight is, under the id the executor gave it.
+    flights: HashMap<UnitId, Packed>,
     /// Events since the last consistency point. Buffered rather than
     /// recorded one by one because the barrier derives its `CycleTiming`
     /// from exactly this window (one source of truth, so a report can never
-    /// disagree with an exported trace).
+    /// disagree with an exported trace). The Eq. 1 phase events are always
+    /// here; the per-unit ones (`MdSegment`, `ExchangeOutcome`,
+    /// `TaskRelaunch`) only when a recorder will receive them.
     pub events: Vec<Event>,
     failed_at_last_checkpoint: u64,
     /// `cycle_limit` as an absolute step count.
@@ -131,7 +182,14 @@ pub(crate) fn run<P: Policy>(ctx: &mut DriverCtx, policy: &mut P) -> Result<(), 
                 let unit = core.settle(ctx, unit)?;
                 policy.settled(&mut core, ctx, unit)?
             }
-            None => policy.quiescent(&mut core, ctx)?,
+            None => {
+                // Nothing is in flight: the drained wave's table goes (the
+                // next wave reserves its own), so the exchange that follows
+                // runs beside no table sized for a wave.
+                debug_assert!(core.flights.is_empty(), "a unit never completed");
+                core.flights = HashMap::new();
+                policy.quiescent(&mut core, ctx)?
+            }
         };
         if flow == Flow::Finished {
             return Ok(());
@@ -142,34 +200,22 @@ pub(crate) fn run<P: Policy>(ctx: &mut DriverCtx, policy: &mut P) -> Result<(), 
 impl Core {
     /// In-flight MD work as (replica, attempt).
     pub fn md_in_flight(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.flights.values().filter_map(|f| match *f {
+        self.flights.values().filter_map(|&f| match f.into() {
             Flight::Md { replica, attempt, .. } => Some((replica, attempt)),
             Flight::Exchange { .. } => None,
         })
     }
 
     /// Build attempt `attempt` of `replica`'s segment `(cycle, dim)` at the
-    /// slot it occupies now, and stage its inputs.
+    /// slot it occupies now, and stage its inputs. The unit's payload drops
+    /// `retired` (see [`retire`]) on the slot that runs it.
     fn prepare_md(
         &self,
         ctx: &mut DriverCtx,
-        replica: usize,
-        cycle: u64,
+        (replica, cycle, attempt): (usize, u64, u32),
         dim: usize,
-        attempt: u32,
+        retired: Retired,
     ) -> Result<(Flight, Unit), String> {
-        // Staging retention: a segment's files are dead once the replica's
-        // next segment is first submitted — every unit that named them as
-        // input has settled by then (barrier: the exchange that read them
-        // drained before this phase began; tick: `flush` submits the round's
-        // exchange, which the simulated executor runs on the spot, before
-        // the wave). Dimension passes of one cycle share a base, so only the
-        // first retires anything. What is left after a run is each
-        // replica's last segment.
-        if attempt == 0 && dim == 0 && cycle > 0 {
-            let previous = crate::amm::file_base(replica, cycle - 1);
-            ctx.pilot.staging.delete_prefix(&format!("{previous}."));
-        }
         let slot = ctx.replicas[replica].slot;
         let mut spec = ctx.md_spec(slot, cycle, dim);
         // A retry runs an independent trajectory under a fresh unit name.
@@ -179,35 +225,48 @@ impl Core {
             ctx.preseg_snapshots.insert(replica, (state, cycle));
         }
         let name = attempt_task_name(replica, cycle, dim, attempt);
-        let unit = crate::amm::prepare_md(&ctx.amm, spec, name, &ctx.pilot.staging)?;
+        let unit = crate::amm::prepare_md(&ctx.amm, spec, name, &ctx.pilot.staging, retired)?;
         Ok((Flight::Md { slot, replica, attempt, cycle, dim }, unit))
     }
 
     /// Submit a wave of MD segments in dimension pass `dim`, one
-    /// `(replica, cycle, attempt)` each, as a single batch: the replicas are
-    /// independent until the next exchange, so the executor may run their
-    /// payloads concurrently.
+    /// `(replica, cycle, attempt)` each, in batches of [`WINDOW`] units: the
+    /// replicas are independent until the next exchange, so the executor may
+    /// run a window's payloads concurrently.
+    ///
+    /// The replicas' previous files ([`retire`]) leave the staging area one
+    /// window ahead: the first window's are freed here, and each later
+    /// window's go to the units of the window before it, whose payloads free
+    /// them on the slots that run them. So no window holds its replicas' old
+    /// files while it stages their new inputs, and no consistency point
+    /// falls in between: what the area holds at each is what it held when
+    /// the whole wave retired its files before any payload ran.
     pub fn submit_md_wave(
         &mut self,
         ctx: &mut DriverCtx,
         dim: usize,
         wave: Vec<(usize, u64, u32)>,
     ) -> Result<(), String> {
-        let mut units = Vec::with_capacity(wave.len());
-        for (replica, cycle, attempt) in wave {
-            let (flight, unit) = self.prepare_md(ctx, replica, cycle, dim, attempt)?;
-            self.register(flight, &unit.0.name)?;
-            units.push(unit);
+        self.flights.reserve(wave.len());
+        for &unit in &wave[..wave.len().min(WINDOW)] {
+            drop(retire(ctx, dim, unit));
         }
-        ctx.pilot.executor.submit_batch(units)
-    }
-
-    /// Remember what a unit is until it settles.
-    fn register(&mut self, flight: Flight, name: &str) -> Result<(), String> {
-        match self.flights.insert(name.to_owned(), flight) {
-            None => Ok(()),
-            Some(_) => Err(format!("duplicate in-flight unit name {name}")),
+        let mut windows = wave.chunks(WINDOW).peekable();
+        while let Some(window) = windows.next() {
+            let mut ahead = windows.peek().copied().unwrap_or_default().iter();
+            let mut flights = Vec::with_capacity(window.len());
+            let mut units = Vec::with_capacity(window.len());
+            for &unit in window {
+                let retired = ahead.next().map_or_else(Retired::default, |&u| retire(ctx, dim, u));
+                let (flight, unit) = self.prepare_md(ctx, unit, dim, retired)?;
+                flights.push(Packed::from(flight));
+                units.push(unit);
+            }
+            let ids = ctx.pilot.executor.submit_batch(units)?;
+            debug_assert_eq!(ids.len(), flights.len());
+            self.flights.extend(ids.into_iter().zip(flights));
         }
+        Ok(())
     }
 
     /// Submit a single unit.
@@ -217,8 +276,8 @@ impl Core {
         flight: Flight,
         (desc, work): Unit,
     ) -> Result<(), String> {
-        self.register(flight, &desc.name)?;
-        ctx.pilot.executor.submit(desc, work)?;
+        let id = ctx.pilot.executor.submit(desc, work)?;
+        self.flights.insert(id, flight.into());
         Ok(())
     }
 
@@ -230,8 +289,9 @@ impl Core {
     ) -> Result<Settled, String> {
         let flight = self
             .flights
-            .remove(&unit.name)
-            .ok_or_else(|| format!("completion of unknown unit {}", unit.name))?;
+            .remove(&unit.id)
+            .ok_or_else(|| format!("completion of unknown unit {}", unit.name))?
+            .into();
         let (start, end) = (unit.start.as_secs(), unit.end.as_secs());
         let ok = unit.outcome.is_ok();
         let mut relaunched = false;
@@ -242,17 +302,19 @@ impl Core {
             // A failed exchange belongs to no replica; a failed segment to one.
             ctx.replicas[replica].failures += u32::from(!ok);
             ctx.preseg_snapshots.remove(&replica);
-            self.events.push(Event::MdSegment {
-                replica,
-                slot,
-                cycle,
-                dim,
-                attempt,
-                cores: unit.cores,
-                start,
-                end,
-                ok,
-            });
+            if ctx.recorder.is_enabled() {
+                self.events.push(Event::MdSegment {
+                    replica,
+                    slot,
+                    cycle,
+                    dim,
+                    attempt,
+                    cores: unit.cores,
+                    start,
+                    end,
+                    ok,
+                });
+            }
         }
         match (flight, unit.outcome) {
             (Flight::Md { slot, replica, cycle, .. }, Ok(TaskResult::Md(md))) => {
@@ -276,8 +338,9 @@ impl Core {
                         }
                         // One completion at a time: a relaunch is a
                         // single submission, not a wave.
-                        let (retry, unit) =
-                            self.prepare_md(ctx, replica, cycle, dim, attempt + 1)?;
+                        // A retry has nothing to retire: attempt 0 did.
+                        let retry = (replica, cycle, attempt + 1);
+                        let (retry, unit) = self.prepare_md(ctx, retry, dim, Retired::default())?;
                         self.submit(ctx, retry, unit)?;
                         relaunched = true;
                     }
@@ -294,15 +357,17 @@ impl Core {
                 // task records pair_outcomes in lockstep with its
                 // AcceptanceStats), before the covering window event, so
                 // acceptance ratios are derivable from the trace alone.
-                for &(slot_lo, slot_hi, accepted) in &report.pair_outcomes {
-                    self.events.push(Event::ExchangeOutcome {
-                        dim,
-                        cycle,
-                        slot_lo,
-                        slot_hi,
-                        accepted,
-                        at: end,
-                    });
+                if ctx.recorder.is_enabled() {
+                    for &(slot_lo, slot_hi, accepted) in &report.pair_outcomes {
+                        self.events.push(Event::ExchangeOutcome {
+                            dim,
+                            cycle,
+                            slot_lo,
+                            slot_hi,
+                            accepted,
+                            at: end,
+                        });
+                    }
                 }
                 ctx.acceptance[dim].merge(&report.stats);
                 ctx.record_pair_outcomes(&report.pair_outcomes);
@@ -359,4 +424,22 @@ impl Core {
         }
         Ok(if stop || point == Point::Final { Flow::Finished } else { Flow::Continue })
     }
+}
+
+/// Take the files of the segment before `(replica, cycle, attempt)`'s out of
+/// the staging area, when that unit is the first to supersede them.
+///
+/// Staging retention: a segment's files are dead once the replica's next
+/// segment is first submitted — every unit that named them as input has
+/// settled by then (barrier: the exchange that read them drained before this
+/// phase began; tick: `flush` submits the round's exchange, which the
+/// simulated executor runs on the spot, before the wave). Dimension passes
+/// of one cycle share a base, so only the first retires anything, and a
+/// retry has nothing left to retire. What is left after a run is each
+/// replica's last segment.
+fn retire(ctx: &DriverCtx, dim: usize, (replica, cycle, attempt): (usize, u64, u32)) -> Retired {
+    if attempt > 0 || dim > 0 || cycle == 0 {
+        return Retired::default();
+    }
+    ctx.pilot.staging.take_prefix(crate::amm::file_name(replica, cycle - 1, ""))
 }

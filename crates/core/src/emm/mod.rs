@@ -13,6 +13,8 @@ pub mod asynchronous;
 mod driver;
 pub mod sync;
 
+pub use driver::WINDOW;
+
 use crate::amm::{Amm, MdSpec};
 use crate::config::{EngineChoice, Pattern, SimulationConfig};
 use crate::ram::{ExchangeInput, GroupInput, SlotInput};
@@ -234,7 +236,7 @@ impl DriverCtx {
                 SlotInput {
                     slot,
                     replica: replica.id,
-                    file_base: crate::amm::file_base(replica.id, segment_of(replica)),
+                    segment: segment_of(replica),
                     param: self.grid.dims[dim].ladder[coords[dim]].clone(),
                     params: std::sync::Arc::clone(&self.slot_params[slot]),
                     system: std::sync::Arc::clone(&replica.system),
@@ -419,9 +421,9 @@ fn rescale_velocities(replica: &Replica, factor: f64) {
 /// staged files spell them ([`crate::amm::file_base`]), the dimension pass
 /// and the attempt number.
 ///
-/// The driver core keys its in-flight table on unit names, so names must be
-/// unique across relaunches and cycles — a retried task must never collide
-/// with, and inherit the stale retry count of, any other in-flight or
+/// The simulated executor draws a unit's noise and failure from its name,
+/// so names must be unique across relaunches and cycles — a retried task
+/// must never collide with, and inherit the fate of, any other in-flight or
 /// completed unit.
 pub(crate) fn attempt_task_name(replica: usize, cycle: u64, dim: usize, attempt: u32) -> String {
     format!("md-r{replica:05}_c{cycle:04}-d{dim}-a{attempt}")

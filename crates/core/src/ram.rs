@@ -27,9 +27,9 @@ pub struct SlotInput {
     pub slot: usize,
     /// Replica currently occupying the slot.
     pub replica: usize,
-    /// Staged-file base name for this replica's latest cycle
-    /// (`<base>.mdinfo` must exist for T-exchange).
-    pub file_base: String,
+    /// The occupant's segment whose staged output this exchange reads
+    /// (T-exchange: its `.mdinfo`, under [`crate::amm::file_base`]).
+    pub segment: u64,
     /// The rung's parameter in the exchanging dimension.
     pub param: ExchangeParam,
     /// Everything the slot implies: the thermostat temperature (shared
@@ -100,8 +100,9 @@ fn pair_delta(
     match (&sa.param, &sb.param) {
         (ExchangeParam::Temperature(ta), ExchangeParam::Temperature(tb)) => {
             // Physical potential energies from the staged mdinfo files.
-            let ea = crate::amm::read_staged_mdinfo(staging, &sa.file_base)?.physical_potential();
-            let eb = crate::amm::read_staged_mdinfo(staging, &sb.file_base)?.physical_potential();
+            let read =
+                |s: &SlotInput| crate::amm::read_staged_mdinfo(staging, s.replica, s.segment);
+            let (ea, eb) = (read(sa)?.physical_potential(), read(sb)?.physical_potential());
             Ok(temperature_delta(*ta, ea, *tb, eb))
         }
         (ExchangeParam::Umbrella { .. }, ExchangeParam::Umbrella { .. }) => {
@@ -197,7 +198,8 @@ mod tests {
         Arc::new(SanderEngine::new(dipeptide_forcefield().nonbonded))
     }
 
-    fn stage_mdinfo(staging: &StagingArea, base: &str, eptot: f64) {
+    /// Stage the `.mdinfo` of replica `replica`'s segment 0.
+    fn stage_mdinfo(staging: &StagingArea, replica: usize, eptot: f64) {
         let info = MdInfo {
             nstep: 100,
             time_ps: 1.0,
@@ -212,14 +214,15 @@ mod tests {
             eel: 0.0,
             restraint: 0.0,
         };
-        staging.put_text(format!("{base}.mdinfo"), info.render());
+        staging.put_text(crate::amm::file_name(replica, 0, "mdinfo"), info.render());
     }
 
-    fn t_slot(rung: usize, t: f64, base: &str) -> SlotInput {
+    /// Rung `rung`, held by replica `rung` after its segment 0.
+    fn t_slot(rung: usize, t: f64) -> SlotInput {
         SlotInput {
             slot: rung,
             replica: rung,
-            file_base: base.to_string(),
+            segment: 0,
             param: ExchangeParam::Temperature(t),
             params: params(t, 0.0, 7.0, vec![]),
             system: Arc::new(Mutex::new(alanine_dipeptide())),
@@ -231,14 +234,14 @@ mod tests {
     fn favorable_temperature_swap_is_accepted() {
         let staging = StagingArea::new();
         // Cold replica holds much higher energy: swap always accepted.
-        stage_mdinfo(&staging, "a", 100.0);
-        stage_mdinfo(&staging, "b", -100.0);
+        stage_mdinfo(&staging, 0, 100.0);
+        stage_mdinfo(&staging, 1, -100.0);
         let input = ExchangeInput {
             dim: 0,
             cycle: 0,
             strategy: PairingStrategy::NeighborAlternating,
             seed: 1,
-            groups: vec![GroupInput { slots: vec![t_slot(0, 300.0, "a"), t_slot(1, 400.0, "b")] }],
+            groups: vec![GroupInput { slots: vec![t_slot(0, 300.0), t_slot(1, 400.0)] }],
             staging,
         };
         let report = run_exchange(input, engine()).unwrap();
@@ -250,14 +253,14 @@ mod tests {
     #[test]
     fn very_unfavorable_temperature_swap_is_rejected() {
         let staging = StagingArea::new();
-        stage_mdinfo(&staging, "a", -10_000.0);
-        stage_mdinfo(&staging, "b", 10_000.0);
+        stage_mdinfo(&staging, 0, -10_000.0);
+        stage_mdinfo(&staging, 1, 10_000.0);
         let input = ExchangeInput {
             dim: 0,
             cycle: 0,
             strategy: PairingStrategy::NeighborAlternating,
             seed: 1,
-            groups: vec![GroupInput { slots: vec![t_slot(0, 300.0, "a"), t_slot(1, 301.0, "b")] }],
+            groups: vec![GroupInput { slots: vec![t_slot(0, 300.0), t_slot(1, 301.0)] }],
             staging,
         };
         let report = run_exchange(input, engine()).unwrap();
@@ -269,16 +272,16 @@ mod tests {
     #[test]
     fn stale_replicas_sit_out() {
         let staging = StagingArea::new();
-        stage_mdinfo(&staging, "a", 100.0);
-        stage_mdinfo(&staging, "b", -100.0);
-        let mut slot_a = t_slot(0, 300.0, "a");
+        stage_mdinfo(&staging, 0, 100.0);
+        stage_mdinfo(&staging, 1, -100.0);
+        let mut slot_a = t_slot(0, 300.0);
         slot_a.stale = true;
         let input = ExchangeInput {
             dim: 0,
             cycle: 0,
             strategy: PairingStrategy::NeighborAlternating,
             seed: 1,
-            groups: vec![GroupInput { slots: vec![slot_a, t_slot(1, 400.0, "b")] }],
+            groups: vec![GroupInput { slots: vec![slot_a, t_slot(1, 400.0)] }],
             staging,
         };
         let report = run_exchange(input, engine()).unwrap();
@@ -289,15 +292,13 @@ mod tests {
     #[test]
     fn missing_mdinfo_is_an_error() {
         let staging = StagingArea::new();
-        stage_mdinfo(&staging, "a", 0.0);
+        stage_mdinfo(&staging, 0, 0.0);
         let input = ExchangeInput {
             dim: 0,
             cycle: 0,
             strategy: PairingStrategy::NeighborAlternating,
             seed: 1,
-            groups: vec![GroupInput {
-                slots: vec![t_slot(0, 300.0, "a"), t_slot(1, 330.0, "missing")],
-            }],
+            groups: vec![GroupInput { slots: vec![t_slot(0, 300.0), t_slot(1, 330.0)] }],
             staging,
         };
         assert!(run_exchange(input, engine()).is_err());
@@ -307,7 +308,7 @@ mod tests {
         SlotInput {
             slot: rung,
             replica: rung,
-            file_base: format!("u{rung}"),
+            segment: 0,
             param: ExchangeParam::Umbrella {
                 dihedral: "phi".into(),
                 center_deg: center,
@@ -343,7 +344,7 @@ mod tests {
         SlotInput {
             slot: rung,
             replica: rung,
-            file_base: format!("s{rung}"),
+            segment: 0,
             param: ExchangeParam::Salt(salt),
             params: params(300.0, salt, 7.0, vec![]),
             system: Arc::new(Mutex::new(alanine_dipeptide())),
@@ -370,7 +371,7 @@ mod tests {
         SlotInput {
             slot: rung,
             replica: rung,
-            file_base: format!("p{rung}"),
+            segment: 0,
             param: ExchangeParam::Ph(ph),
             params: params(300.0, 0.0, ph, vec![]),
             system: Arc::new(Mutex::new(alanine_dipeptide())),
@@ -405,8 +406,8 @@ mod tests {
     #[test]
     fn mismatched_params_in_dimension_error() {
         let staging = StagingArea::new();
-        stage_mdinfo(&staging, "a", 0.0);
-        let mixed = GroupInput { slots: vec![t_slot(0, 300.0, "a"), s_slot(1, 0.5)] };
+        stage_mdinfo(&staging, 0, 0.0);
+        let mixed = GroupInput { slots: vec![t_slot(0, 300.0), s_slot(1, 0.5)] };
         let input = ExchangeInput {
             dim: 0,
             cycle: 0,
@@ -422,16 +423,11 @@ mod tests {
     fn multiple_groups_all_processed() {
         let staging = StagingArea::new();
         for g in 0..3 {
-            stage_mdinfo(&staging, &format!("g{g}a"), 50.0);
-            stage_mdinfo(&staging, &format!("g{g}b"), -50.0);
+            stage_mdinfo(&staging, 2 * g, 50.0);
+            stage_mdinfo(&staging, 2 * g + 1, -50.0);
         }
         let groups = (0..3)
-            .map(|g| GroupInput {
-                slots: vec![
-                    t_slot(2 * g, 300.0, &format!("g{g}a")),
-                    t_slot(2 * g + 1, 400.0, &format!("g{g}b")),
-                ],
-            })
+            .map(|g| GroupInput { slots: vec![t_slot(2 * g, 300.0), t_slot(2 * g + 1, 400.0)] })
             .collect();
         let input = ExchangeInput {
             dim: 0,

@@ -93,22 +93,30 @@ impl SimulationReport {
         }
     }
 
-    /// One-line human summary.
+    /// One-line human summary. A run without cycles (the asynchronous
+    /// pattern) measured no Eq. 1 terms: it reports its makespan instead.
     pub fn summary(&self) -> String {
-        let avg = self.average_timing();
+        let time = if self.cycles.is_empty() {
+            format!("makespan={:.1}s", self.makespan)
+        } else {
+            let avg = self.average_timing();
+            format!(
+                "Tc={:.1}s (MD {:.1}s, EX {:.1}s, data {:.1}s, RepEx {:.1}s, RP {:.1}s)",
+                avg.total(),
+                avg.t_md,
+                avg.t_ex_total(),
+                avg.t_data,
+                avg.t_repex_over,
+                avg.t_rp_over,
+            )
+        };
         format!(
-            "{} | pattern={} mode={} replicas={} cores={} | Tc={:.1}s (MD {:.1}s, EX {:.1}s, data {:.1}s, RepEx {:.1}s, RP {:.1}s) | util={:.1}% | failures={} relaunched={}",
+            "{} | pattern={} mode={} replicas={} cores={} | {time} | util={:.1}% | failures={} relaunched={}",
             self.title,
             self.pattern,
             self.execution_mode,
             self.n_replicas,
             self.pilot_cores,
-            avg.total(),
-            avg.t_md,
-            avg.t_ex_total(),
-            avg.t_data,
-            avg.t_repex_over,
-            avg.t_rp_over,
             self.utilization_percent,
             self.failed_tasks,
             self.relaunched_tasks,
@@ -168,6 +176,11 @@ mod tests {
         r.cycles.clear();
         r.pattern = "async";
         assert_eq!(r.average_tc(), 0.0);
-        assert!(r.summary().contains("pattern=async"));
+        let summary = r.summary();
+        assert!(summary.contains("pattern=async"), "{summary}");
+        // No cycle measured an Eq. 1 term: none is printed, and no sum of
+        // an empty list shows up as -0.0.
+        assert!(summary.contains("makespan=320.0s"), "{summary}");
+        assert!(!summary.contains("Tc=") && !summary.contains("-0.0"), "{summary}");
     }
 }

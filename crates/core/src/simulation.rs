@@ -226,7 +226,7 @@ impl RemdSimulation {
                 ("async", run_async(&mut self.ctx).map(|_| Vec::<CycleReport>::new()))
             }
         };
-        let ctx = self.ctx;
+        let mut ctx = self.ctx;
         let makespan = ctx.pilot.executor.now().as_secs();
         let cores = ctx.pilot.cores();
         let utilization = if makespan > 0.0 {
@@ -273,7 +273,7 @@ impl RemdSimulation {
             utilization_percent: utilization,
             acceptance,
             round_trips: ctx.round_trips.as_ref().map_or(0, |r| r.total_round_trips()),
-            rung_history: ctx.rung_history.clone(),
+            rung_history: std::mem::take(&mut ctx.rung_history),
             pair_acceptance: ctx.pair_acceptance.clone(),
             window_samples: ctx.window_sample_report(),
             failed_tasks: ctx.failed_tasks,

@@ -11,7 +11,8 @@ use repex::checkpoint::{CampaignCheckpoint, SchedulerState};
 use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig, Workload};
 use repex::emm::asynchronous::run_async;
 use repex::emm::sync::run_sync;
-use repex::emm::DriverCtx;
+use repex::emm::{DriverCtx, WINDOW};
+use repex::report::SimulationReport;
 use repex::simulation::{build_ctx, make_pilot, RemdSimulation};
 use repex::task::TaskResult;
 use repex::timing::{timing_from_breakdown, CycleTiming};
@@ -525,11 +526,11 @@ impl Executor<TaskResult> for Tap {
     fn submit_batch(
         &mut self,
         units: Vec<(UnitDescription, TaskWork<TaskResult>)>,
-    ) -> Result<(), String> {
+    ) -> Result<Vec<UnitId>, String> {
         if self.batch {
             return self.inner.submit_batch(units);
         }
-        units.into_iter().try_for_each(|(d, w)| self.inner.submit(d, w).map(drop))
+        units.into_iter().map(|(d, w)| self.inner.submit(d, w)).collect()
     }
     fn next_completion(&mut self) -> Option<CompletedUnit<TaskResult>> {
         let unit = self.inner.next_completion()?;
@@ -649,6 +650,63 @@ fn a_batched_wave_equals_one_unit_at_a_time() {
         assert_eq!(batched, one_by_one, "{row}");
         assert!(!batched.events.is_empty(), "{row}");
         assert_eq!(batched.failed > 0, faulty, "{row}");
+    }
+}
+
+/// What a report says, floats as bits (a timing's `Debug` spells each term
+/// at full precision).
+#[derive(Debug, PartialEq)]
+struct Said {
+    makespan: u64,
+    utilization: u64,
+    cycles: String,
+    acceptance: Vec<(char, exchange::stats::AcceptanceStats)>,
+    pair_acceptance: Vec<exchange::stats::AcceptanceStats>,
+    rung_history: Vec<Vec<usize>>,
+    round_trips: u64,
+    failed: u64,
+    relaunched: u64,
+}
+
+fn said(report: &SimulationReport) -> Said {
+    Said {
+        makespan: report.makespan.to_bits(),
+        utilization: report.utilization_percent.to_bits(),
+        cycles: format!("{:?}", report.cycles),
+        acceptance: report.acceptance.clone(),
+        pair_acceptance: report.pair_acceptance.clone(),
+        rung_history: report.rung_history.clone(),
+        round_trips: report.round_trips,
+        failed: report.failed_tasks,
+        relaunched: report.relaunched_tasks,
+    }
+}
+
+/// A wave that spans three windows reports the same with a recorder as
+/// without one: the per-unit events only a recorder receives feed nothing
+/// else, and no window moves the clock.
+#[test]
+fn a_three_window_wave_reports_the_same_with_and_without_a_recorder() {
+    let n = 2 * WINDOW + WINDOW / 2;
+    let mut mode_ii = quick_cfg(n);
+    mode_ii.resource.cores = Some(n / 4);
+    mode_ii.fault_mtbf_seconds = Some(60.0);
+    mode_ii.fault_policy = FaultPolicy::Relaunch { max_retries: 25 };
+    let rows = [
+        ("sync, Mode I", quick_cfg(n)),
+        ("sync, Mode II, relaunched faults", mode_ii),
+        ("async", async_cfg(n, 2)),
+    ];
+    for (row, cfg) in rows {
+        let plain = RemdSimulation::new(cfg.clone()).unwrap().run().unwrap();
+        let recorder = obs::Recorder::enabled();
+        let traced = RemdSimulation::new(cfg).unwrap().with_recorder(recorder.clone()).run();
+        let traced = traced.unwrap();
+        assert!(!recorder.events().is_empty(), "{row}");
+        assert_eq!(said(&traced), said(&plain), "{row}");
+        if row.contains("relaunched") {
+            assert!(plain.failed_tasks > 0 && plain.relaunched_tasks > 0, "{row}");
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use mdsim::forcefield::NonbondedParams;
 use mdsim::io::mdin::MdinControl;
 use mdsim::models::dipeptide_forcefield;
 use mdsim::{DihedralRestraint, System};
-use pilot::staging::StagingArea;
+use pilot::staging::{Retired, StagingArea};
 use repex::amm::{prepare_md, read_staged_mdinfo, AmberAmm, Amm, GromacsAmm, MdSpec, NamdAmm};
 use repex::config::{DimensionConfig, EngineChoice, SimulationConfig};
 use repex::emm::sync::run_sync;
@@ -122,7 +122,8 @@ fn every_binding_goes_down_the_one_task_path() {
             let staging = StagingArea::new();
             let (amm, spec) = segment(b, restraints);
             let seed = spec.seed;
-            let (desc, work) = prepare_md(&amm, spec, NAME.into(), &staging).unwrap();
+            let (desc, work) =
+                prepare_md(&amm, spec, NAME.into(), &staging, Retired::default()).unwrap();
 
             // The unit: the caller's name, the binding's executable and
             // cores; staged so far, the control file (and Amber's DISANG).
@@ -206,7 +207,7 @@ fn every_binding_goes_down_the_one_task_path() {
             staged.extend([restart.clone(), mdinfo]);
             staged.sort();
             assert_eq!(staging.list(BASE), staged, "{row}: restart + mdinfo out");
-            let info = read_staged_mdinfo(&staging, BASE).unwrap();
+            let info = read_staged_mdinfo(&staging, 3, 1).unwrap();
             assert_eq!(info.nstep, 50, "{row}");
             assert!((info.eptot - md.potential).abs() < 1e-3, "{row}");
             assert!((info.physical_potential() - md.physical_potential).abs() < 1e-3, "{row}");
@@ -259,7 +260,7 @@ fn bad_inputs_fail_the_task_not_the_process() {
         let prepared = |restraints| {
             let staging = StagingArea::new();
             let (amm, spec) = segment(b, restraints);
-            let unit = prepare_md(&amm, spec, NAME.into(), &staging);
+            let unit = prepare_md(&amm, spec, NAME.into(), &staging, Retired::default());
             (staging, unit)
         };
 
@@ -332,7 +333,9 @@ fn an_amm_that_renders_no_input_file_fails_preparation() {
     let (_, spec) = segment(&BINDINGS[0], vec![]);
     let amm: Arc<dyn Amm> = Arc::new(Silent(AmberAmm::new(dipeptide_forcefield().nonbonded)));
     let staging = StagingArea::new();
-    let err = prepare_md(&amm, spec, NAME.into(), &staging).err().expect("no control, no unit");
+    let err = prepare_md(&amm, spec, NAME.into(), &staging, Retired::default())
+        .err()
+        .expect("no control, no unit");
     assert!(err.contains("rendered no input file") && err.contains(NAME), "{err}");
     assert!(staging.is_empty());
 }
@@ -353,7 +356,7 @@ fn the_staged_restart_is_the_state_at_staging_time() {
         let next = MdSpec { cycle: 2, ..spec.clone() };
         let (_, tag) = amm.restart_format();
 
-        let (_, work) = prepare_md(&amm, spec, NAME.into(), &staging).unwrap();
+        let (_, work) = prepare_md(&amm, spec, NAME.into(), &staging, Retired::default()).unwrap();
         work().unwrap();
         let after_first = lock_system(&system).state.clone();
         assert_eq!(after_first.step, 50, "{}", b.name);
@@ -362,7 +365,9 @@ fn the_staged_restart_is_the_state_at_staging_time() {
         assert_eq!(staging.list(BASE).len(), 3, "{}: control, restart, mdinfo", b.name);
 
         // The replica moves on before anybody opens the file.
-        let (_, work) = prepare_md(&amm, next, "md-r00003_c0002-d0-a0".into(), &staging).unwrap();
+        let (_, work) =
+            prepare_md(&amm, next, "md-r00003_c0002-d0-a0".into(), &staging, Retired::default())
+                .unwrap();
         work().unwrap();
         assert_eq!(lock_system(&system).state.step, 100, "{}", b.name);
 

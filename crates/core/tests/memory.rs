@@ -1,4 +1,5 @@
-//! What a campaign costs per replica, in bytes held and in allocations made,
+//! What a campaign costs per replica, in bytes held (at rest and at a wave's
+//! peak) and in allocations made,
 //! that what its replicas share is one allocation, and that a pilot slot
 //! builds a segment's buffers once and frees them with the pilot. Campaign state must
 //! stay O(replicas): a quadratic structure (the n × n visit matrix
@@ -25,6 +26,8 @@ use std::sync::{Arc, Mutex};
 
 /// Live heap bytes of the process.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// The most `LIVE` has been since a test last set it.
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 /// Allocations the process has made.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 /// Blocks of `LARGE` bytes or more the process has allocated.
@@ -39,7 +42,8 @@ struct Counting;
 // upholds the `GlobalAlloc` contract; the counters are statistics on the side.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        let size = layout.size() as isize;
+        PEAK.fetch_max(LIVE.fetch_add(size, Ordering::Relaxed) + size, Ordering::Relaxed);
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         if layout.size() >= LARGE {
             LARGE_BLOCKS.fetch_add(1, Ordering::Relaxed);
@@ -116,6 +120,38 @@ fn the_replicas_of_a_campaign_share_one_topology() {
     shared(&CampaignCheckpoint::load(&fixture).unwrap().restore().unwrap(), "restored");
 }
 
+// Named to sort first: the first test to finish makes libtest's result
+// channel allocate a 9.7 kB block on its thread after it released `TURN`,
+// and `a_dropped_…`, which would otherwise often start second, counts it.
+/// What a wave holds in flight, per replica: the most the heap holds above
+/// a 2000-replica context while it runs two cycles. The wave is four
+/// windows; at its peak the heap holds every replica's staged files (about
+/// 1.3 kB with the map's nodes, by design), the executor's pending
+/// completions and the in-flight table (one entry per replica), and one
+/// window's payloads, descriptions and results.
+#[test]
+fn a_2000_replica_campaign_peaks_within_a_per_replica_byte_budget() {
+    const N: usize = 2000;
+    /// Measured 2026-10-19: 1 768–1 772 B on two slots, 1 757 B on one,
+    /// plus a tenth. 1 994 B (1 993 on one slot) while a wave was prepared
+    /// and submitted whole, its in-flight table keyed by a copy of each
+    /// unit's name and every segment's event kept with no recorder to
+    /// receive it.
+    const BUDGET_PER_REPLICA: isize = 1950;
+    let _turn = TURN.lock().unwrap();
+    let mut ctx = build_ctx(wide_cfg(N)).unwrap();
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    run_sync(&mut ctx).unwrap();
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    let per_replica = peak / N as isize;
+    println!("run_sync: peak {peak} B above build_ctx for {N} replicas = {per_replica} B each");
+    assert!(
+        per_replica < BUDGET_PER_REPLICA,
+        "a wave of {N} held {peak} B above build_ctx = {per_replica} B each, budget {BUDGET_PER_REPLICA}"
+    );
+}
+
 /// Allocations per MD segment, whole process (set-up excluded): the driver
 /// thread's names, files and bookkeeping, the payload's parse, engine and
 /// renderings, the exchange's inputs.
@@ -132,8 +168,12 @@ fn a_segment_makes_a_bounded_number_of_allocations() {
     /// stopped hashing its types (one fewer each). 37.5 since a pilot slot
     /// keeps the integrator's force buffer and evaluation context (the LJ
     /// table, the charges, the kernel's block and packed atoms, the list's
-    /// runs and partners) from one segment to the next, plus a tenth.
-    const BUDGET_PER_SEGMENT: f64 = 41.3;
+    /// runs and partners) from one segment to the next, plus a tenth. 29.5
+    /// since the in-flight table is keyed by unit id instead of a copy of
+    /// the name, a segment's event is made only for a recorder, the exchange
+    /// names a slot's staged file only when it reads it, and a payload names
+    /// the files it writes in one allocation each, plus a tenth.
+    const BUDGET_PER_SEGMENT: f64 = 32.5;
     let _turn = TURN.lock().unwrap();
     let mut ctx = build_ctx(wide_cfg(N)).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);

@@ -152,24 +152,32 @@ impl Agent {
     }
 
     /// Run a wave of independent units on every slot; results in submission
-    /// order. A wave of one runs on the calling slot. A panic is re-raised
-    /// once the whole wave has run (the first in submission order).
+    /// order, handed out of the buffer they were gathered in. A wave of one
+    /// runs on the calling slot. A panic is re-raised once the whole wave has
+    /// run (the first in submission order).
     pub fn run_wave<T: Send + 'static>(
         &mut self,
         works: Vec<impl FnOnce() -> T + Send + 'static>,
-    ) -> Vec<T> {
-        if works.len() <= 1 {
-            return works.into_iter().map(|work| self.run_here(work)).collect();
+    ) -> impl ExactSizeIterator<Item = T> {
+        let mut done: Vec<_> = if works.len() <= 1 {
+            works.into_iter().map(|work| (0, self.scratch.lend(work))).collect()
+        } else {
+            let n = works.len();
+            let mailbox = Arc::new(Fifo::default());
+            self.queue(works.into_iter().enumerate().map(|(i, work)| -> Job {
+                let mailbox = Arc::clone(&mailbox);
+                Box::new(move |scratch| mailbox.push([(i, scratch.lend(work))]))
+            }));
+            let mut done: Vec<_> = (0..n).map(|_| self.wait(&mailbox)).collect();
+            done.sort_unstable_by_key(|&(i, _)| i);
+            done
+        };
+        if let Some(first) = done.iter().position(|(_, out)| out.is_err()) {
+            if let Err(panic) = done.swap_remove(first).1 {
+                resume_unwind(panic);
+            }
         }
-        let n = works.len();
-        let mailbox = Arc::new(Fifo::default());
-        self.queue(works.into_iter().enumerate().map(|(i, work)| -> Job {
-            let mailbox = Arc::clone(&mailbox);
-            Box::new(move |scratch| mailbox.push([(i, scratch.lend(work))]))
-        }));
-        let mut done: Vec<_> = (0..n).map(|_| self.wait(&mailbox)).collect();
-        done.sort_unstable_by_key(|&(i, _)| i);
-        done.into_iter().map(|(_, out)| out.unwrap_or_else(|panic| resume_unwind(panic))).collect()
+        done.into_iter().map(|(_, out)| out.unwrap_or_else(|panic| resume_unwind(panic)))
     }
 
     /// Queue units under one lock and one wakeup; the first call starts the

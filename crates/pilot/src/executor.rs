@@ -56,15 +56,16 @@ pub trait Executor<R> {
     /// Submit a unit; it will eventually appear in `next_completion`.
     fn submit(&mut self, desc: UnitDescription, work: TaskWork<R>) -> Result<UnitId, String>;
 
-    /// Submit a wave of independent units. Equivalent to `submit` on each in
-    /// order, which is what the default does (stopping at the first error);
-    /// an executor that runs payloads at submission may run a wave's
-    /// payloads concurrently, so they must not depend on one another.
-    fn submit_batch(&mut self, units: Vec<(UnitDescription, TaskWork<R>)>) -> Result<(), String> {
-        for (desc, work) in units {
-            self.submit(desc, work)?;
-        }
-        Ok(())
+    /// Submit a wave of independent units; returns the ids assigned, in
+    /// order. Equivalent to `submit` on each in order, which is what the
+    /// default does (stopping at the first error); an executor that runs
+    /// payloads at submission may run a wave's payloads concurrently, so
+    /// they must not depend on one another.
+    fn submit_batch(
+        &mut self,
+        units: Vec<(UnitDescription, TaskWork<R>)>,
+    ) -> Result<Vec<UnitId>, String> {
+        units.into_iter().map(|(desc, work)| self.submit(desc, work)).collect()
     }
 
     /// Block (or advance virtual time) until the next unit finishes.

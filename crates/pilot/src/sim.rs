@@ -158,13 +158,18 @@ impl<R: Send + 'static> Executor<R> for SimExecutor<R> {
     /// The payloads run on the agent's slots; the accounting follows on this
     /// thread, in submission order. Nothing is submitted (no payload runs)
     /// unless every unit is valid.
-    fn submit_batch(&mut self, units: Vec<(UnitDescription, TaskWork<R>)>) -> Result<(), String> {
+    fn submit_batch(
+        &mut self,
+        units: Vec<(UnitDescription, TaskWork<R>)>,
+    ) -> Result<Vec<UnitId>, String> {
         units.iter().try_for_each(|(desc, _)| desc.check_fits(self.timeline.n_cores()))?;
         let (descs, works): (Vec<_>, Vec<_>) = units.into_iter().unzip();
-        for (desc, result) in descs.into_iter().zip(self.agent.run_wave(works)) {
-            self.account(desc, result);
-        }
-        Ok(())
+        let results = self.agent.run_wave(works);
+        Ok(descs
+            .into_iter()
+            .zip(results)
+            .map(|(desc, result)| self.account(desc, result))
+            .collect())
     }
 
     fn next_completion(&mut self) -> Option<CompletedUnit<R>> {

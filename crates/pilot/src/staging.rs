@@ -32,6 +32,22 @@ pub struct StagingArea {
     inner: Arc<RwLock<Files>>,
 }
 
+/// Files taken out of a [`StagingArea`] ([`StagingArea::take_prefix`]):
+/// no reader can find them any more, and they are freed where this drops.
+#[derive(Debug, Default)]
+pub struct Retired(Vec<(String, Blob)>);
+
+impl Retired {
+    /// How many files were taken.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 impl StagingArea {
     pub fn new() -> Self {
         Self::default()
@@ -102,27 +118,27 @@ impl StagingArea {
         self.write().remove(name).is_some()
     }
 
-    /// Delete every file whose name starts with `prefix`; returns how many.
+    /// Take every file whose name starts with `prefix` out of the map and
+    /// hand them back, to be dropped wherever freeing them costs least.
     ///
     /// The driver retires a replica's previous segment with this (prefix =
-    /// file base + '.', so every engine's extensions are covered). The
-    /// invariant callers keep: *a file is removed only after every unit that
-    /// names it as input has settled.*
-    pub fn delete_prefix(&self, prefix: &str) -> usize {
+    /// file base + '.', so every engine's extensions are covered) and gives
+    /// the files to the replica's next unit, whose payload drops them on the
+    /// slot that runs it. The invariant callers keep: *a file is removed
+    /// only after every unit that names it as input has settled.*
+    pub fn take_prefix(&self, prefix: String) -> Retired {
         // The matching names are one contiguous key range, ending before the
         // prefix with its last character bumped; where that character has no
         // successor (or there is none) the range runs on and the filter
         // decides.
-        let mut end = prefix.to_owned();
+        let mut end = prefix.clone();
         let end = match end.pop().and_then(|last| char::from_u32(last as u32 + 1)) {
             Some(next) => Bound::Excluded(end + next.encode_utf8(&mut [0; 4])),
             None => Bound::Unbounded,
         };
-        let range = (Bound::Included(prefix.to_owned()), end);
+        let range = (Bound::Included(&prefix), end.as_ref());
         let mut files = self.write();
-        let doomed: Vec<_> = files.extract_if(range, |name, _| name.starts_with(prefix)).collect();
-        drop(files); // the blobs drop after the lock is released
-        doomed.len()
+        Retired(files.extract_if(range, |name, _| name.starts_with(prefix.as_str())).collect())
     }
 
     pub fn contains(&self, name: &str) -> bool {
@@ -180,13 +196,13 @@ mod tests {
         for name in ["r00003_c0000.mdin", "r00003_c0002.mdin", "r00003_c00010.mdin", "r00004"] {
             s.put_text(name, "");
         }
-        assert_eq!(s.delete_prefix("r00003_c0001."), 3);
+        assert_eq!(s.take_prefix("r00003_c0001.".into()).len(), 3);
         assert_eq!(
             s.list(""),
             vec!["r00003_c0000.mdin", "r00003_c00010.mdin", "r00003_c0002.mdin", "r00004"]
         );
-        assert_eq!(s.delete_prefix("r00003_c0001."), 0);
-        assert_eq!(s.delete_prefix("zzz"), 0);
+        assert_eq!(s.take_prefix("r00003_c0001.".into()).len(), 0);
+        assert_eq!(s.take_prefix("zzz".into()).len(), 0);
     }
 
     #[test]
@@ -236,7 +252,7 @@ mod tests {
             let s = StagingArea::new();
             names.iter().for_each(|name| s.put_text(*name, ""));
             let doomed = names.iter().filter(|name| name.starts_with(prefix)).count();
-            assert_eq!(s.delete_prefix(prefix), doomed, "{prefix:?}");
+            assert_eq!(s.take_prefix(prefix.into()).len(), doomed, "{prefix:?}");
             let mut kept: Vec<&str> =
                 names.iter().copied().filter(|name| !name.starts_with(prefix)).collect();
             kept.sort_unstable();
@@ -277,7 +293,7 @@ mod tests {
         assert_eq!(read.load(Ordering::SeqCst), 1);
         assert_eq!(s.get_text("r1.rst7").unwrap(), "eager now");
 
-        assert_eq!(s.delete_prefix("r"), 4);
+        assert_eq!(s.take_prefix("r".into()).len(), 4);
         drop(s);
         for never in [unread, replaced, deleted] {
             assert_eq!(never.load(Ordering::SeqCst), 0);

@@ -39,7 +39,7 @@ fn a_wave_comes_back_in_submission_order_whichever_slot_ran_each_unit() {
     let slots = Agent::slots();
     let mut agent = Agent::new();
     assert_eq!(agent.workers(), 0, "no thread before the first wave");
-    let ran = agent.run_wave(wave(40, slots));
+    let ran = agent.run_wave(wave(40, slots)).collect::<Vec<_>>();
     assert_eq!(ran.iter().map(|&(i, _)| i).collect::<Vec<_>>(), (0..40).collect::<Vec<_>>());
     let ids = distinct(&ran);
     assert_eq!(ids.len(), slots, "every slot ran a unit");
@@ -54,10 +54,10 @@ fn a_panic_is_re_raised_on_the_waiting_thread_and_the_next_wave_runs_on_every_sl
     let mut units: Vec<Box<dyn FnOnce() -> usize + Send>> =
         (0..8usize).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>).collect();
     units[3] = Box::new(|| panic!("boom in unit 3"));
-    let caught = catch_unwind(AssertUnwindSafe(|| agent.run_wave(units)));
+    let caught = catch_unwind(AssertUnwindSafe(|| agent.run_wave(units).count()));
     let message = *caught.expect_err("the panic reaches the waiter").downcast::<&str>().unwrap();
     assert_eq!(message, "boom in unit 3");
-    let ran = agent.run_wave(wave(2 * slots, slots));
+    let ran = agent.run_wave(wave(2 * slots, slots)).collect::<Vec<_>>();
     assert_eq!(distinct(&ran).len(), slots, "a slot was lost to the panic");
     assert_eq!(agent.workers(), slots - 1, "no thread was started again");
 }
@@ -68,7 +68,7 @@ fn on_one_slot_the_caller_runs_everything_and_no_thread_starts() {
         return;
     }
     let mut agent = Agent::new();
-    let ran = agent.run_wave(wave(16, 1));
+    let ran = agent.run_wave(wave(16, 1)).collect::<Vec<_>>();
     assert!(ran.iter().all(|&(_, id)| id == thread::current().id()));
     assert_eq!(agent.workers(), 0);
 }
@@ -76,7 +76,7 @@ fn on_one_slot_the_caller_runs_everything_and_no_thread_starts() {
 #[test]
 fn a_wave_of_one_runs_on_the_caller_and_starts_no_thread() {
     let mut agent = Agent::new();
-    let ran = agent.run_wave(wave(1, 1));
+    let ran = agent.run_wave(wave(1, 1)).collect::<Vec<_>>();
     assert_eq!(ran[0].1, thread::current().id());
     assert_eq!(agent.run_here(|| thread::current().id()), thread::current().id());
     assert_eq!(agent.workers(), 0);
@@ -122,7 +122,7 @@ fn a_dropped_agent_holds_no_scratch() {
             move || with_scratch(|h: &mut Holds| h.0 = Some(shared))
         })
         .collect();
-    agent.run_wave(units);
+    agent.run_wave(units).for_each(drop);
     assert!(Arc::strong_count(&shared) > 1, "the slots keep what the units left");
     drop(agent);
     assert_eq!(Arc::strong_count(&shared), 1);

@@ -1,8 +1,8 @@
 //! `SimExecutor::submit_batch` against its oracle: the same units through
-//! `submit`, one by one.
+//! `submit`, one by one, and through `submit_batch` a window at a time.
 
 use hpc::fault::{FaultModel, HazardModel};
-use pilot::executor::{drain, Executor, TaskWork};
+use pilot::executor::{drain, Executor, TaskWork, UnitId};
 use pilot::{DurationSpec, SimExecutor, UnitDescription};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,16 +49,20 @@ fn stream(ex: &mut SimExecutor<u64>) -> Vec<Completion> {
         .collect()
 }
 
-#[test]
-fn batch_equals_one_by_one() {
-    let storm = HazardModel::Storm {
-        calm: FaultModel::new(5000.0).unwrap(),
-        storm: FaultModel::new(150.0).unwrap(),
+/// A storm: calm MTBF 5000 s, 150 s in the storm half of each 400 s period.
+fn storm() -> HazardModel {
+    HazardModel::Storm {
+        calm: FaultModel::new(5000.0).expect("a positive MTBF"),
+        storm: FaultModel::new(150.0).expect("a positive MTBF"),
         period_seconds: 400.0,
         storm_fraction: 0.5,
-    };
+    }
+}
+
+#[test]
+fn batch_equals_one_by_one() {
     let hazards =
-        [HazardModel::NONE, HazardModel::Constant(FaultModel::new(300.0).unwrap()), storm];
+        [HazardModel::NONE, HazardModel::Constant(FaultModel::new(300.0).unwrap()), storm()];
     // 64 units of 1/2/4 cores: Mode I on 256 cores, Mode II on 12.
     for hazard in hazards {
         for cores in [256, 12] {
@@ -81,6 +85,35 @@ fn batch_equals_one_by_one() {
             assert_eq!(single.now(), batched.now());
             assert_eq!(single.busy_core_seconds().to_bits(), batched.busy_core_seconds().to_bits());
         }
+    }
+}
+
+/// A wave submitted a window at a time, as the driver submits one, is the
+/// wave in one batch and unit by unit: no window moves the clock, so ids,
+/// start and end times, fates and the busy core-seconds are the same.
+#[test]
+fn a_wave_in_windows_equals_one_batch_and_one_by_one() {
+    // 64 units of 1/2/4 cores: Mode I on 256 cores, Mode II on 12.
+    for cores in [256, 12] {
+        let executor = || SimExecutor::<u64>::new(cores, 11).with_hazard(storm());
+        let (mut single, mut batched, mut windowed) = (executor(), executor(), executor());
+        let ids: Vec<UnitId> =
+            units(64).into_iter().map(|(desc, work)| single.submit(desc, work).unwrap()).collect();
+        assert_eq!(batched.submit_batch(units(64)).unwrap(), ids, "on {cores} cores");
+        let (mut rest, mut windows) = (units(64), Vec::new());
+        while !rest.is_empty() {
+            let tail = rest.split_off(rest.len().min(7));
+            windows.extend(windowed.submit_batch(rest).unwrap());
+            rest = tail;
+        }
+        assert_eq!(windows, ids, "on {cores} cores");
+        let one = stream(&mut single);
+        assert!(one.iter().any(|c| c.5.is_err()), "on {cores} cores: some unit must fail");
+        assert_eq!(stream(&mut batched), one, "one batch on {cores} cores");
+        assert_eq!(stream(&mut windowed), one, "windows of 7 on {cores} cores");
+        let busy = single.busy_core_seconds().to_bits();
+        assert_eq!(batched.busy_core_seconds().to_bits(), busy, "on {cores} cores");
+        assert_eq!(windowed.busy_core_seconds().to_bits(), busy, "on {cores} cores");
     }
 }
 
