@@ -21,10 +21,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     pub fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();

@@ -1,9 +1,10 @@
 //! `repex plan` — predictive cost / acceptance / round-trip planning.
 //!
-//! The static twin of `repex run`: the same configuration document goes in,
-//! but instead of executing, the planner predicts the Eq. 1 makespan and
-//! utilization, per-ladder acceptance and round-trip time, and ranks
-//! alternative plans (rung counts, core counts, pairing) against a target.
+//! The same configuration document as `repex run` goes in; the planner
+//! runs the campaign at zero MD steps on the simulated cluster for its
+//! Eq. 1 makespan and utilization, predicts per-ladder acceptance and
+//! round-trip time, and ranks alternative plans (rung counts, core counts,
+//! pairing) against a target.
 //! Diagnostics come back in the shared JSON schema with the shared exit
 //! codes: 0 clean, 1 error-level findings (P0xx or structural C0xx),
 //! 2 usage/parse error.

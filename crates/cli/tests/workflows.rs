@@ -1,6 +1,7 @@
 //! The `repex` binary end to end on small campaigns: run → analyze, check
-//! and plan on every shipped example, the plan budget gate, stop → resume
-//! under a failure storm, and serve → submit → status → results → metrics.
+//! and plan on every shipped example, the plan budget gate, the plan's
+//! silent dry run, stop → resume under a failure storm, and serve → submit
+//! → status → results → metrics.
 //! Each step goes through the built executable, so flag parsing, the files
 //! it writes and its exit codes are under test together. What an in-process
 //! test already asserts stays there; this file holds what only the binary
@@ -157,6 +158,27 @@ fn plan_over_budget_exits_one_with_p010() {
     let args = ["plan", s(&tremd), "--budget-core-hours", "0.01", "--json", s(&artifact)];
     assert_eq!(code(&repex(&args)), 1);
     assert!(codes(&read_json(&artifact)).contains(&"P010"));
+}
+
+/// `plan` prices a campaign by a dry run on the simulated cluster: a
+/// local-backend config with a progress interval gets its simulated twin's
+/// cost, and the dry run prints no progress line.
+#[test]
+fn plan_dry_runs_silently_whatever_the_backend() {
+    let dir = scratch("dry-run");
+    let mut cfg = SimulationConfig::t_remd(4, 6000, 3);
+    let simulated = write_config(&dir, "simulated", &cfg);
+    cfg.resource.backend = "local".into();
+    cfg.progress_every = 1;
+    let local = write_config(&dir, "local", &cfg);
+    let cost = |config: &Path| {
+        let artifact = config.with_extension("plan.json");
+        let out = ok(&["plan", s(config), "--no-search", "--json", s(&artifact)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.trim_end(), format!("[plan written: {}]", s(&artifact)), "{config:?}");
+        read_json(&artifact)["plan"]["cost"].compact()
+    };
+    assert_eq!(cost(&local), cost(&simulated));
 }
 
 /// A campaign under a failure storm, stopped after two cycles and resumed,

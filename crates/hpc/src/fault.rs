@@ -98,48 +98,6 @@ impl FaultModel {
             1.0 - (-duration / self.mtbf_seconds).exp()
         }
     }
-
-    /// Mean wall time a *failed* attempt occupies its cores before the
-    /// failure fires: `E[T | T < d]` for the exponential failure time,
-    /// `1/λ − d·e^{−λd}/(1 − e^{−λd})`. Zero when failures are disabled.
-    pub fn mean_failure_offset(&self, duration: f64) -> f64 {
-        let p = self.failure_probability(duration);
-        if p <= 0.0 {
-            return 0.0;
-        }
-        self.mtbf_seconds - duration * (1.0 - p) / p
-    }
-
-    /// Expected wall-time inflation of a `duration`-second segment under a
-    /// relaunch-on-failure policy with up to `retries` resubmissions
-    /// (`None` = unbounded): failed attempts burn `E[T | T < d]` seconds
-    /// each before the replacement starts, so the expected total is
-    /// `d + E[#failures]·E[T | T < d]`, returned as a multiplier ≥ 1.
-    ///
-    /// This is the planner's Eq. 1 relaunch term — a closed form, not a
-    /// simulation, so it ignores wave re-packing of relaunched tasks
-    /// (second-order at the failure rates the `C044` validation admits).
-    pub fn expected_relaunch_inflation(&self, duration: f64, retries: Option<u32>) -> f64 {
-        let p = self.failure_probability(duration);
-        if p <= 0.0 || duration <= 0.0 {
-            return 1.0;
-        }
-        // Expected failed attempts: sum of p^k for k = 1..=attempts-1 with
-        // `attempts = retries + 1` total tries (geometric when unbounded).
-        let failures = match retries {
-            None => p / (1.0 - p),
-            Some(r) => {
-                let mut sum = 0.0;
-                let mut pk = p;
-                for _ in 0..=r {
-                    sum += pk;
-                    pk *= p;
-                }
-                sum
-            }
-        };
-        1.0 + failures * self.mean_failure_offset(duration) / duration
-    }
 }
 
 /// Time-varying failure hazard: either the classic constant-rate model or a
@@ -173,25 +131,6 @@ impl HazardModel {
                     *storm
                 } else {
                     *calm
-                }
-            }
-        }
-    }
-
-    /// The constant-rate model with this hazard's *time-averaged* rate —
-    /// what expected-cost prediction (the campaign planner) should charge
-    /// for tasks whose start times are spread across whole storm periods:
-    /// `λ̄ = λ_calm·(1 − f) + λ_storm·f`.
-    pub fn mean_model(&self) -> FaultModel {
-        match self {
-            HazardModel::Constant(fm) => *fm,
-            HazardModel::Storm { calm, storm, storm_fraction, .. } => {
-                let rate = calm.rate() * (1.0 - storm_fraction) + storm.rate() * storm_fraction;
-                if rate > 0.0 {
-                    // A mean of two valid rates is a valid rate.
-                    FaultModel::new(1.0 / rate).unwrap_or(FaultModel::NONE)
-                } else {
-                    FaultModel::NONE
                 }
             }
         }
@@ -368,44 +307,5 @@ mod tests {
         assert_eq!(storm().worst_case().mtbf_seconds(), 50.0);
         let c = HazardModel::Constant(FaultModel::new(123.0).unwrap());
         assert_eq!(c.worst_case().mtbf_seconds(), 123.0);
-    }
-
-    #[test]
-    fn mean_failure_offset_bounds_and_small_p_limit() {
-        let fm = FaultModel::new(1000.0).unwrap();
-        let w = fm.mean_failure_offset(100.0);
-        // A failed 100 s attempt burns between 0 and 100 seconds; for
-        // d ≪ mtbf the conditional failure time is nearly uniform → d/2.
-        assert!(w > 0.0 && w < 100.0, "offset {w}");
-        assert!((w - 50.0).abs() < 2.0, "small-p limit ≈ d/2, got {w}");
-        assert_eq!(FaultModel::NONE.mean_failure_offset(100.0), 0.0);
-    }
-
-    #[test]
-    fn relaunch_inflation_is_a_multiplier_and_grows_with_retries() {
-        let fm = FaultModel::new(200.0).unwrap();
-        assert_eq!(FaultModel::NONE.expected_relaunch_inflation(100.0, None), 1.0);
-        let r0 = fm.expected_relaunch_inflation(100.0, Some(0));
-        let r3 = fm.expected_relaunch_inflation(100.0, Some(3));
-        let unbounded = fm.expected_relaunch_inflation(100.0, None);
-        assert!(r0 > 1.0);
-        assert!(r3 > r0, "{r3} vs {r0}");
-        assert!(unbounded >= r3, "{unbounded} vs {r3}");
-        // p = 1 − e^{−0.5} ≈ 0.393; unbounded failures p/(1−p) ≈ 0.648,
-        // each burning E[T|T<d] < d — inflation stays well under 1 + 0.648.
-        assert!(unbounded < 1.648);
-    }
-
-    #[test]
-    fn mean_model_averages_the_storm_rate() {
-        let h = storm(); // calm 1000 s, storm 50 s, fraction 0.25 (see helper)
-        let HazardModel::Storm { calm, storm: s, storm_fraction, .. } = h else {
-            panic!("helper changed shape");
-        };
-        let expect = calm.rate() * (1.0 - storm_fraction) + s.rate() * storm_fraction;
-        assert!((h.mean_model().rate() - expect).abs() < 1e-15);
-        let c = HazardModel::Constant(FaultModel::new(77.0).unwrap());
-        assert_eq!(c.mean_model().mtbf_seconds(), 77.0);
-        assert_eq!(HazardModel::NONE.mean_model().rate(), 0.0);
     }
 }

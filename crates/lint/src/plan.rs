@@ -1,29 +1,19 @@
 //! P0xx/P1xx — the predictive campaign planner behind `repex plan`.
 //!
-//! Everything here is *static*: the planner re-derives the paper's Eq. 1
-//! cycle-time decomposition
-//!
-//! `Tc = T_sim + T_exchange + T_data + T_RP-over + T_RepEx-over`
-//!
-//! from the same calibrated models (`hpc::perfmodel`) the virtual cluster
-//! charges at run time, without executing a single task:
-//!
-//! * **Makespan / utilization** — Mode I runs every replica in one wave;
-//!   Mode II packs `n` replicas onto `floor(cores / cores-per-replica)`
-//!   slots in `ceil(n / slots)` waves and pays RP 0.35's per-core
-//!   scheduling tax (Fig. 11b). Expected relaunch inflation comes from the
-//!   configured [`hpc::FaultModel`] hazard in closed form
-//!   ([`hpc::FaultModel::expected_relaunch_inflation`]), and straggler /
-//!   heterogeneous-node scenarios inflate each wave by the expected
-//!   worst-of-wave slowdown.
-//! * **Acceptance / round trip** — per-dimension acceptance is predicted
-//!   from the equipartition energy-overlap model shared with L401
-//!   ([`crate::rules::acceptance::predicted_overlaps`]); round-trip time
-//!   uses the Nadler–Hansmann diffusive estimate `≈ 2(k−1)²/p̄` exchange
-//!   attempts for a `k`-rung ladder at mean acceptance `p̄`.
-//! * **Candidate search** — a deterministic sweep over ladder rung counts,
-//!   pilot core counts (execution mode) and pairing patterns, ranked
-//!   against `--target-round-trip` (or makespan when no target is given).
+//! The planner prices a campaign by running it: a *dry run* executes the
+//! configuration on the simulated cluster at zero MD steps
+//! (`surrogate-steps` 0), with no recorder, checkpoint or progress line.
+//! Virtual time is charged for `steps-per-cycle` whatever the surrogate
+//! integrates, so the dry run's makespan, utilization and Eq. 1 terms
+//! (`Tc = T_MD + T_EX + T_data + T_RepEx_over + T_RP_over`) are the
+//! simulator's own at the configured seed, relaunches, stragglers and
+//! storms included. Acceptance is physics, which a zero-step run does not
+//! sample: it comes from the energy-overlap model shared with L401
+//! ([`crate::rules::acceptance::predicted_overlaps`]), and a round trip
+//! from the Nadler–Hansmann estimate `≈ 2(k−1)²/p̄` exchange attempts for
+//! a `k`-rung ladder at mean acceptance `p̄`. The candidate search dry-runs
+//! the configured plan's one-axis neighbourhood (rung count, pilot size,
+//! pairing), ranked against `--target-round-trip` (or makespan).
 //!
 //! Rule catalog (see DESIGN.md §14):
 //!
@@ -35,21 +25,19 @@
 //! | P102 | warning  | predicted round-trip time exceeds the campaign makespan |
 //! | P103 | info     | the candidate search found a better plan than the configured one |
 //!
-//! The predictions are cross-validated against the discrete-event simulator
-//! in `tests/it_plan.rs`; the tolerances stated in DESIGN.md §14 are
-//! enforced there.
+//! `tests/it_plan.rs` holds the dry run equal to `repex run` (DESIGN.md
+//! §14 states what "equal" means per regime).
 
 use crate::rules::acceptance;
 use exchange::multidim::ParamGrid;
 use exchange::pairing::PairingStrategy;
-use hpc::fault::{FaultModel, HazardModel};
-use hpc::perfmodel::{ExchangeKind, PerfModel};
-use hpc::{ClusterSpec, Scenario};
 use obs::diag::{has_errors, sort_by_severity};
 use obs::json::{Encode, Value};
 use obs::json_fields;
 use obs::{Diagnostic, ACCEPTANCE_BAND};
-use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig, Workload};
+use repex::config::{DimensionConfig, Pattern, SimulationConfig, Workload};
+use repex::simulation::RemdSimulation;
+use repex::timing::CycleTiming;
 
 /// P101 fires below this predicted utilization (percent).
 const MIN_UTILIZATION_PERCENT: f64 = 50.0;
@@ -73,44 +61,8 @@ impl Default for PlanOptions {
     }
 }
 
-/// Eq. 1 components of one cycle, in modeled wall seconds.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleBreakdown {
-    /// Simulation phase: `dims × waves × md`, inflated by relaunches and
-    /// scenario stragglers.
-    pub t_md: f64,
-    /// Exchange phase across all dimensions (S-exchange wave-packed).
-    pub t_exchange: f64,
-    /// Data staging across all dimensions.
-    pub t_data: f64,
-    /// RP agent overhead (per-dimension launch cost + Mode II per-core
-    /// scheduling tax).
-    pub t_rp_over: f64,
-    /// RepEx bookkeeping overhead.
-    pub t_repex_over: f64,
-    /// Asynchronous pattern only: expected wait for the next exchange tick.
-    pub t_tick_wait: f64,
-}
-
-impl Encode for CycleBreakdown {
-    fn encode(&self) -> Value {
-        json_fields!(self; t_md, t_exchange, t_data, t_rp_over, t_repex_over, t_tick_wait)
-    }
-}
-
-impl CycleBreakdown {
-    /// Predicted `Tc`: the sum of all components.
-    pub fn total(&self) -> f64 {
-        self.t_md
-            + self.t_exchange
-            + self.t_data
-            + self.t_rp_over
-            + self.t_repex_over
-            + self.t_tick_wait
-    }
-}
-
-/// Predicted cost of running a configuration to completion.
+/// Predicted cost of running a configuration to completion: what its dry
+/// run measured.
 #[derive(Debug, Clone)]
 pub struct CostPrediction {
     /// `"synchronous"` or `"asynchronous"`.
@@ -119,29 +71,24 @@ pub struct CostPrediction {
     pub execution_mode: u8,
     pub n_replicas: usize,
     pub pilot_cores: usize,
-    /// MD waves per dimension sweep (1 in Mode I).
-    pub waves: usize,
-    /// Modeled seconds of one MD segment (no inflation).
-    pub md_segment_seconds: f64,
-    /// Expected wall-time multiplier from relaunch-on-failure.
-    pub relaunch_inflation: f64,
-    /// Expected per-wave multiplier from straggler/heterogeneous scenarios.
-    pub scenario_inflation: f64,
-    pub cycle: CycleBreakdown,
-    /// Predicted `Tc` (one cycle).
+    /// Mean Eq. 1 decomposition of one cycle; `None` for the asynchronous
+    /// pattern, which runs no cycles.
+    pub cycle: Option<CycleTiming>,
+    /// `makespan / n_cycles`: what one exchange cycle costs in wall
+    /// seconds, for the round trip in seconds.
     pub cycle_seconds: f64,
-    /// Predicted campaign makespan (`n_cycles × Tc`).
     pub makespan_seconds: f64,
-    /// Predicted core utilization in percent (MD core·seconds over
-    /// allocated core·seconds).
+    /// MD core·seconds over allocated core·seconds, in percent.
     pub utilization_percent: f64,
     /// Allocated cost: `pilot_cores × makespan`.
     pub core_seconds: f64,
+    pub failed_tasks: u64,
+    pub relaunched_tasks: u64,
 }
 
 impl Encode for CostPrediction {
     fn encode(&self) -> Value {
-        json_fields!(self; pattern, execution_mode, n_replicas, pilot_cores, waves, md_segment_seconds, relaunch_inflation, scenario_inflation, cycle, cycle_seconds, makespan_seconds, utilization_percent, core_seconds)
+        json_fields!(self; pattern, execution_mode, n_replicas, pilot_cores, cycle, cycle_seconds, makespan_seconds, utilization_percent, core_seconds, failed_tasks, relaunched_tasks)
     }
 }
 
@@ -224,158 +171,36 @@ pub struct PlanOutcome {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// The mean-rate failure model the plan runs under (scenario storms are
-/// averaged over their duty cycle).
-fn mean_fault_model(cfg: &SimulationConfig) -> FaultModel {
-    let base =
-        cfg.fault_mtbf_seconds.and_then(|m| FaultModel::new(m).ok()).unwrap_or(FaultModel::NONE);
-    match &cfg.scenario {
-        Some(sc) => sc.hazard(base).map_or(base, |h| h.mean_model()),
-        None => HazardModel::Constant(base).mean_model(),
-    }
-}
-
-/// Expected worst-of-wave MD slowdown from straggler-style scenarios: with
-/// per-replica slow probability `f` and slowdown `s`, a wave of `m`
-/// replicas finishes `s×` late whenever at least one member is slow.
-fn scenario_md_inflation(scenario: Option<&Scenario>, wave_size: usize) -> f64 {
-    match scenario {
-        Some(Scenario::HeterogeneousNodes { slow_fraction, slowdown }) => {
-            1.0 + (slowdown - 1.0) * (1.0 - (1.0 - slow_fraction).powi(wave_size as i32))
-        }
-        Some(Scenario::Stragglers { fraction, slowdown }) => {
-            1.0 + (slowdown - 1.0) * (1.0 - (1.0 - fraction).powi(wave_size as i32))
-        }
-        _ => 1.0,
-    }
-}
-
-/// Mean (not worst-of-wave) MD duration multiplier — what the successful
-/// tasks actually charge, used for the utilization numerator.
-fn scenario_mean_factor(scenario: Option<&Scenario>) -> f64 {
-    match scenario {
-        Some(Scenario::HeterogeneousNodes { slow_fraction, slowdown }) => {
-            1.0 + (slowdown - 1.0) * slow_fraction
-        }
-        Some(Scenario::Stragglers { fraction, slowdown }) => 1.0 + (slowdown - 1.0) * fraction,
-        _ => 1.0,
-    }
-}
-
-/// Predict the Eq. 1 cost of a structurally valid configuration. This is
-/// the static twin of one `run_one_cycle` charge sequence, multiplied out
-/// to `n_cycles`.
-pub fn predict_cost(
-    cfg: &SimulationConfig,
-    grid: &ParamGrid,
-    cluster: &ClusterSpec,
-    perf: &PerfModel,
-    pilot_cores: usize,
-) -> CostPrediction {
-    let n = grid.n_slots();
-    let dims = grid.n_dims();
-    let cpr = cfg.resource.cores_per_replica.max(1);
-    let md = cfg.md_segment_seconds(perf, cluster);
-
-    let slots = (pilot_cores / cpr).max(1);
-    let wave_size = slots.min(n.max(1));
-    let waves = n.max(1).div_ceil(wave_size);
-    let mode2 = pilot_cores < n * cpr;
-
-    let fault = mean_fault_model(cfg);
-    let relaunch_inflation = match cfg.fault_policy {
-        FaultPolicy::Relaunch { max_retries } => {
-            fault.expected_relaunch_inflation(md, Some(max_retries))
-        }
-        FaultPolicy::Continue => 1.0,
-    };
-    let success_fraction = match cfg.fault_policy {
-        FaultPolicy::Continue => 1.0 - fault.failure_probability(md),
-        FaultPolicy::Relaunch { .. } => 1.0,
-    };
-    let scenario_inflation = scenario_md_inflation(cfg.scenario.as_ref(), wave_size);
-    let md_infl = relaunch_inflation * scenario_inflation;
-
-    let cycle = match cfg.pattern {
-        Pattern::Synchronous => {
-            let t_md = dims as f64 * waves as f64 * md * md_infl;
-            let t_repex_over = perf.overhead.repex_seconds(dims, n);
-            let mut t_rp_over = dims as f64 * perf.overhead.rp_seconds(n, cluster);
-            if mode2 {
-                t_rp_over += perf.overhead.mode2_sched_per_core * pilot_cores as f64;
-            }
-            let mut t_data = 0.0;
-            let mut t_exchange = 0.0;
-            // An empty dimension (letter '?') stages and exchanges nothing.
-            for dim in &grid.dims {
-                let Some(kind) = ExchangeKind::from_letter(dim.kind_letter()) else { continue };
-                t_data += perf.data.data_seconds(kind, n, cluster);
-                if !cfg.no_exchange {
-                    t_exchange += match kind {
-                        ExchangeKind::Salt => {
-                            perf.exchange.salt_wall_seconds(n, pilot_cores, dim.len())
-                        }
-                        _ => perf.exchange.exchange_seconds(kind, n),
-                    };
-                }
-            }
-            CycleBreakdown { t_md, t_exchange, t_data, t_rp_over, t_repex_over, t_tick_wait: 0.0 }
-        }
-        Pattern::Asynchronous { tick_fraction } => {
-            // The asynchronous driver charges no RP/data/bookkeeping
-            // overheads; replicas cycle back-to-back, quantized to the
-            // exchange tick. Throughput is bounded by the pilot when it
-            // cannot hold every replica.
-            let tick = tick_fraction * md;
-            let throughput_bound = n as f64 * md * cpr as f64 / pilot_cores as f64;
-            let t_md = md.max(throughput_bound) * md_infl;
-            let kind = grid.dims.first().and_then(|d| ExchangeKind::from_letter(d.kind_letter()));
-            let t_exchange = match kind {
-                Some(kind) if !cfg.no_exchange => perf.exchange.exchange_seconds(kind, n),
-                _ => 0.0,
-            };
-            CycleBreakdown {
-                t_md,
-                t_exchange,
-                t_data: 0.0,
-                t_rp_over: 0.0,
-                t_repex_over: 0.0,
-                t_tick_wait: tick / 2.0,
-            }
-        }
-    };
-
-    let cycle_seconds = cycle.total();
-    let makespan_seconds = cfg.n_cycles as f64 * cycle_seconds;
-    let md_core_seconds = dims as f64
-        * n as f64
-        * md
-        * cpr as f64
-        * cfg.n_cycles as f64
-        * success_fraction
-        * scenario_mean_factor(cfg.scenario.as_ref());
-    let denom = pilot_cores as f64 * makespan_seconds;
-    let utilization_percent =
-        if denom > 0.0 { (md_core_seconds / denom * 100.0).min(100.0) } else { 0.0 };
-
-    CostPrediction {
-        pattern: match cfg.pattern {
-            Pattern::Synchronous => "synchronous".into(),
-            Pattern::Asynchronous { .. } => "asynchronous".into(),
-        },
-        execution_mode: if mode2 { 2 } else { 1 },
-        n_replicas: n,
-        pilot_cores,
-        waves,
-        md_segment_seconds: md,
-        relaunch_inflation,
-        scenario_inflation,
-        cycle,
-        cycle_seconds,
-        makespan_seconds,
-        utilization_percent,
-        core_seconds: pilot_cores as f64 * makespan_seconds,
-    }
+/// Price a configuration by its dry run: a clone with `surrogate-steps` 0,
+/// no progress line and the simulated backend, run to completion with no
+/// recorder, checkpoint or telemetry. It integrates the vacuum dipeptide
+/// with `cost-atoms` pinned to the configured count and skips
+/// `minimize-first`, so a solvated campaign builds no water box. None of
+/// these enters the virtual clock, so the numbers are those of the
+/// campaign the config describes, at its seed.
+pub fn predict_cost(cfg: &SimulationConfig) -> Result<CostPrediction, String> {
+    let mut dry = cfg.clone();
+    dry.cost_atoms = Some(cfg.model_atoms());
+    dry.workload = Some(Workload::DipeptideVacuum);
+    dry.minimize_first = false;
+    dry.surrogate_steps = 0;
+    dry.progress_every = 0;
+    dry.resource.backend = "simulated".into();
+    let run = RemdSimulation::new(dry)?.run()?;
+    let sync = matches!(cfg.pattern, Pattern::Synchronous);
+    Ok(CostPrediction {
+        pattern: if sync { "synchronous" } else { "asynchronous" }.into(),
+        execution_mode: run.execution_mode,
+        n_replicas: run.n_replicas,
+        pilot_cores: run.pilot_cores,
+        cycle: sync.then(|| run.average_timing()),
+        cycle_seconds: run.makespan / cfg.n_cycles as f64,
+        makespan_seconds: run.makespan,
+        utilization_percent: run.utilization_percent,
+        core_seconds: run.pilot_cores as f64 * run.makespan,
+        failed_tasks: run.failed_tasks,
+        relaunched_tasks: run.relaunched_tasks,
+    })
 }
 
 /// Round-trip slowdown of the pairing pattern relative to the
@@ -387,6 +212,18 @@ fn pairing_round_trip_factor(pairing: PairingStrategy, rungs: usize) -> f64 {
         PairingStrategy::NeighborAlternating => 1.0,
         PairingStrategy::Random => ((rungs.saturating_sub(1)) as f64 / 2.0).max(0.5),
     }
+}
+
+/// Fill a ladder's round trip for `cfg`'s pairing at `cycle_seconds` a
+/// cycle — the cheap half of a prediction, redone per candidate while the
+/// overlaps are computed once per ladder.
+fn time_ladder(l: &mut LadderPrediction, cfg: &SimulationConfig, cycle_seconds: f64) {
+    let cycles = l.mean_acceptance.filter(|&mean| !cfg.no_exchange && mean > 0.0).map(|mean| {
+        2.0 * ((l.rungs - 1) as f64).powi(2) / mean
+            * pairing_round_trip_factor(cfg.pairing, l.rungs)
+    });
+    l.round_trip_cycles = cycles;
+    l.round_trip_seconds = cycles.map(|c| c * cycle_seconds);
 }
 
 /// Predict acceptance and round-trip time per ladder dimension.
@@ -402,40 +239,26 @@ pub fn predict_ladders(
         .map(|(d, dim)| {
             let kind = dim.kind_letter();
             let rungs = dim.len();
-            if kind != 'T' || rungs < 2 {
-                return LadderPrediction {
-                    dim: d,
-                    kind,
-                    rungs,
-                    pair_acceptance: Vec::new(),
-                    mean_acceptance: None,
-                    min_acceptance: None,
-                    round_trip_cycles: None,
-                    round_trip_seconds: None,
-                };
-            }
-            let temps: Vec<f64> =
-                dim.ladder.iter().map(exchange::param::ExchangeParam::scalar).collect();
-            let overlaps = acceptance::predicted_overlaps(&temps, atoms);
-            let mean = overlaps.iter().sum::<f64>() / overlaps.len() as f64;
-            let min = overlaps.iter().copied().fold(f64::INFINITY, f64::min);
-            let (rt_cycles, rt_seconds) = if cfg.no_exchange || mean <= 0.0 {
-                (None, None)
-            } else {
-                let cycles = 2.0 * ((rungs - 1) as f64).powi(2) / mean
-                    * pairing_round_trip_factor(cfg.pairing, rungs);
-                (Some(cycles), Some(cycles * cycle_seconds))
-            };
-            LadderPrediction {
+            let mut l = LadderPrediction {
                 dim: d,
                 kind,
                 rungs,
-                pair_acceptance: overlaps,
-                mean_acceptance: Some(mean),
-                min_acceptance: Some(min),
-                round_trip_cycles: rt_cycles,
-                round_trip_seconds: rt_seconds,
+                pair_acceptance: Vec::new(),
+                mean_acceptance: None,
+                min_acceptance: None,
+                round_trip_cycles: None,
+                round_trip_seconds: None,
+            };
+            if kind == 'T' && rungs >= 2 {
+                let temps: Vec<f64> =
+                    dim.ladder.iter().map(exchange::param::ExchangeParam::scalar).collect();
+                let overlaps = acceptance::predicted_overlaps(&temps, atoms);
+                l.mean_acceptance = Some(overlaps.iter().sum::<f64>() / overlaps.len() as f64);
+                l.min_acceptance = Some(overlaps.iter().copied().fold(f64::INFINITY, f64::min));
+                l.pair_acceptance = overlaps;
+                time_ladder(&mut l, cfg, cycle_seconds);
             }
+            l
         })
         .collect()
 }
@@ -443,77 +266,124 @@ pub fn predict_ladders(
 /// Predicted core·seconds for an already-validated configuration — the
 /// admission-control entry point (`svc` charges this up front).
 pub fn predicted_core_seconds(cfg: &SimulationConfig) -> Result<f64, String> {
+    predict_cost(cfg).map(|c| c.core_seconds)
+}
+
+/// Largest `|z|` the simulator's noise can draw: the polar method's
+/// `|z| = |u|·√(−2 ln s / s) ≤ √(−2 ln s)`, and on 53-bit uniforms
+/// `s ≥ 2⁻¹⁰⁴`, so `|z| ≤ √(208 ln 2) ≈ 12.01`.
+const MAX_NORMAL_DRAW: f64 = 12.1;
+
+/// A lower bound on [`predicted_core_seconds`] that runs nothing, for
+/// admission to refuse a campaign far over its budget before its dry run
+/// (DESIGN.md §14). It counts what the virtual clock cannot skip: each
+/// replica's `n-cycles` completed MD segments at the lowest noise draw,
+/// spread over the pilot, and a synchronous cycle's serialized overheads.
+/// A failed asynchronous segment reruns; a failed synchronous one may not,
+/// so a synchronous campaign that injects failures counts its overheads only.
+/// An invalid config (say, a slowdown below 1) has no floor: `Err`.
+pub fn core_seconds_floor(cfg: &SimulationConfig) -> Result<f64, String> {
+    cfg.validate()?;
     let grid = cfg.build_grid()?;
-    let cluster = cfg.cluster()?;
-    let pilot_cores = cfg.pilot_cores()?;
-    let perf = PerfModel::default();
-    Ok(predict_cost(cfg, &grid, &cluster, &perf, pilot_cores).core_seconds)
+    let (n, cores, cluster) = (grid.n_slots(), cfg.pilot_cores()? as f64, cfg.cluster()?);
+    let perf = hpc::PerfModel::default();
+    let segment =
+        cfg.md_segment_seconds(&perf, &cluster) * (-MAX_NORMAL_DRAW * perf.noise.md_sigma).exp();
+    let md_area = segment * cores.max((n * cfg.resource.cores_per_replica) as f64);
+    let per_cycle = match cfg.pattern {
+        Pattern::Asynchronous { .. } => md_area,
+        Pattern::Synchronous => {
+            let overheads = perf.overhead.repex_seconds(grid.n_dims(), n)
+                + perf.overhead.rp_seconds(n, &cluster);
+            let fails = cfg.fault_mtbf_seconds.is_some()
+                || matches!(cfg.scenario, Some(hpc::Scenario::FailureStorm { .. }));
+            cores * overheads + if fails { 0.0 } else { md_area }
+        }
+    };
+    Ok(cfg.n_cycles as f64 * per_cycle)
 }
 
-struct CandidateKey {
-    rungs: Option<usize>,
-    cores: Option<usize>,
-    pairing: PairingStrategy,
-}
-
-/// Deterministic sweep over ladder rung counts, pilot cores and pairing.
+/// The configured plan's neighbourhood, one axis at a time:
+///
+/// * the other rung counts in `count−2..=count+2` (single-T ladders only);
+/// * the other pilot sizes: Mode I, then `⌈n/2⌉`, `⌈n/3⌉` and `⌈n/4⌉` slots;
+/// * the other pairing (single-T ladders only).
+///
+/// Keys are deduplicated before anything runs, the configured plan reuses
+/// `cost` and `ladders`, and only a new rung count computes overlaps.
 fn search_candidates(
     cfg: &SimulationConfig,
     opts: &PlanOptions,
-    configured_score_out: &mut Option<f64>,
+    cost: &CostPrediction,
+    ladders: &[LadderPrediction],
 ) -> Vec<CandidatePlan> {
     let single_t = cfg.dimensions.len() == 1
         && matches!(cfg.dimensions[0], DimensionConfig::Temperature { .. });
-    let rung_opts: Vec<Option<usize>> = if single_t {
+    // (candidate, whether its ladder differs from the configured one)
+    let mut variants: Vec<(SimulationConfig, bool)> = Vec::new();
+    if single_t {
         let count = cfg.dimensions[0].count();
-        (count.saturating_sub(2).max(2)..=count + 2).map(Some).collect()
-    } else {
-        vec![None]
-    };
-    let pairings: Vec<PairingStrategy> = if single_t {
-        vec![PairingStrategy::NeighborAlternating, PairingStrategy::Random]
-    } else {
-        vec![cfg.pairing]
-    };
-
-    let mut seen: Vec<(usize, usize, &'static str)> = Vec::new();
-    let mut out = Vec::new();
-    for rungs in &rung_opts {
-        let mut base = cfg.clone();
-        if let (Some(k), DimensionConfig::Temperature { count, .. }) =
-            (rungs, &mut base.dimensions[0])
-        {
-            *count = *k;
-        }
-        let Ok(n) = base.n_replicas() else { continue };
-        let cpr = base.resource.cores_per_replica.max(1);
-        let mut cores_opts: Vec<Option<usize>> = vec![None]; // Mode I
-        for w in [2usize, 3, 4] {
-            let c = cpr * n.div_ceil(w);
-            if c < n * cpr {
-                cores_opts.push(Some(c));
+        for k in (count.saturating_sub(2).max(2)..=count + 2).filter(|&k| k != count) {
+            let mut cand = cfg.clone();
+            if let DimensionConfig::Temperature { count, .. } = &mut cand.dimensions[0] {
+                *count = k;
             }
-        }
-        if cfg.resource.cores.is_some() {
-            cores_opts.push(cfg.resource.cores);
-        }
-        for cores in &cores_opts {
-            for pairing in &pairings {
-                let key = CandidateKey { rungs: *rungs, cores: *cores, pairing: *pairing };
-                if let Some(c) = evaluate_candidate(cfg, &base, &key, n, opts) {
-                    let id = (c.n_replicas, c.cores, pairing.name());
-                    if seen.contains(&id) {
-                        continue;
-                    }
-                    seen.push(id);
-                    if c.configured {
-                        *configured_score_out = Some(c.score);
-                    }
-                    out.push(c);
-                }
-            }
+            variants.push((cand, true));
         }
     }
+    let (n, cpr) = (cost.n_replicas, cfg.resource.cores_per_replica.max(1));
+    let mode_ii = [2usize, 3, 4].map(|w| cpr * n.div_ceil(w)).into_iter().filter(|&c| c < n * cpr);
+    for cores in std::iter::once(None).chain(mode_ii.map(Some)) {
+        let mut cand = cfg.clone();
+        cand.resource.cores = cores;
+        variants.push((cand, false));
+    }
+    if single_t {
+        let mut cand = cfg.clone();
+        cand.pairing = match cfg.pairing {
+            PairingStrategy::NeighborAlternating => PairingStrategy::Random,
+            PairingStrategy::Random => PairingStrategy::NeighborAlternating,
+        };
+        variants.push((cand, false));
+    }
+
+    let mut seen = vec![(n, cost.pilot_cores, cfg.pairing)];
+    variants.retain(|(cand, _)| {
+        let (Ok(()), Ok(n), Ok(pilot), Ok(cluster)) =
+            (cand.validate(), cand.n_replicas(), cand.pilot_cores(), cand.cluster())
+        else {
+            return false;
+        };
+        let key = (n, pilot, cand.pairing);
+        let fresh = pilot <= cluster.total_cores() && !seen.contains(&key);
+        if fresh {
+            seen.push(key);
+        }
+        fresh
+    });
+    let price = |(cand, new_ladder): &(SimulationConfig, bool)| {
+        let cost = predict_cost(cand).ok()?;
+        let ladders = if *new_ladder {
+            predict_ladders(cand, &cand.build_grid().ok()?, cost.cycle_seconds)
+        } else {
+            let mut same = ladders.to_vec();
+            same.iter_mut().for_each(|l| time_ladder(l, cand, cost.cycle_seconds));
+            same
+        };
+        Some(candidate(cand, &cost, &ladders, opts, false))
+    };
+    let price = &price;
+    let mut out = vec![candidate(cfg, cost, ladders, opts, true)];
+    // Two dry runs at a time: one wide run already keeps more than a core
+    // busy, so more would only queue.
+    std::thread::scope(|s| {
+        for pair in variants.chunks(2) {
+            let running: Vec<_> = pair.iter().map(|v| s.spawn(move || price(v))).collect();
+            for run in running {
+                out.extend(run.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            }
+        }
+    });
     out.sort_by(|a, b| {
         b.feasible
             .cmp(&a.feasible)
@@ -524,88 +394,60 @@ fn search_candidates(
     out
 }
 
-fn evaluate_candidate(
-    original: &SimulationConfig,
-    base: &SimulationConfig,
-    key: &CandidateKey,
-    n: usize,
+fn candidate(
+    cfg: &SimulationConfig,
+    cost: &CostPrediction,
+    ladders: &[LadderPrediction],
     opts: &PlanOptions,
-) -> Option<CandidatePlan> {
-    let mut cand = base.clone();
-    cand.resource.cores = key.cores;
-    cand.pairing = key.pairing;
-    if cand.validate().is_err() {
-        return None;
-    }
-    let grid = cand.build_grid().ok()?;
-    let cluster = cand.cluster().ok()?;
-    let pilot_cores = cand.pilot_cores().ok()?;
-    if pilot_cores > cluster.total_cores() {
-        return None;
-    }
-    let perf = PerfModel::default();
-    let cost = predict_cost(&cand, &grid, &cluster, &perf, pilot_cores);
-    let ladders = predict_ladders(&cand, &grid, cost.cycle_seconds);
-    let mean_acceptance = ladders
-        .iter()
-        .filter_map(|l| l.mean_acceptance)
-        .fold(None, |worst: Option<f64>, a| Some(worst.map_or(a, |w| w.min(a))));
-    let round_trip_seconds = ladders
-        .iter()
-        .filter_map(|l| l.round_trip_seconds)
-        .fold(None, |slowest: Option<f64>, r| Some(slowest.map_or(r, |s| s.max(r))));
-    let feasible = mean_acceptance.is_none_or(|a| a >= *ACCEPTANCE_BAND.start());
+    configured: bool,
+) -> CandidatePlan {
+    let mean_acceptance = ladders.iter().filter_map(|l| l.mean_acceptance).reduce(f64::min);
+    let round_trip_seconds = ladders.iter().filter_map(|l| l.round_trip_seconds).reduce(f64::max);
     let score = match opts.target_round_trip {
         Some(t) => round_trip_seconds.map_or(f64::INFINITY, |r| (r - t).abs()),
         None => cost.makespan_seconds,
     };
-    let configured = key
-        .rungs
-        .is_none_or(|k| original.dimensions.len() == 1 && original.dimensions[0].count() == k)
-        && cand.resource.cores == original.resource.cores
-        && cand.pairing == original.pairing;
-    Some(CandidatePlan {
+    CandidatePlan {
         label: format!(
             "{} replicas on {} cores (mode {}), {} pairing",
-            n,
-            pilot_cores,
+            cost.n_replicas,
+            cost.pilot_cores,
             cost.execution_mode,
-            key.pairing.name(),
+            cfg.pairing.name(),
         ),
-        n_replicas: n,
-        cores: pilot_cores,
+        n_replicas: cost.n_replicas,
+        cores: cost.pilot_cores,
         execution_mode: cost.execution_mode,
-        pairing: key.pairing.name().into(),
+        pairing: cfg.pairing.name().into(),
         makespan_seconds: cost.makespan_seconds,
         utilization_percent: cost.utilization_percent,
         core_seconds: cost.core_seconds,
         mean_acceptance,
         round_trip_seconds,
-        feasible,
+        feasible: mean_acceptance.is_none_or(|a| a >= *ACCEPTANCE_BAND.start()),
         score,
         configured,
-    })
+    }
 }
 
-/// Plan a configuration: structural validation first, then the cost /
-/// acceptance predictions and P-family gates, then (optionally) the
+/// Plan a configuration: structural validation first, then the dry run,
+/// the acceptance predictions and P-family gates, then (optionally) the
 /// candidate search. Mirrors [`crate::lint_config`]'s contract: structural
-/// errors short-circuit, diagnostics come back sorted most-severe first.
+/// errors short-circuit, a dry run that fails is a `C002` error, and
+/// diagnostics come back sorted most-severe first.
 pub fn plan_config(cfg: &SimulationConfig, opts: &PlanOptions) -> PlanOutcome {
     let mut diags = cfg.validate_diagnostics();
     if has_errors(&diags) {
         sort_by_severity(&mut diags);
         return PlanOutcome { report: None, diagnostics: diags };
     }
-    let (grid, cluster, pilot_cores) = match (cfg.build_grid(), cfg.cluster(), cfg.pilot_cores()) {
-        (Ok(g), Ok(c), Ok(p)) => (g, c, p),
-        (Err(e), ..) | (_, Err(e), _) | (.., Err(e)) => {
+    let (grid, cost) = match cfg.build_grid().and_then(|g| Ok((g, predict_cost(cfg)?))) {
+        Ok(priced) => priced,
+        Err(e) => {
             diags.push(Diagnostic::error("C002", e));
             return PlanOutcome { report: None, diagnostics: diags };
         }
     };
-    let perf = PerfModel::default();
-    let cost = predict_cost(cfg, &grid, &cluster, &perf, pilot_cores);
     let ladders = predict_ladders(cfg, &grid, cost.cycle_seconds);
 
     for l in &ladders {
@@ -677,9 +519,9 @@ pub fn plan_config(cfg: &SimulationConfig, opts: &PlanOptions) -> PlanOutcome {
         );
     }
 
-    let mut configured_score = None;
     let candidates =
-        if opts.search { search_candidates(cfg, opts, &mut configured_score) } else { Vec::new() };
+        if opts.search { search_candidates(cfg, opts, &cost, &ladders) } else { Vec::new() };
+    let configured_score = candidates.iter().find(|c| c.configured).map(|c| c.score);
     if let (Some(best), Some(cfg_score)) = (candidates.first(), configured_score) {
         if !best.configured && best.feasible && best.score < cfg_score * 0.99 {
             diags.push(
@@ -710,36 +552,32 @@ impl PlanReport {
         let _ = writeln!(s, "plan: {}", self.title);
         let _ = writeln!(
             s,
-            "  {} pattern, execution mode {}: {} replicas on {} cores ({} wave{})",
+            "  {} pattern, execution mode {}: {} replicas on {} cores",
             c.pattern,
             if c.execution_mode == 1 { "I" } else { "II" },
             c.n_replicas,
             c.pilot_cores,
-            c.waves,
-            if c.waves == 1 { "" } else { "s" },
         );
-        let _ = writeln!(
-            s,
-            "  Tc ≈ {:.2} s  (md {:.2} + ex {:.2} + data {:.2} + rp {:.2} + repex {:.2} + tick {:.2})",
-            c.cycle_seconds,
-            c.cycle.t_md,
-            c.cycle.t_exchange,
-            c.cycle.t_data,
-            c.cycle.t_rp_over,
-            c.cycle.t_repex_over,
-            c.cycle.t_tick_wait,
-        );
+        if let Some(t) = &c.cycle {
+            let _ = writeln!(
+                s,
+                "  Tc ≈ {:.2} s  (md {:.2} + ex {:.2} + data {:.2} + repex {:.2} + rp {:.2})",
+                t.total(),
+                t.t_md,
+                t.t_ex_total(),
+                t.t_data,
+                t.t_repex_over,
+                t.t_rp_over,
+            );
+        }
         let _ = writeln!(
             s,
             "  makespan ≈ {:.1} s, utilization ≈ {:.1} %, cost ≈ {:.0} core·s",
             c.makespan_seconds, c.utilization_percent, c.core_seconds,
         );
-        if (c.relaunch_inflation - 1.0).abs() > 1e-9 || (c.scenario_inflation - 1.0).abs() > 1e-9 {
-            let _ = writeln!(
-                s,
-                "  md inflation: relaunch ×{:.3}, scenario ×{:.3}",
-                c.relaunch_inflation, c.scenario_inflation,
-            );
+        if c.failed_tasks + c.relaunched_tasks > 0 {
+            let _ =
+                writeln!(s, "  failed tasks {}, relaunched {}", c.failed_tasks, c.relaunched_tasks);
         }
         for l in &self.ladders {
             match (l.mean_acceptance, l.round_trip_seconds) {
@@ -802,124 +640,6 @@ mod tests {
 
     fn plan(cfg: &SimulationConfig) -> PlanOutcome {
         plan_config(cfg, &PlanOptions::default())
-    }
-
-    fn cost_of(cfg: &SimulationConfig) -> CostPrediction {
-        let grid = cfg.build_grid().unwrap();
-        let cluster = cfg.cluster().unwrap();
-        let pilot = cfg.pilot_cores().unwrap();
-        predict_cost(cfg, &grid, &cluster, &PerfModel::default(), pilot)
-    }
-
-    #[test]
-    fn mode_i_cost_matches_hand_computed_eq1() {
-        let cfg = SimulationConfig::t_remd(16, 6000, 4);
-        let c = cost_of(&cfg);
-        let perf = PerfModel::default();
-        let cluster = cfg.cluster().unwrap();
-        let md = cfg.md_segment_seconds(&perf, &cluster);
-        assert_eq!(c.execution_mode, 1);
-        assert_eq!(c.waves, 1);
-        assert!((c.cycle.t_md - md).abs() < 1e-9);
-        assert!((c.cycle.t_repex_over - perf.overhead.repex_seconds(1, 16)).abs() < 1e-9);
-        assert!((c.cycle.t_rp_over - perf.overhead.rp_seconds(16, &cluster)).abs() < 1e-9);
-        assert!(
-            (c.cycle.t_exchange - perf.exchange.exchange_seconds(ExchangeKind::Temperature, 16))
-                .abs()
-                < 1e-9
-        );
-        assert!(
-            (c.cycle.t_data - perf.data.data_seconds(ExchangeKind::Temperature, 16, &cluster))
-                .abs()
-                < 1e-9
-        );
-        assert!((c.makespan_seconds - 4.0 * c.cycle_seconds).abs() < 1e-9);
-        assert!((c.core_seconds - 16.0 * c.makespan_seconds).abs() < 1e-6);
-        // ~139.6 s of MD in a ~143.7 s cycle.
-        assert!(c.utilization_percent > 90.0 && c.utilization_percent < 100.0);
-    }
-
-    #[test]
-    fn mode_ii_waves_and_per_core_tax() {
-        let mut cfg = SimulationConfig::t_remd(16, 6000, 4);
-        cfg.resource.cores = Some(8);
-        let c = cost_of(&cfg);
-        assert_eq!(c.execution_mode, 2);
-        assert_eq!(c.waves, 2);
-        assert!((c.cycle.t_md - 2.0 * c.md_segment_seconds).abs() < 1e-9);
-        let perf = PerfModel::default();
-        let cluster = cfg.cluster().unwrap();
-        let expected_rp =
-            perf.overhead.rp_seconds(16, &cluster) + perf.overhead.mode2_sched_per_core * 8.0;
-        assert!((c.cycle.t_rp_over - expected_rp).abs() < 1e-9);
-    }
-
-    #[test]
-    fn more_cores_never_slow_the_md_phase() {
-        let base = SimulationConfig::t_remd(16, 6000, 2);
-        let mut prev = f64::INFINITY;
-        for cores in [4usize, 6, 8, 12, 16] {
-            let mut cfg = base.clone();
-            cfg.resource.cores = Some(cores);
-            let t_md = cost_of(&cfg).cycle.t_md;
-            assert!(t_md <= prev + 1e-9, "t_md grew with cores: {t_md} > {prev}");
-            prev = t_md;
-        }
-    }
-
-    #[test]
-    fn mode_i_is_the_makespan_floor() {
-        let base = SimulationConfig::t_remd(16, 6000, 2);
-        let mode_i = cost_of(&base).makespan_seconds;
-        for cores in [4usize, 5, 8, 11, 15] {
-            let mut cfg = base.clone();
-            cfg.resource.cores = Some(cores);
-            let m = cost_of(&cfg).makespan_seconds;
-            assert!(mode_i <= m + 1e-9, "Mode I ({mode_i}) must not exceed {cores} cores ({m})");
-        }
-    }
-
-    #[test]
-    fn relaunch_policy_inflates_the_md_term() {
-        use repex::config::FaultPolicy;
-        let mut cfg = SimulationConfig::t_remd(8, 6000, 2);
-        let clean = cost_of(&cfg);
-        cfg.fault_mtbf_seconds = Some(2000.0);
-        cfg.fault_policy = FaultPolicy::Relaunch { max_retries: 3 };
-        let faulty = cost_of(&cfg);
-        assert!(faulty.relaunch_inflation > 1.0);
-        assert!(faulty.cycle.t_md > clean.cycle.t_md);
-        let expected = FaultModel::new(2000.0)
-            .unwrap()
-            .expected_relaunch_inflation(clean.md_segment_seconds, Some(3));
-        assert!((faulty.relaunch_inflation - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn straggler_scenario_inflates_waves_but_not_per_task_mean() {
-        let mut cfg = SimulationConfig::t_remd(8, 6000, 2);
-        cfg.scenario = Some(Scenario::Stragglers { fraction: 0.2, slowdown: 3.0 });
-        let c = cost_of(&cfg);
-        assert!(c.scenario_inflation > 1.0 && c.scenario_inflation <= 3.0);
-        // Worst-of-wave inflation must exceed the mean per-task factor.
-        assert!(c.scenario_inflation > scenario_mean_factor(cfg.scenario.as_ref()));
-    }
-
-    #[test]
-    fn async_model_counts_tick_waits_and_skips_overheads() {
-        let mut cfg = SimulationConfig::t_remd(8, 6000, 4);
-        cfg.pattern = Pattern::Asynchronous { tick_fraction: 0.25 };
-        let c = cost_of(&cfg);
-        assert_eq!(c.pattern, "asynchronous");
-        assert_eq!(c.cycle.t_rp_over, 0.0);
-        assert_eq!(c.cycle.t_data, 0.0);
-        assert_eq!(c.cycle.t_repex_over, 0.0);
-        assert!((c.cycle.t_tick_wait - 0.25 * c.md_segment_seconds / 2.0).abs() < 1e-9);
-        let expected = 4.0
-            * (c.md_segment_seconds
-                + c.cycle.t_tick_wait
-                + PerfModel::default().exchange.exchange_seconds(ExchangeKind::Temperature, 8));
-        assert!((c.makespan_seconds - expected).abs() < 1e-6);
     }
 
     #[test]
@@ -1086,21 +806,47 @@ mod tests {
         let report = plan(&cfg).report.unwrap();
         assert!((direct - report.cost.core_seconds).abs() < 1e-9);
     }
+
+    #[test]
+    fn search_moves_one_axis_at_a_time_and_runs_each_key_once() {
+        let mut cfg = SimulationConfig::t_remd(16, 6000, 2);
+        cfg.resource.cores = Some(8);
+        let report = plan(&cfg).report.unwrap();
+        let c = &report.candidates;
+        let axes = |p: &CandidatePlan| {
+            [p.n_replicas != 16, p.cores != 8, p.pairing != cfg.pairing.name()]
+                .iter()
+                .filter(|&&moved| moved)
+                .count()
+        };
+        assert_eq!(c.iter().filter(|p| p.configured).count(), 1);
+        assert!(c.iter().all(|p| axes(p) == usize::from(!p.configured)), "{c:#?}");
+        // 4 other rung counts, Mode I + ⌈16/3⌉ + ⌈16/4⌉ slots (⌈16/2⌉ is
+        // the configured pilot), the other pairing, and the configured plan.
+        assert_eq!(c.len(), 4 + 3 + 1 + 1, "{c:#?}");
+        let mut keys: Vec<_> = c.iter().map(|p| (p.n_replicas, p.cores, &p.pairing)).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), c.len());
+    }
+
+    #[test]
+    fn an_async_plan_reports_its_makespan_without_a_tc_block() {
+        let mut cfg = SimulationConfig::t_remd(8, 6000, 3);
+        cfg.pattern = Pattern::Asynchronous { tick_fraction: 0.25 };
+        let report = plan(&cfg).report.unwrap();
+        assert_eq!(report.cost.pattern, "asynchronous");
+        assert!(report.cost.cycle.is_none());
+        assert!((report.cost.cycle_seconds * 3.0 - report.cost.makespan_seconds).abs() < 1e-9);
+        let text = report.render_human();
+        assert!(text.contains("makespan") && !text.contains("Tc"), "{text}");
+    }
 }
 
 #[cfg(test)]
 mod properties {
     use super::*;
     use repex::config::{DimensionConfig, SimulationConfig, Workload};
-
-    fn cost_with_cores(n: usize, steps: u64, cores: Option<usize>) -> CostPrediction {
-        let mut cfg = SimulationConfig::t_remd(n, steps, 2);
-        cfg.resource.cores = cores;
-        let grid = cfg.build_grid().expect("grid");
-        let cluster = cfg.cluster().expect("cluster");
-        let pilot = cfg.pilot_cores().expect("pilot");
-        predict_cost(&cfg, &grid, &cluster, &PerfModel::default(), pilot)
-    }
 
     fn mean_acceptance(min_k: f64, max_k: f64, count: usize, atoms: usize) -> f64 {
         let mut cfg = SimulationConfig::t_remd(count, 600, 1);
@@ -1109,34 +855,6 @@ mod properties {
         let grid = cfg.build_grid().expect("grid");
         let ladders = predict_ladders(&cfg, &grid, 1.0);
         ladders[0].mean_acceptance.expect("T ladder")
-    }
-
-    /// The MD phase (waves × segment) never slows down when cores are
-    /// added. (The *full* makespan is deliberately not monotone: the
-    /// Mode II per-core scheduling tax grows with the pilot — the
-    /// paper's Fig. 11b dip — so the provable floor is Mode I.)
-    #[test]
-    fn md_phase_monotone_in_cores() {
-        rng::check(64, |r| {
-            let (n, steps) = (r.range(2usize..48), r.range(100u64..4000));
-            let (c1, extra) = (r.range(1usize..48), r.range(1usize..48));
-            let c2 = c1 + extra;
-            let slow = cost_with_cores(n, steps, Some(c1.min(n)));
-            let fast = cost_with_cores(n, steps, Some(c2.min(n)));
-            assert!(fast.cycle.t_md <= slow.cycle.t_md + 1e-9);
-        });
-    }
-
-    /// Mode I is the makespan floor over every Mode II core count.
-    #[test]
-    fn mode_i_never_loses() {
-        rng::check(64, |r| {
-            let (n, steps, cores) =
-                (r.range(2usize..48), r.range(100u64..4000), r.range(1usize..48));
-            let mode_i = cost_with_cores(n, steps, None);
-            let other = cost_with_cores(n, steps, Some(cores.min(n)));
-            assert!(mode_i.makespan_seconds <= other.makespan_seconds + 1e-9);
-        });
     }
 
     /// Widening a ladder's temperature span never increases predicted

@@ -2,17 +2,27 @@
 //! dependencies, enough for a JSON control plane: one request per
 //! connection, `Content-Length` bodies, `Connection: close` semantics.
 //! The control plane sees a handful of concurrent clients, not thousands,
-//! so the server is a blocking accept loop with one thread per connection.
+//! so the server is a blocking accept loop with one thread per connection,
+//! at most [`MAX_CONNECTIONS`] of them at once.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on accepted request bodies. A submitted config is a few
 /// kilobytes; this is a guard against runaway clients, not a tuning knob.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Upper bound on connections served at once. Each holds a thread for up
+/// to the 10 s read timeout, and a submit prices its campaign (a dry run)
+/// on that thread; past the bound the accept thread answers `503` itself.
+/// A guard against runaway clients, not a tuning knob.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long the accept thread spends on a refused connection, in all.
+const REFUSE_DRAIN: Duration = Duration::from_millis(200);
 
 /// A parsed request: method, path, raw body.
 #[derive(Debug, Clone)]
@@ -59,10 +69,21 @@ impl HttpServer {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
     /// serving `handler` in a background accept loop.
     pub fn bind(addr: &str, handler: Handler) -> Result<Self, String> {
+        Self::bind_limited(addr, handler, MAX_CONNECTIONS)
+    }
+
+    /// [`Self::bind`] with `max_connections` in place of
+    /// [`MAX_CONNECTIONS`].
+    pub(crate) fn bind_limited(
+        addr: &str,
+        handler: Handler,
+        max_connections: usize,
+    ) -> Result<Self, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
         let stop = Arc::new(AtomicBool::new(false));
         let loop_stop = Arc::clone(&stop);
+        let open = Arc::new(AtomicUsize::new(0));
         let accept_thread = std::thread::Builder::new()
             .name("repex-svc-http".into())
             .spawn(move || {
@@ -71,10 +92,19 @@ impl HttpServer {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    if open.fetch_add(1, Ordering::SeqCst) >= max_connections {
+                        open.fetch_sub(1, Ordering::SeqCst);
+                        refuse(stream);
+                        continue;
+                    }
+                    let slot = Slot(Arc::clone(&open));
                     let handler = Arc::clone(&handler);
-                    let _ = std::thread::Builder::new()
-                        .name("repex-svc-conn".into())
-                        .spawn(move || handle_connection(stream, &handler));
+                    let _ = std::thread::Builder::new().name("repex-svc-conn".into()).spawn(
+                        move || {
+                            let _slot = slot;
+                            handle_connection(stream, &handler);
+                        },
+                    );
                 }
             })
             .map_err(|e| format!("spawn accept thread: {e}"))?;
@@ -106,6 +136,41 @@ impl Drop for HttpServer {
     fn drop(&mut self) {
         if self.accept_thread.is_some() {
             self.shutdown();
+        }
+    }
+}
+
+/// One connection's share of the [`MAX_CONNECTIONS`] budget, given back
+/// when its thread ends (or when the thread could not be started).
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answer `503` on the accept thread, without a thread of its own. The
+/// request is then drained for at most [`REFUSE_DRAIN`] in all, so that
+/// closing the socket does not reset the response away before the client
+/// reads it, and a client that trickles bytes cannot hold the listener.
+fn refuse(mut stream: TcpStream) {
+    let deadline = Instant::now() + REFUSE_DRAIN;
+    let resp = Response::json(503, &obs::obj! { "error" => "too many open connections" });
+    if stream.set_write_timeout(Some(REFUSE_DRAIN)).is_err()
+        || write_response(&mut stream, &resp).is_err()
+    {
+        return;
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!(stream.read(&mut sink), Ok(0) | Err(_)) {
+            return;
         }
     }
 }
@@ -307,6 +372,59 @@ mod tests {
         let mut out = String::new();
         BufReader::new(stream).read_line(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        server.stop();
+    }
+
+    #[test]
+    fn past_the_connection_bound_the_accept_thread_answers_503() {
+        let handler: Handler = Arc::new(|_: &Request| Response::text(200, "ok"));
+        let server = HttpServer::bind_limited("127.0.0.1:0", handler, 1).unwrap();
+        let addr = server.addr().to_string();
+        // Holds the one slot: its thread waits for a request that never comes.
+        let idle = TcpStream::connect(&addr).unwrap();
+        let (status, body) = request(&addr, "GET", "/", None).unwrap();
+        assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
+        drop(idle);
+        // The slot comes back once the idle connection's thread sees EOF.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while request(&addr, "GET", "/", None).unwrap().0 != 200 {
+            assert!(std::time::Instant::now() < deadline, "the slot never came back");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        server.stop();
+    }
+
+    #[test]
+    fn a_refused_client_that_trickles_bytes_does_not_hold_the_listener() {
+        let handler: Handler = Arc::new(|_: &Request| Response::text(200, "ok"));
+        let server = HttpServer::bind_limited("127.0.0.1:0", handler, 1).unwrap();
+        let addr = server.addr().to_string();
+        let idle = TcpStream::connect(&addr).unwrap();
+        // Refused while `idle` holds the slot; it then sends a byte every
+        // 50 ms for up to 6 s, each read well inside a per-read timeout.
+        let mut trickler = TcpStream::connect(&addr).unwrap();
+        let mut status = String::new();
+        BufReader::new(&trickler).read_line(&mut status).unwrap();
+        assert!(status.starts_with("HTTP/1.1 503"), "{status}");
+        let done = Arc::new(AtomicBool::new(false));
+        let trickling = Arc::clone(&done);
+        let trickle = std::thread::spawn(move || {
+            for _ in 0..120 {
+                if trickling.load(Ordering::SeqCst) || trickler.write_all(b"x").is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        drop(idle);
+        let start = std::time::Instant::now();
+        while request(&addr, "GET", "/", None).unwrap().0 != 200 {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let waited = start.elapsed();
+        done.store(true, Ordering::SeqCst);
+        trickle.join().unwrap();
+        assert!(waited < Duration::from_secs(3), "served only after {waited:?}");
         server.stop();
     }
 

@@ -21,8 +21,9 @@
 //! | S010 | queue at capacity (backpressure)         | 429 |
 //! | P010 | predicted cost exceeds the per-campaign budget | 422 |
 //!
-//! Admission is also *predictive* (DESIGN.md §14): the planner's Eq. 1
-//! cost model prices every campaign before it queues. Predictions above
+//! Admission is also *predictive* (DESIGN.md §14): a floor priced
+//! without running turns away a campaign far over the budget, and the
+//! planner's dry run prices every lint-clean one before it queues. Predictions above
 //! the service budget reject with the same typed `P010` the `repex plan`
 //! CLI emits, and accepted jobs carry the estimate as an up-front
 //! fair-share charge that is credited back when they terminate.
@@ -69,9 +70,9 @@ pub struct ServiceConfig {
     /// completions wake the planner immediately).
     pub tick: Duration,
     /// Per-campaign admission budget in core·seconds: submissions whose
-    /// *predicted* cost (`lint::plan::predicted_core_seconds`) exceeds
-    /// this reject with 422/P010 before they ever queue. Unlimited by
-    /// default.
+    /// *predicted* cost (`lint::plan::predicted_core_seconds`, or first
+    /// its run-free `core_seconds_floor`) exceeds this reject with
+    /// 422/P010 before they ever queue. Unlimited by default.
     pub budget_core_seconds: f64,
 }
 
@@ -515,29 +516,37 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Response {
             .with_path("/resource")],
         );
     }
-    // Predictive admission: price the campaign with the planner's Eq. 1
-    // model before it queues. A config the cost model cannot price has a
-    // structural problem the lint gate below reports in full.
-    let predicted = lint::plan::predicted_core_seconds(&config).unwrap_or(0.0);
-    if predicted > inner.cfg.budget_core_seconds {
-        return reject(
+    // Predictive admission (DESIGN.md §14): a floor priced without running
+    // turns a campaign far over the budget away first; the dry run, whose
+    // time grows with n-cycles × replicas, waits for the lint gate. A dry
+    // run that fails prices at 0, and the campaign's run reports why.
+    let budget = inner.cfg.budget_core_seconds;
+    let over_budget = |cost: String| {
+        reject(
             422,
             vec![Diagnostic::error(
                 "P010",
                 format!(
-                    "predicted cost ≈{predicted:.0} core·s exceeds this service's \
-                     per-campaign budget of {:.0} core·s",
-                    inner.cfg.budget_core_seconds
+                    "predicted cost {cost} core·s exceeds this service's per-campaign budget of \
+                     {budget:.0} core·s"
                 ),
             )
             .with_path("/resource/cores")
             .with_hint("`repex plan` ranks cheaper ladders and core counts for this config")],
-        );
+        )
+    };
+    let floor = lint::plan::core_seconds_floor(&config).unwrap_or(0.0);
+    if floor > budget {
+        return over_budget(format!("≥{floor:.0}"));
     }
     // The same lint pass that gates `repex run`: error findings reject.
     let diags = lint::lint_config(&config);
     if obs::diag::has_errors(&diags) {
         return reject(422, diags);
+    }
+    let predicted = lint::plan::predicted_core_seconds(&config).unwrap_or(0.0);
+    if predicted > budget {
+        return over_budget(format!("≈{predicted:.0}"));
     }
 
     let mut st = inner.lock();

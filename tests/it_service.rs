@@ -310,6 +310,33 @@ fn predictive_admission_rejects_over_budget_campaigns_with_p010() {
     service.stop();
 }
 
+/// A campaign far over the budget is refused at once, from a floor priced
+/// without running it: a billion cycles would take the dry run hours. The
+/// floor holds for a campaign that injects failures and for the
+/// asynchronous pattern too.
+#[test]
+fn a_campaign_far_over_budget_is_refused_before_its_dry_run() {
+    let cfg = campaign_cfg("huge", 4, "small:8");
+    let mut svc_cfg = service_config("budget-floor", "small:8", 0);
+    svc_cfg.budget_core_seconds = lint::plan::predicted_core_seconds(&cfg).unwrap() * 2.0;
+    let service = CampaignService::start(svc_cfg).unwrap();
+    let addr = service.addr().to_string();
+    let mut faulty = cfg.clone();
+    faulty.fault_mtbf_seconds = Some(1e12);
+    let mut asynchronous = cfg.clone();
+    asynchronous.pattern = Pattern::Asynchronous { tick_fraction: 0.25 };
+    for (i, mut huge) in [cfg, faulty, asynchronous].into_iter().enumerate() {
+        huge.n_cycles = 1_000_000_000;
+        let start = std::time::Instant::now();
+        let (status, doc) = submit(&addr, &format!("huge-{i}"), "t", 1.0, &huge);
+        let waited = start.elapsed();
+        assert_eq!(status, 422, "{doc}");
+        assert_eq!(doc["diagnostics"][0]["code"], "P010", "{doc}");
+        assert!(waited < std::time::Duration::from_secs(5), "refused only after {waited:?}");
+    }
+    service.stop();
+}
+
 #[test]
 fn a_full_queue_applies_backpressure() {
     // max_queue = 0: every submission beyond the running set bounces with
