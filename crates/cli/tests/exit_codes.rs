@@ -66,6 +66,26 @@ fn missing_inputs_exit_two() {
     }
 }
 
+/// A checkpoint whose walk does not fit its grid is input that cannot be
+/// resumed: exit 2 with the field named, not a panic (101) mid-campaign.
+#[test]
+fn a_refused_resume_exits_two() {
+    let ckpt = empty_dir("hostile-ckpt");
+    let dir = ckpt.to_str().expect("utf-8 temp path");
+    assert_eq!(code(&run(&["run", tremd(), "--checkpoint", dir, "--stop-after", "1"])), 0);
+    let file = ckpt.join("checkpoint.json");
+    let text = std::fs::read_to_string(&file).expect("a checkpoint was written");
+    // The walk's first slot goes to a replica that does not exist.
+    let at = text.find("\"slot-owner\":[").expect("the walk is written") + "\"slot-owner\":[".len();
+    let end = at + text[at..].find(',').expect("more than one slot");
+    let hostile = format!("{}99{}", &text[..at], &text[end..]);
+    std::fs::write(&file, hostile).expect("rewrite the checkpoint");
+    let out = run(&["run", "--resume", dir]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "{stderr}");
+    assert!(stderr.contains("slot-owner[0] = 99"), "{stderr}");
+}
+
 #[test]
 fn unparseable_config_exits_two_and_writes_a_c000_artifact() {
     let bad = scratch("not-json.json");

@@ -225,7 +225,7 @@ impl CampaignCheckpoint {
                 };
                 ReplicaCheckpoint {
                     id: r.id,
-                    slot: r.slot,
+                    slot: ctx.ledger.slot_of()[r.id],
                     failures: r.failures,
                     stale: r.stale,
                     restart,
@@ -242,10 +242,10 @@ impl CampaignCheckpoint {
             md_core_seconds: ctx.md_core_seconds,
             failed_tasks: ctx.failed_tasks,
             relaunched_tasks: ctx.relaunched_tasks,
-            slot_owner: ctx.slot_owner.clone(),
-            acceptance: ctx.acceptance.clone(),
+            slot_owner: ctx.ledger.owner().to_vec(),
+            acceptance: ctx.ledger.dims().iter().map(AcceptanceStats::from).collect(),
             pair_acceptance: ctx.pair_acceptance.clone(),
-            round_trips: ctx.round_trips.clone(),
+            round_trips: ctx.ledger.round_trips().cloned(),
             rung_history: ctx.rung_history.clone(),
             window_samples,
             cycle_reports: cycle_reports.to_vec(),
@@ -288,7 +288,9 @@ impl CampaignCheckpoint {
 
     /// Rebuild a [`DriverCtx`] that continues this campaign: construct a
     /// fresh context from the stored config, then overwrite replica
-    /// microstates, statistics, counters and the virtual clock.
+    /// microstates, statistics, counters and the virtual clock. The exchange
+    /// state is checked once, here ([`obs::ExchangeLedger::resume`], then
+    /// each replica's `slot`): one that does not fit the grid is refused.
     pub fn restore(self) -> Result<DriverCtx, String> {
         let CampaignCheckpoint {
             version,
@@ -323,21 +325,24 @@ impl CampaignCheckpoint {
             ));
         }
         let mut ctx = crate::simulation::build_ctx(config)?;
-        if replicas.len() != ctx.replicas.len() || slot_owner.len() != ctx.replicas.len() {
-            return Err(format!(
-                "checkpoint holds {} replicas / {} slots but the config builds {}",
-                replicas.len(),
-                slot_owner.len(),
-                ctx.replicas.len()
-            ));
+        if replicas.len() != ctx.replicas.len() {
+            let (held, built) = (replicas.len(), ctx.replicas.len());
+            return Err(format!("checkpoint holds {held} replicas but the config builds {built}"));
         }
-        for rc in &replicas {
+        let counts: Vec<_> = acceptance.iter().map(|a| (a.attempts, a.accepted)).collect();
+        ctx.ledger
+            .resume(&counts, slot_owner, round_trips)
+            .map_err(|e| format!("checkpoint {e}"))?;
+        for (i, (rc, r)) in replicas.iter().zip(&mut ctx.replicas).enumerate() {
+            let ((id, slot), held) = ((rc.id, rc.slot), ctx.ledger.slot_of()[i]);
+            if (id, slot) != (i, held) {
+                let want = format!("replica {i} in slot {held}, as slot-owner says");
+                return Err(format!(
+                    "checkpoint replicas[{i}] is replica {id} in slot {slot}, not {want}"
+                ));
+            }
             let (state, cycle) = mdsim::io::restart::read_restart_with_cycle(&rc.restart)
-                .map_err(|e| format!("checkpoint replica {}: {e}", rc.id))?;
-            let r = ctx
-                .replicas
-                .get_mut(rc.id)
-                .ok_or_else(|| format!("checkpoint names unknown replica {}", rc.id))?;
+                .map_err(|e| format!("checkpoint replica {i}: {e}"))?;
             {
                 let mut sys = lock_system(&r.system);
                 if sys.state.n_atoms() != state.n_atoms() {
@@ -350,15 +355,11 @@ impl CampaignCheckpoint {
                 }
                 sys.state = state;
             }
-            r.slot = rc.slot;
             r.failures = rc.failures;
             r.stale = rc.stale;
             r.segments_done = cycle;
         }
-        ctx.slot_owner = slot_owner;
-        ctx.acceptance = acceptance;
         ctx.pair_acceptance = pair_acceptance;
-        ctx.round_trips = round_trips;
         ctx.rung_history = rung_history;
         ctx.window_samples = window_samples.into_iter().collect::<HashMap<_, _>>();
         ctx.md_core_seconds = md_core_seconds;
@@ -427,14 +428,12 @@ mod tests {
         ctx.failed_tasks = 3;
         ctx.relaunched_tasks = 2;
         ctx.md_core_seconds = 123.5;
-        ctx.slot_owner.swap(0, 1);
-        ctx.replicas[0].slot = 1;
-        ctx.replicas[1].slot = 0;
+        ctx.ledger.outcome(0, 0, 1, true);
+        ctx.ledger.outcome(0, 2, 3, false);
+        ctx.ledger.window('T', 0, 4);
         ctx.replicas[2].failures = 4;
         ctx.replicas[3].stale = true;
         ctx.replicas[3].segments_done = 7;
-        ctx.acceptance[0].record(true);
-        ctx.acceptance[0].record(false);
         ctx.telemetry_seq = 9;
         ctx.record_samples_at(1, 0, &[(0.25, -0.5)]);
         {
@@ -452,13 +451,12 @@ mod tests {
         assert_eq!(back.failed_tasks, 3);
         assert_eq!(back.relaunched_tasks, 2);
         assert_eq!(back.md_core_seconds, 123.5);
-        assert_eq!(back.slot_owner, ctx.slot_owner);
-        assert_eq!(back.replicas[0].slot, 1);
+        assert_eq!(back.ledger, ctx.ledger, "acceptance, the walk and the tracker");
+        assert_eq!(back.ledger.slot_of()[0], 1);
+        assert_eq!((back.ledger.dims()[0].attempts, back.ledger.dims()[0].accepted), (2, 1));
         assert_eq!(back.replicas[2].failures, 4);
         assert!(back.replicas[3].stale);
         assert_eq!(back.replicas[3].segments_done, 7);
-        assert_eq!(back.acceptance[0].attempts, 2);
-        assert_eq!(back.acceptance[0].accepted, 1);
         assert_eq!(back.window_samples.get(&1).map(Vec::len), Some(1));
         assert_eq!(back.completed_cycles, 5);
         assert_eq!(back.telemetry_seq, 9, "snapshot cursor survives resume");
@@ -478,10 +476,11 @@ mod tests {
     fn old_checkpoint_with_a_visits_matrix_still_loads() {
         let dir = tempdir("visits");
         let mut ctx = build_ctx(small_cfg()).unwrap();
-        let tracker = ctx.round_trips.as_mut().unwrap();
+        let mut tracker = RoundTripTracker::new(4, 4);
         for rung in [0, 3, 0] {
             tracker.record(2, rung);
         }
+        ctx.ledger.resume(&[(0, 0)], (0..4).collect(), Some(tracker)).unwrap();
         CampaignCheckpoint::capture(&ctx, SchedulerState::Sync { cycles_done: 1 }, &[])
             .save(&dir)
             .unwrap();
@@ -496,8 +495,7 @@ mod tests {
         assert_ne!(old, new, "the tracker object was found");
         std::fs::write(&path, old).unwrap();
         let back = CampaignCheckpoint::load(&dir).unwrap().restore().unwrap();
-        let tracker = back.round_trips.as_ref().unwrap();
-        assert_eq!(tracker.round_trips(2), 1);
+        let tracker = back.ledger.round_trips().unwrap();
         assert_eq!(tracker.total_round_trips(), 1);
         assert_eq!(back.completed_cycles, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -557,14 +555,43 @@ mod tests {
         assert!(err.contains("does not match"), "{err}");
     }
 
+    /// A checkpoint whose exchange state the config's grid cannot hold is
+    /// refused, naming the field at fault, before anything runs.
     #[test]
-    fn replica_count_mismatch_is_rejected() {
-        let ctx = build_ctx(small_cfg()).unwrap();
-        let mut cp =
-            CampaignCheckpoint::capture(&ctx, SchedulerState::Sync { cycles_done: 1 }, &[]);
-        cp.replicas.pop();
-        cp.slot_owner.pop();
-        let err = cp.restore().err().expect("restore must refuse");
-        assert!(err.contains("replicas"), "{err}");
+    fn inconsistent_checkpoints_are_refused_by_name() {
+        let mut ctx = build_ctx(small_cfg()).unwrap();
+        ctx.ledger.outcome(0, 0, 1, true);
+        ctx.ledger.window('T', 0, 4);
+        let clean = CampaignCheckpoint::capture(&ctx, SchedulerState::Sync { cycles_done: 1 }, &[]);
+        assert_eq!(
+            (clean.slot_owner.as_slice(), clean.replicas[0].slot),
+            ([1, 0, 2, 3].as_slice(), 1)
+        );
+        assert!(clean.clone().restore().is_ok());
+        type Mutation = fn(&mut CampaignCheckpoint);
+        let cases: [(Mutation, &str); 7] = [
+            (|cp| cp.replicas.truncate(3), "checkpoint holds 3 replicas but the config builds 4"),
+            (|cp| cp.slot_owner.truncate(3), "slot-owner has 3 slots but the grid has 4"),
+            (|cp| cp.slot_owner[0] = 99, "slot-owner[0] = 99 is not a replica of 0..4"),
+            (
+                |cp| cp.slot_owner[0] = cp.slot_owner[1],
+                "slot-owner puts replica 0 in slots 0 and 1",
+            ),
+            (
+                |cp| cp.replicas[0].slot = 0,
+                "replicas[0] is replica 0 in slot 0, not replica 0 in slot 1, as slot-owner says",
+            ),
+            (|cp| cp.acceptance.clear(), "acceptance has 0 rows for 1 dimensions"),
+            (
+                |cp| cp.round_trips = Some(RoundTripTracker::new(3, 4)),
+                "round-trips must track 4 replicas on 4 rungs",
+            ),
+        ];
+        for (mutate, why) in cases {
+            let mut cp = clean.clone();
+            mutate(&mut cp);
+            let err = cp.restore().err().expect("restore must refuse");
+            assert!(err.starts_with("checkpoint ") && err.contains(why), "{why}: {err}");
+        }
     }
 }

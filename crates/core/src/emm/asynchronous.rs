@@ -197,6 +197,7 @@ impl Policy for Tick {
             // exchanged nothing and leaves no window.
             Flight::Exchange { dim, cycle, participants } if unit.ok => {
                 let (kind, start, end) = (ctx.dim_kind(dim).letter(), unit.start, unit.end);
+                ctx.ledger.window(kind, dim, participants);
                 core.events.push(Event::ExchangeWindow {
                     kind,
                     dim,
@@ -254,7 +255,7 @@ impl DriverCtx {
         round: u64,
         ready: &[usize],
     ) -> (UnitDescription, TaskWork<TaskResult>) {
-        let mut slots: Vec<usize> = ready.iter().map(|&r| self.replicas[r].slot).collect();
+        let mut slots: Vec<usize> = ready.iter().map(|&r| self.ledger.slot_of()[r]).collect();
         slots.sort_unstable();
         // Each participant's staged output is that of its last segment.
         let groups = slots

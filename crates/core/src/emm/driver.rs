@@ -31,8 +31,8 @@ pub const WINDOW: usize = 512;
 
 /// An in-flight unit, keyed by the id the executor gave it. Everything is
 /// captured at *submission*: slot ownership can change while a segment is
-/// in flight (an exchange result may land first), so reading `slot_owner`
-/// at completion time would blame the wrong replica.
+/// in flight (an exchange result may land first), so reading the walk
+/// (`ctx.ledger`) at completion time would blame the wrong replica.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Flight {
     Md {
@@ -216,7 +216,7 @@ impl Core {
         dim: usize,
         retired: Retired,
     ) -> Result<(Flight, Unit), String> {
-        let slot = ctx.replicas[replica].slot;
+        let slot = ctx.ledger.slot_of()[replica];
         let mut spec = ctx.md_spec(slot, cycle, dim);
         // A retry runs an independent trajectory under a fresh unit name.
         spec.seed = attempt_seed(spec.seed, slot, attempt);
@@ -369,9 +369,8 @@ impl Core {
                         });
                     }
                 }
-                ctx.acceptance[dim].merge(&report.stats);
+                ctx.apply_swaps(dim, &report.pair_outcomes);
                 ctx.record_pair_outcomes(&report.pair_outcomes);
-                ctx.apply_swaps(dim, &report.swaps);
             }
             // A failed exchange (injected fault) skips the swap; replicas
             // keep their parameters.

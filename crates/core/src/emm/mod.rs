@@ -21,10 +21,8 @@ use crate::ram::{ExchangeInput, GroupInput, SlotInput};
 use crate::replica::{lock_system, Replica, SlotParams};
 use crate::task::TaskResult;
 use exchange::multidim::ParamGrid;
-use exchange::stats::AcceptanceStats;
 use hpc::perfmodel::{ExchangeKind, PerfModel};
 use hpc::ClusterSpec;
-use obs::health::RoundTripTracker;
 use obs::json::Encode as _;
 use pilot::description::{DurationSpec, UnitDescription};
 use pilot::executor::TaskWork;
@@ -74,17 +72,16 @@ pub struct DriverCtx {
     pub slot_params: Vec<std::sync::Arc<SlotParams>>,
     pub amm: std::sync::Arc<dyn Amm>,
     pub replicas: Vec<Replica>,
-    /// slot index -> replica id currently holding that slot.
-    pub slot_owner: Vec<usize>,
+    /// The campaign's exchange bookkeeping: acceptance per dimension, the
+    /// slot walk (`ledger.owner()[slot]` = replica, `ledger.slot_of()` its
+    /// inverse) and, on a 1-D ladder, the round-trip tracker. Every reader
+    /// of which replica holds which slot reads it here.
+    pub ledger: obs::ExchangeLedger,
     pub pilot: Pilot<TaskResult>,
     pub cluster: ClusterSpec,
     pub perf: PerfModel,
     /// Whether durations/overheads are modeled (simulated backend).
     pub simulated: bool,
-    /// Acceptance statistics per dimension.
-    pub acceptance: Vec<AcceptanceStats>,
-    /// Ladder-walk tracker (1-D simulations only).
-    pub round_trips: Option<RoundTripTracker>,
     /// Per-slot (phi, psi) samples, when sampling is enabled.
     pub window_samples: HashMap<usize, Vec<(f64, f64)>>,
     /// Per-replica rung trajectory, one entry per cycle (1-D simulations;
@@ -186,7 +183,7 @@ impl DriverCtx {
 
     /// Build the MD spec for the replica currently in `slot`.
     pub fn md_spec(&self, slot: usize, cycle: u64, dim_pass: usize) -> MdSpec {
-        let replica_id = self.slot_owner[slot];
+        let replica_id = self.ledger.owner()[slot];
         let replica = &self.replicas[replica_id];
         let duration = if self.simulated {
             DurationSpec::Modeled {
@@ -231,7 +228,7 @@ impl DriverCtx {
         let slots = slots
             .iter()
             .map(|&slot| {
-                let replica = &self.replicas[self.slot_owner[slot]];
+                let replica = &self.replicas[self.ledger.owner()[slot]];
                 let coords = self.grid.coords_of(slot);
                 SlotInput {
                     slot,
@@ -318,30 +315,24 @@ impl DriverCtx {
         self.exchange_task(name, cores, duration, input)
     }
 
-    /// Apply accepted swaps: occupants of the two slots trade places. For
-    /// temperature dimensions, velocities are rescaled by sqrt(T_new/T_old)
-    /// (standard REMD practice so the kinetic energy matches the new bath).
-    pub fn apply_swaps(&mut self, dim: usize, swaps: &[(usize, usize)]) {
+    /// Apply an exchange's outcomes, `(slot_lo, slot_hi, accepted)` each,
+    /// in order: the ledger counts every one, and at an accepted one the two
+    /// slots' occupants trade places. For temperature dimensions their
+    /// velocities are first rescaled by sqrt(T_new/T_old), reading the
+    /// occupants before the swap (standard REMD practice so the kinetic
+    /// energy matches the new bath).
+    pub fn apply_swaps(&mut self, dim: usize, outcomes: &[(usize, usize, bool)]) {
         let is_t = self.dim_kind(dim) == ExchangeKind::Temperature;
-        for &(slot_a, slot_b) in swaps {
-            let ra = self.slot_owner[slot_a];
-            let rb = self.slot_owner[slot_b];
-            if is_t {
-                let ta = self.slot_params[slot_a].temperature;
-                let tb = self.slot_params[slot_b].temperature;
-                // Replica ra moves slot_a -> slot_b.
-                rescale_velocities(&self.replicas[ra], (tb / ta).sqrt());
-                rescale_velocities(&self.replicas[rb], (ta / tb).sqrt());
+        for &(lo, hi, accepted) in outcomes {
+            if accepted && is_t {
+                let owner = self.ledger.owner();
+                let (t_lo, t_hi) =
+                    (self.slot_params[lo].temperature, self.slot_params[hi].temperature);
+                // The occupant of `lo` moves to `hi`, and back.
+                rescale_velocities(&self.replicas[owner[lo]], (t_hi / t_lo).sqrt());
+                rescale_velocities(&self.replicas[owner[hi]], (t_lo / t_hi).sqrt());
             }
-            self.slot_owner.swap(slot_a, slot_b);
-            self.replicas[ra].slot = slot_b;
-            self.replicas[rb].slot = slot_a;
-        }
-        // Update round-trip tracking for 1-D ladders.
-        if let Some(rt) = &mut self.round_trips {
-            for r in &self.replicas {
-                rt.record(r.id, r.slot);
-            }
+            self.ledger.outcome(dim, lo, hi, accepted);
         }
     }
 
@@ -372,8 +363,8 @@ impl DriverCtx {
         if self.rung_history.len() != self.replicas.len() {
             self.rung_history = vec![Vec::new(); self.replicas.len()];
         }
-        for r in &self.replicas {
-            self.rung_history[r.id].push(r.slot);
+        for (history, &slot) in self.rung_history.iter_mut().zip(self.ledger.slot_of()) {
+            history.push(slot);
         }
     }
 
@@ -450,9 +441,9 @@ pub(crate) fn attempt_seed(base: u64, slot: usize, attempt: u32) -> u64 {
 /// Installs the streaming fold into the recorder — allocating a
 /// [`obs::Recorder::live_only`] sink if tracing was not otherwise enabled,
 /// so long campaigns with telemetry but no `--trace` never buffer the whole
-/// event stream — seeds the fold's baseline from the context (which, after
-/// a resume, carries the interrupted leg's cumulative statistics), and
-/// opens the export sinks.
+/// event stream — seeds the fold's baseline from the context (a clone of
+/// its exchange ledger and, after a resume, the interrupted leg's
+/// cumulative counters), and opens the export sinks.
 pub(crate) fn start_live(ctx: &mut DriverCtx) -> Result<(), String> {
     if ctx.live_request.is_none() && ctx.cfg.progress_every == 0 {
         return Ok(());
@@ -467,28 +458,20 @@ pub(crate) fn start_live(ctx: &mut DriverCtx) -> Result<(), String> {
         .as_ref()
         .and_then(|r| r.campaign.clone())
         .unwrap_or_else(|| ctx.cfg.title.clone());
-    let n = ctx.grid.n_slots();
-    let one_d = ctx.grid.n_dims() == 1;
-    let mut slot_of = vec![0usize; n];
-    for r in &ctx.replicas {
-        slot_of[r.id] = r.slot;
-    }
+    // The fold continues the driver's ledger, so the grid's shape (what a
+    // fresh one is built from) is not needed.
     ctx.recorder.enable_live(obs::LiveConfig {
         campaign,
-        n_slots: n,
-        ladder_len: if one_d { ctx.grid.dims[0].len() } else { 0 },
-        dim_kinds: ctx.grid.dims.iter().map(|d| d.kind_letter()).collect(),
         baseline: obs::LiveBaseline {
             seq: ctx.telemetry_seq,
             completed: ctx.progress().0,
             sim_time: ctx.pilot.executor.now().as_secs(),
-            dims: ctx.acceptance.iter().map(|a| (a.attempts, a.accepted)).collect(),
             failed_tasks: ctx.failed_tasks,
             relaunched_tasks: ctx.relaunched_tasks,
             md_segments: ctx.replicas.iter().map(|r| r.segments_done).sum(),
-            slot_of,
-            round_trips: ctx.round_trips.clone(),
+            ledger: Some(ctx.ledger.clone()),
         },
+        ..Default::default()
     });
     if let Some(req) = &ctx.live_request {
         let stream =
@@ -562,7 +545,7 @@ mod tests {
     fn ctx_construction_basics() {
         let ctx = small_ctx();
         assert_eq!(ctx.n_replicas(), 8);
-        assert_eq!(ctx.slot_owner, (0..8).collect::<Vec<_>>());
+        assert_eq!(ctx.ledger.owner(), (0..8).collect::<Vec<_>>());
         assert_eq!(ctx.cfg.model_atoms(), 2881);
         assert_eq!(ctx.cfg.engine_kind(), EngineKind::Sander);
         assert!(ctx.simulated);
@@ -602,11 +585,10 @@ mod tests {
         }
         let t0 = ctx.grid.dims[0].ladder[0].scalar();
         let t1 = ctx.grid.dims[0].ladder[1].scalar();
-        ctx.apply_swaps(0, &[(0, 1)]);
-        assert_eq!(ctx.slot_owner[0], 1);
-        assert_eq!(ctx.slot_owner[1], 0);
-        assert_eq!(ctx.replicas[0].slot, 1);
-        assert_eq!(ctx.replicas[1].slot, 0);
+        ctx.apply_swaps(0, &[(0, 1, true), (2, 3, false)]);
+        assert_eq!(ctx.ledger.owner()[..4], [1, 0, 2, 3]);
+        assert_eq!(ctx.ledger.slot_of()[..4], [1, 0, 2, 3]);
+        assert_eq!((ctx.ledger.dims()[0].attempts, ctx.ledger.dims()[0].accepted), (2, 1));
         let v = lock_system(&ctx.replicas[0].system).state.velocities[0].x;
         assert!(
             (v - (t1 / t0).sqrt()).abs() < 1e-12,
@@ -617,9 +599,9 @@ mod tests {
     #[test]
     fn double_swap_restores_identity() {
         let mut ctx = small_ctx();
-        ctx.apply_swaps(0, &[(2, 3)]);
-        ctx.apply_swaps(0, &[(2, 3)]);
-        assert_eq!(ctx.slot_owner, (0..8).collect::<Vec<_>>());
+        ctx.apply_swaps(0, &[(2, 3, true)]);
+        ctx.apply_swaps(0, &[(2, 3, true)]);
+        assert_eq!(ctx.ledger.owner(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

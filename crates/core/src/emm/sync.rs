@@ -96,7 +96,7 @@ impl Barrier {
         }
         self.phase = Phase::Md;
         self.phase_start = ctx.pilot.executor.now().as_secs();
-        let wave = ctx.slot_owner.iter().map(|&replica| (replica, self.cycle, 0)).collect();
+        let wave = ctx.ledger.owner().iter().map(|&replica| (replica, self.cycle, 0)).collect();
         core.submit_md_wave(ctx, self.dim, wave)?;
         Ok(Flow::Continue)
     }
@@ -173,12 +173,15 @@ impl Policy for Barrier {
         }
         // The exchange window closes whether the unit succeeded or failed
         // (an injected fault skips the swap, not the Eq. 1 term); the
-        // no-exchange baseline records an empty one.
+        // no-exchange baseline records an empty one. The ledger takes it
+        // as a fold of the trace would.
+        let participants = if self.phase == Phase::Exchange { participants } else { 0 };
+        ctx.ledger.window(kind.letter(), dim, participants);
         core.events.push(Event::ExchangeWindow {
             kind: kind.letter(),
             dim,
             cycle,
-            participants: if self.phase == Phase::Exchange { participants } else { 0 },
+            participants,
             start: self.phase_start,
             end: ctx.pilot.executor.now().as_secs(),
         });

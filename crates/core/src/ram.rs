@@ -14,7 +14,6 @@ use exchange::metropolis::{
 };
 use exchange::pairing::{select_pairs, PairingStrategy};
 use exchange::param::ExchangeParam;
-use exchange::stats::AcceptanceStats;
 use mdsim::engine::{MdEngine, SinglePointRequest};
 use mdsim::System;
 use rng::Rng;
@@ -59,13 +58,11 @@ pub struct ExchangeInput {
     pub staging: pilot::staging::StagingArea,
 }
 
-/// Execute the exchange: returns accepted swaps as (slot_a, slot_b) pairs.
+/// Execute the exchange: returns every attempted pair's outcome, in order.
 pub fn run_exchange(
     input: ExchangeInput,
     engine: Arc<dyn MdEngine>,
 ) -> Result<ExchangeReport, String> {
-    let mut swaps = Vec::new();
-    let mut stats = AcceptanceStats::default();
     let mut pair_outcomes = Vec::new();
     let mut rng = Rng::seed(
         input.seed ^ input.cycle.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (input.dim as u64) << 56,
@@ -80,14 +77,10 @@ pub fn run_exchange(
             }
             let delta = pair_delta(sa, sb, &input.staging, engine.as_ref())?;
             let accepted = metropolis_accept(delta, &mut rng);
-            stats.record(accepted);
             pair_outcomes.push((sa.slot.min(sb.slot), sa.slot.max(sb.slot), accepted));
-            if accepted {
-                swaps.push((sa.slot, sb.slot));
-            }
         }
     }
-    Ok(ExchangeReport { dim: input.dim, swaps, stats, pair_outcomes })
+    Ok(ExchangeReport { dim: input.dim, pair_outcomes })
 }
 
 /// The Metropolis `delta` for one candidate pair, per exchange type.
@@ -245,9 +238,7 @@ mod tests {
             staging,
         };
         let report = run_exchange(input, engine()).unwrap();
-        assert_eq!(report.swaps, vec![(0, 1)]);
-        assert_eq!(report.stats.attempts, 1);
-        assert_eq!(report.stats.accepted, 1);
+        assert_eq!(report.pair_outcomes, vec![(0, 1, true)]);
     }
 
     #[test]
@@ -264,9 +255,7 @@ mod tests {
             staging,
         };
         let report = run_exchange(input, engine()).unwrap();
-        assert!(report.swaps.is_empty());
-        assert_eq!(report.stats.attempts, 1);
-        assert_eq!(report.stats.accepted, 0);
+        assert_eq!(report.pair_outcomes, vec![(0, 1, false)]);
     }
 
     #[test]
@@ -285,8 +274,7 @@ mod tests {
             staging,
         };
         let report = run_exchange(input, engine()).unwrap();
-        assert_eq!(report.stats.attempts, 0, "stale pair not attempted");
-        assert!(report.swaps.is_empty());
+        assert!(report.pair_outcomes.is_empty(), "stale pair not attempted");
     }
 
     #[test]
@@ -336,8 +324,7 @@ mod tests {
             staging: StagingArea::new(),
         };
         let report = run_exchange(input, engine()).unwrap();
-        assert_eq!(report.stats.attempts, 1);
-        assert_eq!(report.stats.accepted, 1, "identical windows exchange freely");
+        assert_eq!(report.pair_outcomes, vec![(0, 1, true)], "identical windows exchange freely");
     }
 
     fn s_slot(rung: usize, salt: f64) -> SlotInput {
@@ -364,7 +351,7 @@ mod tests {
             staging: StagingArea::new(),
         };
         let report = run_exchange(input, engine()).unwrap();
-        assert_eq!(report.stats.accepted, 1);
+        assert_eq!(report.pair_outcomes, vec![(0, 1, true)]);
     }
 
     fn ph_slot(rung: usize, ph: f64) -> SlotInput {
@@ -391,7 +378,7 @@ mod tests {
             staging: StagingArea::new(),
         };
         let report = run_exchange(input, engine()).unwrap();
-        assert_eq!(report.stats.accepted, 1);
+        assert_eq!(report.pair_outcomes, vec![(0, 1, true)]);
     }
 
     #[test]
@@ -438,7 +425,7 @@ mod tests {
             staging,
         };
         let report = run_exchange(input, engine()).unwrap();
-        assert_eq!(report.stats.attempts, 3);
-        assert_eq!(report.swaps.len(), 3);
+        assert_eq!(report.pair_outcomes.len(), 3);
+        assert!(report.pair_outcomes.iter().all(|&(.., accepted)| accepted));
     }
 }

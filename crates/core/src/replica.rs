@@ -13,14 +13,12 @@ pub fn lock_system(system: &Mutex<System>) -> MutexGuard<'_, System> {
     system.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A replica: identity, current grid slot, and the shared microstate handle
-/// that MD and exchange tasks operate on.
+/// A replica: identity and the shared microstate handle that MD and
+/// exchange tasks operate on. Which grid slot (parameter set) it holds right
+/// now is the campaign's walk, `DriverCtx::ledger`.
 pub struct Replica {
     /// Stable identity (never changes).
     pub id: usize,
-    /// Current grid slot = the parameter set this replica holds right now.
-    /// Exchanges swap slots between replicas.
-    pub slot: usize,
     /// The physical microstate. `Arc<Mutex<_>>` so task payloads (which may
     /// run on worker threads under the local executor) can own a handle.
     pub system: Arc<Mutex<System>>,
@@ -35,10 +33,9 @@ pub struct Replica {
 }
 
 impl Replica {
-    pub fn new(id: usize, slot: usize, system: System) -> Self {
+    pub fn new(id: usize, system: System) -> Self {
         Replica {
             id,
-            slot,
             system: Arc::new(Mutex::new(system)),
             segments_done: 0,
             failures: 0,
@@ -149,9 +146,8 @@ mod tests {
 
     #[test]
     fn replica_construction() {
-        let r = Replica::new(7, 7, alanine_dipeptide());
+        let r = Replica::new(7, alanine_dipeptide());
         assert_eq!(r.id, 7);
-        assert_eq!(r.slot, 7);
         assert_eq!(r.segments_done, 0);
         assert!(!r.stale);
         assert_eq!(lock_system(&r.system).n_atoms(), mdsim::models::BACKBONE_ATOMS);

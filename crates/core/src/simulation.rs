@@ -81,7 +81,7 @@ pub fn build_ctx(cfg: SimulationConfig) -> Result<DriverCtx, String> {
         }
         let mut rng = Rng::seed(cfg.seed.wrapping_add(slot as u64));
         system.assign_maxwell_boltzmann(params.temperature, &mut rng);
-        replicas.push(Replica::new(slot, slot, system));
+        replicas.push(Replica::new(slot, system));
     }
 
     // Config-declared failure injection; `with_faults` can still override.
@@ -92,9 +92,9 @@ pub fn build_ctx(cfg: SimulationConfig) -> Result<DriverCtx, String> {
     let pilot = make_pilot(&cfg, fault)?;
     let cluster = cfg.cluster()?;
     let simulated = cfg.resource.backend == "simulated";
-    let round_trips = (grid.n_dims() == 1 && grid.dims[0].len() >= 2)
-        .then(|| RoundTripTracker::new(n, grid.dims[0].len()));
-    let n_dims = grid.n_dims();
+    let kinds: Vec<char> = grid.dims.iter().map(|d| d.kind_letter()).collect();
+    let ladder_len = if grid.n_dims() == 1 { grid.dims[0].len() } else { 0 };
+    let ledger = obs::ExchangeLedger::new(&kinds, n, ladder_len);
 
     Ok(DriverCtx {
         cfg,
@@ -102,13 +102,11 @@ pub fn build_ctx(cfg: SimulationConfig) -> Result<DriverCtx, String> {
         slot_params,
         amm,
         replicas,
-        slot_owner: (0..n).collect(),
+        ledger,
         pilot,
         cluster,
         perf: PerfModel::default(),
         simulated,
-        acceptance: vec![AcceptanceStats::default(); n_dims],
-        round_trips,
         window_samples: Default::default(),
         rung_history: Vec::new(),
         pair_acceptance: Vec::new(),
@@ -234,8 +232,9 @@ impl RemdSimulation {
         } else {
             0.0
         };
-        let acceptance: Vec<_> =
-            ctx.grid.dims.iter().zip(&ctx.acceptance).map(|(d, s)| (d.kind_letter(), *s)).collect();
+        let acceptance: Vec<(char, AcceptanceStats)> =
+            ctx.ledger.dims().iter().map(|d| (d.kind, d.into())).collect();
+        let round_trips = ctx.ledger.round_trips().map_or(0, RoundTripTracker::total_round_trips);
         if ctx.recorder.is_enabled() {
             ctx.recorder.count("tasks.failed", ctx.failed_tasks);
             ctx.recorder.count("tasks.relaunched", ctx.relaunched_tasks);
@@ -244,10 +243,7 @@ impl RemdSimulation {
                 ctx.recorder.count(&format!("exchange.{letter}.accepted"), stats.accepted);
                 ctx.recorder.set_gauge_f64(&format!("exchange.{letter}.ratio"), stats.ratio());
             }
-            ctx.recorder.set_gauge(
-                "exchange.round_trips_total",
-                ctx.round_trips.as_ref().map_or(0, |r| r.total_round_trips()),
-            );
+            ctx.recorder.set_gauge("exchange.round_trips_total", round_trips);
             for (i, stats) in ctx.pair_acceptance.iter().enumerate() {
                 ctx.recorder.count(&format!("pair.{i:03}.attempts"), stats.attempts);
                 ctx.recorder.count(&format!("pair.{i:03}.accepted"), stats.accepted);
@@ -272,7 +268,7 @@ impl RemdSimulation {
             makespan,
             utilization_percent: utilization,
             acceptance,
-            round_trips: ctx.round_trips.as_ref().map_or(0, |r| r.total_round_trips()),
+            round_trips,
             rung_history: std::mem::take(&mut ctx.rung_history),
             pair_acceptance: ctx.pair_acceptance.clone(),
             window_samples: ctx.window_sample_report(),

@@ -1,7 +1,5 @@
 //! Task payload results flowing back from compute units.
 
-use exchange::stats::AcceptanceStats;
-
 /// What a completed unit's payload returns to the framework.
 #[derive(Debug, Clone)]
 pub enum TaskResult {
@@ -30,11 +28,9 @@ pub struct MdTaskReport {
 pub struct ExchangeReport {
     /// Dimension index the exchange ran in.
     pub dim: usize,
-    /// Accepted swaps as pairs of grid slots whose occupants trade places.
-    pub swaps: Vec<(usize, usize)>,
-    pub stats: AcceptanceStats,
-    /// Every attempted pair: (slot_lo, slot_hi, accepted). Feeds per-pair
-    /// acceptance statistics (ladder optimization).
+    /// Every attempted pair, in order: (slot_lo, slot_hi, accepted). The
+    /// driver's ledger counts them and swaps the walk at the accepted ones;
+    /// they also feed per-pair acceptance (ladder optimization).
     pub pair_outcomes: Vec<(usize, usize, bool)>,
 }
 
@@ -71,12 +67,7 @@ mod tests {
         });
         assert!(md.as_md().is_some());
         assert!(md.as_exchange().is_none());
-        let ex = TaskResult::Exchange(ExchangeReport {
-            dim: 0,
-            swaps: vec![(0, 1)],
-            stats: AcceptanceStats::default(),
-            pair_outcomes: vec![(0, 1, true)],
-        });
+        let ex = TaskResult::Exchange(ExchangeReport { dim: 0, pair_outcomes: vec![(0, 1, true)] });
         assert!(ex.as_exchange().is_some());
         assert!(ex.as_md().is_none());
     }

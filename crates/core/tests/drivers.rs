@@ -57,14 +57,12 @@ fn run(ctx: &mut DriverCtx) {
 
 fn assert_slot_bijection(ctx: &DriverCtx) {
     let n = ctx.n_replicas();
-    let mut owners = ctx.slot_owner.clone();
+    let (owner, slot_of) = (ctx.ledger.owner(), ctx.ledger.slot_of());
+    let mut owners = owner.to_vec();
     owners.sort_unstable();
-    assert_eq!(owners, (0..n).collect::<Vec<_>>(), "slot_owner is a permutation");
-    for (slot, &replica) in ctx.slot_owner.iter().enumerate() {
-        assert_eq!(
-            ctx.replicas[replica].slot, slot,
-            "replica {replica} disagrees with slot {slot}"
-        );
+    assert_eq!(owners, (0..n).collect::<Vec<_>>(), "the walk is a permutation");
+    for (slot, &replica) in owner.iter().enumerate() {
+        assert_eq!(slot_of[replica], slot, "replica {replica} disagrees with slot {slot}");
     }
 }
 
@@ -155,17 +153,13 @@ fn fault_policies_hold_for_both_patterns() {
                 // that is what lets it escape its deterministic failure.)
                 assert_eq!(max_attempt > 0, relaunching || pattern == ASYNC, "{row}");
 
-                // Acceptance is derivable from the trace alone.
-                let ledger = obs::ExchangeLedger::from_trace(&events);
-                let health = ledger.dims();
-                assert_eq!(health.len(), 1, "{row}");
-                assert_eq!(health[0].kind, 'T');
-                assert!(health[0].attempts > 0, "{row}");
-                assert_eq!(health[0].attempts, ctx.acceptance[0].attempts, "{row}");
-                assert_eq!(health[0].accepted, ctx.acceptance[0].accepted, "{row}");
-                // So is the driver's whole round-trip tracker.
-                assert!(ctx.round_trips.is_some(), "{row}");
-                assert_eq!(ledger.round_trips(), ctx.round_trips.as_ref(), "{row}");
+                // The driver's whole ledger — acceptance, the walk and the
+                // round-trip tracker — is derivable from the trace alone:
+                // the ledger takes its window records where the trace has
+                // its windows.
+                assert!(ctx.ledger.dims()[0].attempts > 0, "{row}");
+                assert!(ctx.ledger.round_trips().is_some(), "{row}");
+                assert_eq!(obs::ExchangeLedger::from_trace(&events), ctx.ledger, "{row}");
                 // Every outcome precedes its covering window in stream order.
                 let mut closed = HashSet::new();
                 let mut attempted = HashSet::new();
@@ -225,7 +219,7 @@ fn exchanges_actually_happen() {
     cfg.n_cycles = 6;
     let mut ctx = build_ctx(cfg).unwrap();
     run_sync(&mut ctx).unwrap();
-    let acc = &ctx.acceptance[0];
+    let acc = &ctx.ledger.dims()[0];
     assert!(acc.attempts >= 18, "6 cycles × ~3.5 pairs: {}", acc.attempts);
     // The reduced dipeptide at neighbouring geometric temperatures
     // exchanges readily; some acceptances must occur.
@@ -254,7 +248,7 @@ fn no_exchange_baseline_skips_exchange() {
     let mut ctx = build_ctx(cfg).unwrap();
     let reports = run_sync(&mut ctx).unwrap();
     assert_eq!(reports[0].timing.t_ex[0].1, 0.0);
-    assert_eq!(ctx.acceptance[0].attempts, 0);
+    assert_eq!(ctx.ledger.dims()[0].attempts, 0);
 }
 
 #[test]
@@ -345,10 +339,9 @@ fn interrupted_sync_campaign_resumes_bit_exactly() {
     assert_eq!(failures(&tail), failures(&full));
     assert!(checkpoint_failures > 0, "some were counted before the interruption");
     assert!(failures(&full).iter().sum::<u32>() > checkpoint_failures, "and some after it");
-    assert_eq!(tail.acceptance, full.acceptance);
+    assert_eq!(tail.ledger, full.ledger);
     assert_eq!(tail.pair_acceptance, full.pair_acceptance);
     assert_eq!(tail.rung_history, full.rung_history);
-    assert_eq!(tail.slot_owner, full.slot_owner);
     // The two legs' concatenated trace IS the full trace. CacheRebuild
     // counts depend on in-memory neighbour-list state a restart legitimately
     // does not carry (and on a process-wide counter other tests bump).
@@ -405,7 +398,7 @@ fn all_replicas_complete_their_segments() {
 fn exchanges_happen_without_global_barrier() {
     let mut ctx = build_ctx(async_cfg(12, 4)).unwrap();
     run_async(&mut ctx).unwrap();
-    assert!(ctx.acceptance[0].attempts > 0, "async rounds attempted exchanges");
+    assert!(ctx.ledger.dims()[0].attempts > 0, "async rounds attempted exchanges");
     assert_slot_bijection(&ctx);
 }
 
@@ -569,10 +562,9 @@ struct Outcome {
     md_core_seconds: u64,
     failed: u64,
     relaunched: u64,
-    acceptance: Vec<exchange::stats::AcceptanceStats>,
+    ledger: obs::ExchangeLedger,
     pair_acceptance: Vec<exchange::stats::AcceptanceStats>,
     rung_history: Vec<Vec<usize>>,
-    slot_owner: Vec<usize>,
     segments_done: Vec<u64>,
     /// Messages of the failed units, in completion order.
     errors: Vec<String>,
@@ -611,10 +603,9 @@ fn campaign(cfg: SimulationConfig, batch: bool) -> Outcome {
         md_core_seconds: ctx.md_core_seconds.to_bits(),
         failed: ctx.failed_tasks,
         relaunched: ctx.relaunched_tasks,
-        acceptance: ctx.acceptance.clone(),
+        ledger: ctx.ledger.clone(),
         pair_acceptance: ctx.pair_acceptance.clone(),
         rung_history: ctx.rung_history.clone(),
-        slot_owner: ctx.slot_owner.clone(),
         segments_done: ctx.replicas.iter().map(|r| r.segments_done).collect(),
         errors,
         staged_files: ctx.pilot.staging.len(),

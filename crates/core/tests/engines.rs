@@ -418,7 +418,7 @@ fn a_campaign_per_engine_choice_leaves_its_dialects_files() {
         assert_eq!(cycles.len(), 2, "{engine:?}");
         assert_eq!(ctx.failed_tasks, 0, "{engine:?}");
         assert!(ctx.replicas.iter().all(|r| r.segments_done == 2 && !r.stale), "{engine:?}");
-        assert!(ctx.acceptance[0].attempts > 0, "{engine:?}");
+        assert!(ctx.ledger.dims()[0].attempts > 0, "{engine:?}");
         let mut staged = ctx.pilot.staging.list("");
         staged.sort();
         let mut expected: Vec<String> = (0..n)

@@ -174,7 +174,7 @@ fn checkpoints_survive_a_real_file() {
     cfg.scenario = Some(scenarios()[3]);
     let mut ctx = build_ctx(cfg).unwrap();
     ctx.record_samples_at(1, 0, &[(0.25, -0.5), (0.1 + 0.2, 1e-300)]);
-    ctx.acceptance[0].record(true);
+    ctx.ledger.outcome(0, 0, 1, true);
     ctx.telemetry_seq = 9;
     let reports = [CycleReport { cycle: 0, timing: CycleTiming::default() }];
     let sync = CampaignCheckpoint::capture(&ctx, SchedulerState::Sync { cycles_done: 1 }, &reports);

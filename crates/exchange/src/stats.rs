@@ -11,17 +11,19 @@ pub struct AcceptanceStats {
 
 obs::json_struct!(AcceptanceStats { attempts: "attempts", accepted: "accepted" });
 
+/// A ledger row's counts, as reports and checkpoints write them.
+impl From<&obs::health::DimExchangeHealth> for AcceptanceStats {
+    fn from(row: &obs::health::DimExchangeHealth) -> Self {
+        AcceptanceStats { attempts: row.attempts, accepted: row.accepted }
+    }
+}
+
 impl AcceptanceStats {
     pub fn record(&mut self, accepted: bool) {
         self.attempts += 1;
         if accepted {
             self.accepted += 1;
         }
-    }
-
-    pub fn merge(&mut self, other: &AcceptanceStats) {
-        self.attempts += other.attempts;
-        self.accepted += other.accepted;
     }
 
     /// Acceptance ratio in [0, 1]; 0 when no attempts (never NaN — this
@@ -67,11 +69,5 @@ mod tests {
         assert_eq!(s.attempts, 100);
         assert_eq!(s.accepted, 25);
         assert!((s.ratio() - 0.25).abs() < 1e-12);
-
-        let mut t = AcceptanceStats::default();
-        t.record(true);
-        s.merge(&t);
-        assert_eq!(s.attempts, 101);
-        assert_eq!(s.accepted, 26);
     }
 }

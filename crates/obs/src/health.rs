@@ -8,11 +8,12 @@
 //! The drivers emit one [`Event::ExchangeOutcome`] per Metropolis attempt,
 //! so an event stream carries everything needed to count per-dimension
 //! acceptance and to replay the slot-occupancy walk. One
-//! [`ExchangeLedger`] does both: the live plane folds the running stream
-//! into it, `repex analyze` folds a recorded trace
-//! ([`ExchangeLedger::from_trace`]), and the drivers keep their own
-//! [`RoundTripTracker`], the type the ledger feeds. The integration tests
-//! assert the ledger matches the in-process numbers exactly.
+//! [`ExchangeLedger`] does both, and it is the one type all three holders
+//! keep: the drivers hold the campaign's walk in one (counted outcome by
+//! outcome, checked once at restore by [`ExchangeLedger::resume`]), the
+//! live plane folds the running stream into a clone of it, and `repex
+//! analyze` folds a recorded trace ([`ExchangeLedger::from_trace`]). The
+//! tests assert the folded ledgers equal the drivers' exactly.
 
 use crate::critical_path::CriticalPath;
 use crate::diag::Diagnostic;
@@ -104,11 +105,6 @@ impl RoundTripTracker {
         }
     }
 
-    /// Completed round trips for one replica.
-    pub fn round_trips(&self, replica: usize) -> u64 {
-        self.half_trips[replica] / 2
-    }
-
     /// Total round trips across replicas.
     pub fn total_round_trips(&self) -> u64 {
         self.half_trips.iter().map(|h| h / 2).sum()
@@ -119,15 +115,18 @@ impl RoundTripTracker {
 /// attempts and acceptances, the slot-occupancy walk, and — on a 1-D ladder
 /// — the round-trip tracker.
 ///
-/// Each accepted [`Event::ExchangeOutcome`] trades the two slots'
-/// occupants. Each [`Event::ExchangeWindow`] that held replicas
-/// (`participants > 0`; zero-participant windows are `no-exchange`
-/// placeholders) records every replica's slot into the tracker: the cadence
-/// at which the drivers feed theirs, so the counts agree. Re-recording an
-/// unchanged position never adds a half-trip, so a window whose exchange
-/// failed is a no-op here as it is in-process. Outcomes precede their
-/// window in the stream (the drivers emit them in that order).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Each accepted [`Event::ExchangeOutcome`] ([`Self::outcome`]) trades the
+/// two slots' occupants. Each [`Event::ExchangeWindow`] ([`Self::window`])
+/// that held replicas (`participants > 0`; zero-participant windows are
+/// `no-exchange` placeholders) records every replica's slot into the
+/// tracker. The drivers call the two methods where they emit the two
+/// events, so a trace folds to the drivers' own ledger. Re-recording an
+/// unchanged position never adds a half-trip. Outcomes precede their window
+/// in the stream (the drivers emit them in that order).
+///
+/// `owner` and `slot_of` are inverse permutations of the slots: the
+/// constructors make them so and [`Self::outcome`] keeps them so.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeLedger {
     /// One row per dimension configured or seen, ascending by `dim`.
     dims: Vec<DimExchangeHealth>,
@@ -139,19 +138,65 @@ pub struct ExchangeLedger {
 }
 
 impl ExchangeLedger {
-    /// A ledger that continues from `dims` (rows ascending by `dim`, with
-    /// any counts carried over), the walk `slot_of[replica]` = slot, and the
-    /// round-trip tracker (`None` counts no round trips).
-    pub fn new(
-        dims: Vec<DimExchangeHealth>,
-        slot_of: Vec<usize>,
-        round_trips: Option<RoundTripTracker>,
-    ) -> Self {
-        let mut owner = vec![0; slot_of.len()];
-        for (replica, &slot) in slot_of.iter().enumerate() {
-            owner[slot] = replica;
+    /// A fresh campaign's ledger: one zero row per configured dimension
+    /// (`dim_kinds` in dimension order), replica i in slot i, and a
+    /// round-trip tracker when the slots form one ladder of at least 2
+    /// rungs (`n_slots == ladder_len`).
+    pub fn new(dim_kinds: &[char], n_slots: usize, ladder_len: usize) -> Self {
+        let row = |(dim, &kind)| DimExchangeHealth { dim, kind, ..Default::default() };
+        ExchangeLedger {
+            dims: dim_kinds.iter().enumerate().map(row).collect(),
+            owner: (0..n_slots).collect(),
+            slot_of: (0..n_slots).collect(),
+            round_trips: (ladder_len >= 2 && n_slots == ladder_len)
+                .then(|| RoundTripTracker::new(n_slots, ladder_len)),
         }
-        ExchangeLedger { dims, owner, slot_of, round_trips }
+    }
+
+    /// Continue a checkpointed campaign on this fresh ledger's grid from
+    /// (attempts, accepted) per dimension, `owner[slot]` = replica and the
+    /// tracker. It must be a row per dimension, a permutation of the slots,
+    /// and a tracker exactly when this ledger has one, of its shape; else
+    /// the part at fault is named and the ledger is left as it was.
+    pub fn resume(
+        &mut self,
+        counts: &[(u64, u64)],
+        owner: Vec<usize>,
+        round_trips: Option<RoundTripTracker>,
+    ) -> Result<(), String> {
+        if counts.len() != self.dims.len() {
+            let (rows, dims) = (counts.len(), self.dims.len());
+            return Err(format!("acceptance has {rows} rows for {dims} dimensions"));
+        }
+        let n = self.owner.len();
+        if owner.len() != n {
+            return Err(format!("slot-owner has {} slots but the grid has {n}", owner.len()));
+        }
+        let mut slot_of = vec![n; n];
+        for (slot, &replica) in owner.iter().enumerate() {
+            let held = slot_of.get_mut(replica).ok_or_else(|| {
+                format!("slot-owner[{slot}] = {replica} is not a replica of 0..{n}")
+            })?;
+            if *held < n {
+                return Err(format!(
+                    "slot-owner puts replica {replica} in slots {held} and {slot}"
+                ));
+            }
+            *held = slot;
+        }
+        let shape = |rt: &RoundTripTracker| (rt.last_end.len(), rt.half_trips.len(), rt.ladder_len);
+        let want = self.round_trips.as_ref().map(shape);
+        if round_trips.as_ref().map(shape) != want {
+            return Err(match want {
+                Some((n, _, len)) => format!("round-trips must track {n} replicas on {len} rungs"),
+                None => "round-trips must be null: the grid is not one ladder".into(),
+            });
+        }
+        for (row, &(attempts, accepted)) in self.dims.iter_mut().zip(counts) {
+            (row.attempts, row.accepted) = (attempts, accepted);
+        }
+        (self.owner, self.slot_of, self.round_trips) = (owner, slot_of, round_trips);
+        Ok(())
     }
 
     /// Fold a recorded trace. Replicas start at the identity assignment
@@ -160,8 +205,7 @@ impl ExchangeLedger {
     /// one dimension and at least 2 slots (rung == slot).
     pub fn from_trace(events: &[Event]) -> Self {
         let n = implied_slot_count(events);
-        let tracker = (n >= 2).then(|| RoundTripTracker::new(n, n));
-        let mut ledger = ExchangeLedger::new(Vec::new(), (0..n).collect(), tracker);
+        let mut ledger = ExchangeLedger::new(&[], n, n);
         for event in events {
             ledger.fold(event);
         }
@@ -176,26 +220,38 @@ impl ExchangeLedger {
     pub fn fold(&mut self, event: &Event) {
         match *event {
             Event::ExchangeOutcome { dim, slot_lo, slot_hi, accepted, .. } => {
-                let row = self.row(dim);
-                row.attempts += 1;
-                if accepted {
-                    row.accepted += 1;
-                    if slot_hi < self.owner.len() {
-                        self.owner.swap(slot_lo, slot_hi);
-                        self.slot_of[self.owner[slot_lo]] = slot_lo;
-                        self.slot_of[self.owner[slot_hi]] = slot_hi;
-                    }
-                }
+                self.outcome(dim, slot_lo, slot_hi, accepted)
             }
             Event::ExchangeWindow { kind, dim, participants, .. } => {
-                self.row(dim).kind = kind;
-                if let Some(rt) = self.round_trips.as_mut().filter(|_| participants > 0) {
-                    for (replica, &slot) in self.slot_of.iter().enumerate() {
-                        rt.record(replica, slot);
-                    }
-                }
+                self.window(kind, dim, participants)
             }
             _ => {}
+        }
+    }
+
+    /// Count one Metropolis attempt between two slots; an accepted one
+    /// trades the slots' occupants.
+    pub fn outcome(&mut self, dim: usize, slot_lo: usize, slot_hi: usize, accepted: bool) {
+        let row = self.row(dim);
+        row.attempts += 1;
+        if accepted {
+            row.accepted += 1;
+            if slot_hi < self.owner.len() {
+                self.owner.swap(slot_lo, slot_hi);
+                self.slot_of[self.owner[slot_lo]] = slot_lo;
+                self.slot_of[self.owner[slot_hi]] = slot_hi;
+            }
+        }
+    }
+
+    /// Close an exchange window of dimension `dim`: a window that held
+    /// replicas records every replica's slot into the tracker.
+    pub fn window(&mut self, kind: char, dim: usize, participants: usize) {
+        self.row(dim).kind = kind;
+        if let Some(rt) = self.round_trips.as_mut().filter(|_| participants > 0) {
+            for (replica, &slot) in self.slot_of.iter().enumerate() {
+                rt.record(replica, slot);
+            }
         }
     }
 
@@ -212,7 +268,12 @@ impl ExchangeLedger {
         &self.dims
     }
 
-    /// The walk's current assignment: `slot_of()[replica]` = slot.
+    /// The walk: `owner()[slot]` = replica.
+    pub fn owner(&self) -> &[usize] {
+        &self.owner
+    }
+
+    /// The walk's inverse: `slot_of()[replica]` = slot.
     pub fn slot_of(&self) -> &[usize] {
         &self.slot_of
     }
@@ -514,8 +575,7 @@ mod tests {
             outcome(0, 1, 2, true),
             window(0, 'T'),
         ];
-        let mut ledger =
-            ExchangeLedger::new(Vec::new(), (0..4).collect(), Some(RoundTripTracker::new(4, 4)));
+        let mut ledger = ExchangeLedger::new(&[], 4, 4);
         let mut records = Vec::new();
         for e in &events {
             ledger.fold(e);
@@ -541,7 +601,7 @@ mod tests {
     #[test]
     fn zero_participant_windows_take_no_snapshot() {
         let fresh = RoundTripTracker::new(4, 4);
-        let mut ledger = ExchangeLedger::new(Vec::new(), (0..4).collect(), Some(fresh.clone()));
+        let mut ledger = ExchangeLedger::new(&[], 4, 4);
         ledger.fold(&Event::ExchangeWindow {
             kind: 'T',
             dim: 0,
@@ -596,7 +656,6 @@ mod tests {
         for rung in [0usize, 1, 2, 3, 2, 1, 0] {
             rt.record(0, rung);
         }
-        assert_eq!(rt.round_trips(0), 1);
         assert_eq!(rt.total_round_trips(), 1);
     }
 
@@ -606,7 +665,7 @@ mod tests {
         for rung in [0usize, 1, 0, 1, 0] {
             rt.record(0, rung);
         }
-        assert_eq!(rt.round_trips(0), 0);
+        assert_eq!(rt.total_round_trips(), 0);
     }
 
     #[test]
@@ -615,13 +674,13 @@ mod tests {
         // Replica 0: bottom -> top (one half trip).
         rt.record(0, 0);
         rt.record(0, 2);
-        assert_eq!(rt.round_trips(0), 0);
+        assert_eq!(rt.half_trips, [1, 0]);
         // Replica 1: top -> bottom -> top -> bottom (3 half trips = 1 RT).
         rt.record(1, 2);
         rt.record(1, 0);
         rt.record(1, 2);
         rt.record(1, 0);
-        assert_eq!(rt.round_trips(1), 1);
+        assert_eq!(rt.half_trips, [1, 3]);
         assert_eq!(rt.total_round_trips(), 1);
     }
 
@@ -630,6 +689,6 @@ mod tests {
         let mut rt = RoundTripTracker::new(1, 5);
         rt.record(0, 2);
         rt.record(0, 3);
-        assert_eq!(rt.round_trips(0), 0);
+        assert_eq!(rt.total_round_trips(), 0);
     }
 }

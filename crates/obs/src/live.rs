@@ -21,9 +21,9 @@
 //! post-hoc aggregators — per-cycle Tc via the [`CycleBreakdown`] match
 //! arms, acceptance, the slot walk and round trips via the
 //! [`ExchangeLedger`] that `repex analyze` folds a trace into, seeded with
-//! the drivers' own tracker — so the merged snapshot stream reproduces the
-//! end-of-run report (asserted to 1e-9, and exactly for integer counters,
-//! in `tests/it_telemetry.rs`).
+//! a clone of the driver's own ledger ([`LiveBaseline::ledger`]) — so the
+//! merged snapshot stream reproduces the end-of-run report (asserted to
+//! 1e-9, and exactly for integer counters, in `tests/it_telemetry.rs`).
 //!
 //! Window semantics: `window_*` fields cover events folded since the
 //! previous emitted snapshot; cumulative twins cover the whole campaign
@@ -49,7 +49,8 @@ pub struct LiveConfig {
     /// Campaign label baked into every snapshot and Prometheus sample — the
     /// multi-tenant namespacing seed.
     pub campaign: String,
-    /// Number of ladder slots (0 disables the slot walk / round trips).
+    /// Number of ladder slots (0 disables the slot walk / round trips). With
+    /// the next two, the shape of a fresh ledger when the baseline has none.
     pub n_slots: usize,
     /// Ladder length of the single dimension; round trips are counted only
     /// when `>= 2` and the layout is 1-D (`n_slots == ladder_len`).
@@ -57,12 +58,14 @@ pub struct LiveConfig {
     /// Dimension kind letters in dimension order (so snapshots carry every
     /// configured dimension even before its first exchange outcome).
     pub dim_kinds: Vec<char>,
-    /// Prior-leg state for a resumed campaign.
+    /// The run's state when the fold starts.
     pub baseline: LiveBaseline,
 }
 
-/// Cumulative state restored from a checkpoint so a resumed leg's
-/// cumulative fields continue where the interrupted leg stopped.
+/// The run's state when the fold starts: the driver's exchange ledger, and
+/// on a resume the cumulative counters restored from the checkpoint, so a
+/// resumed leg's cumulative fields continue where the interrupted leg
+/// stopped.
 #[derive(Debug, Clone, Default)]
 pub struct LiveBaseline {
     /// Snapshot cursor: the last `seq` emitted before the interruption.
@@ -72,17 +75,13 @@ pub struct LiveBaseline {
     pub completed: u64,
     /// Virtual clock at resume.
     pub sim_time: f64,
-    /// Per-dimension (attempts, accepted), aligned with `dim_kinds`.
-    pub dims: Vec<(u64, u64)>,
     pub failed_tasks: u64,
     pub relaunched_tasks: u64,
     /// Successful MD segments completed before the resume.
     pub md_segments: u64,
-    /// replica id -> slot at resume (empty = identity).
-    pub slot_of: Vec<usize>,
-    /// The drivers' round-trip tracker at resume; `None` starts a fresh one
-    /// when the config describes a 1-D ladder.
-    pub round_trips: Option<RoundTripTracker>,
+    /// A clone of the driver's exchange ledger (acceptance, the walk, round
+    /// trips) to fold on from; `None` starts a fresh one for the config.
+    pub ledger: Option<ExchangeLedger>,
 }
 
 /// Driver-supplied facts at emission time (the counters the drivers own
@@ -374,31 +373,21 @@ pub struct LiveState {
 }
 
 impl LiveState {
-    pub fn new(cfg: LiveConfig) -> Self {
-        let (n, base) = (cfg.n_slots, &cfg.baseline);
-        let dims: Vec<DimExchangeHealth> = cfg
-            .dim_kinds
-            .iter()
-            .enumerate()
-            .map(|(dim, &kind)| {
-                let (attempts, accepted) = base.dims.get(dim).copied().unwrap_or((0, 0));
-                DimExchangeHealth { dim, kind, attempts, accepted }
-            })
-            .collect();
-        let slot_of = if base.slot_of.len() == n { base.slot_of.clone() } else { (0..n).collect() };
-        let round_trips = base.round_trips.clone().or_else(|| {
-            (cfg.ladder_len >= 2 && n == cfg.ladder_len)
-                .then(|| RoundTripTracker::new(n, cfg.ladder_len))
-        });
+    pub fn new(mut cfg: LiveConfig) -> Self {
+        let ledger =
+            cfg.baseline.ledger.take().unwrap_or_else(|| {
+                ExchangeLedger::new(&cfg.dim_kinds, cfg.n_slots, cfg.ladder_len)
+            });
         let round_trips_at_emit =
-            round_trips.as_ref().map_or(0, RoundTripTracker::total_round_trips);
+            ledger.round_trips().map_or(0, RoundTripTracker::total_round_trips);
+        let base = &cfg.baseline;
         let (seq, md_ok) = (base.seq, base.md_segments);
         let (last_failed, last_relaunched) = (base.failed_tasks, base.relaunched_tasks);
         LiveState {
             seq,
-            ledger: ExchangeLedger::new(dims.clone(), slot_of, round_trips),
+            dims_at_emit: ledger.dims().to_vec(),
+            ledger,
             md_ok,
-            dims_at_emit: dims,
             round_trips_at_emit,
             md_ok_at_emit: md_ok,
             pending: BTreeMap::new(),
@@ -644,6 +633,8 @@ mod tests {
         for (replica, rung) in [(0, 0), (0, 1), (0, 0), (0, 1), (1, 0), (1, 1), (1, 0)] {
             tracker.record(replica, rung);
         }
+        let mut ledger = ExchangeLedger::new(&['T'], 2, 2);
+        ledger.resume(&[(10, 4)], vec![1, 0], Some(tracker)).unwrap();
         let mut st = LiveState::new(LiveConfig {
             campaign: "resumed".into(),
             n_slots: 2,
@@ -653,12 +644,10 @@ mod tests {
                 seq: 7,
                 completed: 3,
                 sim_time: 30.0,
-                dims: vec![(10, 4)],
                 failed_tasks: 2,
                 relaunched_tasks: 1,
                 md_segments: 6,
-                slot_of: vec![1, 0],
-                round_trips: Some(tracker),
+                ledger: Some(ledger),
             },
         });
         st.fold(&outcome(0, 1, true));

@@ -1,12 +1,11 @@
-//! Per-replica / per-slot interval statistics and straggler detection.
+//! Per-replica interval statistics and straggler detection.
 //!
 //! The asynchronous pattern exists because of straggler imbalance: one slow
 //! replica stalls every synchronous barrier (Bussi, arXiv:0812.1633). This
 //! module turns the recorded `MdSegment` stream into the numbers that make
-//! that imbalance visible: per-replica busy/idle fractions over the run,
-//! per-slot aggregates, per-phase Mode II batch statistics (how many waves
-//! the MD phase serialized into), and straggler flags under a configurable
-//! z-score + ratio policy.
+//! that imbalance visible: each replica's mean segment, per-phase Mode II
+//! batch statistics (how many waves the MD phase serialized into), the run's
+//! span, and straggler flags under a configurable z-score + ratio policy.
 
 use crate::event::Event;
 use std::collections::BTreeMap;
@@ -28,22 +27,16 @@ impl Default for StragglerPolicy {
     }
 }
 
-/// MD activity of one lane (a replica id or a slot index) over the run.
+/// MD activity of one replica (its lane) over the run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaneStats {
     pub lane: usize,
     /// Completed (ok) segments.
     pub segments: usize,
-    pub failed_segments: usize,
     /// Seconds spent inside ok MD segments.
     pub busy: f64,
     /// Mean duration of ok segments (0 when none).
     pub mean_segment: f64,
-    pub max_segment: f64,
-    /// busy / run span (first event start to last event end, all lanes).
-    pub busy_fraction: f64,
-    /// 1 − busy_fraction.
-    pub idle_fraction: f64,
     /// Mean-segment z-score against the other lanes.
     pub z_score: f64,
     /// Mean segment over the across-lane median mean-segment.
@@ -65,8 +58,6 @@ pub struct PhaseBatchStats {
     pub dim: usize,
     /// MD phase window (submission to barrier), seconds.
     pub window: f64,
-    /// Sum of segment durations inside the phase (ok and failed).
-    pub busy: f64,
     /// Longest single segment in the phase.
     pub max_segment: f64,
     /// window / max_segment (1.0 when the phase is empty).
@@ -80,8 +71,6 @@ pub struct PhaseBatchStats {
 pub struct TimelineStats {
     /// Keyed by replica id, ascending.
     pub replicas: Vec<LaneStats>,
-    /// Keyed by slot index, ascending.
-    pub slots: Vec<LaneStats>,
     /// One entry per (cycle, dim) MD phase, in (cycle, dim) order.
     pub phases: Vec<PhaseBatchStats>,
     /// First event start to last event end over all interval events.
@@ -111,16 +100,10 @@ fn median(sorted: &[f64]) -> f64 {
     }
 }
 
-fn finish_lanes(
-    per_lane: BTreeMap<usize, LaneStats>,
-    span: f64,
-    policy: &StragglerPolicy,
-) -> Vec<LaneStats> {
+fn finish_lanes(per_lane: BTreeMap<usize, LaneStats>, policy: &StragglerPolicy) -> Vec<LaneStats> {
     let mut lanes: Vec<LaneStats> = per_lane.into_values().collect();
     for lane in &mut lanes {
         lane.mean_segment = if lane.segments > 0 { lane.busy / lane.segments as f64 } else { 0.0 };
-        lane.busy_fraction = if span > 0.0 { (lane.busy / span).clamp(0.0, 1.0) } else { 0.0 };
-        lane.idle_fraction = 1.0 - lane.busy_fraction;
     }
     // Straggler tests over the lanes that actually ran something.
     let means: Vec<f64> = lanes.iter().filter(|l| l.segments > 0).map(|l| l.mean_segment).collect();
@@ -145,10 +128,9 @@ fn finish_lanes(
     lanes
 }
 
-/// Derive per-replica, per-slot and per-phase statistics from the stream.
+/// Derive per-replica and per-phase statistics from the stream.
 pub fn timeline_stats(events: &[Event], policy: StragglerPolicy) -> TimelineStats {
     let mut replicas: BTreeMap<usize, LaneStats> = BTreeMap::new();
-    let mut slots: BTreeMap<usize, LaneStats> = BTreeMap::new();
     let mut phases: BTreeMap<(u64, usize), PhaseBatchStats> = BTreeMap::new();
     let mut first_start = f64::INFINITY;
     let mut last_end = f64::NEG_INFINITY;
@@ -161,26 +143,20 @@ pub fn timeline_stats(events: &[Event], policy: StragglerPolicy) -> TimelineStat
             }
         }
         match event {
-            Event::MdSegment { replica, slot, cycle, dim, start, end, ok, .. } => {
+            Event::MdSegment { replica, cycle, dim, start, end, ok, .. } => {
                 let dur = end - start;
-                for (key, map) in [(*replica, &mut replicas), (*slot, &mut slots)] {
-                    let lane = map
-                        .entry(key)
-                        .or_insert_with(|| LaneStats { lane: key, ..Default::default() });
-                    if *ok {
-                        lane.segments += 1;
-                        lane.busy += dur;
-                        lane.max_segment = lane.max_segment.max(dur);
-                    } else {
-                        lane.failed_segments += 1;
-                    }
+                let lane = replicas
+                    .entry(*replica)
+                    .or_insert_with(|| LaneStats { lane: *replica, ..Default::default() });
+                if *ok {
+                    lane.segments += 1;
+                    lane.busy += dur;
                 }
                 let phase = phases.entry((*cycle, *dim)).or_insert_with(|| PhaseBatchStats {
                     cycle: *cycle,
                     dim: *dim,
                     ..Default::default()
                 });
-                phase.busy += dur;
                 phase.max_segment = phase.max_segment.max(dur);
             }
             Event::MdPhase { cycle, dim, start, end } => {
@@ -210,17 +186,9 @@ pub fn timeline_stats(events: &[Event], policy: StragglerPolicy) -> TimelineStat
     };
     let max_stretch = stretches.iter().copied().fold(1.0f64, f64::max);
 
-    let replicas = finish_lanes(replicas, span, &policy);
+    let replicas = finish_lanes(replicas, &policy);
     let straggler_count = replicas.iter().filter(|r| r.straggler).count();
-    TimelineStats {
-        replicas,
-        slots: finish_lanes(slots, span, &policy),
-        phases: phase_list,
-        span,
-        straggler_count,
-        mean_stretch,
-        max_stretch,
-    }
+    TimelineStats { replicas, phases: phase_list, span, straggler_count, mean_stretch, max_stretch }
 }
 
 /// `[start, end]` of an interval event; `None` for point events.
@@ -254,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn busy_and_idle_fractions_over_the_run_span() {
+    fn the_span_covers_every_lane_and_phase() {
         let events = vec![
             seg(0, 0, 0.0, 10.0, true),
             seg(1, 0, 0.0, 5.0, true),
@@ -263,10 +231,7 @@ mod tests {
         let tl = timeline_stats(&events, StragglerPolicy::default());
         assert_eq!(tl.span, 10.0);
         assert_eq!(tl.replicas.len(), 2);
-        assert!((tl.replicas[0].busy_fraction - 1.0).abs() < 1e-12);
-        assert!((tl.replicas[1].busy_fraction - 0.5).abs() < 1e-12);
-        assert!((tl.replicas[1].idle_fraction - 0.5).abs() < 1e-12);
-        assert_eq!(tl.slots.len(), 2);
+        assert_eq!(tl.replicas[1].mean_segment, 5.0);
     }
 
     #[test]
@@ -300,7 +265,6 @@ mod tests {
         let p = &tl.phases[0];
         assert!((p.stretch - 2.0).abs() < 1e-12, "stretch {}", p.stretch);
         assert!((p.imbalance - 10.0).abs() < 1e-12);
-        assert!((p.busy - 40.0).abs() < 1e-12);
         assert!((tl.mean_stretch - 2.0).abs() < 1e-12);
     }
 
@@ -309,8 +273,8 @@ mod tests {
         let events = vec![seg(0, 0, 0.0, 4.0, false), seg(0, 0, 4.0, 8.0, true)];
         let tl = timeline_stats(&events, StragglerPolicy::default());
         assert_eq!(tl.replicas[0].segments, 1);
-        assert_eq!(tl.replicas[0].failed_segments, 1);
         assert!((tl.replicas[0].busy - 4.0).abs() < 1e-12);
+        assert!((tl.replicas[0].mean_segment - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -323,9 +287,9 @@ mod tests {
     }
 
     #[test]
-    fn replica_and_slot_lanes_diverge_after_swaps() {
-        // Replica 1 runs in slot 0 during cycle 1 (post-swap): the slot lane
-        // aggregates both replicas' segments.
+    fn a_lane_follows_its_replica_across_swaps() {
+        // Replica 1 runs in slot 0 during cycle 1 (post-swap): its lane
+        // counts both of its segments, and replica 0's only its own.
         let mut events = vec![seg(0, 0, 0.0, 1.0, true), seg(1, 0, 0.0, 1.0, true)];
         events.push(Event::MdSegment {
             replica: 1,
@@ -339,8 +303,6 @@ mod tests {
             ok: true,
         });
         let tl = timeline_stats(&events, StragglerPolicy::default());
-        let slot0 = tl.slots.iter().find(|l| l.lane == 0).unwrap();
-        assert_eq!(slot0.segments, 2);
         let rep1 = tl.replicas.iter().find(|l| l.lane == 1).unwrap();
         assert_eq!(rep1.segments, 2);
         let rep0 = tl.replicas.iter().find(|l| l.lane == 0).unwrap();

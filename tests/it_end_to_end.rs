@@ -97,16 +97,17 @@ fn slot_assignment_stays_a_permutation_under_many_exchanges() {
     cfg.steps_per_cycle = 400;
     let mut ctx = build_ctx(cfg).unwrap();
     repex::emm::sync::run_sync(&mut ctx).unwrap();
-    let mut owners = ctx.slot_owner.clone();
+    let owner = ctx.ledger.owner();
+    let mut owners = owner.to_vec();
     owners.sort_unstable();
     assert_eq!(owners, (0..12).collect::<Vec<_>>());
-    // slot_owner and replica.slot agree.
-    for (slot, &owner) in ctx.slot_owner.iter().enumerate() {
-        assert_eq!(ctx.replicas[owner].slot, slot);
+    // The walk and its inverse agree.
+    for (slot, &replica) in owner.iter().enumerate() {
+        assert_eq!(ctx.ledger.slot_of()[replica], slot);
     }
     // With 12 cycles on a 12-rung ladder and the reduced model's high
     // acceptance, the assignment must have changed from the identity.
-    assert_ne!(ctx.slot_owner, (0..12).collect::<Vec<_>>(), "no exchange ever moved a replica");
+    assert_ne!(owner, (0..12).collect::<Vec<_>>(), "no exchange ever moved a replica");
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn gromacs_engine_end_to_end() {
     let mdp = ctx.pilot.staging.get_text("r00002_c0001.mdp").unwrap();
     assert!(mdp.contains("integrator          = sd"));
     assert!(ctx.pilot.staging.contains("r00002_c0001.gro"));
-    assert!(ctx.acceptance[0].attempts > 0);
+    assert!(ctx.ledger.dims()[0].attempts > 0);
     for r in &ctx.replicas {
         assert_eq!(r.segments_done, 2);
     }

@@ -20,7 +20,7 @@ fn temperature_ladder_produces_temperature_ordered_energies() {
     // Measure final kinetic temperatures per slot.
     let mut temps = Vec::new();
     for slot in 0..6 {
-        let replica = ctx.slot_owner[slot];
+        let replica = ctx.ledger.owner()[slot];
         let sys = ctx.replicas[replica].system.lock().unwrap();
         temps.push(sys.instantaneous_temperature());
     }
