@@ -180,7 +180,7 @@ mod tests {
         cfg.steps_per_cycle = 600;
         let (report, recorder) = run_traced(cfg);
         assert_eq!(report.cycles.len(), 2);
-        let breakdowns = recorder.cycle_breakdowns();
+        let breakdowns = obs::cycle_breakdowns(&recorder.events());
         assert_eq!(breakdowns.len(), 2);
         for (cycle, bd) in report.cycles.iter().zip(&breakdowns) {
             assert!((cycle.timing.total() - bd.total()).abs() < 1e-9);

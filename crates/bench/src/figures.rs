@@ -10,9 +10,10 @@ use crate::output::Figure;
 use analysis::fes::{render_ascii, wham_fes_min_count, BiasedWindow};
 use analysis::tables::{f1, f2, TextTable};
 use analysis::timeseries::mean;
+use obs::CycleBreakdown;
 use repex::capabilities::{paper_repex_row, render_table1_markdown, repex_capabilities, table1};
 use repex::config::{DimensionConfig, Pattern, SimulationConfig, Workload};
-use repex::timing::{strong_efficiency, weak_efficiency, CycleTiming};
+use repex::timing::{strong_efficiency, weak_efficiency};
 
 /// Smallest and largest value of a series.
 pub(crate) fn span(values: &[f64]) -> (f64, f64) {
@@ -243,12 +244,12 @@ pub fn fig05_overheads() -> Figure {
         // run is traced, and its overheads are read from the event stream
         // (the aggregator is the single source of truth for Eq. 1 terms).
         let (t_report, t_rec) = run_traced(one_d_config(OneDKind::Temperature, n, cycles));
-        let t = obs::average_breakdown(&t_rec.cycle_breakdowns());
+        let events = t_rec.events();
+        let t = obs::average_breakdown(&obs::cycle_breakdowns(&events));
         max_trace_drift =
             max_trace_drift.max((t.total() - t_report.average_timing().total()).abs());
         // The longest chain through a synchronous cycle's phase events must
         // reproduce that cycle's Eq. 1 total (the phases tile the cycle).
-        let events = t_rec.events();
         for (cp, b) in
             obs::cycle_critical_paths(&events).iter().zip(&obs::cycle_breakdowns(&events))
         {
@@ -338,7 +339,7 @@ const ONE_D_SWEEP: [usize; 6] = [64, 216, 512, 1000, 1728, 2744];
 /// * Figure 6 — average cycle time decomposed into MD and exchange time.
 /// * Figure 7 — weak-scaling efficiency (Eq. 2), 64 cores = 100 %.
 pub fn one_d_scaling(cycles: u64) -> Vec<Figure> {
-    let sweep = |kind: Option<OneDKind>| -> Vec<CycleTiming> {
+    let sweep = |kind: Option<OneDKind>| -> Vec<CycleBreakdown> {
         let config = |n| match kind {
             Some(kind) => one_d_config(kind, n, cycles),
             None => SimulationConfig {
@@ -354,10 +355,10 @@ pub fn one_d_scaling(cycles: u64) -> Vec<Figure> {
         sweep(Some(OneDKind::Temperature)),
     );
     let none = sweep(None);
-    vec![fig06_weak_1d(cycles, &u, &s, &t), fig07_efficiency_1d(&t, &s, &u, &none)]
+    vec![fig06_weak_1d(cycles, [&u, &s, &t]), fig07_efficiency_1d(&t, &s, &u, &none)]
 }
 
-fn fig06_weak_1d(cycles: u64, u: &[CycleTiming], s: &[CycleTiming], t: &[CycleTiming]) -> Figure {
+fn fig06_weak_1d(cycles: u64, [u, s, t]: [&[CycleBreakdown]; 3]) -> Figure {
     let mut fig = Figure::new("fig06_weak_1d");
     fig.line("Figure 6 — 1-D REMD weak scaling (SuperMIC, sander, 6000 steps/cycle)");
     fig.line(format!("Average of {cycles} cycles; cores = replicas (Execution Mode I).\n"));
@@ -372,8 +373,8 @@ fn fig06_weak_1d(cycles: u64, u: &[CycleTiming], s: &[CycleTiming], t: &[CycleTi
         "T EX(s)",
     ]);
     let shown = REPLICA_SWEEP.len();
-    let ex = |series: &[CycleTiming]| -> Vec<f64> {
-        series[..shown].iter().map(CycleTiming::t_ex_total).collect()
+    let ex = |series: &[CycleBreakdown]| -> Vec<f64> {
+        series[..shown].iter().map(CycleBreakdown::t_ex_total).collect()
     };
     let (ex_u, ex_s, ex_t) = (ex(u), ex(s), ex(t));
     for (i, &n) in REPLICA_SWEEP.iter().enumerate() {
@@ -422,10 +423,10 @@ fn fig06_weak_1d(cycles: u64, u: &[CycleTiming], s: &[CycleTiming], t: &[CycleTi
 }
 
 fn fig07_efficiency_1d(
-    t: &[CycleTiming],
-    s: &[CycleTiming],
-    u: &[CycleTiming],
-    none: &[CycleTiming],
+    t: &[CycleBreakdown],
+    s: &[CycleBreakdown],
+    u: &[CycleBreakdown],
+    none: &[CycleBreakdown],
 ) -> Figure {
     let mut fig = Figure::new("fig07_efficiency_1d");
     fig.line("Figure 7 — Parallel efficiency (% of linear scaling), 1-D REMD, SuperMIC");
@@ -539,11 +540,11 @@ pub fn fig08_namd() -> Figure {
 /// sweep's, Figure 11 turns both into efficiencies (Eqs. 2 and 3). The
 /// recorded size averages two cycles, tier-1 one.
 pub fn tsu_scaling(cycles: u64) -> Vec<Figure> {
-    let weak: Vec<CycleTiming> = PER_DIM_SWEEP
+    let weak: Vec<CycleBreakdown> = PER_DIM_SWEEP
         .iter()
         .map(|&per_dim| run(tsu_config(per_dim, cycles, None)).average_timing())
         .collect();
-    let strong: Vec<(u8, CycleTiming)> = STRONG_CORES
+    let strong: Vec<(u8, CycleBreakdown)> = STRONG_CORES
         .iter()
         .map(|&cores| {
             let report = run(tsu_config(12, cycles, Some(cores)));
@@ -558,7 +559,7 @@ pub fn tsu_scaling(cycles: u64) -> Vec<Figure> {
 }
 
 /// Per-dimension exchange time series (T, S, U) of a TSU sweep.
-fn tsu_exchange<'a>(timings: impl Iterator<Item = &'a CycleTiming>) -> [Vec<f64>; 3] {
+fn tsu_exchange<'a>(timings: impl Iterator<Item = &'a CycleBreakdown>) -> [Vec<f64>; 3] {
     let mut ex = [Vec::new(), Vec::new(), Vec::new()];
     for timing in timings {
         assert_eq!(timing.t_ex.len(), 3);
@@ -569,7 +570,7 @@ fn tsu_exchange<'a>(timings: impl Iterator<Item = &'a CycleTiming>) -> [Vec<f64>
     ex
 }
 
-fn fig09_weak_tsu(cycles: u64, weak: &[CycleTiming]) -> Figure {
+fn fig09_weak_tsu(cycles: u64, weak: &[CycleBreakdown]) -> Figure {
     let mut fig = Figure::new("fig09_weak_tsu");
     fig.line("Figure 9 — TSU-REMD weak scaling (Stampede, Amber, Mode I)");
     fig.line(format!("Average of {cycles} cycles; one MD phase per dimension per cycle.\n"));
@@ -623,7 +624,7 @@ fn fig09_weak_tsu(cycles: u64, weak: &[CycleTiming]) -> Figure {
     fig
 }
 
-fn fig10_strong_tsu(cycles: u64, strong: &[(u8, CycleTiming)]) -> Figure {
+fn fig10_strong_tsu(cycles: u64, strong: &[(u8, CycleBreakdown)]) -> Figure {
     let mut fig = Figure::new("fig10_strong_tsu");
     fig.line("Figure 10 — TSU-REMD strong scaling (Stampede, 1728 replicas)");
     fig.line(format!("Average of {cycles} cycles; Execution Mode II except the last point.\n"));
@@ -673,7 +674,7 @@ fn fig10_strong_tsu(cycles: u64, strong: &[(u8, CycleTiming)]) -> Figure {
     fig
 }
 
-fn fig11_efficiency_tsu(weak: &[CycleTiming], strong: &[(u8, CycleTiming)]) -> Figure {
+fn fig11_efficiency_tsu(weak: &[CycleBreakdown], strong: &[(u8, CycleBreakdown)]) -> Figure {
     let mut fig = Figure::new("fig11_efficiency_tsu");
     fig.line("Figure 11 — Parallel efficiency, TSU-REMD on Stampede");
 

@@ -198,14 +198,8 @@ impl Policy for Tick {
             Flight::Exchange { dim, cycle, participants } if unit.ok => {
                 let (kind, start, end) = (ctx.dim_kind(dim).letter(), unit.start, unit.end);
                 ctx.ledger.window(kind, dim, participants);
-                core.events.push(Event::ExchangeWindow {
-                    kind,
-                    dim,
-                    cycle,
-                    participants,
-                    start,
-                    end,
-                });
+                let window = Event::ExchangeWindow { kind, dim, cycle, participants, start, end };
+                core.record(ctx, window);
             }
             Flight::Exchange { .. } => {}
         }

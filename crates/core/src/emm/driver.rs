@@ -151,13 +151,12 @@ pub(crate) trait Policy {
 pub(crate) struct Core {
     /// What each unit in flight is, under the id the executor gave it.
     flights: HashMap<UnitId, Packed>,
-    /// Events since the last consistency point. Buffered rather than
-    /// recorded one by one because the barrier derives its `CycleTiming`
-    /// from exactly this window (one source of truth, so a report can never
-    /// disagree with an exported trace). The Eq. 1 phase events are always
-    /// here; the per-unit ones (`MdSegment`, `ExchangeOutcome`,
-    /// `TaskRelaunch`) only when a recorder will receive them.
-    pub events: Vec<Event>,
+    /// Events since the last consistency point, pushed by [`Core::record`]
+    /// only when a recorder will receive them (empty otherwise: no report
+    /// reads it). Buffered rather than recorded one by one because the pilot
+    /// executor records into the same recorder: flushing at the consistency
+    /// point keeps a `--trace` in the order it has always had.
+    events: Vec<Event>,
     failed_at_last_checkpoint: u64,
     /// `cycle_limit` as an absolute step count.
     limit: Option<u64>,
@@ -191,6 +190,7 @@ pub(crate) fn run<P: Policy>(ctx: &mut DriverCtx, policy: &mut P) -> Result<(), 
                 policy.quiescent(&mut core, ctx)?
             }
         };
+        debug_assert!(ctx.recorder.is_enabled() || core.events.is_empty(), "an unrecorded event");
         if flow == Flow::Finished {
             return Ok(());
         }
@@ -302,19 +302,10 @@ impl Core {
             // A failed exchange belongs to no replica; a failed segment to one.
             ctx.replicas[replica].failures += u32::from(!ok);
             ctx.preseg_snapshots.remove(&replica);
-            if ctx.recorder.is_enabled() {
-                self.events.push(Event::MdSegment {
-                    replica,
-                    slot,
-                    cycle,
-                    dim,
-                    attempt,
-                    cores: unit.cores,
-                    start,
-                    end,
-                    ok,
-                });
-            }
+            let cores = unit.cores;
+            let segment =
+                Event::MdSegment { replica, slot, cycle, dim, attempt, cores, start, end, ok };
+            self.record(ctx, segment);
         }
         match (flight, unit.outcome) {
             (Flight::Md { slot, replica, cycle, .. }, Ok(TaskResult::Md(md))) => {
@@ -328,14 +319,11 @@ impl Core {
                 match ctx.cfg.fault_policy {
                     FaultPolicy::Relaunch { max_retries } if attempt < max_retries => {
                         ctx.relaunched_tasks += 1;
-                        if ctx.recorder.is_enabled() {
-                            self.events.push(Event::TaskRelaunch {
-                                name: unit.name,
-                                slot,
-                                attempt: attempt + 1,
-                                at: ctx.pilot.executor.now().as_secs(),
-                            });
-                        }
+                        let at = ctx.pilot.executor.now().as_secs();
+                        self.record(
+                            ctx,
+                            Event::TaskRelaunch { name: unit.name, slot, attempt: attempt + 1, at },
+                        );
                         // One completion at a time: a relaunch is a
                         // single submission, not a wave.
                         // A retry has nothing to retire: attempt 0 did.
@@ -357,17 +345,10 @@ impl Core {
                 // task records pair_outcomes in lockstep with its
                 // AcceptanceStats), before the covering window event, so
                 // acceptance ratios are derivable from the trace alone.
-                if ctx.recorder.is_enabled() {
-                    for &(slot_lo, slot_hi, accepted) in &report.pair_outcomes {
-                        self.events.push(Event::ExchangeOutcome {
-                            dim,
-                            cycle,
-                            slot_lo,
-                            slot_hi,
-                            accepted,
-                            at: end,
-                        });
-                    }
+                for &(slot_lo, slot_hi, accepted) in &report.pair_outcomes {
+                    let outcome =
+                        Event::ExchangeOutcome { dim, cycle, slot_lo, slot_hi, accepted, at: end };
+                    self.record(ctx, outcome);
                 }
                 ctx.apply_swaps(dim, &report.pair_outcomes);
                 ctx.record_pair_outcomes(&report.pair_outcomes);
@@ -378,6 +359,13 @@ impl Core {
             _ => return Err(format!("unit {} returned the wrong kind of result", unit.name)),
         }
         Ok(Settled { flight, start, end, ok, relaunched })
+    }
+
+    /// Buffer `event` for the recorder, when there is one to receive it.
+    pub fn record(&mut self, ctx: &DriverCtx, event: Event) {
+        if ctx.recorder.is_enabled() {
+            self.events.push(event);
+        }
     }
 
     /// Close the window since the last consistency point: flush its events,

@@ -541,6 +541,38 @@ mod tests {
         build_ctx(cfg).unwrap()
     }
 
+    /// With the recorder off, nothing is ever pushed to `Core::events`:
+    /// `driver::run` checks the buffer after every completion and every
+    /// quiescent step (a debug assertion), here under every push site — the
+    /// barrier's phase events, a relaunch, exchange outcomes, the async
+    /// window — while the report still gets its Eq. 1 terms.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn an_untraced_run_buffers_no_event() {
+        let storm = hpc::Scenario::FailureStorm {
+            storm_mtbf_seconds: 20.0,
+            period_seconds: 60.0,
+            storm_fraction: 0.5,
+        };
+        for pattern in [Pattern::Synchronous, Pattern::Asynchronous { tick_fraction: 0.25 }] {
+            let mut cfg = SimulationConfig::t_remd(12, 600, 4);
+            cfg.surrogate_steps = 10;
+            cfg.pattern = pattern;
+            cfg.scenario = Some(storm);
+            cfg.fault_policy = crate::config::FaultPolicy::Relaunch { max_retries: 25 };
+            let mut ctx = build_ctx(cfg).unwrap();
+            assert!(!ctx.recorder.is_enabled());
+            let cycles = match pattern {
+                Pattern::Synchronous => sync::run_sync(&mut ctx).unwrap(),
+                Pattern::Asynchronous { .. } => {
+                    asynchronous::run_async(&mut ctx).map(|_| Vec::new()).unwrap()
+                }
+            };
+            assert!(ctx.relaunched_tasks > 0 && ctx.ledger.dims()[0].attempts > 0, "{pattern:?}");
+            assert!(cycles.iter().all(|c| c.timing.t_md > 0.0 && c.timing.t_ex.len() == 1));
+        }
+    }
+
     #[test]
     fn ctx_construction_basics() {
         let ctx = small_ctx();

@@ -8,7 +8,8 @@
 //! instant of time"). The barrier is the executor running dry: each phase
 //! submits its units and the policy advances when nothing is left in flight.
 //! Decided here: the phase order, the Eq. 1 overhead charges and the
-//! `CycleReport`. Execution Mode II needs no special handling: when the
+//! `CycleReport`, whose timing the barrier folds from its phase events as
+//! it makes them. Execution Mode II needs no special handling: when the
 //! pilot has fewer cores than replicas, the core timeline batches the MD
 //! units into waves automatically.
 
@@ -16,8 +17,7 @@ use super::driver::{self, Core, Flight, Flow, Point, Policy};
 use super::DriverCtx;
 use crate::checkpoint::SchedulerState;
 use crate::report::CycleReport;
-use crate::timing::timing_from_breakdown;
-use obs::{Event, OverheadScope};
+use obs::{CycleBreakdown, Event, OverheadScope};
 
 /// Run the configured number of synchronous cycles; returns per-cycle
 /// reports.
@@ -55,34 +55,44 @@ struct Barrier {
     /// Virtual time the draining phase began.
     phase_start: f64,
     rebuilds_before: u64,
+    /// The cycle's Eq. 1 terms so far, folded from its phase events.
+    timing: CycleBreakdown,
     reports: Vec<CycleReport>,
 }
 
-/// Charge `seconds` of serialized client-side overhead to the pipeline and
-/// record it as one Eq. 1 term.
-fn charge(core: &mut Core, ctx: &mut DriverCtx, scope: OverheadScope, cycle: u64, seconds: f64) {
-    let start = ctx.pilot.executor.now().as_secs();
-    ctx.pilot.executor.charge_overhead(seconds);
-    let end = ctx.pilot.executor.now().as_secs();
-    core.events.push(Event::Overhead { scope, cycle, start, end });
-}
-
 impl Barrier {
+    /// The one way a phase event leaves the barrier: folded into the
+    /// cycle's timing, and buffered only for a recorder that will take it.
+    fn emit(&mut self, core: &mut Core, ctx: &DriverCtx, event: Event) {
+        CycleBreakdown::absorb(&event, |_| &mut self.timing);
+        core.record(ctx, event);
+    }
+
+    /// Charge `seconds` of serialized client-side overhead to the pipeline
+    /// and emit it as one Eq. 1 term.
+    fn charge(&mut self, core: &mut Core, ctx: &mut DriverCtx, scope: OverheadScope, seconds: f64) {
+        let start = ctx.pilot.executor.now().as_secs();
+        ctx.pilot.executor.charge_overhead(seconds);
+        let end = ctx.pilot.executor.now().as_secs();
+        self.emit(core, ctx, Event::Overhead { scope, cycle: self.cycle, start, end });
+    }
+
     fn begin_cycle(&mut self, core: &mut Core, ctx: &mut DriverCtx) -> Result<Flow, String> {
         self.cycle = ctx.completed_cycles;
         self.dim = 0;
+        self.timing = CycleBreakdown { cycle: self.cycle, ..Default::default() };
         self.rebuilds_before = mdsim::neighbor::neighbor_cache_rebuilds();
         if ctx.simulated {
             let n = ctx.n_replicas();
             // RepEx framework overhead: task preparation and local method
             // calls, once per cycle (Fig. 5 plots it per cycle).
             let t = ctx.perf.overhead.repex_seconds(ctx.grid.n_dims(), n);
-            charge(core, ctx, OverheadScope::Repex, self.cycle, t);
+            self.charge(core, ctx, OverheadScope::Repex, t);
             // RP 0.35's Mode II MPI-scheduling defect (see OverheadModel):
             // only when the pilot cannot hold all replicas concurrently.
             if ctx.pilot.cores() < n * ctx.cfg.resource.cores_per_replica {
                 let t = ctx.perf.overhead.mode2_sched_per_core * ctx.pilot.cores() as f64;
-                charge(core, ctx, OverheadScope::Rp, self.cycle, t);
+                self.charge(core, ctx, OverheadScope::Rp, t);
             }
         }
         self.begin_md(core, ctx)
@@ -92,7 +102,7 @@ impl Barrier {
         if ctx.simulated {
             // RP overhead: launching N tasks through the agent.
             let t = ctx.perf.overhead.rp_seconds(ctx.n_replicas(), &ctx.cluster);
-            charge(core, ctx, OverheadScope::Rp, self.cycle, t);
+            self.charge(core, ctx, OverheadScope::Rp, t);
         }
         self.phase = Phase::Md;
         self.phase_start = ctx.pilot.executor.now().as_secs();
@@ -105,19 +115,15 @@ impl Barrier {
         let cycle = self.cycle;
         let rebuilds =
             mdsim::neighbor::neighbor_cache_rebuilds().saturating_sub(self.rebuilds_before);
-        if ctx.recorder.is_enabled() && rebuilds > 0 {
+        if rebuilds > 0 {
             // Process-wide counter: under parallel test runs this may
             // include other simulations' rebuilds; it is diagnostic only.
             let at = ctx.pilot.executor.now().as_secs();
-            core.events.push(Event::CacheRebuild { cycle, rebuilds, at });
+            core.record(ctx, Event::CacheRebuild { cycle, rebuilds, at });
         }
-        // Eq. 1 from the event stream: the events carry the same clock
-        // probes in the same order as the per-field accumulation they
-        // replaced, so the derived timing matches it to floating-point
-        // rounding (≪ 1e-9).
-        let timing = obs::cycle_breakdowns(&core.events)
-            .first()
-            .map_or_else(Default::default, timing_from_breakdown);
+        // Folded in event order, as `obs::cycle_breakdowns` folds a trace of
+        // this cycle: the report and an exported trace agree bit for bit.
+        let timing = std::mem::take(&mut self.timing);
         ctx.record_rungs();
         self.reports.push(CycleReport { cycle, timing });
         ctx.completed_cycles = cycle + 1;
@@ -151,17 +157,12 @@ impl Policy for Barrier {
         if self.phase == Phase::Md {
             // Global barrier: every MD segment (and relaunch) has finished.
             let end = ctx.pilot.executor.now().as_secs();
-            core.events.push(Event::MdPhase { cycle, dim, start: self.phase_start, end });
+            self.emit(core, ctx, Event::MdPhase { cycle, dim, start: self.phase_start, end });
             if ctx.simulated {
                 let t = ctx.perf.data.data_seconds(kind, participants, &ctx.cluster);
                 ctx.pilot.executor.charge_overhead(t);
-                core.events.push(Event::DataStage {
-                    kind: kind.letter(),
-                    dim,
-                    cycle,
-                    start: end,
-                    end: ctx.pilot.executor.now().as_secs(),
-                });
+                let (kind, start, end) = (kind.letter(), end, ctx.pilot.executor.now().as_secs());
+                self.emit(core, ctx, Event::DataStage { kind, dim, cycle, start, end });
             }
             self.phase_start = ctx.pilot.executor.now().as_secs();
             if !ctx.cfg.no_exchange {
@@ -176,15 +177,10 @@ impl Policy for Barrier {
         // no-exchange baseline records an empty one. The ledger takes it
         // as a fold of the trace would.
         let participants = if self.phase == Phase::Exchange { participants } else { 0 };
-        ctx.ledger.window(kind.letter(), dim, participants);
-        core.events.push(Event::ExchangeWindow {
-            kind: kind.letter(),
-            dim,
-            cycle,
-            participants,
-            start: self.phase_start,
-            end: ctx.pilot.executor.now().as_secs(),
-        });
+        let (kind, start) = (kind.letter(), self.phase_start);
+        let end = ctx.pilot.executor.now().as_secs();
+        ctx.ledger.window(kind, dim, participants);
+        self.emit(core, ctx, Event::ExchangeWindow { kind, dim, cycle, participants, start, end });
         if dim + 1 < ctx.grid.n_dims() {
             self.dim += 1;
             self.begin_md(core, ctx)

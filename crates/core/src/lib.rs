@@ -45,6 +45,4 @@ pub use config::{
 };
 pub use report::{CycleReport, SimulationReport};
 pub use simulation::RemdSimulation;
-pub use timing::{
-    average_cycles, strong_efficiency, utilization_percent, weak_efficiency, CycleTiming,
-};
+pub use timing::{strong_efficiency, utilization_percent, weak_efficiency};

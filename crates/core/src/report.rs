@@ -1,19 +1,30 @@
 //! Simulation results: per-cycle timings plus aggregate diagnostics.
 
 use crate::emm::WindowSamples;
-use crate::timing::{average_cycles, CycleTiming};
 use exchange::stats::AcceptanceStats;
-use obs::json::Value;
-use obs::{json_struct, obj};
+use obs::json::{Decode, Encode, Error, Value};
+use obs::{obj, CycleBreakdown};
 
-/// One cycle's record.
+/// One cycle's record: `{"cycle", "timing"}` on the wire, the timing in
+/// [`CycleBreakdown`]'s form. Its `timing.cycle` is `cycle`, decoded too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleReport {
     pub cycle: u64,
-    pub timing: CycleTiming,
+    pub timing: CycleBreakdown,
 }
 
-json_struct!(CycleReport { cycle: "cycle", timing: "timing" });
+impl Encode for CycleReport {
+    fn encode(&self) -> Value {
+        obj! { "cycle" => self.cycle, "timing" => self.timing }
+    }
+}
+
+impl Decode for CycleReport {
+    fn decode(v: &Value) -> Result<Self, Error> {
+        let cycle = v.field("cycle", None)?;
+        Ok(CycleReport { cycle, timing: CycleBreakdown { cycle, ..v.field("timing", None)? } })
+    }
+}
 
 /// Everything a finished simulation reports.
 pub struct SimulationReport {
@@ -48,14 +59,11 @@ pub struct SimulationReport {
 }
 
 impl SimulationReport {
-    /// Average cycle timing (the paper averages 4 cycles).
-    ///
-    /// Safe on any report: with no cycles (asynchronous runs report an empty
-    /// cycle list) this returns an all-zero [`CycleTiming`], and heterogeneous
-    /// cycles (e.g. alternating exchange dimensions) are averaged per
-    /// exchange kind rather than by position.
-    pub fn average_timing(&self) -> CycleTiming {
-        average_cycles(&self.cycles.iter().map(|c| c.timing.clone()).collect::<Vec<_>>())
+    /// Average cycle timing (the paper averages 4 cycles), by
+    /// [`obs::average_breakdown`]: all zero with no cycles (asynchronous
+    /// runs report none), per exchange kind over heterogeneous ones.
+    pub fn average_timing(&self) -> CycleBreakdown {
+        obs::average_breakdown(&self.cycles.iter().map(|c| c.timing.clone()).collect::<Vec<_>>())
     }
 
     /// Average total cycle time `Tc`.
@@ -127,12 +135,12 @@ impl SimulationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpc::perfmodel::ExchangeKind;
 
     fn report() -> SimulationReport {
-        let timing = CycleTiming {
+        let timing = CycleBreakdown {
+            cycle: 0,
             t_md: 139.6,
-            t_ex: vec![(ExchangeKind::Temperature, 10.0)],
+            t_ex: vec![('T', 10.0)],
             t_data: 2.0,
             t_repex_over: 1.0,
             t_rp_over: 3.0,
@@ -145,7 +153,7 @@ mod tests {
             pilot_cores: 8,
             cycles: vec![
                 CycleReport { cycle: 0, timing: timing.clone() },
-                CycleReport { cycle: 1, timing },
+                CycleReport { cycle: 1, timing: CycleBreakdown { cycle: 1, ..timing } },
             ],
             makespan: 320.0,
             utilization_percent: 85.0,

@@ -1,42 +1,6 @@
-//! Cycle-time decomposition and efficiency metrics (Eqs. 1–4 of the paper).
-
-use hpc::perfmodel::ExchangeKind;
-
-/// Decomposition of one simulation cycle (Eq. 1):
-/// `Tc = T_MD + T_EX + T_data + T_RepEx_over + T_RP_over`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CycleTiming {
-    /// MD simulation wall time, summed over the cycle's dimension passes.
-    pub t_md: f64,
-    /// Exchange wall time per dimension, in dimension order.
-    pub t_ex: Vec<(ExchangeKind, f64)>,
-    /// Data-movement time.
-    pub t_data: f64,
-    /// RepEx framework overhead (task preparation, local method calls).
-    pub t_repex_over: f64,
-    /// Runtime-system overhead (task launching, internal communication).
-    pub t_rp_over: f64,
-}
-
-obs::json_struct!(CycleTiming {
-    t_md: "t_md",
-    t_ex: "t_ex",
-    t_data: "t_data",
-    t_repex_over: "t_repex_over",
-    t_rp_over: "t_rp_over",
-});
-
-impl CycleTiming {
-    /// Total exchange time across dimensions.
-    pub fn t_ex_total(&self) -> f64 {
-        self.t_ex.iter().map(|(_, t)| t).sum()
-    }
-
-    /// The full cycle time `Tc` (Eq. 1).
-    pub fn total(&self) -> f64 {
-        self.t_md + self.t_ex_total() + self.t_data + self.t_repex_over + self.t_rp_over
-    }
-}
+//! Efficiency metrics (Eqs. 2–4 of the paper). The cycle-time
+//! decomposition of Eq. 1 is [`obs::CycleBreakdown`], folded from the
+//! driver's events and averaged by [`obs::average_breakdown`].
 
 /// Weak-scaling parallel efficiency (Eq. 2): `Ew = T1 / TN × 100%`, where
 /// `T1` is the cycle time at the smallest replica count (cores = replicas)
@@ -88,63 +52,20 @@ pub fn utilization_percent(pattern: f64, ideal: f64) -> Option<f64> {
     }
 }
 
-/// Convert an event-derived [`obs::CycleBreakdown`] into a [`CycleTiming`].
-///
-/// The drivers accumulate Eq. 1 through trace events and derive their
-/// reported timing with this bridge, so the report and any exported trace
-/// can never disagree.
-pub fn timing_from_breakdown(b: &obs::CycleBreakdown) -> CycleTiming {
-    CycleTiming {
-        t_md: b.t_md,
-        t_ex: b
-            .t_ex
-            .iter()
-            .map(|(letter, t)| {
-                (ExchangeKind::from_letter(*letter).expect("driver-emitted exchange letter"), *t)
-            })
-            .collect(),
-        t_data: b.t_data,
-        t_repex_over: b.t_repex_over,
-        t_rp_over: b.t_rp_over,
-    }
-}
-
-/// Average of cycle timings (the paper reports "average of 4 simulation
-/// cycles"). An empty slice averages to the zero timing (e.g. asynchronous
-/// runs, which have no cycle decomposition).
-///
-/// When every cycle shares one dimension layout (the synchronous pattern),
-/// `t_ex` is averaged positionally, preserving per-dimension attribution
-/// even when two dimensions share a kind (e.g. T-U-U). Heterogeneous
-/// layouts — asynchronous partial-exchange cycles with fewer or reordered
-/// dimensions — are averaged by `ExchangeKind`, each kind over the cycles
-/// where it appears, instead of panicking or misattributing positionally.
-pub fn average_cycles(cycles: &[CycleTiming]) -> CycleTiming {
-    let breakdowns: Vec<obs::CycleBreakdown> = cycles
-        .iter()
-        .map(|c| obs::CycleBreakdown {
-            cycle: 0,
-            t_md: c.t_md,
-            t_ex: c.t_ex.iter().map(|(kind, t)| (kind.letter(), *t)).collect(),
-            t_data: c.t_data,
-            t_repex_over: c.t_repex_over,
-            t_rp_over: c.t_rp_over,
-        })
-        .collect();
-    timing_from_breakdown(&obs::average_breakdown(&breakdowns))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn timing(md: f64, ex: f64) -> CycleTiming {
-        CycleTiming {
+    use obs::{average_breakdown, CycleBreakdown};
+
+    fn timing(md: f64, ex: f64) -> CycleBreakdown {
+        CycleBreakdown {
             t_md: md,
-            t_ex: vec![(ExchangeKind::Temperature, ex)],
+            t_ex: vec![('T', ex)],
             t_data: 2.0,
             t_repex_over: 1.0,
             t_rp_over: 3.0,
+            ..Default::default()
         }
     }
 
@@ -156,13 +77,9 @@ mod tests {
 
     #[test]
     fn multi_dimension_exchange_sums() {
-        let t = CycleTiming {
+        let t = CycleBreakdown {
             t_md: 495.0,
-            t_ex: vec![
-                (ExchangeKind::Temperature, 30.0),
-                (ExchangeKind::Salt, 200.0),
-                (ExchangeKind::Umbrella, 35.0),
-            ],
+            t_ex: vec![('T', 30.0), ('S', 200.0), ('U', 35.0)],
             ..Default::default()
         };
         assert!((t.t_ex_total() - 265.0).abs() < 1e-12);
@@ -211,27 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_bridge_preserves_every_field() {
-        let b = obs::CycleBreakdown {
-            cycle: 3,
-            t_md: 10.0,
-            t_ex: vec![('T', 1.0), ('S', 2.0)],
-            t_data: 0.5,
-            t_repex_over: 0.25,
-            t_rp_over: 0.75,
-        };
-        let t = timing_from_breakdown(&b);
-        assert_eq!(t.t_md, 10.0);
-        assert_eq!(t.t_ex, vec![(ExchangeKind::Temperature, 1.0), (ExchangeKind::Salt, 2.0)]);
-        assert_eq!(t.t_data, 0.5);
-        assert_eq!(t.t_repex_over, 0.25);
-        assert_eq!(t.t_rp_over, 0.75);
-        assert!((t.total() - b.total()).abs() < 1e-12);
-    }
-
-    #[test]
     fn averaging_cycles() {
-        let avg = average_cycles(&[timing(100.0, 10.0), timing(140.0, 20.0)]);
+        let avg = average_breakdown(&[timing(100.0, 10.0), timing(140.0, 20.0)]);
         assert!((avg.t_md - 120.0).abs() < 1e-12);
         assert!((avg.t_ex[0].1 - 15.0).abs() < 1e-12);
         assert!((avg.t_data - 2.0).abs() < 1e-12);
@@ -241,44 +139,30 @@ mod tests {
     fn average_of_nothing_is_zero_timing() {
         // Asynchronous runs report no cycle decomposition; averaging an
         // empty slice must not panic (the CLI summary path hits this).
-        assert_eq!(average_cycles(&[]), CycleTiming::default());
+        assert_eq!(average_breakdown(&[]), CycleBreakdown::default());
     }
 
     #[test]
     fn averaging_duplicate_kinds_stays_positional() {
         // T-U-U layouts must keep per-dimension attribution: the two U
         // dimensions average independently.
-        let cycle = |a: f64, b: f64, c: f64| CycleTiming {
-            t_ex: vec![
-                (ExchangeKind::Temperature, a),
-                (ExchangeKind::Umbrella, b),
-                (ExchangeKind::Umbrella, c),
-            ],
+        let cycle = |a: f64, b: f64, c: f64| CycleBreakdown {
+            t_ex: vec![('T', a), ('U', b), ('U', c)],
             ..Default::default()
         };
-        let avg = average_cycles(&[cycle(1.0, 2.0, 6.0), cycle(3.0, 4.0, 8.0)]);
-        assert_eq!(avg.t_ex.len(), 3);
-        assert!((avg.t_ex[0].1 - 2.0).abs() < 1e-12);
-        assert!((avg.t_ex[1].1 - 3.0).abs() < 1e-12);
-        assert!((avg.t_ex[2].1 - 7.0).abs() < 1e-12);
+        let avg = average_breakdown(&[cycle(1.0, 2.0, 6.0), cycle(3.0, 4.0, 8.0)]);
+        assert_eq!(avg.t_ex, vec![('T', 2.0), ('U', 3.0), ('U', 7.0)]);
     }
 
     #[test]
     fn averaging_heterogeneous_cycles_keys_by_kind() {
         // Async partial-exchange cycles can have fewer or reordered dims;
-        // the old positional code panicked (index out of bounds) or
-        // misattributed kinds. Average by kind over the cycles where the
+        // positional averaging would panic (index out of bounds) or
+        // misattribute kinds. Average by kind over the cycles where the
         // kind appears.
-        let a = CycleTiming { t_ex: vec![(ExchangeKind::Temperature, 10.0)], ..Default::default() };
-        let b = CycleTiming {
-            t_ex: vec![(ExchangeKind::Temperature, 20.0), (ExchangeKind::Salt, 5.0)],
-            ..Default::default()
-        };
-        let avg = average_cycles(&[a, b]);
-        assert_eq!(avg.t_ex.len(), 2);
-        assert_eq!(avg.t_ex[0].0, ExchangeKind::Temperature);
-        assert!((avg.t_ex[0].1 - 15.0).abs() < 1e-12, "T over both cycles");
-        assert_eq!(avg.t_ex[1].0, ExchangeKind::Salt);
-        assert!((avg.t_ex[1].1 - 5.0).abs() < 1e-12, "S only where present");
+        let a = CycleBreakdown { t_ex: vec![('T', 10.0)], ..Default::default() };
+        let b = CycleBreakdown { t_ex: vec![('T', 20.0), ('S', 5.0)], ..Default::default() };
+        let avg = average_breakdown(&[a, b]);
+        assert_eq!(avg.t_ex, vec![('T', 15.0), ('S', 5.0)], "S only where present");
     }
 }

@@ -12,10 +12,9 @@ use repex::config::{DimensionConfig, FaultPolicy, Pattern, SimulationConfig, Wor
 use repex::emm::asynchronous::run_async;
 use repex::emm::sync::run_sync;
 use repex::emm::{DriverCtx, WINDOW};
-use repex::report::SimulationReport;
+use repex::report::{CycleReport, SimulationReport};
 use repex::simulation::{build_ctx, make_pilot, RemdSimulation};
 use repex::task::TaskResult;
-use repex::timing::{timing_from_breakdown, CycleTiming};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -251,19 +250,47 @@ fn no_exchange_baseline_skips_exchange() {
     assert_eq!(ctx.ledger.dims()[0].attempts, 0);
 }
 
+/// Each cycle's reported Eq. 1 record is the fold of the trace its run
+/// recorded, bit for bit, and the barrier folds it whether or not a
+/// recorder is on: the same run untraced reports the same cycles.
 #[test]
 fn reported_timing_is_derived_from_the_event_stream() {
-    // The barrier's CycleTiming must equal a re-aggregation of the events
-    // it recorded — exactly, since both come from one stream.
-    let recorder = obs::Recorder::enabled();
-    let mut ctx = build_ctx(quick_cfg(8)).unwrap();
-    ctx.recorder = recorder.clone();
-    let reports = run_sync(&mut ctx).unwrap();
-    let breakdowns = obs::cycle_breakdowns(&recorder.events());
-    assert_eq!(breakdowns.len(), reports.len());
-    for (report, b) in reports.iter().zip(&breakdowns) {
-        let rederived = timing_from_breakdown(b);
-        assert_eq!(report.timing, rederived, "cycle {}", report.cycle);
+    let mut mode2 = quick_cfg(16);
+    mode2.resource.cores = Some(4);
+    let mut no_exchange = quick_cfg(8);
+    no_exchange.no_exchange = true;
+    let mut storm = quick_cfg(16);
+    storm.n_cycles = 3;
+    storm.scenario = Some(hpc::Scenario::FailureStorm {
+        storm_mtbf_seconds: 20.0,
+        period_seconds: 60.0,
+        storm_fraction: 0.5,
+    });
+    storm.fault_policy = FaultPolicy::Relaunch { max_retries: 25 };
+    let cases = [
+        ("1-D T", quick_cfg(8)),
+        ("3-D TSU", tsu_cfg(2)),
+        ("Mode II, 16 replicas on 4 cores", mode2),
+        ("no exchange", no_exchange),
+        ("failure storm, relaunch", storm),
+    ];
+    // `Debug` spells each term at full precision: equal text, equal bits.
+    let bits = |reports: &[CycleReport]| format!("{reports:?}");
+    for (row, cfg) in cases {
+        let recorder = obs::Recorder::enabled();
+        let mut ctx = build_ctx(cfg.clone()).unwrap();
+        ctx.pilot.executor.set_recorder(recorder.clone());
+        ctx.recorder = recorder.clone();
+        let traced = run_sync(&mut ctx).unwrap();
+        assert_eq!(traced.len() as u64, ctx.cfg.n_cycles, "{row}");
+        assert_eq!(ctx.failed_tasks > 0, cfg.scenario.is_some(), "{row}");
+        let folded: Vec<CycleReport> = obs::cycle_breakdowns(&recorder.events())
+            .into_iter()
+            .map(|timing| CycleReport { cycle: timing.cycle, timing })
+            .collect();
+        assert_eq!(bits(&traced), bits(&folded), "{row}: the report is the trace's fold");
+        let untraced = run_sync(&mut build_ctx(cfg).unwrap()).unwrap();
+        assert_eq!(bits(&untraced), bits(&traced), "{row}: the recorder moves no term");
     }
 }
 
@@ -274,7 +301,7 @@ fn multidim_cycle_has_exchange_per_dimension() {
     let reports = run_sync(&mut ctx).unwrap();
     let t = &reports[0].timing;
     assert_eq!(t.t_ex.len(), 3, "one exchange per dimension");
-    let letters: String = t.t_ex.iter().map(|(k, _)| k.letter()).collect();
+    let letters: String = t.t_ex.iter().map(|(k, _)| k).collect();
     assert_eq!(letters, "TSU");
     // MD runs once per dimension: t_md ≈ 3 segments.
     let one = 139.6 * 600.0 / 6000.0;
@@ -557,7 +584,7 @@ impl Executor<TaskResult> for Tap {
 struct Outcome {
     events: Vec<Event>,
     counters: BTreeMap<String, u64>,
-    cycles: Vec<(u64, CycleTiming)>,
+    cycles: Vec<(u64, obs::CycleBreakdown)>,
     makespan: u64,
     md_core_seconds: u64,
     failed: u64,

@@ -10,11 +10,10 @@
 
 use exchange::pairing::PairingStrategy;
 use exchange::stats::AcceptanceStats;
-use hpc::perfmodel::ExchangeKind;
 use hpc::Scenario;
 use obs::health::RoundTripTracker;
 use obs::json::{self, Decode, Encode};
-use obs::{Diagnostic, Severity};
+use obs::{CycleBreakdown, Diagnostic, Severity};
 use repex::checkpoint::{
     AsyncSchedulerState, CampaignCheckpoint, ReplicaCheckpoint, SchedulerState, CHECKPOINT_FILE,
 };
@@ -23,7 +22,6 @@ use repex::config::{
 };
 use repex::report::CycleReport;
 use repex::simulation::build_ctx;
-use repex::timing::CycleTiming;
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
@@ -107,11 +105,6 @@ fn every_persisted_type_decodes_what_it_encodes() {
     for x in [PairingStrategy::NeighborAlternating, PairingStrategy::Random] {
         round_trip(&x);
     }
-    for x in
-        [ExchangeKind::Temperature, ExchangeKind::Umbrella, ExchangeKind::Salt, ExchangeKind::Ph]
-    {
-        round_trip(&x);
-    }
     for x in [Severity::Info, Severity::Warning, Severity::Error] {
         round_trip(&x);
     }
@@ -126,16 +119,17 @@ fn every_persisted_type_decodes_what_it_encodes() {
     }
     assert!(tracker.encode().compact().contains("\"last_end\":[-1,0,-1]"), "-1 means no end yet");
     round_trip(&tracker);
-    let timing = CycleTiming {
+    let timing = CycleBreakdown {
+        cycle: 0,
         t_md: 139.6,
-        t_ex: vec![(ExchangeKind::Temperature, 10.0), (ExchangeKind::Salt, 0.1 + 0.2)],
+        t_ex: vec![('T', 10.0), ('S', 0.1 + 0.2)],
         t_data: 2.0,
         t_repex_over: 1.0,
         t_rp_over: 3.0,
     };
     assert!(timing.encode().compact().contains(r#""t_ex":[["Temperature",10.0],["Salt","#));
     round_trip(&timing);
-    round_trip(&CycleReport { cycle: 3, timing });
+    round_trip(&CycleReport { cycle: 3, timing: CycleBreakdown { cycle: 3, ..timing } });
     round_trip(&ReplicaCheckpoint {
         id: 2,
         slot: 0,
@@ -176,7 +170,7 @@ fn checkpoints_survive_a_real_file() {
     ctx.record_samples_at(1, 0, &[(0.25, -0.5), (0.1 + 0.2, 1e-300)]);
     ctx.ledger.outcome(0, 0, 1, true);
     ctx.telemetry_seq = 9;
-    let reports = [CycleReport { cycle: 0, timing: CycleTiming::default() }];
+    let reports = [CycleReport { cycle: 0, timing: CycleBreakdown::default() }];
     let sync = CampaignCheckpoint::capture(&ctx, SchedulerState::Sync { cycles_done: 1 }, &reports);
     assert_eq!(sync.config.seed, u64::MAX);
 
@@ -320,7 +314,8 @@ fn the_committed_v1_checkpoints_keep_loading() {
     tracker.record(2, 3);
     assert_eq!(v1.round_trips, Some(tracker));
     assert_eq!(v1.cycle_reports.len(), 2);
-    assert_eq!(v1.cycle_reports[1].timing.t_ex[0].0, ExchangeKind::Temperature);
+    assert_eq!(v1.cycle_reports[1].timing.t_ex[0].0, 'T');
+    assert_eq!(v1.cycle_reports[1].timing.cycle, 1);
     assert_eq!((v1.replicas.len(), v1.window_samples.len(), v1.telemetry_seq), (4, 4, 0));
 
     // Byte for byte what `save` writes today.

@@ -81,14 +81,6 @@ impl ExchangeKind {
     }
 }
 
-// On the wire the variant names themselves: `t_ex: [["Temperature", 10.0]]`.
-obs::json_enum!(ExchangeKind {
-    Temperature: "Temperature",
-    Umbrella: "Umbrella",
-    Salt: "Salt",
-    Ph: "Ph"
-});
-
 /// MD wall-time model.
 #[derive(Debug, Clone, Copy)]
 pub struct MdCostModel {

@@ -37,7 +37,6 @@ use obs::json_fields;
 use obs::{Diagnostic, ACCEPTANCE_BAND};
 use repex::config::{DimensionConfig, Pattern, SimulationConfig, Workload};
 use repex::simulation::RemdSimulation;
-use repex::timing::CycleTiming;
 
 /// P101 fires below this predicted utilization (percent).
 const MIN_UTILIZATION_PERCENT: f64 = 50.0;
@@ -73,7 +72,7 @@ pub struct CostPrediction {
     pub pilot_cores: usize,
     /// Mean Eq. 1 decomposition of one cycle; `None` for the asynchronous
     /// pattern, which runs no cycles.
-    pub cycle: Option<CycleTiming>,
+    pub cycle: Option<obs::CycleBreakdown>,
     /// `makespan / n_cycles`: what one exchange cycle costs in wall
     /// seconds, for the round trip in seconds.
     pub cycle_seconds: f64,

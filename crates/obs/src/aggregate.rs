@@ -1,6 +1,8 @@
-//! Deriving the Eq. 1 cycle decomposition from the event stream.
+//! The Eq. 1 cycle decomposition: its one record type, its fold over the
+//! event stream, and its wire form.
 
 use crate::event::{Event, OverheadScope};
+use crate::json::{Decode, Encode, Error, Value, Variant};
 use std::collections::BTreeMap;
 
 /// Per-cycle Eq. 1 decomposition derived purely from trace events:
@@ -9,6 +11,9 @@ use std::collections::BTreeMap;
 /// `t_ex` keeps one entry per exchange window in event order, so multi-dim
 /// layouts (e.g. T-U-U) preserve their per-dimension attribution exactly as
 /// the driver emitted it.
+/// It is also the report's, the plan's and the checkpoint's record: on the
+/// wire the five terms, `t_ex` naming each kind (`[["Temperature", 10.0]]`);
+/// `cycle` is not written, and decodes as 0.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleBreakdown {
     pub cycle: u64,
@@ -55,6 +60,53 @@ impl CycleBreakdown {
     }
 }
 
+/// `hpc`'s exchange kinds: the letter an event carries, the name `t_ex`
+/// gives it on the wire.
+const KINDS: [(char, &str); 4] =
+    [('T', "Temperature"), ('U', "Umbrella"), ('S', "Salt"), ('P', "Ph")];
+
+/// A `t_ex` entry's kind on the wire: its name (a letter that names no kind
+/// is written as itself, and does not decode).
+struct Kind(char);
+
+impl Encode for Kind {
+    fn encode(&self) -> Value {
+        KINDS.iter().find(|k| k.0 == self.0).map_or_else(|| self.0.encode(), |k| k.1.encode())
+    }
+}
+
+impl Decode for Kind {
+    fn decode(v: &Value) -> Result<Self, Error> {
+        let variant = Variant::of(v, None)?;
+        let kind = KINDS.iter().find(|k| k.1 == variant.name);
+        kind.map(|k| Kind(k.0)).ok_or_else(|| variant.unknown(&KINDS.map(|k| k.1)))
+    }
+}
+
+impl Encode for CycleBreakdown {
+    fn encode(&self) -> Value {
+        let t_ex: Vec<_> = self.t_ex.iter().map(|&(k, t)| (Kind(k), t)).collect();
+        crate::obj! {
+            "t_md" => self.t_md, "t_ex" => t_ex, "t_data" => self.t_data,
+            "t_repex_over" => self.t_repex_over, "t_rp_over" => self.t_rp_over,
+        }
+    }
+}
+
+impl Decode for CycleBreakdown {
+    fn decode(v: &Value) -> Result<Self, Error> {
+        let t_ex: Vec<(Kind, f64)> = v.field("t_ex", None)?;
+        Ok(CycleBreakdown {
+            cycle: 0,
+            t_md: v.field("t_md", None)?,
+            t_ex: t_ex.into_iter().map(|(k, t)| (k.0, t)).collect(),
+            t_data: v.field("t_data", None)?,
+            t_repex_over: v.field("t_repex_over", None)?,
+            t_rp_over: v.field("t_rp_over", None)?,
+        })
+    }
+}
+
 /// Group interval events by cycle and sum them into Eq. 1 buckets.
 ///
 /// Returns one breakdown per cycle id in ascending cycle order. Durations
@@ -98,11 +150,12 @@ pub fn replica_spans(events: &[Event]) -> BTreeMap<usize, Vec<(f64, f64)>> {
     rows
 }
 
-/// Average breakdowns (`repex::timing::average_cycles` maps through here):
-/// scalar fields are plain means; `t_ex` averages positionally when every cycle
-/// shares one dimension layout, and by exchange-kind letter otherwise
-/// (heterogeneous async cycles), each kind averaged over the cycles where
-/// it appears.
+/// Average breakdowns (the paper reports "average of 4 simulation
+/// cycles"): scalar fields are plain means; `t_ex` averages positionally
+/// when every cycle shares one dimension layout (T-U-U keeps its two U
+/// terms apart), and by exchange-kind letter otherwise (heterogeneous async
+/// cycles), each kind averaged over the cycles where it appears. No cycles
+/// average to the zero breakdown.
 pub fn average_breakdown(cycles: &[CycleBreakdown]) -> CycleBreakdown {
     let Some(first) = cycles.first() else { return CycleBreakdown::default() };
     let n = cycles.len() as f64;
@@ -123,29 +176,16 @@ pub fn average_breakdown(cycles: &[CycleBreakdown]) -> CycleBreakdown {
             avg.t_ex.push((first.t_ex[d].0, mean));
         }
     } else {
-        let mut kinds: Vec<char> = Vec::new();
-        for c in cycles {
-            for (k, _) in &c.t_ex {
-                if !kinds.contains(k) {
-                    kinds.push(*k);
-                }
+        let mut kinds = Vec::new();
+        for &(k, _) in cycles.iter().flat_map(|c| &c.t_ex) {
+            if !kinds.contains(&k) {
+                kinds.push(k);
             }
         }
         for kind in kinds {
-            let mut sum = 0.0;
-            let mut occurrences = 0u64;
-            for c in cycles {
-                let mut present = false;
-                for (k, t) in &c.t_ex {
-                    if *k == kind {
-                        sum += t;
-                        present = true;
-                    }
-                }
-                if present {
-                    occurrences += 1;
-                }
-            }
+            let entries = cycles.iter().flat_map(|c| &c.t_ex).filter(|e| e.0 == kind);
+            let sum: f64 = entries.map(|e| e.1).sum();
+            let occurrences = cycles.iter().filter(|c| c.t_ex.iter().any(|e| e.0 == kind)).count();
             avg.t_ex.push((kind, sum / occurrences as f64));
         }
     }
@@ -220,6 +260,29 @@ mod tests {
     fn busy_core_seconds_skips_failures() {
         let events = vec![seg(0, 0, 0.0, 10.0, 2, true), seg(1, 0, 0.0, 5.0, 2, false)];
         assert!((md_busy_core_seconds(&events) - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_wire_form_names_each_kind_and_round_trips() {
+        let b = CycleBreakdown {
+            cycle: 0,
+            t_md: 139.6,
+            t_ex: vec![('T', 10.0), ('S', 0.1 + 0.2), ('U', 1e-300), ('P', 0.5)],
+            t_data: 2.0,
+            t_repex_over: 1.0,
+            t_rp_over: 3.0,
+        };
+        let text = b.encode().compact();
+        assert!(text.contains(r#""t_ex":[["Temperature",10.0],["Salt","#), "{text}");
+        assert!(text.starts_with(r#"{"t_md":139.6,"t_ex":"#) && !text.contains("cycle"), "{text}");
+        assert_eq!(crate::json::from_str::<CycleBreakdown>(&text), Ok(b));
+        let e = crate::json::from_str::<CycleBreakdown>(&text.replace("Salt", "Pressure"));
+        let e = e.unwrap_err();
+        assert_eq!(e.pointer, "/t_ex/1/0");
+        assert_eq!(
+            e.message,
+            "unknown variant `Pressure`, expected one of: Temperature, Umbrella, Salt, Ph"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shared event sink and metrics registry.
 
+use crate::chrome;
 use crate::event::Event;
 use crate::live::{EmitStats, LiveConfig, LiveState, TelemetrySnapshot};
-use crate::{aggregate, chrome};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::PoisonError;
@@ -229,11 +229,6 @@ impl Recorder {
         }
         out.push('}');
         out
-    }
-
-    /// Derive per-cycle Eq. 1 breakdowns from the recorded events.
-    pub fn cycle_breakdowns(&self) -> Vec<aggregate::CycleBreakdown> {
-        aggregate::cycle_breakdowns(&self.events())
     }
 }
 

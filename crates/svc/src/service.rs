@@ -42,6 +42,7 @@ use repex::simulation::RemdSimulation;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Seek, SeekFrom};
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -300,7 +301,7 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                 let id = c.id.clone();
                 let spawned = std::thread::Builder::new()
                     .name("repex-svc-runner".into())
-                    .spawn(move || run_slice(&runner_inner, &id));
+                    .spawn(move || run_slice(&runner_inner, &id, run_leg));
                 if spawned.is_err() {
                     // Could not start the runner: undo the lease and
                     // requeue so the job is not stranded in `running`.
@@ -317,10 +318,23 @@ fn scheduler_loop(inner: &Arc<Inner>) {
     }
 }
 
+/// How a slice runs its leg of the campaign ([`run_leg`]; a test's stand-in).
+type Leg = fn(
+    &SimulationConfig,
+    &JobDirs,
+    &Arc<AtomicBool>,
+    &obs::Recorder,
+    bool,
+    u64,
+) -> Result<repex::SimulationReport, String>;
+
 /// Run one slice of campaign `id`: resume (or start) the simulation with
 /// checkpointing, live telemetry and the job's stop flag attached, then
-/// fold the outcome back into the job state.
-fn run_slice(inner: &Arc<Inner>, id: &str) {
+/// fold the outcome back into the job state. A panic in the leg fails the
+/// job with the panic's message, so its cores and its runner are always
+/// given back (and [`CampaignService::stop`], which waits for the runners,
+/// returns).
+fn run_slice(inner: &Arc<Inner>, id: &str, leg: Leg) {
     let (config, dirs, cancel, recorder, slice_cycles) = {
         let st = inner.lock();
         let Some(job) = st.jobs.get(id) else { return };
@@ -334,7 +348,15 @@ fn run_slice(inner: &Arc<Inner>, id: &str) {
     };
     let is_async = matches!(config.pattern, repex::config::Pattern::Asynchronous { .. });
     let started = Instant::now();
-    let result = run_leg(&config, &dirs, &cancel, &recorder, is_async, slice_cycles);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        leg(&config, &dirs, &cancel, &recorder, is_async, slice_cycles)
+    }))
+    .unwrap_or_else(|panic| {
+        let message = (panic.downcast_ref::<&str>().copied())
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a panic without a message");
+        Err(format!("the campaign panicked: {message}"))
+    });
     let elapsed = started.elapsed().as_secs_f64();
 
     let mut st = inner.lock();
@@ -839,6 +861,64 @@ mod tests {
         assert!(e.is_err_and(|e| e.pointer == "/priority" && e.message.contains("out of range")));
         let e = json::from_str::<SubmitRequest>(r#"{"config": {}}"#).map(|r| r.campaign);
         assert_eq!(e.unwrap_err().message, "missing field `campaign`");
+    }
+
+    /// A slice whose leg panics ends its job `Failed` with the message,
+    /// gives its cores back, and leaves nothing for `stop` to wait on.
+    #[test]
+    fn a_panicking_slice_fails_its_job_and_returns_its_cores() {
+        let spool = std::env::temp_dir().join(format!("repex-svc-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        let svc = CampaignService::start(ServiceConfig::new(&spool)).unwrap();
+        let pool = svc.inner.lock().fair.free_cores();
+        let mut config = SimulationConfig::t_remd(4, 600, 2);
+        config.resource.cluster = svc.inner.cfg.cluster.clone();
+        let record = JobRecord {
+            campaign: "boom".into(),
+            tenant: "t".into(),
+            weight: 1.0,
+            priority: 0,
+            seq: 0,
+            cores: 4,
+            predicted_core_seconds: 0.0,
+            state: JobState::Running,
+            error: None,
+            config,
+        };
+        {
+            // What the scheduler does when it starts a slice.
+            let mut st = svc.inner.lock();
+            let c = Candidate {
+                id: record.campaign.clone(),
+                tenant: record.tenant.clone(),
+                weight: record.weight,
+                priority: record.priority,
+                seq: record.seq,
+                cores: record.cores,
+            };
+            st.fair.start(&c).unwrap();
+            st.running += 1;
+            let job = Job {
+                dirs: JobDirs::new(&spool, &record.campaign),
+                record,
+                cancel: Arc::new(AtomicBool::new(false)),
+                user_cancelled: false,
+                recorder: obs::Recorder::disabled(),
+            };
+            st.jobs.insert("boom".into(), job);
+        }
+        run_slice(&svc.inner, "boom", |_, _, _, _, _, _| panic!("engine exploded"));
+        {
+            let st = svc.inner.lock();
+            let job = &st.jobs["boom"].record;
+            assert_eq!(job.state, JobState::Failed);
+            assert_eq!(job.error.as_deref(), Some("the campaign panicked: engine exploded"));
+            assert_eq!((st.running, st.fair.free_cores()), (0, pool), "the cores are back");
+        }
+        let saved = std::fs::read_to_string(JobDirs::new(&spool, "boom").record()).unwrap();
+        assert!(saved.contains("engine exploded"), "{saved}");
+        svc.stop();
+        let _ = std::fs::remove_dir_all(&spool);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn main() {
         let avg = report.average_timing();
         println!("  MD: {:.1}s across 3 dimension passes", avg.t_md);
         for (kind, t) in &avg.t_ex {
-            println!("  {} exchange: {:.1}s", kind.letter(), t);
+            println!("  {kind} exchange: {t:.1}s");
         }
         for (letter, acc) in &report.acceptance {
             println!("  {letter} acceptance: {:.0}%", acc.ratio() * 100.0);
