@@ -1,13 +1,38 @@
 //! Integration tests for the structured tracing/metrics layer: the exported
-//! trace's counts must agree with the simulation report (its Eq. 1 terms
-//! are `crates/core/tests/drivers.rs`'s), and the Chrome trace of an
-//! asynchronous run must lay out cleanly (one row per replica, no
-//! overlapping MD segments within a row).
+//! trace must agree with the simulation report (`crates/core/tests/drivers.rs`
+//! checks the same Eq. 1 fold across layouts, modes and faults), and the
+//! Chrome trace of an asynchronous run must lay out cleanly (one row per
+//! replica, no overlapping MD segments within a row).
 
 use integration::quick_tremd;
 use obs::{Event, Recorder};
 use repex::config::{FaultPolicy, Pattern};
 use repex::simulation::RemdSimulation;
+
+/// Through the public `RemdSimulation` API, each cycle's reported Eq. 1
+/// record is the fold of the trace handed to `with_recorder`.
+#[test]
+fn sync_report_timing_equals_event_aggregation() {
+    let recorder = Recorder::enabled();
+    let report = RemdSimulation::new(quick_tremd(8, 3))
+        .unwrap()
+        .with_recorder(recorder.clone())
+        .run()
+        .unwrap();
+    let breakdowns = obs::cycle_breakdowns(&recorder.events());
+    assert_eq!(breakdowns.len(), report.cycles.len());
+    for (cycle, derived) in report.cycles.iter().zip(&breakdowns) {
+        assert_eq!(cycle.cycle, derived.cycle);
+        assert!(
+            (cycle.timing.total() - derived.total()).abs() < 1e-9,
+            "cycle {}: {} vs {}",
+            cycle.cycle,
+            cycle.timing.total(),
+            derived.total()
+        );
+        assert_eq!(&cycle.timing, derived, "cycle {}", cycle.cycle);
+    }
+}
 
 #[test]
 fn sync_event_counts_match_report_totals() {
